@@ -28,8 +28,8 @@ pub mod smoke;
 pub mod systems;
 
 pub use lincheck_driver::{
-    apply_op, apply_op_pipelined, failure_report, run_scheduled, shrink_failing_trace,
-    ExploreConfig, RunOutput, ScheduleMode, TornLeafHook,
+    apply_op, apply_op_pipelined, failure_report, run_scheduled, run_scheduled_on,
+    shrink_failing_trace, ExploreConfig, RunOutput, ScheduleMode, TornLeafHook,
 };
 pub use runner::{load_phase, run_phase, RunConfig, RunResult};
 pub use systems::{System, SystemHandle, WorkerClient};

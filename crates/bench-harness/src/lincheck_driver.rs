@@ -32,7 +32,7 @@ use dm_sim::{FaultHook, RemotePtr, Schedule, ScheduleConfig, TraceStep};
 use lincheck::{check_history, CheckConfig, History, HistoryRecorder, Op, Outcome, Ret};
 use ycsb::KeySpace;
 
-use crate::systems::{System, WorkerClient};
+use crate::systems::{System, SystemHandle, WorkerClient};
 
 /// A deterministic, stateless torn-read fault: any READ completion that
 /// parses as a valid leaf gets up to eight bytes of its *value* region
@@ -86,9 +86,15 @@ pub struct ExploreConfig {
     pub system: System,
     /// Concurrent workers (schedule participants).
     pub threads: u32,
-    /// Key-space size; keys are [`ycsb::KeySpace::U64`] items `0..keys`
-    /// (8-byte big-endian, so every system including the B+-tree runs).
+    /// Key-space size: keys are `key_of(i)` for `i` in `0..keys`; the
+    /// preload inserts the first half.
     pub keys: u64,
+    /// Key shape (must be injective and prefix-free). The default,
+    /// [`ycsb::KeySpace::U64`] items (8-byte big-endian), runs on every
+    /// system including the B+-tree, but those keys diverge at byte 0, so
+    /// the tree stays flat and the INHT nearly empty; a run that wants
+    /// inner-node growth under the schedule supplies shared-prefix keys.
+    pub key_of: fn(u64) -> Vec<u8>,
     /// Operations issued per worker.
     pub ops_per_thread: u64,
     /// Seed for the per-thread workload streams — independent of the
@@ -100,6 +106,12 @@ pub struct ExploreConfig {
     pub tear_hook: bool,
     /// Include `multi_get` / `scan` / `scan_n` in the op mix.
     pub multi_ops: bool,
+    /// Include `delete` in the op mix (otherwise its slice becomes
+    /// inserts). Shared-prefix key shapes turn it off: deleting siblings
+    /// out of deep groups trips the known delete-path defect
+    /// (`RetriesExhausted { op: "locate" }`, ROADMAP item 1), which would
+    /// mask whatever the run is actually about.
+    pub deletes: bool,
     /// Ops kept in flight per worker for the batched-read slice of the
     /// mix: `1` serves [`lincheck::Op::MultiGet`] through the blocking
     /// `multi_get`, larger depths drive it through the pipelined op
@@ -120,10 +132,12 @@ impl ExploreConfig {
             system,
             threads,
             keys,
+            key_of: |i| KeySpace::U64.key(i),
             ops_per_thread,
             workload_seed: 0xC0FF_EE00,
             tear_hook: true,
             multi_ops: true,
+            deletes: true,
             pipeline_depth: 1,
             check: CheckConfig::default(),
         }
@@ -168,7 +182,7 @@ fn value_bytes(client: u32, seq: u64) -> Vec<u8> {
 }
 
 fn gen_key(rng: &mut SmallRng, cfg: &ExploreConfig) -> Vec<u8> {
-    KeySpace::U64.key(rng.gen_range(0..cfg.keys))
+    (cfg.key_of)(rng.gen_range(0..cfg.keys))
 }
 
 /// Draws the next operation for worker `tid` (op `seq`). Weights roughly
@@ -178,6 +192,9 @@ fn gen_op(rng: &mut SmallRng, cfg: &ExploreConfig, tid: u32, seq: u64) -> Op {
     let mut roll = rng.gen_range(0u32..100);
     if !cfg.multi_ops && roll >= 82 {
         roll = 0; // fold the batched/scan slice into point gets
+    }
+    if !cfg.deletes && (72..=81).contains(&roll) {
+        roll = 40; // fold the delete slice into inserts
     }
     match roll {
         0..=39 => Op::Get {
@@ -256,7 +273,21 @@ pub fn apply_op_pipelined(w: &mut WorkerClient, op: &Op, depth: usize) -> Ret {
 /// by the schedule — the `lincheck_explorer` binary catches these and
 /// reports the trace that provoked them).
 pub fn run_scheduled(cfg: &ExploreConfig, mode: ScheduleMode) -> RunOutput {
-    let handle = cfg.system.build(64 << 20, Some(1 << 20));
+    run_scheduled_on(&cfg.system.build(64 << 20, Some(1 << 20)), cfg, mode)
+}
+
+/// [`run_scheduled`] against a system the caller built (`cfg.system` is
+/// not consulted): lets a test size the index its own way and inspect it
+/// after the run.
+///
+/// # Panics
+///
+/// As [`run_scheduled`].
+pub fn run_scheduled_on(
+    handle: &SystemHandle,
+    cfg: &ExploreConfig,
+    mode: ScheduleMode,
+) -> RunOutput {
     let num_cns = handle.cluster().config().num_cns;
     let rec = Arc::new(HistoryRecorder::new());
 
@@ -273,7 +304,7 @@ pub fn run_scheduled(cfg: &ExploreConfig, mode: ScheduleMode) -> RunOutput {
         let mut loader = handle.worker(0);
         let pc = preload_client(cfg);
         for i in 0..cfg.keys / 2 {
-            let key = KeySpace::U64.key(i);
+            let key = (cfg.key_of)(i);
             let value = value_bytes(pc, i);
             let op = Op::Insert {
                 key: key.clone(),
@@ -555,15 +586,8 @@ mod tests {
 
     fn tiny(system: System) -> ExploreConfig {
         ExploreConfig {
-            system,
-            threads: 3,
-            keys: 8,
-            ops_per_thread: 40,
             workload_seed: 11,
-            tear_hook: true,
-            multi_ops: true,
-            pipeline_depth: 1,
-            check: CheckConfig::default(),
+            ..ExploreConfig::smoke(system, 3, 8, 40)
         }
     }
 

@@ -297,6 +297,8 @@ impl SphinxClient {
             reg.add("inht.cas_races", c.cas_races);
             reg.add("inht.splits", c.splits);
             reg.add("inht.refreshes", c.refreshes);
+            reg.add("inht.split_migrated", c.split_migrated);
+            reg.add("inht.split_extra_rounds", c.split_extra_rounds);
         }
         let p = &self.pipeline;
         reg.add("pipeline.ops", p.ops);

@@ -93,7 +93,7 @@ impl SphinxIndex {
             kind: NodeKind::Node4,
             addr: root_ptr,
         };
-        table.insert(&mut boot, h, entry.encode(), |_c, _w| Ok(h))?;
+        table.insert(&mut boot, h, entry.encode(), |_c, ws| Ok(vec![h; ws.len()]))?;
 
         let reclaim_domain = reclaim::ReclaimDomain::create(&mut boot, 0, config.reclaim)?;
 

@@ -17,23 +17,23 @@ use crate::client::{AmbiguousProbe, Descent, Outcome, ProbeKind, SlotRef, Sphinx
 use crate::config::CacheMode;
 use crate::error::SphinxError;
 
-/// The split oracle the Inner Node Hash Table needs: recover an entry's
+/// The split oracle the Inner Node Hash Table needs: recover each entry's
 /// key hash from the entry word by reading the referenced node's 42-bit
 /// full-prefix hash (word 1), which equals the low 42 bits of the
-/// placement hash.
-fn inht_split_oracle(client: &mut DmClient, word: u64) -> Result<u64, RaceError> {
-    let entry = HashEntry::decode(word).ok_or(RaceError::Corrupt {
-        what: "undecodable hash entry",
-    })?;
-    let w1 = client
-        .read_u64(
-            entry
-                .addr
-                .checked_add(8)
-                .map_err(race_hash::RaceError::from)?,
-        )
-        .map_err(RaceError::from)?;
-    Ok(w1 & ((1 << 42) - 1))
+/// placement hash. One doorbell batch for the whole round of words.
+fn inht_split_oracle(client: &mut DmClient, words: Vec<u64>) -> Result<Vec<u64>, RaceError> {
+    let mut reads = Vec::with_capacity(words.len());
+    for word in words {
+        let entry = HashEntry::decode(word).ok_or(RaceError::Corrupt {
+            what: "undecodable hash entry",
+        })?;
+        reads.push((entry.addr.checked_add(8)?, 8));
+    }
+    Ok(client
+        .read_many(&reads)?
+        .into_iter()
+        .map(|w1| u64::from_le_bytes(w1.try_into().expect("8 bytes")) & ((1 << 42) - 1))
+        .collect())
 }
 
 impl SphinxClient {

@@ -421,6 +421,57 @@ pub trait Transport {
         Ok((prev, bytes))
     }
 
+    /// Doorbell-batched CASes `(ptr, expected, new)`: all targets on one
+    /// MN share a single round trip, each CAS is individually atomic and
+    /// applies in input order, and the previous values come back in input
+    /// order (success ⇔ equal to that CAS's `expected`). A RACE segment
+    /// split zeroes all its relocating entries with one call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmError::MisalignedAtomic`] or [`DmError::InvalidAddress`].
+    fn cas_many(&mut self, targets: &[(RemotePtr, u64, u64)]) -> Result<Vec<u64>, DmError> {
+        let batch: DoorbellBatch = targets
+            .iter()
+            .map(|&(ptr, expected, new)| Verb::Cas { ptr, expected, new })
+            .collect();
+        Ok(self
+            .execute(batch)?
+            .into_iter()
+            .map(VerbResult::into_cas)
+            .collect())
+    }
+
+    /// The tail of a locked publish in one doorbell: `writes`, then an FAA
+    /// of 1 on the `version` word, then a zero store to the `lock` word —
+    /// in that verb order, so on one MN nobody observes the lock free
+    /// before the writes and the version bump have landed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmError::MisalignedAtomic`] or [`DmError::InvalidAddress`].
+    fn publish_and_unlock(
+        &mut self,
+        writes: Vec<(RemotePtr, Vec<u8>)>,
+        version: RemotePtr,
+        lock: RemotePtr,
+    ) -> Result<(), DmError> {
+        let mut batch: DoorbellBatch = writes
+            .into_iter()
+            .map(|(ptr, data)| Verb::Write { ptr, data })
+            .collect();
+        batch.push(Verb::Faa {
+            ptr: version,
+            delta: 1,
+        });
+        batch.push(Verb::Write {
+            ptr: lock,
+            data: 0u64.to_le_bytes().to_vec(),
+        });
+        self.execute(batch)?;
+        Ok(())
+    }
+
     /// Doorbell-batched FAAs; returns previous values in input order (used
     /// by RACE segment splits to bump every bucket header's version in one
     /// round trip).
@@ -544,6 +595,51 @@ mod tests {
         assert_eq!(prevs, vec![1, 2]);
         assert_eq!(Transport::read_u64(&mut t, a).unwrap(), 11);
         assert_eq!(Transport::read_u64(&mut t, b).unwrap(), 12);
+    }
+
+    #[test]
+    fn cas_many_is_per_cas_atomic_in_verb_order_one_round_trip_per_mn() {
+        let (_c, mut t) = client();
+        let a = Transport::alloc(&mut t, 0, 8).unwrap();
+        let b = Transport::alloc(&mut t, 0, 8).unwrap();
+        let far = Transport::alloc(&mut t, 1, 8).unwrap();
+        Transport::write_u64(&mut t, a, 1).unwrap();
+        Transport::write_u64(&mut t, b, 2).unwrap();
+        let before = Transport::stats(&t);
+        // Winner, loser (word untouched), and a second CAS on `a` that
+        // must observe the first one's effect.
+        let prevs = t.cas_many(&[(a, 1, 10), (b, 7, 20), (a, 10, 11)]).unwrap();
+        assert_eq!(prevs, vec![1, 2, 10]);
+        let after = Transport::stats(&t);
+        assert_eq!(after.round_trips - before.round_trips, 1);
+        assert_eq!(after.cas - before.cas, 3);
+        assert_eq!(Transport::read_u64(&mut t, a).unwrap(), 11);
+        assert_eq!(Transport::read_u64(&mut t, b).unwrap(), 2);
+        // Two MNs: two parallel round trips, results still in input order.
+        let before = Transport::stats(&t).round_trips;
+        assert_eq!(t.cas_many(&[(far, 0, 5), (b, 2, 3)]).unwrap(), vec![0, 2]);
+        assert_eq!(Transport::stats(&t).round_trips - before, 2);
+        assert!(t.cas_many(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn publish_and_unlock_is_one_ordered_doorbell() {
+        let (_c, mut t) = client();
+        let block = Transport::alloc(&mut t, 0, 32).unwrap();
+        let (lock, version, slot) = (
+            block,
+            block.checked_add(8).unwrap(),
+            block.checked_add(16).unwrap(),
+        );
+        Transport::write_u64(&mut t, lock, 1).unwrap();
+        Transport::write_u64(&mut t, version, 41).unwrap();
+        let before = Transport::stats(&t).round_trips;
+        t.publish_and_unlock(vec![(slot, 9u64.to_le_bytes().to_vec())], version, lock)
+            .unwrap();
+        assert_eq!(Transport::stats(&t).round_trips - before, 1);
+        assert_eq!(Transport::read_u64(&mut t, slot).unwrap(), 9);
+        assert_eq!(Transport::read_u64(&mut t, version).unwrap(), 42);
+        assert_eq!(Transport::read_u64(&mut t, lock).unwrap(), 0);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! let mut client = cluster.client(0);
 //! let meta = RaceTable::create(&mut client, 0, &TableConfig::default())?;
 //! let mut table = RaceTable::open(&mut client, meta)?;
-//! // The closure is the split oracle: given an entry word it returns the
-//! // entry's key hash (here the word encodes it directly).
-//! table.insert(&mut client, 0xFEED_u64, 42, |_c, _w| Ok(0xFEED))?;
+//! // The closure is the split oracle: given a batch of entry words it
+//! // returns each entry's key hash (here every entry has the same one).
+//! table.insert(&mut client, 0xFEED_u64, 42, |_c, ws| Ok(vec![0xFEED; ws.len()]))?;
 //! let hits = table.search(&mut client, 0xFEED_u64)?;
 //! assert_eq!(hits[0].word, 42);
 //! # Ok(())

@@ -92,6 +92,11 @@ pub struct RaceCounters {
     pub splits: u64,
     /// Directory refreshes (open, stale recovery, and split bookkeeping).
     pub refreshes: u64,
+    /// Entries this handle's splits moved into a new segment.
+    pub split_migrated: u64,
+    /// Migration rounds beyond the first that this handle's splits ran
+    /// because a slot changed between the snapshot and its zeroing CAS.
+    pub split_extra_rounds: u64,
 }
 
 /// An entry found by [`RaceTable::search`]: the word plus the address of
@@ -116,7 +121,7 @@ impl PairView {
     fn parse(base: RemotePtr, bytes: &[u8]) -> PairView {
         let mut words = [0u64; 16];
         for (i, w) in words.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+            *w = le_word(&bytes[i * 8..i * 8 + 8]);
         }
         PairView {
             base,
@@ -345,11 +350,17 @@ impl RaceTable {
 
     /// Inserts `word` under `hash`. Duplicate words are deduplicated.
     ///
-    /// `entry_hash` is the **split oracle**: given an entry word it must
-    /// return a value agreeing with the entry's original key hash on the
-    /// low 42 bits (used only when this insert must split a segment; for
-    /// the Inner Node Hash Table the oracle reads the referenced node's
-    /// full-prefix hash).
+    /// `entry_hashes` is the **split oracle**: it is handed a batch of entry
+    /// words (by value, so it may rewrite them in place) and must return,
+    /// in the same order, one value per word agreeing with that entry's
+    /// original key hash on the low 42 bits. It is used only
+    /// when this insert must split a segment, and then once per migration
+    /// round with every word still undecided — so an oracle that needs
+    /// remote reads (the Inner Node Hash Table's reads each referenced
+    /// node's full-prefix hash) can issue them as one doorbell batch. All
+    /// of a round's oracle reads precede that round's first CAS: if the
+    /// first call fails the split is rolled back and the error returned
+    /// with the table unchanged.
     ///
     /// # Errors
     ///
@@ -363,10 +374,10 @@ impl RaceTable {
         client: &mut DmClient,
         hash: u64,
         word: u64,
-        mut entry_hash: F,
+        mut entry_hashes: F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, Vec<u64>) -> Result<Vec<u64>, RaceError>,
     {
         assert!(word != 0, "entry word 0 is reserved for empty slots");
         for _ in 0..self.retry.op_retries {
@@ -381,7 +392,7 @@ impl RaceTable {
                 return Ok(());
             }
             let Some(idx) = pv.first_empty() else {
-                self.split(client, hash, &mut entry_hash)?;
+                self.split(client, hash, &mut entry_hashes)?;
                 continue;
             };
             let slot = pv.slot_ptr(idx);
@@ -393,9 +404,7 @@ impl RaceTable {
                 self.counters.cas_races += 1;
                 continue; // slot raced away; retry
             }
-            let hdr_now = BucketHeader::decode(u64::from_le_bytes(
-                hdr_bytes.as_slice().try_into().expect("8 bytes"),
-            ));
+            let hdr_now = BucketHeader::decode(le_word(&hdr_bytes));
             if hdr_now.matches(hash) {
                 return Ok(());
             }
@@ -467,7 +476,19 @@ impl RaceTable {
                 continue;
             }
             let Some(idx) = pv.find_word(old) else {
-                return Ok(false);
+                // "Absent" is only an answer if no split fenced this pair
+                // while it was being read: the pair read is not atomic, so
+                // a header read before a split's bump can be paired with
+                // entries read after the split zeroed its movers. One
+                // header re-read confirms; a split in flight means retry.
+                let hdr_now = BucketHeader::decode(client.read_u64(pv.base)?);
+                if hdr_now.matches(hash) {
+                    return Ok(false);
+                }
+                self.counters.stale_retries += 1;
+                client.backoff(&self.retry);
+                self.refresh(client)?;
+                continue;
             };
             let prev = client.cas(pv.slot_ptr(idx), old, new)?;
             if prev == old {
@@ -486,19 +507,22 @@ impl RaceTable {
         &mut self,
         client: &mut DmClient,
         hash: u64,
-        entry_hash: &mut F,
+        entry_hashes: &mut F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, Vec<u64>) -> Result<Vec<u64>, RaceError>,
     {
         self.counters.splits += 1;
         self.refresh(client)?;
         let de = self.locate(hash)?;
         let seg = de.segment;
 
-        // 1. Segment lock. If somebody else is splitting, wait for them and
-        //    let the caller retry.
-        let prev = client.cas(seg, 0, 1)?;
+        // Phase A: segment lock, with the authoritative depth/suffix (a
+        // bucket header) read behind the CAS in the same doorbell. If
+        // somebody else is splitting, wait for them and let the caller
+        // retry.
+        let (prev, hdr_bytes) =
+            client.cas_and_read(seg, 0, 1, seg.checked_add(bucket_offset(0))?, 8)?;
         if prev != 0 {
             for _ in 0..self.retry.op_retries {
                 client.advance_clock(self.retry.backoff_ns * 10);
@@ -512,24 +536,33 @@ impl RaceTable {
             });
         }
 
-        let result = self.split_locked(client, seg, hash, entry_hash);
-        // 6. Unlock (even on failure paths).
+        let hdr = BucketHeader::decode(le_word(&hdr_bytes));
+        let result = self.split_locked(client, seg, hdr, hash, entry_hashes);
+        // Unlock (even on failure paths).
         client.write_u64(seg, 0)?;
         result
     }
 
+    /// The split proper, under the segment lock. `hdr` is the segment's
+    /// bucket header as read right behind the lock CAS.
+    ///
+    /// Migration (phase C) runs in batched rounds rather than slot by
+    /// slot: one oracle call resolves every pending word, one doorbell
+    /// carries the zeroing CAS of every mover, and only slots whose CAS
+    /// met a different non-zero word (a racing `replace`) go around again.
+    /// Per slot that is the same oracle → CAS → reconsider sequence a
+    /// serial loop would run, merely interleaved across slots.
     fn split_locked<F>(
         &mut self,
         client: &mut DmClient,
         seg: RemotePtr,
+        hdr: BucketHeader,
         hash: u64,
-        entry_hash: &mut F,
+        entry_hashes: &mut F,
     ) -> Result<(), RaceError>
     where
-        F: FnMut(&mut DmClient, u64) -> Result<u64, RaceError>,
+        F: FnMut(&mut DmClient, Vec<u64>) -> Result<Vec<u64>, RaceError>,
     {
-        // Authoritative depth/suffix from a bucket header.
-        let hdr = BucketHeader::decode(client.read_u64(seg.checked_add(bucket_offset(0))?)?);
         if !hdr.matches(hash) {
             // Someone split this range before we took the lock; retry at
             // the caller with a fresh directory.
@@ -542,87 +575,124 @@ impl RaceTable {
         let old_suffix = hdr.suffix;
         let new_suffix = old_suffix | (1u64 << d);
 
-        // 2. New segment, invisible for now (buckets get their final
-        //    headers when the image is written in phase 4).
+        // New segment, invisible for now (buckets get their final headers
+        // when the image is written at the end of phase C).
         let new_seg = client.alloc(seg.mn_id(), SEGMENT_BYTES)?;
 
-        // 3. Phase B: bump every old bucket header to (d+1, old_suffix) in
-        //    one doorbell batch. From here on, writers of relocating keys
-        //    fail the suffix check and undo themselves.
-        let hdr_word = BucketHeader {
+        // Phase B: bump every old bucket header to (d+1, old_suffix) in
+        // one doorbell batch. From here on, writers of relocating keys
+        // fail the suffix check and undo themselves.
+        let bumped = BucketHeader {
             local_depth: d + 1,
             suffix: old_suffix,
-        }
-        .encode();
-        let mut bumps = Vec::with_capacity(BUCKETS_PER_SEGMENT);
-        for b in 0..BUCKETS_PER_SEGMENT {
-            bumps.push((
-                seg.checked_add(bucket_offset(b))?,
-                hdr_word.to_le_bytes().to_vec(),
-            ));
-        }
-        client.write_many(bumps)?;
+        };
+        client.write_many(header_writes(seg, bumped)?)?;
 
-        // 4. Phase C: snapshot the segment, migrate relocating entries into
-        //    a local image of the new segment, zeroing them in the old one.
+        // Phase C: snapshot the segment, migrate relocating entries into
+        // a local image of the new segment, zeroing them in the old one.
         let snapshot = client.read(seg, SEGMENT_BYTES)?;
-        let mut image = vec![0u8; SEGMENT_BYTES];
-        let new_hdr = BucketHeader {
+        let mut image = empty_segment_image(BucketHeader {
             local_depth: d + 1,
             suffix: new_suffix,
-        }
-        .encode();
-        for b in 0..BUCKETS_PER_SEGMENT {
-            let off = bucket_offset(b) as usize;
-            image[off..off + 8].copy_from_slice(&new_hdr.to_le_bytes());
-        }
-        for b in 0..BUCKETS_PER_SEGMENT {
-            for e in 1..=ENTRIES_PER_BUCKET {
-                let off = bucket_offset(b) as usize + 8 * e;
-                let mut word =
-                    u64::from_le_bytes(snapshot[off..off + 8].try_into().expect("8 bytes"));
-                // Per-slot migration loop: handles racing deletes/replaces.
-                loop {
-                    if word == 0 {
-                        break;
-                    }
-                    let h = entry_hash(client, word)?;
-                    if h & (1u64 << d) == 0 {
-                        break; // stays in the old segment
-                    }
-                    let prev = client.cas(seg.checked_add(off as u64)?, word, 0)?;
-                    if prev == word {
-                        place_in_image(&mut image, h, word);
-                        break;
-                    }
-                    word = prev; // entry changed under us; reconsider
+        });
+        // (slot offset, word last seen there) still to be decided.
+        let mut pending: Vec<(usize, u64)> = entry_offsets()
+            .map(|off| (off, le_word(&snapshot[off..off + 8])))
+            .filter(|&(_, word)| word != 0)
+            .collect();
+        // A failure after the first CAS batch cannot be rolled back (some
+        // movers live only in `image` by then): the split completes with
+        // what has migrated and the error is reported afterwards.
+        let mut late_err = None;
+        let mut rounds = 0usize;
+        while !pending.is_empty() {
+            if rounds > self.retry.op_retries {
+                late_err = Some(RaceError::RetriesExhausted {
+                    op: "split migration",
+                });
+                break;
+            }
+            let words: Vec<u64> = pending.iter().map(|&(_, word)| word).collect();
+            let hashes = entry_hashes(client, words).and_then(|hashes| {
+                if hashes.len() == pending.len() {
+                    Ok(hashes)
+                } else {
+                    Err(RaceError::Corrupt {
+                        what: "split oracle answered a different number of words",
+                    })
+                }
+            });
+            let hashes = match hashes {
+                Ok(hashes) => hashes,
+                Err(e) if rounds == 0 => {
+                    // Every oracle read of a round precedes its first CAS,
+                    // so nothing has moved: put the headers back, drop the
+                    // never-published segment, and the table is as it was.
+                    let restored = BucketHeader {
+                        local_depth: d,
+                        suffix: old_suffix,
+                    };
+                    client.write_many(header_writes(seg, restored)?)?;
+                    client.free(new_seg)?;
+                    return Err(e);
+                }
+                Err(e) => {
+                    late_err = Some(e);
+                    break;
+                }
+            };
+            rounds += 1;
+            let movers: Vec<(usize, u64, u64)> = pending
+                .drain(..)
+                .zip(hashes)
+                .filter(|&(_, h)| h & (1u64 << d) != 0)
+                .map(|((off, word), h)| (off, word, h))
+                .collect();
+            let mut zeroing = Vec::with_capacity(movers.len());
+            for &(off, word, _) in &movers {
+                zeroing.push((seg.checked_add(off as u64)?, word, 0));
+            }
+            let prevs = client.cas_many(&zeroing)?;
+            for ((off, word, h), prev) in movers.into_iter().zip(prevs) {
+                if prev == word {
+                    place_in_image(&mut image, h, word);
+                    self.counters.split_migrated += 1;
+                } else if prev != 0 {
+                    pending.push((off, prev)); // entry changed under us; reconsider
                 }
             }
         }
+        self.counters.split_extra_rounds += rounds.saturating_sub(1) as u64;
         // Write the complete new-segment image in one round trip.
         client.write(new_seg, &image)?;
 
-        // 5. Phase D: publish via the directory, under the meta lock.
-        loop {
-            if client.cas(self.meta.checked_add(META_LOCK_OFFSET)?, 0, 1)? == 0 {
-                break;
+        // Phase D: publish via the directory, under the meta lock (the
+        // global-depth word rides behind the lock CAS).
+        let lock = self.meta.checked_add(META_LOCK_OFFSET)?;
+        let w0 = loop {
+            let (prev, w0) = client.cas_and_read(lock, 0, 1, self.meta, 8)?;
+            if prev == 0 {
+                break le_word(&w0);
             }
             client.advance_clock(self.retry.backoff_ns * 10);
             std::thread::yield_now();
-        }
-        let w0 = client.read_u64(self.meta)?;
+        };
         let mut gd = (w0 & 0xFF) as u8;
+        // Everything below lands on the meta MN in one doorbell, in verb
+        // order: (doubling: mirrored upper half, new global depth,)
+        // directory slots, version bump, meta unlock.
+        let mut publishes = Vec::new();
         if d + 1 > gd {
             // Directory doubling: mirror the lower half into the upper.
             debug_assert_eq!(d, gd);
             let lower = client.read(self.meta.checked_add(DIR_OFFSET)?, 8 << gd)?;
-            client.write(self.meta.checked_add(DIR_OFFSET + (8 << gd))?, &lower)?;
+            publishes.push((self.meta.checked_add(DIR_OFFSET + (8 << gd))?, lower));
             gd += 1;
             let new_w0 = (gd as u64) | (w0 & !0xFF);
-            client.write_u64(self.meta, new_w0)?;
+            publishes.push((self.meta, new_w0.to_le_bytes().to_vec()));
         }
         // Point every directory slot of the two suffixes at the right
-        // segment with the new depth, in one batch.
+        // segment with the new depth.
         let old_de = DirEntry {
             segment: seg,
             local_depth: d + 1,
@@ -633,7 +703,6 @@ impl RaceTable {
             local_depth: d + 1,
         }
         .encode();
-        let mut publishes = Vec::new();
         let mask = (1u64 << (d + 1)) - 1;
         for idx in 0..(1u64 << gd) {
             let word = if idx & mask == new_suffix {
@@ -648,12 +717,10 @@ impl RaceTable {
                 word.to_le_bytes().to_vec(),
             ));
         }
-        client.write_many(publishes)?;
-        client.faa(self.meta.checked_add(META_VERSION_OFFSET)?, 1)?;
-        client.write_u64(self.meta.checked_add(META_LOCK_OFFSET)?, 0)?;
+        client.publish_and_unlock(publishes, self.meta.checked_add(META_VERSION_OFFSET)?, lock)?;
 
         self.refresh(client)?;
-        Ok(())
+        late_err.map_or(Ok(()), Err)
     }
 
     /// Structural statistics: live entries, distinct segments, and load
@@ -676,14 +743,9 @@ impl RaceTable {
         let mut entries = 0usize;
         for seg in &segs {
             let bytes = client.read(*seg, SEGMENT_BYTES)?;
-            for b in 0..BUCKETS_PER_SEGMENT {
-                for e in 1..=ENTRIES_PER_BUCKET {
-                    let off = bucket_offset(b) as usize + 8 * e;
-                    if u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes")) != 0 {
-                        entries += 1;
-                    }
-                }
-            }
+            entries += entry_offsets()
+                .filter(|&off| le_word(&bytes[off..off + 8]) != 0)
+                .count();
         }
         let capacity = segs.len() * BUCKETS_PER_SEGMENT * ENTRIES_PER_BUCKET;
         Ok(TableStats {
@@ -715,24 +777,59 @@ impl RaceTable {
     }
 }
 
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Byte offsets, within a segment, of the entry slots of bucket `b`.
+fn bucket_entry_offsets(b: usize) -> impl Iterator<Item = usize> {
+    (1..=ENTRIES_PER_BUCKET).map(move |e| bucket_offset(b) as usize + 8 * e)
+}
+
+/// Byte offsets of every entry slot of a segment, in bucket order.
+fn entry_offsets() -> impl Iterator<Item = usize> {
+    (0..BUCKETS_PER_SEGMENT).flat_map(bucket_entry_offsets)
+}
+
+/// One write per bucket of `seg`, setting its header word to `hdr`.
+fn header_writes(
+    seg: RemotePtr,
+    hdr: BucketHeader,
+) -> Result<Vec<(RemotePtr, Vec<u8>)>, RaceError> {
+    let word = hdr.encode().to_le_bytes();
+    (0..BUCKETS_PER_SEGMENT)
+        .map(|b| Ok((seg.checked_add(bucket_offset(b))?, word.to_vec())))
+        .collect()
+}
+
 /// Places `word` into the local image of a fresh segment (no concurrency:
 /// the segment is unpublished).
 fn place_in_image(image: &mut [u8], hash: u64, word: u64) {
     let pair = pair_index(hash);
-    for b in [pair * 2, pair * 2 + 1] {
-        for e in 1..=ENTRIES_PER_BUCKET {
-            let off = bucket_offset(b) as usize + 8 * e;
-            let cur = u64::from_le_bytes(image[off..off + 8].try_into().expect("8 bytes"));
-            if cur == 0 {
-                image[off..off + 8].copy_from_slice(&word.to_le_bytes());
-                return;
-            }
+    for off in [pair * 2, pair * 2 + 1]
+        .into_iter()
+        .flat_map(bucket_entry_offsets)
+    {
+        if le_word(&image[off..off + 8]) == 0 {
+            image[off..off + 8].copy_from_slice(&word.to_le_bytes());
+            return;
         }
     }
     // Both buckets of the pair full in the fresh segment: can only happen
     // if >14 relocating entries share a pair, which the old segment could
     // not have held either. Treat as corruption in debug builds.
     debug_assert!(false, "bucket pair overflow during split migration");
+}
+
+/// The bytes of an entry-less, unlocked segment whose buckets carry `hdr`.
+fn empty_segment_image(hdr: BucketHeader) -> Vec<u8> {
+    let mut image = vec![0u8; SEGMENT_BYTES];
+    let word = hdr.encode().to_le_bytes();
+    for b in 0..BUCKETS_PER_SEGMENT {
+        let off = bucket_offset(b) as usize;
+        image[off..off + 8].copy_from_slice(&word);
+    }
+    image
 }
 
 fn alloc_segment(
@@ -742,23 +839,18 @@ fn alloc_segment(
     suffix: u64,
 ) -> Result<RemotePtr, RaceError> {
     let seg = client.alloc(mn_id, SEGMENT_BYTES)?;
-    let mut image = vec![0u8; SEGMENT_BYTES];
     let hdr = BucketHeader {
         local_depth: depth,
         suffix,
-    }
-    .encode();
-    for b in 0..BUCKETS_PER_SEGMENT {
-        let off = bucket_offset(b) as usize;
-        image[off..off + 8].copy_from_slice(&hdr.to_le_bytes());
-    }
-    client.write(seg, &image)?;
+    };
+    client.write(seg, &empty_segment_image(hdr))?;
     Ok(seg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::PAIRS_PER_SEGMENT;
     use dm_sim::{ClusterConfig, DmCluster};
 
     fn cluster() -> DmCluster {
@@ -778,8 +870,8 @@ mod tests {
         (hash & ((1 << 42) - 1)) | TAG
     }
 
-    fn oracle(_c: &mut DmClient, word: u64) -> Result<u64, RaceError> {
-        Ok(word & ((1 << 42) - 1))
+    fn oracle(_c: &mut DmClient, words: Vec<u64>) -> Result<Vec<u64>, RaceError> {
+        Ok(words.into_iter().map(|w| w & ((1 << 42) - 1)).collect())
     }
 
     fn mix(i: u64) -> u64 {
@@ -881,6 +973,288 @@ mod tests {
                 t.global_depth()
             );
         }
+    }
+
+    /// The `n`-th distinct 42-bit hash falling into bucket pair `pair`,
+    /// with pseudo-random directory bits.
+    fn hash_in_pair(pair: usize, n: u64) -> u64 {
+        let h = (mix(pair as u64 * 1000 + n) & 0xF_FFFF)
+            | ((PAIRS_PER_SEGMENT as u64 * n + pair as u64) << 20);
+        assert_eq!(pair_index(h), pair);
+        h
+    }
+
+    /// A depth-0 table whose single segment holds `per_pair` entries in
+    /// every bucket pair except pair 0, which is full. Returns the hashes
+    /// stored; the next insert into pair 0 must split.
+    fn table_about_to_split(cl: &mut DmClient, per_pair: u64) -> (RaceTable, Vec<u64>) {
+        let cfg = TableConfig {
+            initial_depth: 0,
+            max_depth: 6,
+        };
+        let meta = RaceTable::create(cl, 0, &cfg).unwrap();
+        let mut t = RaceTable::open(cl, meta).unwrap();
+        let mut hashes = Vec::new();
+        for pair in 0..PAIRS_PER_SEGMENT {
+            let fill = if pair == 0 { 14 } else { per_pair };
+            hashes.extend((0..fill).map(|n| hash_in_pair(pair, n)));
+        }
+        for &h in &hashes {
+            t.insert(cl, h, test_word(h), oracle).unwrap();
+        }
+        assert_eq!(t.counters().splits, 0);
+        (t, hashes)
+    }
+
+    fn assert_all_found(t: &mut RaceTable, cl: &mut DmClient, hashes: &[u64]) {
+        for &h in hashes {
+            let found = t.search(cl, h).unwrap();
+            assert!(found.iter().any(|e| e.word == test_word(h)), "lost {h:#x}");
+        }
+    }
+
+    /// Remote address of the slot holding the test word of `h`.
+    fn slot_of(t: &mut RaceTable, cl: &mut DmClient, h: u64) -> RemotePtr {
+        let found = t.search(cl, h).unwrap();
+        found.iter().find(|e| e.word == test_word(h)).unwrap().slot
+    }
+
+    #[test]
+    fn split_round_trips_are_bounded() {
+        // Half-full and nearly full: the cost of a split must not scale
+        // with the number of entries it migrates.
+        for per_pair in [7, 13] {
+            let c = cluster();
+            let mut cl = c.client(0);
+            let (mut t, mut hashes) = table_about_to_split(&mut cl, per_pair);
+            let h = hash_in_pair(0, 14);
+            let before = cl.stats().doorbells;
+            t.insert(&mut cl, h, test_word(h), oracle).unwrap();
+            let doorbells = cl.stats().doorbells - before;
+            let counters = t.counters();
+            assert_eq!(counters.splits, 1);
+            assert_eq!(counters.split_extra_rounds, 0);
+            assert!(
+                counters.split_migrated >= per_pair * 8,
+                "only {} entries migrated",
+                counters.split_migrated
+            );
+            assert!(
+                doorbells <= 32,
+                "splitting insert rang {doorbells} doorbells"
+            );
+            hashes.push(h);
+            assert_all_found(&mut t, &mut cl, &hashes);
+        }
+    }
+
+    #[test]
+    fn split_reconsiders_slots_that_change_under_it() {
+        let c = cluster();
+        let mut cl = c.client(0);
+        let (mut t, hashes) = table_about_to_split(&mut cl, 7);
+        // Two entries the depth-0 split relocates (hash bit 0 set).
+        let mut movers = hashes.iter().copied().filter(|h| h & 1 == 1);
+        let (replaced, removed) = (movers.next().unwrap(), movers.next().unwrap());
+        let replaced_slot = slot_of(&mut t, &mut cl, replaced);
+        let removed_slot = slot_of(&mut t, &mut cl, removed);
+        let new_word = test_word(replaced) | 1 << 50;
+        // The oracle runs between the snapshot and the CAS batch: on its
+        // first call it plays a `replace` and a `remove` whose pair read
+        // predates the header bump and whose CAS lands now.
+        let mut calls = 0;
+        let racing_oracle = |c: &mut DmClient, words: Vec<u64>| {
+            calls += 1;
+            if calls == 1 {
+                assert_eq!(
+                    c.cas(replaced_slot, test_word(replaced), new_word)?,
+                    test_word(replaced)
+                );
+                assert_eq!(
+                    c.cas(removed_slot, test_word(removed), 0)?,
+                    test_word(removed)
+                );
+            }
+            oracle(c, words)
+        };
+        let h = hash_in_pair(0, 14);
+        t.insert(&mut cl, h, test_word(h), racing_oracle).unwrap();
+        assert_eq!(calls, 2, "the replaced slot needs exactly one more round");
+        assert_eq!(t.counters().splits, 1);
+        assert_eq!(t.counters().split_extra_rounds, 1);
+
+        // The replacement word moved to the new segment (search validates
+        // the bucket suffix), its predecessor and the removed word are
+        // nowhere, and nothing else was disturbed.
+        let words_at = |t: &mut RaceTable, cl: &mut DmClient, h: u64| -> Vec<u64> {
+            t.search(cl, h).unwrap().iter().map(|e| e.word).collect()
+        };
+        let at_replaced = words_at(&mut t, &mut cl, replaced);
+        assert!(at_replaced.contains(&new_word));
+        assert!(!at_replaced.contains(&test_word(replaced)));
+        assert!(!words_at(&mut t, &mut cl, removed).contains(&test_word(removed)));
+        let rest: Vec<u64> = hashes
+            .iter()
+            .copied()
+            .filter(|&x| x != replaced && x != removed)
+            .chain([h])
+            .collect();
+        assert_all_found(&mut t, &mut cl, &rest);
+        let stats = t.stats(&mut cl).unwrap();
+        assert_eq!(stats.entries, hashes.len()); // +1 inserted, -1 removed
+        assert_eq!(stats.segments, 2);
+    }
+
+    /// A pair read torn across a whole split: the header word is the one
+    /// from before the split's bump, the entry words are the ones from
+    /// after it zeroed its movers. (The simulator's reads are word-atomic
+    /// only; a reader thread descheduled mid-copy produces exactly this.)
+    struct TearAcrossSplit {
+        pair: RemotePtr,
+        word: u64,
+        armed: std::sync::atomic::AtomicBool,
+        reading: std::sync::mpsc::SyncSender<()>,
+        split_done: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl dm_sim::FaultHook for TearAcrossSplit {
+        fn corrupt_read(&self, ptr: RemotePtr, data: &mut [u8]) {
+            use std::sync::atomic::Ordering;
+            if ptr != self.pair
+                || data.len() != RaceTable::pair_len()
+                || !self.armed.swap(false, Ordering::SeqCst)
+            {
+                return;
+            }
+            // The header has been "read"; let the split run to completion
+            // before the entries are.
+            self.reading.send(()).unwrap();
+            self.split_done.lock().unwrap().recv().unwrap();
+            for slot in data.chunks_exact_mut(8).skip(1) {
+                if le_word(slot) == self.word {
+                    slot.fill(0); // the split migrated it away
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replace_does_not_trust_a_pair_read_torn_by_a_split() {
+        use std::sync::{atomic::AtomicBool, mpsc, Arc, Mutex};
+        let c = cluster();
+        let mut cl = c.client(0);
+        let (mut t, hashes) = table_about_to_split(&mut cl, 7);
+        // An entry the depth-0 split relocates, outside the full pair.
+        let victim = *hashes
+            .iter()
+            .find(|&&h| h & 1 == 1 && pair_index(h) != 0)
+            .unwrap();
+        let (reading_tx, reading_rx) = mpsc::sync_channel(1);
+        let (done_tx, done_rx) = mpsc::sync_channel(1);
+        let hook = Arc::new(TearAcrossSplit {
+            pair: t.bucket_pair_ptr(victim).unwrap(),
+            word: test_word(victim),
+            armed: AtomicBool::new(true),
+            reading: reading_tx,
+            split_done: Mutex::new(done_rx),
+        });
+        c.set_fault_hook(Some(hook));
+        let new_word = test_word(victim) | 1 << 50;
+        std::thread::scope(|s| {
+            let (c, meta) = (&c, t.meta_ptr());
+            let splitter = s.spawn(move || {
+                let mut cl = c.client(0);
+                let mut t = RaceTable::open(&mut cl, meta).unwrap();
+                reading_rx.recv().unwrap();
+                let h = hash_in_pair(0, 14);
+                t.insert(&mut cl, h, test_word(h), oracle).unwrap();
+                assert_eq!(t.counters().splits, 1);
+                done_tx.send(()).unwrap();
+            });
+            let mut replacer_cl = c.client(0);
+            let mut replacer = t.clone();
+            assert!(
+                replacer
+                    .replace(&mut replacer_cl, victim, test_word(victim), new_word)
+                    .unwrap(),
+                "the entry was there all along"
+            );
+            splitter.join().unwrap();
+        });
+        c.set_fault_hook(None);
+        let found = t.search(&mut cl, victim).unwrap();
+        assert!(found.iter().any(|e| e.word == new_word));
+    }
+
+    #[test]
+    fn failed_first_oracle_batch_rolls_the_split_back() {
+        let c = cluster();
+        let mut cl = c.client(0);
+        let (mut t, mut hashes) = table_about_to_split(&mut cl, 7);
+        let live = || c.mn(0).unwrap().alloc_stats().live_bytes;
+        let baseline = live();
+        let h = hash_in_pair(0, 14);
+        let broken = RaceError::Corrupt {
+            what: "test oracle",
+        };
+        let err = t
+            .insert(&mut cl, h, test_word(h), |_, _| Err(broken.clone()))
+            .unwrap_err();
+        assert_eq!(err, broken);
+        assert_eq!(live(), baseline, "the unpublished segment must be freed");
+        assert_eq!(t.counters().split_migrated, 0);
+
+        // Fully usable afterwards: both halves of the key range read,
+        // remove and re-insert, from this handle and from a fresh one, and
+        // the same insert goes through once the oracle works.
+        let mut fresh = RaceTable::open(&mut cl, t.meta_ptr()).unwrap();
+        assert_all_found(&mut fresh, &mut cl, &hashes);
+        for &x in &hashes[..40] {
+            assert!(t.remove(&mut cl, x, test_word(x)).unwrap());
+            t.insert(&mut cl, x, test_word(x), oracle).unwrap();
+        }
+        assert_eq!(t.stats(&mut cl).unwrap().segments, 1);
+        t.insert(&mut cl, h, test_word(h), oracle).unwrap();
+        hashes.push(h);
+        assert_all_found(&mut t, &mut cl, &hashes);
+        assert_eq!(t.stats(&mut cl).unwrap().segments, 2);
+    }
+
+    #[test]
+    fn late_oracle_failure_still_completes_the_split() {
+        let c = cluster();
+        let mut cl = c.client(0);
+        let (mut t, hashes) = table_about_to_split(&mut cl, 7);
+        let victim = hashes.iter().copied().find(|h| h & 1 == 1).unwrap();
+        let slot = slot_of(&mut t, &mut cl, victim);
+        let broken = RaceError::Corrupt {
+            what: "test oracle",
+        };
+        let mut calls = 0;
+        let h = hash_in_pair(0, 14);
+        let err = t
+            .insert(
+                &mut cl,
+                h,
+                test_word(h),
+                |c: &mut DmClient, words: Vec<u64>| {
+                    calls += 1;
+                    if calls > 1 {
+                        return Err(broken.clone());
+                    }
+                    c.cas(slot, test_word(victim), test_word(victim) | 1 << 50)?;
+                    oracle(c, words)
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, broken);
+        // Round 1 already zeroed its movers, so the split had to publish:
+        // only the slot that changed under it is left behind unresolved.
+        let rest: Vec<u64> = hashes.iter().copied().filter(|&x| x != victim).collect();
+        assert_all_found(&mut t, &mut cl, &rest);
+        assert_eq!(t.stats(&mut cl).unwrap().segments, 2);
+        t.insert(&mut cl, h, test_word(h), oracle).unwrap();
+        assert_all_found(&mut t, &mut cl, &[h]);
     }
 
     #[test]

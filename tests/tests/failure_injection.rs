@@ -103,7 +103,9 @@ fn bogus_hash_entry_is_rejected_by_validation() {
     };
     let mut table_zz = race_hash::RaceTable::open(&mut dm, index.inht_metas()[mn_zz]).unwrap();
     table_zz
-        .insert(&mut dm, h_zz, forged.encode(), |_c, _w| Ok(h_zz))
+        .insert(&mut dm, h_zz, forged.encode(), |_c, ws| {
+            Ok(vec![h_zz; ws.len()])
+        })
         .unwrap();
     // Teach the filter the forged prefix so lookups actually try it.
     client.filter_handle().insert(b"zz");

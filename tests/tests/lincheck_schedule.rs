@@ -11,22 +11,19 @@
 //! A failure here is replayable: dump the printed trace to a file and use
 //! `lincheck_explorer --replay` (see docs/TESTING.md).
 
-use bench_harness::{run_scheduled, ExploreConfig, ScheduleMode, System};
-use dm_sim::ScheduleConfig;
-use lincheck::CheckConfig;
+use bench_harness::{
+    run_scheduled, run_scheduled_on, ExploreConfig, ScheduleMode, System, SystemHandle,
+};
+use dm_sim::{ClusterConfig, DmCluster, ScheduleConfig};
+use lincheck::{check_history, Event, Op, Ret};
 use obs::export_chrome;
+use race_hash::TableConfig;
+use sphinx::{SphinxConfig, SphinxIndex};
 
 fn cfg(system: System) -> ExploreConfig {
     ExploreConfig {
-        system,
-        threads: 3,
-        keys: 16,
-        ops_per_thread: 120,
         workload_seed: 0xBADC_0FFE,
-        tear_hook: true,
-        multi_ops: true,
-        pipeline_depth: 1,
-        check: CheckConfig::default(),
+        ..ExploreConfig::smoke(system, 3, 16, 120)
     }
 }
 
@@ -141,4 +138,110 @@ fn pinned_seed_sweep_is_linearizable() {
             );
         }
     }
+}
+
+const FORKED_KEYS: u64 = 1200;
+
+/// Key `i` of a shared-prefix key space built so that *every* insert of a
+/// not-yet-present key forks the tree: `[hi, lo, side, member]` where
+/// `(hi, lo)` names one of `FORKED_KEYS / 4` groups, `member` one of two
+/// sibling leaves, and `side` is 0 for the first half of the key space
+/// (what the lincheck preload inserts — one inner node per group) and 1
+/// for the second half, whose first key splits the group's compressed
+/// path and whose second forks again.
+fn forked_key(i: u64) -> Vec<u8> {
+    let half = FORKED_KEYS / 2;
+    let group = (i % half) / 2;
+    vec![
+        (group >> 8) as u8,
+        group as u8,
+        (i / half) as u8,
+        (i % 2) as u8,
+    ]
+}
+
+/// INHT segment splits *under* the lock-step schedule: every doorbell of a
+/// split (lock, header bump, snapshot, oracle batch, CAS batch, image
+/// write, directory publish) is a separately granted step, so the other
+/// participants' lookups and inserts interleave with each phase. The
+/// table starts as one segment (`initial_depth: 0`, one MN) and the keys
+/// share prefixes ([`forked_key`]): the preload leaves it most of the way
+/// to its first split, and every fresh key a worker inserts adds an inner
+/// node — a hash-table entry — so segments split mid-run.
+///
+/// Post-conditions: the history is linearizable; a quiescent read-back of
+/// the whole key space, appended to the history, still is (an exact
+/// live-key oracle: a lost or resurrected entry is a wrong final read);
+/// the structural audit is clean and counts exactly the live keys; and the
+/// run reproduces byte-identically from its seed and from its trace.
+#[test]
+fn inht_splits_under_schedule_are_linearizable() {
+    let cfg = ExploreConfig {
+        key_of: forked_key,
+        deletes: false,
+        ..ExploreConfig::smoke(System::Sphinx, 3, FORKED_KEYS, 900)
+    };
+    let run = |mode: ScheduleMode| {
+        let cluster = DmCluster::new(ClusterConfig {
+            num_mns: 1,
+            num_cns: 3,
+            mn_capacity: 64 << 20,
+            ..Default::default()
+        });
+        let config = SphinxConfig {
+            inht: TableConfig {
+                initial_depth: 0,
+                max_depth: 12,
+            },
+            ..SphinxConfig::small()
+        };
+        let index = SphinxIndex::create(&cluster, config).expect("create sphinx");
+        let handle = SystemHandle::Sphinx(index.clone());
+        let out = run_scheduled_on(&handle, &cfg, mode);
+        (index, handle, out)
+    };
+
+    let mode = ScheduleMode::Record(ScheduleConfig::adversarial(7));
+    let (index, handle, out) = run(mode.clone());
+    assert!(out.outcome.is_linearizable(), "{:?}", out.outcome);
+    // Worker registries only: the serial preload's splits are not in here.
+    let splits = out.telemetry.counter("inht.splits");
+    assert!(splits > 0, "no INHT split happened under the schedule");
+    assert!(out.telemetry.counter("inht.split_migrated") > 0);
+    // ... and the other participants ran into them (bumped header or
+    // stale directory), i.e. the schedule really interleaved the phases.
+    assert!(out.telemetry.counter("inht.stale_retries") > 0);
+
+    let mut reader = handle.worker(0);
+    let mut history = out.history.clone();
+    let mut ts = history.events.iter().map(|e| e.response_ts).max().unwrap() + 1;
+    let mut live = 0;
+    for i in 0..cfg.keys {
+        let key = forked_key(i);
+        let got = reader.get(&key);
+        live += got.is_some() as usize;
+        history.events.push(Event {
+            op_id: history.events.len(),
+            client: cfg.threads + 1,
+            invoke_ts: ts,
+            response_ts: ts + 1,
+            op: Op::Get { key },
+            ret: Ret::Got(got),
+        });
+        ts += 2;
+    }
+    let readback = check_history(&history, &cfg.check);
+    assert!(readback.is_linearizable(), "read-back: {readback:?}");
+    let report = index.verify().expect("verify");
+    assert!(report.is_clean(), "violations: {:#?}", report.problems);
+    assert_eq!(
+        report.leaves, live,
+        "audit and read-back disagree on live keys"
+    );
+
+    let (_, _, rerun) = run(mode);
+    assert_eq!(out.history.digest(), rerun.history.digest());
+    assert_eq!(out.trace, rerun.trace);
+    let (_, _, replayed) = run(ScheduleMode::Replay(out.trace.clone()));
+    assert_eq!(out.history.digest(), replayed.history.digest());
 }

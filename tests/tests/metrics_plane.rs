@@ -7,7 +7,6 @@ use bench_harness::runner::{load_phase, run_phase, RunConfig};
 use bench_harness::systems::System;
 use bench_harness::{run_scheduled, ExploreConfig, ScheduleMode};
 use dm_sim::ScheduleConfig;
-use lincheck::CheckConfig;
 use ycsb::{KeySpace, Workload};
 
 fn cfg(workers: usize, depth: usize, sample_interval_ns: u64) -> RunConfig {
@@ -87,15 +86,9 @@ fn same_seed_exports_are_byte_identical() {
 #[test]
 fn lincheck_runs_carry_conserved_metrics() {
     let cfg = ExploreConfig {
-        system: System::Sphinx,
-        threads: 3,
-        keys: 24,
-        ops_per_thread: 40,
         workload_seed: 0x4D45_5452,
         tear_hook: false,
-        multi_ops: true,
-        pipeline_depth: 1,
-        check: CheckConfig::default(),
+        ..ExploreConfig::smoke(System::Sphinx, 3, 24, 40)
     };
     let out = run_scheduled(&cfg, ScheduleMode::Record(ScheduleConfig::adversarial(7)));
     assert!(out.outcome.is_linearizable(), "baseline schedule must pass");

@@ -113,7 +113,11 @@ proptest! {
             let h = mix(*seed as u64);
             let word = (h & ((1 << 42) - 1)) | (1 << 43);
             if *insert {
-                table.insert(&mut client, h, word, |_c, w| Ok(w & ((1 << 42) - 1))).unwrap();
+                table
+                    .insert(&mut client, h, word, |_c, ws| {
+                        Ok(ws.iter().map(|w| w & ((1 << 42) - 1)).collect())
+                    })
+                    .unwrap();
                 live.insert(h);
             } else {
                 let removed = table.remove(&mut client, h, word).unwrap();

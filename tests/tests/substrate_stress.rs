@@ -117,7 +117,9 @@ fn race_table_concurrent_mixed_churn() {
             s.spawn(move || {
                 let mut cl = cluster.client((t % 2) as u16);
                 let mut table = RaceTable::open(&mut cl, meta).unwrap();
-                let oracle = |_c: &mut dm_sim::DmClient, w: u64| Ok(w & ((1 << 42) - 1));
+                let oracle = |_c: &mut dm_sim::DmClient, ws: Vec<u64>| {
+                    Ok(ws.iter().map(|w| w & ((1 << 42) - 1)).collect())
+                };
                 // Each thread owns a disjoint key set: ops on them are
                 // exactly reproducible.
                 for i in 0..keys_per_thread {
