@@ -20,7 +20,7 @@ fn benches(c: &mut Criterion) {
         let printed = AtomicBool::new(false);
         group.bench_function(sys.label(), |b| {
             b.iter(|| {
-                let handle = sys.build_scaled(512 << 20, KEYS);
+                let handle = sys.build_scaled(512 << 20, KEYS, 4);
                 load_phase(&handle, KeySpace::U64, KEYS, 4);
                 if !printed.swap(true, Ordering::Relaxed) {
                     let (art, aux) = handle.memory_breakdown();

@@ -17,7 +17,7 @@ fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("ycsb_a_scalability_u64");
     group.sample_size(10);
     for sys in [System::Sphinx, System::Art] {
-        let handle = sys.build_scaled(512 << 20, KEYS);
+        let handle = sys.build_scaled(512 << 20, KEYS, 96);
         load_phase(&handle, KeySpace::U64, KEYS, 4);
         for workers in [6usize, 24, 96] {
             group.bench_function(BenchmarkId::new(sys.label(), workers), |b| {

@@ -19,7 +19,7 @@ fn bench_workload(c: &mut Criterion, workload_name: &str) {
     let mut group = c.benchmark_group(format!("ycsb_{workload_name}_u64"));
     group.sample_size(10);
     for sys in System::paper_lineup() {
-        let handle = sys.build_scaled(512 << 20, KEYS);
+        let handle = sys.build_scaled(512 << 20, KEYS, 6);
         load_phase(&handle, KeySpace::U64, KEYS, 4);
         let workload = Workload::by_name(workload_name).expect("workload");
         let ops = if workload_name == "E" { 30 } else { 300 };

@@ -46,7 +46,7 @@ fn main() {
 
     for keyspace in [KeySpace::U64, KeySpace::Email] {
         for sys in [System::Sphinx, System::SphinxInhtOnly, System::Art] {
-            let handle = sys.build_scaled(1 << 30, keys);
+            let handle = sys.build_scaled(1 << 30, keys, workers + 8);
             load_phase(&handle, keyspace, keys, 8);
             let cfg = RunConfig {
                 keyspace,
@@ -56,7 +56,7 @@ fn main() {
                 ops_per_worker: ops,
                 warmup_per_worker: (ops / 5).max(50),
                 seed: 0xAB1A_7104,
-                pipeline_depth: RunConfig::depth_from_env(1),
+                pipeline_depth: 1,
                 trace_head_every: 0,
                 trace_tail_k: obs::DEFAULT_TAIL_K,
                 sample_interval_ns: 0,

@@ -41,7 +41,7 @@ fn main() {
     let systems = [System::Sphinx, System::Smart, System::Art, System::BpTree];
     for wl_name in ["C", "A", "E"] {
         for sys in systems {
-            let handle = sys.build_scaled(1 << 30, keys);
+            let handle = sys.build_scaled(1 << 30, keys, workers + 8);
             load_phase(&handle, KeySpace::U64, keys, 8);
             let workload = Workload::by_name(wl_name).expect("workload");
             let ops_here = if wl_name == "E" {
@@ -59,7 +59,7 @@ fn main() {
                     ops_per_worker: ops_here,
                     warmup_per_worker: (ops_here / 5).max(50),
                     seed: 0xB7EE_0001,
-                    pipeline_depth: RunConfig::depth_from_env(1),
+                    pipeline_depth: 1,
                     trace_head_every: 0,
                     trace_tail_k: obs::DEFAULT_TAIL_K,
                     sample_interval_ns: 0,

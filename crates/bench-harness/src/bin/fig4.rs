@@ -71,7 +71,7 @@ fn main() {
             let mut telem = obs::Registry::new();
 
             // Preloaded tree for A–E.
-            let handle = sys.build_scaled(1 << 30, keys);
+            let handle = sys.build_scaled(1 << 30, keys, workers + 8);
             load_phase(&handle, keyspace, keys, 8);
             for wl_name in ["C", "B", "A", "D", "E"] {
                 let workload = Workload::by_name(wl_name).expect("workload");
@@ -90,7 +90,7 @@ fn main() {
                         ops_per_worker: ops_here,
                         warmup_per_worker: (ops_here / 5).max(50),
                         seed: 0xF160_0004,
-                        pipeline_depth: RunConfig::depth_from_env(1),
+                        pipeline_depth: 1,
                         trace_head_every: 0,
                         trace_tail_k: obs::DEFAULT_TAIL_K,
                         sample_interval_ns: 0,
@@ -113,7 +113,7 @@ fn main() {
                     ops_per_worker: ops,
                     warmup_per_worker: (ops / 5).max(50),
                     seed: 0xF160_0004,
-                    pipeline_depth: RunConfig::depth_from_env(1),
+                    pipeline_depth: 1,
                     trace_head_every: 0,
                     trace_tail_k: obs::DEFAULT_TAIL_K,
                     sample_interval_ns: 0,

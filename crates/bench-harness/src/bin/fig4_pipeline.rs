@@ -78,7 +78,7 @@ fn main() {
             if sys == System::BpTree && keyspace == KeySpace::Email {
                 continue; // fixed-width u64 keys only
             }
-            let handle = sys.build_scaled(1 << 30, keys);
+            let handle = sys.build_scaled(1 << 30, keys, workers + 8);
             load_phase(&handle, keyspace, keys, 8);
             let mut base_mops = 0.0;
             for depth in depths {
@@ -132,7 +132,7 @@ fn main() {
     println!();
 
     // fig5 section: the YCSB-A scalability ladder for Sphinx, u64.
-    let handle = System::Sphinx.build_scaled(1 << 30, keys);
+    let handle = System::Sphinx.build_scaled(1 << 30, keys, 48 + 8);
     load_phase(&handle, KeySpace::U64, keys, 8);
     for w in [6usize, 12, 24, 48] {
         let mut base_mops = 0.0;

@@ -47,7 +47,8 @@ fn main() {
         let mut curves: Vec<(&str, Vec<(f64, f64)>)> = Vec::new();
         for sys in System::paper_lineup() {
             // One load per (system, dataset); the sweep reuses the tree.
-            let handle = sys.build_scaled(1 << 30, keys);
+            let most_workers = worker_counts.iter().max().copied().unwrap_or(0);
+            let handle = sys.build_scaled(1 << 30, keys, most_workers + 8);
             load_phase(&handle, keyspace, keys, 8);
             let mut curve = Vec::new();
             for &workers in &worker_counts {
@@ -60,7 +61,7 @@ fn main() {
                     ops_per_worker,
                     warmup_per_worker: (ops_per_worker / 5).max(20),
                     seed: 0xF160_0005,
-                    pipeline_depth: RunConfig::depth_from_env(1),
+                    pipeline_depth: 1,
                     trace_head_every: 0,
                     trace_tail_k: obs::DEFAULT_TAIL_K,
                     sample_interval_ns: 0,

@@ -15,10 +15,6 @@
 //! 4. **Byte determinism** — two same-seed single-worker runs export
 //!    byte-identical `sphinx.metrics.v1` documents, sampling included.
 //!
-//! Also emits `BENCH_core.json` at the repo root — the canonical
-//! machine-readable perf summary (YCSB-C ops/s, rts/op, doorbells/op,
-//! SFC bits/entry) tracked PR over PR.
-//!
 //! ```text
 //! cargo run --release -p bench-harness --bin metrics_smoke
 //! ```
@@ -26,8 +22,6 @@
 use bench_harness::runner::run_phase;
 use bench_harness::smoke;
 use bench_harness::systems::System;
-use obs::json::JsonWriter;
-use sphinx::sfc::{FilterCache, SfcConfig};
 
 /// Sampling knobs used wherever the smoke turns the sampler on.
 const SAMPLE_INTERVAL_NS: u64 = 5_000;
@@ -95,18 +89,6 @@ fn byte_determinism() {
     );
 }
 
-/// SFC cost metric for `BENCH_core.json`: bits per frozen entry at 64k
-/// keys (the sfc_smoke succinctness fixture).
-fn sfc_bits_per_entry() -> f64 {
-    const N: u64 = 64_000;
-    let f = FilterCache::new(1 << 20, SfcConfig::default(), 0xF0CC);
-    for i in 0..N {
-        f.insert(format!("prefix/{i:08}").as_bytes());
-    }
-    assert!(f.force_rebuild(), "64k-key fuse build must succeed");
-    f.stats().frozen_bits_per_entry()
-}
-
 fn main() {
     health_controls();
     byte_determinism();
@@ -149,39 +131,13 @@ fn main() {
         rs.mops
     );
 
-    // The canonical perf summary, tracked PR over PR.
-    let bits = sfc_bits_per_entry();
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.str_field("schema", "sphinx.bench.v1");
-    w.key("ycsb_c");
-    w.begin_obj();
-    for (name, r) in [("depth1", &r1), ("depth8", &r8)] {
-        w.key(name);
-        w.begin_obj();
-        w.f64_field("ops_per_sec", r.mops * 1e6);
-        w.f64_field("rts_per_op", r.round_trips_per_op);
-        w.f64_field("doorbells_per_op", r.doorbells_per_op);
-        w.end_obj();
-    }
-    w.end_obj();
-    w.key("sfc");
-    w.begin_obj();
-    w.f64_field("bits_per_entry", bits);
-    w.end_obj();
-    w.end_obj();
-    let doc = w.finish();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
-    std::fs::write(path, &doc).expect("write BENCH_core.json");
-
     println!("{}", rs.metrics.render_text());
     println!(
         "metrics smoke OK: conserved at depth 1 and {}, sampling {:+.2}% \
-         ({:.3} vs {:.3} mops), {:.2} bits/entry -> BENCH_core.json",
+         ({:.3} vs {:.3} mops)",
         node_engine::pipeline::DEFAULT_DEPTH,
         -slowdown * 100.0,
         rs.mops,
         r8.mops,
-        bits,
     );
 }

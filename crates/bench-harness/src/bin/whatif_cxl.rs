@@ -52,7 +52,7 @@ fn main() {
                     ops_per_worker: ops,
                     warmup_per_worker: (ops / 5).max(50),
                     seed: 0xC1_2024,
-                    pipeline_depth: RunConfig::depth_from_env(1),
+                    pipeline_depth: 1,
                     trace_head_every: 0,
                     trace_tail_k: obs::DEFAULT_TAIL_K,
                     sample_interval_ns: 0,

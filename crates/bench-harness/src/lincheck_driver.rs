@@ -113,12 +113,11 @@ pub struct ExploreConfig {
     /// mask whatever the run is actually about.
     pub deletes: bool,
     /// Ops kept in flight per worker for the batched-read slice of the
-    /// mix: `1` serves [`lincheck::Op::MultiGet`] through the blocking
-    /// `multi_get`, larger depths drive it through the pipelined op
-    /// scheduler ([`WorkerClient::multi_get_pipelined`]) so the schedule
-    /// explores interleavings *between the round trips of concurrently
-    /// in-flight operations* — each parked op is a schedulable
-    /// participant's pending grant, not an atomic block.
+    /// mix: [`lincheck::Op::MultiGet`] runs through the pipelined op
+    /// scheduler ([`WorkerClient::multi_get_pipelined`]) at this depth.
+    /// Above 1 the schedule explores interleavings *between the round
+    /// trips of concurrently in-flight operations* — each parked op is a
+    /// schedulable participant's pending grant, not an atomic block.
     pub pipeline_depth: usize,
     /// Checker budget.
     pub check: CheckConfig,
@@ -237,10 +236,9 @@ pub fn apply_op(w: &mut WorkerClient, op: &Op) -> Ret {
     apply_op_pipelined(w, op, 1)
 }
 
-/// [`apply_op`] with an explicit pipeline depth: at depth > 1 the batched
-/// reads run through the pipelined op scheduler, so a lincheck run
-/// exercises cross-op in-flight interleavings under the lock-step
-/// schedule.
+/// [`apply_op`] with an explicit pipeline depth for the batched reads, so
+/// a lincheck run at depth > 1 exercises cross-op in-flight interleavings
+/// under the lock-step schedule.
 pub fn apply_op_pipelined(w: &mut WorkerClient, op: &Op, depth: usize) -> Ret {
     match op {
         Op::Get { key } => Ret::Got(w.get(key)),
@@ -252,11 +250,7 @@ pub fn apply_op_pipelined(w: &mut WorkerClient, op: &Op, depth: usize) -> Ret {
         Op::Delete { key } => Ret::Deleted(w.remove(key)),
         Op::MultiGet { keys } => {
             let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            if depth > 1 {
-                Ret::MultiGot(w.multi_get_pipelined(&refs, depth))
-            } else {
-                Ret::MultiGot(w.multi_get(&refs))
-            }
+            Ret::MultiGot(w.multi_get_pipelined(&refs, depth))
         }
         Op::Scan { low, high } => Ret::Scanned(w.scan_pairs(low, high)),
         Op::ScanN { low, limit } => Ret::Scanned(w.scan_n(low, *limit)),

@@ -65,19 +65,6 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Reads the per-worker pipeline depth from the `SPHINX_PIPELINE_DEPTH`
-    /// environment variable (the harness-wide flag for the op scheduler),
-    /// falling back to `default` when unset or unparsable. Binaries pass
-    /// `1` to keep their checked-in results comparable; the pipelined
-    /// artifacts pass `node_engine::pipeline::DEFAULT_DEPTH` (8).
-    pub fn depth_from_env(default: usize) -> usize {
-        std::env::var("SPHINX_PIPELINE_DEPTH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&d| d >= 1)
-            .unwrap_or(default)
-    }
-
     /// A laptop-scale default: 100k keys, 24 workers, 2k measured ops per
     /// worker.
     pub fn quick(keyspace: KeySpace, workload: Workload) -> Self {
@@ -138,6 +125,17 @@ pub struct RunResult {
     pub metrics: obs::MetricsReport,
 }
 
+/// Mints one client per worker, round-robin over the CNs, on the calling
+/// thread: a registration that fails (more workers than reclamation pin
+/// slots) panics here with its typed error, before any worker thread
+/// exists that could be left waiting at a barrier.
+fn mint_workers(handle: &SystemHandle, workers: usize) -> Vec<WorkerClient> {
+    let num_cns = handle.cluster().num_cns() as usize;
+    (0..workers)
+        .map(|w| handle.worker((w % num_cns) as u16))
+        .collect()
+}
+
 /// Loads `num_keys` keys (indexes `0..num_keys`) through `load_workers`
 /// parallel workers. Values are the deterministic 64-byte YCSB payloads.
 ///
@@ -145,12 +143,10 @@ pub struct RunResult {
 ///
 /// Panics on index errors (bench context).
 pub fn load_phase(handle: &SystemHandle, keyspace: KeySpace, num_keys: u64, load_workers: usize) {
-    let num_cns = handle.cluster().num_cns();
+    let clients = mint_workers(handle, load_workers);
     std::thread::scope(|s| {
-        for w in 0..load_workers {
-            let handle = handle.clone();
+        for (w, mut client) in clients.into_iter().enumerate() {
             s.spawn(move || {
-                let mut client = handle.worker((w % num_cns as usize) as u16);
                 let mut i = w as u64;
                 while i < num_keys {
                     client.insert(&keyspace.key(i), &value_for(i, 0));
@@ -217,7 +213,7 @@ fn sampler_columns(num_mns: u16) -> Vec<String> {
 ///
 /// Panics on index errors (bench context).
 pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
-    let num_cns = handle.cluster().num_cns() as usize;
+    let clients = mint_workers(handle, cfg.workers);
     let cursor = SharedInsertCursor::new(cfg.num_keys);
     let sorted = if cfg.workload.scan > 0.0 {
         sorted_keys(cfg.keyspace, cfg.num_keys)
@@ -233,7 +229,7 @@ pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
     let cluster_base: Arc<Mutex<Option<ClusterStats>>> = Arc::new(Mutex::new(None));
     let outcomes: Vec<WorkerOutcome> = std::thread::scope(|s| {
         let mut joins = Vec::with_capacity(cfg.workers);
-        for w in 0..cfg.workers {
+        for (w, mut client) in clients.into_iter().enumerate() {
             let handle = handle.clone();
             let cursor = cursor.clone();
             let sorted = sorted.clone();
@@ -242,7 +238,6 @@ pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
             let gate = gate.clone();
             let cluster_base = cluster_base.clone();
             joins.push(s.spawn(move || {
-                let mut client = handle.worker((w % num_cns) as u16);
                 client.set_trace_sampling(cfg.trace_head_every, cfg.trace_tail_k);
                 client.set_trace_worker(w as u32);
                 let mut stream = OpStream::with_cursor(
@@ -594,6 +589,54 @@ mod tests {
                 "health verdict must be stamped into the registry"
             );
         }
+    }
+
+    fn tiny_read_run(workers: usize) -> RunConfig {
+        RunConfig {
+            num_keys: 500,
+            workers,
+            ops_per_worker: 5,
+            warmup_per_worker: 2,
+            ..RunConfig::quick(KeySpace::U64, Workload::c())
+        }
+    }
+
+    /// More workers than reclamation pin slots used to panic the surplus
+    /// workers inside their threads and leave the rest at the warm-up
+    /// barrier forever (fig4's default 96 workers against 64 slots). The
+    /// clients are now minted before any thread starts, so the typed
+    /// registration error ends the run.
+    #[test]
+    fn more_workers_than_pin_slots_fail_with_the_typed_error_not_a_hang() {
+        let cluster = dm_sim::DmCluster::new(dm_sim::ClusterConfig::default());
+        let config = sphinx::SphinxConfig {
+            reclaim: reclaim::ReclaimConfig {
+                max_clients: 2,
+                ..Default::default()
+            },
+            ..sphinx::SphinxConfig::small()
+        };
+        let handle = SystemHandle::Sphinx(sphinx::SphinxIndex::create(&cluster, config).unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_phase(&handle, &tiny_read_run(3));
+            }));
+            let _ = tx.send(run.map_err(|p| *p.downcast::<String>().expect("message")));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_phase must end, not wait for workers that never arrive");
+        let message = outcome.expect_err("three workers cannot share two pin slots");
+        assert!(message.contains("OutOfMemory"), "{message}");
+    }
+
+    #[test]
+    fn ninety_six_workers_run_to_completion() {
+        let handle = System::Sphinx.build_scaled(64 << 20, 500, 96 + 4);
+        load_phase(&handle, KeySpace::U64, 500, 4);
+        let r = run_phase(&handle, &tiny_read_run(96));
+        assert_eq!(r.total_ops, 96 * 5);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn ycsb_a_config(keys: u64) -> RunConfig {
         ops_per_worker: 500,
         warmup_per_worker: 100,
         seed: 0x51_0CE,
-        pipeline_depth: RunConfig::depth_from_env(1),
+        pipeline_depth: 1,
         trace_head_every: 0,
         trace_tail_k: 0,
         sample_interval_ns: 0,

@@ -52,25 +52,21 @@ impl System {
     /// (3 machines, each one CN + one MN). `cache_bytes` overrides the
     /// CN-side cache budget where the system has one.
     pub fn build(&self, mn_capacity: usize, cache_bytes: Option<usize>) -> SystemHandle {
-        let cluster = DmCluster::new(ClusterConfig {
-            num_mns: 3,
-            num_cns: 3,
-            mn_capacity,
-            ..Default::default()
-        });
-        self.build_on(&cluster, cache_bytes)
+        self.build_on(&testbed(mn_capacity), cache_bytes)
     }
 
     /// Builds the system with the paper's cache proportions for a run
     /// over `num_keys` keys (Sphinx/SMART get the scaled 20 MB budget,
-    /// SMART+C ten times that, ART none).
-    pub fn build_scaled(&self, mn_capacity: usize, num_keys: u64) -> SystemHandle {
+    /// SMART+C ten times that, ART none) that keeps up to `clients` worker
+    /// clients alive at once: the reclamation pin-slot array is sized for
+    /// them when the default does not cover them.
+    pub fn build_scaled(&self, mn_capacity: usize, num_keys: u64, clients: usize) -> SystemHandle {
         let cache = paper_cache_bytes(num_keys);
         let budget = match self {
             System::SmartC => 10 * cache,
             _ => cache,
         };
-        self.build(mn_capacity, Some(budget))
+        self.build_sized(&testbed(mn_capacity), Some(budget), clients)
     }
 
     /// Builds the system on an existing cluster.
@@ -80,6 +76,26 @@ impl System {
     /// Panics if index creation fails (out of MN memory — raise
     /// `mn_capacity`).
     pub fn build_on(&self, cluster: &DmCluster, cache_bytes: Option<usize>) -> SystemHandle {
+        self.build_sized(cluster, cache_bytes, 0)
+    }
+
+    fn build_sized(
+        &self,
+        cluster: &DmCluster,
+        cache_bytes: Option<usize>,
+        clients: usize,
+    ) -> SystemHandle {
+        // Never below the default: a reclaim scan reads the whole slot
+        // array, so its size is part of every recorded virtual-time number.
+        let default = reclaim::ReclaimConfig::default();
+        let reclaim = reclaim::ReclaimConfig {
+            max_clients: default.max_clients.max(clients),
+            ..default
+        };
+        let smart = |bytes| BaselineConfig {
+            reclaim,
+            ..BaselineConfig::smart(bytes)
+        };
         match self {
             System::Sphinx | System::SphinxInhtOnly => {
                 let config = SphinxConfig {
@@ -89,26 +105,28 @@ impl System {
                     } else {
                         CacheMode::FilterCache
                     },
+                    reclaim,
                     ..SphinxConfig::default()
                 };
                 SystemHandle::Sphinx(SphinxIndex::create(cluster, config).expect("create sphinx"))
             }
             System::Smart => SystemHandle::Baseline(
-                BaselineIndex::create(
-                    cluster,
-                    BaselineConfig::smart(cache_bytes.unwrap_or(20 << 20)),
-                )
-                .expect("create smart"),
+                BaselineIndex::create(cluster, smart(cache_bytes.unwrap_or(20 << 20)))
+                    .expect("create smart"),
             ),
             System::SmartC => SystemHandle::Baseline(
-                BaselineIndex::create(
-                    cluster,
-                    BaselineConfig::smart(cache_bytes.unwrap_or(200 << 20)),
-                )
-                .expect("create smart+c"),
+                BaselineIndex::create(cluster, smart(cache_bytes.unwrap_or(200 << 20)))
+                    .expect("create smart+c"),
             ),
             System::Art => SystemHandle::Baseline(
-                BaselineIndex::create(cluster, BaselineConfig::art()).expect("create art"),
+                BaselineIndex::create(
+                    cluster,
+                    BaselineConfig {
+                        reclaim,
+                        ..BaselineConfig::art()
+                    },
+                )
+                .expect("create art"),
             ),
             System::BpTree => SystemHandle::BpTree(
                 bptree::BpTreeIndex::create(cluster, cache_bytes.unwrap_or(20 << 20))
@@ -116,6 +134,17 @@ impl System {
             ),
         }
     }
+}
+
+/// A fresh cluster mirroring the paper's testbed: 3 machines, each one CN
+/// and one MN of `mn_capacity` bytes.
+fn testbed(mn_capacity: usize) -> DmCluster {
+    DmCluster::new(ClusterConfig {
+        num_mns: 3,
+        num_cns: 3,
+        mn_capacity,
+        ..Default::default()
+    })
 }
 
 /// A built index, able to mint per-worker clients.
@@ -134,7 +163,10 @@ impl SystemHandle {
     ///
     /// # Panics
     ///
-    /// Panics on substrate errors (bench context).
+    /// Panics on substrate errors (bench context) — among them
+    /// `OutOfMemory` registering a reclamation pin slot, when more clients
+    /// are alive than the index was built for (`build_scaled`'s `clients`,
+    /// [`reclaim::ReclaimConfig::max_clients`]).
     pub fn worker(&self, cn_id: u16) -> WorkerClient {
         match self {
             SystemHandle::Sphinx(idx) => {
@@ -286,28 +318,6 @@ impl WorkerClient {
             WorkerClient::Sphinx(c) => c.remove(key).expect("remove"),
             WorkerClient::Baseline(c) => c.remove(key).expect("remove"),
             WorkerClient::BpTree(c) => c.remove(bp_key(key)).expect("remove"),
-        }
-    }
-
-    /// Batched point lookups, parallel to `keys`. Sphinx issues its real
-    /// doorbell-batched `multi_get`; the baselines have no batched read
-    /// path, so the facade emulates one with sequential gets (each
-    /// returned value is still read at some point inside the call).
-    pub fn multi_get(&mut self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        match self {
-            WorkerClient::Sphinx(c) => c.multi_get(keys).expect("multi_get"),
-            WorkerClient::Baseline(c) => keys
-                .iter()
-                .map(|k| c.get(k).expect("multi_get component"))
-                .collect(),
-            WorkerClient::BpTree(c) => keys
-                .iter()
-                .map(|k| {
-                    c.get(bp_key(k))
-                        .expect("multi_get component")
-                        .map(bp_value_decode)
-                })
-                .collect(),
         }
     }
 

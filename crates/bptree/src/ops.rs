@@ -427,7 +427,7 @@ impl BpTreeClient {
                     state: BpSt::Start { root },
                     trace: lease.take(),
                 });
-            node_engine::run_pipelined(dm, ops, depth, &mut pstats)
+            node_engine::run_pipelined(dm, ops, depth, Some(&mut pstats))
         };
         self.pipeline.merge(&pstats);
         #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]

@@ -1,14 +1,13 @@
-//! The per-worker client: deepest-node location and point lookups.
+//! The per-worker client: telemetry and reclamation plumbing, point `get`,
+//! and the blocking leaf helpers (the lookup itself is `pipeline.rs`).
 
 use std::sync::Arc;
 
-use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
-use art_core::key::{common_prefix_len, MAX_KEY_LEN};
-use art_core::layout::{HashEntry, InnerNode, LeafNode, NodeStatus, Slot};
-use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy, Transport};
+use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy};
 use node_engine::{read_inner_consistent, read_validated_leaf, LeafReadStats};
 use obs::{OpKind, Phase, Recorder};
-use race_hash::{FoundEntry, RaceTable};
+use race_hash::RaceTable;
 
 use crate::config::{CacheMode, SphinxConfig};
 use crate::error::SphinxError;
@@ -122,8 +121,6 @@ pub(crate) enum Outcome {
 /// prefixes the key, and what lies below it.
 #[derive(Debug)]
 pub(crate) struct Descent {
-    /// Prefix length of the node the hash-table lookup landed on.
-    pub entry_len: usize,
     /// The deepest matching inner node.
     pub node: InnerNode,
     /// Its address.
@@ -132,12 +129,16 @@ pub(crate) struct Descent {
     pub outcome: Outcome,
 }
 
-#[allow(clippy::large_enum_variant)] // Retry is transient; Done is immediately unpacked
-pub(crate) enum DescentResult {
-    Done(Descent),
-    /// A node marked `Invalid` (mid type-switch) was encountered: retry
-    /// through a fresh hash-table lookup.
-    Retry,
+impl Descent {
+    /// The value a point lookup of `key` returns from this descent.
+    pub(crate) fn into_value(self, key: &[u8]) -> Option<Vec<u8>> {
+        match self.outcome {
+            Outcome::Leaf { leaf, .. } if leaf.key == key && leaf.status != NodeStatus::Invalid => {
+                Some(leaf.value)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A per-worker Sphinx client.
@@ -527,13 +528,7 @@ impl SphinxClient {
         self.obs_begin(OpKind::Get);
         let r = self.locate(key);
         self.op_exit();
-        let d = r?;
-        Ok(match d.outcome {
-            Outcome::Leaf { leaf, .. } => {
-                (leaf.key == key && leaf.status != NodeStatus::Invalid).then_some(leaf.value)
-            }
-            _ => None,
-        })
+        Ok(r?.into_value(key))
     }
 
     /// Whether `key` is present.
@@ -543,335 +538,6 @@ impl SphinxClient {
     /// Same as [`SphinxClient::get`].
     pub fn contains_key(&mut self, key: &[u8]) -> Result<bool, SphinxError> {
         Ok(self.get(key)?.is_some())
-    }
-
-    // ------------------------------------------------------------------
-    // Deepest-node location (§III-B, §IV "Search").
-    // ------------------------------------------------------------------
-
-    pub(crate) fn locate(&mut self, key: &[u8]) -> Result<Descent, SphinxError> {
-        if key.len() > MAX_KEY_LEN {
-            return Err(SphinxError::KeyTooLong { len: key.len() });
-        }
-        let mut max_len = key.len();
-        for _ in 0..self.retry.op_retries {
-            let (ptr, node, len) = self.entry_node(key, max_len)?;
-            match self.descend(key, ptr, node, len)? {
-                DescentResult::Done(d) => {
-                    // False-positive detection (§III-B): if the leaf we
-                    // reached shares less of the key than the entry node's
-                    // prefix length, the fp₂ *and* the 42-bit prefix hash
-                    // collided; retry with a shorter prefix.
-                    let observed = match &d.outcome {
-                        Outcome::Leaf { leaf, .. } => Some(common_prefix_len(key, &leaf.key)),
-                        Outcome::Divergent { sample, .. } => {
-                            Some(common_prefix_len(key, &sample.key))
-                        }
-                        _ => None,
-                    };
-                    if let Some(cpl) = observed {
-                        if cpl < d.entry_len {
-                            self.stats.false_positive_retries += 1;
-                            self.obs_retry();
-                            max_len = d.entry_len.saturating_sub(1);
-                            continue;
-                        }
-                    }
-                    return Ok(d);
-                }
-                DescentResult::Retry => {
-                    self.stats.invalid_node_retries += 1;
-                    self.obs_retry();
-                    self.obs_phase(Phase::Retry);
-                    self.dm.backoff(&self.retry);
-                }
-            }
-        }
-        Err(SphinxError::RetriesExhausted { op: "locate" })
-    }
-
-    /// Finds a validated inner node for the deepest available prefix of
-    /// `key` no longer than `max_len`.
-    pub(crate) fn entry_node(
-        &mut self,
-        key: &[u8],
-        max_len: usize,
-    ) -> Result<(RemotePtr, InnerNode, usize), SphinxError> {
-        match self.config.mode {
-            CacheMode::FilterCache => {
-                let mut budget = self.retry.io_retries;
-                let mut l = max_len;
-                let mut first = true;
-                loop {
-                    self.obs_phase(Phase::SfcProbe);
-                    let cand = self.filter.deepest_hit(key, l);
-                    if l > 0 {
-                        self.obs.incr(if cand > 0 {
-                            "sfc.probe_hit"
-                        } else {
-                            "sfc.probe_miss"
-                        });
-                    }
-                    self.obs_phase(Phase::InhtLookup);
-                    if let Some((ptr, node)) = self.fetch_validated(key, cand)? {
-                        if first {
-                            self.stats.filter_first_hits += 1;
-                        }
-                        return Ok((ptr, node, cand));
-                    }
-                    self.stats.entry_misses += 1;
-                    first = false;
-                    if cand > 0 {
-                        // The filter claimed `key[..cand]` exists but the
-                        // INHT disproved it: an observed false positive.
-                        self.filter.record_false_positive();
-                    }
-                    if cand == 0 {
-                        // Even the root hash entry failed validation. Under
-                        // contention that is a transient gap, not
-                        // corruption: a concurrent type switch of the root
-                        // invalidates the old node before the repaired
-                        // entry is published, and a reader landing in that
-                        // window sees no valid entry at any prefix length.
-                        // Back off and retake the whole ladder; only a
-                        // persistent gap is corruption.
-                        if budget == 0 {
-                            return Err(SphinxError::Corrupt {
-                                what: "root hash entry missing",
-                            });
-                        }
-                        budget -= 1;
-                        self.obs_retry();
-                        self.obs_phase(Phase::Retry);
-                        self.dm.backoff(&self.retry);
-                        l = max_len;
-                        continue;
-                    }
-                    l = cand - 1;
-                }
-            }
-            CacheMode::InhtOnly => {
-                self.obs_phase(Phase::InhtLookup);
-                self.entry_node_parallel(key, max_len)
-            }
-        }
-    }
-
-    /// One INHT lookup + node fetch + validation for an exact prefix
-    /// length.
-    fn fetch_validated(
-        &mut self,
-        key: &[u8],
-        len: usize,
-    ) -> Result<Option<(RemotePtr, InnerNode)>, SphinxError> {
-        let prefix = &key[..len];
-        let h = prefix_hash64(prefix);
-        let mn = self.dm.place(h) as usize;
-        let found = self.tables[mn].search(&mut self.dm, h)?;
-        self.validate_candidates(&found, key, len)
-    }
-
-    /// Checks hash-entry candidates against the prefix fingerprint, then
-    /// fetches and validates the referenced node.
-    fn validate_candidates(
-        &mut self,
-        found: &[FoundEntry],
-        key: &[u8],
-        len: usize,
-    ) -> Result<Option<(RemotePtr, InnerNode)>, SphinxError> {
-        let prefix = &key[..len];
-        let fp = fp12(prefix);
-        let h42 = prefix_hash42(prefix);
-        for e in found {
-            let Some(he) = HashEntry::decode(e.word) else {
-                continue;
-            };
-            if he.fp != fp {
-                continue;
-            }
-            let node = read_inner_consistent(&mut self.dm, he.addr, he.kind)?;
-            if node.header.status == NodeStatus::Invalid
-                || node.header.kind != he.kind
-                || node.header.prefix_len as usize != len
-                || node.header.prefix_hash42 != h42
-            {
-                // The 12-bit fingerprint matched but the node did not: a
-                // genuine fp collision or a stale/retired entry.
-                self.obs.incr("inht.fp_collision");
-                continue;
-            }
-            self.obs.incr("inht.hit");
-            return Ok(Some((he.addr, node)));
-        }
-        Ok(None)
-    }
-
-    /// The INHT-only ablation: read the bucket pairs of *every* prefix of
-    /// `key` in one doorbell-batched round trip and use the deepest valid
-    /// entry (§III-A without the filter cache).
-    fn entry_node_parallel(
-        &mut self,
-        key: &[u8],
-        max_len: usize,
-    ) -> Result<(RemotePtr, InnerNode, usize), SphinxError> {
-        let mut budget = self.retry.io_retries;
-        'retry: for _ in 0..self.retry.op_retries {
-            let mut lookups = Vec::with_capacity(max_len + 1);
-            let mut reads = Vec::with_capacity(max_len + 1);
-            for l in 0..=max_len {
-                let h = prefix_hash64(&key[..l]);
-                let mn = self.dm.place(h) as usize;
-                let base = self.tables[mn].bucket_pair_ptr(h)?;
-                reads.push((base, RaceTable::pair_len()));
-                lookups.push((l, h, mn, base));
-            }
-            let results = self.dm.read_many(&reads)?;
-            for (i, &(l, h, mn, base)) in lookups.iter().enumerate().rev() {
-                let bytes = &results[i];
-                match RaceTable::parse_pair(base, bytes, h) {
-                    None => {
-                        // Stale directory for this table: refresh, redo the
-                        // whole batch.
-                        self.tables[mn].refresh(&mut self.dm)?;
-                        continue 'retry;
-                    }
-                    Some(entries) => {
-                        if let Some((ptr, node)) = self.validate_candidates(&entries, key, l)? {
-                            return Ok((ptr, node, l));
-                        }
-                    }
-                }
-            }
-            // No prefix — not even the root — validated. Same transient
-            // window as the filter-cache path: back off and redo the batch
-            // before declaring the root entry lost.
-            self.stats.entry_misses += 1;
-            if budget == 0 {
-                return Err(SphinxError::Corrupt {
-                    what: "root hash entry missing",
-                });
-            }
-            budget -= 1;
-            self.obs_retry();
-            self.obs_phase(Phase::Retry);
-            self.dm.backoff(&self.retry);
-        }
-        Err(SphinxError::RetriesExhausted {
-            op: "parallel entry lookup",
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Downward traversal from the entry node.
-    // ------------------------------------------------------------------
-
-    pub(crate) fn descend(
-        &mut self,
-        key: &[u8],
-        entry_ptr: RemotePtr,
-        entry_node: InnerNode,
-        entry_len: usize,
-    ) -> Result<DescentResult, SphinxError> {
-        let mut node = entry_node;
-        let mut ptr = entry_ptr;
-        self.obs_phase(Phase::Traversal);
-        loop {
-            if node.header.status == NodeStatus::Invalid {
-                return Ok(DescentResult::Retry);
-            }
-            let plen = node.header.prefix_len as usize;
-            if key.len() == plen {
-                // Key terminates exactly at this node.
-                return Ok(DescentResult::Done(match node.value_slot {
-                    Some(slot) => {
-                        let leaf = self.read_leaf(slot.addr, self.config.leaf_read_hint)?;
-                        Descent {
-                            entry_len,
-                            node,
-                            node_ptr: ptr,
-                            outcome: Outcome::Leaf {
-                                slot_ref: SlotRef::Value,
-                                slot,
-                                leaf,
-                            },
-                        }
-                    }
-                    None => Descent {
-                        entry_len,
-                        node,
-                        node_ptr: ptr,
-                        outcome: Outcome::NoValueSlot,
-                    },
-                }));
-            }
-            let byte = key[plen];
-            match node.find_child(byte) {
-                None => {
-                    return Ok(DescentResult::Done(Descent {
-                        entry_len,
-                        node,
-                        node_ptr: ptr,
-                        outcome: Outcome::Empty { byte },
-                    }));
-                }
-                Some((idx, slot)) if slot.is_leaf => {
-                    let leaf = self.read_leaf(slot.addr, self.config.leaf_read_hint)?;
-                    return Ok(DescentResult::Done(Descent {
-                        entry_len,
-                        node,
-                        node_ptr: ptr,
-                        outcome: Outcome::Leaf {
-                            slot_ref: SlotRef::Child(idx),
-                            slot,
-                            leaf,
-                        },
-                    }));
-                }
-                Some((idx, slot)) => {
-                    let child = read_inner_consistent(&mut self.dm, slot.addr, slot.child_kind)?;
-                    if child.header.status == NodeStatus::Invalid
-                        || child.header.kind != slot.child_kind
-                    {
-                        return Ok(DescentResult::Retry);
-                    }
-                    let clen = child.header.prefix_len as usize;
-                    if clen <= plen {
-                        return Ok(DescentResult::Retry);
-                    }
-                    if key.len() >= clen
-                        && child.header.prefix_hash42 == prefix_hash42(&key[..clen])
-                    {
-                        // Child matches the key: keep descending, and teach
-                        // the filter this prefix (the "freshness" update of
-                        // §IV Search).
-                        if self.config.mode == CacheMode::FilterCache
-                            && self.filter.refresh(&key[..clen])
-                        {
-                            self.stats.filter_refreshes += 1;
-                        }
-                        node = child;
-                        ptr = slot.addr;
-                        continue;
-                    }
-                    // Divergence inside the child's compressed path: learn
-                    // the actual prefix bytes from any leaf below it.
-                    let Some(sample) = self.sample_leaf(&child)? else {
-                        return Ok(DescentResult::Retry);
-                    };
-                    return Ok(DescentResult::Done(Descent {
-                        entry_len,
-                        node,
-                        node_ptr: ptr,
-                        outcome: Outcome::Divergent {
-                            slot_idx: idx,
-                            slot,
-                            child,
-                            sample,
-                        },
-                    }));
-                }
-            }
-        }
     }
 
     /// Fetches any leaf from `node`'s subtree (all of them share the

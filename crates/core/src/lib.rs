@@ -50,7 +50,6 @@ mod client;
 mod config;
 mod error;
 mod index;
-mod multi_get;
 mod pipeline;
 mod scan;
 mod scan_iter;

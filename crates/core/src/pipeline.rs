@@ -1,51 +1,54 @@
-//! Pipelined point lookups: the Sphinx `get` restructured as a resumable
-//! state machine so one worker can keep several independent lookups in
-//! flight (see [`node_engine::pipeline`]).
+//! The Sphinx lookup (§IV "Search") as one resumable state machine.
 //!
-//! [`GetOp`] mirrors the blocking fast path of [`SphinxClient::get`]
-//! exactly — filter probe → INHT bucket-pair read → candidate node
-//! validation → descent → validated leaf read, including false-positive
-//! restarts and torn-leaf retries — but yields a
-//! [`StepOutcome::Submit`] at every round trip instead of blocking on
-//! [`dm_sim::Transport::execute`]. The driver
-//! ([`SphinxClient::get_many_pipelined`]) runs up to `depth` of these
-//! machines concurrently via [`node_engine::run_pipelined`]: every
-//! scheduling round all in-flight reads go out in one fused doorbell, so
-//! the whole window shares a single RTT.
+//! [`LocateOp`] is the only code that finds a key's place in the tree:
+//! filter probe → INHT bucket-pair read → candidate node validation →
+//! descent → validated leaf read → false-positive check. Instead of
+//! blocking on [`dm_sim::Transport::execute`] it yields a
+//! [`StepOutcome::Submit`] at every round trip, so one body serves one
+//! lookup or many in flight: [`SphinxClient::locate`] drives a single
+//! machine through [`node_engine::run_pipelined`] at depth 1 (charge for
+//! charge what blocking execution costs, also under a
+//! [`dm_sim::Schedule`]), and [`SphinxClient::get_many_pipelined`] drives
+//! one machine per key at depth N, where every scheduling round all
+//! in-flight reads go out in one fused doorbell and share a single RTT.
 //!
-//! Rare paths keep their blocking implementation rather than growing a
-//! second copy: when a machine hits one (stale INHT directory, divergent
-//! compressed path, a node caught mid type-switch, retry-budget
-//! exhaustion) it finishes with [`PipelinedGet::Fallback`] and the driver
-//! replays that key through [`SphinxClient::get`]. Correctness is never
-//! traded for pipelining — the fallback re-executes from scratch and its
-//! counters stand in for the whole op (the machine's partial counters are
-//! discarded to avoid double counting).
+//! Transient states restart inside the machine: a node caught mid
+//! type-switch backs off and retakes the ladder from the probe, the
+//! root-entry-missing window retries the ladder on a bounded budget, a
+//! false positive restarts with a shorter prefix bound. Two things need
+//! the whole client and therefore stop the machine with a typed
+//! [`Stop`] that the driver serves before re-admitting it: a stale INHT
+//! directory ([`Stop::Refresh`]) and the leaf sample below a child whose
+//! compressed path diverges from the key ([`Stop::Sample`]; only lookups
+//! of absent keys reach it). docs/PROTOCOLS.md has the state table.
 
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
-use art_core::layout::{HashEntry, InnerNode, LayoutError, LeafNode, NodeStatus};
-use art_core::NodeKind;
+use art_core::layout::{HashEntry, InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
 use dm_sim::{DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb, VerbResult};
 use node_engine::{leaf_validation, EngineError, OpState, PipelineStats, StepOutcome};
-use obs::{OpKind, OpTrace, Phase};
-use race_hash::RaceTable;
+use obs::{OpKind, OpTrace, Phase, Recorder};
+use race_hash::{FoundEntry, RaceTable};
 
-use crate::client::SphinxClient;
-use crate::config::CacheMode;
+use crate::client::{Descent, Outcome, SlotRef, SphinxClient};
+use crate::config::{CacheMode, SphinxConfig};
 use crate::error::SphinxError;
 
-/// Submission tags, used by [`PipelineStats::by_tag`] to attribute the
-/// fused round trips back to the phase taxonomy.
+/// Submission tags: the phase each round trip is attributed to, by the
+/// span recorder for a lookup driven alone and by
+/// [`PipelineStats::by_tag`] for a pipelined run.
 const TAG_INHT: u32 = Phase::InhtLookup as u32;
 const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
 const TAG_LEAF: u32 = Phase::LeafRead as u32;
 
-/// Counter deltas accumulated by one machine-run lookup, folded into
-/// [`crate::OpStats`] and the named `obs` counters by the driver.
+/// Counters one lookup accumulates, folded into [`crate::OpStats`] and the
+/// named `obs` counters when it ends.
 #[derive(Debug, Clone, Copy, Default)]
-struct GetDelta {
+struct Tally {
+    /// Restarts of any kind (false positive, invalid node, root missing).
+    retries: u64,
     fp_retries: u64,
+    invalid_retries: u64,
     entry_misses: u64,
     filter_first_hits: u64,
     filter_refreshes: u64,
@@ -57,77 +60,176 @@ struct GetDelta {
     fp_collisions: u64,
 }
 
-/// How one pipelined lookup ended.
-enum PipelinedGet {
-    /// The fast path completed: the key's value, or `None` if absent.
-    Value(Option<Vec<u8>>),
-    /// The machine hit a path it does not model; replay via blocking
-    /// [`SphinxClient::get`].
-    Fallback,
+/// Why a machine stopped. The first three end the lookup; the driver
+/// serves the other two and re-admits the machine.
+#[allow(clippy::large_enum_variant)] // moved once per lookup
+pub(crate) enum Stop {
+    /// The full lookup finished.
+    Found(Descent),
+    /// An entry-only lookup finished: the validated entry node's address,
+    /// the node, and its prefix length.
+    Entry(RemotePtr, InnerNode, usize),
+    /// The lookup failed for good.
+    Failed(SphinxError),
+    /// Table `mn`'s directory cache is stale: run
+    /// [`RaceTable::refresh_stale`] on it.
+    Refresh(usize),
+    /// The descent met a child whose compressed path diverges from the
+    /// key: sample a leaf below [`LocateOp::diverged_child`] and hand it
+    /// to [`LocateOp::sampled`].
+    Sample,
 }
 
-/// Output of one [`GetOp`].
-struct GetOut {
-    result: PipelinedGet,
-    delta: GetDelta,
-    /// The op's causal-trace context, carried out for
-    /// [`obs::Tracer::finish`] (always `None` when tracing is off).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
-    trace: Option<Box<OpTrace>>,
+/// One bucket pair of the current INHT read.
+struct Level {
+    plen: usize,
+    hash: u64,
+    base: RemotePtr,
+}
+
+/// One step of the descent: a validated inner node and the slot the key
+/// leaves it through.
+struct Hop {
+    /// Prefix length of the entry node the descent started from.
+    entry_len: usize,
+    node: InnerNode,
+    node_ptr: RemotePtr,
+    slot: Slot,
 }
 
 /// Where the machine is between round trips.
 enum St {
-    /// Probe the filter and submit the INHT bucket-pair read.
+    /// Not started.
     Start,
-    /// Waiting for the bucket pair of `key[..plen]`.
-    Pair {
-        plen: usize,
-        base: RemotePtr,
-        hash: u64,
-    },
-    /// Waiting for candidate inner node `queue[idx]` at prefix `plen`.
+    /// Stopped on [`Stop::Refresh`]: resubmit the same bucket pairs.
+    Stale,
+    /// Waiting for the bucket pairs of `levels`.
+    Pairs,
+    /// Waiting for the inner node that `entry` (decoded `entries[idx]`)
+    /// names, a candidate for prefix `plen`.
     Candidate {
         plen: usize,
-        queue: Vec<(RemotePtr, NodeKind)>,
+        entries: Vec<FoundEntry>,
         idx: usize,
+        entry: HashEntry,
     },
-    /// Waiting for an inner child during the descent.
-    Child {
-        entry_len: usize,
-        parent_plen: usize,
-        kind: NodeKind,
-    },
-    /// Waiting for the leaf bytes.
+    /// Waiting for the inner child behind child slot `slot_idx`.
+    Child { hop: Hop, slot_idx: usize },
+    /// Waiting for the leaf behind `slot_ref`.
     Leaf {
-        entry_len: usize,
-        ptr: RemotePtr,
+        hop: Hop,
+        slot_ref: SlotRef,
         read_len: usize,
         attempts: usize,
     },
+    /// Stopped on [`Stop::Sample`]: `child`'s compressed path diverges
+    /// from the key.
+    Diverged {
+        hop: Hop,
+        slot_idx: usize,
+        child: InnerNode,
+    },
+    /// The driver's sample arrived (`None`: a transient state blocked the
+    /// walk).
+    Sampled {
+        hop: Hop,
+        slot_idx: usize,
+        child: InnerNode,
+        sample: Option<LeafNode>,
+    },
 }
 
-/// The Sphinx point lookup as a resumable state machine (FilterCache
-/// mode; the driver routes other modes to the blocking path).
-struct GetOp<'a> {
-    key: &'a [u8],
-    tables: &'a [RaceTable],
-    filter: &'a sfc::FilterCache,
+/// One lookup's state. Owns nothing of the client, so the driver can use
+/// the client between runs; [`Run`] lends it the client's tables and
+/// filter for the duration of one [`node_engine::run_pipelined`] call.
+pub(crate) struct LocateOp<'k> {
+    key: &'k [u8],
+    mode: CacheMode,
     leaf_hint: usize,
     retry: RetryPolicy,
+    /// Stop at the validated entry node instead of descending.
+    entry_only: bool,
     /// Upper bound on the probed prefix length (shrinks on fp restarts).
     max_len: usize,
-    /// Current probe level within one entry-node search.
+    /// Current probe level within one entry-node search (filter mode).
     probe_len: usize,
-    /// Whether the next INHT hit is a first-probe hit.
+    /// Whether the next INHT hit is a first-probe filter hit.
     first: bool,
-    /// False-positive restarts consumed (bounded by `op_retries`).
+    /// Restarts and refreshes consumed (bounded by `op_retries`).
     restarts: usize,
-    delta: GetDelta,
+    /// Root-entry-missing retries left in this entry-node search.
+    root_budget: usize,
+    /// Prefix lengths `lo..=hi` of the current bucket-pair read: the one
+    /// the filter named, or every prefix in [`CacheMode::InhtOnly`].
+    range: (usize, usize),
+    /// The pairs of `range` not yet examined, shallowest first …
+    levels: Vec<Level>,
+    /// … and their bytes, once read.
+    pairs: Vec<VerbResult>,
     state: St,
-    /// Causal-trace context leased by the driver (`None` when this op was
-    /// not sampled — every recording below is then a no-op).
+    tally: Tally,
+    /// The terminal stop, once reached.
+    result: Option<Stop>,
+    /// The op's causal-trace context: leased by `obs_begin` for a lookup
+    /// driven alone, by [`SphinxClient::get_many_pipelined`] for each of
+    /// its keys (`None` when the op is not sampled — every recording is
+    /// then a no-op).
     trace: Option<Box<OpTrace>>,
+}
+
+impl<'k> LocateOp<'k> {
+    fn new(
+        key: &'k [u8],
+        max_len: usize,
+        entry_only: bool,
+        config: &SphinxConfig,
+        retry: RetryPolicy,
+    ) -> Self {
+        LocateOp {
+            key,
+            mode: config.mode,
+            leaf_hint: config.leaf_read_hint,
+            retry,
+            entry_only,
+            max_len,
+            probe_len: max_len,
+            first: true,
+            restarts: 0,
+            root_budget: 0,
+            range: (0, 0),
+            levels: Vec::new(),
+            pairs: Vec::new(),
+            state: St::Start,
+            tally: Tally::default(),
+            result: None,
+            trace: None,
+        }
+    }
+
+    /// The divergent child of a machine stopped on [`Stop::Sample`].
+    fn diverged_child(&self) -> &InnerNode {
+        match &self.state {
+            St::Diverged { child, .. } => child,
+            _ => unreachable!("only a machine stopped on Stop::Sample has a divergent child"),
+        }
+    }
+
+    /// Hands over the leaf sampled below [`LocateOp::diverged_child`].
+    fn sampled(&mut self, sample: Option<LeafNode>) {
+        self.state = match std::mem::replace(&mut self.state, St::Start) {
+            St::Diverged {
+                hop,
+                slot_idx,
+                child,
+            } => St::Sampled {
+                hop,
+                slot_idx,
+                child,
+                sample,
+            },
+            _ => unreachable!("only a machine stopped on Stop::Sample takes a sample"),
+        };
+    }
 }
 
 /// Shorthand for a single-read submission.
@@ -136,411 +238,615 @@ fn read_batch(ptr: RemotePtr, len: usize) -> DoorbellBatch {
 }
 
 /// Unwraps a single-read completion.
-fn into_one_read(mut results: Vec<VerbResult>) -> Vec<u8> {
-    results
-        .pop()
-        .expect("pipelined get submits exactly one read per batch")
+fn into_one_read(completion: Option<Vec<VerbResult>>) -> Vec<u8> {
+    completion
+        .and_then(|mut results| results.pop())
+        .expect("a lookup state awaiting one read was resumed without it")
         .into_read()
 }
 
-type Step = Result<StepOutcome<GetOut>, EngineError>;
+type Step = Result<StepOutcome<Stop>, EngineError>;
 
-impl<'a> GetOp<'a> {
-    fn new(
-        key: &'a [u8],
-        tables: &'a [RaceTable],
-        filter: &'a sfc::FilterCache,
-        leaf_hint: usize,
-        retry: RetryPolicy,
-    ) -> Self {
-        GetOp {
-            key,
-            tables,
-            filter,
-            leaf_hint,
-            retry,
-            max_len: key.len(),
-            probe_len: key.len(),
-            first: true,
-            restarts: 0,
-            delta: GetDelta::default(),
-            state: St::Start,
-            trace: None,
-        }
-    }
+/// A [`LocateOp`] admitted to one pipeline run.
+struct Run<'a, 'k> {
+    op: &'a mut LocateOp<'k>,
+    tables: &'a [RaceTable],
+    filter: &'a sfc::FilterCache,
+    /// The client's span recorder when the lookup is driven alone: phases
+    /// are then attributed exactly as `obs_phase` does. `None` in a
+    /// pipelined run, whose phases interleave across ops (there
+    /// [`PipelineStats::by_tag`] attributes the round trips).
+    span: Option<&'a mut Recorder>,
+}
 
-    /// Records a phase transition on the op's trace, if it has one.
-    fn tphase(&mut self, phase: Phase, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.phase(phase, now_ns);
-        }
-    }
-
-    /// Records a retry/restart on the op's trace, if it has one.
-    fn tretry(&mut self, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.retry(now_ns);
-        }
-    }
-
-    /// Stamps the trace's end time and hands it to the output.
-    fn take_trace(&mut self, now_ns: u64) -> Option<Box<OpTrace>> {
-        let mut tr = self.trace.take()?;
-        tr.end_ns = now_ns;
-        Some(tr)
-    }
-
-    /// Ends the op on a path the machine does not model. The partial
-    /// counter delta is discarded: the blocking replay recounts the op.
-    fn fallback(&mut self, now_ns: u64) -> Step {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.fallback(now_ns);
-        }
-        Ok(StepOutcome::Done(GetOut {
-            result: PipelinedGet::Fallback,
-            delta: GetDelta::default(),
-            trace: self.take_trace(now_ns),
-        }))
-    }
-
-    fn finish(&mut self, now_ns: u64, value: Option<Vec<u8>>) -> Step {
-        Ok(StepOutcome::Done(GetOut {
-            result: PipelinedGet::Value(value),
-            delta: self.delta,
-            trace: self.take_trace(now_ns),
-        }))
-    }
-
-    /// CN-local filter probe at the current level, then the bucket-pair
-    /// submission (the SfcProbe → InhtLookup hop of the blocking path).
-    fn probe<T: Transport>(&mut self, t: &mut T) -> Step {
+impl Run<'_, '_> {
+    fn phase<T: Transport>(&mut self, t: &T, phase: Phase) {
         let now = t.clock_ns();
-        self.tphase(Phase::SfcProbe, now);
-        let l = self.probe_len;
-        let cand = self.filter.deepest_hit(self.key, l);
-        if l > 0 {
-            if cand > 0 {
-                self.delta.probe_hits += 1;
-            } else {
-                self.delta.probe_misses += 1;
-            }
+        if let Some(span) = self.span.as_deref_mut() {
+            span.phase(phase, t.stats(), now);
         }
-        let prefix = &self.key[..cand];
-        let hash = prefix_hash64(prefix);
-        let mn = t.place(hash) as usize;
-        let Some(table) = self.tables.get(mn) else {
-            return self.fallback(now);
+        if let Some(tr) = self.op.trace.as_mut() {
+            tr.phase(phase, now);
+        }
+    }
+
+    /// Marks one failed attempt: on the trace now, on the enclosing span
+    /// when the tally is folded.
+    fn retry<T: Transport>(&mut self, t: &T) {
+        self.op.tally.retries += 1;
+        if let Some(tr) = self.op.trace.as_mut() {
+            tr.retry(t.clock_ns());
+        }
+    }
+
+    /// Ends the run on `stop`.
+    fn stop<T: Transport>(&mut self, t: &T, stop: Stop) -> Step {
+        if let Some(tr) = self.op.trace.as_mut() {
+            tr.end_ns = t.clock_ns();
+        }
+        Ok(StepOutcome::Done(stop))
+    }
+
+    fn fail<T: Transport>(&mut self, t: &T, e: SphinxError) -> Step {
+        self.stop(t, Stop::Failed(e))
+    }
+
+    /// Starts an entry-node search from the longest allowed prefix.
+    fn begin<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.op.root_budget = self.op.retry.io_retries;
+        self.op.probe_len = self.op.max_len;
+        self.op.first = self.op.mode == CacheMode::FilterCache;
+        self.probe(t)
+    }
+
+    /// Chooses the prefix lengths to look up: the deepest one the filter
+    /// claims (CN-local), or all of them without a filter (§III-A).
+    fn probe<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.op.range = match self.op.mode {
+            CacheMode::FilterCache => {
+                self.phase(t, Phase::SfcProbe);
+                let l = self.op.probe_len;
+                let cand = self.filter.deepest_hit(self.op.key, l);
+                if l > 0 {
+                    if cand > 0 {
+                        self.op.tally.probe_hits += 1;
+                    } else {
+                        self.op.tally.probe_misses += 1;
+                    }
+                }
+                (cand, cand)
+            }
+            CacheMode::InhtOnly => (0, self.op.max_len),
         };
-        let Ok(base) = table.bucket_pair_ptr(hash) else {
-            // Directory metadata problem: the blocking path knows how to
-            // refresh and retry it.
-            return self.fallback(now);
-        };
-        self.tphase(Phase::InhtLookup, now);
-        self.state = St::Pair {
-            plen: cand,
-            base,
-            hash,
-        };
+        self.submit_pairs(t)
+    }
+
+    /// Submits the bucket-pair reads of `range` as one batch.
+    fn submit_pairs<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.phase(t, Phase::InhtLookup);
+        let (lo, hi) = self.op.range;
+        let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
+        self.op.levels.clear();
+        for plen in lo..=hi {
+            let hash = prefix_hash64(&self.op.key[..plen]);
+            let base = match self.tables[t.place(hash) as usize].bucket_pair_ptr(hash) {
+                Ok(base) => base,
+                Err(e) => return self.fail(t, e.into()),
+            };
+            batch.push(Verb::Read {
+                ptr: base,
+                len: RaceTable::pair_len(),
+            });
+            self.op.levels.push(Level { plen, hash, base });
+        }
+        self.op.state = St::Pairs;
         Ok(StepOutcome::Submit {
-            batch: read_batch(base, RaceTable::pair_len()),
+            batch,
             tag: TAG_INHT,
         })
     }
 
-    /// No valid entry at prefix `plen`: re-probe one level shorter, as the
-    /// blocking entry-node loop does.
-    fn probe_shorter<T: Transport>(&mut self, t: &mut T, plen: usize) -> Step {
-        self.delta.entry_misses += 1;
-        self.first = false;
-        if plen > 0 {
-            // Filter hit at `plen` disproven by the INHT: an observed
-            // false positive (mirrors the blocking entry-node loop).
-            self.filter.record_false_positive();
+    /// Examines the deepest bucket pair not yet looked at.
+    fn next_level<T: Transport>(&mut self, t: &mut T) -> Step {
+        let (Some(level), Some(bytes)) = (self.op.levels.pop(), self.op.pairs.pop()) else {
+            return self.ladder_miss(t);
+        };
+        match RaceTable::parse_pair(level.base, &bytes.into_read(), level.hash) {
+            None => {
+                self.op.state = St::Stale;
+                Ok(StepOutcome::Done(Stop::Refresh(
+                    t.place(level.hash) as usize
+                )))
+            }
+            Some(entries) => self.next_candidate(t, level.plen, entries, 0),
         }
-        if plen == 0 {
-            // Blocking path retries the whole ladder on a bounded budget
-            // before reporting `Corrupt: root hash entry missing`; the
-            // machine defers to it.
-            return self.fallback(t.clock_ns());
-        }
-        self.probe_len = plen - 1;
-        self.probe(t)
     }
 
-    /// Submits candidate `idx` for validation, or moves to the shorter
-    /// prefix when the queue is exhausted.
+    /// Submits the first entry from `from` on whose fingerprint matches
+    /// `key[..plen]` for validation, or moves on when there is none.
     fn next_candidate<T: Transport>(
         &mut self,
         t: &mut T,
         plen: usize,
-        queue: Vec<(RemotePtr, NodeKind)>,
-        idx: usize,
+        entries: Vec<FoundEntry>,
+        from: usize,
     ) -> Step {
-        match queue.get(idx) {
-            Some(&(ptr, kind)) => {
-                let len = InnerNode::byte_size(kind);
-                self.state = St::Candidate { plen, queue, idx };
-                Ok(StepOutcome::Submit {
-                    batch: read_batch(ptr, len),
-                    tag: TAG_INHT,
-                })
+        let fp = fp12(&self.op.key[..plen]);
+        let candidate = entries.iter().enumerate().skip(from).find_map(|(i, e)| {
+            let he = HashEntry::decode(e.word).filter(|he| he.fp == fp)?;
+            Some((i, he))
+        });
+        let Some((idx, entry)) = candidate else {
+            return self.next_level(t);
+        };
+        self.op.state = St::Candidate {
+            plen,
+            entries,
+            idx,
+            entry,
+        };
+        Ok(StepOutcome::Submit {
+            batch: read_batch(entry.addr, InnerNode::byte_size(entry.kind)),
+            tag: TAG_INHT,
+        })
+    }
+
+    /// No bucket pair of this read held a valid entry.
+    fn ladder_miss<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.op.tally.entry_misses += 1;
+        if self.op.mode == CacheMode::FilterCache {
+            self.op.first = false;
+            let plen = self.op.range.0;
+            if plen > 0 {
+                // The filter claimed `key[..plen]` exists but the INHT
+                // disproved it: an observed false positive. Re-probe one
+                // level shorter.
+                self.filter.record_false_positive();
+                self.op.probe_len = plen - 1;
+                return self.probe(t);
             }
-            None => self.probe_shorter(t, plen),
         }
+        // Even the root hash entry failed validation. Under contention
+        // that is a transient gap, not corruption: a concurrent type
+        // switch of the root invalidates the old node before the repaired
+        // entry is published, and a reader landing in that window sees no
+        // valid entry at any prefix length. Back off and retake the whole
+        // ladder; only a persistent gap is corruption.
+        if self.op.root_budget == 0 {
+            return self.fail(
+                t,
+                SphinxError::Corrupt {
+                    what: "root hash entry missing",
+                },
+            );
+        }
+        self.op.root_budget -= 1;
+        self.retry(t);
+        self.phase(t, Phase::Retry);
+        t.backoff(&self.op.retry);
+        self.op.probe_len = self.op.max_len;
+        self.probe(t)
+    }
+
+    /// A node caught mid type-switch: back off and retake the lookup from
+    /// the probe.
+    fn restart_invalid<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.op.tally.invalid_retries += 1;
+        self.retry(t);
+        self.phase(t, Phase::Retry);
+        t.backoff(&self.op.retry);
+        self.restart(t)
+    }
+
+    /// The false-positive check of §III-B: the descent from an entry node
+    /// of prefix length `entry_len` reached `found`, a key from its
+    /// subtree. If they share less than `entry_len` bytes with the search
+    /// key, both the fp₁₂ and the 42-bit prefix hash collided — restart
+    /// with a shorter prefix bound.
+    fn false_positive<T: Transport>(&mut self, t: &T, found: &[u8], entry_len: usize) -> bool {
+        if common_prefix_len(self.op.key, found) >= entry_len {
+            return false;
+        }
+        self.op.tally.fp_retries += 1;
+        self.retry(t);
+        self.op.max_len = entry_len.saturating_sub(1);
+        true
+    }
+
+    /// Retakes the lookup from the probe.
+    fn restart<T: Transport>(&mut self, t: &mut T) -> Step {
+        self.budgeted(t, Self::begin)
+    }
+
+    /// Spends one unit of the restart budget (restarts and directory
+    /// refreshes share it), then continues with `next`.
+    fn budgeted<T: Transport>(&mut self, t: &mut T, next: fn(&mut Self, &mut T) -> Step) -> Step {
+        self.op.restarts += 1;
+        if self.op.restarts >= self.op.retry.op_retries {
+            return self.fail(t, SphinxError::RetriesExhausted { op: "locate" });
+        }
+        next(self, t)
+    }
+
+    fn found<T: Transport>(
+        &mut self,
+        t: &T,
+        node: InnerNode,
+        node_ptr: RemotePtr,
+        outcome: Outcome,
+    ) -> Step {
+        let descent = Descent {
+            node,
+            node_ptr,
+            outcome,
+        };
+        self.stop(t, Stop::Found(descent))
     }
 
     /// One descent decision from a validated inner node: finishes, submits
     /// the leaf read, or submits the next inner child.
-    fn on_node(&mut self, now_ns: u64, node: InnerNode, entry_len: usize) -> Step {
+    fn on_node<T: Transport>(
+        &mut self,
+        t: &mut T,
+        node: InnerNode,
+        node_ptr: RemotePtr,
+        entry_len: usize,
+    ) -> Step {
         if node.header.status == NodeStatus::Invalid {
-            // Mid type-switch: blocking `locate` backs off and retries.
-            return self.fallback(now_ns);
+            return self.restart_invalid(t);
         }
         let plen = node.header.prefix_len as usize;
-        if self.key.len() == plen {
-            return match node.value_slot {
-                Some(slot) => self.read_leaf(now_ns, slot.addr, entry_len),
-                None => self.finish(now_ns, None),
-            };
-        }
-        match node.find_child(self.key[plen]) {
-            None => self.finish(now_ns, None),
-            Some((_, slot)) if slot.is_leaf => self.read_leaf(now_ns, slot.addr, entry_len),
-            Some((_, slot)) => {
-                let len = InnerNode::byte_size(slot.child_kind);
-                self.tphase(Phase::Traversal, now_ns);
-                self.state = St::Child {
-                    entry_len,
-                    parent_plen: plen,
-                    kind: slot.child_kind,
-                };
-                Ok(StepOutcome::Submit {
-                    batch: read_batch(slot.addr, len),
-                    tag: TAG_TRAVERSAL,
-                })
+        let key = self.op.key;
+        let (slot_ref, slot) = if key.len() == plen {
+            // Key terminates exactly at this node.
+            match node.value_slot {
+                Some(slot) => (SlotRef::Value, slot),
+                None => return self.found(t, node, node_ptr, Outcome::NoValueSlot),
             }
-        }
-    }
-
-    fn read_leaf(&mut self, now_ns: u64, ptr: RemotePtr, entry_len: usize) -> Step {
-        let read_len = self.leaf_hint.max(64);
-        self.tphase(Phase::LeafRead, now_ns);
-        self.state = St::Leaf {
-            entry_len,
-            ptr,
+        } else {
+            let byte = key[plen];
+            match node.find_child(byte) {
+                None => return self.found(t, node, node_ptr, Outcome::Empty { byte }),
+                Some((idx, slot)) if slot.is_leaf => (SlotRef::Child(idx), slot),
+                Some((slot_idx, slot)) => {
+                    let hop = Hop {
+                        entry_len,
+                        node,
+                        node_ptr,
+                        slot,
+                    };
+                    self.op.state = St::Child { hop, slot_idx };
+                    return Ok(StepOutcome::Submit {
+                        batch: read_batch(slot.addr, InnerNode::byte_size(slot.child_kind)),
+                        tag: TAG_TRAVERSAL,
+                    });
+                }
+            }
+        };
+        let read_len = self.op.leaf_hint.max(64);
+        self.phase(t, Phase::LeafRead);
+        self.op.state = St::Leaf {
+            hop: Hop {
+                entry_len,
+                node,
+                node_ptr,
+                slot,
+            },
+            slot_ref,
             read_len,
             attempts: 0,
         };
         Ok(StepOutcome::Submit {
-            batch: read_batch(ptr, read_len),
+            batch: read_batch(slot.addr, read_len),
             tag: TAG_LEAF,
         })
     }
-
-    /// The false-positive check of §III-B: if the leaf shares less of the
-    /// key than the entry node's prefix length, both the fp₂ and the
-    /// 42-bit prefix hash collided — restart with a shorter prefix.
-    fn finish_leaf<T: Transport>(&mut self, t: &mut T, leaf: LeafNode, entry_len: usize) -> Step {
-        if common_prefix_len(self.key, &leaf.key) < entry_len {
-            self.delta.fp_retries += 1;
-            self.restarts += 1;
-            self.tretry(t.clock_ns());
-            if self.restarts >= self.retry.op_retries {
-                // Blocking path reports RetriesExhausted.
-                return self.fallback(t.clock_ns());
-            }
-            self.max_len = entry_len.saturating_sub(1);
-            self.probe_len = self.max_len;
-            self.first = true;
-            return self.probe(t);
-        }
-        let hit = leaf.key == self.key && leaf.status != NodeStatus::Invalid;
-        self.finish(t.clock_ns(), hit.then_some(leaf.value))
-    }
 }
 
-impl OpState for GetOp<'_> {
-    type Output = GetOut;
+impl OpState for Run<'_, '_> {
+    type Output = Stop;
 
+    // A lookup driven alone is a blocking op: alone on the wire, with no
+    // admission or burst membership to record (see `obs::critical_path`).
     fn on_admitted(&mut self, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
+        if let (None, Some(tr)) = (&self.span, self.op.trace.as_mut()) {
             tr.admit(now_ns);
         }
     }
 
     fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
+        if let (None, Some(tr)) = (&self.span, self.op.trace.as_mut()) {
             tr.submitted(token.raw(), now_ns);
         }
     }
 
-    fn step<T: Transport>(
-        &mut self,
-        t: &mut T,
-        completion: Option<Vec<VerbResult>>,
-    ) -> Result<StepOutcome<GetOut>, EngineError> {
-        let state = std::mem::replace(&mut self.state, St::Start);
-        match state {
+    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Vec<VerbResult>>) -> Step {
+        match std::mem::replace(&mut self.op.state, St::Start) {
             St::Start => {
-                debug_assert!(completion.is_none());
-                if self.key.len() > MAX_KEY_LEN {
-                    // Blocking path reports KeyTooLong.
-                    return self.fallback(t.clock_ns());
+                let len = self.op.key.len();
+                if len > MAX_KEY_LEN {
+                    return self.fail(t, SphinxError::KeyTooLong { len });
                 }
-                self.probe(t)
+                self.begin(t)
             }
-            St::Pair { plen, base, hash } => {
-                let bytes = into_one_read(completion.expect("Pair state awaits a completion"));
-                match RaceTable::parse_pair(base, &bytes, hash) {
-                    // Stale directory: the blocking path refreshes it.
-                    None => self.fallback(t.clock_ns()),
-                    Some(entries) => {
-                        let fp = fp12(&self.key[..plen]);
-                        let queue: Vec<(RemotePtr, NodeKind)> = entries
-                            .iter()
-                            .filter_map(|e| HashEntry::decode(e.word))
-                            .filter(|he| he.fp == fp)
-                            .map(|he| (he.addr, he.kind))
-                            .collect();
-                        self.next_candidate(t, plen, queue, 0)
-                    }
-                }
+            St::Stale => self.budgeted(t, Self::submit_pairs),
+            St::Pairs => {
+                self.op.pairs =
+                    completion.expect("the Pairs state was resumed without its completion");
+                self.next_level(t)
             }
-            St::Candidate { plen, queue, idx } => {
-                let bytes = into_one_read(completion.expect("Candidate state awaits a completion"));
-                let Ok(node) = InnerNode::decode(&bytes) else {
-                    return self.fallback(t.clock_ns());
-                };
-                let (_, kind) = queue[idx];
-                if node.header.status == NodeStatus::Invalid
-                    || node.header.kind != kind
-                    || node.header.prefix_len as usize != plen
-                    || node.header.prefix_hash42 != prefix_hash42(&self.key[..plen])
-                {
-                    // fp₁₂ matched but the node did not: collision or
-                    // stale entry; try the next candidate.
-                    self.delta.fp_collisions += 1;
-                    return self.next_candidate(t, plen, queue, idx + 1);
-                }
-                self.delta.inht_hits += 1;
-                if self.first {
-                    self.delta.filter_first_hits += 1;
-                }
-                self.on_node(t.clock_ns(), node, plen)
-            }
-            St::Child {
-                entry_len,
-                parent_plen,
-                kind,
+            St::Candidate {
+                plen,
+                entries,
+                idx,
+                entry,
             } => {
-                let bytes = into_one_read(completion.expect("Child state awaits a completion"));
-                let Ok(child) = InnerNode::decode(&bytes) else {
-                    return self.fallback(t.clock_ns());
-                };
-                if child.header.status == NodeStatus::Invalid || child.header.kind != kind {
-                    return self.fallback(t.clock_ns());
-                }
-                let clen = child.header.prefix_len as usize;
-                if clen <= parent_plen {
-                    return self.fallback(t.clock_ns());
-                }
-                if self.key.len() >= clen
-                    && child.header.prefix_hash42 == prefix_hash42(&self.key[..clen])
+                let node = InnerNode::decode(&into_one_read(completion))?;
+                if node.header.status == NodeStatus::Invalid
+                    || node.header.kind != entry.kind
+                    || node.header.prefix_len as usize != plen
+                    || node.header.prefix_hash42 != prefix_hash42(&self.op.key[..plen])
                 {
-                    // Child matches the key: teach the filter this prefix
-                    // (the freshness update of §IV Search) and keep going.
-                    if self.filter.refresh(&self.key[..clen]) {
-                        self.delta.filter_refreshes += 1;
-                    }
-                    self.on_node(t.clock_ns(), child, entry_len)
-                } else {
-                    // Divergence inside the compressed path: the blocking
-                    // path samples a leaf to learn the actual prefix.
-                    self.fallback(t.clock_ns())
+                    // The 12-bit fingerprint matched but the node did not:
+                    // a genuine fp collision or a stale/retired entry.
+                    self.op.tally.fp_collisions += 1;
+                    return self.next_candidate(t, plen, entries, idx + 1);
                 }
+                self.op.tally.inht_hits += 1;
+                if self.op.first {
+                    self.op.tally.filter_first_hits += 1;
+                }
+                if self.op.entry_only {
+                    return self.stop(t, Stop::Entry(entry.addr, node, plen));
+                }
+                self.phase(t, Phase::Traversal);
+                self.on_node(t, node, entry.addr, plen)
+            }
+            St::Child { hop, slot_idx } => {
+                let child = InnerNode::decode(&into_one_read(completion))?;
+                let clen = child.header.prefix_len as usize;
+                if child.header.status == NodeStatus::Invalid
+                    || child.header.kind != hop.slot.child_kind
+                    || clen <= hop.node.header.prefix_len as usize
+                {
+                    return self.restart_invalid(t);
+                }
+                let key = self.op.key;
+                if key.len() >= clen && child.header.prefix_hash42 == prefix_hash42(&key[..clen]) {
+                    // Child matches the key: keep descending, and teach
+                    // the filter this prefix (the "freshness" update of
+                    // §IV Search).
+                    if self.op.mode == CacheMode::FilterCache && self.filter.refresh(&key[..clen]) {
+                        self.op.tally.filter_refreshes += 1;
+                    }
+                    return self.on_node(t, child, hop.slot.addr, hop.entry_len);
+                }
+                // Divergence inside the child's compressed path: the
+                // actual prefix bytes come from any leaf below it.
+                self.op.state = St::Diverged {
+                    hop,
+                    slot_idx,
+                    child,
+                };
+                Ok(StepOutcome::Done(Stop::Sample))
+            }
+            St::Sampled { sample: None, .. } => self.restart_invalid(t),
+            St::Sampled {
+                hop,
+                slot_idx,
+                child,
+                sample: Some(sample),
+            } => {
+                if self.false_positive(t, &sample.key, hop.entry_len) {
+                    return self.restart(t);
+                }
+                let outcome = Outcome::Divergent {
+                    slot_idx,
+                    slot: hop.slot,
+                    child,
+                    sample,
+                };
+                self.found(t, hop.node, hop.node_ptr, outcome)
             }
             St::Leaf {
-                entry_len,
-                ptr,
-                read_len,
-                mut attempts,
+                hop,
+                slot_ref,
+                mut read_len,
+                attempts,
             } => {
-                let bytes = into_one_read(completion.expect("Leaf state awaits a completion"));
-                // First word carries the true size; extend if the hint was
-                // too small (mirrors `read_validated_leaf`).
+                let bytes = into_one_read(completion);
+                // The validated leaf read of `node_engine::read_validated_leaf`,
+                // one attempt per resume. The first word carries the true
+                // size; extend if the hint was too small.
                 let word0 = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-                let units = ((word0 >> 8) & 0xFF) as usize;
-                let true_len = units.max(1) * 64;
-                if true_len > read_len {
-                    self.delta.extended_reads += 1;
-                    self.state = St::Leaf {
-                        entry_len,
-                        ptr,
-                        read_len: true_len,
-                        attempts,
+                let true_len = (((word0 >> 8) & 0xFF) as usize).max(1) * 64;
+                let leaf = if true_len > read_len {
+                    self.op.tally.extended_reads += 1;
+                    read_len = true_len;
+                    None
+                } else {
+                    match LeafNode::decode(&bytes) {
+                        Ok(leaf) => Some(leaf),
+                        // Broken-protocol mode for the lincheck harness:
+                        // serve the torn leaf instead of recovering.
+                        Err(LayoutError::ChecksumMismatch { .. }) if !leaf_validation() => {
+                            Some(LeafNode::decode_unverified(&bytes)?)
+                        }
+                        Err(LayoutError::ChecksumMismatch { .. })
+                        | Err(LayoutError::TruncatedNode { .. }) => {
+                            // Torn read under a concurrent writer: back
+                            // off and re-read.
+                            self.op.tally.checksum_retries += 1;
+                            if let Some(tr) = self.op.trace.as_mut() {
+                                tr.retry(t.clock_ns());
+                            }
+                            t.backoff(&self.op.retry);
+                            None
+                        }
+                        Err(e) => return Err(e.into()),
+                    }
+                };
+                let Some(leaf) = leaf else {
+                    if attempts + 1 >= self.op.retry.io_retries {
+                        return Err(EngineError::RetriesExhausted { op: "leaf read" });
+                    }
+                    let batch = read_batch(hop.slot.addr, read_len);
+                    self.op.state = St::Leaf {
+                        hop,
+                        slot_ref,
+                        read_len,
+                        attempts: attempts + 1,
                     };
                     return Ok(StepOutcome::Submit {
-                        batch: read_batch(ptr, true_len),
+                        batch,
                         tag: TAG_LEAF,
                     });
+                };
+                self.phase(t, Phase::Traversal);
+                if self.false_positive(t, &leaf.key, hop.entry_len) {
+                    return self.restart(t);
                 }
-                match LeafNode::decode(&bytes) {
-                    Ok(leaf) => self.finish_leaf(t, leaf, entry_len),
-                    Err(LayoutError::ChecksumMismatch { .. }) if !leaf_validation() => {
-                        // Broken-protocol mode for the lincheck harness:
-                        // serve the torn leaf, as the blocking path does.
-                        match LeafNode::decode_unverified(&bytes) {
-                            Ok(leaf) => self.finish_leaf(t, leaf, entry_len),
-                            Err(_) => self.fallback(t.clock_ns()),
-                        }
-                    }
-                    Err(LayoutError::ChecksumMismatch { .. })
-                    | Err(LayoutError::TruncatedNode { .. }) => {
-                        // Torn read under a concurrent writer: back off and
-                        // re-read, bounded by the shared policy.
-                        self.delta.checksum_retries += 1;
-                        attempts += 1;
-                        self.tretry(t.clock_ns());
-                        if attempts >= self.retry.io_retries {
-                            return self.fallback(t.clock_ns());
-                        }
-                        t.backoff(&self.retry);
-                        self.state = St::Leaf {
-                            entry_len,
-                            ptr,
-                            read_len,
-                            attempts,
-                        };
-                        Ok(StepOutcome::Submit {
-                            batch: read_batch(ptr, read_len),
-                            tag: TAG_LEAF,
-                        })
-                    }
-                    Err(_) => self.fallback(t.clock_ns()),
-                }
+                let outcome = Outcome::Leaf {
+                    slot_ref,
+                    slot: hop.slot,
+                    leaf,
+                };
+                self.found(t, hop.node, hop.node_ptr, outcome)
             }
+            St::Diverged { .. } => unreachable!("re-admitted before LocateOp::sampled"),
         }
     }
 }
 
 impl SphinxClient {
+    /// Finds the deepest inner node whose full prefix prefixes `key` and
+    /// what lies below it (§III-B, §IV "Search").
+    pub(crate) fn locate(&mut self, key: &[u8]) -> Result<Descent, SphinxError> {
+        let op = LocateOp::new(key, key.len(), false, &self.config, self.retry);
+        match self.locate_alone(op)? {
+            Stop::Found(d) => Ok(d),
+            _ => unreachable!("a full lookup ends in a descent"),
+        }
+    }
+
+    /// Finds a validated inner node for the deepest available prefix of
+    /// `key` no longer than `max_len`: its address, the node, and its
+    /// prefix length.
+    pub(crate) fn locate_entry(
+        &mut self,
+        key: &[u8],
+        max_len: usize,
+    ) -> Result<(RemotePtr, InnerNode, usize), SphinxError> {
+        let op = LocateOp::new(key, max_len, true, &self.config, self.retry);
+        match self.locate_alone(op)? {
+            Stop::Entry(ptr, node, len) => Ok((ptr, node, len)),
+            _ => unreachable!("an entry-only lookup ends at the entry node"),
+        }
+    }
+
+    /// Drives one lookup to its end as part of the blocking op in flight.
+    fn locate_alone(&mut self, mut op: LocateOp<'_>) -> Result<Stop, SphinxError> {
+        let run = self.drive(std::slice::from_mut(&mut op), 1, true);
+        self.fold(&op.tally);
+        run?;
+        match op.result.expect("drive ends every op on a terminal stop") {
+            Stop::Failed(e) => Err(e),
+            stop => Ok(stop),
+        }
+    }
+
+    /// Runs `ops` through [`node_engine::run_pipelined`], `depth` at a
+    /// time, until each has reached a terminal [`Stop`], serving
+    /// [`Stop::Refresh`] and [`Stop::Sample`] between runs. `alone` drives
+    /// a single op on behalf of the blocking op in flight: its phases go to
+    /// the open span, its events to the op's trace, and the run is not a
+    /// pipeline run ([`PipelineStats`] untouched).
+    fn drive(
+        &mut self,
+        ops: &mut [LocateOp<'_>],
+        depth: usize,
+        alone: bool,
+    ) -> Result<(), SphinxError> {
+        while ops.iter().any(|op| op.result.is_none()) {
+            let stops = {
+                let SphinxClient {
+                    dm,
+                    tables,
+                    filter,
+                    obs,
+                    trace_cur,
+                    pipeline,
+                    ..
+                } = self;
+                let mut span = alone.then_some(obs);
+                let runs = ops.iter_mut().filter(|op| op.result.is_none()).map(|op| {
+                    if alone {
+                        op.trace = trace_cur.take();
+                    }
+                    Run {
+                        op,
+                        tables,
+                        filter,
+                        span: span.take(),
+                    }
+                });
+                node_engine::run_pipelined(dm, runs, depth, (!alone).then_some(pipeline))
+            };
+            if alone {
+                self.trace_cur = ops[0].trace.take();
+            }
+            let pending = ops.iter_mut().filter(|op| op.result.is_none());
+            for (op, stop) in pending.zip(stops?) {
+                match stop {
+                    Stop::Refresh(mn) => self.tables[mn].refresh_stale(&mut self.dm)?,
+                    Stop::Sample => {
+                        let sample = self.sample_leaf(op.diverged_child())?;
+                        op.sampled(sample);
+                    }
+                    end => {
+                        op.result = Some(end);
+                        continue;
+                    }
+                }
+                // A served stop is not a completed op.
+                if !alone {
+                    self.pipeline.ops -= 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn fold(&mut self, t: &Tally) {
+        for _ in 0..t.retries {
+            self.obs.retry();
+        }
+        let s = &mut self.stats;
+        s.false_positive_retries += t.fp_retries;
+        s.invalid_node_retries += t.invalid_retries;
+        s.entry_misses += t.entry_misses;
+        s.filter_first_hits += t.filter_first_hits;
+        s.filter_refreshes += t.filter_refreshes;
+        s.checksum_retries += t.checksum_retries;
+        s.extended_leaf_reads += t.extended_reads;
+        self.obs.add("sfc.probe_hit", t.probe_hits);
+        self.obs.add("sfc.probe_miss", t.probe_misses);
+        self.obs.add("inht.hit", t.inht_hits);
+        self.obs.add("inht.fp_collision", t.fp_collisions);
+    }
+
     /// Looks up many keys keeping up to `depth` lookups in flight.
     ///
-    /// Unlike [`SphinxClient::multi_get`] — which shares round trips only
-    /// when every key is at the same pipeline stage — this driver runs
-    /// each key as an independent resumable state machine
-    /// ([`node_engine::OpState`]): keys at different depths, with
+    /// Each key is an independent lookup machine — the same one
+    /// [`SphinxClient::get`] drives alone: keys at different depths, with
     /// different filter outcomes, or needing leaf-read retries all keep
     /// the window full, and every scheduling round the whole window's
     /// reads go out in one fused doorbell
-    /// ([`dm_sim::Transport::flush_submitted`]).
+    /// ([`dm_sim::Transport::flush_submitted`]). With a warm filter cache
+    /// `depth` lookups share three round-trip times.
     ///
-    /// Results are positionally aligned with `keys`. Depth 1 degenerates
-    /// to the blocking path (identical network charges, one batch per
-    /// flush). Keys that leave the modeled fast path replay through
-    /// [`SphinxClient::get`]. In [`CacheMode::InhtOnly`] every key takes
-    /// the blocking path (that mode already batches per key).
+    /// Results are positionally aligned with `keys`. Depth 1 issues the
+    /// network charges of a loop of `get`s, one batch per flush.
     ///
     /// # Errors
     ///
@@ -572,59 +878,34 @@ impl SphinxClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        if self.config.mode != CacheMode::FilterCache {
-            return keys.iter().map(|k| self.get(k)).collect();
-        }
         // One MultiGet span covers the pipelined run (phases interleave
         // across ops, so per-phase attribution comes from
-        // `PipelineStats::by_tag` instead of the span recorder); per-key
-        // fallbacks below record their own Get spans.
+        // `PipelineStats::by_tag` instead of the span recorder).
         self.obs_begin(OpKind::MultiGet);
         // Lease one causal-trace context per key (all `None` when tracing
         // is off): each machine records its own admission, submissions,
         // phases, and retries alongside the enclosing MultiGet span.
         let lease_now = self.dm.clock_ns();
-        let mut leases: Vec<Option<Box<OpTrace>>> = keys
+        let mut ops: Vec<LocateOp<'_>> = keys
             .iter()
-            .map(|_| self.tracer.lease(OpKind::Get, lease_now))
-            .collect();
-        let mut pstats = PipelineStats::default();
-        let run = {
-            let SphinxClient {
-                dm,
-                tables,
-                filter,
-                config,
-                retry,
-                ..
-            } = self;
-            let hint = config.leaf_read_hint;
-            let ops = keys.iter().zip(leases.iter_mut()).map(|(key, lease)| {
-                let mut op = GetOp::new(key, tables, filter, hint, *retry);
-                op.trace = lease.take();
+            .map(|key| {
+                let mut op = LocateOp::new(key, key.len(), false, &self.config, self.retry);
+                op.trace = self.tracer.lease(OpKind::Get, lease_now);
                 op
-            });
-            node_engine::run_pipelined(dm, ops, depth, &mut pstats)
-        };
-        self.pipeline.merge(&pstats);
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-        let mut outs = match run {
-            Ok(outs) => outs,
-            Err(e) => {
-                self.op_exit();
-                return Err(e.into());
-            }
-        };
+            })
+            .collect();
+        let run = self.drive(&mut ops, depth, false);
 
         // Finish the per-key traces against the transport-event window the
-        // whole pipelined run shares (one collect, not one per op).
+        // whole pipelined run shares (one collect, not one per op). An
+        // aborted run leaves ops without an end; their traces are dropped.
         #[cfg(feature = "telemetry")]
-        if outs.iter().any(|o| o.trace.is_some()) {
+        if run.is_ok() && ops.iter().any(|op| op.trace.is_some()) {
             let mut scratch = std::mem::take(&mut self.trace_scratch);
             scratch.clear();
             let complete = self.dm.trace_collect_since(self.trace_mark, &mut scratch);
-            for out in &mut outs {
-                if let Some(mut tr) = out.trace.take() {
+            for op in &mut ops {
+                if let Some(mut tr) = op.trace.take() {
                     tr.complete = complete;
                     let end = tr.end_ns;
                     self.tracer.finish(tr, end, &scratch);
@@ -633,30 +914,14 @@ impl SphinxClient {
             self.trace_scratch = scratch;
         }
 
-        let mut machine_ops = 0u64;
-        for out in &outs {
-            if matches!(out.result, PipelinedGet::Fallback) {
-                self.obs.incr("pipeline.fallbacks");
-                continue;
-            }
-            machine_ops += 1;
+        for op in &ops {
             self.stats.gets += 1;
-            let d = &out.delta;
-            self.stats.false_positive_retries += d.fp_retries;
-            self.stats.entry_misses += d.entry_misses;
-            self.stats.filter_first_hits += d.filter_first_hits;
-            self.stats.filter_refreshes += d.filter_refreshes;
-            self.stats.checksum_retries += d.checksum_retries;
-            self.stats.extended_leaf_reads += d.extended_reads;
-            self.obs.add("sfc.probe_hit", d.probe_hits);
-            self.obs.add("sfc.probe_miss", d.probe_misses);
-            self.obs.add("inht.hit", d.inht_hits);
-            self.obs.add("inht.fp_collision", d.fp_collisions);
+            self.fold(&op.tally);
         }
-        // Reclamation cadence parity with the blocking path: one unpin per
-        // machine-run op (the final one comes from `op_exit`), so the
-        // amortized scan fires as often as it would have.
-        for _ in 1..machine_ops {
+        // Reclamation cadence parity with a loop of gets: one unpin per
+        // key (the final one comes from `op_exit`), so the amortized scan
+        // fires as often as it would have.
+        for _ in 1..ops.len() {
             if self.reclaim.scan_due() {
                 self.obs_phase(Phase::Maintenance);
             }
@@ -664,12 +929,13 @@ impl SphinxClient {
             reclaim.unpin(dm);
         }
         self.op_exit();
+        run?;
 
-        outs.into_iter()
-            .zip(keys)
-            .map(|(out, key)| match out.result {
-                PipelinedGet::Value(v) => Ok(v),
-                PipelinedGet::Fallback => self.get(key),
+        ops.into_iter()
+            .map(|op| match op.result {
+                Some(Stop::Found(d)) => Ok(d.into_value(op.key)),
+                Some(Stop::Failed(e)) => Err(e),
+                _ => unreachable!("drive ends a full lookup in a descent or a failure"),
             })
             .collect()
     }
@@ -683,10 +949,12 @@ impl SphinxClient {
 
 #[cfg(test)]
 mod tests {
-    use crate::{SphinxConfig, SphinxIndex};
+    use super::*;
+    use crate::SphinxIndex;
     use dm_sim::{ClusterConfig, DmCluster};
+    use race_hash::TableConfig;
 
-    fn setup(n: u64) -> (SphinxIndex, crate::SphinxClient) {
+    fn setup(n: u64) -> (SphinxIndex, SphinxClient) {
         let cluster = DmCluster::new(ClusterConfig::default());
         let index = SphinxIndex::create(&cluster, SphinxConfig::small()).unwrap();
         let mut client = index.client(0).unwrap();
@@ -698,14 +966,19 @@ mod tests {
         (index, client)
     }
 
+    fn pget_keys(ids: impl Iterator<Item = u64>) -> Vec<Vec<u8>> {
+        ids.map(|i| format!("pget-{i:05}").into_bytes()).collect()
+    }
+
+    fn refs(keys: &[Vec<u8>]) -> Vec<&[u8]> {
+        keys.iter().map(|k| k.as_slice()).collect()
+    }
+
     #[test]
     fn pipelined_matches_get_at_all_depths() {
         let (_idx, mut client) = setup(400);
-        let keys: Vec<Vec<u8>> = (0..500u64)
-            .step_by(3)
-            .map(|i| format!("pget-{i:05}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let keys = pget_keys((0..500u64).step_by(3));
+        let refs = refs(&keys);
         let expected: Vec<_> = refs.iter().map(|k| client.get(k).unwrap()).collect();
         for depth in [1, 4, 8] {
             let got = client.get_many_pipelined(&refs, depth).unwrap();
@@ -714,16 +987,35 @@ mod tests {
     }
 
     #[test]
+    fn empty_single_and_mixed_batches() {
+        let (_idx, mut client) = setup(50);
+        assert!(client.get_many_pipelined(&[], 8).unwrap().is_empty());
+        let one = client
+            .get_many_pipelined(&[b"pget-00003".as_slice()], 8)
+            .unwrap();
+        assert_eq!(one, vec![Some(3u64.to_le_bytes().to_vec())]);
+        let mixed: [&[u8]; 4] = [b"pget-00001", b"nope", b"pget-00049", b"pget-00050"];
+        let res = client.get_many_pipelined(&mixed, 8).unwrap();
+        assert!(res[0].is_some());
+        assert_eq!(res[1], None);
+        assert!(res[2].is_some());
+        assert_eq!(res[3], None, "key 50 was never inserted");
+    }
+
+    #[test]
     fn depth_changes_doorbells_not_round_trips() {
         let (_idx, mut client) = setup(300);
-        let keys: Vec<Vec<u8>> = (0..200u64)
-            .map(|i| format!("pget-{i:05}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let keys = pget_keys(0..200u64);
+        let refs = refs(&keys);
         // Warm the filter so both runs take the identical fast path.
         for k in &refs {
             client.get(k).unwrap();
         }
+        assert_eq!(
+            client.pipeline_stats().ops,
+            0,
+            "a get driven alone is not a pipeline run"
+        );
 
         let s0 = client.net_stats();
         let t0 = client.clock_ns();
@@ -760,15 +1052,46 @@ mod tests {
         assert_eq!(p.ops, 400, "both runs drove every key through a machine");
     }
 
+    /// The whole window shares each round trip: on one MN, 100 warm
+    /// lookups in flight cost the three doorbells one lookup costs.
+    #[test]
+    fn a_warm_window_costs_three_doorbells() {
+        let cluster = DmCluster::new(ClusterConfig {
+            num_mns: 1,
+            ..ClusterConfig::default()
+        });
+        let config = SphinxConfig {
+            // No amortized reclamation scan inside the measured window.
+            reclaim: reclaim::ReclaimConfig {
+                scan_interval: u64::MAX,
+                ..Default::default()
+            },
+            ..SphinxConfig::small()
+        };
+        let index = SphinxIndex::create(&cluster, config).unwrap();
+        let mut client = index.client(0).unwrap();
+        let keys = pget_keys(0..100u64);
+        let refs = refs(&keys);
+        for (i, k) in refs.iter().enumerate() {
+            client.insert(k, &(i as u64).to_le_bytes()).unwrap();
+        }
+        for k in &refs {
+            client.get(k).unwrap();
+        }
+        let before = client.net_stats();
+        let res = client.get_many_pipelined(&refs, 100).unwrap();
+        let net = client.net_stats().since(&before);
+        assert!(res.iter().all(Option::is_some));
+        assert_eq!(net.doorbells, 3, "bucket pairs, inner nodes, leaves");
+        assert_eq!(net.round_trips, 300);
+    }
+
     #[cfg(feature = "telemetry")]
     #[test]
     fn pipeline_counters_reach_telemetry() {
         let (_idx, mut client) = setup(100);
-        let keys: Vec<Vec<u8>> = (0..100u64)
-            .map(|i| format!("pget-{i:05}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        client.get_many_pipelined(&refs, 8).unwrap();
+        let keys = pget_keys(0..100u64);
+        client.get_many_pipelined(&refs(&keys), 8).unwrap();
         let reg = client.telemetry();
         assert!(reg.counter("pipeline.ops") >= 100);
         assert!(reg.counter("pipeline.fused_batches") > 0);
@@ -781,47 +1104,302 @@ mod tests {
     }
 
     #[test]
-    fn inht_only_mode_takes_the_blocking_path() {
-        let cluster = DmCluster::new(ClusterConfig::default());
-        let config = crate::SphinxConfig {
-            mode: crate::CacheMode::InhtOnly,
-            ..crate::SphinxConfig::small()
+    fn lookups_are_counted_once_per_key_at_any_depth() {
+        let (_idx, mut client) = setup(64);
+        let keys = pget_keys(0..80u64);
+        let refs = refs(&keys);
+        let searches =
+            |c: &SphinxClient| -> u64 { c.tables.iter().map(|t| t.counters().searches).sum() };
+        for k in &refs {
+            client.get(k).unwrap(); // warm: one bucket pair per lookup from here on
+        }
+        let (gets0, searches0) = (client.op_stats().gets, searches(&client));
+        for k in &refs {
+            client.get(k).unwrap();
+        }
+        let alone = searches(&client) - searches0;
+        client.get_many_pipelined(&refs, 8).unwrap();
+        assert_eq!(client.op_stats().gets - gets0, 160);
+        assert_eq!(
+            searches(&client) - searches0 - alone,
+            alone,
+            "a pipelined lookup counts its bucket-pair reads like a lone one"
+        );
+        assert!(alone >= 80);
+    }
+
+    /// `CacheMode::InhtOnly` runs the same machine from a different start
+    /// state (all prefixes' bucket pairs in one batch).
+    #[test]
+    fn inht_only_results_equal_filter_cache_results() {
+        let build = |mode| {
+            let cluster = DmCluster::new(ClusterConfig::default());
+            let config = SphinxConfig {
+                mode,
+                ..SphinxConfig::small()
+            };
+            let index = SphinxIndex::create(&cluster, config).unwrap();
+            let mut client = index.client(0).unwrap();
+            for i in 0..300u64 {
+                client
+                    .insert(format!("io-{i:03}").as_bytes(), &i.to_le_bytes())
+                    .unwrap();
+            }
+            (index, client)
+        };
+        let (_fi, mut filter) = build(CacheMode::FilterCache);
+        let (_ii, mut inht) = build(CacheMode::InhtOnly);
+        let keys: Vec<Vec<u8>> = (0..360u64)
+            .map(|i| format!("io-{i:03}").into_bytes())
+            .chain([b"io-".to_vec(), b"i".to_vec(), b"zz".to_vec()])
+            .collect();
+        let refs = refs(&keys);
+        let expected: Vec<_> = refs.iter().map(|k| filter.get(k).unwrap()).collect();
+        assert_eq!(expected.iter().flatten().count(), 300);
+        for depth in [1, 8] {
+            assert_eq!(
+                filter.get_many_pipelined(&refs, depth).unwrap(),
+                expected,
+                "FilterCache depth {depth}"
+            );
+            assert_eq!(
+                inht.get_many_pipelined(&refs, depth).unwrap(),
+                expected,
+                "InhtOnly depth {depth}"
+            );
+        }
+        assert_eq!(inht.pipeline_stats().ops, 2 * refs.len() as u64);
+    }
+
+    /// Key `[group_hi, group_lo, member]`: each group of two is one inner
+    /// node, i.e. one INHT entry.
+    fn grouped_key(i: u64) -> Vec<u8> {
+        vec![(i >> 9) as u8, (i >> 1) as u8, (i & 1) as u8]
+    }
+
+    /// Client A loads 200 keys into a one-segment INHT, then client B's
+    /// inserts split that segment: A's directory cache is now stale for
+    /// every entry that moved.
+    fn stale_directory() -> (SphinxIndex, SphinxClient, Vec<Vec<u8>>) {
+        let cluster = DmCluster::new(ClusterConfig {
+            num_mns: 1,
+            ..ClusterConfig::default()
+        });
+        let config = SphinxConfig {
+            inht: TableConfig {
+                initial_depth: 0,
+                max_depth: 12,
+            },
+            ..SphinxConfig::small()
         };
         let index = SphinxIndex::create(&cluster, config).unwrap();
-        let mut client = index.client(0).unwrap();
-        for i in 0..50u64 {
-            client
-                .insert(format!("io-{i:03}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
+        let mut a = index.client(0).unwrap();
+        let keys: Vec<Vec<u8>> = (0..200).map(grouped_key).collect();
+        for k in &keys {
+            a.insert(k, k).unwrap();
         }
-        let keys: Vec<Vec<u8>> = (0..60u64)
-            .map(|i| format!("io-{i:03}").into_bytes())
-            .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let got = client.get_many_pipelined(&refs, 8).unwrap();
-        for (i, g) in got.iter().enumerate() {
-            if i < 50 {
-                assert_eq!(g.as_deref(), Some(&(i as u64).to_le_bytes()[..]));
-            } else {
-                assert_eq!(*g, None);
-            }
+        assert_eq!(a.tables[0].counters().splits, 0);
+        let mut b = index.client(1).unwrap();
+        let mut i = 200;
+        while b.tables[0].counters().splits == 0 {
+            let k = grouped_key(i);
+            b.insert(&k, &k).unwrap();
+            i += 1;
         }
-        assert_eq!(client.pipeline_stats().ops, 0, "no machines in InhtOnly");
+        assert_eq!(a.tables[0].counters().stale_retries, 0);
+        (index, a, keys)
     }
 
     #[test]
-    fn pipelined_counts_gets_once_per_key() {
-        let (_idx, mut client) = setup(64);
-        let keys: Vec<Vec<u8>> = (0..80u64)
-            .map(|i| format!("pget-{i:05}").into_bytes())
+    fn stale_directory_is_refreshed_and_the_lookup_resumed() {
+        for depth in [1, 8] {
+            let (_idx, mut a, keys) = stale_directory();
+            let got = a.get_many_pipelined(&refs(&keys), depth).unwrap();
+            for (k, g) in keys.iter().zip(got) {
+                assert_eq!(g.as_ref(), Some(k), "depth {depth}");
+            }
+            let c = a.tables[0].counters();
+            assert!(
+                c.stale_retries > 0,
+                "depth {depth}: no lookup met the split"
+            );
+            assert_eq!(
+                c.refreshes,
+                1 + c.stale_retries,
+                "open + one per stale read"
+            );
+        }
+        // … and through `insert`, which consumes the resumed machine's
+        // descent: overwrite until one lookup crosses the split.
+        let (idx, mut a, keys) = stale_directory();
+        for k in &keys {
+            a.insert(k, b"new").unwrap();
+            if a.tables[0].counters().stale_retries > 0 {
+                break;
+            }
+        }
+        assert!(a.tables[0].counters().stale_retries > 0);
+        for k in &keys {
+            let got = a.get(k).unwrap().expect("present");
+            assert!(got == b"new" || got == *k);
+        }
+        assert!(idx.verify().unwrap().is_clean());
+    }
+
+    /// Email-shaped keys share long compressed paths; a lookup that leaves
+    /// one in the middle stops for the leaf sample.
+    #[test]
+    fn divergent_compressed_path_is_sampled_by_the_driver() {
+        let (idx, mut client) = setup(0);
+        let present: Vec<Vec<u8>> = (0..40u64)
+            .map(|i| {
+                format!(
+                    "user{:02}@mail.example.{}",
+                    i / 2,
+                    ["com", "org"][i as usize % 2]
+                )
+            })
+            .map(String::into_bytes)
             .collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let before = client.op_stats().gets;
-        client.get_many_pipelined(&refs, 8).unwrap();
+        for k in &present {
+            client.insert(k, k).unwrap();
+        }
+        // Leaving the compressed path "userNN@mail.example." of an inner
+        // node in the middle, or "user" after two bytes.
+        let absent: Vec<Vec<u8>> = (0..20u64)
+            .map(|i| format!("user{:02}@mail.exchange.org", i).into_bytes())
+            .chain([b"usurper@mail.example.com".to_vec()])
+            .collect();
+        let d = client.locate(&absent[0]).unwrap();
+        assert!(
+            matches!(d.outcome, Outcome::Divergent { .. }),
+            "{:?}",
+            d.outcome
+        );
+        let all: Vec<Vec<u8>> = present.iter().chain(&absent).cloned().collect();
+        for depth in [1, 8] {
+            let got = client.get_many_pipelined(&refs(&all), depth).unwrap();
+            for (k, g) in all.iter().zip(got) {
+                let want = present.contains(k).then(|| k.clone());
+                assert_eq!(g, want, "depth {depth} {}", String::from_utf8_lossy(k));
+            }
+        }
+        // An insert consumes the divergent descent: it splits the path.
+        client.insert(&absent[0], b"split").unwrap();
         assert_eq!(
-            client.op_stats().gets - before,
-            80,
-            "machine-run and fallback keys each count exactly one get"
+            client.get(&absent[0]).unwrap().as_deref(),
+            Some(&b"split"[..])
+        );
+        for k in &present {
+            assert_eq!(client.get(k).unwrap().as_ref(), Some(k));
+        }
+        assert!(idx.verify().unwrap().is_clean());
+    }
+
+    /// Reports the inner node at `target` as `Invalid` — caught mid
+    /// type-switch — for its next `left` reads (remote memory is intact).
+    struct InvalidFor {
+        target: RemotePtr,
+        left: std::sync::atomic::AtomicU64,
+    }
+
+    impl dm_sim::FaultHook for InvalidFor {
+        fn corrupt_read(&self, ptr: RemotePtr, data: &mut [u8]) {
+            use std::sync::atomic::Ordering::SeqCst;
+            if ptr == self.target
+                && self
+                    .left
+                    .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+            {
+                data[0] = NodeStatus::Invalid as u8;
+            }
+        }
+    }
+
+    /// 400 keys loaded through CN 0; CNs 1.. have cold filters, so their
+    /// first lookup of a key walks root → … → deepest node.
+    fn with_cold_cns() -> (DmCluster, SphinxIndex, SphinxClient) {
+        let cluster = DmCluster::new(ClusterConfig {
+            num_cns: 8,
+            ..ClusterConfig::default()
+        });
+        let index = SphinxIndex::create(&cluster, SphinxConfig::small()).unwrap();
+        let mut loader = index.client(0).unwrap();
+        for i in 0..400u64 {
+            loader
+                .insert(format!("pget-{i:05}").as_bytes(), &i.to_le_bytes())
+                .unwrap();
+        }
+        (cluster, index, loader)
+    }
+
+    fn invalid_for(cluster: &DmCluster, target: RemotePtr, reads: u64) {
+        cluster.set_fault_hook(Some(std::sync::Arc::new(InvalidFor {
+            target,
+            left: reads.into(),
+        })));
+    }
+
+    #[test]
+    fn a_child_caught_mid_type_switch_restarts_the_lookup() {
+        let (cluster, index, mut loader) = with_cold_cns();
+        let keys = pget_keys(120..128);
+        let refs = refs(&keys);
+        let deepest = loader.locate(refs[3]).unwrap().node_ptr;
+        let expected: Vec<_> = refs.iter().map(|k| loader.get(k).unwrap()).collect();
+        for (cn, depth) in [(1, 1), (2, 8)] {
+            let mut cold = index.client(cn).unwrap();
+            invalid_for(&cluster, deepest, 1);
+            let t0 = cold.clock_ns();
+            assert_eq!(cold.get_many_pipelined(&refs, depth).unwrap(), expected);
+            assert_eq!(cold.op_stats().invalid_node_retries, 1, "depth {depth}");
+            assert!(cold.clock_ns() - t0 >= cold.retry.backoff_ns);
+        }
+        // The same restart inside an insert's lookup.
+        let mut cold = index.client(3).unwrap();
+        invalid_for(&cluster, deepest, 1);
+        cold.insert(refs[3], b"rewritten").unwrap();
+        assert_eq!(cold.op_stats().invalid_node_retries, 1);
+        assert_eq!(
+            loader.get(refs[3]).unwrap().as_deref(),
+            Some(&b"rewritten"[..])
+        );
+        #[cfg(feature = "telemetry")]
+        assert_eq!(cold.telemetry().op(OpKind::Insert).retries, 1);
+    }
+
+    #[test]
+    fn the_root_missing_window_is_retried_on_a_budget() {
+        let (cluster, index, mut loader) = with_cold_cns();
+        let (root, _, _) = loader.locate_entry(&[], 0).unwrap();
+        let keys = pget_keys(200..208);
+        let refs = refs(&keys);
+        let expected: Vec<_> = refs.iter().map(|k| loader.get(k).unwrap()).collect();
+        for (cn, depth) in [(1, 1), (2, 8)] {
+            let mut cold = index.client(cn).unwrap();
+            invalid_for(&cluster, root, 2);
+            assert_eq!(cold.get_many_pipelined(&refs, depth).unwrap(), expected);
+            assert_eq!(cold.op_stats().entry_misses, 2, "depth {depth}");
+            #[cfg(feature = "telemetry")]
+            assert_eq!(cold.telemetry().op(OpKind::MultiGet).retries, 2);
+        }
+        let mut cold = index.client(3).unwrap();
+        invalid_for(&cluster, root, 2);
+        cold.insert(refs[0], b"rewritten").unwrap();
+        assert_eq!(cold.op_stats().entry_misses, 2);
+        // A gap that outlasts the budget is corruption, reported as such.
+        let mut cold = index.client(4).unwrap();
+        invalid_for(&cluster, root, u64::MAX);
+        assert_eq!(
+            cold.get(refs[1]),
+            Err(SphinxError::Corrupt {
+                what: "root hash entry missing"
+            })
+        );
+        assert_eq!(
+            cold.op_stats().entry_misses,
+            1 + cold.retry.io_retries as u64
         );
     }
 }

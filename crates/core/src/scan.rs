@@ -59,7 +59,7 @@ impl SphinxClient {
         }
 
         // Root via the hash table (prefix ε).
-        let (root_ptr, root, _len) = self.entry_node(&[], 0)?;
+        let (root_ptr, root, _len) = self.locate_entry(&[], 0)?;
         let mut inners: Vec<(InnerNode, Vec<u8>, bool)> = vec![(root, Vec::new(), true)];
         let _ = root_ptr;
         self.obs_phase(Phase::Traversal);

@@ -74,7 +74,7 @@ impl SphinxClient {
         if limit == 0 {
             return Ok(results);
         }
-        let (_, root, _) = self.entry_node(&[], 0)?;
+        let (_, root, _) = self.locate_entry(&[], 0)?;
         self.obs_phase(Phase::Traversal);
         // Stack of unfetched subtrees in reverse key order (smallest on
         // top). Seed with the root's children.

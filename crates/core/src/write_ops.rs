@@ -897,7 +897,7 @@ impl SphinxClient {
         stale_ptr: RemotePtr,
     ) -> Result<(), SphinxError> {
         // Pure tree walk from the root to the node with prefix_len == plen.
-        let (_, mut node, _) = self.entry_node(key, 0)?;
+        let (_, mut node, _) = self.locate_entry(key, 0)?;
         let mut node_ptr = None;
         for _ in 0..64 {
             let nplen = node.header.prefix_len as usize;
@@ -960,7 +960,7 @@ impl SphinxClient {
         child_ptr: RemotePtr,
     ) -> Result<Option<(RemotePtr, usize, Slot)>, SphinxError> {
         'outer: for _ in 0..64 {
-            let (mut ptr, mut node, _len) = self.entry_node(key, child_plen - 1)?;
+            let (mut ptr, mut node, _len) = self.locate_entry(key, child_plen - 1)?;
             loop {
                 if node.header.status == NodeStatus::Invalid {
                     self.dm.backoff(&self.retry);
@@ -1039,7 +1039,7 @@ impl SphinxClient {
         let prefix_h42 = art_core::hash::prefix_hash42(prefix);
         for _ in 0..16 {
             // Walk from the root to the live node with this prefix.
-            let (_, mut node, _) = self.entry_node(key, 0)?;
+            let (_, mut node, _) = self.locate_entry(key, 0)?;
             let mut node_ptr = None;
             for _ in 0..64 {
                 let nplen = node.header.prefix_len as usize;

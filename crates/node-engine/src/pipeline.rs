@@ -34,7 +34,7 @@ use crate::EngineError;
 
 /// Default per-worker pipeline depth: enough in-flight ops to hide the
 /// common three-round-trip chain several times over without blowing up
-/// per-worker memory. Harness flags (`SPHINX_PIPELINE_DEPTH`) override it.
+/// per-worker memory.
 pub const DEFAULT_DEPTH: usize = 8;
 
 /// What an [`OpState::step`] call decided.
@@ -200,6 +200,9 @@ struct Slot<S> {
 /// the next op off the iterator. `depth` is clamped to at least 1; depth
 /// 1 degenerates to the blocking path, one batch per flush.
 ///
+/// `stats` is `None` when the run is not a pipeline run to be counted: a
+/// single blocking op driven through its state machine.
+///
 /// # Errors
 ///
 /// The first batch error or fatal `step` error aborts the run (remaining
@@ -209,7 +212,7 @@ pub fn run_pipelined<T, S, I>(
     t: &mut T,
     ops: I,
     depth: usize,
-    stats: &mut PipelineStats,
+    mut stats: Option<&mut PipelineStats>,
 ) -> Result<Vec<S::Output>, EngineError>
 where
     T: Transport,
@@ -218,75 +221,92 @@ where
 {
     let depth = depth.max(1);
     let mut input = ops.into_iter();
-    let mut outputs: Vec<Option<S::Output>> = Vec::new();
+    let mut outputs: Vec<Option<S::Output>> = Vec::with_capacity(depth);
     let mut slots: Vec<Slot<S>> = Vec::with_capacity(depth);
 
-    // Admit one op: run its first step; ops that finish without touching
-    // the network never occupy a slot.
-    let admit = |t: &mut T,
-                 slots: &mut Vec<Slot<S>>,
-                 outputs: &mut Vec<Option<S::Output>>,
-                 stats: &mut PipelineStats,
-                 mut op: S|
-     -> Result<(), EngineError> {
-        let idx = outputs.len();
-        outputs.push(None);
-        op.on_admitted(t.clock_ns());
-        match op.step(t, None)? {
-            StepOutcome::Done(out) => {
-                outputs[idx] = Some(out);
-                stats.ops += 1;
-            }
-            StepOutcome::Submit { batch, tag } => {
-                stats.record_submit(tag, &batch);
-                let token = t.submit(batch);
-                op.on_submitted(token, t.clock_ns());
-                slots.push(Slot { idx, op, token });
-            }
-        }
-        Ok(())
-    };
-
     loop {
+        // Admit ops into the free slots: run each one's first step; ops
+        // that finish without touching the network never occupy a slot.
         while slots.len() < depth {
-            match input.next() {
-                Some(op) => admit(t, &mut slots, &mut outputs, stats, op)?,
-                None => break,
+            let Some(mut op) = input.next() else { break };
+            let idx = outputs.len();
+            outputs.push(None);
+            op.on_admitted(t.clock_ns());
+            let first = op.step(t, None)?;
+            if let Some(token) = settle(t, &mut stats, &mut outputs[idx], &mut op, first) {
+                slots.push(Slot { idx, op, token });
             }
         }
         if slots.is_empty() {
             break;
         }
 
-        stats.record_flush(slots.len(), depth);
+        if let Some(stats) = stats.as_deref_mut() {
+            stats.record_flush(slots.len(), depth);
+        }
         t.flush_submitted();
 
-        let mut kept: Vec<Slot<S>> = Vec::with_capacity(slots.len());
-        for mut slot in slots {
-            let results = t
+        // Resume every op with its completion, in submission order; the
+        // ones that resubmit keep their slot.
+        let mut failed = None;
+        slots.retain_mut(|slot| {
+            if failed.is_some() {
+                return true;
+            }
+            let resumed = t
                 .poll(slot.token)
                 .expect("flushed submission must have a completion")
-                .map_err(EngineError::Dm)?;
-            match slot.op.step(t, Some(results))? {
-                StepOutcome::Done(out) => {
-                    outputs[slot.idx] = Some(out);
-                    stats.ops += 1;
+                .map_err(EngineError::Dm)
+                .and_then(|results| slot.op.step(t, Some(results)));
+            match resumed {
+                Ok(next) => {
+                    let token = settle(t, &mut stats, &mut outputs[slot.idx], &mut slot.op, next);
+                    slot.token = token.unwrap_or(slot.token);
+                    token.is_some()
                 }
-                StepOutcome::Submit { batch, tag } => {
-                    stats.record_submit(tag, &batch);
-                    slot.token = t.submit(batch);
-                    slot.op.on_submitted(slot.token, t.clock_ns());
-                    kept.push(slot);
+                Err(e) => {
+                    failed = Some(e);
+                    true
                 }
             }
+        });
+        if let Some(e) = failed {
+            return Err(e);
         }
-        slots = kept;
     }
 
     Ok(outputs
         .into_iter()
         .map(|o| o.expect("every admitted op either finished or aborted the run"))
         .collect())
+}
+
+/// Applies one step's decision: stores a finished op's output, or submits
+/// the batch and returns its token.
+fn settle<T: Transport, S: OpState>(
+    t: &mut T,
+    stats: &mut Option<&mut PipelineStats>,
+    output: &mut Option<S::Output>,
+    op: &mut S,
+    outcome: StepOutcome<S::Output>,
+) -> Option<SqeToken> {
+    match outcome {
+        StepOutcome::Done(out) => {
+            *output = Some(out);
+            if let Some(stats) = stats {
+                stats.ops += 1;
+            }
+            None
+        }
+        StepOutcome::Submit { batch, tag } => {
+            if let Some(stats) = stats {
+                stats.record_submit(tag, &batch);
+            }
+            let token = t.submit(batch);
+            op.on_submitted(token, t.clock_ns());
+            Some(token)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -353,7 +373,7 @@ mod tests {
             last: 0,
         });
         let mut stats = PipelineStats::default();
-        let out = run_pipelined(&mut cl, ops, 4, &mut stats).unwrap();
+        let out = run_pipelined(&mut cl, ops, 4, Some(&mut stats)).unwrap();
         assert_eq!(out, (100..110).collect::<Vec<u64>>());
         assert_eq!(stats.ops, 10);
         assert!(stats.fused_batches > 0);
@@ -386,7 +406,7 @@ mod tests {
                 last: 0,
             }),
             1,
-            &mut st1,
+            Some(&mut st1),
         )
         .unwrap();
         let t1 = d1.clock_ns();
@@ -404,7 +424,7 @@ mod tests {
                 last: 0,
             }),
             8,
-            &mut st8,
+            Some(&mut st8),
         )
         .unwrap();
         let t8 = d8.clock_ns();
@@ -444,7 +464,7 @@ mod tests {
         let c = cluster();
         let mut cl = c.client(0);
         let mut stats = PipelineStats::default();
-        let out = run_pipelined(&mut cl, (0..5).map(|_| Nop), 8, &mut stats).unwrap();
+        let out = run_pipelined(&mut cl, (0..5).map(|_| Nop), 8, Some(&mut stats)).unwrap();
         assert_eq!(out, vec![7; 5]);
         assert_eq!(cl.stats().round_trips, 0);
         assert_eq!(stats.flushes, 0);
@@ -482,7 +502,7 @@ mod tests {
                 last: 0,
             }),
             1,
-            &mut stats,
+            Some(&mut stats),
         )
         .unwrap();
         assert_eq!(out, vec![42, 42]);

@@ -1,5 +1,6 @@
 //! The client-side table handle and the one-sided protocol.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
@@ -81,7 +82,8 @@ pub struct TableStats {
 /// [`RaceTable::counters`] and feed them into telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RaceCounters {
-    /// `search` calls issued.
+    /// Bucket-pair lookups issued: `search` calls plus pairs resolved
+    /// with [`RaceTable::bucket_pair_ptr`] for a caller-batched read.
     pub searches: u64,
     /// Bucket reads whose suffix check failed (stale directory cache),
     /// forcing a refresh + retry.
@@ -176,6 +178,9 @@ pub struct RaceTable {
     /// workspace-wide `op_retries` budget.
     retry: RetryPolicy,
     counters: RaceCounters,
+    /// Bucket-pair lookups ([`RaceCounters::searches`]). A `Cell` because
+    /// [`RaceTable::bucket_pair_ptr`] resolves them through `&self`.
+    lookups: Cell<u64>,
 }
 
 impl RaceTable {
@@ -223,6 +228,7 @@ impl RaceTable {
             dir: Vec::new(),
             retry: RetryPolicy::default(),
             counters: RaceCounters::default(),
+            lookups: Cell::new(0),
         };
         table.refresh(client)?;
         Ok(table)
@@ -240,7 +246,10 @@ impl RaceTable {
 
     /// This handle's cumulative operation counters.
     pub fn counters(&self) -> RaceCounters {
-        self.counters
+        RaceCounters {
+            searches: self.lookups.get(),
+            ..self.counters
+        }
     }
 
     /// Size of the client-side directory cache in bytes (the paper's
@@ -288,13 +297,15 @@ impl RaceTable {
 
     /// Remote address of the bucket pair `hash` maps to, per the cached
     /// directory. Lets callers batch many pair reads into one doorbell
-    /// round trip (Sphinx's "parallel hash reads", §III-A); validate each
-    /// result with [`RaceTable::parse_pair`].
+    /// round trip (Sphinx's "parallel hash reads", §III-A) or issue the
+    /// read from a resumable state machine; validate each result with
+    /// [`RaceTable::parse_pair`]. Counts one [`RaceCounters::searches`].
     ///
     /// # Errors
     ///
     /// [`RaceError::Corrupt`] on an empty directory slot.
     pub fn bucket_pair_ptr(&self, hash: u64) -> Result<RemotePtr, RaceError> {
+        self.lookups.set(self.lookups.get() + 1);
         let de = self.locate(hash)?;
         let pair = pair_index(hash);
         Ok(de.segment.checked_add(bucket_offset(pair * 2))?)
@@ -308,7 +319,7 @@ impl RaceTable {
 
     /// Parses bytes read from [`RaceTable::bucket_pair_ptr`]. Returns
     /// `None` when the suffix check fails (stale directory cache: call
-    /// [`RaceTable::refresh`] and retry).
+    /// [`RaceTable::refresh_stale`] and retry).
     pub fn parse_pair(base: RemotePtr, bytes: &[u8], hash: u64) -> Option<Vec<FoundEntry>> {
         let pv = PairView::parse(base, bytes);
         pv.header.matches(hash).then(|| pv.entries())
@@ -335,17 +346,28 @@ impl RaceTable {
         client: &mut DmClient,
         hash: u64,
     ) -> Result<Vec<FoundEntry>, RaceError> {
-        self.counters.searches += 1;
+        self.lookups.set(self.lookups.get() + 1);
         for _ in 0..self.retry.op_retries {
             let pv = self.read_pair(client, hash)?;
             if pv.header.matches(hash) {
                 return Ok(pv.entries());
             }
-            self.counters.stale_retries += 1;
-            client.backoff(&self.retry);
-            self.refresh(client)?;
+            self.refresh_stale(client)?;
         }
         Err(RaceError::RetriesExhausted { op: "search" })
+    }
+
+    /// Recovers from a bucket-pair read whose suffix check failed: counts
+    /// one [`RaceCounters::stale_retries`], backs off, and re-fetches the
+    /// directory cache. The caller then repeats its lookup.
+    ///
+    /// # Errors
+    ///
+    /// Propagates substrate errors.
+    pub fn refresh_stale(&mut self, client: &mut DmClient) -> Result<(), RaceError> {
+        self.counters.stale_retries += 1;
+        client.backoff(&self.retry);
+        self.refresh(client)
     }
 
     /// Inserts `word` under `hash`. Duplicate words are deduplicated.

@@ -55,10 +55,8 @@ pub struct SfcConfig {
     /// plain cuckoo filter, byte-for-byte the pre-generational SFC.
     pub generational: bool,
     /// Pending delta+tombstone entries that arm a rebuild. `0` = auto
-    /// (half the delta filter's slot capacity). The
-    /// `SPHINX_SFC_REBUILD_EVERY` environment variable overrides this at
-    /// startup — the lincheck sweep uses it to force rebuilds inside
-    /// adversarial schedules.
+    /// (half the delta filter's slot capacity). The lincheck sweep sets 1
+    /// to force rebuilds inside adversarial schedules.
     pub rebuild_delta_threshold: usize,
     /// Seeds tried before a fuse construction attempt is abandoned (the
     /// old generation then stays live and the rebuild re-arms).
@@ -67,13 +65,9 @@ pub struct SfcConfig {
 
 impl Default for SfcConfig {
     fn default() -> Self {
-        let rebuild_delta_threshold = std::env::var("SPHINX_SFC_REBUILD_EVERY")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         SfcConfig {
             generational: true,
-            rebuild_delta_threshold,
+            rebuild_delta_threshold: 0,
             max_fuse_build_attempts: 64,
         }
     }
@@ -322,8 +316,8 @@ impl FilterCache {
 
     /// Longest prefix of `key[..max_len]` the filter believes is
     /// resident, probing longest-first under one lock acquisition.
-    /// Returns `0` when every length misses — the probe ladder every
-    /// lookup path (blocking get, pipelined get, multi-get) runs.
+    /// Returns `0` when every length misses — the probe ladder of the
+    /// Sphinx lookup machine.
     pub fn deepest_hit(&self, key: &[u8], max_len: usize) -> usize {
         let mut st = self.inner.lock();
         let l = max_len.min(key.len());

@@ -1,9 +1,11 @@
-//! The batching extensions in action: `multi_get`, `scan_n`, `scan_iter`.
+//! The batching extensions in action: `get_many_pipelined`, `scan_n`,
+//! `scan_iter`.
 //!
 //! The paper's doorbell-batching idiom generalizes beyond single
-//! operations: N independent lookups share the same three pipeline round
-//! trips, and ordered scans page with cost proportional to the result.
-//! This example measures each against its naive equivalent.
+//! operations: N independent lookups in flight share each round-trip time
+//! (their reads fuse into one doorbell per scheduling round), and ordered
+//! scans page with cost proportional to the result. This example measures
+//! each against its naive equivalent.
 //!
 //! ```text
 //! cargo run --release -p sphinx-examples --bin batching
@@ -30,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         client.get(&KeySpace::U64.key(i))?;
     }
 
-    // ---- multi_get vs a loop of gets --------------------------------
+    // ---- pipelined gets vs a loop of gets ---------------------------
     let batch = 256usize;
     let keys: Vec<Vec<u8>> = (0..batch as u64)
         .map(|i| KeySpace::U64.key(i * 97 % n))
@@ -43,26 +45,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in &refs {
         client.get(k)?;
     }
-    let loop_rts = client.net_stats().since(&before).round_trips;
+    let loop_bells = client.net_stats().since(&before).doorbells;
     let loop_ns = client.clock_ns();
 
     cluster.reset_network();
     client.set_clock_ns(0);
     let before = client.net_stats();
-    let results = client.multi_get(&refs)?;
-    let batch_rts = client.net_stats().since(&before).round_trips;
+    let results = client.get_many_pipelined(&refs, batch)?;
+    let batch_bells = client.net_stats().since(&before).doorbells;
     let batch_ns = client.clock_ns();
     assert!(results.iter().all(Option::is_some));
 
     println!("\n{batch} point lookups (warm):");
     println!(
-        "  get() loop   {loop_rts:>5} round trips   {:>8.1} us",
+        "  get() loop          {loop_bells:>5} doorbells   {:>8.1} us",
         loop_ns as f64 / 1e3
     );
     println!(
-        "  multi_get    {batch_rts:>5} round trips   {:>8.1} us   ({:.0}x fewer trips)",
+        "  get_many_pipelined  {batch_bells:>5} doorbells   {:>8.1} us   ({:.0}x fewer)",
         batch_ns as f64 / 1e3,
-        loop_rts as f64 / batch_rts.max(1) as f64
+        loop_bells as f64 / batch_bells.max(1) as f64
     );
 
     // ---- scan_n: "next 50 rows" with result-proportional cost -------

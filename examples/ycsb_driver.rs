@@ -77,7 +77,7 @@ fn main() {
         ops
     );
 
-    let handle = system.build_scaled(1 << 30, keys);
+    let handle = system.build_scaled(1 << 30, keys, workers + 8);
     let preloaded = if workload.name == "LOAD" { 1 } else { keys };
     load_phase(&handle, keyspace, preloaded, 8);
     let result = run_phase(
@@ -90,7 +90,7 @@ fn main() {
             ops_per_worker: ops,
             warmup_per_worker: (ops / 5).max(50),
             seed: 0xD21E_0001,
-            pipeline_depth: RunConfig::depth_from_env(1),
+            pipeline_depth: 1,
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 0,

@@ -66,7 +66,7 @@ fn baselines_verify_clean_after_write_storm() {
     }
 }
 
-/// `multi_get` must agree with sequential gets even while writers churn
+/// A pipelined multi-get must agree with sequential gets even while writers churn
 /// the same keys (values are checked for integrity, not freshness — the
 /// batch is not a snapshot).
 #[test]
@@ -100,14 +100,14 @@ fn multi_get_is_safe_under_concurrent_writes() {
         let keys: Vec<Vec<u8>> = (0..200u64).map(|i| KeySpace::U64.key(i)).collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         for _ in 0..30 {
-            let results = reader.multi_get(&refs).expect("multi_get");
+            let results = reader.get_many_pipelined(&refs, 8).expect("multi_get");
             for (key, res) in refs.iter().zip(results) {
                 let v =
                     res.unwrap_or_else(|| panic!("key {:?} lost", String::from_utf8_lossy(key)));
                 assert_eq!(v.len(), 32);
                 assert!(
                     v.iter().all(|&b| b == v[0]),
-                    "torn value from multi_get: {v:?}"
+                    "torn value from a pipelined get: {v:?}"
                 );
             }
         }

@@ -68,23 +68,113 @@ fn trace_prefix_replays_to_completion() {
 }
 
 /// Regression: a hot key space (8 keys, 3 workers, 600 ops each) used to
-/// panic the blocking get path with `Corrupt("root hash entry missing")`
-/// when a concurrent root type switch invalidated the node a freshly
-/// repaired FilterCache entry pointed at. The fix retries the entry
-/// lookup on a bounded budget instead of trusting a single validation
-/// round. Seeds pinned to the interleavings that provoked it.
+/// fail lookups with `Corrupt("root hash entry missing")` when a concurrent
+/// root type switch invalidated the node the root hash entry pointed at
+/// before the repaired entry was published. The lookup machine retakes the
+/// ladder on a bounded budget instead of trusting a single validation
+/// round. Seeds are pinned to interleavings in which that retry branch
+/// executes — in a lone `get` or a write's lookup at depth 1, inside a
+/// pipelined multi-get window at depth 8 — which the assertions check
+/// (`sphinx.entry_misses` counts the missed root entry; the Get/MultiGet
+/// span retries are the machine's restarts). Old seeds 3, 6, 22, 29 (one
+/// missed root entry each, under the lock-step `multi_get`) → swept anew
+/// over seeds 1–120 per depth once every multi-get became one machine per
+/// key.
 #[test]
-fn hot_keyspace_blocking_get_survives_root_type_switch() {
-    let cfg = ExploreConfig::smoke(System::Sphinx, 3, 8, 600);
-    for seed in [3u64, 6, 22, 29] {
+fn hot_keyspace_lookups_survive_root_type_switch() {
+    for (depth, seeds) in [(1usize, [9u64, 31, 83]), (8, [5, 9, 79])] {
+        let cfg = ExploreConfig {
+            pipeline_depth: depth,
+            ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
+        };
+        for seed in seeds {
+            let out = run_scheduled(
+                &cfg,
+                ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
+            );
+            assert!(
+                out.outcome.is_linearizable(),
+                "Sphinx hot-keyspace depth {depth} seed {seed}: {:?}",
+                out.outcome
+            );
+            assert!(
+                out.telemetry.counter("sphinx.entry_misses") > 0,
+                "depth {depth} seed {seed}: no lookup met the missing root entry"
+            );
+            assert!(
+                out.telemetry.op(obs::OpKind::Get).retries
+                    + out.telemetry.op(obs::OpKind::MultiGet).retries
+                    > 0,
+                "depth {depth} seed {seed}: the retry branch ran in no read"
+            );
+        }
+    }
+}
+
+/// The other restart: a pipelined lookup reads a parent, and by the time
+/// its child read is granted the child has been type-switched away
+/// (`Invalid`). Sixteen groups of eight sibling keys, the preload filling
+/// each group's Node4, so every group's fifth insert switches a node under
+/// the schedule; seeds pinned (sweep over 1–60 at depth 8: 27 and 43) to
+/// interleavings where a multi-get window is caught by one. (No depth-1
+/// schedule in seeds 1–500 opens that window — one lone lookup's
+/// parent-to-child gap is a single grant — so depth 1 is covered by the
+/// fault-hook unit test `a_child_caught_mid_type_switch_restarts_the_lookup`.)
+#[test]
+fn pipelined_lookups_survive_a_child_type_switch() {
+    let cfg = ExploreConfig {
+        pipeline_depth: 8,
+        key_of: |i| vec![7 + (i % 16) as u8, (i / 16) as u8],
+        deletes: false,
+        ..ExploreConfig::smoke(System::Sphinx, 3, 128, 600)
+    };
+    for seed in [27u64, 43] {
         let out = run_scheduled(
             &cfg,
             ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
         );
         assert!(
             out.outcome.is_linearizable(),
-            "Sphinx hot-keyspace seed {seed}: {:?}",
+            "seed {seed}: {:?}",
             out.outcome
+        );
+        assert!(
+            out.telemetry.counter("sphinx.invalid_node_retries") > 0,
+            "seed {seed}: no lookup met an invalidated child"
+        );
+    }
+}
+
+/// Scheduler equivalence pin: a single-key op drives the lookup machine
+/// alone, and under the lock-step schedule that must be grant for grant
+/// what the blocking ladder it replaced issued. The digests are those of
+/// the commit before the ladder was deleted (PR 12, `84dc1f6`); without
+/// `Op::MultiGet` in the mix (whose lock-step `multi_get` issued three
+/// batches where the machine issues three per key) nothing may move.
+#[test]
+fn single_key_histories_are_those_of_the_blocking_ladder() {
+    let cfg = ExploreConfig {
+        multi_ops: false,
+        ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
+    };
+    for (seed, digest) in [
+        (1u64, 0xc32e_5272_9fa0_4cf1u64),
+        (2, 0xd35a_d288_b104_ad92),
+        (3, 0x48aa_d30f_157d_c612),
+    ] {
+        let out = run_scheduled(
+            &cfg,
+            ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
+        );
+        assert!(
+            out.outcome.is_linearizable(),
+            "seed {seed}: {:?}",
+            out.outcome
+        );
+        assert_eq!(
+            out.history.digest(),
+            digest,
+            "seed {seed}: single-key ops no longer issue the blocking ladder's verbs"
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Lincheck sweep with SFC generation rebuilds forced *inside* the
-//! adversarial schedules: `SPHINX_SFC_REBUILD_EVERY=1` arms a rebuild
-//! after every delta insert (a lincheck-sized key space teaches too few
+//! adversarial schedules: the index is built with
+//! `SfcConfig::rebuild_delta_threshold = 1`, which arms a rebuild after
+//! every delta insert (a lincheck-sized key space teaches too few
 //! prefixes to cross the auto threshold), so generation swaps race the
 //! concurrent probes, inserts, and deletes the schedule interleaves.
 //!
@@ -13,13 +14,13 @@
 //! Histories must stay linearizable and bit-for-bit reproducible at
 //! pipeline depths 1 and 8 — the never-torn-generation contract of
 //! `sfc::FilterCache`.
-//!
-//! This file is its own test binary because the environment override is
-//! process-global.
 
-use bench_harness::{run_scheduled, ExploreConfig, ScheduleMode, System};
-use dm_sim::ScheduleConfig;
+use bench_harness::{
+    run_scheduled_on, ExploreConfig, RunOutput, ScheduleMode, System, SystemHandle,
+};
+use dm_sim::{ClusterConfig, DmCluster, ScheduleConfig};
 use lincheck::CheckConfig;
+use sphinx::{sfc::SfcConfig, SphinxConfig, SphinxIndex};
 
 fn cfg(depth: usize) -> ExploreConfig {
     ExploreConfig {
@@ -29,9 +30,29 @@ fn cfg(depth: usize) -> ExploreConfig {
     }
 }
 
+/// The lincheck driver's default system (3 CNs + 3 MNs of 64 MiB, 1 MiB of
+/// filter cache) with a rebuild armed after every delta insert.
+fn run_scheduled(cfg: &ExploreConfig, mode: ScheduleMode) -> RunOutput {
+    let cluster = DmCluster::new(ClusterConfig {
+        num_mns: 3,
+        num_cns: 3,
+        mn_capacity: 64 << 20,
+        ..Default::default()
+    });
+    let config = SphinxConfig {
+        cache_bytes: 1 << 20,
+        sfc: SfcConfig {
+            rebuild_delta_threshold: 1,
+            ..SfcConfig::default()
+        },
+        ..SphinxConfig::default()
+    };
+    let index = SphinxIndex::create(&cluster, config).expect("create sphinx");
+    run_scheduled_on(&SystemHandle::Sphinx(index), cfg, mode)
+}
+
 #[test]
 fn rebuilds_firing_mid_schedule_stay_linearizable_and_deterministic() {
-    std::env::set_var("SPHINX_SFC_REBUILD_EVERY", "1");
     for depth in [1usize, 8] {
         for seed in [3u64, 11] {
             let mode = ScheduleMode::Record(ScheduleConfig::adversarial(seed));

@@ -127,7 +127,7 @@ fn run_model(system: System, steps: &[Step]) -> Result<(), TestCaseError> {
             }
             Step::MultiGet(keys) => {
                 let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                let got = w.multi_get(&refs);
+                let got = w.multi_get_pipelined(&refs, 4);
                 for (k, g) in refs.iter().zip(got) {
                     prop_assert_eq!(g, oracle.get(*k).cloned(), "{} multi_get {:02x?}", label, k);
                 }

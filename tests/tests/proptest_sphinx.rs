@@ -86,7 +86,7 @@ fn check_mode(mode: CacheMode, ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::MultiGet(keys) => {
                 let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                let got = client.multi_get(&refs).expect("multi_get");
+                let got = client.get_many_pipelined(&refs, 4).expect("multi_get");
                 for (k, g) in refs.iter().zip(got) {
                     prop_assert_eq!(g, oracle.get(*k).cloned(), "multi_get {:?}", k);
                 }
