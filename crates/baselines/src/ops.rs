@@ -5,9 +5,10 @@ use art_core::hash::prefix_hash42;
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use dm_sim::{RemotePtr, Transport};
+use node_engine::walk::any_leaf;
 use node_engine::{
-    cas_locked_write, retire_inner, retire_leaf, write_new_inner, write_new_leaf, Install,
-    LeafReadStats,
+    cas_locked_write, retire_inner, retire_leaf, unlink_empty_inner, write_new_inner,
+    write_new_leaf, ArtReader, EngineError, Install, LeafReadStats, Sampled, Unlink,
 };
 use obs::{OpKind, Phase};
 
@@ -31,6 +32,13 @@ enum BOutcome {
         slot: Slot,
         child: InnerNode,
         sample: LeafNode,
+    },
+    /// The divergent child's subtree holds no leaf (see
+    /// `sphinx::Outcome::EmptyChild`).
+    EmptyChild {
+        slot_idx: usize,
+        slot: Slot,
+        child: InnerNode,
     },
 }
 
@@ -60,10 +68,6 @@ impl BaselineClient {
         self.dm.backoff(&self.retry);
     }
 
-    fn leaf_read_hint(&self) -> usize {
-        self.meta.config.leaf_read_hint
-    }
-
     /// The root slot word, cached client-side (refreshed when stale).
     fn root_slot(&mut self, refresh: bool) -> Result<Slot, BaselineError> {
         if refresh || self.root_slot.is_none() {
@@ -81,7 +85,7 @@ impl BaselineClient {
         ptr: RemotePtr,
         kind: art_core::NodeKind,
         use_cache: bool,
-    ) -> Result<(InnerNode, bool), BaselineError> {
+    ) -> Result<(InnerNode, bool), EngineError> {
         if use_cache {
             if let Some(cache) = &self.cache {
                 if let Some(node) = cache.lock().get(ptr) {
@@ -104,22 +108,6 @@ impl BaselineClient {
             }
         }
         Ok((node, false))
-    }
-
-    /// Reads a leaf through the shared validated reader (torn-read retry
-    /// and short-hint extension live in `node-engine` now).
-    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, BaselineError> {
-        let hint = self.leaf_read_hint();
-        let prev = self.obs.current_phase();
-        self.obs_phase(Phase::LeafRead);
-        let mut io = LeafReadStats::default();
-        let res = node_engine::read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
-        self.stats.checksum_retries += io.checksum_retries;
-        self.obs.add("leaf.extended_reads", io.extended_reads);
-        if let Some(p) = prev {
-            self.obs_phase(p);
-        }
-        Ok(res?)
     }
 
     fn invalidate_cached(&mut self, ptr: RemotePtr) {
@@ -226,40 +214,23 @@ impl BaselineClient {
                         used_cache |= hit;
                         continue;
                     }
-                    let Some(sample) = self.sample_leaf(&child)? else {
-                        return Ok(LocateResult::Retry);
+                    return match any_leaf(self, &child)? {
+                        Sampled::Busy => Ok(LocateResult::Retry),
+                        Sampled::Empty => done(BOutcome::EmptyChild {
+                            slot_idx: idx,
+                            slot,
+                            child,
+                        }),
+                        Sampled::Leaf(sample) => done(BOutcome::Divergent {
+                            slot_idx: idx,
+                            slot,
+                            child,
+                            sample,
+                        }),
                     };
-                    return done(BOutcome::Divergent {
-                        slot_idx: idx,
-                        slot,
-                        child,
-                        sample,
-                    });
                 }
             }
         }
-    }
-
-    fn sample_leaf(&mut self, node: &InnerNode) -> Result<Option<LeafNode>, BaselineError> {
-        let mut current = node.clone();
-        for _ in 0..self.retry.io_retries {
-            let slot = match current
-                .value_slot
-                .or_else(|| current.slots.iter().flatten().next().copied())
-            {
-                Some(s) => s,
-                None => return Ok(None),
-            };
-            if slot.is_leaf {
-                return Ok(Some(self.read_leaf(slot.addr)?));
-            }
-            let (child, _) = self.read_inner_mc(slot.addr, slot.child_kind, false)?;
-            if child.header.status == NodeStatus::Invalid || child.header.kind != slot.child_kind {
-                return Ok(None);
-            }
-            current = child;
-        }
-        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -353,6 +324,16 @@ impl BaselineClient {
                     ref child,
                     ref sample,
                 } => self.split_path(loc.node_ptr, slot_idx, slot, child, sample, key, value)?,
+                // Garbage a delete left where this key's path forks: unlink
+                // it, then retry into the freed slot.
+                BOutcome::EmptyChild {
+                    slot_idx,
+                    ref slot,
+                    ref child,
+                } => {
+                    self.prune_empty_inner(loc.node_ptr, &loc.node, slot_idx, slot, child)?;
+                    false
+                }
             };
             if done {
                 return Ok(());
@@ -430,9 +411,14 @@ impl BaselineClient {
                     if leaf.status == NodeStatus::Invalid {
                         return Ok(false);
                     }
+                    // A delete never CASes a status it did not observe as
+                    // `Idle`: tombstoning a `Locked` leaf would steal the
+                    // lock of an in-place update between its round trips.
                     self.obs_phase(Phase::LeafWrite);
-                    let (cur, inv) = leaf.status_cas_words(leaf.status, NodeStatus::Invalid);
-                    if self.dm.cas(slot.addr, cur, inv)? != cur {
+                    let (idle, inv) = leaf.status_cas_words(NodeStatus::Idle, NodeStatus::Invalid);
+                    if leaf.status == NodeStatus::Locked
+                        || self.dm.cas(slot.addr, idle, inv)? != idle
+                    {
                         self.obs.retry();
                         self.backoff();
                         continue;
@@ -473,190 +459,57 @@ impl BaselineClient {
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, BaselineError> {
         self.stats.scans += 1;
         self.obs_begin(OpKind::Scan);
-        let r = self.scan_inner(low, high);
+        self.obs_phase(Phase::Traversal);
+        let mut below_root = || {
+            if low > high {
+                return Ok(Vec::new());
+            }
+            let root = self.root_slot(false)?;
+            let (root_node, _) = self.read_inner_mc(root.addr, root.child_kind, true)?;
+            Ok(node_engine::walk::scan(self, root_node, low, high)?)
+        };
+        let r = below_root();
         self.op_exit();
         r
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn scan_inner(
-        &mut self,
-        low: &[u8],
-        high: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, BaselineError> {
-        self.obs_phase(Phase::Traversal);
-        let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        if low > high {
-            return Ok(results);
-        }
-        let root = self.root_slot(false)?;
-        let (root_node, _) = self.read_inner_mc(root.addr, root.child_kind, true)?;
-        // (node, known_prefix, exact) — see sphinx::scan for why pruning
-        // is only sound while the known prefix is exact.
-        let mut inners: Vec<(InnerNode, Vec<u8>, bool)> = vec![(root_node, Vec::new(), true)];
-        let batched = self.meta.config.batched_scan;
-
-        while !inners.is_empty() {
-            // Resolve inexact prefixes from direct leaf children so
-            // pruning stays effective under path compression (same
-            // technique as sphinx::scan; one extra batched — or, for
-            // plain ART, grouped — round trip per level).
-            let mut resolve_targets: Vec<usize> = Vec::new();
-            let mut chain_targets: Vec<usize> = Vec::new();
-            let mut resolve_reads = Vec::new();
-            for (i, (node, known, exact)) in inners.iter().enumerate() {
-                let exact_here = *exact && node.header.prefix_len as usize == known.len();
-                if exact_here {
-                    continue;
-                }
-                let leaf_slot = node
-                    .value_slot
-                    .or_else(|| node.slots.iter().flatten().find(|s| s.is_leaf).copied());
-                match leaf_slot {
-                    Some(slot) => {
-                        resolve_reads.push((slot.addr, self.leaf_read_hint()));
-                        resolve_targets.push(i);
-                    }
-                    None => chain_targets.push(i),
-                }
-            }
-            if !resolve_reads.is_empty() {
-                let reads = self.dm.read_many(&resolve_reads)?;
-                for (i, bytes) in resolve_targets.into_iter().zip(reads) {
-                    if let Ok(leaf) = LeafNode::decode(&bytes) {
-                        let (node, known, exact) = &mut inners[i];
-                        let plen = node.header.prefix_len as usize;
-                        if leaf.key.len() >= plen {
-                            *known = leaf.key[..plen].to_vec();
-                            *exact = true;
-                        }
-                    }
-                }
-            }
-            // Upper nodes without a direct leaf child resolve by walking
-            // the leftmost chain to any leaf (see sphinx::scan).
-            for i in chain_targets {
-                let node = inners[i].0.clone();
-                if let Some(leaf) = self.sample_leaf(&node)? {
-                    let (node, known, exact) = &mut inners[i];
-                    let plen = node.header.prefix_len as usize;
-                    if leaf.key.len() >= plen {
-                        *known = leaf.key[..plen].to_vec();
-                        *exact = true;
-                    }
-                }
-            }
-
-            let mut pending: Vec<(Slot, Vec<u8>, bool)> = Vec::new();
-            for (node, known, exact) in inners.drain(..) {
-                let exact_here = exact && node.header.prefix_len as usize == known.len();
-                if exact_here && !range_may_intersect(&known, low, high) {
-                    continue;
-                }
-                if let Some(slot) = node.value_slot {
-                    pending.push((slot, known.clone(), exact_here));
-                }
-                for slot in node.children_sorted() {
-                    let (ck, ce) = if exact_here {
-                        let mut ck = known.clone();
-                        ck.push(slot.key_byte);
-                        (ck, true)
-                    } else {
-                        (known.clone(), false)
-                    };
-                    if ce && !range_may_intersect(&ck, low, high) {
-                        continue;
-                    }
-                    pending.push((slot, ck, ce));
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-
-            let mut fetched: Vec<(Slot, Vec<u8>, bool, Vec<u8>)> = Vec::new();
-            if batched {
-                let level_reads: Vec<_> = pending
-                    .iter()
-                    .map(|(slot, _, _)| {
-                        let len = if slot.is_leaf {
-                            self.leaf_read_hint()
-                        } else {
-                            InnerNode::byte_size(slot.child_kind)
-                        };
-                        (slot.addr, len)
-                    })
-                    .collect();
-                let reads = self.dm.read_many(&level_reads)?;
-                for ((slot, known, exact), bytes) in pending.into_iter().zip(reads) {
-                    fetched.push((slot, known, exact, bytes));
-                }
-            } else {
-                // Plain ART: small batches (≈ one parent node's children
-                // at a time — the natural non-optimized implementation
-                // reads a node's children together but does not overlap
-                // across nodes), versus SMART's whole-level batching —
-                // the source of the paper's 2.3–3.1× YCSB-E gap.
-                for group in pending.chunks(8) {
-                    let group_reads: Vec<_> = group
-                        .iter()
-                        .map(|(slot, _, _)| {
-                            let len = if slot.is_leaf {
-                                self.leaf_read_hint()
-                            } else {
-                                InnerNode::byte_size(slot.child_kind)
-                            };
-                            (slot.addr, len)
-                        })
-                        .collect();
-                    let reads = self.dm.read_many(&group_reads)?;
-                    for ((slot, known, exact), bytes) in group.iter().cloned().zip(reads) {
-                        fetched.push((slot, known, exact, bytes));
-                    }
-                }
-            }
-
-            for (slot, known, exact, bytes) in fetched {
-                if slot.is_leaf {
-                    let leaf = match LeafNode::decode(&bytes) {
-                        Ok(l) => l,
-                        Err(_) => match self.read_leaf(slot.addr) {
-                            Ok(l) => l,
-                            Err(BaselineError::RetriesExhausted { .. }) => continue,
-                            Err(e) => return Err(e),
-                        },
-                    };
-                    if leaf.status != NodeStatus::Invalid
-                        && leaf.key.as_slice() >= low
-                        && leaf.key.as_slice() <= high
-                    {
-                        results.push((leaf.key, leaf.value));
-                    }
-                } else {
-                    match InnerNode::decode(&bytes) {
-                        Ok(node)
-                            if node.header.status != NodeStatus::Invalid
-                                && node.header.kind == slot.child_kind =>
-                        {
-                            inners.push((node, known, exact));
-                        }
-                        _ => {
-                            // Transient (type switch mid-scan): skip; the
-                            // subtree is reachable on the next scan.
-                        }
-                    }
-                }
-            }
-        }
-        results.sort_by(|a, b| a.0.cmp(&b.0));
-        results.dedup_by(|a, b| a.0 == b.0);
-        Ok(results)
     }
 
     // ------------------------------------------------------------------
     // Mutation building blocks (mirrors of the Sphinx write path, minus
     // the hash table / filter publication).
     // ------------------------------------------------------------------
+
+    /// Unlinks the emptied `child` from slot `idx` of `parent` and retires
+    /// it ([`unlink_empty_inner`]; there is no hash table to tell), emptied
+    /// nodes below it first (an abandoned unlink can leave a chain of them).
+    fn prune_empty_inner(
+        &mut self,
+        parent_ptr: RemotePtr,
+        parent: &InnerNode,
+        idx: usize,
+        slot: &Slot,
+        child: &InnerNode,
+    ) -> Result<(), BaselineError> {
+        self.obs_phase(Phase::Maintenance);
+        for (i, below) in child.slots.iter().enumerate() {
+            if let Some(below) = below.filter(|s| !s.is_leaf) {
+                let node = self.read_inner(below.addr, below.child_kind)?;
+                self.prune_empty_inner(slot.addr, child, i, &below, &node)?;
+            }
+        }
+        let unlink = unlink_empty_inner(&mut self.dm, parent_ptr, parent, idx, slot, child)?;
+        self.invalidate_cached(parent_ptr);
+        self.invalidate_cached(slot.addr);
+        match unlink {
+            Unlink::Done(dead) => {
+                let BaselineClient { dm, reclaim, .. } = self;
+                retire_inner(dm, reclaim, slot.addr, &dead)?;
+                self.obs.incr("prune.nodes");
+            }
+            Unlink::Kept => {}
+            Unlink::Abandoned => self.obs.incr("prune.abandoned"),
+        }
+        Ok(())
+    }
 
     /// [`node_engine::install_word`] plus the CN cache invalidation the
     /// baselines owe their node cache.
@@ -1051,15 +904,60 @@ impl BaselineClient {
     }
 }
 
-/// See `sphinx::scan` for the derivation.
-fn range_may_intersect(known: &[u8], low: &[u8], high: &[u8]) -> bool {
-    if known > high {
-        return false;
+/// How the walks of [`node_engine::walk`] read a baseline tree.
+impl ArtReader for BaselineClient {
+    type T = dm_sim::DmClient;
+
+    fn transport(&mut self) -> &mut dm_sim::DmClient {
+        &mut self.dm
     }
-    if known < low && !low.starts_with(known) {
-        return false;
+
+    fn leaf_hint(&self) -> usize {
+        self.meta.config.leaf_read_hint
     }
-    true
+
+    /// Remote, but filling the CN node cache (SMART).
+    fn read_inner(
+        &mut self,
+        ptr: RemotePtr,
+        kind: art_core::NodeKind,
+    ) -> Result<InnerNode, EngineError> {
+        Ok(self.read_inner_mc(ptr, kind, false)?.0)
+    }
+
+    /// Through the shared validated reader, attributed to
+    /// [`Phase::LeafRead`] (restoring the caller's phase afterwards).
+    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
+        let hint = self.leaf_hint();
+        let prev = self.obs.current_phase();
+        self.obs_phase(Phase::LeafRead);
+        let mut io = LeafReadStats::default();
+        let res = node_engine::read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
+        self.stats.checksum_retries += io.checksum_retries;
+        self.obs.add("leaf.extended_reads", io.extended_reads);
+        if let Some(p) = prev {
+            self.obs_phase(p);
+        }
+        res
+    }
+
+    /// SMART reads each tree level in one doorbell batch. The plain ART
+    /// port reads in small groups (≈ one parent node's children at a time:
+    /// the natural non-optimized implementation reads a node's children
+    /// together but does not overlap across nodes) — the source of the
+    /// paper's 2.3–3.1× YCSB-E gap.
+    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<Vec<u8>>, EngineError> {
+        let group = if self.meta.config.batched_scan {
+            reads.len().max(1)
+        } else {
+            8
+        };
+        let mut fetched = Vec::with_capacity(reads.len());
+        for group in reads.chunks(group) {
+            fetched.extend(self.dm.read_many(group)?);
+        }
+        Ok(fetched)
+    }
 }
 
 #[cfg(test)]

@@ -1,32 +1,14 @@
-//! Offline integrity verification for the baseline trees (the same audit
-//! `sphinx::verify` performs, minus the hash-table cross-checks the
-//! baselines don't have).
+//! Offline integrity verification for the baseline trees: the audit of
+//! [`node_engine::walk::audit`] (shared with `sphinx::verify`), with no
+//! per-node hook — the baselines have no hash table to cross-check.
 
-use art_core::hash::prefix_hash42;
-use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use art_core::layout::Slot;
 
 use crate::error::BaselineError;
 use crate::index::BaselineIndex;
 
 /// Outcome of [`BaselineIndex::verify`].
-#[derive(Debug, Clone, Default)]
-pub struct BaselineIntegrityReport {
-    /// Inner nodes visited.
-    pub inner_nodes: usize,
-    /// Live leaves visited.
-    pub leaves: usize,
-    /// Deepest prefix length observed.
-    pub max_prefix_len: usize,
-    /// Violations found.
-    pub problems: Vec<String>,
-}
-
-impl BaselineIntegrityReport {
-    /// Whether the tree passed every check.
-    pub fn is_clean(&self) -> bool {
-        self.problems.is_empty()
-    }
-}
+pub use node_engine::walk::AuditReport as BaselineIntegrityReport;
 
 impl BaselineIndex {
     /// Audits the whole tree (run only while quiescent): header sanity,
@@ -38,166 +20,16 @@ impl BaselineIndex {
     /// Propagates substrate errors; violations are reported in the result.
     pub fn verify(&self) -> Result<BaselineIntegrityReport, BaselineError> {
         let mut client = self.client(0)?;
-        let mut report = BaselineIntegrityReport::default();
-        let root = {
-            // Root slot from the meta word, bypassing caches.
-            let word = client.dm.read_u64(self.meta().root_word)?;
-            match Slot::decode(word) {
-                Some(s) => s,
-                None => {
-                    report.problems.push("null root slot".into());
-                    return Ok(report);
-                }
-            }
+        // Root slot from the meta word, bypassing caches.
+        let word = client.dm.read_u64(self.meta().root_word)?;
+        let Some(root) = Slot::decode(word) else {
+            return Ok(BaselineIntegrityReport {
+                problems: vec!["null root slot".into()],
+                ..Default::default()
+            });
         };
-
-        let mut queue = vec![(root.addr, root.child_kind, 0usize)];
-        while let Some((ptr, kind, parent_len)) = queue.pop() {
-            let bytes = client.dm.read(ptr, InnerNode::byte_size(kind))?;
-            let node = match InnerNode::decode(&bytes) {
-                Ok(n) => n,
-                Err(e) => {
-                    report
-                        .problems
-                        .push(format!("node {ptr}: undecodable: {e}"));
-                    continue;
-                }
-            };
-            report.inner_nodes += 1;
-            let plen = node.header.prefix_len as usize;
-            report.max_prefix_len = report.max_prefix_len.max(plen);
-            if node.header.status != NodeStatus::Idle {
-                report.problems.push(format!(
-                    "node {ptr}: status {:?} on quiescent tree",
-                    node.header.status
-                ));
-            }
-            if node.header.kind != kind {
-                report.problems.push(format!(
-                    "node {ptr}: kind {:?} != pointing slot {kind:?}",
-                    node.header.kind
-                ));
-                continue;
-            }
-            if plen < parent_len || (plen == parent_len && parent_len != 0) {
-                report.problems.push(format!(
-                    "node {ptr}: prefix length {plen} does not extend parent ({parent_len})"
-                ));
-            }
-            // Reconstruct the prefix from a leaf; verify the stored hash.
-            let prefix = match sample_key(&mut client, &node)? {
-                Some(key) if key.len() >= plen => key[..plen].to_vec(),
-                Some(_) => {
-                    report
-                        .problems
-                        .push(format!("node {ptr}: sampled key shorter than prefix"));
-                    continue;
-                }
-                None if plen == 0 => Vec::new(),
-                None => {
-                    report.problems.push(format!("node {ptr}: empty subtree"));
-                    continue;
-                }
-            };
-            if node.header.prefix_hash42 != prefix_hash42(&prefix) {
-                report
-                    .problems
-                    .push(format!("node {ptr}: full-prefix hash mismatch"));
-            }
-            let mut seen = std::collections::HashSet::new();
-            if let Some(slot) = node.value_slot {
-                check_leaf(&mut client, &slot, &prefix, None, &mut report)?;
-            }
-            for slot in node.slots.iter().flatten() {
-                if !seen.insert(slot.key_byte) {
-                    report.problems.push(format!(
-                        "node {ptr}: duplicate dispatch byte {:#x}",
-                        slot.key_byte
-                    ));
-                }
-                if slot.is_leaf {
-                    check_leaf(&mut client, slot, &prefix, Some(slot.key_byte), &mut report)?;
-                } else {
-                    queue.push((slot.addr, slot.child_kind, plen));
-                }
-            }
-        }
-        Ok(report)
+        Ok(node_engine::walk::audit(&mut client, root)?)
     }
-}
-
-fn sample_key(
-    client: &mut crate::index::BaselineClient,
-    node: &InnerNode,
-) -> Result<Option<Vec<u8>>, BaselineError> {
-    let mut current = node.clone();
-    for _ in 0..64 {
-        let slot = match current
-            .value_slot
-            .or_else(|| current.slots.iter().flatten().next().copied())
-        {
-            Some(s) => s,
-            None => return Ok(None),
-        };
-        if slot.is_leaf {
-            let bytes = client.dm.read(slot.addr, 128)?;
-            return Ok(LeafNode::decode(&bytes).ok().map(|l| l.key));
-        }
-        let bytes = client
-            .dm
-            .read(slot.addr, InnerNode::byte_size(slot.child_kind))?;
-        match InnerNode::decode(&bytes) {
-            Ok(n) => current = n,
-            Err(_) => return Ok(None),
-        }
-    }
-    Ok(None)
-}
-
-fn check_leaf(
-    client: &mut crate::index::BaselineClient,
-    slot: &Slot,
-    prefix: &[u8],
-    dispatch: Option<u8>,
-    report: &mut BaselineIntegrityReport,
-) -> Result<(), BaselineError> {
-    let mut len = 128usize;
-    let leaf = loop {
-        let bytes = client.dm.read(slot.addr, len)?;
-        let units =
-            ((u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) >> 8) & 0xFF) as usize;
-        if units.max(1) * 64 > len {
-            len = units * 64;
-            continue;
-        }
-        match LeafNode::decode(&bytes) {
-            Ok(l) => break l,
-            Err(e) => {
-                report
-                    .problems
-                    .push(format!("leaf {}: undecodable: {e}", slot.addr));
-                return Ok(());
-            }
-        }
-    };
-    if leaf.status == NodeStatus::Invalid {
-        return Ok(());
-    }
-    report.leaves += 1;
-    if !leaf.key.starts_with(prefix) {
-        report.problems.push(format!(
-            "leaf {}: key does not carry parent prefix",
-            slot.addr
-        ));
-    }
-    if let Some(byte) = dispatch {
-        if leaf.key.get(prefix.len()) != Some(&byte) {
-            report
-                .problems
-                .push(format!("leaf {}: dispatch byte mismatch", slot.addr));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

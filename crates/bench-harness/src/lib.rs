@@ -5,7 +5,7 @@
 //! YCSB workloads of §V on the `dm-sim` substrate, and reports
 //! virtual-time throughput and latency plus network-cost counters.
 //!
-//! Binaries (also see the Criterion benches in `benches/`):
+//! Binaries:
 //!
 //! | binary | paper artifact |
 //! |---|---|

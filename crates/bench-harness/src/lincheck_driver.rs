@@ -107,10 +107,7 @@ pub struct ExploreConfig {
     /// Include `multi_get` / `scan` / `scan_n` in the op mix.
     pub multi_ops: bool,
     /// Include `delete` in the op mix (otherwise its slice becomes
-    /// inserts). Shared-prefix key shapes turn it off: deleting siblings
-    /// out of deep groups trips the known delete-path defect
-    /// (`RetriesExhausted { op: "locate" }`, ROADMAP item 1), which would
-    /// mask whatever the run is actually about.
+    /// inserts, for runs that want the key set only to grow).
     pub deletes: bool,
     /// Ops kept in flight per worker for the batched-read slice of the
     /// mix: [`lincheck::Op::MultiGet`] runs through the pipelined op

@@ -1,11 +1,13 @@
 //! The per-worker client: telemetry and reclamation plumbing, point `get`,
-//! and the blocking leaf helpers (the lookup itself is `pipeline.rs`).
+//! and how the shared tree walks read this client's nodes (the lookup
+//! itself is `pipeline.rs`).
 
 use std::sync::Arc;
 
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use art_core::NodeKind;
 use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy};
-use node_engine::{read_inner_consistent, read_validated_leaf, LeafReadStats};
+use node_engine::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats};
 use obs::{OpKind, Phase, Recorder};
 use race_hash::RaceTable;
 
@@ -57,6 +59,9 @@ pub(crate) enum ProbeKind {
         leaf_bytes: u64,
         /// What the replaced slot pointed at (leaf or inner child).
         old: RemotePtr,
+        /// `node`'s full-prefix length, for the INHT publish an adopted
+        /// install still owes.
+        plen: usize,
     },
     /// Type switch whose parent-slot swing was ambiguous: `grown` (holding
     /// `leaf`) may have replaced `original` in the parent.
@@ -114,6 +119,17 @@ pub(crate) enum Outcome {
         child: InnerNode,
         /// Any leaf under the child (shares the child's full prefix).
         sample: LeafNode,
+    },
+    /// The child inner node's prefix diverges from the key and its subtree
+    /// holds no leaf: the key is absent, and the child is garbage a delete
+    /// failed to unlink (an insert unlinks it and retries).
+    EmptyChild {
+        /// Slot index of the emptied child in `Descent::node`.
+        slot_idx: usize,
+        /// The child slot.
+        slot: Slot,
+        /// The decoded emptied child.
+        child: InnerNode,
     },
 }
 
@@ -497,26 +513,6 @@ impl SphinxClient {
         self.obs.end(self.dm.stats(), now);
     }
 
-    /// Reads and validates a leaf, attributing the round trips to
-    /// [`Phase::LeafRead`] (restoring the caller's phase afterwards) and
-    /// folding the engine's I/O counters into [`OpStats`].
-    pub(crate) fn read_leaf(
-        &mut self,
-        addr: RemotePtr,
-        hint: usize,
-    ) -> Result<LeafNode, SphinxError> {
-        let prev = self.obs.current_phase();
-        self.obs_phase(Phase::LeafRead);
-        let mut io = LeafReadStats::default();
-        let res = read_validated_leaf(&mut self.dm, addr, hint, &self.retry, &mut io);
-        self.stats.checksum_retries += io.checksum_retries;
-        self.stats.extended_leaf_reads += io.extended_reads;
-        if let Some(p) = prev {
-            self.obs_phase(p);
-        }
-        Ok(res?)
-    }
-
     /// Point lookup.
     ///
     /// # Errors
@@ -539,31 +535,56 @@ impl SphinxClient {
     pub fn contains_key(&mut self, key: &[u8]) -> Result<bool, SphinxError> {
         Ok(self.get(key)?.is_some())
     }
+}
 
-    /// Fetches any leaf from `node`'s subtree (all of them share the
-    /// node's full prefix). `None` when a transient state blocks the walk.
-    pub(crate) fn sample_leaf(
-        &mut self,
-        node: &InnerNode,
-    ) -> Result<Option<LeafNode>, SphinxError> {
-        let mut current = node.clone();
-        for _ in 0..64 {
-            let slot = match current
-                .value_slot
-                .or_else(|| current.slots.iter().flatten().next().copied())
-            {
-                Some(s) => s,
-                None => return Ok(None),
-            };
-            if slot.is_leaf || current.value_slot == Some(slot) {
-                let leaf = self.read_leaf(slot.addr, self.config.leaf_read_hint)?;
-                return Ok(Some(leaf));
+/// How the walks of [`node_engine::walk`] read this client's tree.
+impl node_engine::ArtReader for SphinxClient {
+    type T = DmClient;
+
+    fn transport(&mut self) -> &mut DmClient {
+        &mut self.dm
+    }
+
+    fn leaf_hint(&self) -> usize {
+        self.config.leaf_read_hint
+    }
+
+    fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError> {
+        read_inner_consistent(&mut self.dm, ptr, kind)
+    }
+
+    /// Attributes the round trips to [`Phase::LeafRead`] (restoring the
+    /// caller's phase afterwards) and folds the engine's I/O counters into
+    /// [`OpStats`].
+    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
+        let prev = self.obs.current_phase();
+        self.obs_phase(Phase::LeafRead);
+        let mut io = LeafReadStats::default();
+        let hint = self.config.leaf_read_hint;
+        let res = read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
+        self.stats.checksum_retries += io.checksum_retries;
+        self.stats.extended_leaf_reads += io.extended_reads;
+        if let Some(p) = prev {
+            self.obs_phase(p);
+        }
+        res
+    }
+
+    /// A node observed mid type-switch during a scan: wait briefly and
+    /// follow the slot once more. Gives up quietly — the replacement node
+    /// is reachable through its parent on the next scan.
+    fn reread_inner(&mut self, slot: &Slot) -> Result<Option<InnerNode>, EngineError> {
+        for _ in 0..8 {
+            self.dm.advance_clock(400);
+            std::thread::yield_now();
+            let bytes = self
+                .dm
+                .read(slot.addr, InnerNode::byte_size(slot.child_kind))?;
+            if let Ok(node) = InnerNode::decode(&bytes) {
+                if node.header.status == NodeStatus::Idle && node.header.kind == slot.child_kind {
+                    return Ok(Some(node));
+                }
             }
-            let child = read_inner_consistent(&mut self.dm, slot.addr, slot.child_kind)?;
-            if child.header.status == NodeStatus::Invalid || child.header.kind != slot.child_kind {
-                return Ok(None);
-            }
-            current = child;
         }
         Ok(None)
     }

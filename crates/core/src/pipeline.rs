@@ -19,14 +19,16 @@
 //! the whole client and therefore stop the machine with a typed
 //! [`Stop`] that the driver serves before re-admitting it: a stale INHT
 //! directory ([`Stop::Refresh`]) and the leaf sample below a child whose
-//! compressed path diverges from the key ([`Stop::Sample`]; only lookups
-//! of absent keys reach it). docs/PROTOCOLS.md has the state table.
+//! compressed path diverges from the key ([`Stop::Sample`], served by
+//! [`node_engine::walk::any_leaf`]; only lookups of absent keys reach it).
+//! docs/PROTOCOLS.md has the state table.
 
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{HashEntry, InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
 use dm_sim::{DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb, VerbResult};
-use node_engine::{leaf_validation, EngineError, OpState, PipelineStats, StepOutcome};
+use node_engine::walk::any_leaf;
+use node_engine::{leaf_validation, EngineError, OpState, PipelineStats, Sampled, StepOutcome};
 use obs::{OpKind, OpTrace, Phase, Recorder};
 use race_hash::{FoundEntry, RaceTable};
 
@@ -129,13 +131,12 @@ enum St {
         slot_idx: usize,
         child: InnerNode,
     },
-    /// The driver's sample arrived (`None`: a transient state blocked the
-    /// walk).
+    /// The driver's sample arrived.
     Sampled {
         hop: Hop,
         slot_idx: usize,
         child: InnerNode,
-        sample: Option<LeafNode>,
+        sample: Sampled,
     },
 }
 
@@ -214,8 +215,8 @@ impl<'k> LocateOp<'k> {
         }
     }
 
-    /// Hands over the leaf sampled below [`LocateOp::diverged_child`].
-    fn sampled(&mut self, sample: Option<LeafNode>) {
+    /// Hands over what was sampled below [`LocateOp::diverged_child`].
+    fn sampled(&mut self, sample: Sampled) {
         self.state = match std::mem::replace(&mut self.state, St::Start) {
             St::Diverged {
                 hop,
@@ -630,21 +631,33 @@ impl OpState for Run<'_, '_> {
                 };
                 Ok(StepOutcome::Done(Stop::Sample))
             }
-            St::Sampled { sample: None, .. } => self.restart_invalid(t),
             St::Sampled {
                 hop,
                 slot_idx,
                 child,
-                sample: Some(sample),
+                sample,
             } => {
-                if self.false_positive(t, &sample.key, hop.entry_len) {
-                    return self.restart(t);
-                }
-                let outcome = Outcome::Divergent {
-                    slot_idx,
-                    slot: hop.slot,
-                    child,
-                    sample,
+                let slot = hop.slot;
+                let outcome = match sample {
+                    Sampled::Busy => return self.restart_invalid(t),
+                    // Like `Empty` and `NoValueSlot`: no key to check the
+                    // entry node against.
+                    Sampled::Empty => Outcome::EmptyChild {
+                        slot_idx,
+                        slot,
+                        child,
+                    },
+                    Sampled::Leaf(sample) => {
+                        if self.false_positive(t, &sample.key, hop.entry_len) {
+                            return self.restart(t);
+                        }
+                        Outcome::Divergent {
+                            slot_idx,
+                            slot,
+                            child,
+                            sample,
+                        }
+                    }
                 };
                 self.found(t, hop.node, hop.node_ptr, outcome)
             }
@@ -800,7 +813,7 @@ impl SphinxClient {
                 match stop {
                     Stop::Refresh(mn) => self.tables[mn].refresh_stale(&mut self.dm)?,
                     Stop::Sample => {
-                        let sample = self.sample_leaf(op.diverged_child())?;
+                        let sample = any_leaf(self, op.diverged_child())?;
                         op.sampled(sample);
                     }
                     end => {

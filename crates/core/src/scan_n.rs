@@ -7,21 +7,13 @@
 //! batches runs of adjacent leaves, so the cost tracks the result size,
 //! not the tree size.
 
-use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use art_core::layout::{InnerNode, NodeStatus, Slot};
 use dm_sim::Transport;
-use node_engine::LeafReadStats;
+use node_engine::walk::{resolve_prefixes, settle_leaf, viable_children, Tracked};
 use obs::{OpKind, Phase};
 
 use crate::client::SphinxClient;
 use crate::error::SphinxError;
-
-/// A pending subtree on the DFS stack (not yet fetched).
-struct PendingChild {
-    slot: Slot,
-    /// Known prefix bytes (exact when `exact`).
-    known: Vec<u8>,
-    exact: bool,
-}
 
 impl SphinxClient {
     /// Returns up to `limit` entries with key ≥ `low`, in ascending key
@@ -78,8 +70,8 @@ impl SphinxClient {
         self.obs_phase(Phase::Traversal);
         // Stack of unfetched subtrees in reverse key order (smallest on
         // top). Seed with the root's children.
-        let mut stack: Vec<PendingChild> = Vec::new();
-        self.push_children(&root, Vec::new(), true, low, &mut stack)?;
+        let mut stack: Vec<Tracked<Slot>> = Vec::new();
+        self.push_children(Tracked::root(root), low, &mut stack)?;
 
         while results.len() < limit {
             // Batch a maximal run of leaves from the top of the stack (they
@@ -87,43 +79,28 @@ impl SphinxClient {
             // a scan window).
             let mut leaf_run = 0;
             while leaf_run < stack.len()
-                && stack[stack.len() - 1 - leaf_run].slot.is_leaf
+                && stack[stack.len() - 1 - leaf_run].at.is_leaf
                 && leaf_run < limit - results.len() + 2
             {
                 leaf_run += 1;
             }
             if leaf_run > 0 {
                 let start = stack.len() - leaf_run;
-                let run: Vec<PendingChild> = stack.drain(start..).rev().collect();
-                let run_reads: Vec<_> = run
-                    .iter()
-                    .map(|p| (p.slot.addr, self.config.leaf_read_hint))
+                let run_reads: Vec<_> = stack
+                    .drain(start..)
+                    .rev()
+                    .map(|p| (p.at.addr, self.config.leaf_read_hint))
                     .collect();
                 self.obs_phase(Phase::LeafRead);
                 let reads = self.dm.read_many(&run_reads)?;
-                for (p, bytes) in run.into_iter().zip(reads) {
-                    let leaf = match LeafNode::decode(&bytes) {
-                        Ok(l) => l,
-                        Err(_) => {
-                            let mut io = LeafReadStats::default();
-                            let r = node_engine::read_validated_leaf(
-                                &mut self.dm,
-                                p.slot.addr,
-                                self.config.leaf_read_hint,
-                                &self.retry,
-                                &mut io,
-                            );
-                            self.stats.checksum_retries += io.checksum_retries;
-                            self.stats.extended_leaf_reads += io.extended_reads;
-                            match r {
-                                Ok(l) => l,
-                                Err(node_engine::EngineError::RetriesExhausted { .. }) => continue,
-                                Err(e) => return Err(e.into()),
-                            }
+                for (&(addr, _), bytes) in run_reads.iter().zip(reads) {
+                    match settle_leaf(self, addr, &bytes)? {
+                        Some(leaf)
+                            if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low =>
+                        {
+                            results.push((leaf.key, leaf.value));
                         }
-                    };
-                    if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low {
-                        results.push((leaf.key, leaf.value));
+                        _ => {}
                     }
                 }
                 self.obs_phase(Phase::Traversal);
@@ -134,14 +111,19 @@ impl SphinxClient {
             let Some(p) = stack.pop() else { break };
             let bytes = self
                 .dm
-                .read(p.slot.addr, InnerNode::byte_size(p.slot.child_kind))?;
+                .read(p.at.addr, InnerNode::byte_size(p.at.child_kind))?;
             let Ok(node) = InnerNode::decode(&bytes) else {
                 continue;
             };
-            if node.header.status == NodeStatus::Invalid || node.header.kind != p.slot.child_kind {
+            if node.header.status == NodeStatus::Invalid || node.header.kind != p.at.child_kind {
                 continue; // mid type-switch; reachable via a later scan
             }
-            self.push_children(&node, p.known, p.exact, low, &mut stack)?;
+            let node = Tracked {
+                at: node,
+                known: p.known,
+                exact: p.exact,
+            };
+            self.push_children(node, low, &mut stack)?;
         }
         // Leaf batches may overshoot slightly; trim and the order is
         // already ascending by construction.
@@ -149,74 +131,20 @@ impl SphinxClient {
         Ok(results)
     }
 
-    /// Queues `node`'s viable children (value slot first, children by
-    /// dispatch byte) in reverse key order, resolving the node's full
-    /// prefix from a direct leaf child when path compression hid it.
+    /// Resolves `node`'s full prefix where path compression hid it
+    /// (without that, pruning dies and the scan degrades to a subtree
+    /// sweep), then queues its viable children — value slot first,
+    /// children by dispatch byte — in reverse key order.
     fn push_children(
         &mut self,
-        node: &InnerNode,
-        mut known: Vec<u8>,
-        mut exact: bool,
+        mut node: Tracked<InnerNode>,
         low: &[u8],
-        stack: &mut Vec<PendingChild>,
+        stack: &mut Vec<Tracked<Slot>>,
     ) -> Result<(), SphinxError> {
-        let plen = node.header.prefix_len as usize;
-        if !(exact && plen == known.len()) {
-            // Resolve the full prefix: cheaply from a direct leaf child,
-            // else by walking the leftmost chain to any leaf (costs the
-            // remaining depth once; without it pruning dies and the scan
-            // degrades to a subtree sweep).
-            let direct = node
-                .value_slot
-                .or_else(|| node.slots.iter().flatten().find(|s| s.is_leaf).copied());
-            let sampled = match direct {
-                Some(slot) => {
-                    let bytes = self.dm.read(slot.addr, self.config.leaf_read_hint)?;
-                    LeafNode::decode(&bytes).ok()
-                }
-                None => self.sample_leaf(node)?,
-            };
-            if let Some(leaf) = sampled {
-                if leaf.key.len() >= plen {
-                    known = leaf.key[..plen].to_vec();
-                    exact = true;
-                }
-            }
-        }
-        let exact_here = exact && plen == known.len();
-
-        let mut ordered: Vec<PendingChild> = Vec::new();
-        if let Some(slot) = node.value_slot {
-            ordered.push(PendingChild {
-                slot,
-                known: known.clone(),
-                exact: exact_here,
-            });
-        }
-        for slot in node.children_sorted() {
-            let (child_known, child_exact) = if exact_here {
-                let mut k = known.clone();
-                k.push(slot.key_byte);
-                (k, true)
-            } else {
-                (known.clone(), false)
-            };
-            // A subtree provably entirely below `low` cannot contribute.
-            if child_exact
-                && child_known.as_slice() < low
-                && !low.starts_with(child_known.as_slice())
-            {
-                continue;
-            }
-            ordered.push(PendingChild {
-                slot,
-                known: child_known,
-                exact: child_exact,
-            });
-        }
-        while let Some(p) = ordered.pop() {
-            stack.push(p);
-        }
+        resolve_prefixes(self, std::slice::from_mut(&mut node))?;
+        let start = stack.len();
+        viable_children(node, low, None, stack);
+        stack[start..].reverse();
         Ok(())
     }
 }

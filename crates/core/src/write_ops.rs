@@ -8,7 +8,7 @@ use art_core::NodeKind;
 use dm_sim::{DmClient, RemotePtr, Transport};
 use node_engine::{
     cas_locked_write, install_word, read_inner_consistent, read_validated_leaf, retire_inner,
-    retire_leaf, write_new_leaf, Install, LeafReadStats,
+    retire_leaf, unlink_empty_inner, write_new_leaf, Install, LeafReadStats, Unlink,
 };
 use obs::{OpKind, Phase};
 use race_hash::RaceError;
@@ -101,6 +101,16 @@ impl SphinxClient {
                     ref child,
                     ref sample,
                 } => self.split_path(d.node_ptr, slot_idx, slot, child, sample, key, value)?,
+                // Garbage a delete failed to unlink sits where this key's
+                // path forks: unlink it, then retry into the freed slot.
+                Outcome::EmptyChild {
+                    slot_idx,
+                    ref slot,
+                    ref child,
+                } => {
+                    self.prune_empty_inner(d.node_ptr, &d.node, slot_idx, slot, child)?;
+                    false
+                }
             };
             if done {
                 return Ok(());
@@ -181,14 +191,19 @@ impl SphinxClient {
                         // cleanup).
                         return Ok(false);
                     }
-                    // 1. Invalidate the leaf (fails under a concurrent
-                    //    update; retry with fresh state).
+                    // 1. Invalidate the leaf. A delete never CASes a status
+                    //    it did not observe as `Idle`: a `Locked` leaf is an
+                    //    in-place update between its two round trips, and
+                    //    tombstoning it would steal that lock (the update's
+                    //    publishing write would then resurrect the leaf).
+                    //    Wait it out; a lost CAS means the leaf changed.
                     self.obs_phase(Phase::LeafWrite);
-                    let (cur, inv) = leaf.status_cas_words(leaf.status, NodeStatus::Invalid);
-                    if self.dm.cas(slot.addr, cur, inv)? != cur {
+                    let (idle, inv) = leaf.status_cas_words(NodeStatus::Idle, NodeStatus::Invalid);
+                    if leaf.status == NodeStatus::Locked
+                        || self.dm.cas(slot.addr, idle, inv)? != idle
+                    {
                         self.obs_retry();
-                        self.dm.advance_clock(200);
-                        std::thread::yield_now();
+                        self.dm.backoff(&self.retry);
                         continue;
                     }
                     // 2. Unlink from the parent. A racing type switch can
@@ -205,6 +220,13 @@ impl SphinxClient {
                         //    its grace period elapses.
                         let SphinxClient { dm, reclaim, .. } = self;
                         retire_leaf(dm, reclaim, slot.addr, leaf);
+                        // 4. That was the node's last occupant: unlink the
+                        //    node too, or lookups that leave its compressed
+                        //    path would sample a leaf that does not exist.
+                        let n = &d.node;
+                        if n.value_slot.is_some() as usize + n.child_count() == 1 {
+                            self.prune_emptied(key, n, d.node_ptr)?;
+                        }
                     } else {
                         self.unlink_invalid_leaf(key)?;
                     }
@@ -249,6 +271,90 @@ impl SphinxClient {
             }
         }
         Err(SphinxError::RetriesExhausted { op: "unlink" })
+    }
+
+    /// Unlinks the inner node with full prefix `key[..plen]` after `remove`
+    /// emptied it, then its ancestors for as long as each unlink leaves the
+    /// next one empty. The root stays.
+    fn prune_emptied(
+        &mut self,
+        key: &[u8],
+        node: &InnerNode,
+        node_ptr: RemotePtr,
+    ) -> Result<(), SphinxError> {
+        let (mut node, mut node_ptr) = (node.clone(), node_ptr);
+        loop {
+            let plen = node.header.prefix_len as usize;
+            if plen == 0 {
+                return Ok(());
+            }
+            let Some((parent_ptr, mut parent, idx, slot)) =
+                self.find_parent_slot(key, plen, node_ptr)?
+            else {
+                return Ok(());
+            };
+            if !self.prune_empty_inner(parent_ptr, &parent, idx, &slot, &node)? {
+                return Ok(());
+            }
+            parent.slots[idx] = None;
+            if parent.value_slot.is_some() || parent.child_count() > 0 {
+                return Ok(());
+            }
+            (node, node_ptr) = (parent, parent_ptr);
+        }
+    }
+
+    /// [`unlink_empty_inner`] plus what Sphinx owes the unlinked node: its
+    /// hash-table entry dropped, then retirement. The entry is found from
+    /// the node alone (an insert healing a leftover does not know the
+    /// prefix bytes): the INHT addresses with hash bits below 42, so
+    /// `prefix_hash42` finds the bucket pair on whichever MN holds it, and
+    /// the address picks the entry. Emptied nodes below `child` go first
+    /// (an abandoned unlink can leave a chain of them). Returns whether the
+    /// node is gone.
+    fn prune_empty_inner(
+        &mut self,
+        parent_ptr: RemotePtr,
+        parent: &InnerNode,
+        idx: usize,
+        slot: &Slot,
+        child: &InnerNode,
+    ) -> Result<bool, SphinxError> {
+        self.obs_phase(Phase::Maintenance);
+        for (i, below) in child.slots.iter().enumerate() {
+            if let Some(below) = below.filter(|s| !s.is_leaf) {
+                let node = read_inner_consistent(&mut self.dm, below.addr, below.child_kind)?;
+                self.prune_empty_inner(slot.addr, child, i, &below, &node)?;
+            }
+        }
+        let dead = match unlink_empty_inner(&mut self.dm, parent_ptr, parent, idx, slot, child)? {
+            Unlink::Done(dead) => dead,
+            Unlink::Kept => return Ok(false),
+            Unlink::Abandoned => {
+                self.obs.incr("prune.abandoned");
+                return Ok(false);
+            }
+        };
+        let h42 = dead.header.prefix_hash42;
+        let SphinxClient {
+            tables,
+            dm,
+            reclaim,
+            ..
+        } = self;
+        for table in tables.iter_mut() {
+            let named = table
+                .search(dm, h42)?
+                .into_iter()
+                .find(|e| HashEntry::decode(e.word).is_some_and(|he| he.addr == slot.addr));
+            if let Some(entry) = named {
+                table.remove(dm, h42, entry.word)?;
+                break;
+            }
+        }
+        retire_inner(dm, reclaim, slot.addr, &dead)?;
+        self.obs.incr("prune.nodes");
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -591,6 +697,7 @@ impl SphinxClient {
                         leaf: leaf_ptr,
                         leaf_bytes: LeafNode::encoded_size(key.len(), value.len()) as u64,
                         old: slot.addr,
+                        plen: cpl,
                     },
                 });
                 Ok(false)
@@ -671,6 +778,7 @@ impl SphinxClient {
                         leaf: leaf_ptr,
                         leaf_bytes: LeafNode::encoded_size(key.len(), value.len()) as u64,
                         old: slot.addr,
+                        plen: cpl,
                     },
                 });
                 Ok(false)
@@ -844,7 +952,7 @@ impl SphinxClient {
         let mut ambiguous_seen = false;
         for _ in 0..64 {
             match self.find_parent_slot(key, plen, old_ptr)? {
-                Some((parent_ptr, idx, slot)) => {
+                Some((parent_ptr, _, idx, slot)) => {
                     let new_slot = Slot::inner(slot.key_byte, new_kind, new_ptr);
                     match install_word(
                         &mut self.dm,
@@ -952,13 +1060,13 @@ impl SphinxClient {
     }
 
     /// Walks from an ancestor entry node to the node whose child slot
-    /// holds `child_ptr`.
+    /// holds `child_ptr`: its address and image, the slot's index, the slot.
     fn find_parent_slot(
         &mut self,
         key: &[u8],
         child_plen: usize,
         child_ptr: RemotePtr,
-    ) -> Result<Option<(RemotePtr, usize, Slot)>, SphinxError> {
+    ) -> Result<Option<(RemotePtr, InnerNode, usize, Slot)>, SphinxError> {
         'outer: for _ in 0..64 {
             let (mut ptr, mut node, _len) = self.locate_entry(key, child_plen - 1)?;
             loop {
@@ -975,7 +1083,7 @@ impl SphinxClient {
                     return Ok(None);
                 };
                 if slot.addr == child_ptr {
-                    return Ok(Some((ptr, idx, slot)));
+                    return Ok(Some((ptr, node, idx, slot)));
                 }
                 if slot.is_leaf {
                     return Ok(None);
@@ -1207,7 +1315,11 @@ impl SphinxClient {
                         ProbeVerdict::Adopted
                     }
                     Outcome::Leaf { slot, .. } if slot.addr == old => ProbeVerdict::NotAdopted,
-                    Outcome::Divergent { slot, .. } if slot.addr == old => ProbeVerdict::NotAdopted,
+                    Outcome::Divergent { slot, .. } | Outcome::EmptyChild { slot, .. }
+                        if slot.addr == old =>
+                    {
+                        ProbeVerdict::NotAdopted
+                    }
                     _ => ProbeVerdict::ThirdParty,
                 }
             }
@@ -1301,8 +1413,12 @@ impl SphinxClient {
                 true
             }
             // Adoption re-hung the old occupant inside the new node:
-            // everything is live, nothing to reclaim.
-            ProbeKind::NewInner { .. } => true,
+            // everything is live, nothing to reclaim — but the node is in
+            // the tree without the hash entry its install site publishes
+            // only on `Install::Done`.
+            ProbeKind::NewInner { node, plen, .. } => self
+                .publish_new_inner(&probe.key[..plen], NodeKind::Node4, node)
+                .is_ok(),
             ProbeKind::TypeSwitch {
                 original,
                 orig_kind,

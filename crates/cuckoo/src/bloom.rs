@@ -6,8 +6,8 @@
 //! deletion nor targeted eviction**. A cache must shed entries under
 //! pressure; a Bloom filter can only be cleared wholesale, producing a
 //! periodic hit-rate cliff, and it cannot forget prefixes whose nodes are
-//! merged away. See `FilterStats`-based comparisons in the crate tests
-//! and the `filter` Criterion bench.
+//! merged away. See the `FilterStats`-based comparisons in the crate
+//! tests.
 
 use crate::{fnv1a64, mix64};
 

@@ -11,7 +11,8 @@
 //!             node-engine                        (validated reads,
 //!                  │                              guarded installs,
 //!                  │                              shared RetryPolicy,
-//!                  │                              op pipeline driver)
+//!                  │                              op pipeline driver,
+//!                  │                              read-side ART walker)
 //!              Transport                          (submit/poll/wait
 //!                  │                              completion queue;
 //!                  │                              execute = submit+wait)
@@ -24,7 +25,10 @@
 //! The [`pipeline`] module adds the other half of the seam: operations
 //! restructured as resumable state machines ([`OpState`]) driven by
 //! [`run_pipelined`], which keeps N ops in flight per worker over the
-//! transport's completion queue.
+//! transport's completion queue. The [`walk`] module is the read side of
+//! a remote ART — leaf sampling, prefix resolution, the level-batched range
+//! scan and the structural audit — written once against the [`ArtReader`]
+//! trait `sphinx` and `baselines` implement.
 //!
 //! Before this crate existed, `sphinx`, `baselines`, `bptree` and
 //! `race-hash` each carried a private copy of this scaffolding (torn-read
@@ -39,15 +43,17 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use art_core::hash::prefix_hash64;
-use art_core::layout::{InnerNode, LayoutError, LeafNode, NodeStatus};
+use art_core::layout::{InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{DmError, RemotePtr, Transport};
+use dm_sim::{DmError, RemotePtr, Transport, Verb};
 
 pub use dm_sim::RetryPolicy;
 
 pub mod pipeline;
+pub mod walk;
 
 pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH};
+pub use walk::{ArtReader, Sampled};
 
 /// Process-wide switch for leaf checksum validation (default on).
 ///
@@ -319,6 +325,93 @@ pub fn retire_inner<T: Transport>(
     Ok(())
 }
 
+/// Outcome of [`unlink_empty_inner`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Unlink {
+    /// The node is unlinked and still `Locked`: its locked image, for the
+    /// caller to drop whatever else names the node (Sphinx: its hash-table
+    /// entry) and hand it to [`retire_inner`].
+    Done(InnerNode),
+    /// Not this caller's to unlink — someone holds the node's lock, or it
+    /// has an occupant again. Nothing changed.
+    Kept,
+    /// The node was empty and locked, but the parent's lock or slot was
+    /// contended: unlocked again and left linked, for the insert that next
+    /// diverges at it to heal.
+    Abandoned,
+}
+
+/// Unlinks the emptied inner node `child` from child slot `idx` of
+/// `parent` — the step deletes owe the tree once a node's last occupant is
+/// gone — with the type-switch discipline: lock the node (`Idle→Locked`
+/// CAS batched with the authoritative re-read) and confirm the fresh image
+/// has no value slot and no child; lock the parent the same way, so no
+/// type-switch copy of it is in flight and the slot CAS cannot be
+/// ambiguous; CAS the slot to 0 and release the parent in one doorbell.
+/// Every lock is a try-lock: a loser backs out and reports it.
+///
+/// # Errors
+///
+/// [`EngineError::Dm`] on substrate failure, [`EngineError::Layout`] if a
+/// locked node does not decode.
+pub fn unlink_empty_inner<T: Transport>(
+    t: &mut T,
+    parent_ptr: RemotePtr,
+    parent: &InnerNode,
+    idx: usize,
+    slot: &Slot,
+    child: &InnerNode,
+) -> Result<Unlink, EngineError> {
+    fn try_lock<T: Transport>(
+        t: &mut T,
+        ptr: RemotePtr,
+        node: &InnerNode,
+    ) -> Result<Option<InnerNode>, EngineError> {
+        let idle = node.header.control_with_status(NodeStatus::Idle);
+        let locked = node.header.control_with_status(NodeStatus::Locked);
+        let len = InnerNode::byte_size(node.header.kind);
+        let (prev, bytes) = t.cas_and_read(ptr, idle, locked, ptr, len)?;
+        Ok(if prev == idle {
+            Some(InnerNode::decode(&bytes)?)
+        } else {
+            None
+        })
+    }
+    let word_ptr = parent_ptr.checked_add(InnerNode::slot_offset(idx))?;
+    let Some(dead) = try_lock(t, slot.addr, child)? else {
+        return Ok(Unlink::Kept);
+    };
+    let unlock_child = dead.header.control_with_status(NodeStatus::Idle);
+    if dead.value_slot.is_some() || dead.child_count() > 0 {
+        t.write_u64(slot.addr, unlock_child)?;
+        return Ok(Unlink::Kept);
+    }
+    let unlinked = match try_lock(t, parent_ptr, parent)? {
+        None => false,
+        Some(held) => {
+            let unlock = held.header.control_with_status(NodeStatus::Idle);
+            let batch = [
+                Verb::Cas {
+                    ptr: word_ptr,
+                    expected: slot.encode(),
+                    new: 0,
+                },
+                Verb::Write {
+                    ptr: parent_ptr,
+                    data: unlock.to_le_bytes().to_vec(),
+                },
+            ];
+            let mut results = t.execute(batch.into_iter().collect())?;
+            results.swap_remove(0).into_cas() == slot.encode()
+        }
+    };
+    if !unlinked {
+        t.write_u64(slot.addr, unlock_child)?;
+        return Ok(Unlink::Abandoned);
+    }
+    Ok(Unlink::Done(dead))
+}
+
 /// CASes one word of an inner node and — in the same doorbell batch —
 /// re-reads the node's control word to detect a concurrent type switch
 /// (the guarded install of §IV; one round trip).
@@ -458,6 +551,65 @@ mod tests {
             install_word(&mut cl, ptr, SLOTS_OFFSET, 0x1234, 0x9abc).unwrap(),
             Install::Ambiguous
         );
+    }
+
+    #[test]
+    fn unlink_empty_inner_backs_out_of_every_contended_step() {
+        use art_core::layout::Slot;
+        let (_c, mut cl) = client();
+        let status = |cl: &mut DmClient, ptr| cl.read_u64(ptr).unwrap() & 0xFF;
+        let mut child = InnerNode::new(NodeKind::Node4, b"ab");
+        let child_ptr = write_new_inner(&mut cl, &child, b"ab").unwrap();
+        let slot = Slot::inner(b'b', NodeKind::Node4, child_ptr);
+        let mut parent = InnerNode::new(NodeKind::Node4, b"a");
+        parent.set_child(slot);
+        let parent_ptr = write_new_inner(&mut cl, &parent, b"a").unwrap();
+        let word_ptr = parent_ptr.checked_add(InnerNode::slot_offset(0)).unwrap();
+        let unlink = |cl: &mut DmClient, slot: &Slot, child: &InnerNode| {
+            unlink_empty_inner(cl, parent_ptr, &parent, 0, slot, child).unwrap()
+        };
+
+        // An occupant appeared since the caller looked: kept, unlocked.
+        let leaf = Slot::leaf(b'c', write_new_leaf(&mut cl, b"abc", b"v").unwrap());
+        let occupant = child_ptr.checked_add(InnerNode::slot_offset(0)).unwrap();
+        cl.write_u64(occupant, leaf.encode()).unwrap();
+        assert_eq!(unlink(&mut cl, &slot, &child), Unlink::Kept);
+        assert_eq!(status(&mut cl, child_ptr), NodeStatus::Idle as u64);
+        cl.write_u64(occupant, 0).unwrap();
+
+        // Someone holds the node's lock: kept, lock untouched.
+        let locked = child.header.control_with_status(NodeStatus::Locked);
+        cl.write_u64(child_ptr, locked).unwrap();
+        assert_eq!(unlink(&mut cl, &slot, &child), Unlink::Kept);
+        assert_eq!(status(&mut cl, child_ptr), NodeStatus::Locked as u64);
+        cl.write_u64(child_ptr, child.header.encode_control())
+            .unwrap();
+
+        // The parent is mid type-switch: abandoned, still linked, unlocked.
+        let parent_locked = parent.header.control_with_status(NodeStatus::Locked);
+        cl.write_u64(parent_ptr, parent_locked).unwrap();
+        assert_eq!(unlink(&mut cl, &slot, &child), Unlink::Abandoned);
+        assert_eq!(status(&mut cl, child_ptr), NodeStatus::Idle as u64);
+        assert_eq!(cl.read_u64(word_ptr).unwrap(), slot.encode());
+        cl.write_u64(parent_ptr, parent.header.encode_control())
+            .unwrap();
+
+        // The slot no longer holds the word the caller saw: abandoned, and
+        // the parent's lock is released all the same.
+        let stale = Slot::inner(b'x', NodeKind::Node4, child_ptr);
+        assert_eq!(unlink(&mut cl, &stale, &child), Unlink::Abandoned);
+        assert_eq!(status(&mut cl, parent_ptr), NodeStatus::Idle as u64);
+        assert_eq!(status(&mut cl, child_ptr), NodeStatus::Idle as u64);
+
+        // Uncontended: three round trips, slot cleared, parent released, the
+        // node handed back locked for its retirement.
+        let before = cl.stats().round_trips;
+        child.header.status = NodeStatus::Locked;
+        assert_eq!(unlink(&mut cl, &slot, &child), Unlink::Done(child));
+        assert_eq!(cl.stats().round_trips - before, 3);
+        assert_eq!(cl.read_u64(word_ptr).unwrap(), 0);
+        assert_eq!(status(&mut cl, parent_ptr), NodeStatus::Idle as u64);
+        assert_eq!(status(&mut cl, child_ptr), NodeStatus::Locked as u64);
     }
 
     #[test]

@@ -1,0 +1,747 @@
+//! # walk — the read side of a remote ART, once
+//!
+//! Inner nodes store a 42-bit hash of their full prefix, not its bytes, so
+//! every walker that is not following one search key has to recover
+//! prefixes from the leaves. The four algorithms that do so live here and
+//! nowhere else, written against the small [`ArtReader`] trait an index
+//! implements to say how *it* reads a node:
+//!
+//! 1. [`any_leaf`] — "some leaf below this node" (they all carry the
+//!    node's full prefix), a bounded depth-first sampler that steps past
+//!    emptied children and answers [`Sampled::Leaf`], [`Sampled::Empty`] or
+//!    [`Sampled::Busy`];
+//! 2. prefix resolution and the pruning rule of range walks
+//!    ([`resolve_prefixes`], [`viable_children`], [`range_may_intersect`]);
+//! 3. [`scan`] — the level-batched range scan of §IV;
+//! 4. [`audit`] — the structural audit behind every `verify()`, with a
+//!    per-node hook for what only the host can check.
+//!
+//! Nothing here issues a write verb.
+
+use art_core::hash::prefix_hash42;
+use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use art_core::NodeKind;
+use dm_sim::{RemotePtr, Transport};
+
+use crate::EngineError;
+
+/// How the index hosting a walk reads its nodes — the only things that
+/// differ between Sphinx, SMART and ART on the read side.
+pub trait ArtReader {
+    /// The transport the host reads through.
+    type T: Transport;
+
+    /// The host's transport, for reads no policy applies to.
+    fn transport(&mut self) -> &mut Self::T;
+
+    /// Bytes fetched for a leaf on first contact.
+    fn leaf_hint(&self) -> usize;
+
+    /// Reads the inner node a slot of kind `kind` points at (one round
+    /// trip; a host with a node cache fills it here).
+    ///
+    /// # Errors
+    ///
+    /// Substrate and decode errors.
+    fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError>;
+
+    /// Reads a leaf through [`crate::read_validated_leaf`], attributed to
+    /// the host's leaf-read phase.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::read_validated_leaf`].
+    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError>;
+
+    /// Issues one scan level's reads; results in input order. The default
+    /// is one doorbell batch for the whole level.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors.
+    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<Vec<u8>>, EngineError> {
+        Ok(self.transport().read_many(reads)?)
+    }
+
+    /// A scan met the node behind `slot` mid type-switch: optionally wait
+    /// and read it again. The default skips the subtree (it is reachable
+    /// on the next scan).
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors.
+    fn reread_inner(&mut self, _slot: &Slot) -> Result<Option<InnerNode>, EngineError> {
+        Ok(None)
+    }
+
+    /// [`audit`]'s per-node hook: checks of the node at `ptr`, whose full
+    /// prefix resolved to `prefix`, that need more than the tree (Sphinx:
+    /// its hash-table entry). Violations go to `problems`.
+    ///
+    /// # Errors
+    ///
+    /// Substrate errors.
+    fn audit_node(
+        &mut self,
+        _ptr: RemotePtr,
+        _node: &InnerNode,
+        _prefix: &[u8],
+        _problems: &mut Vec<String>,
+    ) -> Result<(), EngineError> {
+        Ok(())
+    }
+}
+
+/// Whether `node`, read through a slot naming `kind`, is the node the slot
+/// meant (not retired, not replaced by a type switch).
+fn usable(node: &InnerNode, kind: NodeKind) -> bool {
+    node.header.status != NodeStatus::Invalid && node.header.kind == kind
+}
+
+/// What [`any_leaf`] found below a node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Sampled {
+    /// A leaf of the subtree (possibly a tombstone still linked: its key
+    /// carries the prefix all the same).
+    Leaf(LeafNode),
+    /// Every node of the subtree was read, none was retired, and none
+    /// holds a leaf: the subtree is garbage deletes left behind.
+    Empty,
+    /// A retired or type-switched node blocked the walk: transient, retry.
+    Busy,
+}
+
+/// Inner nodes [`any_leaf`] reads before it gives up with a typed error.
+pub const SAMPLE_VISIT_BUDGET: usize = 256;
+
+/// Fetches any leaf from `node`'s subtree, depth-first in slot order
+/// (value slot, then child slots by index), stepping past children that
+/// hold no leaf.
+///
+/// # Errors
+///
+/// [`EngineError::RetriesExhausted`] past [`SAMPLE_VISIT_BUDGET`] inner
+/// nodes; otherwise what the host's reads return.
+pub fn any_leaf<H: ArtReader>(host: &mut H, node: &InnerNode) -> Result<Sampled, EngineError> {
+    // Pushed in reverse so the pops come in slot order, value slot first.
+    fn push_candidates(stack: &mut Vec<Slot>, n: &InnerNode) {
+        stack.extend(n.slots.iter().rev().flatten().copied());
+        stack.extend(n.value_slot.map(|s| Slot { is_leaf: true, ..s }));
+    }
+    let mut stack = Vec::new();
+    push_candidates(&mut stack, node);
+    let mut visits = 0;
+    while let Some(slot) = stack.pop() {
+        if slot.is_leaf {
+            return Ok(Sampled::Leaf(host.read_leaf(slot.addr)?));
+        }
+        visits += 1;
+        if visits > SAMPLE_VISIT_BUDGET {
+            return Err(EngineError::RetriesExhausted { op: "leaf sample" });
+        }
+        let child = host.read_inner(slot.addr, slot.child_kind)?;
+        if !usable(&child, slot.child_kind) {
+            return Ok(Sampled::Busy);
+        }
+        push_candidates(&mut stack, &child);
+    }
+    Ok(Sampled::Empty)
+}
+
+/// Something a range walk has queued — a fetched inner node or the slot
+/// of a subtree not fetched yet — with the prefix bytes known so far.
+/// `exact` records whether `known` is a real key prefix: path compression
+/// hides bytes, and once a gap appears the concatenation of dispatch bytes
+/// is not one, so pruning must stop until the prefix is resolved again
+/// (leaf-level filtering keeps the walk correct meanwhile).
+#[derive(Debug, Clone)]
+pub struct Tracked<N> {
+    /// The node, or the slot pointing at it.
+    pub at: N,
+    /// Prefix bytes known so far.
+    pub known: Vec<u8>,
+    /// Whether `known` is gap-free.
+    pub exact: bool,
+}
+
+impl Tracked<InnerNode> {
+    /// The root of a walk: prefix ε, known exactly.
+    pub fn root(node: InnerNode) -> Self {
+        Tracked {
+            at: node,
+            known: Vec::new(),
+            exact: true,
+        }
+    }
+
+    /// Whether `known` is the node's complete full prefix.
+    fn exact_here(&self) -> bool {
+        self.exact && self.at.header.prefix_len as usize == self.known.len()
+    }
+
+    /// Learns the node's full prefix from the key of a leaf below it.
+    fn adopt(&mut self, key: &[u8]) {
+        let plen = self.at.header.prefix_len as usize;
+        if key.len() >= plen {
+            self.known = key[..plen].to_vec();
+            self.exact = true;
+        }
+    }
+}
+
+/// Prefix resolution: a node whose known prefix is shorter than its actual
+/// one cannot be pruned — but any leaf below it reveals the full prefix.
+/// Nodes with a direct leaf child share one batched read (a torn or
+/// oversized leaf just leaves its node unresolved); the others are sampled
+/// with [`any_leaf`]. Keeps range walks proportional to the result size
+/// instead of the subtree size.
+///
+/// # Errors
+///
+/// What the host's reads return.
+pub fn resolve_prefixes<H: ArtReader>(
+    host: &mut H,
+    nodes: &mut [Tracked<InnerNode>],
+) -> Result<(), EngineError> {
+    let hint = host.leaf_hint();
+    let (mut direct, mut reads, mut chains) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, n) in nodes.iter().enumerate() {
+        if n.exact_here() {
+            continue;
+        }
+        let leaf_slot =
+            n.at.value_slot
+                .or_else(|| n.at.slots.iter().flatten().find(|s| s.is_leaf).copied());
+        match leaf_slot {
+            Some(slot) => {
+                reads.push((slot.addr, hint));
+                direct.push(i);
+            }
+            None => chains.push(i),
+        }
+    }
+    if !reads.is_empty() {
+        let fetched = host.transport().read_many(&reads)?;
+        for (i, bytes) in direct.into_iter().zip(fetched) {
+            if let Ok(leaf) = LeafNode::decode(&bytes) {
+                nodes[i].adopt(&leaf.key);
+            }
+        }
+    }
+    for i in chains {
+        if let Sampled::Leaf(leaf) = any_leaf(host, &nodes[i].at)? {
+            nodes[i].adopt(&leaf.key);
+        }
+    }
+    Ok(())
+}
+
+/// Whether a subtree whose keys all start with `known` can hold keys in
+/// `[low, high]` (`None`: unbounded above).
+pub fn range_may_intersect(known: &[u8], low: &[u8], high: Option<&[u8]>) -> bool {
+    // Every key below is >= known, so known > high puts them all above.
+    if high.is_some_and(|high| known > high) {
+        return false;
+    }
+    // Below low, a prefix reaches it only if low starts with it: any other
+    // extension of known still compares below low.
+    known >= low || low.starts_with(known)
+}
+
+/// Appends to `out` the slots of `n` a walk over `[low, high]` still has
+/// to follow, in key order (value slot, then children by dispatch byte),
+/// each with its own tracked prefix. Prunes only where the prefix is
+/// exact.
+pub fn viable_children(
+    n: Tracked<InnerNode>,
+    low: &[u8],
+    high: Option<&[u8]>,
+    out: &mut Vec<Tracked<Slot>>,
+) {
+    let exact = n.exact_here();
+    if exact && !range_may_intersect(&n.known, low, high) {
+        return;
+    }
+    if let Some(slot) = n.at.value_slot {
+        out.push(Tracked {
+            at: slot,
+            known: n.known.clone(),
+            exact,
+        });
+    }
+    for slot in n.at.children_sorted() {
+        let mut known = n.known.clone();
+        if exact {
+            known.push(slot.key_byte);
+            if !range_may_intersect(&known, low, high) {
+                continue;
+            }
+        }
+        out.push(Tracked {
+            at: slot,
+            known,
+            exact,
+        });
+    }
+}
+
+/// Decodes a leaf fetched at the size hint inside a batch; torn or larger
+/// than the hint, it is read again through the host's retrying reader.
+/// `None`: it never settled — skip it.
+///
+/// # Errors
+///
+/// What the host's leaf read returns, retry exhaustion excepted.
+pub fn settle_leaf<H: ArtReader>(
+    host: &mut H,
+    addr: RemotePtr,
+    bytes: &[u8],
+) -> Result<Option<LeafNode>, EngineError> {
+    if let Ok(leaf) = LeafNode::decode(bytes) {
+        return Ok(Some(leaf));
+    }
+    match host.read_leaf(addr) {
+        Ok(leaf) => Ok(Some(leaf)),
+        Err(EngineError::RetriesExhausted { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Every `(key, value)` with `low <= key <= high` below `root`, ascending
+/// (§IV "Scan"): root-down, each level resolved, pruned and then fetched
+/// through [`ArtReader::read_level`]. A best-effort snapshot under
+/// concurrent structural changes, like the paper's protocol.
+///
+/// # Errors
+///
+/// What the host's reads return.
+#[allow(clippy::type_complexity)]
+pub fn scan<H: ArtReader>(
+    host: &mut H,
+    root: InnerNode,
+    low: &[u8],
+    high: &[u8],
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>, EngineError> {
+    let hint = host.leaf_hint();
+    let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut inners = vec![Tracked::root(root)];
+    while !inners.is_empty() {
+        resolve_prefixes(host, &mut inners)?;
+        let mut pending = Vec::new();
+        for n in inners.drain(..) {
+            viable_children(n, low, Some(high), &mut pending);
+        }
+        if pending.is_empty() {
+            break;
+        }
+        let reads: Vec<_> = pending
+            .iter()
+            .map(|p| {
+                let len = if p.at.is_leaf {
+                    hint
+                } else {
+                    InnerNode::byte_size(p.at.child_kind)
+                };
+                (p.at.addr, len)
+            })
+            .collect();
+        let fetched = host.read_level(&reads)?;
+        for (p, bytes) in pending.into_iter().zip(fetched) {
+            if p.at.is_leaf {
+                match settle_leaf(host, p.at.addr, &bytes)? {
+                    Some(leaf)
+                        if leaf.status != NodeStatus::Invalid
+                            && leaf.key.as_slice() >= low
+                            && leaf.key.as_slice() <= high =>
+                    {
+                        results.push((leaf.key, leaf.value));
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+            let node = match InnerNode::decode(&bytes) {
+                Ok(node) if usable(&node, p.at.child_kind) => Some(node),
+                _ => host.reread_inner(&p.at)?,
+            };
+            if let Some(node) = node {
+                inners.push(Tracked {
+                    at: node,
+                    known: p.known,
+                    exact: p.exact,
+                });
+            }
+        }
+    }
+    results.sort_by(|a, b| a.0.cmp(&b.0));
+    results.dedup_by(|a, b| a.0 == b.0);
+    Ok(results)
+}
+
+/// Outcome of [`audit`].
+#[derive(Debug, Clone, Default)]
+pub struct AuditReport {
+    /// Inner nodes visited.
+    pub inner_nodes: usize,
+    /// Live leaves visited (tombstoned leaves are skipped, not counted).
+    pub leaves: usize,
+    /// Deepest prefix length observed.
+    pub max_prefix_len: usize,
+    /// Non-root inner nodes whose subtree holds no leaf: legal garbage
+    /// between a delete's abandoned unlink and the insert that heals it,
+    /// so counted here and not in `problems`.
+    pub empty_inner_nodes: usize,
+    /// Human-readable descriptions of every broken invariant found.
+    pub problems: Vec<String>,
+}
+
+impl AuditReport {
+    /// Whether the tree passed every check.
+    pub fn is_clean(&self) -> bool {
+        self.problems.is_empty()
+    }
+}
+
+/// Audits the whole tree behind `root` (run only while quiescent —
+/// concurrent writers make transient states look like violations). Per
+/// inner node: the header decodes, is `Idle`, has the kind its slot names
+/// and a prefix length extending its parent's; the 42-bit prefix hash
+/// matches the prefix reconstructed with [`any_leaf`]; dispatch bytes are
+/// unique; every leaf passes the validated read, starts with the prefix
+/// and sits in the slot its key dispatches to (value slot: key == prefix);
+/// plus [`ArtReader::audit_node`]. A node whose prefix cannot be resolved
+/// is reported and its children are audited all the same.
+///
+/// # Errors
+///
+/// Substrate errors; *violations* are reported, not returned.
+pub fn audit<H: ArtReader>(host: &mut H, root: Slot) -> Result<AuditReport, EngineError> {
+    let mut report = AuditReport::default();
+    let mut queue = vec![(root.addr, root.child_kind, 0usize)];
+    while let Some((ptr, kind, parent_len)) = queue.pop() {
+        let node = match host.read_inner(ptr, kind) {
+            Ok(node) => node,
+            Err(EngineError::Layout(e)) => {
+                report
+                    .problems
+                    .push(format!("node {ptr}: undecodable: {e}"));
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        report.inner_nodes += 1;
+        let plen = node.header.prefix_len as usize;
+        report.max_prefix_len = report.max_prefix_len.max(plen);
+        if node.header.status != NodeStatus::Idle {
+            report.problems.push(format!(
+                "node {ptr}: status {:?} on quiescent tree",
+                node.header.status
+            ));
+        }
+        if node.header.kind != kind {
+            report.problems.push(format!(
+                "node {ptr}: kind {:?} does not match pointing slot {kind:?}",
+                node.header.kind
+            ));
+            continue;
+        }
+        if plen < parent_len || (plen == parent_len && parent_len != 0) {
+            report.problems.push(format!(
+                "node {ptr}: prefix length {plen} does not extend parent ({parent_len})"
+            ));
+        }
+
+        let prefix = match any_leaf(host, &node) {
+            Ok(Sampled::Leaf(leaf)) if leaf.key.len() >= plen => Some(leaf.key[..plen].to_vec()),
+            Ok(Sampled::Empty) if ptr == root.addr => Some(Vec::new()),
+            Ok(Sampled::Empty) => {
+                report.empty_inner_nodes += 1;
+                None
+            }
+            Ok(Sampled::Leaf(leaf)) => {
+                report.problems.push(format!(
+                    "node {ptr}: sampled leaf key shorter ({}) than prefix length {plen}",
+                    leaf.key.len()
+                ));
+                None
+            }
+            Ok(Sampled::Busy) => {
+                report.problems.push(format!(
+                    "node {ptr}: a retired node below it blocks prefix resolution"
+                ));
+                None
+            }
+            Err(e @ EngineError::Dm(_)) => return Err(e),
+            Err(e) => {
+                report
+                    .problems
+                    .push(format!("node {ptr}: prefix unresolved: {e}"));
+                None
+            }
+        };
+        if let Some(prefix) = &prefix {
+            if node.header.prefix_hash42 != prefix_hash42(prefix) {
+                report.problems.push(format!(
+                    "node {ptr}: full-prefix hash mismatch for {:?}",
+                    String::from_utf8_lossy(prefix)
+                ));
+            }
+            host.audit_node(ptr, &node, prefix, &mut report.problems)?;
+        }
+
+        if let Some(slot) = node.value_slot {
+            audit_leaf(host, &slot, plen, prefix.as_deref(), true, &mut report)?;
+        }
+        let mut seen = std::collections::HashSet::new();
+        for slot in node.slots.iter().flatten() {
+            if !seen.insert(slot.key_byte) {
+                report.problems.push(format!(
+                    "node {ptr}: duplicate dispatch byte {:#x}",
+                    slot.key_byte
+                ));
+            }
+            if slot.is_leaf {
+                audit_leaf(host, slot, plen, prefix.as_deref(), false, &mut report)?;
+            } else {
+                queue.push((slot.addr, slot.child_kind, plen));
+            }
+        }
+    }
+    Ok(report)
+}
+
+/// Reads and checks one leaf hanging off a node of prefix length `plen`.
+fn audit_leaf<H: ArtReader>(
+    host: &mut H,
+    slot: &Slot,
+    plen: usize,
+    prefix: Option<&[u8]>,
+    value_slot: bool,
+    report: &mut AuditReport,
+) -> Result<(), EngineError> {
+    let leaf = match host.read_leaf(slot.addr) {
+        Ok(leaf) => leaf,
+        Err(e @ EngineError::Dm(_)) => return Err(e),
+        Err(e) => {
+            report
+                .problems
+                .push(format!("leaf {}: unreadable: {e}", slot.addr));
+            return Ok(());
+        }
+    };
+    if leaf.status == NodeStatus::Invalid {
+        // Tombstone awaiting unlink; structurally fine.
+        return Ok(());
+    }
+    report.leaves += 1;
+    let key = String::from_utf8_lossy(&leaf.key);
+    if prefix.is_some_and(|prefix| !leaf.key.starts_with(prefix)) {
+        report.problems.push(format!(
+            "leaf {}: key {key:?} does not start with its parent's prefix",
+            slot.addr
+        ));
+    }
+    if value_slot && leaf.key.len() != plen {
+        report.problems.push(format!(
+            "leaf {}: value-slot key {key:?} is not the node's prefix",
+            slot.addr
+        ));
+    }
+    if !value_slot && leaf.key.get(plen) != Some(&slot.key_byte) {
+        report.problems.push(format!(
+            "leaf {}: dispatch byte {:#x} does not match key {key:?}",
+            slot.addr, slot.key_byte
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        invalidate_inner, read_inner_consistent, read_validated_leaf, write_new_inner,
+        write_new_leaf, LeafReadStats, RetryPolicy,
+    };
+    use dm_sim::{ClusterConfig, DmClient, DmCluster};
+
+    /// The plainest reader: one transport, no cache, no phases.
+    struct Host(DmClient);
+
+    impl ArtReader for Host {
+        type T = DmClient;
+        fn transport(&mut self) -> &mut DmClient {
+            &mut self.0
+        }
+        fn leaf_hint(&self) -> usize {
+            128
+        }
+        fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError> {
+            read_inner_consistent(&mut self.0, ptr, kind)
+        }
+        fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
+            let mut io = LeafReadStats::default();
+            read_validated_leaf(&mut self.0, ptr, 128, &RetryPolicy::default(), &mut io)
+        }
+    }
+
+    fn host() -> Host {
+        Host(DmCluster::new(ClusterConfig::default()).client(0))
+    }
+
+    /// Writes an inner node for `prefix` with the given children.
+    fn inner(h: &mut Host, kind: NodeKind, prefix: &[u8], children: &[Slot]) -> Slot {
+        let mut n = InnerNode::new(kind, prefix);
+        for c in children {
+            n.set_child(*c);
+        }
+        let ptr = write_new_inner(&mut h.0, &n, prefix).unwrap();
+        Slot::inner(*prefix.last().unwrap_or(&0), kind, ptr)
+    }
+
+    fn leaf(h: &mut Host, key: &[u8]) -> Slot {
+        let ptr = write_new_leaf(&mut h.0, key, b"v").unwrap();
+        Slot::leaf(*key.last().unwrap(), ptr)
+    }
+
+    fn node_of(h: &mut Host, slot: Slot) -> InnerNode {
+        read_inner_consistent(&mut h.0, slot.addr, slot.child_kind).unwrap()
+    }
+
+    #[test]
+    fn a_live_first_chain_costs_exactly_its_own_reads() {
+        let mut h = host();
+        let l = leaf(&mut h, b"abc");
+        let mid = inner(&mut h, NodeKind::Node4, b"ab", &[l]);
+        let other = leaf(&mut h, b"az");
+        let top = inner(&mut h, NodeKind::Node16, b"a", &[mid, other]);
+        let top = node_of(&mut h, top);
+        let before = h.0.stats().round_trips;
+        let got = any_leaf(&mut h, &top).unwrap();
+        assert!(matches!(got, Sampled::Leaf(l) if l.key == b"abc"));
+        assert_eq!(
+            h.0.stats().round_trips - before,
+            2,
+            "first slot's inner node, then its leaf — what a first-slot walk reads"
+        );
+    }
+
+    #[test]
+    fn the_value_slot_is_probed_first() {
+        let mut h = host();
+        let l = leaf(&mut h, b"ab");
+        let deep = leaf(&mut h, b"abc");
+        let mut n = InnerNode::new(NodeKind::Node4, b"ab");
+        n.value_slot = Some(Slot::leaf(0, l.addr));
+        n.set_child(deep);
+        assert!(matches!(any_leaf(&mut h, &n).unwrap(), Sampled::Leaf(l) if l.key == b"ab"));
+    }
+
+    #[test]
+    fn a_dead_end_first_chain_falls_through_to_a_live_sibling() {
+        let mut h = host();
+        let emptied = inner(&mut h, NodeKind::Node4, b"aa", &[]);
+        let chain = inner(&mut h, NodeKind::Node4, b"ab", &[emptied]);
+        let l = leaf(&mut h, b"acd");
+        let live = inner(&mut h, NodeKind::Node4, b"ac", &[l]);
+        let top = inner(&mut h, NodeKind::Node4, b"a", &[chain, live]);
+        let top = node_of(&mut h, top);
+        let got = any_leaf(&mut h, &top).unwrap();
+        assert!(matches!(got, Sampled::Leaf(l) if l.key == b"acd"));
+    }
+
+    #[test]
+    fn a_subtree_without_a_leaf_is_empty() {
+        let mut h = host();
+        let e1 = inner(&mut h, NodeKind::Node4, b"aa", &[]);
+        let e2 = inner(&mut h, NodeKind::Node4, b"abc", &[]);
+        let chain = inner(&mut h, NodeKind::Node4, b"ab", &[e2]);
+        let top = inner(&mut h, NodeKind::Node4, b"a", &[e1, chain]);
+        let top = node_of(&mut h, top);
+        assert_eq!(any_leaf(&mut h, &top).unwrap(), Sampled::Empty);
+        let slotless = InnerNode::new(NodeKind::Node4, b"zz");
+        assert_eq!(any_leaf(&mut h, &slotless).unwrap(), Sampled::Empty);
+    }
+
+    #[test]
+    fn a_retired_or_switched_child_is_busy() {
+        let mut h = host();
+        let gone = inner(&mut h, NodeKind::Node4, b"aa", &[]);
+        let image = node_of(&mut h, gone);
+        invalidate_inner(&mut h.0, gone.addr, &image).unwrap();
+        let l = leaf(&mut h, b"ab");
+        let top = inner(&mut h, NodeKind::Node4, b"a", &[gone, l]);
+        let top = node_of(&mut h, top);
+        assert_eq!(any_leaf(&mut h, &top).unwrap(), Sampled::Busy);
+
+        // A slot naming another kind than the node has (its region was
+        // recycled).
+        let recycled = inner(&mut h, NodeKind::Node4, b"ba", &[]);
+        let stale = Slot::inner(b'a', NodeKind::Node16, recycled.addr);
+        let mut top = InnerNode::new(NodeKind::Node4, b"b");
+        top.set_child(stale);
+        assert_eq!(any_leaf(&mut h, &top).unwrap(), Sampled::Busy);
+    }
+
+    #[test]
+    fn the_visit_budget_ends_in_a_typed_error() {
+        let mut h = host();
+        let mut top = InnerNode::new(NodeKind::Node256, b"a");
+        for b in 0..=255u8 {
+            // 256 emptied children, the first with one emptied child of its
+            // own: 257 inner nodes to visit.
+            let below: Vec<Slot> = (b == 0)
+                .then(|| inner(&mut h, NodeKind::Node4, &[b'a', 0, 0], &[]))
+                .into_iter()
+                .collect();
+            top.set_child(inner(&mut h, NodeKind::Node4, &[b'a', b], &below));
+        }
+        assert_eq!(
+            any_leaf(&mut h, &top),
+            Err(EngineError::RetriesExhausted { op: "leaf sample" })
+        );
+        // One fewer fits the budget and is reported for what it is.
+        top.slots[255] = None;
+        assert_eq!(any_leaf(&mut h, &top).unwrap(), Sampled::Empty);
+    }
+
+    #[test]
+    fn intersect_logic() {
+        let hi = |h: &'static [u8]| Some(h);
+        assert!(range_may_intersect(b"b", b"a", hi(b"c")));
+        assert!(range_may_intersect(b"a", b"ab", hi(b"c"))); // low starts with known
+        assert!(!range_may_intersect(b"d", b"a", hi(b"c"))); // above range
+        assert!(range_may_intersect(b"d", b"a", None)); // ... unless unbounded
+        assert!(!range_may_intersect(b"a", b"b", hi(b"c"))); // below, not prefix of low
+        assert!(range_may_intersect(b"", b"x", hi(b"y"))); // root always viable
+    }
+
+    /// Keys behind a compressed path are pruned by resolved prefix, found
+    /// by range, and audited, by the plainest host.
+    #[test]
+    fn scan_and_audit_agree_on_a_hand_built_tree() {
+        let mut h = host();
+        let keys: [&[u8]; 4] = [b"user01@x", b"user02@x", b"user02@y", b"zed"];
+        let l: Vec<Slot> = keys.iter().map(|k| leaf(&mut h, k)).collect();
+        // `inner` and `leaf` dispatch on the last byte; re-key where the
+        // parent's prefix ends earlier.
+        let rekey = |key_byte, slot| Slot { key_byte, ..slot };
+        let fork = inner(&mut h, NodeKind::Node4, b"user02@", &[l[1], l[2]]);
+        let below = [rekey(b'1', l[0]), rekey(b'2', fork)];
+        let users = inner(&mut h, NodeKind::Node4, b"user0", &below);
+        let top = [rekey(b'u', users), rekey(b'z', l[3])];
+        let root = inner(&mut h, NodeKind::Node4, b"", &top);
+
+        let root_node = node_of(&mut h, root);
+        let all = scan(&mut h, root_node.clone(), b"", b"~").unwrap();
+        assert_eq!(all.iter().map(|(k, _)| &k[..]).collect::<Vec<_>>(), keys);
+        let some = scan(&mut h, root_node, b"user02", b"user02@x").unwrap();
+        assert_eq!(some.len(), 1);
+
+        let report = audit(&mut h, root).unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+        assert_eq!((report.inner_nodes, report.leaves), (3, 4));
+        assert_eq!(report.max_prefix_len, 7);
+        assert_eq!(report.empty_inner_nodes, 0);
+    }
+}

@@ -175,3 +175,158 @@ fn ycsb_smoke_every_workload_every_system() {
         }
     }
 }
+
+/// `(leaves, empty_inner_nodes)` of a clean structural audit.
+fn audited(handle: &bench_harness::systems::SystemHandle, what: &str) -> (usize, usize) {
+    use bench_harness::systems::SystemHandle;
+    let (leaves, empty, problems) = match handle {
+        SystemHandle::Sphinx(index) => {
+            let r = index.verify().expect("verify");
+            (r.leaves, r.empty_inner_nodes, r.problems)
+        }
+        SystemHandle::Baseline(index) => {
+            let r = index.verify().expect("verify");
+            (r.leaves, r.empty_inner_nodes, r.problems)
+        }
+        SystemHandle::BpTree(_) => unreachable!("no audit for the B+-tree"),
+    };
+    assert!(problems.is_empty(), "{what}: {problems:#?}");
+    (leaves, empty)
+}
+
+/// The emptied-subtree shape: keys behind one compressed path, all
+/// deleted, then a lookup that leaves that path in the middle. It used to
+/// end in `RetriesExhausted{locate}` on all three ART systems — the
+/// sampler was asked, forever, for a leaf that no longer existed. Sphinx
+/// unlinks emptied nodes in `remove`; the baselines leave them (the second
+/// shape leaves a chain of two) for the insert that next diverges there.
+#[test]
+fn a_lookup_diverging_inside_an_emptied_subtree_ends() {
+    let shapes: [&[&[u8]]; 2] = [
+        &[b"abcdefgh1", b"abcdefgh2"],
+        &[b"abcdefgh1x", b"abcdefgh1y", b"abcdefgh2"],
+    ];
+    for sys in [System::Sphinx, System::Smart, System::Art] {
+        for (doomed, then_insert) in [(shapes[0], false), (shapes[0], true), (shapes[1], true)] {
+            let what = format!(
+                "{} {} keys then_insert={then_insert}",
+                sys.label(),
+                doomed.len()
+            );
+            let handle = sys.build(64 << 20, Some(64 << 10));
+            let mut w = handle.worker(0);
+            for key in doomed {
+                w.insert(key, b"1");
+            }
+            w.insert(b"b", b"3");
+            for key in doomed {
+                assert!(w.remove(key), "{what}");
+            }
+            let (leaves, leftover) = audited(&handle, &what);
+            assert_eq!(leaves, 1, "{what}");
+            let expect_leftover = if sys == System::Sphinx {
+                0
+            } else {
+                doomed.len() - 1
+            };
+            assert_eq!(leftover, expect_leftover, "{what}");
+
+            if then_insert {
+                w.insert(b"abcxyz", b"4");
+                assert_eq!(w.get(b"abcxyz").as_deref(), Some(&b"4"[..]), "{what}");
+                assert_eq!(audited(&handle, &what), (2, 0), "{what}");
+            } else {
+                assert_eq!(w.get(b"abcxyz"), None, "{what}");
+                assert!(!w.update(b"abcxyz", b"4"), "{what}");
+                assert!(!w.remove(b"abcxyz"), "{what}");
+            }
+            assert_eq!(w.get(doomed[0]), None, "{what}");
+            assert_eq!(w.get(b"b").as_deref(), Some(&b"3"[..]), "{what}");
+            assert_eq!(w.scan(b"", &[0xFF; 16]), 1 + then_insert as usize, "{what}");
+        }
+    }
+}
+
+/// One range walker, three hosts: Sphinx, SMART and ART return the same
+/// pairs — the oracle's — for the same ranges over email-shaped keys
+/// (long shared prefixes, so pruning runs on resolved prefixes), before
+/// and after a delete wave that empties whole subtrees. What differs is
+/// the price: ART reads a level in groups of eight where SMART rings one
+/// doorbell.
+#[test]
+fn three_art_systems_scan_alike_around_a_delete_wave() {
+    let systems = [System::Sphinx, System::Smart, System::Art];
+    let handles: Vec<_> = systems
+        .iter()
+        .map(|s| s.build(128 << 20, Some(64 << 10)))
+        .collect();
+    let mut workers: Vec<_> = handles.iter().map(|h| h.worker(0)).collect();
+    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for idx in 0..600u64 {
+        let (key, value) = (KeySpace::Email.key(idx), value_for(idx, 0));
+        for w in &mut workers {
+            w.insert(&key, &value);
+        }
+        oracle.insert(key, value);
+    }
+    let sorted: Vec<Vec<u8>> = oracle.keys().cloned().collect();
+    let ranges: Vec<(Vec<u8>, Vec<u8>)> = [(0, 599), (10, 11), (100, 180), (300, 420), (590, 599)]
+        .iter()
+        .map(|&(lo, hi)| (sorted[lo].clone(), sorted[hi].clone()))
+        .chain([
+            (b"a".to_vec(), b"b".to_vec()),
+            (b"zzzz".to_vec(), vec![0xFF; 8]),
+        ])
+        .collect();
+
+    type Workers = [bench_harness::systems::WorkerClient];
+    let check = |workers: &mut Workers, oracle: &BTreeMap<Vec<u8>, Vec<u8>>, when: &str| {
+        for (low, high) in &ranges {
+            let want: Vec<(Vec<u8>, Vec<u8>)> = oracle
+                .range(low.clone()..=high.clone())
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let mut round_trips = Vec::new();
+            for (w, sys) in workers.iter_mut().zip(&systems) {
+                let before = w.net_stats().round_trips;
+                let got = w.scan_pairs(low, high);
+                round_trips.push(w.net_stats().round_trips - before);
+                assert_eq!(got, want, "{} {when} {:?}", sys.label(), (low, high));
+            }
+            if want.len() >= 64 {
+                assert!(
+                    round_trips[2] > round_trips[1],
+                    "{when}: ART's grouped level reads ({} round trips) must cost more \
+                     than SMART's batched ones ({}) over {} keys",
+                    round_trips[2],
+                    round_trips[1],
+                    want.len()
+                );
+            }
+        }
+    };
+    check(&mut workers, &oracle, "before the wave");
+
+    // Every third key, and two whole runs of neighbours (emptied nodes).
+    let doomed: Vec<Vec<u8>> = sorted
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 == 0 || (200..260).contains(i) || (400..420).contains(i))
+        .map(|(_, k)| k.clone())
+        .collect();
+    for key in &doomed {
+        for (w, sys) in workers.iter_mut().zip(&systems) {
+            assert!(w.remove(key), "{} remove", sys.label());
+        }
+        oracle.remove(key);
+    }
+    check(&mut workers, &oracle, "after the wave");
+    for (handle, sys) in handles.iter().zip(&systems) {
+        assert_eq!(
+            audited(handle, sys.label()).0,
+            oracle.len(),
+            "{}",
+            sys.label()
+        );
+    }
+}

@@ -118,3 +118,83 @@ fn bogus_hash_entry_is_rejected_by_validation() {
     // And the real data is untouched.
     assert_eq!(client.get(b"alpha").unwrap().as_deref(), Some(&b"v"[..]));
 }
+
+/// Plays the second round trip of an in-place update — the write that
+/// stores the value and, with it, releases the leaf's lock — the third
+/// time another client reads the leaf, and notes whether the leaf was
+/// still `Locked` at that moment.
+struct PublishOnThirdRead {
+    cluster: dm_sim::DmCluster,
+    leaf: dm_sim::RemotePtr,
+    publish: Vec<u8>,
+    reads: std::sync::atomic::AtomicU64,
+    still_locked: std::sync::atomic::AtomicBool,
+}
+
+impl dm_sim::FaultHook for PublishOnThirdRead {
+    fn corrupt_read(&self, ptr: dm_sim::RemotePtr, _data: &mut [u8]) {
+        use std::sync::atomic::Ordering::SeqCst;
+        if ptr != self.leaf || self.reads.fetch_add(1, SeqCst) != 2 {
+            return;
+        }
+        let mn = self.cluster.mn(ptr.mn_id()).unwrap();
+        let status = mn.load_u64(ptr.offset()).unwrap() & 0xFF;
+        self.still_locked
+            .store(status == NodeStatus::Locked as u64, SeqCst);
+        mn.write_bytes(ptr.offset(), &self.publish).unwrap();
+    }
+}
+
+/// A delete never CASes a status it did not observe as `Idle`. `remove`
+/// used to build its tombstone CAS from whatever status it had read, so it
+/// turned a leaf an in-place updater held `Locked` — between the two round
+/// trips of `cas_locked_write` — into `Invalid`; the updater's publishing
+/// write then stored `Idle` again and the deleted key was back. Here the
+/// lock is taken by hand, the remover must wait (it reads the leaf three
+/// times and the header still says `Locked`), and only after the
+/// publishing write lands does it delete — once.
+#[test]
+fn remove_waits_for_a_held_leaf_lock() {
+    use art_core::layout::LeafNode;
+    use bench_harness::systems::System;
+    use std::sync::atomic::Ordering::SeqCst;
+
+    for sys in [System::Sphinx, System::Smart, System::Art] {
+        let handle = sys.build(64 << 20, Some(64 << 10));
+        let c = handle.cluster().clone();
+        let mut w = handle.worker(0);
+        w.insert(b"held", b"value-one");
+        w.insert(b"other", b"x");
+        let ptr = find_leaf_ptr(&c, b"held", b"value-one");
+        let mn = c.mn(ptr.mn_id()).unwrap();
+
+        // Round trip one of the update: Idle → Locked.
+        let old = LeafNode::new(b"held".to_vec(), b"value-one".to_vec());
+        let (idle, locked) = old.status_cas_words(NodeStatus::Idle, NodeStatus::Locked);
+        assert_eq!(mn.cas_u64(ptr.offset(), idle, locked).unwrap(), idle);
+        // Round trip two, held back until the remover has waited.
+        let mut new = LeafNode::new(b"held".to_vec(), b"value-two".to_vec());
+        new.version = old.version.wrapping_add(1);
+        new.set_len_units(old.len_units());
+        let hook = std::sync::Arc::new(PublishOnThirdRead {
+            cluster: c.clone(),
+            leaf: ptr,
+            publish: new.encode(),
+            reads: 0.into(),
+            still_locked: false.into(),
+        });
+        c.set_fault_hook(Some(hook.clone()));
+
+        assert!(w.remove(b"held"), "{}", sys.label());
+        c.set_fault_hook(None);
+        assert!(
+            hook.still_locked.load(SeqCst),
+            "{}: the remover stole the updater's lock ({} leaf reads)",
+            sys.label(),
+            hook.reads.load(SeqCst)
+        );
+        assert_eq!(w.get(b"held"), None, "{}", sys.label());
+        assert!(!w.remove(b"held"), "{}: deleted twice", sys.label());
+        assert_eq!(w.get(b"other").as_deref(), Some(&b"x"[..]));
+    }
+}

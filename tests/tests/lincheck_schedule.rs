@@ -145,37 +145,63 @@ fn pipelined_lookups_survive_a_child_type_switch() {
     }
 }
 
-/// Scheduler equivalence pin: a single-key op drives the lookup machine
+/// Scheduler equivalence pins: a single-key op drives the lookup machine
 /// alone, and under the lock-step schedule that must be grant for grant
-/// what the blocking ladder it replaced issued. The digests are those of
-/// the commit before the ladder was deleted (PR 12, `84dc1f6`); without
-/// `Op::MultiGet` in the mix (whose lock-step `multi_get` issued three
-/// batches where the machine issues three per key) nothing may move.
+/// what the blocking code issued. No `Op::MultiGet` in the mix (whose
+/// lock-step `multi_get` issued three batches where the machine issues
+/// three per key), so a digest moves only when a single-key op's verbs do.
+///
+/// * Without deletes the digests are those of the commit before the leaf
+///   sampler, the range walk and the audit moved into `node_engine::walk`
+///   (`b54a8da`): the lookup machine and the non-delete writes did not
+///   move.
+/// * With deletes they were those of the blocking ladder (PR 12,
+///   `84dc1f6`: `0xc32e52729fa04cf1`, `0xd35ad288b104ad92`,
+///   `0x48aad30f157dc612`) until `remove` stopped tombstoning a leaf it
+///   observed `Locked` — that wait is a new backoff, so every schedule in
+///   which a delete meets an in-place update shifted. Re-pinned old → new.
 #[test]
 fn single_key_histories_are_those_of_the_blocking_ladder() {
-    let cfg = ExploreConfig {
-        multi_ops: false,
-        ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
-    };
-    for (seed, digest) in [
-        (1u64, 0xc32e_5272_9fa0_4cf1u64),
-        (2, 0xd35a_d288_b104_ad92),
-        (3, 0x48aa_d30f_157d_c612),
-    ] {
-        let out = run_scheduled(
-            &cfg,
-            ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
-        );
-        assert!(
-            out.outcome.is_linearizable(),
-            "seed {seed}: {:?}",
-            out.outcome
-        );
-        assert_eq!(
-            out.history.digest(),
-            digest,
-            "seed {seed}: single-key ops no longer issue the blocking ladder's verbs"
-        );
+    let pins = [
+        (
+            false,
+            [
+                0x6d49_6b30_f342_8faau64,
+                0xf8d7_5d38_4d3c_148e,
+                0x2cae_edcc_461d_ccf7,
+            ],
+        ),
+        (
+            true,
+            [
+                0x58d3_c6b4_237c_41ed,
+                0x864a_7eca_ed49_be88,
+                0xc9be_2d35_1647_6937,
+            ],
+        ),
+    ];
+    for (deletes, digests) in pins {
+        let cfg = ExploreConfig {
+            multi_ops: false,
+            deletes,
+            ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
+        };
+        for (seed, digest) in (1u64..).zip(digests) {
+            let out = run_scheduled(
+                &cfg,
+                ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
+            );
+            assert!(
+                out.outcome.is_linearizable(),
+                "deletes {deletes} seed {seed}: {:?}",
+                out.outcome
+            );
+            assert_eq!(
+                out.history.digest(),
+                digest,
+                "deletes {deletes} seed {seed}: a single-key op issues other verbs than it did"
+            );
+        }
     }
 }
 
@@ -268,7 +294,7 @@ fn forked_key(i: u64) -> Vec<u8> {
 fn inht_splits_under_schedule_are_linearizable() {
     let cfg = ExploreConfig {
         key_of: forked_key,
-        deletes: false,
+        deletes: true,
         ..ExploreConfig::smoke(System::Sphinx, 3, FORKED_KEYS, 900)
     };
     let run = |mode: ScheduleMode| {

@@ -32,8 +32,13 @@ fn zero_grace_reclamation_is_caught_as_a_violation() {
     // moved from the lock-step `multi_get` (three batches) to one lookup
     // machine per key (three batches per key): every schedule that
     // contains a multi-get shifted, and 28 stopped serving a recycled
-    // region. Found by sweeping seeds 1–900 (194 and 576 qualify).
-    const SEED: u64 = 194;
+    // region. Found by sweeping seeds 1–900 (194 and 576 qualified).
+    // Seed 194 → 576 when `remove` stopped tombstoning a leaf it observed
+    // `Locked` (it backs off and looks again): every schedule in which a
+    // delete meets an in-place update shifted, and on 194 no reader is
+    // served a recycled region any more. Swept 1–900 again: 576 alone
+    // still violates without the grace period and is clean with it.
+    const SEED: u64 = 576;
     let cfg = ExploreConfig {
         check: CheckConfig::default(),
         ..ExploreConfig::smoke(System::Sphinx, 3, 8, 600)
@@ -73,18 +78,27 @@ fn zero_grace_reclamation_is_caught_as_a_violation() {
     // narrower and needs faster region recycling to be hit) with a
     // pinned seed deterministically serves the wrong value at depth 8;
     // the same schedule seed is clean once the grace period is back.
+    // Seed 15 → 29 with the `remove` change above (sweep 1–600: 29, 65,
+    // 74, 156, 282, 468, 485, 486, 500, 582 and 589 qualify).
+    const SEED8: u64 = 29;
     reclaim::set_zero_grace(true);
     let cfg8 = ExploreConfig {
         pipeline_depth: 8,
         check: CheckConfig::default(),
         ..ExploreConfig::smoke(System::Sphinx, 3, 4, 600)
     };
-    let out8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(15)));
+    let out8 = run_scheduled(
+        &cfg8,
+        ScheduleMode::Record(ScheduleConfig::adversarial(SEED8)),
+    );
     assert!(
         !out8.outcome.is_linearizable(),
         "use-after-free left no trace with pipelining enabled"
     );
     reclaim::set_zero_grace(false);
-    let clean8 = run_scheduled(&cfg8, ScheduleMode::Record(ScheduleConfig::adversarial(15)));
+    let clean8 = run_scheduled(
+        &cfg8,
+        ScheduleMode::Record(ScheduleConfig::adversarial(SEED8)),
+    );
     assert!(clean8.outcome.is_linearizable(), "{:?}", clean8.outcome);
 }
