@@ -95,11 +95,33 @@ impl InnerNode {
         self.slots[idx] = Some(slot);
     }
 
-    /// Occupied child slots in ascending key-byte order (for scans).
-    pub fn children_sorted(&self) -> Vec<Slot> {
-        let mut v: Vec<Slot> = self.slots.iter().flatten().copied().collect();
-        v.sort_by_key(|s| s.key_byte);
-        v
+    /// Occupied child slots whose dispatch byte lies in `lo..=hi`, in
+    /// ascending byte order (for scans), without a sorted copy: a `Node256`
+    /// is in byte order already, and the smaller kinds yield the smallest
+    /// dispatch byte above the last one.
+    pub fn children_between(&self, lo: u8, hi: u8) -> impl Iterator<Item = Slot> + '_ {
+        let indexed = self.header.kind == NodeKind::Node256;
+        // The next dispatch byte still to yield; past `hi` ends the walk.
+        let mut floor = usize::from(lo);
+        std::iter::from_fn(move || {
+            if floor > usize::from(hi) {
+                return None;
+            }
+            let window = floor..=usize::from(hi);
+            if indexed {
+                let at = floor + self.slots[window].iter().position(Option::is_some)?;
+                floor = at + 1;
+                return self.slots[at];
+            }
+            let slot = self
+                .slots
+                .iter()
+                .flatten()
+                .filter(|s| window.contains(&usize::from(s.key_byte)))
+                .min_by_key(|s| s.key_byte)?;
+            floor = usize::from(slot.key_byte) + 1;
+            Some(*slot)
+        })
     }
 
     /// Next node kind for a type switch (Node4→16→48→256).
@@ -279,8 +301,21 @@ mod tests {
         for b in [9u8, 3, 200, 40] {
             n.set_child(slot(b, true));
         }
-        let order: Vec<u8> = n.children_sorted().iter().map(|s| s.key_byte).collect();
+        let order: Vec<u8> = n.children_between(0, 255).map(|s| s.key_byte).collect();
         assert_eq!(order, vec![3, 9, 40, 200]);
+        let mut n256 = InnerNode::new(NodeKind::Node256, b"");
+        for b in [255u8, 0, 200, 40] {
+            n256.set_child(slot(b, true));
+        }
+        let order =
+            |lo, hi| -> Vec<u8> { n256.children_between(lo, hi).map(|s| s.key_byte).collect() };
+        assert_eq!(order(0, 255), vec![0, 40, 200, 255]);
+        assert_eq!(order(40, 200), vec![40, 200], "both bounds inclusive");
+        assert_eq!(order(41, 199), Vec::<u8>::new());
+        let window: Vec<u8> = n.children_between(4, 40).map(|s| s.key_byte).collect();
+        assert_eq!(window, vec![9, 40]);
+        let empty = InnerNode::new(NodeKind::Node48, b"");
+        assert_eq!(empty.children_between(0, 255).count(), 0);
     }
 
     #[test]

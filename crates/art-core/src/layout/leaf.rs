@@ -85,12 +85,9 @@ impl LeafNode {
     }
 
     fn checksum(&self) -> u32 {
-        crc32_parts(&[
-            &(self.key.len() as u32).to_le_bytes(),
-            &(self.value.len() as u32).to_le_bytes(),
-            &self.key,
-            &self.value,
-        ])
+        // Both length words as one 8-byte part: one sliced CRC step.
+        let lens = (self.key.len() as u32 as u64) | ((self.value.len() as u32 as u64) << 32);
+        crc32_parts(&[&lens.to_le_bytes(), &self.key, &self.value])
     }
 
     /// Serializes the leaf to its on-MN byte layout.
@@ -118,6 +115,14 @@ impl LeafNode {
         let v0 = 16 + self.key.len();
         out[v0..v0 + self.value.len()].copy_from_slice(&self.value);
         out
+    }
+
+    /// The allocated size in bytes the first word of an encoded leaf names
+    /// (`LeafLen` × 64, at least one unit) — what a reader that fetched a
+    /// size hint needs to fetch the rest. `None`: fewer than 8 bytes.
+    pub fn stored_len(bytes: &[u8]) -> Option<usize> {
+        let word0 = u64::from_le_bytes(bytes.get(..8)?.try_into().expect("8 bytes"));
+        Some((((word0 >> 8) & 0xFF) as usize).max(1) * 64)
     }
 
     /// Decodes and checksum-verifies a leaf.

@@ -5,7 +5,7 @@ use art_core::hash::prefix_hash42;
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use dm_sim::{RemotePtr, Transport};
-use node_engine::walk::any_leaf;
+use node_engine::walk::{self, any_leaf, Tracked};
 use node_engine::{
     cas_locked_write, retire_inner, retire_leaf, unlink_empty_inner, write_new_inner,
     write_new_leaf, ArtReader, EngineError, Install, LeafReadStats, Sampled, Unlink,
@@ -466,7 +466,7 @@ impl BaselineClient {
             }
             let root = self.root_slot(false)?;
             let (root_node, _) = self.read_inner_mc(root.addr, root.child_kind, true)?;
-            Ok(node_engine::walk::scan(self, root_node, low, high)?)
+            Ok(walk::scan(self, Tracked::root(root_node), low, high)?)
         };
         let r = below_root();
         self.op_exit();
@@ -933,12 +933,16 @@ impl ArtReader for BaselineClient {
         self.obs_phase(Phase::LeafRead);
         let mut io = LeafReadStats::default();
         let res = node_engine::read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
-        self.stats.checksum_retries += io.checksum_retries;
-        self.obs.add("leaf.extended_reads", io.extended_reads);
+        self.note_leaf_io(io);
         if let Some(p) = prev {
             self.obs_phase(p);
         }
         res
+    }
+
+    fn note_leaf_io(&mut self, io: LeafReadStats) {
+        self.stats.checksum_retries += io.checksum_retries;
+        self.obs.add("leaf.extended_reads", io.extended_reads);
     }
 
     /// SMART reads each tree level in one doorbell batch. The plain ART

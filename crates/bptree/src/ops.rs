@@ -431,7 +431,7 @@ impl BpTreeClient {
         };
         self.pipeline.merge(&pstats);
         #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-        let mut outs = run.map_err(BpTreeError::from)?;
+        let mut outs: Vec<_> = run.map_err(BpTreeError::from)?.into_iter().collect();
         #[cfg(feature = "telemetry")]
         if outs.iter().any(|o| o.trace.is_some()) {
             let mut scratch = std::mem::take(&mut self.trace_scratch);

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy};
+use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy, Transport};
 use node_engine::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats};
 use obs::{OpKind, Phase, Recorder};
 use race_hash::RaceTable;
@@ -562,30 +562,46 @@ impl node_engine::ArtReader for SphinxClient {
         let mut io = LeafReadStats::default();
         let hint = self.config.leaf_read_hint;
         let res = read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
-        self.stats.checksum_retries += io.checksum_retries;
-        self.stats.extended_leaf_reads += io.extended_reads;
+        self.note_leaf_io(io);
         if let Some(p) = prev {
             self.obs_phase(p);
         }
         res
     }
 
-    /// A node observed mid type-switch during a scan: wait briefly and
-    /// follow the slot once more. Gives up quietly — the replacement node
-    /// is reachable through its parent on the next scan.
+    fn note_leaf_io(&mut self, io: LeafReadStats) {
+        self.stats.checksum_retries += io.checksum_retries;
+        self.stats.extended_leaf_reads += io.extended_reads;
+    }
+
+    /// A node observed mid type-switch during a scan: back off and follow
+    /// the slot again, up to eight times, each attempt a counted retry
+    /// attributed to [`Phase::Retry`] (restoring the caller's phase
+    /// afterwards). Gives up quietly — the replacement node is reachable
+    /// through its parent on the next scan.
     fn reread_inner(&mut self, slot: &Slot) -> Result<Option<InnerNode>, EngineError> {
-        for _ in 0..8 {
-            self.dm.advance_clock(400);
-            std::thread::yield_now();
-            let bytes = self
-                .dm
-                .read(slot.addr, InnerNode::byte_size(slot.child_kind))?;
-            if let Ok(node) = InnerNode::decode(&bytes) {
-                if node.header.status == NodeStatus::Idle && node.header.kind == slot.child_kind {
-                    return Ok(Some(node));
+        let prev = self.obs.current_phase();
+        self.obs_phase(Phase::Retry);
+        let settled = 'attempts: {
+            for _ in 0..8 {
+                self.obs_retry();
+                self.dm.backoff(&self.retry);
+                match read_inner_consistent(&mut self.dm, slot.addr, slot.child_kind) {
+                    Ok(node)
+                        if node.header.status == NodeStatus::Idle
+                            && node.header.kind == slot.child_kind =>
+                    {
+                        break 'attempts Ok(Some(node));
+                    }
+                    Ok(_) | Err(EngineError::Layout(_)) => {}
+                    Err(e) => break 'attempts Err(e),
                 }
             }
+            Ok(None)
+        };
+        if let Some(p) = prev {
+            self.obs_phase(p);
         }
-        Ok(None)
+        settled
     }
 }

@@ -28,7 +28,9 @@ use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{HashEntry, InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
 use dm_sim::{DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb, VerbResult};
 use node_engine::walk::any_leaf;
-use node_engine::{leaf_validation, EngineError, OpState, PipelineStats, Sampled, StepOutcome};
+use node_engine::{
+    leaf_validation, EngineError, FirstInline, OpState, PipelineStats, Sampled, StepOutcome,
+};
 use obs::{OpKind, OpTrace, Phase, Recorder};
 use race_hash::{FoundEntry, RaceTable};
 
@@ -163,8 +165,9 @@ pub(crate) struct LocateOp<'k> {
     /// Prefix lengths `lo..=hi` of the current bucket-pair read: the one
     /// the filter named, or every prefix in [`CacheMode::InhtOnly`].
     range: (usize, usize),
-    /// The pairs of `range` not yet examined, shallowest first …
-    levels: Vec<Level>,
+    /// The pairs of `range` not yet examined, shallowest first (one in
+    /// filter mode, stored inline) …
+    levels: FirstInline<Level>,
     /// … and their bytes, once read.
     pairs: Vec<VerbResult>,
     state: St,
@@ -198,7 +201,7 @@ impl<'k> LocateOp<'k> {
             restarts: 0,
             root_budget: 0,
             range: (0, 0),
-            levels: Vec::new(),
+            levels: FirstInline::default(),
             pairs: Vec::new(),
             state: St::Start,
             tally: Tally::default(),

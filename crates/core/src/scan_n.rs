@@ -9,7 +9,7 @@
 
 use art_core::layout::{InnerNode, NodeStatus, Slot};
 use dm_sim::Transport;
-use node_engine::walk::{resolve_prefixes, settle_leaf, viable_children, Tracked};
+use node_engine::walk::{resolve_prefixes, settle_leaves, viable_children, Tracked};
 use obs::{OpKind, Phase};
 
 use crate::client::SphinxClient;
@@ -93,14 +93,10 @@ impl SphinxClient {
                     .collect();
                 self.obs_phase(Phase::LeafRead);
                 let reads = self.dm.read_many(&run_reads)?;
-                for (&(addr, _), bytes) in run_reads.iter().zip(reads) {
-                    match settle_leaf(self, addr, &bytes)? {
-                        Some(leaf)
-                            if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low =>
-                        {
-                            results.push((leaf.key, leaf.value));
-                        }
-                        _ => {}
+                let run = run_reads.iter().map(|r| r.0).zip(reads);
+                for leaf in settle_leaves(self, run)?.into_iter().flatten() {
+                    if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low {
+                        results.push((leaf.key, leaf.value));
                     }
                 }
                 self.obs_phase(Phase::Traversal);
@@ -143,7 +139,7 @@ impl SphinxClient {
     ) -> Result<(), SphinxError> {
         resolve_prefixes(self, std::slice::from_mut(&mut node))?;
         let start = stack.len();
-        viable_children(node, low, None, stack);
+        viable_children(&node, low, None, stack);
         stack[start..].reverse();
         Ok(())
     }

@@ -52,7 +52,9 @@ pub use dm_sim::RetryPolicy;
 pub mod pipeline;
 pub mod walk;
 
-pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH};
+pub use pipeline::{
+    run_pipelined, FirstInline, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH,
+};
 pub use walk::{ArtReader, Sampled};
 
 /// Process-wide switch for leaf checksum validation (default on).
@@ -204,9 +206,7 @@ pub fn read_validated_leaf<T: Transport>(
     for _ in 0..policy.io_retries {
         let bytes = t.read(ptr, read_len)?;
         // The first word tells us the true size; extend if needed.
-        let word0 = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        let units = ((word0 >> 8) & 0xFF) as usize;
-        let true_len = units.max(1) * 64;
+        let true_len = LeafNode::stored_len(&bytes).expect("read at least 64 bytes");
         if true_len > read_len {
             read_len = true_len;
             io.extended_reads += 1;

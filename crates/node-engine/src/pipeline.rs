@@ -190,8 +190,94 @@ struct Slot<S> {
     token: SqeToken,
 }
 
+/// An ordered collection whose first element is stored inline: the slots
+/// and outputs of a run, what [`run_pipelined`] returns, and the level list
+/// of a lookup that reads one bucket pair. A run of one op — every blocking
+/// lookup drives one — therefore allocates nothing for them, and a run at
+/// depth N pays what a `Vec` would.
+#[derive(Debug)]
+pub struct FirstInline<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for FirstInline<T> {
+    fn default() -> Self {
+        FirstInline::with_capacity(0)
+    }
+}
+
+impl<T> FirstInline<T> {
+    /// An empty collection with room for `capacity` elements: none
+    /// allocated for a capacity of one, and a `Vec` of that capacity (and
+    /// therefore its growth steps) otherwise.
+    pub fn with_capacity(capacity: usize) -> Self {
+        FirstInline {
+            first: None,
+            rest: Vec::with_capacity(if capacity > 1 { capacity } else { 0 }),
+        }
+    }
+
+    /// Appends `item` (inline only while the collection is empty, so the
+    /// order stays first-then-rest).
+    pub fn push(&mut self, item: T) {
+        if self.is_empty() {
+            self.first = Some(item);
+        } else {
+            self.rest.push(item);
+        }
+    }
+
+    /// Removes and returns the last element.
+    pub fn pop(&mut self) -> Option<T> {
+        self.rest.pop().or_else(|| self.first.take())
+    }
+
+    /// Removes every element, keeping the allocation (if any).
+    pub fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+
+    /// The `idx`-th element in order.
+    pub fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
+        match (idx, &mut self.first) {
+            (0, Some(first)) => Some(first),
+            (_, first) => self.rest.get_mut(idx - usize::from(first.is_some())),
+        }
+    }
+
+    /// Keeps the elements `keep` approves, visiting each once, in order.
+    pub fn retain_mut(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        if self.first.as_mut().is_some_and(|first| !keep(first)) {
+            self.first = None;
+        }
+        self.rest.retain_mut(keep);
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Whether there is no element.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<T> IntoIterator for FirstInline<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
 /// Drives `ops` to completion keeping up to `depth` of them in flight,
-/// returning their outputs in input order.
+/// returning their outputs in input order (iterate the result; a run of
+/// one op allocates nothing, see [`FirstInline`]).
 ///
 /// Each round: every in-flight op has exactly one submitted batch; one
 /// [`Transport::flush_submitted`] posts them all (fused on transports
@@ -213,7 +299,7 @@ pub fn run_pipelined<T, S, I>(
     ops: I,
     depth: usize,
     mut stats: Option<&mut PipelineStats>,
-) -> Result<Vec<S::Output>, EngineError>
+) -> Result<FirstInline<S::Output>, EngineError>
 where
     T: Transport,
     S: OpState,
@@ -221,8 +307,8 @@ where
 {
     let depth = depth.max(1);
     let mut input = ops.into_iter();
-    let mut outputs: Vec<Option<S::Output>> = Vec::with_capacity(depth);
-    let mut slots: Vec<Slot<S>> = Vec::with_capacity(depth);
+    let mut outputs: FirstInline<Option<S::Output>> = FirstInline::with_capacity(depth);
+    let mut slots: FirstInline<Slot<S>> = FirstInline::with_capacity(depth);
 
     loop {
         // Admit ops into the free slots: run each one's first step; ops
@@ -233,7 +319,8 @@ where
             outputs.push(None);
             op.on_admitted(t.clock_ns());
             let first = op.step(t, None)?;
-            if let Some(token) = settle(t, &mut stats, &mut outputs[idx], &mut op, first) {
+            let output = outputs.get_mut(idx).expect("just pushed");
+            if let Some(token) = settle(t, &mut stats, output, &mut op, first) {
                 slots.push(Slot { idx, op, token });
             }
         }
@@ -260,7 +347,8 @@ where
                 .and_then(|results| slot.op.step(t, Some(results)));
             match resumed {
                 Ok(next) => {
-                    let token = settle(t, &mut stats, &mut outputs[slot.idx], &mut slot.op, next);
+                    let output = outputs.get_mut(slot.idx).expect("pushed at admission");
+                    let token = settle(t, &mut stats, output, &mut slot.op, next);
                     slot.token = token.unwrap_or(slot.token);
                     token.is_some()
                 }
@@ -275,10 +363,12 @@ where
         }
     }
 
-    Ok(outputs
-        .into_iter()
-        .map(|o| o.expect("every admitted op either finished or aborted the run"))
-        .collect())
+    let done =
+        |o: Option<S::Output>| o.expect("every admitted op either finished or aborted the run");
+    Ok(FirstInline {
+        first: outputs.first.map(done),
+        rest: outputs.rest.into_iter().map(done).collect(),
+    })
 }
 
 /// Applies one step's decision: stores a finished op's output, or submits
@@ -374,7 +464,11 @@ mod tests {
         });
         let mut stats = PipelineStats::default();
         let out = run_pipelined(&mut cl, ops, 4, Some(&mut stats)).unwrap();
-        assert_eq!(out, (100..110).collect::<Vec<u64>>());
+        assert_eq!(out.len(), 10);
+        assert_eq!(
+            out.into_iter().collect::<Vec<_>>(),
+            (100..110).collect::<Vec<u64>>()
+        );
         assert_eq!(stats.ops, 10);
         assert!(stats.fused_batches > 0);
         assert_eq!(stats.by_tag[&0].batches, 30, "3 hops x 10 ops");
@@ -449,6 +543,49 @@ mod tests {
     }
 
     #[test]
+    fn a_run_of_one_op_allocates_no_collection() {
+        let c = cluster();
+        let mut cl = c.client(0);
+        let ptr = cl.alloc(0, 8).unwrap();
+        dm_sim::Transport::write_u64(&mut cl, ptr, 9).unwrap();
+        let op = ChainRead {
+            ptr,
+            hops: 3,
+            last: 0,
+        };
+        let out = run_pipelined(&mut cl, [op], 1, None).unwrap();
+        assert_eq!(out.rest.capacity(), 0, "the lone output is inline");
+        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![9]);
+        assert_eq!(FirstInline::<u8>::with_capacity(1).rest.capacity(), 0);
+    }
+
+    /// Slots are resumed in submission order whichever of them retire.
+    #[test]
+    fn first_inline_keeps_order_across_retain_and_push() {
+        let mut v = FirstInline::with_capacity(4);
+        for i in 1..=3 {
+            v.push(i);
+        }
+        *v.get_mut(2).unwrap() += 10;
+        v.retain_mut(|i| *i != 1);
+        v.push(4);
+        assert_eq!(v.len(), 3);
+        assert_eq!(v.get_mut(0), Some(&mut 2));
+        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![2, 13, 4]);
+        let mut v = FirstInline::with_capacity(1);
+        v.push(1);
+        v.retain_mut(|_| false);
+        assert!(v.is_empty());
+        v.push(2);
+        assert_eq!(v.first, Some(2), "an emptied collection is inline again");
+        v.push(3);
+        assert_eq!((v.pop(), v.pop(), v.pop()), (Some(3), Some(2), None));
+        v.push(4);
+        v.clear();
+        assert!(v.is_empty());
+    }
+
+    #[test]
     fn immediate_done_ops_need_no_network() {
         struct Nop;
         impl OpState for Nop {
@@ -465,7 +602,7 @@ mod tests {
         let mut cl = c.client(0);
         let mut stats = PipelineStats::default();
         let out = run_pipelined(&mut cl, (0..5).map(|_| Nop), 8, Some(&mut stats)).unwrap();
-        assert_eq!(out, vec![7; 5]);
+        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![7; 5]);
         assert_eq!(cl.stats().round_trips, 0);
         assert_eq!(stats.flushes, 0);
     }
@@ -505,7 +642,7 @@ mod tests {
             Some(&mut stats),
         )
         .unwrap();
-        assert_eq!(out, vec![42, 42]);
+        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![42, 42]);
         assert_eq!(piped.clock_ns(), blocking_elapsed);
         // `piped` is a fresh client, so its whole history is this run.
         assert_eq!(piped.stats(), blocking_stats);

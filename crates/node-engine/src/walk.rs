@@ -12,7 +12,8 @@
 //!    [`Sampled::Busy`];
 //! 2. prefix resolution and the pruning rule of range walks
 //!    ([`resolve_prefixes`], [`viable_children`], [`range_may_intersect`]);
-//! 3. [`scan`] — the level-batched range scan of §IV;
+//! 3. [`scan`] — the level-batched range scan of §IV, from any inner node
+//!    whose full prefix is known;
 //! 4. [`audit`] — the structural audit behind every `verify()`, with a
 //!    per-node hook for what only the host can check.
 //!
@@ -23,7 +24,7 @@ use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
 use dm_sim::{RemotePtr, Transport};
 
-use crate::EngineError;
+use crate::{EngineError, LeafReadStats};
 
 /// How the index hosting a walk reads its nodes — the only things that
 /// differ between Sphinx, SMART and ART on the read side.
@@ -52,6 +53,11 @@ pub trait ArtReader {
     ///
     /// As [`crate::read_validated_leaf`].
     fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError>;
+
+    /// Books leaf I/O the walker did on its own — the batched second read of
+    /// leaves larger than the hint — where [`ArtReader::read_leaf`] books
+    /// its own. The default counts nothing.
+    fn note_leaf_io(&mut self, _io: LeafReadStats) {}
 
     /// Issues one scan level's reads; results in input order. The default
     /// is one doorbell batch for the whole level.
@@ -153,7 +159,9 @@ pub fn any_leaf<H: ArtReader>(host: &mut H, node: &InnerNode) -> Result<Sampled,
 /// `exact` records whether `known` is a real key prefix: path compression
 /// hides bytes, and once a gap appears the concatenation of dispatch bytes
 /// is not one, so pruning must stop until the prefix is resolved again
-/// (leaf-level filtering keeps the walk correct meanwhile).
+/// (leaf-level filtering keeps the walk correct meanwhile). What nobody
+/// will prune by — a leaf slot, a child of an inexact node — is queued
+/// untracked: `known` empty, `exact` false.
 #[derive(Debug, Clone)]
 pub struct Tracked<N> {
     /// The node, or the slot pointing at it.
@@ -191,10 +199,10 @@ impl Tracked<InnerNode> {
 
 /// Prefix resolution: a node whose known prefix is shorter than its actual
 /// one cannot be pruned — but any leaf below it reveals the full prefix.
-/// Nodes with a direct leaf child share one batched read (a torn or
-/// oversized leaf just leaves its node unresolved); the others are sampled
-/// with [`any_leaf`]. Keeps range walks proportional to the result size
-/// instead of the subtree size.
+/// Nodes with a direct leaf child share one batched read (settled like a
+/// scan level's leaves, see [`settle_leaves`]); the others are sampled with
+/// [`any_leaf`]. Keeps range walks proportional to the result size instead
+/// of the subtree size.
 ///
 /// # Errors
 ///
@@ -222,8 +230,9 @@ pub fn resolve_prefixes<H: ArtReader>(
     }
     if !reads.is_empty() {
         let fetched = host.transport().read_many(&reads)?;
-        for (i, bytes) in direct.into_iter().zip(fetched) {
-            if let Ok(leaf) = LeafNode::decode(&bytes) {
+        let leaves = settle_leaves(host, reads.iter().map(|r| r.0).zip(fetched))?;
+        for (i, leaf) in direct.into_iter().zip(leaves) {
+            if let Some(leaf) = leaf {
                 nodes[i].adopt(&leaf.key);
             }
         }
@@ -248,69 +257,130 @@ pub fn range_may_intersect(known: &[u8], low: &[u8], high: Option<&[u8]>) -> boo
     known >= low || low.starts_with(known)
 }
 
+/// The dispatch bytes `lo..=hi` for which `known ++ [byte]` still passes
+/// [`range_may_intersect`], given that `known` itself does; `None` when no
+/// child can (`high == known`: only the value slot is in range).
+fn child_window(known: &[u8], low: &[u8], high: Option<&[u8]>) -> Option<(u8, u8)> {
+    let next = |bound: &[u8]| bound.strip_prefix(known).map(|rest| rest.first().copied());
+    // `low` continues `known`: children below its next byte stay below it.
+    let lo = next(low).flatten().unwrap_or(0);
+    let hi = match high.and_then(next) {
+        // `high` continues `known`: children above its next byte exceed it.
+        Some(Some(byte)) => byte,
+        Some(None) => return None,
+        None => u8::MAX,
+    };
+    Some((lo, hi))
+}
+
 /// Appends to `out` the slots of `n` a walk over `[low, high]` still has
-/// to follow, in key order (value slot, then children by dispatch byte),
-/// each with its own tracked prefix. Prunes only where the prefix is
-/// exact.
+/// to follow, in key order (value slot, then children by dispatch byte).
+/// Prunes only where the prefix is exact, and decides from the parent's
+/// prefix and the dispatch byte alone: a pruned slot costs nothing, and
+/// only an inner child of an exact node gets a tracked prefix (a leaf is
+/// filtered by its real key, a child of an inexact node is resolved from
+/// scratch).
 pub fn viable_children(
-    n: Tracked<InnerNode>,
+    n: &Tracked<InnerNode>,
     low: &[u8],
     high: Option<&[u8]>,
     out: &mut Vec<Tracked<Slot>>,
 ) {
     let exact = n.exact_here();
-    if exact && !range_may_intersect(&n.known, low, high) {
-        return;
-    }
-    if let Some(slot) = n.at.value_slot {
-        out.push(Tracked {
-            at: slot,
-            known: n.known.clone(),
-            exact,
-        });
-    }
-    for slot in n.at.children_sorted() {
-        let mut known = n.known.clone();
-        if exact {
-            known.push(slot.key_byte);
-            if !range_may_intersect(&known, low, high) {
-                continue;
-            }
+    let window = if exact {
+        if !range_may_intersect(&n.known, low, high) {
+            return;
         }
-        out.push(Tracked {
+        child_window(&n.known, low, high)
+    } else {
+        Some((0, u8::MAX))
+    };
+    let untracked = |at| Tracked {
+        at,
+        known: Vec::new(),
+        exact: false,
+    };
+    out.extend(n.at.value_slot.map(untracked));
+    let Some((lo, hi)) = window else { return };
+    out.extend(n.at.children_between(lo, hi).map(|slot| {
+        if slot.is_leaf || !exact {
+            return untracked(slot);
+        }
+        let mut known = Vec::with_capacity(n.known.len() + 1);
+        known.extend_from_slice(&n.known);
+        known.push(slot.key_byte);
+        Tracked {
             at: slot,
             known,
             exact,
-        });
-    }
+        }
+    }));
 }
 
-/// Decodes a leaf fetched at the size hint inside a batch; torn or larger
-/// than the hint, it is read again through the host's retrying reader.
-/// `None`: it never settled — skip it.
+/// Decodes the leaves of one batched read made at the size hint, in input
+/// order. Leaves whose first word names a size above what was read are
+/// fetched again **together**, at their exact sizes, in one more
+/// [`ArtReader::read_level`] (booked once each through
+/// [`ArtReader::note_leaf_io`]); only a read that still does not decode —
+/// genuinely torn — goes through the host's one-by-one retrying reader.
+/// `None`: the leaf never settled — skip it.
 ///
 /// # Errors
 ///
-/// What the host's leaf read returns, retry exhaustion excepted.
-pub fn settle_leaf<H: ArtReader>(
+/// What the host's reads return, retry exhaustion excepted.
+pub fn settle_leaves<H: ArtReader>(
     host: &mut H,
-    addr: RemotePtr,
-    bytes: &[u8],
-) -> Result<Option<LeafNode>, EngineError> {
-    if let Ok(leaf) = LeafNode::decode(bytes) {
-        return Ok(Some(leaf));
+    fetched: impl IntoIterator<Item = (RemotePtr, Vec<u8>)>,
+) -> Result<Vec<Option<LeafNode>>, EngineError> {
+    let fetched = fetched.into_iter();
+    let mut leaves = Vec::with_capacity(fetched.size_hint().0);
+    // Positions in `leaves` still owed: oversized (with their exact reads)
+    // and torn.
+    let (mut big, mut big_reads, mut torn) = (Vec::new(), Vec::new(), Vec::new());
+    for (addr, bytes) in fetched {
+        let leaf = LeafNode::decode(&bytes).ok();
+        if leaf.is_none() {
+            match LeafNode::stored_len(&bytes) {
+                Some(len) if len > bytes.len() => {
+                    big.push(leaves.len());
+                    big_reads.push((addr, len));
+                }
+                _ => torn.push((leaves.len(), addr)),
+            }
+        }
+        leaves.push(leaf);
     }
-    match host.read_leaf(addr) {
-        Ok(leaf) => Ok(Some(leaf)),
-        Err(EngineError::RetriesExhausted { .. }) => Ok(None),
-        Err(e) => Err(e),
+    if !big.is_empty() {
+        host.note_leaf_io(LeafReadStats {
+            extended_reads: big.len() as u64,
+            ..LeafReadStats::default()
+        });
+        let again = host.read_level(&big_reads)?;
+        for ((at, (addr, _)), bytes) in big.into_iter().zip(big_reads).zip(again) {
+            match LeafNode::decode(&bytes) {
+                Ok(leaf) => leaves[at] = Some(leaf),
+                Err(_) => torn.push((at, addr)),
+            }
+        }
     }
+    for (at, addr) in torn {
+        leaves[at] = match host.read_leaf(addr) {
+            Ok(leaf) => Some(leaf),
+            Err(EngineError::RetriesExhausted { .. }) => None,
+            Err(e) => return Err(e),
+        };
+    }
+    Ok(leaves)
 }
 
-/// Every `(key, value)` with `low <= key <= high` below `root`, ascending
-/// (§IV "Scan"): root-down, each level resolved, pruned and then fetched
-/// through [`ArtReader::read_level`]. A best-effort snapshot under
-/// concurrent structural changes, like the paper's protocol.
+/// Every `(key, value)` with `low <= key <= high` below `start`, ascending
+/// (§IV "Scan"): top-down from `start`, each level resolved, pruned and
+/// then fetched through [`ArtReader::read_level`]. `start` is any inner
+/// node whose full prefix is `start.known`, exactly — the root
+/// ([`Tracked::root`]), or a deeper node the host found some other way; the
+/// walk returns the rows of that subtree only, so it is complete when the
+/// prefix prefixes both bounds. A best-effort snapshot under concurrent
+/// structural changes, like the paper's protocol.
 ///
 /// # Errors
 ///
@@ -318,46 +388,36 @@ pub fn settle_leaf<H: ArtReader>(
 #[allow(clippy::type_complexity)]
 pub fn scan<H: ArtReader>(
     host: &mut H,
-    root: InnerNode,
+    start: Tracked<InnerNode>,
     low: &[u8],
     high: &[u8],
 ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, EngineError> {
     let hint = host.leaf_hint();
     let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut inners = vec![Tracked::root(root)];
+    let mut inners = vec![start];
+    // Level buffers, reused from one level to the next.
+    let (mut pending, mut reads, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
     while !inners.is_empty() {
         resolve_prefixes(host, &mut inners)?;
-        let mut pending = Vec::new();
         for n in inners.drain(..) {
-            viable_children(n, low, Some(high), &mut pending);
+            viable_children(&n, low, Some(high), &mut pending);
         }
         if pending.is_empty() {
             break;
         }
-        let reads: Vec<_> = pending
-            .iter()
-            .map(|p| {
-                let len = if p.at.is_leaf {
-                    hint
-                } else {
-                    InnerNode::byte_size(p.at.child_kind)
-                };
-                (p.at.addr, len)
-            })
-            .collect();
+        reads.clear();
+        reads.extend(pending.iter().map(|p| {
+            let len = if p.at.is_leaf {
+                hint
+            } else {
+                InnerNode::byte_size(p.at.child_kind)
+            };
+            (p.at.addr, len)
+        }));
         let fetched = host.read_level(&reads)?;
-        for (p, bytes) in pending.into_iter().zip(fetched) {
+        for (p, bytes) in pending.drain(..).zip(fetched) {
             if p.at.is_leaf {
-                match settle_leaf(host, p.at.addr, &bytes)? {
-                    Some(leaf)
-                        if leaf.status != NodeStatus::Invalid
-                            && leaf.key.as_slice() >= low
-                            && leaf.key.as_slice() <= high =>
-                    {
-                        results.push((leaf.key, leaf.value));
-                    }
-                    _ => {}
-                }
+                leaves.push((p.at.addr, bytes));
                 continue;
             }
             let node = match InnerNode::decode(&bytes) {
@@ -370,6 +430,14 @@ pub fn scan<H: ArtReader>(
                     known: p.known,
                     exact: p.exact,
                 });
+            }
+        }
+        for leaf in settle_leaves(host, leaves.drain(..))?.into_iter().flatten() {
+            if leaf.status != NodeStatus::Invalid
+                && leaf.key.as_slice() >= low
+                && leaf.key.as_slice() <= high
+            {
+                results.push((leaf.key, leaf.value));
             }
         }
     }
@@ -565,8 +633,9 @@ mod tests {
     };
     use dm_sim::{ClusterConfig, DmClient, DmCluster};
 
-    /// The plainest reader: one transport, no cache, no phases.
-    struct Host(DmClient);
+    /// The plainest reader: one transport, no cache, no phases; counts the
+    /// leaf I/O the walker books.
+    struct Host(DmClient, LeafReadStats);
 
     impl ArtReader for Host {
         type T = DmClient;
@@ -583,10 +652,14 @@ mod tests {
             let mut io = LeafReadStats::default();
             read_validated_leaf(&mut self.0, ptr, 128, &RetryPolicy::default(), &mut io)
         }
+        fn note_leaf_io(&mut self, io: LeafReadStats) {
+            self.1.merge(&io);
+        }
     }
 
     fn host() -> Host {
-        Host(DmCluster::new(ClusterConfig::default()).client(0))
+        let client = DmCluster::new(ClusterConfig::default()).client(0);
+        Host(client, LeafReadStats::default())
     }
 
     /// Writes an inner node for `prefix` with the given children.
@@ -733,15 +806,149 @@ mod tests {
         let root = inner(&mut h, NodeKind::Node4, b"", &top);
 
         let root_node = node_of(&mut h, root);
-        let all = scan(&mut h, root_node.clone(), b"", b"~").unwrap();
+        let all = scan(&mut h, Tracked::root(root_node.clone()), b"", b"~").unwrap();
         assert_eq!(all.iter().map(|(k, _)| &k[..]).collect::<Vec<_>>(), keys);
-        let some = scan(&mut h, root_node, b"user02", b"user02@x").unwrap();
+        let root_node = Tracked::root(root_node);
+        let some = scan(&mut h, root_node.clone(), b"user02", b"user02@x").unwrap();
         assert_eq!(some.len(), 1);
+
+        // From a non-root start whose prefix is known: the root scan
+        // restricted to that subtree, for fewer reads.
+        let users = Tracked {
+            at: node_of(&mut h, users),
+            known: b"user0".to_vec(),
+            exact: true,
+        };
+        let before = h.0.stats().round_trips;
+        let below = scan(&mut h, users.clone(), b"", b"~").unwrap();
+        let from_users = h.0.stats().round_trips - before;
+        assert_eq!(below, all[..3]);
+        let before = h.0.stats().round_trips;
+        let some = scan(&mut h, root_node, b"user01", b"user02@x").unwrap();
+        assert!(from_users < h.0.stats().round_trips - before);
+        assert_eq!(scan(&mut h, users, b"user01", b"user02@x").unwrap(), some);
+        assert_eq!(some, all[..2]);
 
         let report = audit(&mut h, root).unwrap();
         assert!(report.is_clean(), "{:?}", report.problems);
         assert_eq!((report.inner_nodes, report.leaves), (3, 4));
         assert_eq!(report.max_prefix_len, 7);
         assert_eq!(report.empty_inner_nodes, 0);
+    }
+
+    /// Pruning decides from the parent's prefix and the dispatch byte: a
+    /// slot outside the window is never materialised, and only an inner
+    /// child of an exact node carries a prefix buffer.
+    #[test]
+    fn a_full_node256_pushes_exactly_its_window() {
+        let at = |b: u8| RemotePtr::new(0, 64 * (b as u64 + 1));
+        let mut node = InnerNode::new(NodeKind::Node256, b"ab");
+        for b in 0..=255u8 {
+            node.set_child(match b % 2 {
+                0 => Slot::inner(b, NodeKind::Node4, at(b)),
+                _ => Slot::leaf(b, at(b)),
+            });
+        }
+        node.value_slot = Some(Slot::leaf(0, at(0)));
+        let exact = Tracked {
+            at: node,
+            known: b"ab".to_vec(),
+            exact: true,
+        };
+        let pushed = |n: &Tracked<InnerNode>, low: &[u8], high: Option<&[u8]>| {
+            let mut out = Vec::new();
+            viable_children(n, low, high, &mut out);
+            out
+        };
+
+        let out = pushed(&exact, b"ab\x10\xFF", Some(b"ab\x12"));
+        let bytes: Vec<u8> = out.iter().map(|p| p.at.key_byte).collect();
+        assert_eq!(bytes, [0, 0x10, 0x11, 0x12], "value slot, then the window");
+        for p in &out[1..] {
+            match p.at.is_leaf {
+                // Filtered by its real key: no prefix buffer at all.
+                true => assert_eq!((p.known.capacity(), p.exact), (0, false)),
+                false => {
+                    assert_eq!(p.known, [b'a', b'b', p.at.key_byte]);
+                    assert_eq!((p.known.capacity(), p.exact), (3, true));
+                }
+            }
+        }
+        // Unbounded above, bounded below by a proper extension.
+        assert_eq!(pushed(&exact, b"ab\xFE\x00", None).len(), 1 + 2);
+        // `high` is the prefix itself: the value slot and nothing else.
+        assert_eq!(pushed(&exact, b"a", Some(b"ab")).len(), 1);
+        // The subtree misses the range altogether.
+        assert!(pushed(&exact, b"ac", Some(b"ad")).is_empty());
+        assert!(pushed(&exact, b"a", Some(b"aa")).is_empty());
+        // Bounds that diverge above the node leave every child viable.
+        assert_eq!(pushed(&exact, b"aa", Some(b"ac")).len(), 1 + 256);
+
+        // A prefix with a gap cannot prune: everything, untracked.
+        let inexact = Tracked {
+            known: b"a".to_vec(),
+            ..exact
+        };
+        let out = pushed(&inexact, b"ab\x10", Some(b"ab\x12"));
+        assert_eq!(out.len(), 1 + 256);
+        assert!(out.iter().all(|p| !p.exact && p.known.capacity() == 0));
+    }
+
+    /// What `child_window` computes is `range_may_intersect` applied to
+    /// the prefix extended by each byte.
+    #[test]
+    fn the_child_window_is_the_per_byte_pruning_rule() {
+        let bounds: [&[u8]; 9] = [
+            b"",
+            b"a",
+            b"ab",
+            b"ab\x00",
+            b"ab\x07",
+            b"ab\x07\x01",
+            b"ab\xFF",
+            b"ac",
+            b"b",
+        ];
+        let known = b"ab";
+        for low in bounds {
+            for high in bounds.iter().map(|h| Some(*h)).chain([None]) {
+                if !range_may_intersect(known, low, high) {
+                    continue;
+                }
+                let window = child_window(known, low, high);
+                for b in 0..=255u8 {
+                    let extended = [known.as_slice(), &[b]].concat();
+                    assert_eq!(
+                        window.is_some_and(|(lo, hi)| (lo..=hi).contains(&b)),
+                        range_may_intersect(&extended, low, high),
+                        "[{low:02x?}, {high:02x?}] byte {b:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Leaves larger than the hint are re-read in one batch, booked once
+    /// each; a torn one goes through the retrying reader.
+    #[test]
+    fn oversized_leaves_share_one_second_read() {
+        let mut h = host();
+        let sizes = [10usize, 300, 90, 500, 113];
+        let addrs: Vec<RemotePtr> = sizes
+            .iter()
+            .map(|&n| write_new_leaf(&mut h.0, &[n as u8], &vec![7; n]).unwrap())
+            .collect();
+        let reads: Vec<_> = addrs.iter().map(|&a| (a, 128)).collect();
+        let before = h.0.stats().round_trips;
+        let fetched = h.0.read_many(&reads).unwrap();
+        let first = h.0.stats().round_trips - before;
+        let leaves = settle_leaves(&mut h, addrs.iter().copied().zip(fetched)).unwrap();
+        let lens: Vec<usize> = leaves.iter().flatten().map(|l| l.value.len()).collect();
+        assert_eq!(lens, sizes, "input order");
+        assert_eq!(h.1.extended_reads, 3, "300, 500 and 113 B exceed the hint");
+        assert!(
+            h.0.stats().round_trips - before <= 2 * first,
+            "one more batch, not two reads per oversized leaf"
+        );
     }
 }

@@ -62,6 +62,40 @@ fn bp_edge_key() -> BoxedStrategy<Vec<u8>> {
     .boxed()
 }
 
+/// The two ends of a scan, in either order.
+type Bounds = (Vec<u8>, Vec<u8>);
+
+/// Scan bounds over the edge keys: arbitrary pairs, plus the shapes that
+/// decide where a Sphinx scan enters the tree — equal bounds, `low` a
+/// proper prefix of `high`, an empty `low`, and bounds longer than any
+/// stored key (520 bytes against at most 512).
+fn edge_bounds() -> BoxedStrategy<Bounds> {
+    let padded = || {
+        (edge_key(), any::<u8>()).prop_map(|(mut k, fill)| {
+            k.resize(520, fill);
+            k
+        })
+    };
+    prop_oneof![
+        3 => (edge_key(), edge_key()),
+        1 => edge_key().prop_map(|k| (k.clone(), k)),
+        1 => (edge_key(), proptest::collection::vec(any::<u8>(), 1..4))
+            .prop_map(|(k, tail)| (k.clone(), [k, tail].concat())),
+        1 => edge_key().prop_map(|k| (Vec::new(), k)),
+        1 => (padded(), padded()),
+    ]
+    .boxed()
+}
+
+/// Fixed-width bounds: arbitrary pairs and the degenerate range.
+fn bp_bounds() -> BoxedStrategy<Bounds> {
+    prop_oneof![
+        3 => (bp_edge_key(), bp_edge_key()),
+        1 => bp_edge_key().prop_map(|k| (k.clone(), k)),
+    ]
+    .boxed()
+}
+
 fn val() -> impl Strategy<Value = Vec<u8>> {
     // ≤ 62 bytes: the facade's B+-tree value budget (length-prefixed
     // 64-byte slots); the variable-length systems share the bound so one
@@ -69,13 +103,16 @@ fn val() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..60)
 }
 
-fn step_strategy(key: fn() -> BoxedStrategy<Vec<u8>>) -> impl Strategy<Value = Step> {
+fn step_strategy(
+    key: fn() -> BoxedStrategy<Vec<u8>>,
+    bounds: fn() -> BoxedStrategy<Bounds>,
+) -> impl Strategy<Value = Step> {
     prop_oneof![
         3 => (key(), val()).prop_map(|(k, v)| Step::Insert(k, v)),
         1 => (key(), val()).prop_map(|(k, v)| Step::Update(k, v)),
         1 => key().prop_map(Step::Remove),
         2 => key().prop_map(Step::Get),
-        2 => (key(), key()).prop_map(|(a, b)| Step::Scan(a, b)),
+        2 => bounds().prop_map(|(a, b)| Step::Scan(a, b)),
         1 => (key(), 0usize..5).prop_map(|(k, n)| Step::ScanN(k, n)),
         1 => proptest::collection::vec(key(), 1..5).prop_map(Step::MultiGet),
     ]
@@ -147,21 +184,21 @@ proptest! {
 
     #[test]
     fn sphinx_edge_keys_match_btreemap(
-        steps in proptest::collection::vec(step_strategy(edge_key), 1..60),
+        steps in proptest::collection::vec(step_strategy(edge_key, edge_bounds), 1..60),
     ) {
         run_model(System::Sphinx, &steps)?;
     }
 
     #[test]
     fn art_edge_keys_match_btreemap(
-        steps in proptest::collection::vec(step_strategy(edge_key), 1..50),
+        steps in proptest::collection::vec(step_strategy(edge_key, edge_bounds), 1..50),
     ) {
         run_model(System::Art, &steps)?;
     }
 
     #[test]
     fn bptree_boundary_keys_match_btreemap(
-        steps in proptest::collection::vec(step_strategy(bp_edge_key), 1..60),
+        steps in proptest::collection::vec(step_strategy(bp_edge_key, bp_bounds), 1..60),
     ) {
         run_model(System::BpTree, &steps)?;
     }

@@ -29,13 +29,28 @@ fn val_strategy() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..80)
 }
 
+/// Scan bounds: arbitrary pairs, plus the shapes that decide where a scan
+/// enters the tree — equal bounds, `low` a proper prefix of `high`, an
+/// empty `low`, and bounds longer than any stored key (keys are < 8 bytes).
+fn bounds_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    let tail = |len| proptest::collection::vec(any::<u8>(), len);
+    prop_oneof![
+        3 => (key_strategy(), key_strategy()),
+        1 => key_strategy().prop_map(|k| (k.clone(), k)),
+        1 => (key_strategy(), tail(1..4)).prop_map(|(k, t)| (k.clone(), [k, t].concat())),
+        1 => key_strategy().prop_map(|k| (Vec::new(), k)),
+        1 => (key_strategy(), tail(8..12), tail(8..12))
+            .prop_map(|(k, a, b)| ([k.clone(), a].concat(), [k, b].concat())),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (key_strategy(), val_strategy()).prop_map(|(k, v)| Op::Insert(k, v)),
         1 => (key_strategy(), val_strategy()).prop_map(|(k, v)| Op::Update(k, v)),
         1 => key_strategy().prop_map(Op::Remove),
         2 => key_strategy().prop_map(Op::Get),
-        1 => (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Scan(a, b)),
+        2 => bounds_strategy().prop_map(|(a, b)| Op::Scan(a, b)),
         1 => proptest::collection::vec(key_strategy(), 1..8).prop_map(Op::MultiGet),
         1 => (key_strategy(), 0usize..12).prop_map(|(k, n)| Op::ScanN(k, n)),
         1 => (key_strategy(), 1usize..10).prop_map(|(k, n)| Op::ScanIter(k, n)),
