@@ -147,6 +147,7 @@ impl BaselineIndex {
             retry: RetryPolicy::default(),
             obs: obs::Recorder::new(),
             reclaim,
+            pipeline: node_engine::PipelineStats::default(),
         })
     }
 
@@ -200,6 +201,9 @@ pub struct BaselineClient {
     pub(crate) obs: obs::Recorder,
     /// This worker's epoch-reclamation handle (pin slot + limbo list).
     pub(crate) reclaim: reclaim::ReclaimHandle,
+    /// Cumulative pipelined-execution counters (see
+    /// [`BaselineClient::get_many_pipelined`]).
+    pub(crate) pipeline: node_engine::PipelineStats,
 }
 
 impl BaselineClient {
@@ -228,6 +232,7 @@ impl BaselineClient {
         reg.add("reclaim.epoch_lag_le_2", rs.lag_le_2);
         reg.add("reclaim.epoch_lag_le_4", rs.lag_le_4);
         reg.add("reclaim.epoch_lag_gt_4", rs.lag_gt_4);
+        self.pipeline.export(&mut reg);
         reg
     }
 

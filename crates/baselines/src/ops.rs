@@ -1,66 +1,231 @@
 //! Baseline index operations: root-to-leaf traversal (with optional node
-//! cache), inserts with splits and type switches, updates, deletes, scans.
+//! cache) as one resumable lookup machine, inserts with splits and type
+//! switches, updates, deletes, scans.
+//!
+//! The traversal is [`node_engine::descend`], the descent every ART system
+//! hosts; [`LocateOp`] wraps it with what a baseline adds — the root fetch
+//! through the cached root word, and SMART's CN node cache as the
+//! descent's consult / fill / invalidate hooks. Every point operation
+//! drives one machine alone; [`BaselineClient::get_many_pipelined`] drives
+//! one per key at depth N through the same [`node_engine::run_pipelined`].
 
-use art_core::hash::prefix_hash42;
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
-use dm_sim::{RemotePtr, Transport};
+use art_core::NodeKind;
+use dm_sim::{DoorbellBatch, RemotePtr, Transport, Verb, VerbResult};
 use node_engine::walk::{self, any_leaf, Tracked};
 use node_engine::{
-    cas_locked_write, retire_inner, retire_leaf, unlink_empty_inner, write_new_inner,
-    write_new_leaf, ArtReader, EngineError, Install, LeafReadStats, Sampled, Unlink,
+    cas_locked_write, retire_inner, retire_leaf, run_pipelined, unlink_empty_inner,
+    write_new_inner, write_new_leaf, ArtReader, Descend, DescendHost, Descent, EngineError,
+    Install, LeafReadStats, OpState, Outcome, PipelineStats, StepOutcome, Unlink, Via, Yield,
 };
-use obs::{OpKind, Phase};
+use obs::{OpKind, Phase, Recorder};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
+use crate::cache::NodeCache;
 use crate::error::BaselineError;
 use crate::index::BaselineClient;
 
-/// Where the traversal ended.
-#[derive(Debug)]
-enum BOutcome {
-    Leaf {
-        offset: u64,
-        slot: Slot,
-        leaf: LeafNode,
-    },
-    NoValueSlot,
-    Empty {
-        byte: u8,
-    },
-    Divergent {
-        slot_idx: usize,
-        slot: Slot,
-        child: InnerNode,
-        sample: LeafNode,
-    },
-    /// The divergent child's subtree holds no leaf (see
-    /// `sphinx::Outcome::EmptyChild`).
-    EmptyChild {
-        slot_idx: usize,
-        slot: Slot,
-        child: InnerNode,
-    },
+/// Submission tags: the phase each round trip is attributed to (by the
+/// span recorder for a lookup driven alone, by
+/// [`PipelineStats::by_tag`] for a pipelined run).
+const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
+const TAG_LEAF: u32 = Phase::LeafRead as u32;
+
+/// SMART's CN node cache as one lookup sees it — the descent's consult /
+/// fill / invalidate hooks, and the one place on the read side that touches
+/// the cache — with what came of it.
+#[derive(Default)]
+struct CacheView {
+    /// `None`: the plain ART.
+    cache: Option<Arc<Mutex<NodeCache>>>,
+    /// Whether this pass may be served from the cache at all.
+    allowed: bool,
+    /// Whether a node on the path came from the cache: a miss is then only
+    /// as fresh as that copy.
+    used: bool,
+    /// Whether the node last consulted was a hit.
+    last_hit: bool,
+    hits: u64,
+    misses: u64,
 }
 
-/// A completed traversal: the deepest inner node whose prefix prefixes the
-/// key, with the location of the slot pointing *to* that node (needed for
-/// type switches — `None` parent means the node is the root, pointed to by
-/// the meta word).
-#[derive(Debug)]
-struct Located {
-    parent_node_ptr: Option<RemotePtr>,
-    parent_word_ptr: RemotePtr,
-    parent_expected: u64,
-    node: InnerNode,
-    node_ptr: RemotePtr,
-    used_cache: bool,
-    outcome: BOutcome,
+impl DescendHost for CacheView {
+    fn cached(&mut self, ptr: RemotePtr, kind: NodeKind) -> Option<InnerNode> {
+        self.last_hit = false;
+        let cache = self.cache.as_ref().filter(|_| self.allowed)?;
+        let hit = cache.lock().get(ptr);
+        if let Some(node) = hit {
+            if node.header.kind == kind {
+                self.hits += 1;
+                self.last_hit = true;
+                return Some(node);
+            }
+            cache.lock().invalidate(ptr);
+        }
+        self.misses += 1;
+        None
+    }
+
+    fn fetched(&mut self, ptr: RemotePtr, kind: NodeKind, node: &InnerNode) {
+        if let Some(cache) = &self.cache {
+            if node.header.status == NodeStatus::Idle && node.header.kind == kind {
+                cache.lock().put(ptr, node.clone());
+            }
+        }
+    }
+
+    fn unusable(&mut self, ptr: RemotePtr) {
+        if let Some(cache) = &self.cache {
+            cache.lock().invalidate(ptr);
+        }
+    }
+
+    fn child_matched(&mut self, _prefix: &[u8]) {
+        self.used |= self.last_hit;
+    }
 }
 
-#[allow(clippy::large_enum_variant)] // Retry is transient; Done is immediately unpacked
-enum LocateResult {
-    Done(Located),
+/// Why a lookup machine stopped. `Found` ends the traversal; the driver
+/// serves the other two and re-admits the machine.
+#[allow(clippy::large_enum_variant)] // moved once per lookup
+enum Stop {
+    /// The deepest inner node whose prefix prefixes the key, and what lies
+    /// below it.
+    Found(Descent),
+    /// A node on the path was retired or mid type-switch: count the retry,
+    /// refresh the root word, back off, retake the traversal.
     Retry,
+    /// A child's compressed path leaves the key: sample a leaf below
+    /// [`Descend::diverged_child`] and hand it to [`Descend::sampled`].
+    Sample,
+}
+
+/// Where the machine is between round trips.
+enum St {
+    /// At the root word, nothing read yet.
+    Start,
+    /// Waiting for the root node.
+    Root,
+    /// Below the root: [`LocateOp::descend`] is waiting for the read it
+    /// yielded for, or for the driver's sample.
+    Descending,
+}
+
+/// One lookup's state. Owns nothing of the client but a handle on the
+/// node cache; [`Run`] lends it the root word for one [`run_pipelined`]
+/// call.
+struct LocateOp<'k> {
+    descend: Descend<'k>,
+    cache: CacheView,
+    /// Traversals retaken so far (bounded by `op_retries`).
+    attempts: usize,
+    state: St,
+    result: Option<Descent>,
+}
+
+impl LocateOp<'_> {
+    /// Whether the traversal missed `key` after stepping through a cached
+    /// node.
+    fn missed_through_cache(&self) -> bool {
+        let found = matches!(
+            self.result.as_ref().map(|d| &d.outcome),
+            Some(Outcome::Leaf { leaf, .. }) if leaf.key == self.descend.key
+        );
+        self.cache.used && !found
+    }
+}
+
+/// A [`LocateOp`] admitted to one pipeline run.
+struct Run<'a, 'k> {
+    op: &'a mut LocateOp<'k>,
+    /// The root slot word and where it lives.
+    root: Slot,
+    root_word: RemotePtr,
+    /// The client's span recorder when the lookup is driven alone; `None`
+    /// in a pipelined run, whose phases interleave across ops.
+    span: Option<&'a mut Recorder>,
+}
+
+type Step = Result<StepOutcome<Stop>, EngineError>;
+
+impl Run<'_, '_> {
+    fn phase<T: Transport>(&mut self, t: &T, phase: Phase) {
+        if let Some(span) = self.span.as_deref_mut() {
+            span.phase(phase, t.stats(), t.clock_ns());
+        }
+    }
+
+    /// Enters the descent at the root node.
+    fn enter<T: Transport>(&mut self, t: &mut T, root_node: InnerNode, from_cache: bool) -> Step {
+        let via = Via {
+            parent: None,
+            word_ptr: self.root_word,
+            expected: self.root.encode(),
+        };
+        let LocateOp { descend, cache, .. } = &mut *self.op;
+        cache.used = from_cache;
+        let y = descend.enter(cache, root_node, self.root.addr, Some(via))?;
+        self.on_yield(t, y)
+    }
+
+    fn on_yield<T: Transport>(&mut self, t: &mut T, y: Yield) -> Step {
+        let (ptr, len, tag) = match y {
+            Yield::Inner(ptr, len) => (ptr, len, TAG_TRAVERSAL),
+            Yield::Leaf(ptr, len, again) => {
+                if !again {
+                    self.phase(t, Phase::LeafRead);
+                }
+                (ptr, len, TAG_LEAF)
+            }
+            Yield::Sample => return Ok(StepOutcome::Done(Stop::Sample)),
+            Yield::Restart => return Ok(StepOutcome::Done(Stop::Retry)),
+            Yield::Done(descent) => {
+                if matches!(descent.outcome, Outcome::Leaf { .. }) {
+                    self.phase(t, Phase::Traversal); // the leaf read is over
+                }
+                return Ok(StepOutcome::Done(Stop::Found(descent)));
+            }
+        };
+        Ok(StepOutcome::Submit {
+            batch: DoorbellBatch::from_iter([Verb::Read { ptr, len }]),
+            tag,
+        })
+    }
+}
+
+impl OpState for Run<'_, '_> {
+    type Output = Stop;
+
+    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Vec<VerbResult>>) -> Step {
+        let bytes = completion.map(|mut results| {
+            let read = results.pop().expect("a lookup submits one read at a time");
+            read.into_read()
+        });
+        let root = self.root;
+        match (std::mem::replace(&mut self.op.state, St::Descending), bytes) {
+            (St::Start, None) => match self.op.cache.cached(root.addr, root.child_kind) {
+                Some(node) => self.enter(t, node, true),
+                None => {
+                    self.op.state = St::Root;
+                    let len = InnerNode::byte_size(root.child_kind);
+                    self.on_yield(t, Yield::Inner(root.addr, len))
+                }
+            },
+            (St::Root, Some(bytes)) => {
+                let node = InnerNode::decode(&bytes)?;
+                self.op.cache.fetched(root.addr, root.child_kind, &node);
+                self.enter(t, node, false)
+            }
+            (St::Descending, bytes) => {
+                let LocateOp { descend, cache, .. } = &mut *self.op;
+                let y = descend.resume(t, cache, bytes)?;
+                self.on_yield(t, y)
+            }
+            _ => unreachable!("a lookup was resumed out of step with its submission"),
+        }
+    }
 }
 
 impl BaselineClient {
@@ -78,36 +243,35 @@ impl BaselineClient {
         Ok(self.root_slot.expect("just set"))
     }
 
-    /// Reads an inner node, consulting the CN node cache when allowed.
-    /// Returns the node and whether it came from the cache.
+    /// Reads an inner node outside a lookup (a scan's root, the walks'
+    /// nodes): from the CN node cache when `use_cache`, else remotely,
+    /// filling the cache.
     fn read_inner_mc(
         &mut self,
         ptr: RemotePtr,
-        kind: art_core::NodeKind,
+        kind: NodeKind,
         use_cache: bool,
-    ) -> Result<(InnerNode, bool), EngineError> {
-        if use_cache {
-            if let Some(cache) = &self.cache {
-                if let Some(node) = cache.lock().get(ptr) {
-                    if node.header.kind == kind {
-                        self.obs.incr("cache.hit");
-                        return Ok((node, true));
-                    }
-                    cache.lock().invalidate(ptr);
-                }
+    ) -> Result<InnerNode, EngineError> {
+        let mut view = CacheView {
+            cache: self.cache.clone(),
+            allowed: use_cache,
+            ..CacheView::default()
+        };
+        let node = match view.cached(ptr, kind) {
+            Some(node) => node,
+            None => {
+                let node = InnerNode::decode(&self.dm.read(ptr, InnerNode::byte_size(kind))?)?;
+                view.fetched(ptr, kind, &node);
+                node
             }
-        }
-        if use_cache && self.cache.is_some() {
-            self.obs.incr("cache.miss");
-        }
-        let bytes = self.dm.read(ptr, InnerNode::byte_size(kind))?;
-        let node = InnerNode::decode(&bytes)?;
-        if let Some(cache) = &self.cache {
-            if node.header.status == NodeStatus::Idle && node.header.kind == kind {
-                cache.lock().put(ptr, node.clone());
-            }
-        }
-        Ok((node, false))
+        };
+        self.note_cache_use(&view);
+        Ok(node)
+    }
+
+    fn note_cache_use(&mut self, view: &CacheView) {
+        self.obs.add("cache.hit", view.hits);
+        self.obs.add("cache.miss", view.misses);
     }
 
     fn invalidate_cached(&mut self, ptr: RemotePtr) {
@@ -116,121 +280,131 @@ impl BaselineClient {
         }
     }
 
-    /// Root-to-leaf traversal. One network round trip per uncached level —
-    /// the cost profile that motivates Sphinx.
-    fn locate(&mut self, key: &[u8], use_cache: bool) -> Result<Located, BaselineError> {
+    /// A lookup machine for `key`, served from the node cache if
+    /// `use_cache`.
+    fn lookup<'k>(&self, key: &'k [u8], use_cache: bool) -> Result<LocateOp<'k>, BaselineError> {
         if key.len() > MAX_KEY_LEN {
             return Err(BaselineError::KeyTooLong { len: key.len() });
         }
-        for attempt in 0..self.retry.op_retries {
-            match self.locate_once(key, use_cache)? {
-                LocateResult::Done(loc) => return Ok(loc),
-                LocateResult::Retry => {
-                    self.stats.retries += 1;
-                    self.obs.retry();
-                    self.obs_phase(Phase::Retry);
-                    self.root_slot(true)?;
-                    if attempt > 2 {
-                        self.backoff();
-                    }
-                }
-            }
-        }
-        Err(BaselineError::RetriesExhausted { op: "locate" })
+        Ok(LocateOp {
+            descend: Descend::new(key, self.meta.config.leaf_read_hint, self.retry),
+            cache: CacheView {
+                cache: self.cache.clone(),
+                allowed: use_cache,
+                ..CacheView::default()
+            },
+            attempts: 0,
+            state: St::Start,
+            result: None,
+        })
     }
 
-    fn locate_once(&mut self, key: &[u8], use_cache: bool) -> Result<LocateResult, BaselineError> {
-        self.obs_phase(Phase::Traversal);
-        let root = self.root_slot(false)?;
-        let mut parent_node_ptr: Option<RemotePtr> = None;
-        let mut parent_word_ptr = self.meta.root_word;
-        let mut parent_expected = root.encode();
-        let mut node_ptr = root.addr;
-        let (mut node, mut used_cache) =
-            self.read_inner_mc(root.addr, root.child_kind, use_cache)?;
-        loop {
-            if node.header.status == NodeStatus::Invalid {
-                self.invalidate_cached(node_ptr);
-                return Ok(LocateResult::Retry);
+    /// Root-to-leaf traversal — one network round trip per uncached level,
+    /// the cost profile that motivates Sphinx — driving one machine alone
+    /// as part of the blocking op in flight. Also tells whether a cached
+    /// node was on the path.
+    fn locate(&mut self, key: &[u8], use_cache: bool) -> Result<(Descent, bool), BaselineError> {
+        let mut op = self.lookup(key, use_cache)?;
+        let run = self.drive(std::slice::from_mut(&mut op), 1, true);
+        self.fold(&op);
+        run?;
+        let used_cache = op.cache.used;
+        Ok((op.result.expect("drive ends every lookup"), used_cache))
+    }
+
+    /// Runs `ops` through [`run_pipelined`], `depth` at a time, from the
+    /// cached root word, until each has its [`Descent`], serving
+    /// [`Stop::Retry`] and [`Stop::Sample`] between runs. `alone` drives a
+    /// single op on behalf of the blocking op in flight: its phases go to
+    /// the open span and the run is not a pipeline run.
+    fn drive(
+        &mut self,
+        ops: &mut [LocateOp<'_>],
+        depth: usize,
+        alone: bool,
+    ) -> Result<(), BaselineError> {
+        while ops.iter().any(|op| op.result.is_none()) {
+            if alone {
+                self.obs_phase(Phase::Traversal);
             }
-            let plen = node.header.prefix_len as usize;
-            let done = |outcome| {
-                Ok(LocateResult::Done(Located {
-                    parent_node_ptr,
-                    parent_word_ptr,
-                    parent_expected,
-                    node: node.clone(),
-                    node_ptr,
-                    used_cache,
-                    outcome,
-                }))
-            };
-            if key.len() == plen {
-                return match node.value_slot {
-                    Some(slot) => {
-                        let leaf = self.read_leaf(slot.addr)?;
-                        done(BOutcome::Leaf {
-                            offset: VALUE_SLOT_OFFSET,
-                            slot,
-                            leaf,
-                        })
-                    }
-                    None => done(BOutcome::NoValueSlot),
-                };
-            }
-            let byte = key[plen];
-            match node.find_child(byte) {
-                None => return done(BOutcome::Empty { byte }),
-                Some((idx, slot)) if slot.is_leaf => {
-                    let leaf = self.read_leaf(slot.addr)?;
-                    return done(BOutcome::Leaf {
-                        offset: InnerNode::slot_offset(idx),
-                        slot,
-                        leaf,
+            let root = self.root_slot(false)?;
+            let stops = {
+                let BaselineClient {
+                    dm,
+                    meta,
+                    obs,
+                    pipeline,
+                    ..
+                } = self;
+                let mut span = alone.then_some(obs);
+                let runs = ops
+                    .iter_mut()
+                    .filter(|op| op.result.is_none())
+                    .map(|op| Run {
+                        op,
+                        root,
+                        root_word: meta.root_word,
+                        span: span.take(),
                     });
-                }
-                Some((idx, slot)) => {
-                    let (child, hit) = self.read_inner_mc(slot.addr, slot.child_kind, use_cache)?;
-                    if child.header.status == NodeStatus::Invalid
-                        || child.header.kind != slot.child_kind
-                    {
-                        self.invalidate_cached(slot.addr);
-                        self.invalidate_cached(node_ptr);
-                        return Ok(LocateResult::Retry);
-                    }
-                    let clen = child.header.prefix_len as usize;
-                    if clen <= plen {
-                        self.invalidate_cached(slot.addr);
-                        return Ok(LocateResult::Retry);
-                    }
-                    if key.len() >= clen
-                        && child.header.prefix_hash42 == prefix_hash42(&key[..clen])
-                    {
-                        parent_node_ptr = Some(node_ptr);
-                        parent_word_ptr = node_ptr.checked_add(InnerNode::slot_offset(idx))?;
-                        parent_expected = slot.encode();
-                        node_ptr = slot.addr;
-                        node = child;
-                        used_cache |= hit;
+                run_pipelined(dm, runs, depth, (!alone).then_some(pipeline))
+            };
+            let pending = ops.iter_mut().filter(|op| op.result.is_none());
+            for (op, stop) in pending.zip(stops?) {
+                match stop {
+                    Stop::Found(descent) => {
+                        op.result = Some(descent);
                         continue;
                     }
-                    return match any_leaf(self, &child)? {
-                        Sampled::Busy => Ok(LocateResult::Retry),
-                        Sampled::Empty => done(BOutcome::EmptyChild {
-                            slot_idx: idx,
-                            slot,
-                            child,
-                        }),
-                        Sampled::Leaf(sample) => done(BOutcome::Divergent {
-                            slot_idx: idx,
-                            slot,
-                            child,
-                            sample,
-                        }),
-                    };
+                    Stop::Sample => {
+                        let sample = any_leaf(self, op.descend.diverged_child())?;
+                        op.descend.sampled(sample);
+                    }
+                    Stop::Retry => {
+                        self.stats.retries += 1;
+                        self.obs.retry();
+                        self.obs_phase(Phase::Retry);
+                        self.root_slot(true)?;
+                        if op.attempts > 2 {
+                            self.backoff();
+                        }
+                        op.attempts += 1;
+                        if op.attempts >= self.retry.op_retries {
+                            return Err(BaselineError::RetriesExhausted { op: "locate" });
+                        }
+                        op.state = St::Start;
+                    }
+                }
+                // A served stop is not a completed op.
+                if !alone {
+                    self.pipeline.ops -= 1;
                 }
             }
         }
+        Ok(())
+    }
+
+    /// [`BaselineClient::drive`] for point lookups: a stale cached node can
+    /// hide recent inserts, so a miss that stepped through one is confirmed
+    /// by a remote traversal (our stand-in for SMART's reverse check).
+    fn drive_gets(
+        &mut self,
+        ops: &mut [LocateOp<'_>],
+        depth: usize,
+        alone: bool,
+    ) -> Result<(), BaselineError> {
+        self.drive(ops, depth, alone)?;
+        for op in ops.iter_mut().filter(|op| op.missed_through_cache()) {
+            op.cache.allowed = false;
+            op.attempts = 0;
+            op.state = St::Start;
+            op.result = None;
+        }
+        self.drive(ops, depth, alone)
+    }
+
+    fn fold(&mut self, op: &LocateOp<'_>) {
+        self.note_leaf_io(op.descend.io);
+        self.note_cache_use(&op.cache);
     }
 
     // ------------------------------------------------------------------
@@ -243,30 +417,67 @@ impl BaselineClient {
     ///
     /// [`BaselineError::KeyTooLong`] or substrate errors.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, BaselineError> {
+        let mut op = self.lookup(key, true)?;
         self.stats.gets += 1;
         self.obs_begin(OpKind::Get);
-        let r = self.get_inner(key);
+        let run = self.drive_gets(std::slice::from_mut(&mut op), 1, true);
+        self.fold(&op);
         self.op_exit();
-        r
+        run?;
+        Ok(op.result.and_then(|d| d.into_value(key)))
     }
 
-    fn get_inner(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, BaselineError> {
-        for pass in 0..2 {
-            let use_cache = pass == 0;
-            let loc = self.locate(key, use_cache)?;
-            match loc.outcome {
-                BOutcome::Leaf { leaf, .. } if leaf.key == key => {
-                    return Ok((leaf.status != NodeStatus::Invalid).then_some(leaf.value));
-                }
-                _ if loc.used_cache => {
-                    // A stale cached node can hide recent inserts: confirm
-                    // the miss with a remote traversal (our stand-in for
-                    // SMART's reverse check).
-                }
-                _ => return Ok(None),
-            }
+    /// Looks up many keys keeping up to `depth` lookups in flight: one
+    /// machine per key — the one [`BaselineClient::get`] drives alone —
+    /// whose reads share a fused doorbell every scheduling round
+    /// ([`dm_sim::Transport::flush_submitted`]). Lookups in one window see
+    /// the node cache as they find it: a node evicted or invalidated under
+    /// a lookup in flight is simply fetched. Results are positionally
+    /// aligned with `keys`; depth 1 issues the network charges of a loop
+    /// of `get`s.
+    ///
+    /// # Errors
+    ///
+    /// Same classes as [`BaselineClient::get`].
+    pub fn get_many_pipelined(
+        &mut self,
+        keys: &[&[u8]],
+        depth: usize,
+    ) -> Result<Vec<Option<Vec<u8>>>, BaselineError> {
+        let mut ops = keys
+            .iter()
+            .map(|key| self.lookup(key, true))
+            .collect::<Result<Vec<_>, _>>()?;
+        if ops.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(None)
+        self.obs_begin(OpKind::MultiGet);
+        let run = self.drive_gets(&mut ops, depth, false);
+        for op in &ops {
+            self.stats.gets += 1;
+            self.fold(op);
+        }
+        // Reclamation cadence parity with a loop of gets: one unpin per
+        // key (the final one comes from `op_exit`).
+        for _ in 1..ops.len() {
+            if self.reclaim.scan_due() {
+                self.obs_phase(Phase::Maintenance);
+            }
+            let BaselineClient { dm, reclaim, .. } = self;
+            reclaim.unpin(dm);
+        }
+        self.op_exit();
+        run?;
+        Ok(ops
+            .into_iter()
+            .map(|op| op.result.and_then(|d| d.into_value(op.descend.key)))
+            .collect())
+    }
+
+    /// Cumulative pipelined-execution counters for this worker (flush
+    /// rounds, fusion, stalls, depth histogram, per-phase attribution).
+    pub fn pipeline_stats(&self) -> &PipelineStats {
+        &self.pipeline
     }
 
     /// Inserts or overwrites `key` with `value`.
@@ -286,31 +497,38 @@ impl BaselineClient {
     fn insert_inner(&mut self, key: &[u8], value: &[u8]) -> Result<(), BaselineError> {
         for attempt in 0..self.retry.op_retries {
             let use_cache = attempt == 0;
-            let loc = self.locate(key, use_cache)?;
+            let (loc, _) = self.locate(key, use_cache)?;
             let done = match loc.outcome {
-                BOutcome::Leaf {
-                    offset,
+                Outcome::Leaf {
+                    slot_ref,
                     ref slot,
                     ref leaf,
                 } if leaf.key == key => {
                     if leaf.status == NodeStatus::Invalid {
-                        self.swap_leaf(loc.node_ptr, offset, slot, key, value)?
+                        self.swap_leaf(loc.node_ptr, slot_ref.offset(), slot, key, value)?
                     } else {
-                        self.write_leaf_value(loc.node_ptr, offset, slot, leaf, key, value)?
+                        self.write_leaf_value(
+                            loc.node_ptr,
+                            slot_ref.offset(),
+                            slot,
+                            leaf,
+                            key,
+                            value,
+                        )?
                     }
                 }
-                BOutcome::Leaf {
-                    offset,
+                Outcome::Leaf {
+                    slot_ref,
                     ref slot,
                     ref leaf,
-                } => self.split_leaf(loc.node_ptr, offset, slot, leaf, key, value)?,
-                BOutcome::NoValueSlot => {
+                } => self.split_leaf(loc.node_ptr, slot_ref.offset(), slot, leaf, key, value)?,
+                Outcome::NoValueSlot => {
                     let leaf_ptr = write_new_leaf(&mut self.dm, key, value)?;
                     let new_slot = Slot::leaf(0, leaf_ptr);
                     self.install_word(loc.node_ptr, VALUE_SLOT_OFFSET, 0, new_slot.encode())?
                         == Install::Done
                 }
-                BOutcome::Empty { byte } => match loc.node.free_slot(byte) {
+                Outcome::Empty { byte } => match loc.node.free_slot(byte) {
                     Some(idx) => {
                         let leaf_ptr = write_new_leaf(&mut self.dm, key, value)?;
                         let new_slot = Slot::leaf(byte, leaf_ptr);
@@ -318,7 +536,7 @@ impl BaselineClient {
                     }
                     None => self.type_switch_insert(&loc, key, value)?,
                 },
-                BOutcome::Divergent {
+                Outcome::Divergent {
                     slot_idx,
                     ref slot,
                     ref child,
@@ -326,7 +544,7 @@ impl BaselineClient {
                 } => self.split_path(loc.node_ptr, slot_idx, slot, child, sample, key, value)?,
                 // Garbage a delete left where this key's path forks: unlink
                 // it, then retry into the freed slot.
-                BOutcome::EmptyChild {
+                Outcome::EmptyChild {
                     slot_idx,
                     ref slot,
                     ref child,
@@ -361,21 +579,28 @@ impl BaselineClient {
     fn update_inner(&mut self, key: &[u8], value: &[u8]) -> Result<bool, BaselineError> {
         for attempt in 0..self.retry.op_retries {
             let use_cache = attempt == 0;
-            let loc = self.locate(key, use_cache)?;
+            let (loc, used_cache) = self.locate(key, use_cache)?;
             match loc.outcome {
-                BOutcome::Leaf {
-                    offset,
+                Outcome::Leaf {
+                    slot_ref,
                     ref slot,
                     ref leaf,
                 } if leaf.key == key => {
                     if leaf.status == NodeStatus::Invalid {
                         return Ok(false);
                     }
-                    if self.write_leaf_value(loc.node_ptr, offset, slot, leaf, key, value)? {
+                    if self.write_leaf_value(
+                        loc.node_ptr,
+                        slot_ref.offset(),
+                        slot,
+                        leaf,
+                        key,
+                        value,
+                    )? {
                         return Ok(true);
                     }
                 }
-                _ if loc.used_cache => {} // confirm the miss uncached
+                _ if used_cache => {} // confirm the miss uncached
                 _ => return Ok(false),
             }
             self.obs.retry();
@@ -401,10 +626,10 @@ impl BaselineClient {
     fn remove_inner(&mut self, key: &[u8]) -> Result<bool, BaselineError> {
         for attempt in 0..self.retry.op_retries {
             let use_cache = attempt == 0;
-            let loc = self.locate(key, use_cache)?;
+            let (loc, used_cache) = self.locate(key, use_cache)?;
             match loc.outcome {
-                BOutcome::Leaf {
-                    offset,
+                Outcome::Leaf {
+                    slot_ref,
                     ref slot,
                     ref leaf,
                 } if leaf.key == key => {
@@ -423,7 +648,9 @@ impl BaselineClient {
                         self.backoff();
                         continue;
                     }
-                    if self.install_word(loc.node_ptr, offset, slot.encode(), 0)? == Install::Done {
+                    if self.install_word(loc.node_ptr, slot_ref.offset(), slot.encode(), 0)?
+                        == Install::Done
+                    {
                         // Our CAS unlinked the tombstoned leaf: its region
                         // is ours to reclaim once a grace period passes.
                         let BaselineClient { dm, reclaim, .. } = self;
@@ -433,7 +660,7 @@ impl BaselineClient {
                     // slot owns the region's retirement now.
                     return Ok(true);
                 }
-                _ if loc.used_cache => {}
+                _ if used_cache => {}
                 _ => return Ok(false),
             }
             self.obs.retry();
@@ -465,7 +692,7 @@ impl BaselineClient {
                 return Ok(Vec::new());
             }
             let root = self.root_slot(false)?;
-            let (root_node, _) = self.read_inner_mc(root.addr, root.child_kind, true)?;
+            let root_node = self.read_inner_mc(root.addr, root.child_kind, true)?;
             Ok(walk::scan(self, Tracked::root(root_node), low, high)?)
         };
         let r = below_root();
@@ -612,10 +839,10 @@ impl BaselineClient {
                     return Ok(true);
                 }
                 x if x == NodeStatus::Invalid as u8 => {
-                    let loc = self.locate(key, false)?;
+                    let (loc, _) = self.locate(key, false)?;
                     return Ok(matches!(
                         loc.outcome,
-                        BOutcome::Leaf { ref leaf, .. }
+                        Outcome::Leaf { ref leaf, .. }
                             if leaf.key == key && leaf.status != NodeStatus::Invalid
                     ));
                 }
@@ -800,7 +1027,7 @@ impl BaselineClient {
     /// shortcut it, which is the point of the baseline).
     fn type_switch_insert(
         &mut self,
-        loc: &Located,
+        loc: &Descent,
         key: &[u8],
         value: &[u8],
     ) -> Result<bool, BaselineError> {
@@ -847,25 +1074,24 @@ impl BaselineClient {
 
         // Swing the pointer to this node: either the parent's child slot
         // or the root word.
-        let old_slot = Slot::decode(loc.parent_expected).ok_or(BaselineError::Corrupt {
+        let via = loc.via.ok_or(BaselineError::Corrupt {
+            what: "descent without a parent word",
+        })?;
+        let old_slot = Slot::decode(via.expected).ok_or(BaselineError::Corrupt {
             what: "parent slot empty",
         })?;
         let new_word = Slot::inner(old_slot.key_byte, grown.header.kind, grown_ptr).encode();
-        let swung = match loc.parent_node_ptr {
+        let swung = match via.parent {
             None => {
-                if self
-                    .dm
-                    .cas(self.meta.root_word, loc.parent_expected, new_word)?
-                    == loc.parent_expected
-                {
+                if self.dm.cas(self.meta.root_word, via.expected, new_word)? == via.expected {
                     Install::Done
                 } else {
                     Install::Raced // the meta word has no switch ambiguity
                 }
             }
             Some(pp) => {
-                let offset = loc.parent_word_ptr.offset() - pp.offset();
-                self.install_word(pp, offset, loc.parent_expected, new_word)?
+                let offset = via.word_ptr.offset() - pp.offset();
+                self.install_word(pp, offset, via.expected, new_word)?
             }
         };
         match swung {
@@ -897,7 +1123,7 @@ impl BaselineClient {
             retire_inner(dm, reclaim, loc.node_ptr, &fresh)?;
         }
         self.invalidate_cached(loc.node_ptr);
-        if loc.parent_node_ptr.is_none() {
+        if via.parent.is_none() {
             self.root_slot = None; // our cached root pointer is stale now
         }
         Ok(true)
@@ -922,7 +1148,7 @@ impl ArtReader for BaselineClient {
         ptr: RemotePtr,
         kind: art_core::NodeKind,
     ) -> Result<InnerNode, EngineError> {
-        Ok(self.read_inner_mc(ptr, kind, false)?.0)
+        self.read_inner_mc(ptr, kind, false)
     }
 
     /// Through the shared validated reader, attributed to
@@ -1127,6 +1353,70 @@ mod tests {
             Some(&b"2"[..]),
             "stale cache must not hide new keys"
         );
+    }
+
+    /// Four groups of four keys, each group behind one inner node below
+    /// the root, ordered so that neighbours in a window are in different
+    /// groups.
+    fn grouped_keys() -> Vec<Vec<u8>> {
+        let key = |i: u8, group: u8| vec![b'a' + group, b'-', b'0', b'0' + i];
+        (0..4)
+            .flat_map(|i| (0..4).map(move |group| key(i, group)))
+            .collect()
+    }
+
+    /// Lookups in flight together see the node cache as they find it: a
+    /// node another lookup's fill evicted is fetched again, and a miss
+    /// through a copy gone stale under the window is confirmed remotely.
+    #[test]
+    fn a_window_refetches_what_the_cache_lost_or_never_knew() {
+        let keys = grouped_keys();
+        let window: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let reads_at_depth_8 = |cache_bytes: usize| {
+            let c = cluster();
+            let idx = BaselineIndex::create(&c, BaselineConfig::smart(cache_bytes)).unwrap();
+            let mut cl = idx.client(0).unwrap();
+            for k in &keys {
+                cl.insert(k, k).unwrap();
+            }
+            cl.get_many_pipelined(&window, 1).unwrap(); // warm
+            let before = cl.net_stats();
+            let got = cl.get_many_pipelined(&window, 8).unwrap();
+            for (k, g) in window.iter().zip(got) {
+                assert_eq!(g.as_deref(), Some(*k));
+            }
+            let net = cl.net_stats().since(&before);
+            assert!(net.doorbells < net.round_trips, "depth 8 fuses");
+            assert_eq!(cl.pipeline_stats().ops, 32);
+            net.reads
+        };
+        assert_eq!(
+            reads_at_depth_8(1 << 20),
+            16,
+            "every inner node cached: one leaf read per key"
+        );
+        // Room for two Node256 images, five on the paths: the window's own
+        // fills evict each other.
+        assert!(reads_at_depth_8(2 * 2072) >= 16 + 8);
+
+        // A copy gone stale: the writer fills a free slot of a node the
+        // reader has cached.
+        let c = cluster();
+        let idx = BaselineIndex::create(&c, BaselineConfig::smart(1 << 20)).unwrap();
+        let (mut w, mut r) = (idx.client(0).unwrap(), idx.client(1).unwrap());
+        for k in &keys {
+            w.insert(k, k).unwrap();
+        }
+        r.get_many_pipelined(&window, 8).unwrap();
+        w.insert(b"a-09", b"new").unwrap();
+        let got = r
+            .get_many_pipelined(&[b"a-09".as_slice(), b"a-00", b"a-0", b"b-01"], 8)
+            .unwrap();
+        assert_eq!(got[0].as_deref(), Some(&b"new"[..]), "confirmed remotely");
+        assert_eq!(got[1].as_deref(), Some(&b"a-00"[..]));
+        assert_eq!(got[2], None);
+        assert_eq!(got[3].as_deref(), Some(&b"b-01"[..]));
+        assert_eq!(r.get(b"a-09").unwrap().as_deref(), Some(&b"new"[..]));
     }
 
     #[test]

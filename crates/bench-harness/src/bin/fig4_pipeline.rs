@@ -2,8 +2,9 @@
 //!
 //! Two sections, one CSV (`results/fig4_pipeline.csv`):
 //!
-//! * **fig4**: YCSB-C throughput for Sphinx and the B+-tree over both
-//!   datasets at pipeline depth 1 (legacy blocking) and 8, with per-op
+//! * **fig4**: YCSB-C throughput for the paper's lineup (Sphinx, SMART,
+//!   SMART+C, ART) over both datasets, plus the B+-tree on u64 keys, at
+//!   pipeline depth 1 (a lookup machine driven alone) and 8, with per-op
 //!   round trips, per-op *doorbells*, and per-phase rts/op columns. The
 //!   per-phase columns show where the cross-op fusion lands: logical
 //!   round trips per op stay put while doorbells per op collapse (total
@@ -70,11 +71,9 @@ fn main() {
     println!("fig4/fig5 with op pipelining (depths {depths:?})");
     println!("keys={keys}, ops/worker={ops}\n");
 
-    // fig4 section: YCSB-C, both datasets, the two systems with a
-    // completion-queue client. (The SMART/ART baselines have no pipelined
-    // path — their numbers would repeat fig4.csv unchanged.)
+    // fig4 section: YCSB-C, both datasets, every system.
     for keyspace in [KeySpace::U64, KeySpace::Email] {
-        for sys in [System::Sphinx, System::BpTree] {
+        for sys in System::paper_lineup().into_iter().chain([System::BpTree]) {
             if sys == System::BpTree && keyspace == KeySpace::Email {
                 continue; // fixed-width u64 keys only
             }
@@ -85,18 +84,13 @@ fn main() {
                 let r = run_phase(
                     &handle,
                     &RunConfig {
-                        keyspace,
                         num_keys: keys,
-                        workload: Workload::c(),
                         workers,
                         ops_per_worker: ops,
                         warmup_per_worker: (ops / 5).max(50),
                         seed: 0xF160_0004,
                         pipeline_depth: depth,
-                        trace_head_every: 0,
-                        trace_tail_k: obs::DEFAULT_TAIL_K,
-                        sample_interval_ns: 0,
-                        sample_capacity: 0,
+                        ..RunConfig::quick(keyspace, Workload::c())
                     },
                 );
                 if depth == 1 {
@@ -140,18 +134,13 @@ fn main() {
             let r = run_phase(
                 &handle,
                 &RunConfig {
-                    keyspace: KeySpace::U64,
                     num_keys: keys,
-                    workload: Workload::a(),
                     workers: w,
                     ops_per_worker: ops,
                     warmup_per_worker: (ops / 5).max(20),
                     seed: 0xF160_0005,
                     pipeline_depth: depth,
-                    trace_head_every: 0,
-                    trace_tail_k: obs::DEFAULT_TAIL_K,
-                    sample_interval_ns: 0,
-                    sample_capacity: 0,
+                    ..RunConfig::quick(KeySpace::U64, Workload::a())
                 },
             );
             if depth == 1 {

@@ -323,20 +323,17 @@ impl WorkerClient {
 
     /// Batched point lookups with up to `depth` operations in flight per
     /// worker (the op-pipelining path, see
-    /// [`sphinx::SphinxClient::get_many_pipelined`]). Sphinx and the
-    /// B+-tree drive resumable per-key state machines whose round trips
-    /// fuse across operations; the baselines have no completion-queue
-    /// client and keep the blocking one-get-at-a-time path regardless of
-    /// `depth` (every caller still gets positionally aligned results).
+    /// [`sphinx::SphinxClient::get_many_pipelined`]): every system drives
+    /// one resumable lookup machine per key, and their round trips fuse
+    /// across operations. Results are positionally aligned with `keys`.
     pub fn multi_get_pipelined(&mut self, keys: &[&[u8]], depth: usize) -> Vec<Option<Vec<u8>>> {
         match self {
             WorkerClient::Sphinx(c) => c
                 .get_many_pipelined(keys, depth)
                 .expect("multi_get_pipelined"),
-            WorkerClient::Baseline(c) => keys
-                .iter()
-                .map(|k| c.get(k).expect("multi_get_pipelined component"))
-                .collect(),
+            WorkerClient::Baseline(c) => c
+                .get_many_pipelined(keys, depth)
+                .expect("multi_get_pipelined"),
             WorkerClient::BpTree(c) => {
                 let bp_keys: Vec<u64> = keys.iter().map(|k| bp_key(k)).collect();
                 c.get_many_pipelined(&bp_keys, depth)
@@ -485,45 +482,15 @@ impl WorkerClient {
     }
 
     /// This worker's telemetry registry (phase-attributed spans plus
-    /// domain counters). The B+-tree extension has no span recorder, but
-    /// its pipelined-execution counters are exported so fig4_pipeline and
-    /// the smoke checks can compare fusion across systems.
+    /// domain counters). The B+-tree extension has no span recorder: its
+    /// registry holds its pipelined-execution counters only.
     pub fn telemetry(&self) -> obs::Registry {
         match self {
             WorkerClient::Sphinx(c) => c.telemetry(),
             WorkerClient::Baseline(c) => c.telemetry(),
             WorkerClient::BpTree(c) => {
                 let mut reg = obs::Registry::new();
-                let p = c.pipeline_stats();
-                reg.add("pipeline.ops", p.ops);
-                reg.add("pipeline.flushes", p.flushes);
-                reg.add("pipeline.fused_batches", p.fused_batches);
-                reg.add("pipeline.stalls", p.stalls);
-                // All B+-tree submissions are node fetches (tag 0):
-                // surface them under the traversal phase name.
-                reg.add(
-                    "pipeline.rts.Traversal",
-                    p.by_tag.values().map(|a| a.round_trips).sum(),
-                );
-                // Mirror the first-class pipeline aggregate so the
-                // depth histogram and per-tag table reach the
-                // sphinx.telemetry.v1 export for this system too.
-                reg.pipeline.ops = p.ops;
-                reg.pipeline.flushes = p.flushes;
-                reg.pipeline.fused_batches = p.fused_batches;
-                reg.pipeline.stalls = p.stalls;
-                reg.pipeline.depth_hist = p.depth_hist;
-                for agg in p.by_tag.values() {
-                    let t = reg
-                        .pipeline
-                        .by_tag
-                        .entry(obs::Phase::Traversal.name().to_string())
-                        .or_default();
-                    t.batches += agg.batches;
-                    t.round_trips += agg.round_trips;
-                    t.verbs += agg.verbs;
-                    t.bytes += agg.bytes;
-                }
+                c.pipeline_stats().export(&mut reg);
                 reg
             }
         }
@@ -531,8 +498,8 @@ impl WorkerClient {
 
     /// Configures causal-trace sampling (`head_every` = uniform 1-in-N
     /// head sample, 0 = off; `tail_k` = slowest/most-retried retention
-    /// depth). The baselines have no pipelined path and therefore no
-    /// tracer; the call is a no-op for them.
+    /// depth). The baselines have no tracer; the call is a no-op for
+    /// them.
     pub fn set_trace_sampling(&mut self, head_every: u64, tail_k: usize) {
         match self {
             WorkerClient::Sphinx(c) => c.set_trace_sampling(head_every, tail_k),

@@ -11,8 +11,8 @@ use dm_sim::{
     DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb,
     VerbResult,
 };
-use node_engine::{EngineError, OpState, PipelineStats, StepOutcome};
-use obs::{OpKind, OpTrace, Tracer};
+use node_engine::{EngineError, FirstInline, OpState, PipelineStats, StepOutcome};
+use obs::{OpKind, OpTrace, Phase, Tracer};
 
 use crate::layout::{BpNode, NodeHeader, NODE_BYTES, TAIL_OFFSET};
 
@@ -206,7 +206,7 @@ impl BpTreeIndex {
         let mut client = self.client(0)?;
         let height = client.dm.read_u64(self.meta.checked_add(16)?)?;
         // Walk to the leftmost leaf, then along the chain.
-        let (_, mut leaf) = client.descend(0)?;
+        let (_, mut leaf) = client.find_leaf(0)?;
         let mut leaves = 1usize;
         let mut entries = leaf.entries.len();
         while !leaf.right.is_null() {
@@ -326,47 +326,59 @@ impl BpTreeClient {
         Ok(())
     }
 
-    /// Descends to the leaf owning `key`, chasing B-link right pointers
-    /// past concurrent splits and stale caches. The chase always runs to
-    /// completion (right links are finite and only move keys rightward,
-    /// so it terminates); heavy chasing merely triggers cache hygiene for
-    /// subsequent operations.
-    fn descend(&mut self, key: u64) -> Result<(RemotePtr, BpNode), BpTreeError> {
-        let mut chases = 0usize;
-        let mut ptr = self.root(false)?;
-        let mut node = self.fetch(ptr, true)?;
-        for _ in 0..self.retry.op_retries {
-            // Right-chase while the key is beyond this node's fence.
-            while key >= node.high_key && !node.right.is_null() {
-                chases += 1;
-                ptr = node.right;
-                node = self.fetch(ptr, false)?; // fresh: fences moved
-            }
-            if node.is_leaf() {
-                if chases > 8 {
-                    // Our hints are badly stale: start clean next time.
-                    self.root_hint = None;
-                    self.cache.lock().clear();
-                }
-                return Ok((ptr, node));
-            }
-            let child = node.child_for(key);
-            ptr = child;
-            node = self.fetch(ptr, true)?;
-        }
-        Err(BpTreeError::RetriesExhausted { op: "descend" })
+    /// Drives one descent per key, `depth` at a time, from the cached root
+    /// pointer; the leaves come back in key order. `counted` is false for
+    /// the lone descent of a blocking op, which is not a pipeline run.
+    fn run_descents(
+        &mut self,
+        keys: impl IntoIterator<Item = (u64, Option<Box<OpTrace>>)>,
+        depth: usize,
+        counted: bool,
+    ) -> Result<FirstInline<BpLeaf>, BpTreeError> {
+        let root = self.root(false)?;
+        let BpTreeClient {
+            dm,
+            cache,
+            retry,
+            pipeline,
+            ..
+        } = self;
+        let ops = keys.into_iter().map(|(key, trace)| BpDescendOp {
+            key,
+            cache,
+            retry: *retry,
+            hops: 0,
+            chases: 0,
+            state: BpSt::Start { root },
+            trace,
+        });
+        Ok(node_engine::run_pipelined(
+            dm,
+            ops,
+            depth,
+            counted.then_some(pipeline),
+        )?)
     }
 
-    /// Reads a node, via the internal cache when allowed.
-    fn fetch(&mut self, ptr: RemotePtr, use_cache: bool) -> Result<BpNode, BpTreeError> {
-        if use_cache {
-            if let Some(node) = self.cache.lock().get(ptr) {
-                return Ok(node);
-            }
+    /// Heavy chasing means our hints are badly stale: start clean next
+    /// time.
+    fn note_chases(&mut self, chases: usize) {
+        if chases > 8 {
+            self.root_hint = None;
+            self.cache.lock().clear();
         }
-        let node = self.read_node(ptr)?;
-        self.cache.lock().put(ptr, node.clone());
-        Ok(node)
+    }
+
+    /// The leaf owning `key` and its address: one [`BpDescendOp`] driven
+    /// alone.
+    fn find_leaf(&mut self, key: u64) -> Result<(RemotePtr, BpNode), BpTreeError> {
+        let leaf = self
+            .run_descents([(key, None)], 1, false)?
+            .into_iter()
+            .next()
+            .expect("one descent, one leaf");
+        self.note_chases(leaf.chases);
+        Ok((leaf.ptr, leaf.node))
     }
 
     /// Point lookup.
@@ -375,21 +387,14 @@ impl BpTreeClient {
     ///
     /// [`BpTreeError::RetriesExhausted`] under pathological contention.
     pub fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>, BpTreeError> {
-        let (_, leaf) = self.descend(key)?;
-        Ok(leaf
-            .entries
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| leaf.entries[i].1.to_vec()))
+        Ok(value_in(&self.find_leaf(key)?.1, key))
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight: each
-    /// key runs as a resumable [`node_engine::OpState`] machine mirroring
-    /// [`BpTreeClient::get`] (cache-aware descent plus B-link
-    /// right-chase), and every scheduling round the whole window's node
-    /// reads go out in one fused doorbell. Results align with `keys`.
-    /// Keys that exhaust a retry budget mid-machine replay through the
-    /// blocking path.
+    /// key runs the [`BpDescendOp`] machine [`BpTreeClient::get`] drives
+    /// alone (cache-aware descent plus B-link right-chase), and every
+    /// scheduling round the whole window's node reads go out in one fused
+    /// doorbell. Results align with `keys`.
     ///
     /// # Errors
     ///
@@ -402,43 +407,25 @@ impl BpTreeClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let root = self.root(false)?;
-        let mut pstats = PipelineStats::default();
         let lease_now = self.dm.clock_ns();
-        let mut leases: Vec<Option<Box<OpTrace>>> = keys
+        let leases: Vec<_> = keys
             .iter()
-            .map(|_| self.tracer.lease(OpKind::Get, lease_now))
+            .map(|&key| (key, self.tracer.lease(OpKind::Get, lease_now)))
             .collect();
         #[cfg(feature = "telemetry")]
         let mark = self.dm.trace_mark();
-        let run = {
-            let BpTreeClient {
-                dm, cache, retry, ..
-            } = self;
-            let ops = keys
-                .iter()
-                .zip(leases.iter_mut())
-                .map(|(&key, lease)| BpGetOp {
-                    key,
-                    cache,
-                    retry: *retry,
-                    hops: 0,
-                    chases: 0,
-                    state: BpSt::Start { root },
-                    trace: lease.take(),
-                });
-            node_engine::run_pipelined(dm, ops, depth, Some(&mut pstats))
-        };
-        self.pipeline.merge(&pstats);
         #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-        let mut outs: Vec<_> = run.map_err(BpTreeError::from)?.into_iter().collect();
+        let mut leaves: Vec<_> = self
+            .run_descents(leases, depth, true)?
+            .into_iter()
+            .collect();
         #[cfg(feature = "telemetry")]
-        if outs.iter().any(|o| o.trace.is_some()) {
+        if leaves.iter().any(|o| o.trace.is_some()) {
             let mut scratch = std::mem::take(&mut self.trace_scratch);
             scratch.clear();
             let complete = self.dm.trace_collect_since(mark, &mut scratch);
-            for out in &mut outs {
-                if let Some(mut tr) = out.trace.take() {
+            for leaf in &mut leaves {
+                if let Some(mut tr) = leaf.trace.take() {
                     tr.complete = complete;
                     let end = tr.end_ns;
                     self.tracer.finish(tr, end, &scratch);
@@ -446,19 +433,13 @@ impl BpTreeClient {
             }
             self.trace_scratch = scratch;
         }
-        // Blocking descents drop badly stale hints after a long chase; do
-        // the same once per batch.
-        if outs.iter().any(|o| o.chases > 8) {
-            self.root_hint = None;
-            self.cache.lock().clear();
-        }
-        outs.into_iter()
+        // Once per batch, where a lone descent does it once per key.
+        self.note_chases(leaves.iter().map(|leaf| leaf.chases).max().unwrap_or(0));
+        Ok(leaves
+            .iter()
             .zip(keys)
-            .map(|(out, &key)| match out.result {
-                Some(v) => Ok(v),
-                None => self.get(key),
-            })
-            .collect()
+            .map(|(leaf, &key)| value_in(&leaf.node, key))
+            .collect())
     }
 
     /// Cumulative pipelined-execution counters for this worker.
@@ -494,7 +475,7 @@ impl BpTreeClient {
     pub fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), BpTreeError> {
         let value = BpNode::value_from(value);
         for _ in 0..self.retry.op_retries {
-            let (ptr, leaf) = self.descend(key)?;
+            let (ptr, leaf) = self.find_leaf(key)?;
             let exists = leaf.entries.binary_search_by_key(&key, |(k, _)| *k).is_ok();
             if !exists && leaf.is_full() {
                 self.split_leaf(key)?;
@@ -531,7 +512,7 @@ impl BpTreeClient {
     pub fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, BpTreeError> {
         let value = BpNode::value_from(value);
         for _ in 0..self.retry.op_retries {
-            let (ptr, leaf) = self.descend(key)?;
+            let (ptr, leaf) = self.find_leaf(key)?;
             let Ok(i) = leaf.entries.binary_search_by_key(&key, |(k, _)| *k) else {
                 return Ok(false);
             };
@@ -558,7 +539,7 @@ impl BpTreeClient {
     /// [`BpTreeError::RetriesExhausted`] under pathological contention.
     pub fn remove(&mut self, key: u64) -> Result<bool, BpTreeError> {
         for _ in 0..self.retry.op_retries {
-            let (ptr, leaf) = self.descend(key)?;
+            let (ptr, leaf) = self.find_leaf(key)?;
             let Ok(i) = leaf.entries.binary_search_by_key(&key, |(k, _)| *k) else {
                 return Ok(false);
             };
@@ -587,7 +568,7 @@ impl BpTreeClient {
         if low > high {
             return Ok(out);
         }
-        let (_, mut leaf) = self.descend(low)?;
+        let (_, mut leaf) = self.find_leaf(low)?;
         loop {
             for (k, v) in &leaf.entries {
                 if *k >= low && *k <= high {
@@ -768,7 +749,13 @@ impl BpTreeClient {
     }
 }
 
-/// Where a pipelined B+-tree lookup is between round trips.
+/// The value `leaf` holds for `key`.
+fn value_in(leaf: &BpNode, key: u64) -> Option<Vec<u8>> {
+    let at = leaf.entries.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+    Some(leaf.entries[at].1.to_vec())
+}
+
+/// Where a B+-tree descent is between round trips.
 enum BpSt {
     /// Begin the descent from the (known) root.
     Start {
@@ -780,16 +767,17 @@ enum BpSt {
     Node { ptr: RemotePtr, attempts: usize },
 }
 
-/// The B+-tree point lookup as a resumable state machine: the descent of
-/// [`BpTreeClient::descend`] with every remote node read turned into a
-/// [`StepOutcome::Submit`]. Cache hits advance CPU-side without a
-/// submission. `result: None` in the output means "fall back to the
-/// blocking path".
-struct BpGetOp<'a> {
+/// The descent to the leaf owning `key` as a resumable state machine —
+/// the only one the tree has: every remote node read is a
+/// [`StepOutcome::Submit`], cache hits advance CPU-side without a
+/// submission, B-link right pointers are chased past concurrent splits
+/// and stale caches (right links are finite and only move keys rightward,
+/// so the chase terminates).
+struct BpDescendOp<'a> {
     key: u64,
     cache: &'a Mutex<InternalCache>,
     retry: RetryPolicy,
-    /// Descent steps consumed (bounded by `op_retries`, as in blocking).
+    /// Nodes visited (bounded by `op_retries`).
     hops: usize,
     /// B-link right-chases performed (drives cache hygiene).
     chases: usize,
@@ -799,35 +787,28 @@ struct BpGetOp<'a> {
     trace: Option<Box<OpTrace>>,
 }
 
-/// Output of one [`BpGetOp`]: the lookup result (`None` = fall back) and
-/// the chase count for cache hygiene.
-struct BpGetOut {
-    result: Option<Option<Vec<u8>>>,
+/// Output of one [`BpDescendOp`]: the leaf owning the key, and the chase
+/// count for cache hygiene.
+struct BpLeaf {
+    ptr: RemotePtr,
+    node: BpNode,
     chases: usize,
     /// The op's causal trace, carried out for [`Tracer::finish`].
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     trace: Option<Box<OpTrace>>,
 }
 
-impl BpGetOp<'_> {
-    /// Stamps the trace's end time and hands it to the output.
-    fn take_trace(&mut self, now_ns: u64) -> Option<Box<OpTrace>> {
-        let mut tr = self.trace.take()?;
-        tr.end_ns = now_ns;
-        Some(tr)
+fn read_node_batch(ptr: RemotePtr) -> StepOutcome<BpLeaf> {
+    StepOutcome::Submit {
+        batch: DoorbellBatch::from_iter([Verb::Read {
+            ptr,
+            len: NODE_BYTES,
+        }]),
+        tag: Phase::Traversal as u32,
     }
+}
 
-    fn fallback(&mut self, now_ns: u64) -> Result<StepOutcome<BpGetOut>, EngineError> {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.fallback(now_ns);
-        }
-        Ok(StepOutcome::Done(BpGetOut {
-            result: None,
-            chases: self.chases,
-            trace: self.take_trace(now_ns),
-        }))
-    }
-
+impl BpDescendOp<'_> {
     /// Moves to `ptr`: serves it from the shared internal-node cache when
     /// allowed, otherwise submits the read.
     fn goto(
@@ -835,47 +816,47 @@ impl BpGetOp<'_> {
         now_ns: u64,
         ptr: RemotePtr,
         use_cache: bool,
-    ) -> Result<StepOutcome<BpGetOut>, EngineError> {
+    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
         if use_cache {
             let cached = self.cache.lock().get(ptr);
             if let Some(node) = cached {
-                return self.advance(now_ns, node);
+                return self.advance(now_ns, ptr, node);
             }
         }
         if let Some(tr) = self.trace.as_mut() {
-            tr.phase(obs::Phase::Traversal, now_ns);
+            tr.phase(Phase::Traversal, now_ns);
         }
         self.state = BpSt::Node { ptr, attempts: 0 };
-        Ok(StepOutcome::Submit {
-            batch: DoorbellBatch::from_iter([Verb::Read {
-                ptr,
-                len: NODE_BYTES,
-            }]),
-            tag: 0,
-        })
+        Ok(read_node_batch(ptr))
     }
 
-    /// One descent decision from a decoded node: finish at a leaf, chase
-    /// right past a concurrent split, or descend to the owning child.
-    fn advance(&mut self, now_ns: u64, node: BpNode) -> Result<StepOutcome<BpGetOut>, EngineError> {
+    /// One descent decision from the decoded node at `ptr`: finish at a
+    /// leaf, chase right past a concurrent split, or descend to the owning
+    /// child.
+    fn advance(
+        &mut self,
+        now_ns: u64,
+        ptr: RemotePtr,
+        node: BpNode,
+    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
         self.hops += 1;
         if self.hops >= self.retry.op_retries {
-            return self.fallback(now_ns);
+            return Err(EngineError::RetriesExhausted { op: "descend" });
         }
         if self.key >= node.high_key && !node.right.is_null() {
             self.chases += 1;
             return self.goto(now_ns, node.right, false); // fresh: fences moved
         }
         if node.is_leaf() {
-            let result = node
-                .entries
-                .binary_search_by_key(&self.key, |(k, _)| *k)
-                .ok()
-                .map(|i| node.entries[i].1.to_vec());
-            return Ok(StepOutcome::Done(BpGetOut {
-                result: Some(result),
+            let trace = self.trace.take().map(|mut tr| {
+                tr.end_ns = now_ns;
+                tr
+            });
+            return Ok(StepOutcome::Done(BpLeaf {
+                ptr,
+                node,
                 chases: self.chases,
-                trace: self.take_trace(now_ns),
+                trace,
             }));
         }
         let child = node.child_for(self.key);
@@ -883,8 +864,8 @@ impl BpGetOp<'_> {
     }
 }
 
-impl OpState for BpGetOp<'_> {
-    type Output = BpGetOut;
+impl OpState for BpDescendOp<'_> {
+    type Output = BpLeaf;
 
     fn on_admitted(&mut self, now_ns: u64) {
         if let Some(tr) = self.trace.as_mut() {
@@ -902,7 +883,7 @@ impl OpState for BpGetOp<'_> {
         &mut self,
         t: &mut T,
         completion: Option<Vec<VerbResult>>,
-    ) -> Result<StepOutcome<BpGetOut>, EngineError> {
+    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
         match std::mem::replace(
             &mut self.state,
             BpSt::Start {
@@ -917,34 +898,27 @@ impl OpState for BpGetOp<'_> {
                 let bytes = completion
                     .expect("Node state awaits a completion")
                     .pop()
-                    .expect("pipelined get submits exactly one read per batch")
+                    .expect("a descent submits exactly one read per batch")
                     .into_read();
                 match BpNode::decode(&bytes) {
                     Some(node) => {
                         self.cache.lock().put(ptr, node.clone());
-                        self.advance(t.clock_ns(), node)
+                        self.advance(t.clock_ns(), ptr, node)
                     }
                     None => {
-                        // Torn seqlock read: back off and re-read, bounded
-                        // exactly like the blocking `read_node`.
+                        // Torn seqlock read: back off and re-read.
                         if let Some(tr) = self.trace.as_mut() {
                             tr.retry(t.clock_ns());
                         }
                         if attempts + 1 >= self.retry.op_retries {
-                            return self.fallback(t.clock_ns());
+                            return Err(EngineError::RetriesExhausted { op: "node read" });
                         }
                         t.backoff(&self.retry);
                         self.state = BpSt::Node {
                             ptr,
                             attempts: attempts + 1,
                         };
-                        Ok(StepOutcome::Submit {
-                            batch: DoorbellBatch::from_iter([Verb::Read {
-                                ptr,
-                                len: NODE_BYTES,
-                            }]),
-                            tag: 0,
-                        })
+                        Ok(read_node_batch(ptr))
                     }
                 }
             }

@@ -79,83 +79,9 @@ pub(crate) enum ProbeKind {
     },
 }
 
-/// Where a located leaf hangs off its parent inner node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SlotRef {
-    /// Child slot at this index.
-    Child(usize),
-    /// The node's value slot (key == node prefix).
-    Value,
-}
-
-/// What the descent from the entry node ended at.
-#[derive(Debug)]
-pub(crate) enum Outcome {
-    /// Reached a leaf (whose key may or may not equal the search key).
-    Leaf {
-        /// Which slot of `Descent::node` points at the leaf.
-        slot_ref: SlotRef,
-        /// The pointing slot.
-        slot: Slot,
-        /// The decoded leaf.
-        leaf: LeafNode,
-    },
-    /// The key terminates exactly at the node, which has no value slot.
-    NoValueSlot,
-    /// The node has no child for the dispatch byte.
-    Empty {
-        /// The dispatch byte with no child.
-        byte: u8,
-    },
-    /// The child inner node's prefix diverges from the key inside its
-    /// compressed path; `sample` is a leaf from its subtree used to learn
-    /// the actual prefix bytes.
-    Divergent {
-        /// Slot index of the divergent child in `Descent::node`.
-        slot_idx: usize,
-        /// The child slot.
-        slot: Slot,
-        /// The decoded divergent child.
-        child: InnerNode,
-        /// Any leaf under the child (shares the child's full prefix).
-        sample: LeafNode,
-    },
-    /// The child inner node's prefix diverges from the key and its subtree
-    /// holds no leaf: the key is absent, and the child is garbage a delete
-    /// failed to unlink (an insert unlinks it and retries).
-    EmptyChild {
-        /// Slot index of the emptied child in `Descent::node`.
-        slot_idx: usize,
-        /// The child slot.
-        slot: Slot,
-        /// The decoded emptied child.
-        child: InnerNode,
-    },
-}
-
-/// A completed location attempt: the deepest inner node whose full prefix
-/// prefixes the key, and what lies below it.
-#[derive(Debug)]
-pub(crate) struct Descent {
-    /// The deepest matching inner node.
-    pub node: InnerNode,
-    /// Its address.
-    pub node_ptr: RemotePtr,
-    /// What the final dispatch found.
-    pub outcome: Outcome,
-}
-
-impl Descent {
-    /// The value a point lookup of `key` returns from this descent.
-    pub(crate) fn into_value(self, key: &[u8]) -> Option<Vec<u8>> {
-        match self.outcome {
-            Outcome::Leaf { leaf, .. } if leaf.key == key && leaf.status != NodeStatus::Invalid => {
-                Some(leaf.value)
-            }
-            _ => None,
-        }
-    }
-}
+/// Where a lookup ended — defined once, by the descent every ART system
+/// hosts.
+pub(crate) use node_engine::{Descent, Outcome, SlotRef};
 
 /// A per-worker Sphinx client.
 ///
@@ -317,40 +243,7 @@ impl SphinxClient {
             reg.add("inht.split_migrated", c.split_migrated);
             reg.add("inht.split_extra_rounds", c.split_extra_rounds);
         }
-        let p = &self.pipeline;
-        reg.add("pipeline.ops", p.ops);
-        reg.add("pipeline.flushes", p.flushes);
-        reg.add("pipeline.fused_batches", p.fused_batches);
-        reg.add("pipeline.stalls", p.stalls);
-        for (bucket, name) in p.depth_hist.iter().zip([
-            "pipeline.depth_le_1",
-            "pipeline.depth_le_2",
-            "pipeline.depth_le_4",
-            "pipeline.depth_le_8",
-            "pipeline.depth_le_16",
-            "pipeline.depth_gt_16",
-        ]) {
-            reg.add(name, *bucket);
-        }
-        reg.pipeline.ops = p.ops;
-        reg.pipeline.flushes = p.flushes;
-        reg.pipeline.fused_batches = p.fused_batches;
-        reg.pipeline.stalls = p.stalls;
-        reg.pipeline.depth_hist = p.depth_hist;
-        for (tag, agg) in &p.by_tag {
-            if let Some(phase) = obs::Phase::ALL.get(*tag as usize) {
-                reg.add(&format!("pipeline.rts.{}", phase.name()), agg.round_trips);
-                let t = reg
-                    .pipeline
-                    .by_tag
-                    .entry(phase.name().to_string())
-                    .or_default();
-                t.batches += agg.batches;
-                t.round_trips += agg.round_trips;
-                t.verbs += agg.verbs;
-                t.bytes += agg.bytes;
-            }
-        }
+        self.pipeline.export(&mut reg);
         reg
     }
 

@@ -1,8 +1,10 @@
 //! The Sphinx lookup (§IV "Search") as one resumable state machine.
 //!
 //! [`LocateOp`] is the only code that finds a key's place in the tree:
-//! filter probe → INHT bucket-pair read → candidate node validation →
-//! descent → validated leaf read → false-positive check. Instead of
+//! filter probe → INHT bucket-pair read → candidate node validation (the
+//! entry search, Sphinx's own) → descent and validated leaf read (the
+//! [`node_engine::descend`] body every ART system hosts) → false-positive
+//! check. Instead of
 //! blocking on [`dm_sim::Transport::execute`] it yields a
 //! [`StepOutcome::Submit`] at every round trip, so one body serves one
 //! lookup or many in flight: [`SphinxClient::locate`] drives a single
@@ -25,16 +27,17 @@
 
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
-use art_core::layout::{HashEntry, InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
+use art_core::layout::{HashEntry, InnerNode, NodeStatus};
 use dm_sim::{DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb, VerbResult};
 use node_engine::walk::any_leaf;
 use node_engine::{
-    leaf_validation, EngineError, FirstInline, OpState, PipelineStats, Sampled, StepOutcome,
+    ArtReader, Descend, DescendHost, EngineError, FirstInline, OpState, PipelineStats, StepOutcome,
+    Yield,
 };
 use obs::{OpKind, OpTrace, Phase, Recorder};
 use race_hash::{FoundEntry, RaceTable};
 
-use crate::client::{Descent, Outcome, SlotRef, SphinxClient};
+use crate::client::{Descent, Outcome, SphinxClient};
 use crate::config::{CacheMode, SphinxConfig};
 use crate::error::SphinxError;
 
@@ -56,8 +59,6 @@ struct Tally {
     entry_misses: u64,
     filter_first_hits: u64,
     filter_refreshes: u64,
-    checksum_retries: u64,
-    extended_reads: u64,
     probe_hits: u64,
     probe_misses: u64,
     inht_hits: u64,
@@ -79,8 +80,8 @@ pub(crate) enum Stop {
     /// [`RaceTable::refresh_stale`] on it.
     Refresh(usize),
     /// The descent met a child whose compressed path diverges from the
-    /// key: sample a leaf below [`LocateOp::diverged_child`] and hand it
-    /// to [`LocateOp::sampled`].
+    /// key ([`Yield::Sample`]): sample a leaf below
+    /// [`Descend::diverged_child`] and hand it to [`Descend::sampled`].
     Sample,
 }
 
@@ -89,16 +90,6 @@ struct Level {
     plen: usize,
     hash: u64,
     base: RemotePtr,
-}
-
-/// One step of the descent: a validated inner node and the slot the key
-/// leaves it through.
-struct Hop {
-    /// Prefix length of the entry node the descent started from.
-    entry_len: usize,
-    node: InnerNode,
-    node_ptr: RemotePtr,
-    slot: Slot,
 }
 
 /// Where the machine is between round trips.
@@ -117,41 +108,23 @@ enum St {
         idx: usize,
         entry: HashEntry,
     },
-    /// Waiting for the inner child behind child slot `slot_idx`.
-    Child { hop: Hop, slot_idx: usize },
-    /// Waiting for the leaf behind `slot_ref`.
-    Leaf {
-        hop: Hop,
-        slot_ref: SlotRef,
-        read_len: usize,
-        attempts: usize,
-    },
-    /// Stopped on [`Stop::Sample`]: `child`'s compressed path diverges
-    /// from the key.
-    Diverged {
-        hop: Hop,
-        slot_idx: usize,
-        child: InnerNode,
-    },
-    /// The driver's sample arrived.
-    Sampled {
-        hop: Hop,
-        slot_idx: usize,
-        child: InnerNode,
-        sample: Sampled,
-    },
+    /// Below the entry node: [`LocateOp::descend`] is waiting for the read
+    /// it yielded for, or for the driver's sample.
+    Descending,
 }
 
 /// One lookup's state. Owns nothing of the client, so the driver can use
 /// the client between runs; [`Run`] lends it the client's tables and
 /// filter for the duration of one [`node_engine::run_pipelined`] call.
 pub(crate) struct LocateOp<'k> {
-    key: &'k [u8],
     mode: CacheMode,
-    leaf_hint: usize,
     retry: RetryPolicy,
     /// Stop at the validated entry node instead of descending.
     entry_only: bool,
+    /// The descent below the entry node (and the search key).
+    descend: Descend<'k>,
+    /// Prefix length of the entry node the descent started from.
+    entry_len: usize,
     /// Upper bound on the probed prefix length (shrinks on fp restarts).
     max_len: usize,
     /// Current probe level within one entry-node search (filter mode).
@@ -190,11 +163,11 @@ impl<'k> LocateOp<'k> {
         retry: RetryPolicy,
     ) -> Self {
         LocateOp {
-            key,
             mode: config.mode,
-            leaf_hint: config.leaf_read_hint,
             retry,
             entry_only,
+            descend: Descend::new(key, config.leaf_read_hint, retry),
+            entry_len: 0,
             max_len,
             probe_len: max_len,
             first: true,
@@ -209,31 +182,6 @@ impl<'k> LocateOp<'k> {
             trace: None,
         }
     }
-
-    /// The divergent child of a machine stopped on [`Stop::Sample`].
-    fn diverged_child(&self) -> &InnerNode {
-        match &self.state {
-            St::Diverged { child, .. } => child,
-            _ => unreachable!("only a machine stopped on Stop::Sample has a divergent child"),
-        }
-    }
-
-    /// Hands over what was sampled below [`LocateOp::diverged_child`].
-    fn sampled(&mut self, sample: Sampled) {
-        self.state = match std::mem::replace(&mut self.state, St::Start) {
-            St::Diverged {
-                hop,
-                slot_idx,
-                child,
-            } => St::Sampled {
-                hop,
-                slot_idx,
-                child,
-                sample,
-            },
-            _ => unreachable!("only a machine stopped on Stop::Sample takes a sample"),
-        };
-    }
 }
 
 /// Shorthand for a single-read submission.
@@ -242,10 +190,10 @@ fn read_batch(ptr: RemotePtr, len: usize) -> DoorbellBatch {
 }
 
 /// Unwraps a single-read completion.
-fn into_one_read(completion: Option<Vec<VerbResult>>) -> Vec<u8> {
-    completion
-        .and_then(|mut results| results.pop())
-        .expect("a lookup state awaiting one read was resumed without it")
+fn into_one_read(mut results: Vec<VerbResult>) -> Vec<u8> {
+    results
+        .pop()
+        .expect("a lookup state awaiting one read was resumed with none")
         .into_read()
 }
 
@@ -310,7 +258,7 @@ impl Run<'_, '_> {
             CacheMode::FilterCache => {
                 self.phase(t, Phase::SfcProbe);
                 let l = self.op.probe_len;
-                let cand = self.filter.deepest_hit(self.op.key, l);
+                let cand = self.filter.deepest_hit(self.op.descend.key, l);
                 if l > 0 {
                     if cand > 0 {
                         self.op.tally.probe_hits += 1;
@@ -332,7 +280,7 @@ impl Run<'_, '_> {
         let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
         self.op.levels.clear();
         for plen in lo..=hi {
-            let hash = prefix_hash64(&self.op.key[..plen]);
+            let hash = prefix_hash64(&self.op.descend.key[..plen]);
             let base = match self.tables[t.place(hash) as usize].bucket_pair_ptr(hash) {
                 Ok(base) => base,
                 Err(e) => return self.fail(t, e.into()),
@@ -375,7 +323,7 @@ impl Run<'_, '_> {
         entries: Vec<FoundEntry>,
         from: usize,
     ) -> Step {
-        let fp = fp12(&self.op.key[..plen]);
+        let fp = fp12(&self.op.descend.key[..plen]);
         let candidate = entries.iter().enumerate().skip(from).find_map(|(i, e)| {
             let he = HashEntry::decode(e.word).filter(|he| he.fp == fp)?;
             Some((i, he))
@@ -447,8 +395,9 @@ impl Run<'_, '_> {
     /// subtree. If they share less than `entry_len` bytes with the search
     /// key, both the fp₁₂ and the 42-bit prefix hash collided — restart
     /// with a shorter prefix bound.
-    fn false_positive<T: Transport>(&mut self, t: &T, found: &[u8], entry_len: usize) -> bool {
-        if common_prefix_len(self.op.key, found) >= entry_len {
+    fn false_positive<T: Transport>(&mut self, t: &T, found: &[u8]) -> bool {
+        let entry_len = self.op.entry_len;
+        if common_prefix_len(self.op.descend.key, found) >= entry_len {
             return false;
         }
         self.op.tally.fp_retries += 1;
@@ -472,78 +421,75 @@ impl Run<'_, '_> {
         next(self, t)
     }
 
-    fn found<T: Transport>(
+    /// Takes one step of the descent below the entry node, lending it the
+    /// one hook Sphinx supplies.
+    fn descent(
         &mut self,
-        t: &T,
-        node: InnerNode,
-        node_ptr: RemotePtr,
-        outcome: Outcome,
-    ) -> Step {
-        let descent = Descent {
-            node,
-            node_ptr,
-            outcome,
+        step: impl FnOnce(&mut Descend<'_>, &mut Freshness<'_>) -> Result<Yield, EngineError>,
+    ) -> Result<Yield, EngineError> {
+        let LocateOp {
+            descend,
+            tally,
+            mode,
+            ..
+        } = &mut *self.op;
+        let mut host = Freshness {
+            filter: (*mode == CacheMode::FilterCache).then_some(self.filter),
+            refreshes: &mut tally.filter_refreshes,
         };
-        self.stop(t, Stop::Found(descent))
+        step(descend, &mut host)
     }
 
-    /// One descent decision from a validated inner node: finishes, submits
-    /// the leaf read, or submits the next inner child.
-    fn on_node<T: Transport>(
-        &mut self,
-        t: &mut T,
-        node: InnerNode,
-        node_ptr: RemotePtr,
-        entry_len: usize,
-    ) -> Step {
-        if node.header.status == NodeStatus::Invalid {
-            return self.restart_invalid(t);
-        }
-        let plen = node.header.prefix_len as usize;
-        let key = self.op.key;
-        let (slot_ref, slot) = if key.len() == plen {
-            // Key terminates exactly at this node.
-            match node.value_slot {
-                Some(slot) => (SlotRef::Value, slot),
-                None => return self.found(t, node, node_ptr, Outcome::NoValueSlot),
-            }
-        } else {
-            let byte = key[plen];
-            match node.find_child(byte) {
-                None => return self.found(t, node, node_ptr, Outcome::Empty { byte }),
-                Some((idx, slot)) if slot.is_leaf => (SlotRef::Child(idx), slot),
-                Some((slot_idx, slot)) => {
-                    let hop = Hop {
-                        entry_len,
-                        node,
-                        node_ptr,
-                        slot,
-                    };
-                    self.op.state = St::Child { hop, slot_idx };
-                    return Ok(StepOutcome::Submit {
-                        batch: read_batch(slot.addr, InnerNode::byte_size(slot.child_kind)),
-                        tag: TAG_TRAVERSAL,
-                    });
+    /// Serves what the descent asked for: submits its read, stops for the
+    /// driver, restarts, or — at its end — runs the false-positive check on
+    /// the key it found.
+    fn on_yield<T: Transport>(&mut self, t: &mut T, y: Yield) -> Step {
+        self.op.state = St::Descending;
+        let (batch, tag) = match y {
+            Yield::Inner(ptr, len) => (read_batch(ptr, len), TAG_TRAVERSAL),
+            Yield::Leaf(ptr, len, again) => {
+                if !again {
+                    self.phase(t, Phase::LeafRead);
                 }
+                (read_batch(ptr, len), TAG_LEAF)
+            }
+            Yield::Sample => return Ok(StepOutcome::Done(Stop::Sample)),
+            Yield::Restart => return self.restart_invalid(t),
+            Yield::Done(descent) => {
+                // `Empty`, `NoValueSlot` and `EmptyChild` carry no key to
+                // check the entry node against.
+                let found = match &descent.outcome {
+                    Outcome::Leaf { leaf, .. } => {
+                        self.phase(t, Phase::Traversal); // the leaf read is over
+                        Some(&leaf.key)
+                    }
+                    Outcome::Divergent { sample, .. } => Some(&sample.key),
+                    _ => None,
+                };
+                if found.is_some_and(|found| self.false_positive(t, found)) {
+                    return self.restart(t);
+                }
+                return self.stop(t, Stop::Found(descent));
             }
         };
-        let read_len = self.op.leaf_hint.max(64);
-        self.phase(t, Phase::LeafRead);
-        self.op.state = St::Leaf {
-            hop: Hop {
-                entry_len,
-                node,
-                node_ptr,
-                slot,
-            },
-            slot_ref,
-            read_len,
-            attempts: 0,
-        };
-        Ok(StepOutcome::Submit {
-            batch: read_batch(slot.addr, read_len),
-            tag: TAG_LEAF,
-        })
+        Ok(StepOutcome::Submit { batch, tag })
+    }
+}
+
+/// The one [`DescendHost`] hook Sphinx supplies: a child that matches the
+/// key teaches the filter its prefix (the "freshness" update of §IV
+/// Search).
+struct Freshness<'a> {
+    /// `None` in [`CacheMode::InhtOnly`].
+    filter: Option<&'a sfc::FilterCache>,
+    refreshes: &'a mut u64,
+}
+
+impl DescendHost for Freshness<'_> {
+    fn child_matched(&mut self, prefix: &[u8]) {
+        if self.filter.is_some_and(|filter| filter.refresh(prefix)) {
+            *self.refreshes += 1;
+        }
     }
 }
 
@@ -567,7 +513,7 @@ impl OpState for Run<'_, '_> {
     fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Vec<VerbResult>>) -> Step {
         match std::mem::replace(&mut self.op.state, St::Start) {
             St::Start => {
-                let len = self.op.key.len();
+                let len = self.op.descend.key.len();
                 if len > MAX_KEY_LEN {
                     return self.fail(t, SphinxError::KeyTooLong { len });
                 }
@@ -585,11 +531,13 @@ impl OpState for Run<'_, '_> {
                 idx,
                 entry,
             } => {
+                let completion =
+                    completion.expect("the Candidate state was resumed without its completion");
                 let node = InnerNode::decode(&into_one_read(completion))?;
                 if node.header.status == NodeStatus::Invalid
                     || node.header.kind != entry.kind
                     || node.header.prefix_len as usize != plen
-                    || node.header.prefix_hash42 != prefix_hash42(&self.op.key[..plen])
+                    || node.header.prefix_hash42 != prefix_hash42(&self.op.descend.key[..plen])
                 {
                     // The 12-bit fingerprint matched but the node did not:
                     // a genuine fp collision or a stale/retired entry.
@@ -604,132 +552,23 @@ impl OpState for Run<'_, '_> {
                     return self.stop(t, Stop::Entry(entry.addr, node, plen));
                 }
                 self.phase(t, Phase::Traversal);
-                self.on_node(t, node, entry.addr, plen)
+                self.op.entry_len = plen;
+                let y =
+                    self.descent(|descend, host| descend.enter(host, node, entry.addr, None))?;
+                self.on_yield(t, y)
             }
-            St::Child { hop, slot_idx } => {
-                let child = InnerNode::decode(&into_one_read(completion))?;
-                let clen = child.header.prefix_len as usize;
-                if child.header.status == NodeStatus::Invalid
-                    || child.header.kind != hop.slot.child_kind
-                    || clen <= hop.node.header.prefix_len as usize
-                {
-                    return self.restart_invalid(t);
+            St::Descending => {
+                let bytes = completion.map(into_one_read);
+                let (now, torn) = (t.clock_ns(), self.op.descend.io.checksum_retries);
+                let y = self.descent(|descend, host| descend.resume(t, host, bytes))?;
+                if self.op.descend.io.checksum_retries > torn {
+                    // A torn leaf was backed off from and is read again.
+                    if let Some(tr) = self.op.trace.as_mut() {
+                        tr.retry(now);
+                    }
                 }
-                let key = self.op.key;
-                if key.len() >= clen && child.header.prefix_hash42 == prefix_hash42(&key[..clen]) {
-                    // Child matches the key: keep descending, and teach
-                    // the filter this prefix (the "freshness" update of
-                    // §IV Search).
-                    if self.op.mode == CacheMode::FilterCache && self.filter.refresh(&key[..clen]) {
-                        self.op.tally.filter_refreshes += 1;
-                    }
-                    return self.on_node(t, child, hop.slot.addr, hop.entry_len);
-                }
-                // Divergence inside the child's compressed path: the
-                // actual prefix bytes come from any leaf below it.
-                self.op.state = St::Diverged {
-                    hop,
-                    slot_idx,
-                    child,
-                };
-                Ok(StepOutcome::Done(Stop::Sample))
+                self.on_yield(t, y)
             }
-            St::Sampled {
-                hop,
-                slot_idx,
-                child,
-                sample,
-            } => {
-                let slot = hop.slot;
-                let outcome = match sample {
-                    Sampled::Busy => return self.restart_invalid(t),
-                    // Like `Empty` and `NoValueSlot`: no key to check the
-                    // entry node against.
-                    Sampled::Empty => Outcome::EmptyChild {
-                        slot_idx,
-                        slot,
-                        child,
-                    },
-                    Sampled::Leaf(sample) => {
-                        if self.false_positive(t, &sample.key, hop.entry_len) {
-                            return self.restart(t);
-                        }
-                        Outcome::Divergent {
-                            slot_idx,
-                            slot,
-                            child,
-                            sample,
-                        }
-                    }
-                };
-                self.found(t, hop.node, hop.node_ptr, outcome)
-            }
-            St::Leaf {
-                hop,
-                slot_ref,
-                mut read_len,
-                attempts,
-            } => {
-                let bytes = into_one_read(completion);
-                // The validated leaf read of `node_engine::read_validated_leaf`,
-                // one attempt per resume. The first word carries the true
-                // size; extend if the hint was too small.
-                let word0 = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-                let true_len = (((word0 >> 8) & 0xFF) as usize).max(1) * 64;
-                let leaf = if true_len > read_len {
-                    self.op.tally.extended_reads += 1;
-                    read_len = true_len;
-                    None
-                } else {
-                    match LeafNode::decode(&bytes) {
-                        Ok(leaf) => Some(leaf),
-                        // Broken-protocol mode for the lincheck harness:
-                        // serve the torn leaf instead of recovering.
-                        Err(LayoutError::ChecksumMismatch { .. }) if !leaf_validation() => {
-                            Some(LeafNode::decode_unverified(&bytes)?)
-                        }
-                        Err(LayoutError::ChecksumMismatch { .. })
-                        | Err(LayoutError::TruncatedNode { .. }) => {
-                            // Torn read under a concurrent writer: back
-                            // off and re-read.
-                            self.op.tally.checksum_retries += 1;
-                            if let Some(tr) = self.op.trace.as_mut() {
-                                tr.retry(t.clock_ns());
-                            }
-                            t.backoff(&self.op.retry);
-                            None
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                };
-                let Some(leaf) = leaf else {
-                    if attempts + 1 >= self.op.retry.io_retries {
-                        return Err(EngineError::RetriesExhausted { op: "leaf read" });
-                    }
-                    let batch = read_batch(hop.slot.addr, read_len);
-                    self.op.state = St::Leaf {
-                        hop,
-                        slot_ref,
-                        read_len,
-                        attempts: attempts + 1,
-                    };
-                    return Ok(StepOutcome::Submit {
-                        batch,
-                        tag: TAG_LEAF,
-                    });
-                };
-                self.phase(t, Phase::Traversal);
-                if self.false_positive(t, &leaf.key, hop.entry_len) {
-                    return self.restart(t);
-                }
-                let outcome = Outcome::Leaf {
-                    slot_ref,
-                    slot: hop.slot,
-                    leaf,
-                };
-                self.found(t, hop.node, hop.node_ptr, outcome)
-            }
-            St::Diverged { .. } => unreachable!("re-admitted before LocateOp::sampled"),
         }
     }
 }
@@ -763,7 +602,7 @@ impl SphinxClient {
     /// Drives one lookup to its end as part of the blocking op in flight.
     fn locate_alone(&mut self, mut op: LocateOp<'_>) -> Result<Stop, SphinxError> {
         let run = self.drive(std::slice::from_mut(&mut op), 1, true);
-        self.fold(&op.tally);
+        self.fold(&op);
         run?;
         match op.result.expect("drive ends every op on a terminal stop") {
             Stop::Failed(e) => Err(e),
@@ -816,8 +655,8 @@ impl SphinxClient {
                 match stop {
                     Stop::Refresh(mn) => self.tables[mn].refresh_stale(&mut self.dm)?,
                     Stop::Sample => {
-                        let sample = any_leaf(self, op.diverged_child())?;
-                        op.sampled(sample);
+                        let sample = any_leaf(self, op.descend.diverged_child())?;
+                        op.descend.sampled(sample);
                     }
                     end => {
                         op.result = Some(end);
@@ -833,7 +672,9 @@ impl SphinxClient {
         Ok(())
     }
 
-    fn fold(&mut self, t: &Tally) {
+    fn fold(&mut self, op: &LocateOp<'_>) {
+        self.note_leaf_io(op.descend.io);
+        let t = &op.tally;
         for _ in 0..t.retries {
             self.obs.retry();
         }
@@ -843,8 +684,6 @@ impl SphinxClient {
         s.entry_misses += t.entry_misses;
         s.filter_first_hits += t.filter_first_hits;
         s.filter_refreshes += t.filter_refreshes;
-        s.checksum_retries += t.checksum_retries;
-        s.extended_leaf_reads += t.extended_reads;
         self.obs.add("sfc.probe_hit", t.probe_hits);
         self.obs.add("sfc.probe_miss", t.probe_misses);
         self.obs.add("inht.hit", t.inht_hits);
@@ -932,7 +771,7 @@ impl SphinxClient {
 
         for op in &ops {
             self.stats.gets += 1;
-            self.fold(&op.tally);
+            self.fold(op);
         }
         // Reclamation cadence parity with a loop of gets: one unpin per
         // key (the final one comes from `op_exit`), so the amortized scan
@@ -949,7 +788,7 @@ impl SphinxClient {
 
         ops.into_iter()
             .map(|op| match op.result {
-                Some(Stop::Found(d)) => Ok(d.into_value(op.key)),
+                Some(Stop::Found(d)) => Ok(d.into_value(op.descend.key)),
                 Some(Stop::Failed(e)) => Err(e),
                 _ => unreachable!("drive ends a full lookup in a descent or a failure"),
             })
@@ -988,6 +827,22 @@ mod tests {
 
     fn refs(keys: &[Vec<u8>]) -> Vec<&[u8]> {
         keys.iter().map(|k| k.as_slice()).collect()
+    }
+
+    /// `get_many_pipelined` turns its machines into its results in the
+    /// machines' own buffer (the standard library's in-place `collect`):
+    /// free while a machine's size is a multiple of a result's, one
+    /// `realloc` of the whole buffer per call otherwise — which
+    /// `bench.allocs_per_op` of `ycsb_c_pipe` counts.
+    #[test]
+    fn machines_become_results_in_place() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<LocateOp<'static>>() % size_of::<Option<Vec<u8>>>(),
+            0,
+            "LocateOp is {} bytes",
+            size_of::<LocateOp<'static>>()
+        );
     }
 
     #[test]

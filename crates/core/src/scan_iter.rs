@@ -15,11 +15,11 @@ const DEFAULT_PAGE: usize = 64;
 /// any cursor over a live index.
 pub struct ScanIter<'a> {
     client: &'a mut SphinxClient,
-    /// Exclusive resume point: the next page starts strictly after this.
+    /// Inclusive resume point: the next page starts at this key (`None`:
+    /// the range is exhausted).
     resume: Option<Vec<u8>>,
     buffer: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
     page_size: usize,
-    done: bool,
     /// Deferred error (surfaced as the final item).
     error: Option<SphinxError>,
 }
@@ -54,7 +54,6 @@ impl SphinxClient {
             resume: Some(low.to_vec()),
             buffer: Vec::new().into_iter(),
             page_size: DEFAULT_PAGE,
-            done: false,
             error: None,
         }
     }
@@ -67,30 +66,19 @@ impl ScanIter<'_> {
         self
     }
 
-    fn refill(&mut self) {
-        let Some(low) = self.resume.take() else {
-            self.done = true;
-            return;
-        };
-        // Fetch one extra so an exactly-full page distinguishes "more
-        // remains" from "exhausted".
-        match self.client.scan_n(&low, self.page_size) {
-            Ok(page) => {
-                if page.len() < self.page_size {
-                    self.done = true; // final page
-                } else if let Some((last, _)) = page.last() {
-                    // Resume strictly after the last yielded key: append a
-                    // zero byte, the smallest strict successor.
-                    let mut next = last.clone();
-                    next.push(0);
-                    self.resume = Some(next);
+    /// Fetches the page that starts at `low`.
+    fn refill(&mut self, low: &[u8]) {
+        // One extra row: a full page then distinguishes "more remains" from
+        // "exhausted", and the extra row's key is where the next page
+        // starts.
+        match self.client.scan_n(low, self.page_size.saturating_add(1)) {
+            Ok(mut page) => {
+                if page.len() > self.page_size {
+                    self.resume = page.pop().map(|(key, _)| key);
                 }
                 self.buffer = page.into_iter();
             }
-            Err(e) => {
-                self.error = Some(e);
-                self.done = true;
-            }
+            Err(e) => self.error = Some(e),
         }
     }
 }
@@ -106,10 +94,8 @@ impl Iterator for ScanIter<'_> {
             if let Some(e) = self.error.take() {
                 return Some(Err(e));
             }
-            if self.done {
-                return None;
-            }
-            self.refill();
+            let low = self.resume.take()?;
+            self.refill(&low);
         }
     }
 }
@@ -168,10 +154,17 @@ mod tests {
     #[test]
     fn page_boundary_exactly_at_end() {
         let mut client = setup(64); // equals the default page size
+        let before = client.net_stats().round_trips;
         let n = client
             .scan_iter(b"")
             .inspect(|r| assert!(r.is_ok()))
             .count();
         assert_eq!(n, 64);
+        // The page's extra row came back absent: no second page is fetched
+        // to read nothing.
+        let cursor = client.net_stats().round_trips - before;
+        let before = client.net_stats().round_trips;
+        assert_eq!(client.scan_n(b"", 65).unwrap().len(), 64);
+        assert_eq!(cursor, client.net_stats().round_trips - before);
     }
 }

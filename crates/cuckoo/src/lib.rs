@@ -33,10 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bloom;
-
-pub use bloom::BloomFilter;
-
 use std::fmt;
 
 const SLOTS_PER_BUCKET: usize = 4;

@@ -12,6 +12,7 @@
 //!                  │                              guarded installs,
 //!                  │                              shared RetryPolicy,
 //!                  │                              op pipeline driver,
+//!                  │                              key-following descent,
 //!                  │                              read-side ART walker)
 //!              Transport                          (submit/poll/wait
 //!                  │                              completion queue;
@@ -25,10 +26,13 @@
 //! The [`pipeline`] module adds the other half of the seam: operations
 //! restructured as resumable state machines ([`OpState`]) driven by
 //! [`run_pipelined`], which keeps N ops in flight per worker over the
-//! transport's completion queue. The [`walk`] module is the read side of
-//! a remote ART — leaf sampling, prefix resolution, the level-batched range
-//! scan and the structural audit — written once against the [`ArtReader`]
-//! trait `sphinx` and `baselines` implement.
+//! transport's completion queue. The [`descend`] module is the descent that
+//! follows one search key from an inner node to what lies below it, as a
+//! resumable body the lookup machines of `sphinx` and `baselines` host; the
+//! [`walk`] module is the rest of the read side of a remote ART — leaf
+//! sampling, prefix resolution, the level-batched range scan and the
+//! structural audit — written once against the [`ArtReader`] trait they
+//! implement.
 //!
 //! Before this crate existed, `sphinx`, `baselines`, `bptree` and
 //! `race-hash` each carried a private copy of this scaffolding (torn-read
@@ -49,9 +53,11 @@ use dm_sim::{DmError, RemotePtr, Transport, Verb};
 
 pub use dm_sim::RetryPolicy;
 
+pub mod descend;
 pub mod pipeline;
 pub mod walk;
 
+pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
 pub use pipeline::{
     run_pipelined, FirstInline, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH,
 };
@@ -182,13 +188,64 @@ impl LeafReadStats {
     }
 }
 
+/// What one attempt of a validated leaf read decided.
+#[derive(Debug)]
+pub enum LeafAttempt {
+    /// The bytes are the leaf.
+    Settled(LeafNode),
+    /// Read again, this many bytes.
+    Again(usize),
+}
+
+/// The per-attempt rule of a validated leaf read, given the `read_len`
+/// bytes just fetched: a first word naming a larger leaf bumps
+/// [`LeafReadStats::extended_reads`] and asks for the true size; a torn
+/// image (checksum or length fields) bumps
+/// [`LeafReadStats::checksum_retries`], charges one [`Transport::backoff`]
+/// and asks for the same bytes again. [`read_validated_leaf`] loops over it;
+/// [`descend::Descend`] takes one attempt per resume.
+///
+/// # Errors
+///
+/// [`EngineError::Layout`] for structural (non-checksum) decode failures.
+pub fn leaf_attempt<T: Transport>(
+    t: &mut T,
+    bytes: &[u8],
+    read_len: usize,
+    policy: &RetryPolicy,
+    io: &mut LeafReadStats,
+) -> Result<LeafAttempt, EngineError> {
+    // The first word tells us the true size; extend if needed.
+    let true_len = LeafNode::stored_len(bytes).ok_or(LayoutError::TruncatedNode {
+        need: 8,
+        have: bytes.len(),
+    })?;
+    if true_len > read_len {
+        io.extended_reads += 1;
+        return Ok(LeafAttempt::Again(true_len));
+    }
+    match LeafNode::decode(bytes) {
+        Ok(leaf) => Ok(LeafAttempt::Settled(leaf)),
+        // Broken-protocol mode for the lincheck harness: serve the torn
+        // leaf instead of recovering.
+        Err(LayoutError::ChecksumMismatch { .. }) if !leaf_validation() => {
+            Ok(LeafAttempt::Settled(LeafNode::decode_unverified(bytes)?))
+        }
+        // Torn read under a concurrent writer (torn length fields can claim
+        // more payload than the buffer holds): back off and re-read.
+        Err(LayoutError::ChecksumMismatch { .. } | LayoutError::TruncatedNode { .. }) => {
+            io.checksum_retries += 1;
+            t.backoff(policy);
+            Ok(LeafAttempt::Again(read_len))
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// Reads and decodes a leaf, retrying torn reads (checksum mismatches from
 /// concurrent in-place updates) and extending the read if the leaf is
-/// larger than `hint` bytes. Each torn read bumps
-/// [`LeafReadStats::checksum_retries`] and charges one
-/// [`Transport::backoff`]; each hint shortfall bumps
-/// [`LeafReadStats::extended_reads`]. After [`RetryPolicy::io_retries`]
-/// attempts the read gives up.
+/// larger than `hint` bytes — [`leaf_attempt`] per read. After
+/// [`RetryPolicy::io_retries`] attempts the read gives up.
 ///
 /// # Errors
 ///
@@ -205,32 +262,9 @@ pub fn read_validated_leaf<T: Transport>(
     let mut read_len = hint.max(64);
     for _ in 0..policy.io_retries {
         let bytes = t.read(ptr, read_len)?;
-        // The first word tells us the true size; extend if needed.
-        let true_len = LeafNode::stored_len(&bytes).expect("read at least 64 bytes");
-        if true_len > read_len {
-            read_len = true_len;
-            io.extended_reads += 1;
-            continue;
-        }
-        match LeafNode::decode(&bytes) {
-            Ok(leaf) => return Ok(leaf),
-            Err(LayoutError::ChecksumMismatch { .. }) => {
-                if !leaf_validation() {
-                    // Broken-protocol mode for the lincheck harness: serve
-                    // the torn leaf instead of recovering.
-                    return Ok(LeafNode::decode_unverified(&bytes)?);
-                }
-                // Torn read under a concurrent writer: retry.
-                io.checksum_retries += 1;
-                t.backoff(policy);
-            }
-            Err(LayoutError::TruncatedNode { .. }) => {
-                // Torn length fields can claim more payload than the
-                // buffer holds; structurally unreadable either way: retry.
-                io.checksum_retries += 1;
-                t.backoff(policy);
-            }
-            Err(e) => return Err(e.into()),
+        match leaf_attempt(t, &bytes, read_len, policy, io)? {
+            LeafAttempt::Settled(leaf) => return Ok(leaf),
+            LeafAttempt::Again(len) => read_len = len,
         }
     }
     Err(EngineError::RetriesExhausted { op: "leaf read" })

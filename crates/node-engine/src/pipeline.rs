@@ -164,6 +164,48 @@ impl PipelineStats {
             .unwrap_or(0)
     }
 
+    /// Adds these counters to a worker's telemetry registry: the
+    /// `pipeline.*` scalars and the structural [`obs::PipelineAgg`], with
+    /// per-tag work under the name of the [`obs::Phase`] whose index the
+    /// submitting op used as its tag (other tags are not exported).
+    pub fn export(&self, reg: &mut obs::Registry) {
+        reg.add("pipeline.ops", self.ops);
+        reg.add("pipeline.flushes", self.flushes);
+        reg.add("pipeline.fused_batches", self.fused_batches);
+        reg.add("pipeline.stalls", self.stalls);
+        for (bucket, name) in self.depth_hist.iter().zip([
+            "pipeline.depth_le_1",
+            "pipeline.depth_le_2",
+            "pipeline.depth_le_4",
+            "pipeline.depth_le_8",
+            "pipeline.depth_le_16",
+            "pipeline.depth_gt_16",
+        ]) {
+            reg.add(name, *bucket);
+        }
+        reg.pipeline.ops += self.ops;
+        reg.pipeline.flushes += self.flushes;
+        reg.pipeline.fused_batches += self.fused_batches;
+        reg.pipeline.stalls += self.stalls;
+        for (mine, bucket) in reg.pipeline.depth_hist.iter_mut().zip(self.depth_hist) {
+            *mine += bucket;
+        }
+        for (tag, agg) in &self.by_tag {
+            if let Some(phase) = obs::Phase::ALL.get(*tag as usize) {
+                reg.add(&format!("pipeline.rts.{}", phase.name()), agg.round_trips);
+                let t = reg
+                    .pipeline
+                    .by_tag
+                    .entry(phase.name().to_string())
+                    .or_default();
+                t.batches += agg.batches;
+                t.round_trips += agg.round_trips;
+                t.verbs += agg.verbs;
+                t.bytes += agg.bytes;
+            }
+        }
+    }
+
     /// Merges another run's counters into this accumulator.
     pub fn merge(&mut self, other: &PipelineStats) {
         self.ops += other.ops;

@@ -625,7 +625,7 @@ fn audit_leaf<H: ArtReader>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{
         invalidate_inner, read_inner_consistent, read_validated_leaf, write_new_inner,
@@ -635,7 +635,7 @@ mod tests {
 
     /// The plainest reader: one transport, no cache, no phases; counts the
     /// leaf I/O the walker books.
-    struct Host(DmClient, LeafReadStats);
+    pub(crate) struct Host(pub(crate) DmClient, pub(crate) LeafReadStats);
 
     impl ArtReader for Host {
         type T = DmClient;
@@ -657,13 +657,13 @@ mod tests {
         }
     }
 
-    fn host() -> Host {
+    pub(crate) fn host() -> Host {
         let client = DmCluster::new(ClusterConfig::default()).client(0);
         Host(client, LeafReadStats::default())
     }
 
     /// Writes an inner node for `prefix` with the given children.
-    fn inner(h: &mut Host, kind: NodeKind, prefix: &[u8], children: &[Slot]) -> Slot {
+    pub(crate) fn inner(h: &mut Host, kind: NodeKind, prefix: &[u8], children: &[Slot]) -> Slot {
         let mut n = InnerNode::new(kind, prefix);
         for c in children {
             n.set_child(*c);
@@ -672,12 +672,12 @@ mod tests {
         Slot::inner(*prefix.last().unwrap_or(&0), kind, ptr)
     }
 
-    fn leaf(h: &mut Host, key: &[u8]) -> Slot {
+    pub(crate) fn leaf(h: &mut Host, key: &[u8]) -> Slot {
         let ptr = write_new_leaf(&mut h.0, key, b"v").unwrap();
         Slot::leaf(*key.last().unwrap(), ptr)
     }
 
-    fn node_of(h: &mut Host, slot: Slot) -> InnerNode {
+    pub(crate) fn node_of(h: &mut Host, slot: Slot) -> InnerNode {
         read_inner_consistent(&mut h.0, slot.addr, slot.child_kind).unwrap()
     }
 

@@ -5,7 +5,7 @@
 //! latency go". Each traced op carries an [`OpTrace`] through its state
 //! machine, recording a timestamped [`OpEvent`] at every causal edge —
 //! pipeline admission, submission (token issued), phase transitions,
-//! retries, reclaim pin/unpin, blocking fallback. At completion the trace
+//! retries, reclaim pin/unpin. At completion the trace
 //! is joined with the transport-event window the `dm-sim` client recorded
 //! over the op's lifetime ([`dm_sim::trace::TransportEvent`]), which tiles
 //! the op's virtual timeline exactly: the clock only moves at doorbell
@@ -78,12 +78,6 @@ pub enum OpEvent {
         /// Virtual time of the unpin.
         at_ns: u64,
     },
-    /// A pipelined op bailed to the blocking path (its replay runs as a
-    /// separate op with its own trace).
-    Fallback {
-        /// Virtual time of the bail-out.
-        at_ns: u64,
-    },
 }
 
 impl OpEvent {
@@ -95,8 +89,7 @@ impl OpEvent {
             | OpEvent::Phase { at_ns, .. }
             | OpEvent::Retry { at_ns }
             | OpEvent::Pinned { at_ns }
-            | OpEvent::Unpinned { at_ns }
-            | OpEvent::Fallback { at_ns } => at_ns,
+            | OpEvent::Unpinned { at_ns } => at_ns,
         }
     }
 
@@ -109,7 +102,6 @@ impl OpEvent {
             OpEvent::Retry { .. } => "retry",
             OpEvent::Pinned { .. } => "pin",
             OpEvent::Unpinned { .. } => "unpin",
-            OpEvent::Fallback { .. } => "fallback",
         }
     }
 }
@@ -235,11 +227,6 @@ impl OpTrace {
     /// Records a reclamation unpin.
     pub fn unpin(&mut self, now_ns: u64) {
         self.events.push(OpEvent::Unpinned { at_ns: now_ns });
-    }
-
-    /// Records a bail-out to the blocking path.
-    pub fn fallback(&mut self, now_ns: u64) {
-        self.events.push(OpEvent::Fallback { at_ns: now_ns });
     }
 }
 

@@ -141,6 +141,30 @@ fn five_systems_agree_on_u64_history() {
     for ((w, _), sys) in workers.iter_mut().zip(&systems) {
         assert_eq!(w.scan(&lo, &hi), oracle.len(), "{} scan count", sys.label());
     }
+
+    // ... and identical answers from eight lookups in flight, over keys
+    // present, deleted just now, and never inserted.
+    for idx in (0..300u64).step_by(5) {
+        let key = KeySpace::U64.key(idx);
+        let expect = oracle.remove(&key).is_some();
+        for ((w, _), sys) in workers.iter_mut().zip(&systems) {
+            assert_eq!(w.remove(&key), expect, "{} remove {idx}", sys.label());
+        }
+    }
+    let keys: Vec<Vec<u8>> = (0..330u64).map(|idx| KeySpace::U64.key(idx)).collect();
+    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+    for ((w, _), sys) in workers.iter_mut().zip(&systems) {
+        for (key, got) in keys.iter().zip(w.multi_get_pipelined(&refs, 8)) {
+            // The B+-tree keeps 62 bytes of a value.
+            let kept = |v: Option<&Vec<u8>>| v.map(|v| v[..v.len().min(62)].to_vec());
+            assert_eq!(
+                kept(got.as_ref()),
+                kept(oracle.get(key)),
+                "{} depth 8 {key:?}",
+                sys.label()
+            );
+        }
+    }
 }
 
 #[test]
@@ -321,6 +345,33 @@ fn three_art_systems_scan_alike_around_a_delete_wave() {
         oracle.remove(key);
     }
     check(&mut workers, &oracle, "after the wave");
+
+    // The same descent, eight lookups in flight: keys present, deleted by
+    // the wave (whole emptied subtrees among them), never inserted, and
+    // leaving a survivor's compressed path in the middle.
+    let probes: Vec<Vec<u8>> = sorted
+        .iter()
+        .cloned()
+        .chain((600..640).map(|idx| KeySpace::Email.key(idx)))
+        .chain(oracle.keys().step_by(7).map(|key| {
+            let mut key = key.clone();
+            let mid = key.len() / 2;
+            key[mid] ^= 0x15;
+            key
+        }))
+        .collect();
+    let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
+    for (w, sys) in workers.iter_mut().zip(&systems) {
+        for (key, got) in probes.iter().zip(w.multi_get_pipelined(&refs, 8)) {
+            assert_eq!(
+                got.as_ref(),
+                oracle.get(key),
+                "{} depth 8 {:?}",
+                sys.label(),
+                String::from_utf8_lossy(key)
+            );
+        }
+    }
     for (handle, sys) in handles.iter().zip(&systems) {
         assert_eq!(
             audited(handle, sys.label()).0,
@@ -328,5 +379,67 @@ fn three_art_systems_scan_alike_around_a_delete_wave() {
             "{}",
             sys.label()
         );
+    }
+}
+
+/// Charge for charge at depth 1: every baseline point op drives the shared
+/// descent alone, and that must cost what the blocking `locate_once` cost.
+/// A fixed get/insert/update/remove stream over 5 000 email keys (half
+/// preloaded; SMART's cache small enough to evict) ends with the network
+/// counters and the virtual clock of commit 1684881, the last with the
+/// blocking traversal — `[round trips, doorbells, verbs, bytes, CAS,
+/// clock_ns]`, re-derived there with this very test (docs/TESTING.md).
+#[test]
+fn baseline_ops_at_depth_one_cost_what_the_blocking_traversal_cost() {
+    let pins: [(System, usize, [u64; 6]); 3] = [
+        (
+            System::Smart,
+            64 << 10,
+            [24_826, 24_826, 27_896, 37_116_144, 3_533, 57_084_813],
+        ),
+        (
+            System::SmartC,
+            640 << 10,
+            [17_708, 17_708, 20_778, 22_367_648, 3_533, 40_535_463],
+        ),
+        (
+            System::Art,
+            0,
+            [30_535, 30_535, 33_806, 4_223_824, 3_791, 66_677_830],
+        ),
+    ];
+    for (sys, cache_bytes, want) in pins {
+        let handle = sys.build(128 << 20, Some(cache_bytes));
+        let mut w = handle.worker(0);
+        for idx in 0..2500u64 {
+            w.insert(&KeySpace::Email.key(idx), &value_for(idx, 0));
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0021);
+        for step in 0..2000u32 {
+            let idx = rng.gen_range(0..5000u64);
+            let key = KeySpace::Email.key(idx);
+            match rng.gen_range(0..20) {
+                0..=7 => {
+                    w.get(&key);
+                }
+                8..=12 => w.insert(&key, &value_for(idx, step)),
+                13..=16 => {
+                    w.update(&key, &value_for(idx, step));
+                }
+                _ => {
+                    w.remove(&key);
+                }
+            }
+        }
+        let s = w.net_stats();
+        let got = [
+            s.round_trips,
+            s.doorbells,
+            s.reads + s.writes + s.cas + s.faa + s.frees,
+            s.bytes_read + s.bytes_written,
+            s.cas,
+            w.clock_ns(),
+        ];
+        assert_eq!(got, want, "{}", sys.label());
     }
 }

@@ -24,9 +24,10 @@ fn cfg(system: System, depth: usize) -> ExploreConfig {
     }
 }
 
+// SMART stays out of scheduled sweeps until ROADMAP item 1(f) is fixed.
 #[test]
 fn pipelined_histories_stay_linearizable_and_deterministic() {
-    for system in [System::Sphinx, System::BpTree] {
+    for system in [System::Sphinx, System::Art, System::BpTree] {
         for depth in [1usize, 4, 8] {
             for seed in [7u64, 21] {
                 let mode = ScheduleMode::Record(ScheduleConfig::adversarial(seed));
@@ -63,7 +64,13 @@ fn pipelined_replay_reproduces_the_recorded_history() {
 
 #[test]
 fn depth_changes_doorbells_never_results_or_round_trips() {
-    for system in [System::Sphinx, System::BpTree] {
+    for system in [
+        System::Sphinx,
+        System::Smart,
+        System::SmartC,
+        System::Art,
+        System::BpTree,
+    ] {
         let handle = system.build(64 << 20, Some(1 << 20));
         let mut w = handle.worker(0);
         let n = 400u64;
@@ -77,8 +84,8 @@ fn depth_changes_doorbells_never_results_or_round_trips() {
             .collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
 
-        // One get each first: teaches the filter cache, so both depths
-        // below take the same paths.
+        // One get each first: teaches the filter cache (and fills SMART's
+        // node cache), so both depths below take the same paths.
         let alone: Vec<Option<Vec<u8>>> = refs.iter().map(|k| w.get(k)).collect();
         let base = w.net_stats();
         let d1 = w.multi_get_pipelined(&refs, 1);

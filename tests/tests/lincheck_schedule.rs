@@ -205,6 +205,64 @@ fn single_key_histories_are_those_of_the_blocking_ladder() {
     }
 }
 
+/// The same pins for the other two descents that became one machine: the
+/// baselines' blocking `locate_once` (ART stands for the three systems that
+/// shared it; SMART stays out of scheduled sweeps, ROADMAP 1(f)) and the
+/// B+-tree's blocking `descend`. Digests as computed at commit 1684881,
+/// the last with the blocking code: the machine driven alone must issue
+/// its verbs grant for grant. ART runs without `Op::MultiGet`, which was a
+/// loop of `get`s there and is one window now — one epoch pin for the
+/// batch, restarts served between runs — exactly the difference Sphinx's
+/// pins exclude; the B+-tree's multi-get was a machine already and stays
+/// in. docs/TESTING.md says how to re-derive them.
+#[test]
+fn art_and_bptree_histories_are_those_of_the_blocking_descents() {
+    let pins = [
+        (
+            System::Art,
+            false,
+            [
+                0x782c_7598_27d6_ea73u64,
+                0x76a3_0ab1_c5cf_ac58,
+                0xf3df_f988_8a81_17a7,
+            ],
+        ),
+        (
+            System::BpTree,
+            true,
+            [
+                0x205f_1293_c29b_ec0c,
+                0x9ae3_6846_6d8a_d21e,
+                0xc042_2f7c_5a64_36c4,
+            ],
+        ),
+    ];
+    for (system, multi_ops, digests) in pins {
+        let cfg = ExploreConfig {
+            multi_ops,
+            ..cfg(system)
+        };
+        for (seed, digest) in (1u64..).zip(digests) {
+            let out = run_scheduled(
+                &cfg,
+                ScheduleMode::Record(ScheduleConfig::adversarial(seed)),
+            );
+            assert!(
+                out.outcome.is_linearizable(),
+                "{} seed {seed}: {:?}",
+                system.label(),
+                out.outcome
+            );
+            assert_eq!(
+                out.history.digest(),
+                digest,
+                "{} seed {seed}: a single-key op issues other verbs than it did",
+                system.label()
+            );
+        }
+    }
+}
+
 /// Same seed ⇒ byte-identical causal-trace export. The export is the
 /// debugging artifact a failure report embeds; if it drifted across
 /// identical runs, "replay the seed and look at the trace" would be
