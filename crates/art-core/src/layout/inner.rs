@@ -9,9 +9,14 @@ pub const VALUE_SLOT_OFFSET: u64 = 16;
 /// Byte offset of the first child slot within an encoded inner node.
 pub const SLOTS_OFFSET: u64 = 24;
 
+/// The child slots of a decoded inner node: a slice of `Option<Slot>` to
+/// every caller, stored inline for `Node4` and `Node16` (nine in ten of
+/// the nodes a lookup decodes) and on the heap for the two large kinds.
+pub type Slots = dm_sim::InlineVec<Option<Slot>, 16>;
+
 /// A decoded inner node: header, optional value slot, child slots.
 ///
-/// The `slots` vector always has exactly `header.kind.capacity()` entries;
+/// The `slots` sequence always has exactly `header.kind.capacity()` entries;
 /// unoccupied positions are `None`. For `Node256` the slot at index `i`
 /// holds the child dispatched on key byte `i`; smaller node types store
 /// children in arbitrary positions and are searched linearly (the client
@@ -24,7 +29,7 @@ pub struct InnerNode {
     /// Leaf for the key equal to this node's full prefix, if any.
     pub value_slot: Option<Slot>,
     /// Child slots (`capacity()` entries).
-    pub slots: Vec<Option<Slot>>,
+    pub slots: Slots,
 }
 
 impl InnerNode {
@@ -33,7 +38,7 @@ impl InnerNode {
         InnerNode {
             header: InnerHeader::new(kind, prefix),
             value_slot: None,
-            slots: vec![None; kind.capacity()],
+            slots: Slots::filled(kind.capacity()),
         }
     }
 
@@ -176,9 +181,10 @@ impl InnerNode {
             });
         }
         let value_slot = Slot::decode(word(2));
-        let slots = (0..header.kind.capacity())
-            .map(|i| Slot::decode(word(3 + i)))
-            .collect();
+        let mut slots = Slots::filled(header.kind.capacity());
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = Slot::decode(word(3 + i));
+        }
         Ok(InnerNode {
             header,
             value_slot,
@@ -204,7 +210,7 @@ impl InnerNode {
                 prefix_hash42: self.header.prefix_hash42,
             },
             value_slot: self.value_slot,
-            slots: vec![None; kind.capacity()],
+            slots: Slots::filled(kind.capacity()),
         };
         for slot in self.slots.iter().flatten() {
             node.set_child(*slot);

@@ -85,9 +85,7 @@ impl LeafNode {
     }
 
     fn checksum(&self) -> u32 {
-        // Both length words as one 8-byte part: one sliced CRC step.
-        let lens = (self.key.len() as u32 as u64) | ((self.value.len() as u32 as u64) << 32);
-        crc32_parts(&[&lens.to_le_bytes(), &self.key, &self.value])
+        checksum(&self.key, &self.value)
     }
 
     /// Serializes the leaf to its on-MN byte layout.
@@ -97,24 +95,20 @@ impl LeafNode {
     /// Panics if the key exceeds 64 KiB or the leaf exceeds 255 64-byte
     /// units (the `LeafLen` field width).
     pub fn encode(&self) -> Vec<u8> {
-        let size = self.units as usize * 64;
-        debug_assert!(size >= Self::encoded_size(self.key.len(), self.value.len()));
-        assert!(
-            self.key.len() <= u16::MAX as usize,
-            "key too long for leaf header"
-        );
-        let mut out = vec![0u8; size];
-        let word0 = (self.status as u64)
-            | ((self.len_units() as u64) << 8)
-            | ((self.key.len() as u64) << 16)
-            | ((self.checksum() as u64) << 32);
-        let word1 = (self.value.len() as u64) | ((self.version as u64) << 32);
-        out[0..8].copy_from_slice(&word0.to_le_bytes());
-        out[8..16].copy_from_slice(&word1.to_le_bytes());
-        out[16..16 + self.key.len()].copy_from_slice(&self.key);
-        let v0 = 16 + self.key.len();
-        out[v0..v0 + self.value.len()].copy_from_slice(&self.value);
-        out
+        let header = (self.status, self.units, self.version);
+        encode_parts(header, &self.key, &self.value)
+    }
+
+    /// The bytes [`LeafNode::new`]`(key, value).encode()` produces, from
+    /// borrowed content: what a writer publishing a fresh leaf needs,
+    /// without a `LeafNode` (and its two copies) in between.
+    ///
+    /// # Panics
+    ///
+    /// As [`LeafNode::encode`].
+    pub fn encode_new(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let units = (Self::encoded_size(key.len(), value.len()) / 64) as u8;
+        encode_parts((NodeStatus::Idle, units, 0), key, value)
     }
 
     /// The allocated size in bytes the first word of an encoded leaf names
@@ -194,6 +188,35 @@ impl LeafNode {
     }
 }
 
+fn checksum(key: &[u8], value: &[u8]) -> u32 {
+    // Both length words as one 8-byte part: one sliced CRC step.
+    let lens = (key.len() as u32 as u64) | ((value.len() as u32 as u64) << 32);
+    crc32_parts(&[&lens.to_le_bytes(), key, value])
+}
+
+/// The on-MN image of a leaf with header `(status, units, version)`.
+fn encode_parts(header: (NodeStatus, u8, u32), key: &[u8], value: &[u8]) -> Vec<u8> {
+    let (status, units, version) = header;
+    let size = units as usize * 64;
+    debug_assert!(size >= LeafNode::encoded_size(key.len(), value.len()));
+    assert!(
+        key.len() <= u16::MAX as usize,
+        "key too long for leaf header"
+    );
+    let mut out = vec![0u8; size];
+    let word0 = (status as u64)
+        | ((units as u64) << 8)
+        | ((key.len() as u64) << 16)
+        | ((checksum(key, value) as u64) << 32);
+    let word1 = (value.len() as u64) | ((version as u64) << 32);
+    out[0..8].copy_from_slice(&word0.to_le_bytes());
+    out[8..16].copy_from_slice(&word1.to_le_bytes());
+    out[16..16 + key.len()].copy_from_slice(key);
+    let v0 = 16 + key.len();
+    out[v0..v0 + value.len()].copy_from_slice(value);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +227,11 @@ mod tests {
         let bytes = leaf.encode();
         assert_eq!(bytes.len() % 64, 0);
         assert_eq!(LeafNode::decode(&bytes).unwrap(), leaf);
+        assert_eq!(LeafNode::encode_new(b"user42", &[7u8; 64]), bytes);
+        assert_eq!(
+            LeafNode::encode_new(b"", b""),
+            LeafNode::new(vec![], vec![]).encode()
+        );
     }
 
     #[test]

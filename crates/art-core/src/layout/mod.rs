@@ -39,7 +39,7 @@ mod leaf;
 pub use crc::crc32;
 pub use entry::HashEntry;
 pub use header::{InnerHeader, NodeStatus};
-pub use inner::{InnerNode, SLOTS_OFFSET, VALUE_SLOT_OFFSET};
+pub use inner::{InnerNode, Slots, SLOTS_OFFSET, VALUE_SLOT_OFFSET};
 pub use leaf::LeafNode;
 
 use std::error::Error;

@@ -12,7 +12,7 @@
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use art_core::NodeKind;
-use dm_sim::{DoorbellBatch, RemotePtr, Transport, Verb, VerbResult};
+use dm_sim::{Completion, DoorbellBatch, RemotePtr, Transport, Verb};
 use node_engine::walk::{self, any_leaf, Tracked};
 use node_engine::{
     cas_locked_write, retire_inner, retire_leaf, run_pipelined, unlink_empty_inner,
@@ -198,7 +198,7 @@ impl Run<'_, '_> {
 impl OpState for Run<'_, '_> {
     type Output = Stop;
 
-    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Vec<VerbResult>>) -> Step {
+    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Completion>) -> Step {
         let bytes = completion.map(|mut results| {
             let read = results.pop().expect("a lookup submits one read at a time");
             read.into_read()
@@ -693,7 +693,7 @@ impl BaselineClient {
             }
             let root = self.root_slot(false)?;
             let root_node = self.read_inner_mc(root.addr, root.child_kind, true)?;
-            Ok(walk::scan(self, Tracked::root(root_node), low, high)?)
+            Ok(walk::scan(self, &Tracked::root(root_node), low, high)?)
         };
         let r = below_root();
         self.op_exit();
@@ -1176,17 +1176,21 @@ impl ArtReader for BaselineClient {
     /// the natural non-optimized implementation reads a node's children
     /// together but does not overlap across nodes) — the source of the
     /// paper's 2.3–3.1× YCSB-E gap.
-    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<Vec<u8>>, EngineError> {
+    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<u8>, EngineError> {
         let group = if self.meta.config.batched_scan {
             reads.len().max(1)
         } else {
             8
         };
-        let mut fetched = Vec::with_capacity(reads.len());
-        for group in reads.chunks(group) {
-            fetched.extend(self.dm.read_many(group)?);
+        let mut groups = reads.chunks(group);
+        let Some(first) = groups.next() else {
+            return Ok(Vec::new());
+        };
+        let mut level = self.dm.read_packed(first)?;
+        for group in groups {
+            level.extend(self.dm.read_packed(group)?);
         }
-        Ok(fetched)
+        Ok(level)
     }
 }
 

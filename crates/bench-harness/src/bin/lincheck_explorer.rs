@@ -20,6 +20,12 @@
 //! * `--seeds N` / `--seed-base B` — sweep schedule seeds `B..B+N`
 //! * `--threads N`, `--keys N`, `--ops N` — workload shape (ops is per
 //!   thread; the recorded history also includes the `keys/2` preload)
+//! * `--empty-start` — no preload: the schedule starts on an empty index,
+//!   so the first inserts (root leaf, its split, the first `Node4`s) race
+//!   under the scheduler
+//! * `--shared-prefix` — keys shaped like the `inht_publish_races` storm's
+//!   (`race` + sub-prefix + child byte, at most 1024 of them) instead of
+//!   8-byte integers that diverge at byte 0; not for `bptree`
 //! * `--pipeline-depth N` — ops in flight per worker for the batched-read
 //!   slice of the mix (default 1 = blocking; see the op-pipelining
 //!   scheduler in `node-engine`)
@@ -51,6 +57,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use bench_harness::lincheck_driver::shared_prefix_key;
 use bench_harness::report::arg_u64;
 use bench_harness::{
     failure_report, run_scheduled, shrink_failing_trace, ExploreConfig, RunOutput, ScheduleMode,
@@ -260,6 +267,12 @@ fn main() -> ExitCode {
     let verify_determinism = arg_flag(&args, "--verify-determinism");
     let expect_violation = arg_flag(&args, "--expect-violation");
     let out_dir = arg_str(&args, "--out").unwrap_or_else(|| "results".into());
+    let empty_start = arg_flag(&args, "--empty-start");
+    let shared_prefix = arg_flag(&args, "--shared-prefix");
+    if shared_prefix && (keys > 1024 || systems.contains(&System::BpTree)) {
+        eprintln!("--shared-prefix: at most 1024 keys, and not on bptree (u64 keys only)");
+        return ExitCode::from(2);
+    }
 
     if arg_flag(&args, "--unsafe-disable-leaf-validation") {
         node_engine::set_leaf_validation(false);
@@ -270,10 +283,19 @@ fn main() -> ExitCode {
         println!("reclamation grace period DISABLED (use-after-free mode)");
     }
 
-    let base_cfg = |system: System| ExploreConfig {
-        check: CheckConfig::default(),
-        pipeline_depth: depth,
-        ..ExploreConfig::smoke(system, threads, keys, ops)
+    let base_cfg = |system: System| {
+        let smoke = ExploreConfig::smoke(system, threads, keys, ops);
+        ExploreConfig {
+            check: CheckConfig::default(),
+            pipeline_depth: depth,
+            preload: !empty_start,
+            key_of: if shared_prefix {
+                shared_prefix_key
+            } else {
+                smoke.key_of
+            },
+            ..smoke
+        }
     };
 
     if let Some(path) = arg_str(&args, "--replay") {

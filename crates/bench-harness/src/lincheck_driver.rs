@@ -89,6 +89,11 @@ pub struct ExploreConfig {
     /// Key-space size: keys are `key_of(i)` for `i` in `0..keys`; the
     /// preload inserts the first half.
     pub keys: u64,
+    /// Whether the serial preload runs. Without it the schedule starts on
+    /// an empty index, so the birth of the tree — the root's first leaf,
+    /// its split, the first `Node4`s filling — happens under the scheduler
+    /// instead of before it.
+    pub preload: bool,
     /// Key shape (must be injective and prefix-free). The default,
     /// [`ycsb::KeySpace::U64`] items (8-byte big-endian), runs on every
     /// system including the B+-tree, but those keys diverge at byte 0, so
@@ -128,6 +133,7 @@ impl ExploreConfig {
             system,
             threads,
             keys,
+            preload: true,
             key_of: |i| KeySpace::U64.key(i),
             ops_per_thread,
             workload_seed: 0xC0FF_EE00,
@@ -138,6 +144,14 @@ impl ExploreConfig {
             check: CheckConfig::default(),
         }
     }
+}
+
+/// The key shape of the `inht_publish_races` storm: every key under the
+/// one prefix `race`, four sub-prefixes, then a child byte — so all
+/// participants grow the same few inner nodes (6 bytes: injective for
+/// `i < 1024`, prefix-free).
+pub fn shared_prefix_key(i: u64) -> Vec<u8> {
+    vec![b'r', b'a', b'c', b'e', (i % 4) as u8, (i / 4) as u8]
 }
 
 /// Everything one run produces.
@@ -294,7 +308,8 @@ pub fn run_scheduled_on(
     {
         let mut loader = handle.worker(0);
         let pc = preload_client(cfg);
-        for i in 0..cfg.keys / 2 {
+        let preloaded = if cfg.preload { cfg.keys / 2 } else { 0 };
+        for i in 0..preloaded {
             let key = (cfg.key_of)(i);
             let value = value_bytes(pc, i);
             let op = Op::Insert {

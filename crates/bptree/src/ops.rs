@@ -8,8 +8,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dm_sim::{
-    DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb,
-    VerbResult,
+    Completion, DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken,
+    Transport, Verb,
 };
 use node_engine::{EngineError, FirstInline, OpState, PipelineStats, StepOutcome};
 use obs::{OpKind, OpTrace, Phase, Tracer};
@@ -882,7 +882,7 @@ impl OpState for BpDescendOp<'_> {
     fn step<T: Transport>(
         &mut self,
         t: &mut T,
-        completion: Option<Vec<VerbResult>>,
+        completion: Option<Completion>,
     ) -> Result<StepOutcome<BpLeaf>, EngineError> {
         match std::mem::replace(
             &mut self.state,

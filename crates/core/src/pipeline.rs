@@ -28,14 +28,14 @@
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{HashEntry, InnerNode, NodeStatus};
-use dm_sim::{DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb, VerbResult};
+use dm_sim::{Completion, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb};
 use node_engine::walk::any_leaf;
 use node_engine::{
     ArtReader, Descend, DescendHost, EngineError, FirstInline, OpState, PipelineStats, StepOutcome,
     Yield,
 };
 use obs::{OpKind, OpTrace, Phase, Recorder};
-use race_hash::{FoundEntry, RaceTable};
+use race_hash::RaceTable;
 
 use crate::client::{Descent, Outcome, SphinxClient};
 use crate::config::{CacheMode, SphinxConfig};
@@ -49,20 +49,21 @@ const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
 const TAG_LEAF: u32 = Phase::LeafRead as u32;
 
 /// Counters one lookup accumulates, folded into [`crate::OpStats`] and the
-/// named `obs` counters when it ends.
+/// named `obs` counters when it ends (`u32`: one lookup is bounded by
+/// `op_retries`, and every machine of a pipelined run carries a set).
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
     /// Restarts of any kind (false positive, invalid node, root missing).
-    retries: u64,
-    fp_retries: u64,
-    invalid_retries: u64,
-    entry_misses: u64,
-    filter_first_hits: u64,
-    filter_refreshes: u64,
-    probe_hits: u64,
-    probe_misses: u64,
-    inht_hits: u64,
-    fp_collisions: u64,
+    retries: u32,
+    fp_retries: u32,
+    invalid_retries: u32,
+    entry_misses: u32,
+    filter_first_hits: u32,
+    filter_refreshes: u32,
+    probe_hits: u32,
+    probe_misses: u32,
+    inht_hits: u32,
+    fp_collisions: u32,
 }
 
 /// Why a machine stopped. The first three end the lookup; the driver
@@ -100,11 +101,13 @@ enum St {
     Stale,
     /// Waiting for the bucket pairs of `levels`.
     Pairs,
-    /// Waiting for the inner node that `entry` (decoded `entries[idx]`)
-    /// names, a candidate for prefix `plen`.
+    /// Waiting for the inner node that `entry` (entry `idx` of the bucket
+    /// pair `pair`, read for `level`) names, a candidate for the level's
+    /// prefix. The pair stays as the bytes read: a fingerprint collision
+    /// parses them again, and no lookup carries the parsed entries around.
     Candidate {
-        plen: usize,
-        entries: Vec<FoundEntry>,
+        level: Level,
+        pair: Vec<u8>,
         idx: usize,
         entry: HashEntry,
     },
@@ -142,7 +145,7 @@ pub(crate) struct LocateOp<'k> {
     /// filter mode, stored inline) …
     levels: FirstInline<Level>,
     /// … and their bytes, once read.
-    pairs: Vec<VerbResult>,
+    pairs: Completion,
     state: St,
     tally: Tally,
     /// The terminal stop, once reached.
@@ -175,7 +178,7 @@ impl<'k> LocateOp<'k> {
             root_budget: 0,
             range: (0, 0),
             levels: FirstInline::default(),
-            pairs: Vec::new(),
+            pairs: Completion::default(),
             state: St::Start,
             tally: Tally::default(),
             result: None,
@@ -190,7 +193,7 @@ fn read_batch(ptr: RemotePtr, len: usize) -> DoorbellBatch {
 }
 
 /// Unwraps a single-read completion.
-fn into_one_read(mut results: Vec<VerbResult>) -> Vec<u8> {
+fn into_one_read(mut results: Completion) -> Vec<u8> {
     results
         .pop()
         .expect("a lookup state awaiting one read was resumed with none")
@@ -303,27 +306,25 @@ impl Run<'_, '_> {
         let (Some(level), Some(bytes)) = (self.op.levels.pop(), self.op.pairs.pop()) else {
             return self.ladder_miss(t);
         };
-        match RaceTable::parse_pair(level.base, &bytes.into_read(), level.hash) {
-            None => {
-                self.op.state = St::Stale;
-                Ok(StepOutcome::Done(Stop::Refresh(
-                    t.place(level.hash) as usize
-                )))
-            }
-            Some(entries) => self.next_candidate(t, level.plen, entries, 0),
-        }
+        self.next_candidate(t, level, bytes.into_read(), 0)
     }
 
-    /// Submits the first entry from `from` on whose fingerprint matches
-    /// `key[..plen]` for validation, or moves on when there is none.
+    /// Submits the first entry of `pair` from `from` on whose fingerprint
+    /// matches the level's prefix for validation, or moves on when there is
+    /// none.
     fn next_candidate<T: Transport>(
         &mut self,
         t: &mut T,
-        plen: usize,
-        entries: Vec<FoundEntry>,
+        level: Level,
+        pair: Vec<u8>,
         from: usize,
     ) -> Step {
-        let fp = fp12(&self.op.descend.key[..plen]);
+        let Some(entries) = RaceTable::parse_pair(level.base, &pair, level.hash) else {
+            self.op.state = St::Stale;
+            let mn = t.place(level.hash) as usize;
+            return Ok(StepOutcome::Done(Stop::Refresh(mn)));
+        };
+        let fp = fp12(&self.op.descend.key[..level.plen]);
         let candidate = entries.iter().enumerate().skip(from).find_map(|(i, e)| {
             let he = HashEntry::decode(e.word).filter(|he| he.fp == fp)?;
             Some((i, he))
@@ -332,8 +333,8 @@ impl Run<'_, '_> {
             return self.next_level(t);
         };
         self.op.state = St::Candidate {
-            plen,
-            entries,
+            level,
+            pair,
             idx,
             entry,
         };
@@ -482,7 +483,7 @@ impl Run<'_, '_> {
 struct Freshness<'a> {
     /// `None` in [`CacheMode::InhtOnly`].
     filter: Option<&'a sfc::FilterCache>,
-    refreshes: &'a mut u64,
+    refreshes: &'a mut u32,
 }
 
 impl DescendHost for Freshness<'_> {
@@ -510,7 +511,7 @@ impl OpState for Run<'_, '_> {
         }
     }
 
-    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Vec<VerbResult>>) -> Step {
+    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Completion>) -> Step {
         match std::mem::replace(&mut self.op.state, St::Start) {
             St::Start => {
                 let len = self.op.descend.key.len();
@@ -526,11 +527,12 @@ impl OpState for Run<'_, '_> {
                 self.next_level(t)
             }
             St::Candidate {
-                plen,
-                entries,
+                level,
+                pair,
                 idx,
                 entry,
             } => {
+                let plen = level.plen;
                 let completion =
                     completion.expect("the Candidate state was resumed without its completion");
                 let node = InnerNode::decode(&into_one_read(completion))?;
@@ -542,7 +544,7 @@ impl OpState for Run<'_, '_> {
                     // The 12-bit fingerprint matched but the node did not:
                     // a genuine fp collision or a stale/retired entry.
                     self.op.tally.fp_collisions += 1;
-                    return self.next_candidate(t, plen, entries, idx + 1);
+                    return self.next_candidate(t, level, pair, idx + 1);
                 }
                 self.op.tally.inht_hits += 1;
                 if self.op.first {
@@ -679,15 +681,15 @@ impl SphinxClient {
             self.obs.retry();
         }
         let s = &mut self.stats;
-        s.false_positive_retries += t.fp_retries;
-        s.invalid_node_retries += t.invalid_retries;
-        s.entry_misses += t.entry_misses;
-        s.filter_first_hits += t.filter_first_hits;
-        s.filter_refreshes += t.filter_refreshes;
-        self.obs.add("sfc.probe_hit", t.probe_hits);
-        self.obs.add("sfc.probe_miss", t.probe_misses);
-        self.obs.add("inht.hit", t.inht_hits);
-        self.obs.add("inht.fp_collision", t.fp_collisions);
+        s.false_positive_retries += u64::from(t.fp_retries);
+        s.invalid_node_retries += u64::from(t.invalid_retries);
+        s.entry_misses += u64::from(t.entry_misses);
+        s.filter_first_hits += u64::from(t.filter_first_hits);
+        s.filter_refreshes += u64::from(t.filter_refreshes);
+        self.obs.add("sfc.probe_hit", t.probe_hits.into());
+        self.obs.add("sfc.probe_miss", t.probe_misses.into());
+        self.obs.add("inht.hit", t.inht_hits.into());
+        self.obs.add("inht.fp_collision", t.fp_collisions.into());
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight.

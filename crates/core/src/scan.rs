@@ -6,7 +6,7 @@
 //! root.
 
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
-use node_engine::walk::{self, any_leaf, Tracked};
+use node_engine::walk::{self, any_leaf, Prefix, Tracked};
 use node_engine::Sampled;
 use obs::{OpKind, Phase};
 
@@ -55,11 +55,11 @@ impl SphinxClient {
             let (_, entry, plen) = self.locate_entry(&low[..max_len], max_len)?;
             self.obs_phase(Phase::Traversal);
             let start = Tracked {
-                at: entry.clone(),
-                known: low[..plen].to_vec(),
+                at: entry,
+                known: Prefix::from_slice(&low[..plen]),
                 exact: true,
             };
-            let rows = walk::scan(self, start, low, high)?;
+            let rows = walk::scan(self, &start, low, high)?;
             // A row in range starts with the entry's prefix, so any row is
             // the false-positive check of §III-B, and the root needs none.
             if plen == 0 || !rows.is_empty() {
@@ -68,7 +68,7 @@ impl SphinxClient {
             // No row: the range is empty, or the hash table led to a node
             // of some other prefix (fp₁₂ and the 42-bit hash both collided).
             // A leaf below the entry tells which.
-            match any_leaf(self, &entry)? {
+            match any_leaf(self, &start.at)? {
                 Sampled::Leaf(leaf) if leaf.key.starts_with(&low[..plen]) => return Ok(rows),
                 Sampled::Leaf(_) => {
                     self.stats.false_positive_retries += 1;
@@ -139,7 +139,7 @@ mod tests {
     /// The walk `scan` replaced: root via the hash table, then down.
     fn root_down(client: &mut SphinxClient, low: &[u8], high: &[u8]) -> Rows {
         let (_, root, _) = client.locate_entry(b"", 0).unwrap();
-        walk::scan(client, Tracked::root(root), low, high).unwrap()
+        walk::scan(client, &Tracked::root(root), low, high).unwrap()
     }
 
     /// Virtual nanoseconds `f` takes on `client`.

@@ -9,7 +9,7 @@
 
 use art_core::layout::{InnerNode, NodeStatus, Slot};
 use dm_sim::Transport;
-use node_engine::walk::{resolve_prefixes, settle_leaves, viable_children, Tracked};
+use node_engine::walk::{level_spans, resolve_prefixes, settle_leaves, viable_children, Tracked};
 use obs::{OpKind, Phase};
 
 use crate::client::SphinxClient;
@@ -92,8 +92,8 @@ impl SphinxClient {
                     .map(|p| (p.at.addr, self.config.leaf_read_hint))
                     .collect();
                 self.obs_phase(Phase::LeafRead);
-                let reads = self.dm.read_many(&run_reads)?;
-                let run = run_reads.iter().map(|r| r.0).zip(reads);
+                let level = self.dm.read_packed(&run_reads)?;
+                let run = level_spans(&run_reads).map(|(addr, span)| (addr, &level[span]));
                 for leaf in settle_leaves(self, run)?.into_iter().flatten() {
                     if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low {
                         results.push((leaf.key, leaf.value));

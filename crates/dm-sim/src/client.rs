@@ -1,15 +1,17 @@
 //! Compute-side clients: one-sided verbs, doorbell batching, virtual clock.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::addr::RemotePtr;
 use crate::cluster::ClusterInner;
 use crate::error::DmError;
+use crate::inline::FirstInline;
 use crate::schedule::{GrantedStep, ScheduleHandle};
 use crate::stats::ClientStats;
 #[cfg(feature = "trace")]
 use crate::trace::{BurstEvent, TransportEvent, TransportTrace};
-use crate::transport::{CqState, FaultHook, SqeToken};
+use crate::transport::{Completion, CqState, FaultHook, SqeToken};
 
 /// A single one-sided RDMA operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,7 +154,10 @@ impl VerbResult {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DoorbellBatch {
-    verbs: Vec<Verb>,
+    verbs: FirstInline<Verb>,
+    /// Whether the READs complete as one result (see
+    /// [`DoorbellBatch::packed_reads`]).
+    packed: bool,
 }
 
 impl DoorbellBatch {
@@ -161,10 +166,27 @@ impl DoorbellBatch {
         DoorbellBatch::default()
     }
 
-    /// Creates an empty batch with capacity for `n` verbs.
+    /// Creates an empty batch with capacity for `n` verbs (a batch of one
+    /// verb allocates nothing).
     pub fn with_capacity(n: usize) -> Self {
         DoorbellBatch {
-            verbs: Vec::with_capacity(n),
+            verbs: FirstInline::with_capacity(n),
+            packed: false,
+        }
+    }
+
+    /// A batch of `(ptr, len)` reads that completes with **one**
+    /// [`VerbResult::Read`] — the reads' bytes back to back, in verb order —
+    /// in place of one buffer per read. Verbs, charges and fault hooks are
+    /// those of the unpacked batch. (A verb of another kind pushed
+    /// afterwards keeps its own result, ahead of the packed one.)
+    pub fn packed_reads(reads: &[(RemotePtr, usize)]) -> Self {
+        DoorbellBatch {
+            verbs: reads
+                .iter()
+                .map(|&(ptr, len)| Verb::Read { ptr, len })
+                .collect(),
+            packed: true,
         }
     }
 
@@ -191,10 +213,9 @@ impl DoorbellBatch {
     /// Number of distinct MNs this batch targets — its logical round-trip
     /// count, and the physical doorbell count when executed unfused.
     pub fn mn_groups(&self) -> usize {
-        let mut mns: Vec<u16> = self.verbs.iter().map(Verb::mn_id).collect();
-        mns.sort_unstable();
-        mns.dedup();
-        mns.len()
+        let mns = || self.verbs.iter().map(Verb::mn_id);
+        let first_seen = |&(i, mn): &(usize, u16)| !mns().take(i).any(|m| m == mn);
+        mns().enumerate().filter(first_seen).count()
     }
 
     /// Total wire bytes the batch moves (requests + responses).
@@ -205,16 +226,25 @@ impl DoorbellBatch {
 
 impl Extend<Verb> for DoorbellBatch {
     fn extend<T: IntoIterator<Item = Verb>>(&mut self, iter: T) {
-        self.verbs.extend(iter);
+        iter.into_iter().for_each(|verb| self.verbs.push(verb));
     }
 }
 
 impl FromIterator<Verb> for DoorbellBatch {
     fn from_iter<T: IntoIterator<Item = Verb>>(iter: T) -> Self {
         DoorbellBatch {
-            verbs: Vec::from_iter(iter),
+            verbs: FirstInline::from_iter(iter),
+            packed: false,
         }
     }
+}
+
+/// A 64-bit digest of `bytes`, taken before and after the fault hooks run
+/// to learn whether they changed anything.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    hasher.write(bytes);
+    hasher.finish()
 }
 
 /// A compute-side client: issues one-sided verbs against the cluster and
@@ -230,12 +260,41 @@ pub struct DmClient {
     stats: ClientStats,
     schedule: Option<ScheduleHandle>,
     cq: CqState,
+    scratch: FlushScratch,
     #[cfg(feature = "trace")]
     trace: TransportTrace,
 }
 
+/// One MN's share of the burst being charged.
+#[derive(Debug, Clone, Copy, Default)]
+struct MnTally {
+    msgs: u64,
+    bytes: u64,
+    /// The last submission of the flush that addressed this MN (1-based).
+    stamp: u32,
+    /// When this MN's NIC finished serving its share (traced bursts).
+    fin_ns: u64,
+}
+
+/// What a flush needs besides the buffers it returns, kept from one flush
+/// to the next so that a round trip allocates nothing for its bookkeeping.
+#[derive(Debug, Default)]
+struct FlushScratch {
+    /// The drained submission queue.
+    pending: Vec<(SqeToken, DoorbellBatch)>,
+    /// The burst's messages and bytes per MN, indexed by MN id.
+    tally: Vec<MnTally>,
+    /// Per submission of a fused flush: its logical round trips, or the
+    /// unknown MN it addressed.
+    fused: Vec<Result<u64, u16>>,
+}
+
 impl DmClient {
     pub(crate) fn new(inner: Arc<ClusterInner>, cn_id: u16) -> Self {
+        let scratch = FlushScratch {
+            tally: vec![MnTally::default(); inner.mns.len()],
+            ..FlushScratch::default()
+        };
         DmClient {
             inner,
             cn_id,
@@ -243,6 +302,7 @@ impl DmClient {
             stats: ClientStats::default(),
             schedule: None,
             cq: CqState::new(),
+            scratch,
             #[cfg(feature = "trace")]
             trace: TransportTrace::default(),
         }
@@ -351,9 +411,9 @@ impl DmClient {
     /// Returns the first addressing/alignment error encountered; memory
     /// effects of verbs preceding the failed one are retained (as on real
     /// hardware, where a QP flushes after a failed work request).
-    pub fn execute(&mut self, batch: DoorbellBatch) -> Result<Vec<VerbResult>, DmError> {
+    pub fn execute(&mut self, batch: DoorbellBatch) -> Result<Completion, DmError> {
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Completion::default());
         }
         let token = self.submit(batch);
         self.wait(token)
@@ -368,7 +428,7 @@ impl DmClient {
     }
 
     /// Reaps the completion for `token` if its batch has been flushed.
-    pub fn poll(&mut self, token: SqeToken) -> Option<Result<Vec<VerbResult>, DmError>> {
+    pub fn poll(&mut self, token: SqeToken) -> Option<Result<Completion, DmError>> {
         self.cq.reap(token)
     }
 
@@ -383,7 +443,7 @@ impl DmClient {
     ///
     /// Panics if `token` was never submitted on this client or was
     /// already reaped.
-    pub fn wait(&mut self, token: SqeToken) -> Result<Vec<VerbResult>, DmError> {
+    pub fn wait(&mut self, token: SqeToken) -> Result<Completion, DmError> {
         if let Some(done) = self.cq.reap(token) {
             return done;
         }
@@ -412,18 +472,19 @@ impl DmClient {
     ///   [`ClientStats::round_trips`]; only [`ClientStats::doorbells`]
     ///   records the smaller physical message-burst count.
     pub fn flush_submitted(&mut self) {
-        let pending = self.cq.take_submitted();
-        if pending.is_empty() {
-            return;
-        }
+        // The drain buffer and the queue's swap places, so neither is ever
+        // reallocated; it is lent out of `self` while the batches run.
+        let mut pending = std::mem::take(&mut self.scratch.pending);
+        self.cq.drain_submitted(&mut pending);
         if pending.len() == 1 || self.schedule.is_some() {
-            for (token, batch) in pending {
+            for (token, batch) in pending.drain(..) {
                 let result = self.execute_one(token, batch);
                 self.cq.complete(token, result);
             }
-        } else {
-            self.flush_fused(pending);
+        } else if !pending.is_empty() {
+            self.flush_fused(&mut pending);
         }
+        self.scratch.pending = pending;
     }
 
     /// The legacy blocking path: one batch, one (possibly scheduler-gated)
@@ -434,9 +495,9 @@ impl DmClient {
         &mut self,
         token: SqeToken,
         batch: DoorbellBatch,
-    ) -> Result<Vec<VerbResult>, DmError> {
+    ) -> Result<Completion, DmError> {
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Completion::default());
         }
         // Under a deterministic schedule the whole batch — cost model and
         // memory effects — is one granted step: park at the gate, run,
@@ -455,22 +516,48 @@ impl DmClient {
         }
     }
 
-    /// Per-MN (mn, msgs, bytes) tally of a verb sequence, in first-seen
-    /// MN order.
-    fn tally(verbs: &[Verb]) -> Vec<(u16, u64, u64)> {
-        let mut mn_msgs: Vec<(u16, u64, u64)> = Vec::new();
-        for verb in verbs {
-            let mn = verb.mn_id();
-            let bytes = verb.wire_bytes();
-            match mn_msgs.iter_mut().find(|(id, _, _)| *id == mn) {
-                Some((_, m, b)) => {
-                    *m += 1;
-                    *b += bytes;
-                }
-                None => mn_msgs.push((mn, 1, bytes)),
-            }
+    /// Adds submission `stamp`'s verbs to the burst's per-MN tally and
+    /// returns how many distinct MNs they address (the submission's logical
+    /// round trips) — or, touching nothing, the first MN among them that
+    /// does not exist.
+    fn tally(&mut self, verbs: &[Verb], stamp: u32) -> Result<u64, u16> {
+        let tally = &mut self.scratch.tally;
+        if let Some(unknown) = verbs.iter().find(|v| v.mn_id() as usize >= tally.len()) {
+            return Err(unknown.mn_id());
         }
-        mn_msgs
+        let mut groups = 0;
+        for verb in verbs {
+            let mn = &mut tally[verb.mn_id() as usize];
+            if mn.stamp != stamp {
+                mn.stamp = stamp;
+                groups += 1;
+            }
+            mn.msgs += 1;
+            mn.bytes += verb.wire_bytes();
+        }
+        Ok(groups)
+    }
+
+    /// Charges the tallied burst at `now`: the CN NIC once for the whole
+    /// of it, each addressed MN NIC for its share (per-message costs add,
+    /// the round trip is shared). Returns the slowest completion and the
+    /// number of doorbells rung.
+    fn charge_burst(&mut self, now: u64) -> (u64, u64) {
+        let tally = &mut self.scratch.tally;
+        let total_msgs: u64 = tally.iter().map(|t| t.msgs).sum();
+        let total_bytes: u64 = tally.iter().map(|t| t.bytes).sum();
+        let cn_nic = &self.inner.cn_nics[self.cn_id as usize];
+        let mut completion = cn_nic.submit(now, total_msgs, total_bytes);
+        let mut doorbells = 0;
+        for (mn, t) in self.inner.mns.iter().zip(tally).filter(|(_, t)| t.msgs > 0) {
+            let charge = mn.nic().submit_charged(now, t.msgs, t.bytes);
+            mn.accounting()
+                .record_doorbell(charge.wait_ns, charge.service_ns);
+            t.fin_ns = charge.fin_ns;
+            completion = completion.max(charge.fin_ns);
+            doorbells += 1;
+        }
+        (completion, doorbells)
     }
 
     /// Bumps the per-verb-kind counters for a verb sequence — on this
@@ -500,7 +587,7 @@ impl DmClient {
         token: SqeToken,
         batch: DoorbellBatch,
         grant: Option<&GrantedStep>,
-    ) -> Result<Vec<VerbResult>, DmError> {
+    ) -> Result<Completion, DmError> {
         #[cfg(not(feature = "trace"))]
         let _ = token;
         // An injected delay models the batch being held at the NIC before
@@ -509,63 +596,32 @@ impl DmClient {
         let delay_ns = grant.map_or(0, |g| g.decision.delay_ns);
         let now = from_ns + delay_ns;
         self.count_verbs(&batch.verbs);
-        let mn_msgs = Self::tally(&batch.verbs);
 
         // Resolve every target before charging any NIC: a batch addressing
         // an unknown MN is rejected whole, so no doorbell rings without a
         // matching client-side doorbell count (conservation).
-        let mut targets = Vec::with_capacity(mn_msgs.len());
-        for &(mn_id, _, _) in &mn_msgs {
-            targets.push(
-                self.inner
-                    .mns
-                    .get(mn_id as usize)
-                    .ok_or(DmError::UnknownMemoryNode { mn_id })?,
-            );
-        }
+        self.scratch.tally.fill(MnTally::default());
+        let groups = self
+            .tally(&batch.verbs, 1)
+            .map_err(|mn_id| DmError::UnknownMemoryNode { mn_id })?;
 
-        // Charge the CN NIC once for the whole batch, each MN NIC for its
-        // share, and take the slowest completion.
-        let cn_nic = &self.inner.cn_nics[self.cn_id as usize];
-        let total_msgs: u64 = mn_msgs.iter().map(|(_, m, _)| m).sum();
-        let total_bytes: u64 = mn_msgs.iter().map(|(_, _, b)| b).sum();
-        let cn_fin = cn_nic.submit(now, total_msgs, total_bytes);
-        let mut completion = cn_fin;
-        #[cfg(feature = "trace")]
-        let mut fins = [(0u16, 0u64); crate::trace::MAX_BURST_MNS];
-        #[cfg(feature = "trace")]
-        let mut fins_len = 0usize;
-        for (&(mn_id, msgs, bytes), mn) in mn_msgs.iter().zip(&targets) {
-            let charge = mn.nic().submit_charged(now, msgs, bytes);
-            mn.accounting()
-                .record_doorbell(charge.wait_ns, charge.service_ns);
-            #[cfg(feature = "trace")]
-            if self.trace.enabled() && fins_len < fins.len() {
-                fins[fins_len] = (mn_id, charge.fin_ns);
-                fins_len += 1;
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = mn_id;
-            completion = completion.max(charge.fin_ns);
-        }
+        let (completion, doorbells) = self.charge_burst(now);
+        debug_assert_eq!(doorbells, groups);
         let rtt = self.inner.config.net.rtt_ns;
         let cpu = self.inner.config.net.client_op_ns * batch.verbs.len() as u64;
         self.clock_ns = completion + rtt + cpu;
 
-        self.stats.round_trips += mn_msgs.len() as u64;
-        self.stats.doorbells += mn_msgs.len() as u64;
+        self.stats.round_trips += groups;
+        self.stats.doorbells += groups;
 
         #[cfg(feature = "trace")]
         if self.trace.enabled() {
             let mut ev = BurstEvent::new(from_ns, self.clock_ns, delay_ns, cpu);
-            ev.doorbells = mn_msgs.len() as u32;
+            ev.doorbells = groups as u32;
             ev.verbs = batch.verbs.len() as u32;
             ev.grant_step = grant.map(|g| g.step);
             ev.push_token(token.raw(), batch.verbs.len() as u32);
-            for &(mn, fin) in &fins[..fins_len] {
-                ev.push_mn_fin(mn, fin);
-            }
-            self.trace.push(TransportEvent::Burst(ev));
+            self.push_burst(ev);
         }
 
         // Apply memory effects and collect results. READ completions pass
@@ -576,107 +632,77 @@ impl DmClient {
         self.apply_effects(batch, &fault_hook, &tear_hook)
     }
 
+    /// Records `ev` with the per-MN completion times of the burst just
+    /// charged.
+    #[cfg(feature = "trace")]
+    fn push_burst(&mut self, mut ev: BurstEvent) {
+        let served = self.scratch.tally.iter().enumerate();
+        for (mn_id, t) in served.filter(|(_, t)| t.msgs > 0) {
+            ev.push_mn_fin(mn_id as u16, t.fin_ns);
+        }
+        self.trace.push(TransportEvent::Burst(ev));
+    }
+
     /// Fused flush of several independent batches (unscheduled path): one
     /// physical doorbell per distinct MN across the union of all verbs,
     /// one RTT, one clock advance — while each batch keeps its own logical
     /// round-trip accounting and its own per-token result.
-    fn flush_fused(&mut self, pending: Vec<(SqeToken, DoorbellBatch)>) {
+    fn flush_fused(&mut self, pending: &mut Vec<(SqeToken, DoorbellBatch)>) {
         let now = self.clock_ns;
         // Validate targets up front: a batch addressing an unknown MN is
         // rejected whole (no charge, no effects) so it cannot poison the
         // fused charge for its neighbours.
-        let num_mns = self.inner.mns.len();
-        let mut tallies: Vec<Option<Vec<(u16, u64, u64)>>> = Vec::with_capacity(pending.len());
-        let mut union: Vec<(u16, u64, u64)> = Vec::new();
+        self.scratch.tally.fill(MnTally::default());
+        let mut fused = std::mem::take(&mut self.scratch.fused);
         let mut total_verbs: u64 = 0;
-        for (_, batch) in &pending {
+        for (i, (_, batch)) in pending.iter().enumerate() {
             self.count_verbs(&batch.verbs);
-            let tally = Self::tally(&batch.verbs);
-            if tally.iter().any(|&(mn, _, _)| mn as usize >= num_mns) {
-                tallies.push(None);
-                continue;
+            let groups = self.tally(&batch.verbs, i as u32 + 1);
+            if groups.is_ok() {
+                total_verbs += batch.verbs.len() as u64;
             }
-            for &(mn, msgs, bytes) in &tally {
-                match union.iter_mut().find(|(id, _, _)| *id == mn) {
-                    Some((_, m, b)) => {
-                        *m += msgs;
-                        *b += bytes;
-                    }
-                    None => union.push((mn, msgs, bytes)),
-                }
-            }
-            total_verbs += batch.verbs.len() as u64;
-            tallies.push(Some(tally));
+            fused.push(groups);
         }
 
         // Charge the fused burst: the CN NIC once for the union, each MN
         // NIC for its fused share (per-message costs add, the RTT is
         // shared), clock to the slowest completion. An all-invalid flush
         // charges nothing.
-        if !union.is_empty() {
-            let cn_nic = &self.inner.cn_nics[self.cn_id as usize];
-            let total_msgs: u64 = union.iter().map(|(_, m, _)| m).sum();
-            let total_bytes: u64 = union.iter().map(|(_, _, b)| b).sum();
-            let mut completion = cn_nic.submit(now, total_msgs, total_bytes);
-            #[cfg(feature = "trace")]
-            let mut fins = [(0u16, 0u64); crate::trace::MAX_BURST_MNS];
-            #[cfg(feature = "trace")]
-            let mut fins_len = 0usize;
-            for &(mn_id, msgs, bytes) in &union {
-                let mn = &self.inner.mns[mn_id as usize];
-                let charge = mn.nic().submit_charged(now, msgs, bytes);
-                mn.accounting()
-                    .record_doorbell(charge.wait_ns, charge.service_ns);
-                #[cfg(feature = "trace")]
-                if self.trace.enabled() && fins_len < fins.len() {
-                    fins[fins_len] = (mn_id, charge.fin_ns);
-                    fins_len += 1;
-                }
-                completion = completion.max(charge.fin_ns);
-            }
+        if total_verbs > 0 {
+            let (completion, doorbells) = self.charge_burst(now);
             let rtt = self.inner.config.net.rtt_ns;
             let cpu = self.inner.config.net.client_op_ns * total_verbs;
             self.clock_ns = completion + rtt + cpu;
-            self.stats.doorbells += union.len() as u64;
+            self.stats.doorbells += doorbells;
 
             #[cfg(feature = "trace")]
             if self.trace.enabled() {
                 let mut ev = BurstEvent::new(now, self.clock_ns, 0, cpu);
-                ev.doorbells = union.len() as u32;
+                ev.doorbells = doorbells as u32;
                 ev.verbs = total_verbs as u32;
-                for ((token, batch), tally) in pending.iter().zip(&tallies) {
-                    if tally.is_some() {
+                for ((token, batch), groups) in pending.iter().zip(&fused) {
+                    if groups.is_ok() {
                         ev.push_token(token.raw(), batch.verbs.len() as u32);
                     }
                 }
-                for &(mn, fin) in &fins[..fins_len] {
-                    ev.push_mn_fin(mn, fin);
-                }
-                self.trace.push(TransportEvent::Burst(ev));
+                self.push_burst(ev);
             }
         }
 
         // Apply memory effects in submission order, verb order within a
         // batch; each batch completes with its own results or error.
         let fault_hook = self.inner.fault_hook.get();
-        for ((token, batch), tally) in pending.into_iter().zip(tallies) {
-            let result = match tally {
-                None => {
-                    let mn_id = batch
-                        .verbs
-                        .iter()
-                        .map(Verb::mn_id)
-                        .find(|&mn| mn as usize >= num_mns)
-                        .expect("invalid batch has an unknown MN");
-                    Err(DmError::UnknownMemoryNode { mn_id })
-                }
-                Some(tally) => {
-                    self.stats.round_trips += tally.len() as u64;
+        for ((token, batch), groups) in pending.drain(..).zip(fused.drain(..)) {
+            let result = match groups {
+                Err(mn_id) => Err(DmError::UnknownMemoryNode { mn_id }),
+                Ok(groups) => {
+                    self.stats.round_trips += groups;
                     self.apply_effects(batch, &fault_hook, &None)
                 }
             };
             self.cq.complete(token, result);
         }
+        self.scratch.fused = fused;
     }
 
     /// Applies a batch's memory effects in verb order and collects the
@@ -688,8 +714,15 @@ impl DmClient {
         batch: DoorbellBatch,
         fault_hook: &Option<Arc<dyn FaultHook>>,
         tear_hook: &Option<Arc<dyn FaultHook>>,
-    ) -> Result<Vec<VerbResult>, DmError> {
-        let mut results = Vec::with_capacity(batch.verbs.len());
+    ) -> Result<Completion, DmError> {
+        // A packed batch's READs share one buffer, handed over as the last
+        // result; otherwise each READ returns its own.
+        let (mut results, mut packed) = if batch.packed {
+            let bytes = batch.wire_bytes() as usize;
+            (Completion::default(), Some(Vec::with_capacity(bytes)))
+        } else {
+            (Completion::with_capacity(batch.verbs.len()), None)
+        };
         for verb in batch.verbs {
             let mn =
                 self.inner
@@ -700,27 +733,37 @@ impl DmClient {
                     })?;
             let res = match verb {
                 Verb::Read { ptr, len } => {
-                    let mut buf = vec![0u8; len];
-                    mn.read_bytes(ptr.offset(), &mut buf)?;
+                    let mut own = vec![0u8; if packed.is_some() { 0 } else { len }];
+                    let buf = match &mut packed {
+                        Some(all) => {
+                            let at = all.len();
+                            all.resize(at + len, 0);
+                            &mut all[at..]
+                        }
+                        None => &mut own[..],
+                    };
+                    mn.read_bytes(ptr.offset(), buf)?;
                     if fault_hook.is_some() || tear_hook.is_some() {
                         // Injection accounting: only hooks that actually
-                        // altered the bytes count. The pristine copy is
-                        // taken only while a hook is installed, so the
-                        // fault-free data path is unaffected.
-                        let pristine = buf.clone();
+                        // altered the bytes count, judged by a digest so
+                        // that counting costs no copy.
+                        let pristine = digest(buf);
                         if let Some(hook) = fault_hook {
-                            hook.corrupt_read(ptr, &mut buf);
+                            hook.corrupt_read(ptr, buf);
                         }
                         if let Some(hook) = tear_hook {
-                            hook.corrupt_read(ptr, &mut buf);
+                            hook.corrupt_read(ptr, buf);
                         }
-                        if buf != pristine {
+                        if digest(buf) != pristine {
                             self.inner.note_fault_injection();
                         }
                     }
                     self.stats.bytes_read += len as u64;
                     mn.accounting().record_read_effect(ptr.offset(), len as u64);
-                    VerbResult::Read(buf)
+                    if packed.is_some() {
+                        continue;
+                    }
+                    VerbResult::Read(own)
                 }
                 Verb::Write { ptr, data } => {
                     mn.write_bytes(ptr.offset(), &data)?;
@@ -750,6 +793,9 @@ impl DmClient {
                 }
             };
             results.push(res);
+        }
+        if let Some(all) = packed {
+            results.push(VerbResult::Read(all));
         }
         Ok(results)
     }

@@ -44,6 +44,7 @@ mod client;
 mod cluster;
 mod error;
 mod heap;
+mod inline;
 mod mn_stats;
 mod net;
 mod ring;
@@ -58,9 +59,10 @@ pub use client::{DmClient, DoorbellBatch, Verb, VerbResult};
 pub use cluster::{ClusterConfig, DmCluster};
 pub use error::DmError;
 pub use heap::MemoryNode;
+pub use inline::{FirstInline, InlineVec};
 pub use mn_stats::{ClusterStats, MnStats, HEAT_REGIONS};
 pub use net::{NetConfig, Nic, NicCharge};
 pub use ring::HashRing;
 pub use schedule::{Schedule, ScheduleConfig, ScheduleHandle, StepDecision, TraceStep};
 pub use stats::{ClientStats, LatencyHistogram};
-pub use transport::{CqState, FaultHook, RetryPolicy, SqeToken, Transport};
+pub use transport::{Completion, CqState, FaultHook, RetryPolicy, SqeToken, Transport};

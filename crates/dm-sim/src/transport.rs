@@ -24,7 +24,12 @@
 use crate::addr::RemotePtr;
 use crate::client::{DoorbellBatch, Verb, VerbResult};
 use crate::error::DmError;
+use crate::inline::FirstInline;
 use crate::stats::ClientStats;
+
+/// What a flushed [`DoorbellBatch`] completes with: one result per verb, in
+/// verb order (a batch of one verb allocates nothing for them).
+pub type Completion = FirstInline<VerbResult>;
 
 /// Shared bounded-retry configuration for every remote protocol loop.
 ///
@@ -113,7 +118,7 @@ impl SqeToken {
 pub struct CqState {
     next_token: u64,
     sq: Vec<(SqeToken, DoorbellBatch)>,
-    cq: Vec<(SqeToken, Result<Vec<VerbResult>, DmError>)>,
+    cq: Vec<(SqeToken, Result<Completion, DmError>)>,
 }
 
 impl CqState {
@@ -130,19 +135,22 @@ impl CqState {
         token
     }
 
-    /// Drains the submission queue, in submission order. The flusher must
+    /// Drains the submission queue into `out` (which must be empty), in
+    /// submission order; the queue keeps `out`'s buffer, so a flusher that
+    /// passes the same `Vec` every time never allocates. The flusher must
     /// [`complete`](CqState::complete) every drained token.
-    pub fn take_submitted(&mut self) -> Vec<(SqeToken, DoorbellBatch)> {
-        std::mem::take(&mut self.sq)
+    pub fn drain_submitted(&mut self, out: &mut Vec<(SqeToken, DoorbellBatch)>) {
+        debug_assert!(out.is_empty(), "the drain buffer still holds submissions");
+        std::mem::swap(&mut self.sq, out);
     }
 
     /// Posts a completion (results or the batch's error) for `token`.
-    pub fn complete(&mut self, token: SqeToken, result: Result<Vec<VerbResult>, DmError>) {
+    pub fn complete(&mut self, token: SqeToken, result: Result<Completion, DmError>) {
         self.cq.push((token, result));
     }
 
     /// Reaps the completion for `token` if it has been posted.
-    pub fn reap(&mut self, token: SqeToken) -> Option<Result<Vec<VerbResult>, DmError>> {
+    pub fn reap(&mut self, token: SqeToken) -> Option<Result<Completion, DmError>> {
         let idx = self.cq.iter().position(|(t, _)| *t == token)?;
         Some(self.cq.swap_remove(idx).1)
     }
@@ -193,7 +201,7 @@ pub trait Transport {
 
     /// Reaps the completion for `token` if already flushed; `None` while
     /// the batch still sits on the submission queue.
-    fn poll(&mut self, token: SqeToken) -> Option<Result<Vec<VerbResult>, DmError>> {
+    fn poll(&mut self, token: SqeToken) -> Option<Result<Completion, DmError>> {
         self.cq().reap(token)
     }
 
@@ -210,7 +218,7 @@ pub trait Transport {
     ///
     /// Panics if `token` was never submitted on this transport or was
     /// already reaped.
-    fn wait(&mut self, token: SqeToken) -> Result<Vec<VerbResult>, DmError> {
+    fn wait(&mut self, token: SqeToken) -> Result<Completion, DmError> {
         if let Some(done) = self.cq().reap(token) {
             return done;
         }
@@ -234,9 +242,9 @@ pub trait Transport {
     ///
     /// Returns the first addressing/alignment error; effects of preceding
     /// verbs are retained.
-    fn execute(&mut self, batch: DoorbellBatch) -> Result<Vec<VerbResult>, DmError> {
+    fn execute(&mut self, batch: DoorbellBatch) -> Result<Completion, DmError> {
         if batch.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Completion::default());
         }
         let token = self.submit(batch);
         self.wait(token)
@@ -369,6 +377,19 @@ pub trait Transport {
             .into_iter()
             .map(VerbResult::into_read)
             .collect())
+    }
+
+    /// [`read_many`](Transport::read_many) into one buffer: the reads'
+    /// bytes back to back, in input order (the caller knows the lengths it
+    /// asked for). Same verbs, same charges; one allocation for the batch
+    /// instead of one per read — a scan level is read this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DmError::InvalidAddress`] for out-of-pool access.
+    fn read_packed(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<u8>, DmError> {
+        let packed = self.execute(DoorbellBatch::packed_reads(reads))?.pop();
+        Ok(packed.map_or_else(Vec::new, VerbResult::into_read))
     }
 
     /// Doorbell-batched writes (e.g. publishing a split's leaf + inner
@@ -561,6 +582,30 @@ mod tests {
         let before = Transport::stats(&t).round_trips;
         t.read_many(&[(a, 8), (b, 8)]).unwrap();
         assert_eq!(Transport::stats(&t).round_trips - before, 2);
+    }
+
+    #[test]
+    fn read_packed_is_read_many_in_one_buffer_at_the_same_cost() {
+        let (c, mut many) = client();
+        let a = Transport::alloc(&mut many, 0, 64).unwrap();
+        let b = Transport::alloc(&mut many, 1, 64).unwrap();
+        Transport::write(&mut many, a, b"aaaa").unwrap();
+        Transport::write(&mut many, b, b"bbbbbb").unwrap();
+        let reads = [(a, 4), (b, 6), (a, 2)];
+        c.reset_network();
+        many.set_clock_ns(0);
+        let before = Transport::stats(&many);
+        let apart = many.read_many(&reads).unwrap();
+        let cost = Transport::stats(&many).since(&before);
+
+        c.reset_network();
+        let mut packed = c.client(0);
+        let together = packed.read_packed(&reads).unwrap();
+        assert_eq!(together, apart.concat());
+        assert_eq!(together, b"aaaabbbbbbaa");
+        assert_eq!(Transport::stats(&packed), cost);
+        assert_eq!(Transport::clock_ns(&packed), Transport::clock_ns(&many));
+        assert!(packed.read_packed(&[]).unwrap().is_empty());
     }
 
     #[test]

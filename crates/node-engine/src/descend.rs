@@ -73,8 +73,9 @@ pub enum Outcome {
         slot_idx: usize,
         /// The child slot.
         slot: Slot,
-        /// The decoded divergent child.
-        child: InnerNode,
+        /// The decoded divergent child (boxed: this outcome is rare, and
+        /// every `Descent` would carry the room for it).
+        child: Box<InnerNode>,
         /// Any leaf under the child (shares the child's full prefix).
         sample: LeafNode,
     },
@@ -87,7 +88,7 @@ pub enum Outcome {
         /// The child slot.
         slot: Slot,
         /// The decoded emptied child.
-        child: InnerNode,
+        child: Box<InnerNode>,
     },
 }
 
@@ -210,7 +211,7 @@ enum St {
         at: At,
         slot_idx: usize,
         slot: Slot,
-        child: InnerNode,
+        child: Box<InnerNode>,
     },
     /// The host's sample arrived and decided this.
     Sampled(Yield),
@@ -295,7 +296,7 @@ impl<'k> Descend<'k> {
                         at,
                         slot_idx,
                         slot,
-                        child,
+                        child: Box::new(child),
                     };
                     return Ok(Yield::Sample);
                 }

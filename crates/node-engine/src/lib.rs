@@ -58,9 +58,8 @@ pub mod pipeline;
 pub mod walk;
 
 pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
-pub use pipeline::{
-    run_pipelined, FirstInline, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH,
-};
+pub use dm_sim::FirstInline;
+pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH};
 pub use walk::{ArtReader, Sampled};
 
 /// Process-wide switch for leaf checksum validation (default on).
@@ -281,10 +280,9 @@ pub fn write_new_leaf<T: Transport>(
     key: &[u8],
     value: &[u8],
 ) -> Result<RemotePtr, EngineError> {
-    let leaf = LeafNode::new(key.to_vec(), value.to_vec());
-    let bytes = leaf.encode();
-    let ptr = t.alloc_placed(prefix_hash64(key), bytes.len())?;
-    t.write(ptr, &bytes)?;
+    let data = LeafNode::encode_new(key, value);
+    let ptr = t.alloc_placed(prefix_hash64(key), data.len())?;
+    t.execute([Verb::Write { ptr, data }].into_iter().collect())?;
     Ok(ptr)
 }
 
@@ -361,6 +359,7 @@ pub fn retire_inner<T: Transport>(
 
 /// Outcome of [`unlink_empty_inner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[allow(clippy::large_enum_variant)] // returned once per unlink
 pub enum Unlink {
     /// The node is unlinked and still `Locked`: its locked image, for the
     /// caller to drop whatever else names the node (Sphinx: its hash-table
@@ -435,8 +434,8 @@ pub fn unlink_empty_inner<T: Transport>(
                     data: unlock.to_le_bytes().to_vec(),
                 },
             ];
-            let mut results = t.execute(batch.into_iter().collect())?;
-            results.swap_remove(0).into_cas() == slot.encode()
+            let results = t.execute(batch.into_iter().collect())?;
+            matches!(results[0], dm_sim::VerbResult::Cas(prev) if prev == slot.encode())
         }
     };
     if !unlinked {

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use dm_sim::{DoorbellBatch, SqeToken, Transport, VerbResult};
+use dm_sim::{Completion, DoorbellBatch, FirstInline, SqeToken, Transport};
 
 use crate::EngineError;
 
@@ -67,7 +67,7 @@ pub trait OpState {
     fn step<T: Transport>(
         &mut self,
         t: &mut T,
-        completion: Option<Vec<VerbResult>>,
+        completion: Option<Completion>,
     ) -> Result<StepOutcome<Self::Output>, EngineError>;
 
     /// Called once when the driver admits the op into a pipeline slot (or
@@ -232,91 +232,6 @@ struct Slot<S> {
     token: SqeToken,
 }
 
-/// An ordered collection whose first element is stored inline: the slots
-/// and outputs of a run, what [`run_pipelined`] returns, and the level list
-/// of a lookup that reads one bucket pair. A run of one op — every blocking
-/// lookup drives one — therefore allocates nothing for them, and a run at
-/// depth N pays what a `Vec` would.
-#[derive(Debug)]
-pub struct FirstInline<T> {
-    first: Option<T>,
-    rest: Vec<T>,
-}
-
-impl<T> Default for FirstInline<T> {
-    fn default() -> Self {
-        FirstInline::with_capacity(0)
-    }
-}
-
-impl<T> FirstInline<T> {
-    /// An empty collection with room for `capacity` elements: none
-    /// allocated for a capacity of one, and a `Vec` of that capacity (and
-    /// therefore its growth steps) otherwise.
-    pub fn with_capacity(capacity: usize) -> Self {
-        FirstInline {
-            first: None,
-            rest: Vec::with_capacity(if capacity > 1 { capacity } else { 0 }),
-        }
-    }
-
-    /// Appends `item` (inline only while the collection is empty, so the
-    /// order stays first-then-rest).
-    pub fn push(&mut self, item: T) {
-        if self.is_empty() {
-            self.first = Some(item);
-        } else {
-            self.rest.push(item);
-        }
-    }
-
-    /// Removes and returns the last element.
-    pub fn pop(&mut self) -> Option<T> {
-        self.rest.pop().or_else(|| self.first.take())
-    }
-
-    /// Removes every element, keeping the allocation (if any).
-    pub fn clear(&mut self) {
-        self.first = None;
-        self.rest.clear();
-    }
-
-    /// The `idx`-th element in order.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut T> {
-        match (idx, &mut self.first) {
-            (0, Some(first)) => Some(first),
-            (_, first) => self.rest.get_mut(idx - usize::from(first.is_some())),
-        }
-    }
-
-    /// Keeps the elements `keep` approves, visiting each once, in order.
-    pub fn retain_mut(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
-        if self.first.as_mut().is_some_and(|first| !keep(first)) {
-            self.first = None;
-        }
-        self.rest.retain_mut(keep);
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.rest.len()
-    }
-
-    /// Whether there is no element.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> IntoIterator for FirstInline<T> {
-    type Item = T;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.first.into_iter().chain(self.rest)
-    }
-}
-
 /// Drives `ops` to completion keeping up to `depth` of them in flight,
 /// returning their outputs in input order (iterate the result; a run of
 /// one op allocates nothing, see [`FirstInline`]).
@@ -349,7 +264,9 @@ where
 {
     let depth = depth.max(1);
     let mut input = ops.into_iter();
-    let mut outputs: FirstInline<Option<S::Output>> = FirstInline::with_capacity(depth);
+    // One output per op: the input's own count where it knows it.
+    let mut outputs: FirstInline<Option<S::Output>> =
+        FirstInline::with_capacity(input.size_hint().0);
     let mut slots: FirstInline<Slot<S>> = FirstInline::with_capacity(depth);
 
     loop {
@@ -407,10 +324,7 @@ where
 
     let done =
         |o: Option<S::Output>| o.expect("every admitted op either finished or aborted the run");
-    Ok(FirstInline {
-        first: outputs.first.map(done),
-        rest: outputs.rest.into_iter().map(done).collect(),
-    })
+    Ok(outputs.map(done))
 }
 
 /// Applies one step's decision: stores a finished op's output, or submits
@@ -460,7 +374,7 @@ mod tests {
         fn step<T: Transport>(
             &mut self,
             _t: &mut T,
-            completion: Option<Vec<VerbResult>>,
+            completion: Option<Completion>,
         ) -> Result<StepOutcome<u64>, EngineError> {
             if let Some(mut res) = completion {
                 let bytes = res.pop().expect("one read").into_read();
@@ -596,35 +510,7 @@ mod tests {
             last: 0,
         };
         let out = run_pipelined(&mut cl, [op], 1, None).unwrap();
-        assert_eq!(out.rest.capacity(), 0, "the lone output is inline");
         assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![9]);
-        assert_eq!(FirstInline::<u8>::with_capacity(1).rest.capacity(), 0);
-    }
-
-    /// Slots are resumed in submission order whichever of them retire.
-    #[test]
-    fn first_inline_keeps_order_across_retain_and_push() {
-        let mut v = FirstInline::with_capacity(4);
-        for i in 1..=3 {
-            v.push(i);
-        }
-        *v.get_mut(2).unwrap() += 10;
-        v.retain_mut(|i| *i != 1);
-        v.push(4);
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.get_mut(0), Some(&mut 2));
-        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![2, 13, 4]);
-        let mut v = FirstInline::with_capacity(1);
-        v.push(1);
-        v.retain_mut(|_| false);
-        assert!(v.is_empty());
-        v.push(2);
-        assert_eq!(v.first, Some(2), "an emptied collection is inline again");
-        v.push(3);
-        assert_eq!((v.pop(), v.pop(), v.pop()), (Some(3), Some(2), None));
-        v.push(4);
-        v.clear();
-        assert!(v.is_empty());
     }
 
     #[test]
@@ -635,7 +521,7 @@ mod tests {
             fn step<T: Transport>(
                 &mut self,
                 _t: &mut T,
-                _c: Option<Vec<VerbResult>>,
+                _c: Option<Completion>,
             ) -> Result<StepOutcome<u8>, EngineError> {
                 Ok(StepOutcome::Done(7))
             }

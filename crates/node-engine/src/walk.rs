@@ -22,7 +22,8 @@
 use art_core::hash::prefix_hash42;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{RemotePtr, Transport};
+use dm_sim::{FirstInline, RemotePtr, Transport};
+use std::ops::Range;
 
 use crate::{EngineError, LeafReadStats};
 
@@ -59,14 +60,15 @@ pub trait ArtReader {
     /// its own. The default counts nothing.
     fn note_leaf_io(&mut self, _io: LeafReadStats) {}
 
-    /// Issues one scan level's reads; results in input order. The default
-    /// is one doorbell batch for the whole level.
+    /// Issues one scan level's reads and returns their bytes in **one**
+    /// buffer, back to back in input order ([`level_spans`] says where
+    /// each lies). The default is one doorbell batch for the whole level.
     ///
     /// # Errors
     ///
     /// Substrate errors.
-    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<Vec<u8>>, EngineError> {
-        Ok(self.transport().read_many(reads)?)
+    fn read_level(&mut self, reads: &[(RemotePtr, usize)]) -> Result<Vec<u8>, EngineError> {
+        Ok(self.transport().read_packed(reads)?)
     }
 
     /// A scan met the node behind `slot` mid type-switch: optionally wait
@@ -96,6 +98,19 @@ pub trait ArtReader {
     ) -> Result<(), EngineError> {
         Ok(())
     }
+}
+
+/// Where each read of a level fetched with [`ArtReader::read_level`] lies
+/// in the level's buffer: `(address, byte range)`, in input order.
+pub fn level_spans(
+    reads: &[(RemotePtr, usize)],
+) -> impl Iterator<Item = (RemotePtr, Range<usize>)> + '_ {
+    let mut end = 0;
+    reads.iter().map(move |&(addr, len)| {
+        let span = end..end + len;
+        end = span.end;
+        (addr, span)
+    })
 }
 
 /// Whether `node`, read through a slot naming `kind`, is the node the slot
@@ -134,7 +149,7 @@ pub fn any_leaf<H: ArtReader>(host: &mut H, node: &InnerNode) -> Result<Sampled,
         stack.extend(n.slots.iter().rev().flatten().copied());
         stack.extend(n.value_slot.map(|s| Slot { is_leaf: true, ..s }));
     }
-    let mut stack = Vec::new();
+    let mut stack = Vec::with_capacity(32);
     push_candidates(&mut stack, node);
     let mut visits = 0;
     while let Some(slot) = stack.pop() {
@@ -154,6 +169,10 @@ pub fn any_leaf<H: ArtReader>(host: &mut H, node: &InnerNode) -> Result<Sampled,
     Ok(Sampled::Empty)
 }
 
+/// The prefix bytes a range walk tracks per queued subtree: on the stack up
+/// to 40 bytes (every key of the paper's datasets), on the heap beyond.
+pub type Prefix = dm_sim::InlineVec<u8, 40>;
+
 /// Something a range walk has queued — a fetched inner node or the slot
 /// of a subtree not fetched yet — with the prefix bytes known so far.
 /// `exact` records whether `known` is a real key prefix: path compression
@@ -167,7 +186,7 @@ pub struct Tracked<N> {
     /// The node, or the slot pointing at it.
     pub at: N,
     /// Prefix bytes known so far.
-    pub known: Vec<u8>,
+    pub known: Prefix,
     /// Whether `known` is gap-free.
     pub exact: bool,
 }
@@ -177,7 +196,7 @@ impl Tracked<InnerNode> {
     pub fn root(node: InnerNode) -> Self {
         Tracked {
             at: node,
-            known: Vec::new(),
+            known: Prefix::default(),
             exact: true,
         }
     }
@@ -191,7 +210,7 @@ impl Tracked<InnerNode> {
     fn adopt(&mut self, key: &[u8]) {
         let plen = self.at.header.prefix_len as usize;
         if key.len() >= plen {
-            self.known = key[..plen].to_vec();
+            self.known = Prefix::from_slice(&key[..plen]);
             self.exact = true;
         }
     }
@@ -212,7 +231,9 @@ pub fn resolve_prefixes<H: ArtReader>(
     nodes: &mut [Tracked<InnerNode>],
 ) -> Result<(), EngineError> {
     let hint = host.leaf_hint();
-    let (mut direct, mut reads, mut chains) = (Vec::new(), Vec::new(), Vec::new());
+    // Mostly one unresolved node a level: nothing to allocate for.
+    let (mut direct, mut chains) = (FirstInline::default(), FirstInline::default());
+    let mut reads = FirstInline::default();
     for (i, n) in nodes.iter().enumerate() {
         if n.exact_here() {
             continue;
@@ -229,8 +250,9 @@ pub fn resolve_prefixes<H: ArtReader>(
         }
     }
     if !reads.is_empty() {
-        let fetched = host.transport().read_many(&reads)?;
-        let leaves = settle_leaves(host, reads.iter().map(|r| r.0).zip(fetched))?;
+        let level = host.transport().read_packed(&reads)?;
+        let fetched = level_spans(&reads).map(|(addr, span)| (addr, &level[span]));
+        let leaves = settle_leaves(host, fetched)?;
         for (i, leaf) in direct.into_iter().zip(leaves) {
             if let Some(leaf) = leaf {
                 nodes[i].adopt(&leaf.key);
@@ -297,17 +319,18 @@ pub fn viable_children(
     };
     let untracked = |at| Tracked {
         at,
-        known: Vec::new(),
+        known: Prefix::default(),
         exact: false,
     };
     out.extend(n.at.value_slot.map(untracked));
     let Some((lo, hi)) = window else { return };
+    let in_window = |s: &&Slot| (lo..=hi).contains(&s.key_byte);
+    out.reserve(n.at.slots.iter().flatten().filter(in_window).count());
     out.extend(n.at.children_between(lo, hi).map(|slot| {
         if slot.is_leaf || !exact {
             return untracked(slot);
         }
-        let mut known = Vec::with_capacity(n.known.len() + 1);
-        known.extend_from_slice(&n.known);
+        let mut known = n.known.clone();
         known.push(slot.key_byte);
         Tracked {
             at: slot,
@@ -328,19 +351,18 @@ pub fn viable_children(
 /// # Errors
 ///
 /// What the host's reads return, retry exhaustion excepted.
-pub fn settle_leaves<H: ArtReader>(
+pub fn settle_leaves<'a, H: ArtReader>(
     host: &mut H,
-    fetched: impl IntoIterator<Item = (RemotePtr, Vec<u8>)>,
+    fetched: impl Iterator<Item = (RemotePtr, &'a [u8])>,
 ) -> Result<Vec<Option<LeafNode>>, EngineError> {
-    let fetched = fetched.into_iter();
     let mut leaves = Vec::with_capacity(fetched.size_hint().0);
     // Positions in `leaves` still owed: oversized (with their exact reads)
     // and torn.
     let (mut big, mut big_reads, mut torn) = (Vec::new(), Vec::new(), Vec::new());
     for (addr, bytes) in fetched {
-        let leaf = LeafNode::decode(&bytes).ok();
+        let leaf = LeafNode::decode(bytes).ok();
         if leaf.is_none() {
-            match LeafNode::stored_len(&bytes) {
+            match LeafNode::stored_len(bytes) {
                 Some(len) if len > bytes.len() => {
                     big.push(leaves.len());
                     big_reads.push((addr, len));
@@ -356,8 +378,8 @@ pub fn settle_leaves<H: ArtReader>(
             ..LeafReadStats::default()
         });
         let again = host.read_level(&big_reads)?;
-        for ((at, (addr, _)), bytes) in big.into_iter().zip(big_reads).zip(again) {
-            match LeafNode::decode(&bytes) {
+        for (at, (addr, span)) in big.into_iter().zip(level_spans(&big_reads)) {
+            match LeafNode::decode(&again[span]) {
                 Ok(leaf) => leaves[at] = Some(leaf),
                 Err(_) => torn.push((at, addr)),
             }
@@ -374,9 +396,9 @@ pub fn settle_leaves<H: ArtReader>(
 }
 
 /// Every `(key, value)` with `low <= key <= high` below `start`, ascending
-/// (§IV "Scan"): top-down from `start`, each level resolved, pruned and
-/// then fetched through [`ArtReader::read_level`]. `start` is any inner
-/// node whose full prefix is `start.known`, exactly — the root
+/// (§IV "Scan"): top-down from `start`, each level pruned, fetched through
+/// [`ArtReader::read_level`] and then resolved. `start` is any inner node
+/// whose full prefix is `start.known`, exactly — the root
 /// ([`Tracked::root`]), or a deeper node the host found some other way; the
 /// walk returns the rows of that subtree only, so it is complete when the
 /// prefix prefixes both bounds. A best-effort snapshot under concurrent
@@ -388,23 +410,17 @@ pub fn settle_leaves<H: ArtReader>(
 #[allow(clippy::type_complexity)]
 pub fn scan<H: ArtReader>(
     host: &mut H,
-    start: Tracked<InnerNode>,
+    start: &Tracked<InnerNode>,
     low: &[u8],
     high: &[u8],
 ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, EngineError> {
     let hint = host.leaf_hint();
     let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut inners = vec![start];
     // Level buffers, reused from one level to the next.
-    let (mut pending, mut reads, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
-    while !inners.is_empty() {
-        resolve_prefixes(host, &mut inners)?;
-        for n in inners.drain(..) {
-            viable_children(&n, low, Some(high), &mut pending);
-        }
-        if pending.is_empty() {
-            break;
-        }
+    let (mut inners, mut pending) = (Vec::new(), Vec::new());
+    let (mut reads, mut leaves) = (Vec::new(), Vec::new());
+    viable_children(start, low, Some(high), &mut pending);
+    while !pending.is_empty() {
         reads.clear();
         reads.extend(pending.iter().map(|p| {
             let len = if p.at.is_leaf {
@@ -414,13 +430,13 @@ pub fn scan<H: ArtReader>(
             };
             (p.at.addr, len)
         }));
-        let fetched = host.read_level(&reads)?;
-        for (p, bytes) in pending.drain(..).zip(fetched) {
+        let level = host.read_level(&reads)?;
+        for (p, (addr, span)) in pending.drain(..).zip(level_spans(&reads)) {
             if p.at.is_leaf {
-                leaves.push((p.at.addr, bytes));
+                leaves.push((addr, span));
                 continue;
             }
-            let node = match InnerNode::decode(&bytes) {
+            let node = match InnerNode::decode(&level[span]) {
                 Ok(node) if usable(&node, p.at.child_kind) => Some(node),
                 _ => host.reread_inner(&p.at)?,
             };
@@ -432,13 +448,19 @@ pub fn scan<H: ArtReader>(
                 });
             }
         }
-        for leaf in settle_leaves(host, leaves.drain(..))?.into_iter().flatten() {
+        results.reserve(leaves.len());
+        let fetched = leaves.drain(..).map(|(addr, span)| (addr, &level[span]));
+        for leaf in settle_leaves(host, fetched)?.into_iter().flatten() {
             if leaf.status != NodeStatus::Invalid
                 && leaf.key.as_slice() >= low
                 && leaf.key.as_slice() <= high
             {
                 results.push((leaf.key, leaf.value));
             }
+        }
+        resolve_prefixes(host, &mut inners)?;
+        for n in inners.drain(..) {
+            viable_children(&n, low, Some(high), &mut pending);
         }
     }
     results.sort_by(|a, b| a.0.cmp(&b.0));
@@ -806,27 +828,27 @@ pub(crate) mod tests {
         let root = inner(&mut h, NodeKind::Node4, b"", &top);
 
         let root_node = node_of(&mut h, root);
-        let all = scan(&mut h, Tracked::root(root_node.clone()), b"", b"~").unwrap();
-        assert_eq!(all.iter().map(|(k, _)| &k[..]).collect::<Vec<_>>(), keys);
         let root_node = Tracked::root(root_node);
-        let some = scan(&mut h, root_node.clone(), b"user02", b"user02@x").unwrap();
+        let all = scan(&mut h, &root_node, b"", b"~").unwrap();
+        assert_eq!(all.iter().map(|(k, _)| &k[..]).collect::<Vec<_>>(), keys);
+        let some = scan(&mut h, &root_node, b"user02", b"user02@x").unwrap();
         assert_eq!(some.len(), 1);
 
         // From a non-root start whose prefix is known: the root scan
         // restricted to that subtree, for fewer reads.
         let users = Tracked {
             at: node_of(&mut h, users),
-            known: b"user0".to_vec(),
+            known: Prefix::from_slice(b"user0"),
             exact: true,
         };
         let before = h.0.stats().round_trips;
-        let below = scan(&mut h, users.clone(), b"", b"~").unwrap();
+        let below = scan(&mut h, &users, b"", b"~").unwrap();
         let from_users = h.0.stats().round_trips - before;
         assert_eq!(below, all[..3]);
         let before = h.0.stats().round_trips;
-        let some = scan(&mut h, root_node, b"user01", b"user02@x").unwrap();
+        let some = scan(&mut h, &root_node, b"user01", b"user02@x").unwrap();
         assert!(from_users < h.0.stats().round_trips - before);
-        assert_eq!(scan(&mut h, users, b"user01", b"user02@x").unwrap(), some);
+        assert_eq!(scan(&mut h, &users, b"user01", b"user02@x").unwrap(), some);
         assert_eq!(some, all[..2]);
 
         let report = audit(&mut h, root).unwrap();
@@ -852,7 +874,7 @@ pub(crate) mod tests {
         node.value_slot = Some(Slot::leaf(0, at(0)));
         let exact = Tracked {
             at: node,
-            known: b"ab".to_vec(),
+            known: Prefix::from_slice(b"ab"),
             exact: true,
         };
         let pushed = |n: &Tracked<InnerNode>, low: &[u8], high: Option<&[u8]>| {
@@ -866,11 +888,11 @@ pub(crate) mod tests {
         assert_eq!(bytes, [0, 0x10, 0x11, 0x12], "value slot, then the window");
         for p in &out[1..] {
             match p.at.is_leaf {
-                // Filtered by its real key: no prefix buffer at all.
-                true => assert_eq!((p.known.capacity(), p.exact), (0, false)),
+                // Filtered by its real key: no prefix at all.
+                true => assert_eq!((p.known.len(), p.exact), (0, false)),
                 false => {
-                    assert_eq!(p.known, [b'a', b'b', p.at.key_byte]);
-                    assert_eq!((p.known.capacity(), p.exact), (3, true));
+                    assert_eq!(&*p.known, [b'a', b'b', p.at.key_byte]);
+                    assert!(p.exact);
                 }
             }
         }
@@ -886,12 +908,12 @@ pub(crate) mod tests {
 
         // A prefix with a gap cannot prune: everything, untracked.
         let inexact = Tracked {
-            known: b"a".to_vec(),
+            known: Prefix::from_slice(b"a"),
             ..exact
         };
         let out = pushed(&inexact, b"ab\x10", Some(b"ab\x12"));
         assert_eq!(out.len(), 1 + 256);
-        assert!(out.iter().all(|p| !p.exact && p.known.capacity() == 0));
+        assert!(out.iter().all(|p| !p.exact && p.known.is_empty()));
     }
 
     /// What `child_window` computes is `range_may_intersect` applied to
@@ -940,9 +962,10 @@ pub(crate) mod tests {
             .collect();
         let reads: Vec<_> = addrs.iter().map(|&a| (a, 128)).collect();
         let before = h.0.stats().round_trips;
-        let fetched = h.0.read_many(&reads).unwrap();
+        let level = h.0.read_packed(&reads).unwrap();
         let first = h.0.stats().round_trips - before;
-        let leaves = settle_leaves(&mut h, addrs.iter().copied().zip(fetched)).unwrap();
+        let fetched = level_spans(&reads).map(|(addr, span)| (addr, &level[span]));
+        let leaves = settle_leaves(&mut h, fetched).unwrap();
         let lens: Vec<usize> = leaves.iter().flatten().map(|l| l.value.len()).collect();
         assert_eq!(lens, sizes, "input order");
         assert_eq!(h.1.extended_reads, 3, "300, 500 and 113 B exceed the hint");

@@ -49,4 +49,4 @@ mod layout;
 mod table;
 
 pub use layout::{BucketHeader, DirEntry, TableConfig};
-pub use table::{FoundEntry, RaceCounters, RaceError, RaceTable, TableStats};
+pub use table::{FoundEntries, FoundEntry, RaceCounters, RaceError, RaceTable, TableStats};

@@ -103,13 +103,18 @@ pub struct RaceCounters {
 
 /// An entry found by [`RaceTable::search`]: the word plus the address of
 /// the slot holding it (for subsequent CAS replace/delete).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FoundEntry {
     /// The entry word.
     pub word: u64,
     /// Remote address of the 8-byte slot.
     pub slot: RemotePtr,
 }
+
+/// The entries of one bucket pair (at most 2 × [`ENTRIES_PER_BUCKET`]), as
+/// [`RaceTable::search`] returns them: a slice of [`FoundEntry`] that lives
+/// on the stack.
+pub type FoundEntries = dm_sim::InlineVec<FoundEntry, { 2 * ENTRIES_PER_BUCKET }>;
 
 /// A snapshot of one bucket pair.
 struct PairView {
@@ -151,7 +156,7 @@ impl PairView {
         Self::entry_indexes().find(|&i| self.words[i] == 0)
     }
 
-    fn entries(&self) -> Vec<FoundEntry> {
+    fn entries(&self) -> FoundEntries {
         Self::entry_indexes()
             .filter(|&i| self.words[i] != 0)
             .map(|i| FoundEntry {
@@ -320,7 +325,7 @@ impl RaceTable {
     /// Parses bytes read from [`RaceTable::bucket_pair_ptr`]. Returns
     /// `None` when the suffix check fails (stale directory cache: call
     /// [`RaceTable::refresh_stale`] and retry).
-    pub fn parse_pair(base: RemotePtr, bytes: &[u8], hash: u64) -> Option<Vec<FoundEntry>> {
+    pub fn parse_pair(base: RemotePtr, bytes: &[u8], hash: u64) -> Option<FoundEntries> {
         let pv = PairView::parse(base, bytes);
         pv.header.matches(hash).then(|| pv.entries())
     }
@@ -341,11 +346,7 @@ impl RaceTable {
     /// # Errors
     ///
     /// [`RaceError::RetriesExhausted`] if the suffix check keeps failing.
-    pub fn search(
-        &mut self,
-        client: &mut DmClient,
-        hash: u64,
-    ) -> Result<Vec<FoundEntry>, RaceError> {
+    pub fn search(&mut self, client: &mut DmClient, hash: u64) -> Result<FoundEntries, RaceError> {
         self.lookups.set(self.lookups.get() + 1);
         for _ in 0..self.retry.op_retries {
             let pv = self.read_pair(client, hash)?;
