@@ -45,12 +45,20 @@ const MAX_KICKS: usize = 500;
 /// filter layers (the `sfc` crate reuses it so the cuckoo delta and the
 /// frozen binary-fuse generation agree on key identity).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_INIT, bytes)
+}
+
+/// The [`fnv1a64`] state before the first byte.
+pub const FNV1A64_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash: `fnv1a64(ab) == fnv1a64_extend(fnv1a64(a), b)`,
+/// so one forward pass over a key yields the hash of every prefix.
+pub fn fnv1a64_extend(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        state ^= b as u64;
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h
+    state
 }
 
 /// 64-bit finalizer (murmur3-style) used to decorrelate [`fnv1a64`]
@@ -280,11 +288,65 @@ impl CuckooFilter {
     /// Read-only membership test (no hotness update) — for statistics.
     pub fn contains_quiet(&self, item: &[u8]) -> bool {
         let (fp, b1) = self.fp_and_bucket(item);
-        let b2 = self.alt_bucket(b1, fp);
+        self.holds(fp, b1, self.alt_bucket(b1, fp))
+    }
+
+    /// Whether `fp` resides in one of its two candidate buckets.
+    fn holds(&self, fp: u16, b1: u64, b2: u64) -> bool {
         [b1, b2].iter().any(|&bucket| {
             self.slot_range(bucket)
                 .any(|i| self.slots[i] & FP_MASK == fp && self.slots[i] != 0)
         })
+    }
+
+    /// Puts `fp` into an empty slot of a candidate bucket (new entries
+    /// start cold); `false` when both buckets are full.
+    fn place(&mut self, fp: u16, b1: u64, b2: u64) -> bool {
+        for bucket in [b1, b2] {
+            for i in self.slot_range(bucket) {
+                if self.slots[i] == 0 {
+                    self.slots[i] = fp;
+                    self.len += 1;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Inserts an item only if that loses nothing — for a caller that
+    /// holds the exact key set (and inserts each key once) and would rather
+    /// rebuild a larger filter than evict. Unlike [`CuckooFilter::insert`]
+    /// it takes a slot of its own even beside an equal fingerprint, so
+    /// removing one of two colliding items leaves the other findable. With
+    /// both candidate buckets full, one resident moves to its own
+    /// alternate bucket if that has room (hotness travels with it);
+    /// `false`, with the filter untouched, when none can.
+    pub fn try_insert(&mut self, item: &[u8]) -> bool {
+        let (fp, b1) = self.fp_and_bucket(item);
+        let b2 = self.alt_bucket(b1, fp);
+        let placed = self.place(fp, b1, b2) || self.make_room(fp, b1, b2);
+        self.stats.inserts += u64::from(placed);
+        placed
+    }
+
+    /// Puts `fp` in the slot of a resident of `b1` or `b2` that has a free
+    /// slot in its alternate bucket, and the resident there.
+    fn make_room(&mut self, fp: u16, b1: u64, b2: u64) -> bool {
+        for bucket in [b1, b2] {
+            for i in self.slot_range(bucket) {
+                let resident = self.slots[i];
+                let alt = self.alt_bucket(bucket, resident & FP_MASK);
+                if let Some(free) = self.slot_range(alt).find(|&j| self.slots[j] == 0) {
+                    self.slots[free] = resident;
+                    self.slots[i] = fp;
+                    self.len += 1;
+                    self.stats.relocations += 1;
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Inserts an item. Always succeeds: when both candidate buckets are
@@ -297,24 +359,9 @@ impl CuckooFilter {
         let (fp, b1) = self.fp_and_bucket(item);
         let b2 = self.alt_bucket(b1, fp);
         self.stats.inserts += 1;
-
-        // Set semantics: already present?
-        for bucket in [b1, b2] {
-            for i in self.slot_range(bucket) {
-                if self.slots[i] & FP_MASK == fp && self.slots[i] != 0 {
-                    return;
-                }
-            }
-        }
-        // Empty slot in either candidate bucket? New entries start cold.
-        for bucket in [b1, b2] {
-            for i in self.slot_range(bucket) {
-                if self.slots[i] == 0 {
-                    self.slots[i] = fp;
-                    self.len += 1;
-                    return;
-                }
-            }
+        // Set semantics: already present? Else an empty slot?
+        if self.holds(fp, b1, b2) || self.place(fp, b1, b2) {
+            return;
         }
         // Both buckets full: evict a random cold entry if one exists
         // (§III-B's second-chance policy)…
@@ -404,6 +451,33 @@ impl CuckooFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `try_insert` never loses an entry: it fills empty slots, relocates
+    /// one resident when both buckets are full, and refuses otherwise.
+    #[test]
+    fn try_insert_is_lossless_or_refuses() {
+        let mut f = CuckooFilter::with_capacity(1 << 12);
+        let mut kept = Vec::new();
+        for i in 0..(1u32 << 13) {
+            if f.try_insert(&i.to_le_bytes()) {
+                kept.push(i);
+            }
+        }
+        assert_eq!(f.stats().evictions, 0);
+        assert!(f.stats().relocations > 0, "a full bucket pair made room");
+        assert!(kept.len() < 1 << 13, "an over-full filter refuses");
+        assert!(
+            kept.len() > (1 << 12) * 9 / 10,
+            "{} of 4096 slots",
+            kept.len()
+        );
+        for i in &kept {
+            assert!(f.contains_quiet(&i.to_le_bytes()), "lost {i}");
+        }
+        // At half load nothing is refused.
+        let mut half = CuckooFilter::with_capacity(1 << 12);
+        assert!((0..(1u32 << 11)).all(|i| half.try_insert(&i.to_le_bytes())));
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -221,6 +221,19 @@ impl BinaryFuse8 {
         let mut deduped = keys.to_vec();
         deduped.sort_unstable();
         deduped.dedup();
+        Self::build_sorted(&deduped, base_seed, max_attempts)
+    }
+
+    /// [`BinaryFuse8::build`] over keys the caller already holds in
+    /// strictly ascending order (sorted, no duplicates — a generation
+    /// rebuild's merged hash log): no copy, no sort. Same filter, byte for
+    /// byte, as `build` over the same set.
+    pub fn build_sorted(
+        deduped: &[u64],
+        base_seed: u64,
+        max_attempts: u32,
+    ) -> Result<(BinaryFuse8, u32), FuseBuildError> {
+        debug_assert!(deduped.windows(2).all(|w| w[0] < w[1]));
         let max_attempts = max_attempts.max(1);
         let standard = Self::standard_factor(deduped.len() as u32);
         // Space/reliability ladder: a few seeds each at tight slacks
@@ -232,7 +245,7 @@ impl BinaryFuse8 {
         // so every attempt uses the standard factor with a rotated seed.
         for attempt in 0..max_attempts {
             let seed = mix64(base_seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            if let Some(f) = Self::try_build_with(&deduped, seed, standard) {
+            if let Some(f) = Self::try_build_with(deduped, seed, standard) {
                 return Ok((f, attempt + 1));
             }
         }

@@ -36,7 +36,7 @@ pub use snapshot::{crc32, SnapshotError, MAGIC, VERSION};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cuckoo::{fnv1a64, mix64, CuckooFilter, FilterStats};
+use cuckoo::{fnv1a64, fnv1a64_extend, mix64, CuckooFilter, FilterStats, FNV1A64_INIT};
 use parking_lot::Mutex;
 
 /// Canonical 64-bit hash of a prefix — shared by the delta cuckoo keys,
@@ -54,9 +54,12 @@ pub struct SfcConfig {
     /// `true` = frozen fuse + delta + rebuilds (SFC 2.0). `false` =
     /// plain cuckoo filter, byte-for-byte the pre-generational SFC.
     pub generational: bool,
-    /// Pending delta+tombstone entries that arm a rebuild. `0` = auto
-    /// (half the delta filter's slot capacity). The lincheck sweep sets 1
-    /// to force rebuilds inside adversarial schedules.
+    /// Pending delta+tombstone entries that arm a rebuild. `0` = auto: a
+    /// sixteenth of the frozen set, at least half the budgeted delta's
+    /// slots, with a delta that grows to hold what is pending (see
+    /// `docs/SFC.md`). A non-zero value is a fixed threshold over a delta
+    /// of fixed size; the lincheck sweep sets 1 to force rebuilds inside
+    /// adversarial schedules.
     pub rebuild_delta_threshold: usize,
     /// Seeds tried before a fuse construction attempt is abandoned (the
     /// old generation then stays live and the rebuild re-arms).
@@ -208,6 +211,9 @@ struct Inner {
     c: Counters,
     /// True while a rebuild holds cloned inputs outside the lock.
     rebuilding: bool,
+    /// [`FilterCache::deepest_hit`]'s scratch: the hash of every prefix
+    /// of the key being probed.
+    prefix_hashes: Vec<u64>,
 }
 
 /// The generational Succinct Filter Cache. Internally synchronized:
@@ -262,6 +268,7 @@ impl FilterCache {
                 retired: FilterStats::default(),
                 c: Counters::default(),
                 rebuilding: false,
+                prefix_hashes: Vec::new(),
             }),
             cfg,
             seed,
@@ -270,22 +277,65 @@ impl FilterCache {
         }
     }
 
-    fn new_delta(&self) -> CuckooFilter {
-        CuckooFilter::with_byte_budget_and_seed(self.delta_budget, self.seed)
+    /// Whether the rebuild trigger and the delta's size follow the
+    /// pending set (`rebuild_delta_threshold: 0`) or are fixed.
+    fn auto(&self) -> bool {
+        self.cfg.rebuild_delta_threshold == 0
+    }
+
+    /// Pending entries that arm a rebuild. A rebuild re-peels the whole
+    /// frozen set, so under a fixed threshold every prefix taught costs
+    /// `frozen / threshold` fuse insertions — quadratic in all. Auto mode
+    /// waits for a sixteenth of the frozen set (never less than the fixed
+    /// rule's half of the budgeted delta): a rebuild then inserts at most
+    /// 17 keys per pending one, and so do all rebuilds together.
+    fn threshold(&self, st: &Inner) -> usize {
+        if self.auto() {
+            self.rebuild_threshold.max(st.frozen.hashes.len() / 16)
+        } else {
+            self.rebuild_threshold
+        }
+    }
+
+    /// Replaces the delta cuckoo with one of at least `bytes` bytes
+    /// holding exactly the delta log (which, unlike the cuckoo, is exact).
+    /// Auto mode doubles `bytes` until every entry fits without an
+    /// eviction at a load of at most one half; a fixed threshold keeps the
+    /// size and the cuckoo's own eviction policy.
+    fn reseed_delta(&self, st: &mut Inner, mut bytes: usize) {
+        let retired = st.delta.stats();
+        st.retired.merge(&retired);
+        loop {
+            let mut delta = CuckooFilter::with_byte_budget_and_seed(bytes, self.seed);
+            let fits = st.delta_log.iter().all(|h| {
+                let item = h.to_le_bytes();
+                if self.auto() {
+                    delta.try_insert(&item)
+                } else {
+                    delta.insert(&item);
+                    true
+                }
+            });
+            if !self.auto() || (fits && 2 * delta.len() <= delta.capacity()) {
+                st.delta = delta;
+                return;
+            }
+            bytes *= 2;
+        }
     }
 
     /// Probe one prefix, updating hotness and hit counters.
     pub fn contains(&self, key: &[u8]) -> bool {
         let mut st = self.inner.lock();
-        self.probe_locked(&mut st, key)
-    }
-
-    fn probe_locked(&self, st: &mut Inner, key: &[u8]) -> bool {
         if !self.cfg.generational {
             return st.delta.contains(key);
         }
+        self.probe_locked(&mut st, key_hash(key))
+    }
+
+    /// Probes the generational layers for the prefix hashing to `h`.
+    fn probe_locked(&self, st: &mut Inner, h: u64) -> bool {
         st.c.lookups += 1;
-        let h = key_hash(key);
         if st.tombstones.contains(&h) {
             return false;
         }
@@ -321,12 +371,25 @@ impl FilterCache {
     pub fn deepest_hit(&self, key: &[u8], max_len: usize) -> usize {
         let mut st = self.inner.lock();
         let l = max_len.min(key.len());
-        for x in (1..=l).rev() {
-            if self.probe_locked(&mut st, &key[..x]) {
-                return x;
-            }
+        if !self.cfg.generational {
+            let hit = (1..=l).rev().find(|&x| st.delta.contains(&key[..x]));
+            return hit.unwrap_or(0);
         }
-        0
+        // FNV-1a is a running state: one forward pass leaves the hash of
+        // every prefix, where hashing each prefix from its first byte
+        // would read the key L/2 times over.
+        let mut hashes = std::mem::take(&mut st.prefix_hashes);
+        hashes.clear();
+        let mut state = FNV1A64_INIT;
+        hashes.extend(key[..l].iter().map(|b| {
+            state = fnv1a64_extend(state, std::slice::from_ref(b));
+            mix64(state)
+        }));
+        let hit = (1..=l)
+            .rev()
+            .find(|&x| self.probe_locked(&mut st, hashes[x - 1]));
+        st.prefix_hashes = hashes;
+        hit.unwrap_or(0)
     }
 
     /// Teach the filter a prefix.
@@ -345,8 +408,17 @@ impl FilterCache {
         if st.frozen.contains_exact(h) {
             return; // already baked into the frozen generation
         }
-        if st.delta_log.insert(h) {
-            st.delta.insert(&h.to_le_bytes());
+        if !st.delta_log.insert(h) {
+            return;
+        }
+        let item = h.to_le_bytes();
+        if !self.auto() {
+            st.delta.insert(&item);
+        } else if 2 * (st.delta.len() + 1) > st.delta.capacity() || !st.delta.try_insert(&item) {
+            // Past half load, or `h` found both its buckets full: double
+            // the delta. `h` is in the log, so the re-seed carries it.
+            let doubled = 2 * st.delta.memory_bytes();
+            self.reseed_delta(st, doubled);
         }
     }
 
@@ -356,15 +428,19 @@ impl FilterCache {
     /// the prefix was newly taught.
     pub fn refresh(&self, key: &[u8]) -> bool {
         let mut st = self.inner.lock();
-        if self.probe_locked(&mut st, key) {
+        if !self.cfg.generational {
+            let known = st.delta.contains(key);
+            if !known {
+                st.delta.insert(key);
+            }
+            return !known;
+        }
+        let h = key_hash(key);
+        if self.probe_locked(&mut st, h) {
             return false;
         }
-        if !self.cfg.generational {
-            st.delta.insert(key);
-        } else {
-            st.c.inserts += 1;
-            self.insert_locked(&mut st, key_hash(key));
-        }
+        st.c.inserts += 1;
+        self.insert_locked(&mut st, h);
         true
     }
 
@@ -396,7 +472,7 @@ impl FilterCache {
             return false;
         }
         let st = self.inner.lock();
-        !st.rebuilding && st.delta_log.len() + st.tombstones.len() >= self.rebuild_threshold
+        !st.rebuilding && st.delta_log.len() + st.tombstones.len() >= self.threshold(&st)
     }
 
     /// Merge the delta and tombstones into the next frozen generation.
@@ -409,21 +485,22 @@ impl FilterCache {
     /// inserts that raced the build survive in the delta. Returns `true`
     /// when a new generation was installed.
     pub fn maintain(&self) -> bool {
-        self.maintain_with_threshold(self.rebuild_threshold)
+        self.rebuild(false)
     }
 
     /// [`FilterCache::maintain`] with the threshold ignored — freeze
     /// whatever is pending now (tests, measurement setups).
     pub fn force_rebuild(&self) -> bool {
-        self.maintain_with_threshold(1)
+        self.rebuild(true)
     }
 
-    fn maintain_with_threshold(&self, threshold: usize) -> bool {
+    fn rebuild(&self, force: bool) -> bool {
         if !self.cfg.generational {
             return false;
         }
         let (frozen, delta_log, tombstones) = {
             let mut st = self.inner.lock();
+            let threshold = if force { 1 } else { self.threshold(&st) };
             if st.rebuilding || st.delta_log.len() + st.tombstones.len() < threshold {
                 return false;
             }
@@ -486,13 +563,7 @@ impl FilterCache {
         });
         st.delta_log = d.delta_log;
         st.tombstones = d.tombstones;
-        let retired = st.delta.stats();
-        st.retired.merge(&retired);
-        st.delta = self.new_delta();
-        let entries: Vec<u64> = st.delta_log.iter().copied().collect();
-        for h in entries {
-            st.delta.insert(&h.to_le_bytes());
-        }
+        self.reseed_delta(&mut st, self.delta_budget);
         st.c.snapshot_loads += 1;
         Ok(())
     }
@@ -630,7 +701,7 @@ impl FilterCache {
 
         let next_gen = frozen.generation + 1;
         let fuse_seed = self.seed ^ mix64(next_gen);
-        let built = BinaryFuse8::build(&merged, fuse_seed, self.cfg.max_fuse_build_attempts);
+        let built = BinaryFuse8::build_sorted(&merged, fuse_seed, self.cfg.max_fuse_build_attempts);
 
         let mut st = self.inner.lock();
         st.rebuilding = false;
@@ -654,13 +725,8 @@ impl FilterCache {
         for h in &tombstones {
             st.tombstones.remove(h);
         }
-        let retired = st.delta.stats();
-        st.retired.merge(&retired);
-        st.delta = self.new_delta();
-        let survivors: Vec<u64> = st.delta_log.iter().copied().collect();
-        for h in survivors {
-            st.delta.insert(&h.to_le_bytes());
-        }
+        // Back to the budgeted delta, re-seeded with what raced the build.
+        self.reseed_delta(&mut st, self.delta_budget);
         true
     }
 }
@@ -854,6 +920,170 @@ mod tests {
         assert_eq!(f.deepest_hit(b"abcdef", 6), 4);
         assert_eq!(f.deepest_hit(b"abx", 3), 2);
         assert_eq!(f.deepest_hit(b"zz", 2), 0);
+    }
+
+    /// Commit to the rebuild rule of auto mode: teaching 200 k prefixes to
+    /// an 8 KiB cache spends at most 17 fuse insertions per prefix over
+    /// all rebuilds together, loses nothing on the way (the delta grows
+    /// instead of evicting), and ends with the delta at most half the fuse.
+    #[test]
+    fn auto_rebuilds_are_amortised_and_the_delta_grows_without_loss() {
+        let f = FilterCache::new(8 << 10, SfcConfig::default(), 0x5F13_C5EE);
+        let budgeted = f.stats().delta_bytes;
+        let n = 200_000u64;
+        let (mut fuse_insertions, mut grown_peak) = (0u64, 0u64);
+        for i in 0..n {
+            f.insert(&key(i));
+            if f.rebuild_due() {
+                assert!(f.maintain());
+                fuse_insertions += f.stats().frozen_len;
+            }
+            if (i + 1) % 1000 == 0 {
+                grown_peak = grown_peak.max(f.stats().delta_bytes);
+                // Everything taught in the last two rounds, and a stride
+                // through the rest (all of it once more at the end).
+                let recent = (i + 1).saturating_sub(2000)..=i;
+                let older = (0..i + 1).step_by(97);
+                for j in recent.chain(older) {
+                    assert!(
+                        f.contains_quiet(&key(j)),
+                        "lost key {j} after {} inserts",
+                        i + 1
+                    );
+                }
+            }
+        }
+        let s = f.stats();
+        assert!(s.rebuilds >= 10, "{} rebuilds", s.rebuilds);
+        assert!(
+            fuse_insertions <= 17 * n,
+            "{fuse_insertions} fuse insertions for {n} prefixes over {} rebuilds",
+            s.rebuilds
+        );
+        assert!(
+            (s.rebuilds as usize) < 200,
+            "{} rebuilds: the trigger is not following the frozen set",
+            s.rebuilds
+        );
+        assert_eq!(s.evictions, 0);
+        assert!(
+            grown_peak > budgeted,
+            "the delta never grew past {budgeted} B"
+        );
+        assert_eq!(s.frozen_len + s.delta_len, n);
+        assert!(
+            2 * s.delta_bytes <= s.frozen_bytes
+                && f.memory_bytes() as u64 <= s.frozen_bytes * 3 / 2,
+            "delta {} B beside a fuse of {} B",
+            s.delta_bytes,
+            s.frozen_bytes
+        );
+        for j in 0..n {
+            assert!(f.contains_quiet(&key(j)), "lost key {j}");
+        }
+        // The delta is back at its budget right after a rebuild.
+        assert!(f.force_rebuild());
+        assert_eq!(f.stats().delta_bytes, budgeted);
+    }
+
+    /// An explicit threshold is the old fixed rule: rebuilt as soon as that
+    /// many are pending, over a delta that keeps its size.
+    #[test]
+    fn an_explicit_threshold_rebuilds_on_the_dot_and_never_grows_the_delta() {
+        let cfg = SfcConfig {
+            rebuild_delta_threshold: 1,
+            ..SfcConfig::default()
+        };
+        let f = FilterCache::new(64, cfg, 9);
+        let budgeted = f.stats().delta_bytes;
+        for i in 0..300u64 {
+            f.insert(&key(i));
+            assert!(f.rebuild_due());
+            assert!(f.maintain());
+            assert_eq!(f.stats().delta_bytes, budgeted);
+        }
+        assert_eq!(f.stats().rebuilds, 300);
+        // Without maintenance the delta still keeps its size (and evicts,
+        // as a fixed-size cuckoo does).
+        for i in 300..600u64 {
+            f.insert(&key(i));
+        }
+        assert_eq!(f.stats().delta_bytes, budgeted);
+    }
+
+    /// A tombstone set before the delta grows is honoured while it grows
+    /// and baked out by the next rebuild.
+    #[test]
+    fn remove_of_a_frozen_key_survives_delta_growth() {
+        let f = FilterCache::new(64, SfcConfig::default(), 3);
+        f.insert(b"frozen");
+        assert!(f.force_rebuild());
+        let budgeted = f.stats().delta_bytes;
+        assert!(f.remove(b"frozen"));
+        for i in 0..40u64 {
+            f.insert(&key(i));
+            assert!(!f.contains(b"frozen"), "tombstone lost after {i} inserts");
+        }
+        assert!(
+            f.stats().delta_bytes > budgeted,
+            "40 pending must outgrow a 32-slot delta"
+        );
+        assert!(f.force_rebuild());
+        let s = f.stats();
+        assert_eq!(
+            (s.tombstones, s.frozen_len, s.delta_bytes),
+            (0, 40, budgeted)
+        );
+        assert!(!f.contains(b"frozen"));
+    }
+
+    /// `deepest_hit` hashes every prefix in one forward pass; the answers,
+    /// hotness bits and counters are those of probing each prefix length
+    /// from scratch, longest first.
+    #[test]
+    fn deepest_hit_is_the_per_prefix_ladder() {
+        let build = || {
+            let f = FilterCache::new(1 << 10, SfcConfig::default(), 77);
+            for i in 0..3_000u64 {
+                let k = mix64(i).to_be_bytes();
+                f.insert(&k[..1 + (i % 8) as usize]);
+            }
+            f.force_rebuild();
+            for i in 3_000..3_400u64 {
+                let k = mix64(i).to_be_bytes();
+                f.insert(&k[..1 + (i % 8) as usize]); // a live delta
+            }
+            for i in (0..3_000u64).step_by(7) {
+                let k = mix64(i).to_be_bytes();
+                f.remove(&k[..1 + (i % 8) as usize]); // and tombstones
+            }
+            f
+        };
+        let (fast, ladder) = (build(), build());
+        let s = fast.stats();
+        assert!(s.frozen_len > 0 && s.delta_len > 0 && s.tombstones > 0);
+        for i in 0..10_000u64 {
+            // Half the keys extend something taught, half are fresh.
+            let mut k = mix64(i / 2).to_be_bytes().to_vec();
+            k.extend_from_slice(&mix64(!i).to_be_bytes()[..(i % 5) as usize]);
+            if i % 2 == 1 {
+                k[0] ^= 0x80;
+            }
+            for max_len in 0..=k.len() + 1 {
+                let l = max_len.min(k.len());
+                let want = (1..=l)
+                    .rev()
+                    .find(|&x| ladder.contains(&k[..x]))
+                    .unwrap_or(0);
+                assert_eq!(
+                    fast.deepest_hit(&k, max_len),
+                    want,
+                    "key {k:02x?} max_len {max_len}"
+                );
+            }
+        }
+        assert_eq!(fast.stats(), ladder.stats());
+        assert_eq!(fast.snapshot(), ladder.snapshot());
     }
 
     proptest! {

@@ -148,6 +148,41 @@ proptest! {
         prop_assert!(lost as u64 <= f.stats().evictions);
         prop_assert!(lost <= items.len() / 20, "{lost}/{}", items.len());
     }
+
+    /// The generational cache over the same items, on a budget so small
+    /// (a 32-slot delta) that the delta has to grow inside the case: no
+    /// false negative at any point — not after removing every third item
+    /// either, colliding fingerprints or not — and nothing evicted,
+    /// whether or not rebuilds happen in between.
+    #[test]
+    fn filter_cache_grows_its_delta_without_false_negatives(
+        items in proptest::collection::btree_set(any::<u32>(), 1..200),
+        maintain in any::<bool>(),
+    ) {
+        let f = sphinx::sfc::FilterCache::new(64, sphinx::sfc::SfcConfig::default(), 5);
+        let budgeted = f.stats().delta_bytes;
+        let mut taught: Vec<u32> = Vec::new();
+        for item in &items {
+            f.insert(&item.to_le_bytes());
+            taught.push(*item);
+            if maintain && f.rebuild_due() {
+                f.maintain();
+            }
+            prop_assert!(taught.iter().all(|i| f.contains_quiet(&i.to_le_bytes())));
+        }
+        if !maintain && items.len() > 16 {
+            prop_assert!(f.stats().delta_bytes > budgeted, "{} pending in {budgeted} B", items.len());
+        }
+        for item in items.iter().step_by(3) {
+            prop_assert!(f.remove(&item.to_le_bytes()));
+        }
+        let kept = items.iter().enumerate().filter(|(n, _)| n % 3 != 0);
+        for (_, item) in kept.clone() {
+            prop_assert!(f.contains_quiet(&item.to_le_bytes()), "lost {item} to a remove");
+        }
+        prop_assert_eq!(f.len(), kept.count());
+        prop_assert_eq!(f.stats().evictions, 0);
+    }
 }
 
 mod bptree_oracle {

@@ -79,6 +79,47 @@ fn snapshot_round_trip_warm_starts_a_joining_cn() {
     );
 }
 
+/// A snapshot taken while the delta cuckoo is grown past its budget carries
+/// the delta as its exact log, as always: the loading CN re-seeds (and
+/// re-grows) its own cuckoo from it, and snapshots the same bytes back.
+#[test]
+fn a_grown_delta_travels_as_its_log() {
+    let cluster = DmCluster::new(ClusterConfig {
+        mn_capacity: 64 << 20,
+        ..ClusterConfig::default()
+    });
+    let config = SphinxConfig {
+        cache_bytes: 1 << 10, // a 128-byte delta: 64 slots
+        ..SphinxConfig::small()
+    };
+    let index = SphinxIndex::create(&cluster, config).unwrap();
+    let mut client = index.client(0).unwrap();
+    let budgeted = index.sfc_stats().delta_bytes;
+    let mut taught = 0;
+    while index.sfc_stats().delta_bytes <= budgeted {
+        assert!(taught < 2_000, "the delta never outgrew {budgeted} B");
+        client.insert(&key(taught), b"v").unwrap();
+        client.get(&key(taught)).unwrap();
+        taught += 1;
+    }
+    let grown = index.sfc_stats();
+    assert!(grown.delta_len > 0 && grown.evictions == 0);
+
+    let snap = index.sfc_snapshot(0);
+    index.load_sfc_snapshot(2, &snap).unwrap();
+    assert_eq!(index.sfc_snapshot(2), snap, "load, re-snapshot: identity");
+    let mut joined = index.client(2).unwrap();
+    let filter = joined.filter_handle().clone();
+    assert!(
+        filter.stats().delta_bytes > budgeted,
+        "re-seeded past the budget"
+    );
+    for i in 0..taught {
+        assert_eq!(joined.get(&key(i)).unwrap().as_deref(), Some(&b"v"[..]));
+    }
+    assert_eq!(filter.stats().evictions, 0);
+}
+
 #[test]
 fn corrupt_snapshots_are_rejected_counted_and_never_fatal() {
     let index = warm_index();
