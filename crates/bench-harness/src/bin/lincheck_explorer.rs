@@ -51,14 +51,15 @@
 //!
 //! Exit status: `0` on success, `1` on any linearizability violation,
 //! checker timeout, worker panic, or determinism mismatch (inverted by
-//! `--expect-violation` for violations), `2` on usage errors.
+//! `--expect-violation` for violations), `2` on usage errors (an unknown
+//! flag or system, a missing or unparsable value).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::str::FromStr;
 
 use bench_harness::lincheck_driver::shared_prefix_key;
-use bench_harness::report::arg_u64;
+use bench_harness::report::{usage_exit, Args, Flag};
 use bench_harness::{
     failure_report, run_scheduled, shrink_failing_trace, ExploreConfig, RunOutput, ScheduleMode,
     System,
@@ -66,28 +67,29 @@ use bench_harness::{
 use dm_sim::{ScheduleConfig, TraceStep};
 use lincheck::{CheckConfig, Outcome};
 
-fn arg_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: lincheck_explorer [--systems a,b,..] [--seeds N] [--seed-base N] \
+    [--threads N] [--keys N] [--ops N] [--pipeline-depth N] [--fault-matrix quiet|delay|tear|full] \
+    [--verify-determinism] [--expect-violation] [--empty-start] [--shared-prefix] \
+    [--unsafe-disable-leaf-validation] [--unsafe-zero-grace] [--replay FILE] [--out DIR]";
 
-fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-fn parse_system(name: &str) -> Option<System> {
-    Some(match name {
-        "sphinx" => System::Sphinx,
-        "sphinx-inht" => System::SphinxInhtOnly,
-        "smart" => System::Smart,
-        "smartc" => System::SmartC,
-        "art" => System::Art,
-        "bptree" => System::BpTree,
-        _ => return None,
-    })
-}
+const FLAGS: &[Flag] = &[
+    Flag::Text("--systems"),
+    Flag::Num("--seeds"),
+    Flag::Num("--seed-base"),
+    Flag::Num("--threads"),
+    Flag::Num("--keys"),
+    Flag::Num("--ops"),
+    Flag::Num("--pipeline-depth"),
+    Flag::Text("--fault-matrix"),
+    Flag::Switch("--verify-determinism"),
+    Flag::Switch("--expect-violation"),
+    Flag::Switch("--empty-start"),
+    Flag::Switch("--shared-prefix"),
+    Flag::Switch("--unsafe-disable-leaf-validation"),
+    Flag::Switch("--unsafe-zero-grace"),
+    Flag::Text("--replay"),
+    Flag::Text("--out"),
+];
 
 /// Maps a fault-matrix name to the schedule perturbations it enables and
 /// whether the leaf tear hook is installed.
@@ -239,46 +241,55 @@ fn replay_file(cfg: &ExploreConfig, path: &str) -> RunVerdict {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-
-    let systems: Vec<System> = match arg_str(&args, "--systems")
-        .unwrap_or_else(|| "sphinx,art,bptree".into())
+    let args =
+        Args::parse(FLAGS, std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(USAGE, &e));
+    if let Some(word) = args.words.first() {
+        usage_exit(USAGE, &format!("unexpected argument {word}"));
+    }
+    let systems: Vec<System> = args
+        .text("--systems", "sphinx,art,bptree")
         .split(',')
-        .map(parse_system)
-        .collect::<Option<Vec<_>>>()
-    {
-        Some(s) if !s.is_empty() => s,
-        _ => {
-            eprintln!("unknown system in --systems (sphinx|sphinx-inht|smart|smartc|art|bptree)");
-            return ExitCode::from(2);
-        }
-    };
-    let seeds = arg_u64(&args, "--seeds", 2);
-    let seed_base = arg_u64(&args, "--seed-base", 1);
-    let threads = arg_u64(&args, "--threads", 3) as u32;
-    let keys = arg_u64(&args, "--keys", 64);
-    let ops = arg_u64(&args, "--ops", 3_400);
-    let depth = (arg_u64(&args, "--pipeline-depth", 1) as usize).max(1);
-    let matrix = arg_str(&args, "--fault-matrix").unwrap_or_else(|| "full".into());
-    if fault_matrix(&matrix, 0).is_none() {
-        eprintln!("unknown --fault-matrix {matrix} (quiet|delay|tear|full)");
-        return ExitCode::from(2);
+        .map(|name| {
+            System::from_name(name).unwrap_or_else(|| {
+                usage_exit(
+                    USAGE,
+                    &format!(
+                        "unknown system {name:?} (sphinx|sphinx-inht|smart|smartc|art|bptree)"
+                    ),
+                )
+            })
+        })
+        .collect();
+    let seeds = args.num("--seeds", 2);
+    let seed_base = args.num("--seed-base", 1);
+    let threads = args.num("--threads", 3) as u32;
+    let keys = args.num("--keys", 64);
+    let ops = args.num("--ops", 3_400);
+    let depth = (args.num("--pipeline-depth", 1) as usize).max(1);
+    let matrix = args.text("--fault-matrix", "full");
+    if fault_matrix(matrix, 0).is_none() {
+        usage_exit(
+            USAGE,
+            &format!("unknown --fault-matrix {matrix} (quiet|delay|tear|full)"),
+        );
     }
-    let verify_determinism = arg_flag(&args, "--verify-determinism");
-    let expect_violation = arg_flag(&args, "--expect-violation");
-    let out_dir = arg_str(&args, "--out").unwrap_or_else(|| "results".into());
-    let empty_start = arg_flag(&args, "--empty-start");
-    let shared_prefix = arg_flag(&args, "--shared-prefix");
+    let verify_determinism = args.switch("--verify-determinism");
+    let expect_violation = args.switch("--expect-violation");
+    let out_dir = args.text("--out", "results");
+    let empty_start = args.switch("--empty-start");
+    let shared_prefix = args.switch("--shared-prefix");
     if shared_prefix && (keys > 1024 || systems.contains(&System::BpTree)) {
-        eprintln!("--shared-prefix: at most 1024 keys, and not on bptree (u64 keys only)");
-        return ExitCode::from(2);
+        usage_exit(
+            USAGE,
+            "--shared-prefix: at most 1024 keys, and not on bptree (u64 keys only)",
+        );
     }
 
-    if arg_flag(&args, "--unsafe-disable-leaf-validation") {
+    if args.switch("--unsafe-disable-leaf-validation") {
         node_engine::set_leaf_validation(false);
         println!("leaf checksum validation DISABLED (broken-protocol mode)");
     }
-    if arg_flag(&args, "--unsafe-zero-grace") {
+    if args.switch("--unsafe-zero-grace") {
         reclaim::set_zero_grace(true);
         println!("reclamation grace period DISABLED (use-after-free mode)");
     }
@@ -298,8 +309,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = arg_str(&args, "--replay") {
-        let v = replay_file(&base_cfg(systems[0]), &path);
+    if let Some(path) = args.get("--replay") {
+        let v = replay_file(&base_cfg(systems[0]), path);
         println!("{}", v.line);
         return if v.ok {
             ExitCode::SUCCESS
@@ -319,7 +330,7 @@ fn main() -> ExitCode {
     for &system in &systems {
         let cfg = base_cfg(system);
         for seed in seed_base..seed_base + seeds {
-            let v = explore(&cfg, seed, &matrix, verify_determinism, &out_dir);
+            let v = explore(&cfg, seed, matrix, verify_determinism, out_dir);
             println!("{}", v.line);
             if !v.ok {
                 failures += 1;
@@ -343,5 +354,49 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(FLAGS, args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn the_ci_command_lines_parse() {
+        let a = parse(&[
+            "--systems",
+            "sphinx",
+            "--seeds",
+            "2",
+            "--threads",
+            "3",
+            "--keys",
+            "8",
+            "--ops",
+            "600",
+            "--fault-matrix",
+            "full",
+            "--unsafe-disable-leaf-validation",
+            "--expect-violation",
+        ])
+        .unwrap();
+        assert!(a.switch("--expect-violation") && !a.switch("--verify-determinism"));
+        assert_eq!(
+            (a.num("--seeds", 0), a.text("--fault-matrix", "")),
+            (2, "full")
+        );
+    }
+
+    #[test]
+    fn a_misspelt_switch_or_a_bad_count_is_a_usage_error() {
+        // Both used to run: the first without determinism checks, the
+        // second with the default two seeds.
+        assert!(parse(&["--verify-determinsm"]).is_err());
+        assert!(parse(&["--seeds", "x"]).is_err());
+        assert!(parse(&["--replay"]).is_err());
     }
 }

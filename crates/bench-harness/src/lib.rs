@@ -7,19 +7,20 @@
 //!
 //! Binaries:
 //!
-//! | binary | paper artifact |
+//! | binary | what it runs |
 //! |---|---|
-//! | `fig4` | Fig. 4 — YCSB throughput, 6 workloads × {u64, email} × 4 systems |
-//! | `fig5` | Fig. 5 — throughput–latency scalability curve, YCSB-A |
-//! | `fig6` | Fig. 6 + §V-D — MN-side memory usage across datasets |
-//! | `sfc_stats` | §III-B — filter false-positive and retry rates |
-//! | `ablation` | design ablation: INHT-only vs INHT+SFC round trips/bytes |
+//! | `figs <figure>...` | the figures ([`figs`]): `fig4` (Fig. 4, YCSB A–E + LOAD × {u64, email} × 4 systems), `fig4-pipeline` (YCSB-C at depths 1 and 8, every system), `fig5` (Fig. 5, YCSB-A worker ladder), `fig6` (Fig. 6 + §V-D, MN memory), `fig6-reclaim` (memory under churn ± reclamation), `ablation` (INHT-only vs INHT+SFC vs ART), `btree-compare` (the B+-tree on u64 keys), `whatif-cxl` (CXL-class costs), `sfc-stats` (§III-B filter statistics), or `all` |
+//! | `smoke [contract...]` | the CI smoke contracts ([`smoke`]): `telemetry`, `pipeline`, `trace`, `metrics`, `sfc` |
+//! | `lincheck_explorer` | seed × fault-matrix linearizability sweeps ([`lincheck_driver`]) |
 //!
-//! Every binary accepts `--keys N` and `--ops N` to scale the experiment;
-//! defaults are laptop-sized (see EXPERIMENTS.md for the recorded runs).
+//! Each figure takes `--keys N` and whichever of `--ops`, `--workers`,
+//! `--total-ops`, `--dataset`, `--rounds` it scales by; defaults are
+//! laptop-sized (see EXPERIMENTS.md for the recorded runs). Every command
+//! parses its flags strictly ([`report::Args`]): a typo exits 2.
 
 #![forbid(unsafe_code)]
 
+pub mod figs;
 pub mod gate;
 pub mod lincheck_driver;
 pub mod report;

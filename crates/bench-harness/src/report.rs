@@ -1,4 +1,5 @@
-//! Table and CSV emission for the benchmark binaries.
+//! Tables, CSV and JSON emission, and the command-line parser of the
+//! harness binaries.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -24,6 +25,16 @@ impl Table {
     /// Appends a row (stringified cells).
     pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         self.rows.push(cells.into_iter().map(Into::into).collect());
+    }
+
+    /// The column headers.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// The rows, in order.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 
     /// Renders the table with aligned columns.
@@ -150,13 +161,102 @@ pub fn ascii_curve(series: &[(&str, Vec<(f64, f64)>)]) -> String {
     out
 }
 
-/// Parses `--flag value` style arguments with a default.
-pub fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A flag a harness command accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--name N`, a non-negative integer.
+    Num(&'static str),
+    /// `--name TEXT`.
+    Text(&'static str),
+    /// `--name` alone.
+    Switch(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Num(n) | Flag::Text(n) | Flag::Switch(n) => n,
+        }
+    }
+}
+
+/// A command line parsed strictly against the flags a command declares —
+/// the one parser of `figs`, `smoke`, `lincheck_explorer` and the
+/// `ycsb_driver` example.
+#[derive(Debug, Default)]
+pub struct Args {
+    given: Vec<(&'static str, String)>,
+    /// The arguments that are not flags (figure or contract names), in
+    /// order.
+    pub words: Vec<String>,
+}
+
+impl Args {
+    /// Parses `args` (program name excluded). An undeclared `--flag`, a
+    /// valued flag without its value and a `Num` value that is not a
+    /// number are errors.
+    pub fn parse<I: IntoIterator<Item = String>>(flags: &[Flag], args: I) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                out.words.push(arg);
+                continue;
+            }
+            let flag = *flags
+                .iter()
+                .find(|f| f.name() == arg)
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let value = match flag {
+                Flag::Switch(_) => String::new(),
+                _ => args
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a value"))?,
+            };
+            if matches!(flag, Flag::Num(_)) && value.parse::<u64>().is_err() {
+                return Err(format!("{arg} takes a number, not {value:?}"));
+            }
+            out.given.push((flag.name(), value));
+        }
+        Ok(out)
+    }
+
+    /// The value `flag` was last given, if it was (`""` for a `Switch`).
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The flags given, in order.
+    pub fn given(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.given.iter().map(|(f, _)| *f)
+    }
+
+    /// The value of the `Num` flag `flag`, or `default`.
+    pub fn num(&self, flag: &str, default: u64) -> u64 {
+        self.get(flag)
+            .map_or(default, |v| v.parse().expect("checked by parse"))
+    }
+
+    /// The value of the `Text` flag `flag`, or `default`.
+    pub fn text<'a>(&'a self, flag: &str, default: &'a str) -> &'a str {
+        self.get(flag).unwrap_or(default)
+    }
+
+    /// Whether the `Switch` flag `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+}
+
+/// Prints `err` and `usage` and exits with status 2: how every harness
+/// command rejects a command line.
+pub fn usage_exit(usage: &str, err: &str) -> ! {
+    eprintln!("error: {err}\n\n{usage}");
+    std::process::exit(2)
 }
 
 /// Formats a float with 3 significant decimals.
@@ -194,14 +294,61 @@ mod tests {
         assert_eq!(ascii_curve(&[]), "(no data)\n");
     }
 
+    const FLAGS: &[Flag] = &[
+        Flag::Num("--keys"),
+        Flag::Num("--ops"),
+        Flag::Num("--workers"),
+        Flag::Text("--out"),
+        Flag::Switch("--verify-determinism"),
+    ];
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(FLAGS, args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--keys", "5000", "--ops", "100"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_u64(&args, "--keys", 1), 5000);
-        assert_eq!(arg_u64(&args, "--ops", 1), 100);
-        assert_eq!(arg_u64(&args, "--workers", 24), 24);
+        let a = parse(&[
+            "fig4",
+            "--keys",
+            "5000",
+            "--ops",
+            "100",
+            "--verify-determinism",
+        ])
+        .unwrap();
+        assert_eq!(a.num("--keys", 1), 5000);
+        assert_eq!(a.num("--ops", 1), 100);
+        assert_eq!(a.num("--workers", 24), 24);
+        assert_eq!(a.text("--out", "results"), "results");
+        assert!(a.switch("--verify-determinism"));
+        assert_eq!(a.words, ["fig4"]);
+        assert_eq!(
+            a.given().collect::<Vec<_>>(),
+            ["--keys", "--ops", "--verify-determinism"]
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected() {
+        // The misspelling that used to switch determinism checking off.
+        let err = parse(&["--verify-determinsm"]).unwrap_err();
+        assert!(err.contains("unknown flag --verify-determinsm"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_value_is_rejected() {
+        assert!(parse(&["--workers"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--out", "--keys", "5"])
+            .unwrap_err()
+            .contains("needs a value"));
+    }
+
+    #[test]
+    fn an_unparsable_number_is_rejected() {
+        // `--seeds x` used to run the default number of seeds.
+        let err = parse(&["--keys", "x"]).unwrap_err();
+        assert!(err.contains("takes a number"), "{err}");
+        assert!(parse(&["--ops", "-3"]).is_err());
     }
 }

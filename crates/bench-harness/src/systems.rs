@@ -1,7 +1,7 @@
 //! The four evaluated systems behind one worker-client interface.
 
 use baselines::{BaselineConfig, BaselineIndex};
-use dm_sim::{ClientStats, ClusterConfig, DmCluster};
+use dm_sim::{ClientStats, ClusterConfig, DmCluster, NetConfig};
 use sphinx::{CacheMode, SphinxConfig, SphinxIndex};
 
 /// The paper's CN-side cache budget (20 MB against a 60 M-key dataset —
@@ -48,11 +48,26 @@ impl System {
         [System::Sphinx, System::Smart, System::SmartC, System::Art]
     }
 
+    /// The system a command-line name denotes, in any case: `sphinx`,
+    /// `sphinx-inht`, `smart`, `smartc` or `smart+c`, `art`, `bptree` or
+    /// `btree`.
+    pub fn from_name(name: &str) -> Option<System> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "sphinx" => System::Sphinx,
+            "sphinx-inht" => System::SphinxInhtOnly,
+            "smart" => System::Smart,
+            "smartc" | "smart+c" => System::SmartC,
+            "art" => System::Art,
+            "bptree" | "btree" => System::BpTree,
+            _ => return None,
+        })
+    }
+
     /// Builds the system on a fresh cluster mirroring the paper's testbed
     /// (3 machines, each one CN + one MN). `cache_bytes` overrides the
     /// CN-side cache budget where the system has one.
     pub fn build(&self, mn_capacity: usize, cache_bytes: Option<usize>) -> SystemHandle {
-        self.build_on(&testbed(mn_capacity), cache_bytes)
+        self.build_on(&testbed(mn_capacity, NetConfig::default()), cache_bytes)
     }
 
     /// Builds the system with the paper's cache proportions for a run
@@ -61,12 +76,26 @@ impl System {
     /// clients alive at once: the reclamation pin-slot array is sized for
     /// them when the default does not cover them.
     pub fn build_scaled(&self, mn_capacity: usize, num_keys: u64, clients: usize) -> SystemHandle {
+        self.build_scaled_on(
+            &testbed(mn_capacity, NetConfig::default()),
+            num_keys,
+            clients,
+        )
+    }
+
+    /// [`build_scaled`](Self::build_scaled) on an existing cluster.
+    pub fn build_scaled_on(
+        &self,
+        cluster: &DmCluster,
+        num_keys: u64,
+        clients: usize,
+    ) -> SystemHandle {
         let cache = paper_cache_bytes(num_keys);
         let budget = match self {
             System::SmartC => 10 * cache,
             _ => cache,
         };
-        self.build_sized(&testbed(mn_capacity), Some(budget), clients)
+        self.build_sized(cluster, Some(budget), clients)
     }
 
     /// Builds the system on an existing cluster.
@@ -137,12 +166,13 @@ impl System {
 }
 
 /// A fresh cluster mirroring the paper's testbed: 3 machines, each one CN
-/// and one MN of `mn_capacity` bytes.
-fn testbed(mn_capacity: usize) -> DmCluster {
+/// and one MN of `mn_capacity` bytes, priced by the `net` cost model.
+pub fn testbed(mn_capacity: usize, net: NetConfig) -> DmCluster {
     DmCluster::new(ClusterConfig {
         num_mns: 3,
         num_cns: 3,
         mn_capacity,
+        net,
         ..Default::default()
     })
 }
@@ -554,5 +584,23 @@ mod tests {
             assert!(w.update(&key, b"value2"), "{}", sys.label());
             assert_eq!(w.scan(&lo, &hi), 1, "{}", sys.label());
         }
+    }
+
+    #[test]
+    fn system_names_are_the_union_of_both_parent_spellings_in_any_case() {
+        for (name, sys) in [
+            ("sphinx", System::Sphinx),
+            ("Sphinx-INHT", System::SphinxInhtOnly),
+            ("SMART", System::Smart),
+            ("smartc", System::SmartC),
+            ("smart+c", System::SmartC),
+            ("art", System::Art),
+            ("bptree", System::BpTree),
+            ("BTree", System::BpTree),
+        ] {
+            assert_eq!(System::from_name(name), Some(sys), "{name}");
+        }
+        assert_eq!(System::from_name("b+tree"), None);
+        assert_eq!(System::from_name(""), None);
     }
 }

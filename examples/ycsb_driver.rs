@@ -9,63 +9,54 @@
 //! Prints the virtual-time throughput/latency plus the network-cost
 //! counters for the chosen cell of the paper's Fig. 4 grid.
 
-use bench_harness::report::arg_u64;
+use bench_harness::report::{usage_exit, Args, Flag};
 use bench_harness::runner::{load_phase, run_phase, RunConfig};
 use bench_harness::systems::System;
 use ycsb::{KeySpace, Workload};
 
-fn arg_str<'a>(args: &'a [String], flag: &str, default: &'a str) -> &'a str {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map_or(default, |v| v.as_str())
-}
+const USAGE: &str = "usage: ycsb_driver [--system sphinx|sphinx-inht|smart|smartc|art|bptree] \
+    [--workload A|B|C|D|E|F|LOAD] [--dataset u64|email] [--keys N] [--ops N] [--workers N] \
+    [--uniform]";
+
+const FLAGS: &[Flag] = &[
+    Flag::Text("--system"),
+    Flag::Text("--workload"),
+    Flag::Text("--dataset"),
+    Flag::Num("--keys"),
+    Flag::Num("--ops"),
+    Flag::Num("--workers"),
+    Flag::Switch("--uniform"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let system = match arg_str(&args, "--system", "sphinx")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "sphinx" => System::Sphinx,
-        "sphinx-inht" => System::SphinxInhtOnly,
-        "smart" => System::Smart,
-        "smartc" | "smart+c" => System::SmartC,
-        "art" => System::Art,
-        "bptree" | "btree" => System::BpTree,
-        other => {
-            eprintln!("unknown system {other}; use sphinx|sphinx-inht|smart|smartc|art|bptree");
-            std::process::exit(2);
-        }
-    };
-    let mut workload = match Workload::by_name(arg_str(&args, "--workload", "A")) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload; use A|B|C|D|E|F|LOAD");
-            std::process::exit(2);
-        }
-    };
-    if args.iter().any(|a| a == "--uniform") {
+    let args =
+        Args::parse(FLAGS, std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(USAGE, &e));
+    if let Some(word) = args.words.first() {
+        usage_exit(USAGE, &format!("unexpected argument {word}"));
+    }
+    let system = args.text("--system", "sphinx");
+    let system = System::from_name(system)
+        .unwrap_or_else(|| usage_exit(USAGE, &format!("unknown system {system}")));
+    let workload = args.text("--workload", "A");
+    let mut workload = Workload::by_name(workload)
+        .unwrap_or_else(|| usage_exit(USAGE, &format!("unknown workload {workload}")));
+    if args.switch("--uniform") {
         workload = workload.with_uniform();
     }
-    let keyspace = match arg_str(&args, "--dataset", "u64")
-        .to_ascii_lowercase()
-        .as_str()
-    {
+    let keyspace = match args.text("--dataset", "u64").to_ascii_lowercase().as_str() {
         "u64" => KeySpace::U64,
         "email" => KeySpace::Email,
-        other => {
-            eprintln!("unknown dataset {other}; use u64|email");
-            std::process::exit(2);
-        }
+        other => usage_exit(USAGE, &format!("unknown dataset {other}")),
     };
-    if system == System::BpTree && arg_str(&args, "--dataset", "u64") != "u64" {
-        eprintln!("the B+tree supports fixed 8-byte keys only: use --dataset u64");
-        std::process::exit(2);
+    if system == System::BpTree && keyspace != KeySpace::U64 {
+        usage_exit(
+            USAGE,
+            "the B+tree supports fixed 8-byte keys only: use --dataset u64",
+        );
     }
-    let keys = arg_u64(&args, "--keys", 60_000);
-    let ops = arg_u64(&args, "--ops", 2_000);
-    let workers = arg_u64(&args, "--workers", 24) as usize;
+    let keys = args.num("--keys", 60_000);
+    let ops = args.num("--ops", 2_000);
+    let workers = args.num("--workers", 24) as usize;
 
     println!(
         "{} | YCSB-{} | {} | {} keys | {} workers x {} ops",
@@ -106,4 +97,22 @@ fn main() {
     println!("p99 latency      {:.2} us", result.p99_latency_us);
     println!("round trips/op   {:.2}", result.round_trips_per_op);
     println!("wire bytes/op    {:.0}", result.bytes_per_op);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_documented_command_line_parses_and_a_typo_does_not() {
+        let parse = |a: &[&str]| Args::parse(FLAGS, a.iter().map(|s| s.to_string()));
+        let a = parse(&["--system", "smart+c", "--workload", "A", "--workers", "96"]).unwrap();
+        assert_eq!(
+            System::from_name(a.text("--system", "")),
+            Some(System::SmartC)
+        );
+        assert_eq!(a.num("--workers", 24), 96);
+        assert!(parse(&["--worker", "96"]).is_err());
+        assert!(parse(&["--keys"]).is_err());
+    }
 }
