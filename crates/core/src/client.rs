@@ -28,60 +28,12 @@ pub(crate) struct AmbiguousProbe {
     /// Failed resolution attempts so far (abandoned past a bound).
     pub attempts: u32,
     /// Which install produced the ambiguity.
-    pub kind: ProbeKind,
-}
-
-/// The site-specific shape of an ambiguous install (see the resolution
-/// rules in `SphinxClient::apply_probe_evidence`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProbeKind {
-    /// Out-of-place update: `fresh` may have replaced the slot word
-    /// pointing at `old`.
-    SwapLeaf {
-        /// The leaf the replaced slot pointed at.
-        old: RemotePtr,
-        /// The replacement leaf.
-        fresh: RemotePtr,
-        /// `fresh`'s encoded size, for retirement accounting.
-        fresh_bytes: u64,
-    },
-    /// Leaf/path split: a new Node4 at `node` (holding a fresh leaf at
-    /// `leaf` plus the re-hung old occupant) may have replaced the slot
-    /// word pointing at `old`. Adoption keeps everything live.
-    NewInner {
-        /// The new inner node.
-        node: RemotePtr,
-        /// `node`'s encoded size.
-        node_bytes: u64,
-        /// The fresh leaf linked inside it.
-        leaf: RemotePtr,
-        /// `leaf`'s encoded size.
-        leaf_bytes: u64,
-        /// What the replaced slot pointed at (leaf or inner child).
-        old: RemotePtr,
-        /// `node`'s full-prefix length, for the INHT publish an adopted
-        /// install still owes.
-        plen: usize,
-    },
-    /// Type switch whose parent-slot swing was ambiguous: `grown` (holding
-    /// `leaf`) may have replaced `original` in the parent.
-    TypeSwitch {
-        /// The grown replacement node.
-        grown: RemotePtr,
-        /// The fresh leaf folded into the grown node.
-        leaf: RemotePtr,
-        /// The node that was being switched (left unlocked and live).
-        original: RemotePtr,
-        /// `original`'s kind, for the retirement re-read.
-        orig_kind: art_core::NodeKind,
-        /// `original`'s full-prefix length, for the INHT heal.
-        plen: usize,
-    },
+    pub kind: node_engine::Pending,
 }
 
 /// Where a lookup ended — defined once, by the descent every ART system
 /// hosts.
-pub(crate) use node_engine::{Descent, Outcome, SlotRef};
+pub(crate) use node_engine::{Descent, Outcome};
 
 /// A per-worker Sphinx client.
 ///

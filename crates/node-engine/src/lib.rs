@@ -13,7 +13,8 @@
 //!                  │                              shared RetryPolicy,
 //!                  │                              op pipeline driver,
 //!                  │                              key-following descent,
-//!                  │                              read-side ART walker)
+//!                  │                              read-side ART walker,
+//!                  │                              write protocol)
 //!              Transport                          (submit/poll/wait
 //!                  │                              completion queue;
 //!                  │                              execute = submit+wait)
@@ -32,7 +33,9 @@
 //! [`walk`] module is the rest of the read side of a remote ART — leaf
 //! sampling, prefix resolution, the level-batched range scan and the
 //! structural audit — written once against the [`ArtReader`] trait they
-//! implement.
+//! implement; the [`mod@write`] module is the write side — insert, update,
+//! delete, splits and the type switch — written once against the
+//! [`WriteHost`] trait they implement on top.
 //!
 //! Before this crate existed, `sphinx`, `baselines`, `bptree` and
 //! `race-hash` each carried a private copy of this scaffolding (torn-read
@@ -56,11 +59,13 @@ pub use dm_sim::RetryPolicy;
 pub mod descend;
 pub mod pipeline;
 pub mod walk;
+pub mod write;
 
 pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
 pub use dm_sim::FirstInline;
 pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH};
 pub use walk::{ArtReader, Sampled};
+pub use write::{Pending, WriteHost};
 
 /// Process-wide switch for leaf checksum validation (default on).
 ///
