@@ -13,9 +13,7 @@
 use art_core::key::MAX_KEY_LEN;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{
-    Completion, DmClient, DmError, DoorbellBatch, RemotePtr, RetryPolicy, Transport, Verb,
-};
+use dm_sim::{Completion, DmClient, DmError, DoorbellBatch, RemotePtr, RetryPolicy, Verb};
 use node_engine::walk::{self, any_leaf, Tracked};
 use node_engine::write;
 use node_engine::{
@@ -156,14 +154,14 @@ struct Run<'a, 'k> {
 type Step = Result<StepOutcome<Stop>, EngineError>;
 
 impl Run<'_, '_> {
-    fn phase<T: Transport>(&mut self, t: &T, phase: Phase) {
+    fn phase(&mut self, t: &DmClient, phase: Phase) {
         if let Some(span) = self.span.as_deref_mut() {
             span.phase(phase, t.stats(), t.clock_ns());
         }
     }
 
     /// Enters the descent at the root node.
-    fn enter<T: Transport>(&mut self, t: &mut T, root_node: InnerNode, from_cache: bool) -> Step {
+    fn enter(&mut self, t: &mut DmClient, root_node: InnerNode, from_cache: bool) -> Step {
         let via = Via {
             parent: None,
             word_ptr: self.root_word,
@@ -175,7 +173,7 @@ impl Run<'_, '_> {
         self.on_yield(t, y)
     }
 
-    fn on_yield<T: Transport>(&mut self, t: &mut T, y: Yield) -> Step {
+    fn on_yield(&mut self, t: &mut DmClient, y: Yield) -> Step {
         let (ptr, len, tag) = match y {
             Yield::Inner(ptr, len) => (ptr, len, TAG_TRAVERSAL),
             Yield::Leaf(ptr, len, again) => {
@@ -203,7 +201,7 @@ impl Run<'_, '_> {
 impl OpState for Run<'_, '_> {
     type Output = Stop;
 
-    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Completion>) -> Step {
+    fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
         let bytes = completion.map(|mut results| {
             let read = results.pop().expect("a lookup submits one read at a time");
             read.into_read()
@@ -412,7 +410,7 @@ impl BaselineClient {
     /// Looks up many keys keeping up to `depth` lookups in flight: one
     /// machine per key — the one [`BaselineClient::get`] drives alone —
     /// whose reads share a fused doorbell every scheduling round
-    /// ([`dm_sim::Transport::flush_submitted`]). Lookups in one window see
+    /// ([`dm_sim::DmClient::flush_submitted`]). Lookups in one window see
     /// the node cache as they find it: a node evicted or invalidated under
     /// a lookup in flight is simply fetched. Results are positionally
     /// aligned with `keys`; depth 1 issues the network charges of a loop
@@ -535,8 +533,6 @@ impl BaselineClient {
 
 /// How the walks of [`node_engine::walk`] read a baseline tree.
 impl ArtReader for BaselineClient {
-    type T = dm_sim::DmClient;
-
     fn transport(&mut self) -> &mut dm_sim::DmClient {
         &mut self.dm
     }

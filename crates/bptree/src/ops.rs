@@ -8,8 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dm_sim::{
-    Completion, DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken,
-    Transport, Verb,
+    Completion, DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb,
 };
 use node_engine::{EngineError, FirstInline, OpState, PipelineStats, StepOutcome};
 use obs::{OpKind, OpTrace, Phase, Tracer};
@@ -879,9 +878,9 @@ impl OpState for BpDescendOp<'_> {
         }
     }
 
-    fn step<T: Transport>(
+    fn step(
         &mut self,
-        t: &mut T,
+        t: &mut DmClient,
         completion: Option<Completion>,
     ) -> Result<StepOutcome<BpLeaf>, EngineError> {
         match std::mem::replace(

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy, Transport};
+use dm_sim::{ClientStats, DmClient, RemotePtr, RetryPolicy};
 use node_engine::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats};
 use obs::{OpKind, Phase, Recorder};
 use race_hash::RaceTable;
@@ -384,8 +384,6 @@ impl SphinxClient {
 
 /// How the walks of [`node_engine::walk`] read this client's tree.
 impl node_engine::ArtReader for SphinxClient {
-    type T = DmClient;
-
     fn transport(&mut self) -> &mut DmClient {
         &mut self.dm
     }

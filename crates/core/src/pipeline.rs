@@ -5,7 +5,7 @@
 //! entry search, Sphinx's own) → descent and validated leaf read (the
 //! [`node_engine::descend`] body every ART system hosts) → false-positive
 //! check. Instead of
-//! blocking on [`dm_sim::Transport::execute`] it yields a
+//! blocking on [`dm_sim::DmClient::execute`] it yields a
 //! [`StepOutcome::Submit`] at every round trip, so one body serves one
 //! lookup or many in flight: [`SphinxClient::locate`] drives a single
 //! machine through [`node_engine::run_pipelined`] at depth 1 (charge for
@@ -28,7 +28,7 @@
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{HashEntry, InnerNode, NodeStatus};
-use dm_sim::{Completion, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Transport, Verb};
+use dm_sim::{Completion, DmClient, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb};
 use node_engine::walk::any_leaf;
 use node_engine::{
     ArtReader, Descend, DescendHost, EngineError, FirstInline, OpState, PipelineStats, StepOutcome,
@@ -215,7 +215,7 @@ struct Run<'a, 'k> {
 }
 
 impl Run<'_, '_> {
-    fn phase<T: Transport>(&mut self, t: &T, phase: Phase) {
+    fn phase(&mut self, t: &DmClient, phase: Phase) {
         let now = t.clock_ns();
         if let Some(span) = self.span.as_deref_mut() {
             span.phase(phase, t.stats(), now);
@@ -227,7 +227,7 @@ impl Run<'_, '_> {
 
     /// Marks one failed attempt: on the trace now, on the enclosing span
     /// when the tally is folded.
-    fn retry<T: Transport>(&mut self, t: &T) {
+    fn retry(&mut self, t: &DmClient) {
         self.op.tally.retries += 1;
         if let Some(tr) = self.op.trace.as_mut() {
             tr.retry(t.clock_ns());
@@ -235,19 +235,19 @@ impl Run<'_, '_> {
     }
 
     /// Ends the run on `stop`.
-    fn stop<T: Transport>(&mut self, t: &T, stop: Stop) -> Step {
+    fn stop(&mut self, t: &DmClient, stop: Stop) -> Step {
         if let Some(tr) = self.op.trace.as_mut() {
             tr.end_ns = t.clock_ns();
         }
         Ok(StepOutcome::Done(stop))
     }
 
-    fn fail<T: Transport>(&mut self, t: &T, e: SphinxError) -> Step {
+    fn fail(&mut self, t: &DmClient, e: SphinxError) -> Step {
         self.stop(t, Stop::Failed(e))
     }
 
     /// Starts an entry-node search from the longest allowed prefix.
-    fn begin<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn begin(&mut self, t: &mut DmClient) -> Step {
         self.op.root_budget = self.op.retry.io_retries;
         self.op.probe_len = self.op.max_len;
         self.op.first = self.op.mode == CacheMode::FilterCache;
@@ -256,7 +256,7 @@ impl Run<'_, '_> {
 
     /// Chooses the prefix lengths to look up: the deepest one the filter
     /// claims (CN-local), or all of them without a filter (§III-A).
-    fn probe<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn probe(&mut self, t: &mut DmClient) -> Step {
         self.op.range = match self.op.mode {
             CacheMode::FilterCache => {
                 self.phase(t, Phase::SfcProbe);
@@ -277,7 +277,7 @@ impl Run<'_, '_> {
     }
 
     /// Submits the bucket-pair reads of `range` as one batch.
-    fn submit_pairs<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn submit_pairs(&mut self, t: &mut DmClient) -> Step {
         self.phase(t, Phase::InhtLookup);
         let (lo, hi) = self.op.range;
         let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
@@ -302,7 +302,7 @@ impl Run<'_, '_> {
     }
 
     /// Examines the deepest bucket pair not yet looked at.
-    fn next_level<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn next_level(&mut self, t: &mut DmClient) -> Step {
         let (Some(level), Some(bytes)) = (self.op.levels.pop(), self.op.pairs.pop()) else {
             return self.ladder_miss(t);
         };
@@ -312,9 +312,9 @@ impl Run<'_, '_> {
     /// Submits the first entry of `pair` from `from` on whose fingerprint
     /// matches the level's prefix for validation, or moves on when there is
     /// none.
-    fn next_candidate<T: Transport>(
+    fn next_candidate(
         &mut self,
-        t: &mut T,
+        t: &mut DmClient,
         level: Level,
         pair: Vec<u8>,
         from: usize,
@@ -345,7 +345,7 @@ impl Run<'_, '_> {
     }
 
     /// No bucket pair of this read held a valid entry.
-    fn ladder_miss<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn ladder_miss(&mut self, t: &mut DmClient) -> Step {
         self.op.tally.entry_misses += 1;
         if self.op.mode == CacheMode::FilterCache {
             self.op.first = false;
@@ -383,7 +383,7 @@ impl Run<'_, '_> {
 
     /// A node caught mid type-switch: back off and retake the lookup from
     /// the probe.
-    fn restart_invalid<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn restart_invalid(&mut self, t: &mut DmClient) -> Step {
         self.op.tally.invalid_retries += 1;
         self.retry(t);
         self.phase(t, Phase::Retry);
@@ -396,7 +396,7 @@ impl Run<'_, '_> {
     /// subtree. If they share less than `entry_len` bytes with the search
     /// key, both the fp₁₂ and the 42-bit prefix hash collided — restart
     /// with a shorter prefix bound.
-    fn false_positive<T: Transport>(&mut self, t: &T, found: &[u8]) -> bool {
+    fn false_positive(&mut self, t: &DmClient, found: &[u8]) -> bool {
         let entry_len = self.op.entry_len;
         if common_prefix_len(self.op.descend.key, found) >= entry_len {
             return false;
@@ -408,13 +408,13 @@ impl Run<'_, '_> {
     }
 
     /// Retakes the lookup from the probe.
-    fn restart<T: Transport>(&mut self, t: &mut T) -> Step {
+    fn restart(&mut self, t: &mut DmClient) -> Step {
         self.budgeted(t, Self::begin)
     }
 
     /// Spends one unit of the restart budget (restarts and directory
     /// refreshes share it), then continues with `next`.
-    fn budgeted<T: Transport>(&mut self, t: &mut T, next: fn(&mut Self, &mut T) -> Step) -> Step {
+    fn budgeted(&mut self, t: &mut DmClient, next: fn(&mut Self, &mut DmClient) -> Step) -> Step {
         self.op.restarts += 1;
         if self.op.restarts >= self.op.retry.op_retries {
             return self.fail(t, SphinxError::RetriesExhausted { op: "locate" });
@@ -444,7 +444,7 @@ impl Run<'_, '_> {
     /// Serves what the descent asked for: submits its read, stops for the
     /// driver, restarts, or — at its end — runs the false-positive check on
     /// the key it found.
-    fn on_yield<T: Transport>(&mut self, t: &mut T, y: Yield) -> Step {
+    fn on_yield(&mut self, t: &mut DmClient, y: Yield) -> Step {
         self.op.state = St::Descending;
         let (batch, tag) = match y {
             Yield::Inner(ptr, len) => (read_batch(ptr, len), TAG_TRAVERSAL),
@@ -511,7 +511,7 @@ impl OpState for Run<'_, '_> {
         }
     }
 
-    fn step<T: Transport>(&mut self, t: &mut T, completion: Option<Completion>) -> Step {
+    fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
         match std::mem::replace(&mut self.op.state, St::Start) {
             St::Start => {
                 let len = self.op.descend.key.len();
@@ -699,7 +699,7 @@ impl SphinxClient {
     /// different filter outcomes, or needing leaf-read retries all keep
     /// the window full, and every scheduling round the whole window's
     /// reads go out in one fused doorbell
-    /// ([`dm_sim::Transport::flush_submitted`]). With a warm filter cache
+    /// ([`dm_sim::DmClient::flush_submitted`]). With a warm filter cache
     /// `depth` lookups share three round-trip times.
     ///
     /// Results are positionally aligned with `keys`. Depth 1 issues the

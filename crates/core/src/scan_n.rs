@@ -8,7 +8,6 @@
 //! not the tree size.
 
 use art_core::layout::{InnerNode, NodeStatus, Slot};
-use dm_sim::Transport;
 use node_engine::walk::{level_spans, resolve_prefixes, settle_leaves, viable_children, Tracked};
 use obs::{OpKind, Phase};
 

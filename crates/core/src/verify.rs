@@ -54,8 +54,6 @@ struct Auditor {
 }
 
 impl node_engine::ArtReader for Auditor {
-    type T = DmClient;
-
     fn transport(&mut self) -> &mut DmClient {
         &mut self.dm
     }

@@ -9,7 +9,7 @@
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::layout::{HashEntry, InnerNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{DmClient, RemotePtr, RetryPolicy, Transport};
+use dm_sim::{DmClient, RemotePtr, RetryPolicy};
 use node_engine::write::{self, Pending};
 use node_engine::{install_word, read_inner_consistent, retire_leaf, Install, WriteHost};
 use obs::{OpKind, Phase};

@@ -9,9 +9,8 @@ use crate::error::DmError;
 use crate::inline::FirstInline;
 use crate::schedule::{GrantedStep, ScheduleHandle};
 use crate::stats::ClientStats;
-#[cfg(feature = "trace")]
 use crate::trace::{BurstEvent, TransportEvent, TransportTrace};
-use crate::transport::{Completion, CqState, FaultHook, SqeToken};
+use crate::transport::{Completion, FaultHook, SqeToken};
 
 /// A single one-sided RDMA operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,7 +247,21 @@ fn digest(bytes: &[u8]) -> u64 {
 }
 
 /// A compute-side client: issues one-sided verbs against the cluster and
-/// tracks its own virtual time and statistics.
+/// tracks its own virtual time and statistics. It is the one verb API every
+/// index crate uses; every round trip flows through its
+/// [`flush_submitted`](DmClient::flush_submitted), where the per-client
+/// [`ClientStats`], the memory nodes' ledgers and the cluster's
+/// [`FaultHook`] live.
+///
+/// Verbs follow the io_uring idiom: [`submit`](DmClient::submit) enqueues
+/// a batch without touching the network and returns an [`SqeToken`];
+/// [`flush_submitted`](DmClient::flush_submitted) rings the doorbell for
+/// everything pending, fusing same-MN verbs from *different* submissions
+/// into one physical message burst; [`poll`](DmClient::poll) /
+/// [`wait`](DmClient::wait) reap per-token completions. The blocking
+/// [`execute`](DmClient::execute) and every verb and batch combinator are
+/// submit+wait shims over this queue, so straight-line callers and
+/// pipelined ones (see `node-engine`'s op driver) share one charge path.
 ///
 /// Not `Sync`: create one per worker thread (the intended usage, matching
 /// per-coroutine contexts in the paper's systems).
@@ -259,9 +272,13 @@ pub struct DmClient {
     clock_ns: u64,
     stats: ClientStats,
     schedule: Option<ScheduleHandle>,
-    cq: CqState,
+    /// The token the next submission gets.
+    next_token: u64,
+    /// Submitted batches not yet flushed, in submission order.
+    sq: Vec<(SqeToken, DoorbellBatch)>,
+    /// Completions posted and not yet reaped.
+    cq: Vec<(SqeToken, Result<Completion, DmError>)>,
     scratch: FlushScratch,
-    #[cfg(feature = "trace")]
     trace: TransportTrace,
 }
 
@@ -284,9 +301,9 @@ struct FlushScratch {
     pending: Vec<(SqeToken, DoorbellBatch)>,
     /// The burst's messages and bytes per MN, indexed by MN id.
     tally: Vec<MnTally>,
-    /// Per submission of a fused flush: its logical round trips, or the
-    /// unknown MN it addressed.
-    fused: Vec<Result<u64, u16>>,
+    /// Per submission of a burst: its logical round trips, or the unknown
+    /// MN it addressed.
+    groups: Vec<Result<u64, u16>>,
 }
 
 impl DmClient {
@@ -301,9 +318,10 @@ impl DmClient {
             clock_ns: 0,
             stats: ClientStats::default(),
             schedule: None,
-            cq: CqState::new(),
+            next_token: 0,
+            sq: Vec::new(),
+            cq: Vec::new(),
             scratch,
-            #[cfg(feature = "trace")]
             trace: TransportTrace::default(),
         }
     }
@@ -342,7 +360,6 @@ impl DmClient {
 
     /// Advances the virtual clock by `ns` (models CN-side compute).
     pub fn advance_clock(&mut self, ns: u64) {
-        #[cfg(feature = "trace")]
         if ns > 0 && self.trace.enabled() {
             self.trace.push(TransportEvent::Advance {
                 from_ns: self.clock_ns,
@@ -357,12 +374,11 @@ impl DmClient {
     /// clock reset are meaningless.
     pub fn set_clock_ns(&mut self, ns: u64) {
         self.clock_ns = ns;
-        #[cfg(feature = "trace")]
         self.trace.clear();
     }
 
-    /// Turns transport-event tracing on or off for this client.
-    #[cfg(feature = "trace")]
+    /// Turns transport-event tracing on or off for this client (off until
+    /// turned on).
     pub fn trace_set_enabled(&mut self, on: bool) {
         self.trace.set_enabled(on);
     }
@@ -370,7 +386,6 @@ impl DmClient {
     /// The trace sequence number the next transport event will get. Take a
     /// mark before an op begins and pass it to
     /// [`trace_collect_since`](DmClient::trace_collect_since) at the end.
-    #[cfg(feature = "trace")]
     pub fn trace_mark(&self) -> u64 {
         self.trace.next_seq()
     }
@@ -378,7 +393,6 @@ impl DmClient {
     /// Appends every retained transport event with sequence ≥ `mark` to
     /// `out`; returns `false` if part of the window was evicted by the
     /// ring's capacity.
-    #[cfg(feature = "trace")]
     pub fn trace_collect_since(&self, mark: u64, out: &mut Vec<TransportEvent>) -> bool {
         self.trace.collect_since(mark, out)
     }
@@ -424,12 +438,17 @@ impl DmClient {
     /// [`flush_submitted`](DmClient::flush_submitted) or a
     /// [`wait`](DmClient::wait) that triggers one.
     pub fn submit(&mut self, batch: DoorbellBatch) -> SqeToken {
-        self.cq.enqueue(batch)
+        let token = SqeToken(self.next_token);
+        self.next_token += 1;
+        self.sq.push((token, batch));
+        token
     }
 
-    /// Reaps the completion for `token` if its batch has been flushed.
+    /// Reaps the completion for `token` if its batch has been flushed;
+    /// `None` while the batch still sits on the submission queue.
     pub fn poll(&mut self, token: SqeToken) -> Option<Result<Completion, DmError>> {
-        self.cq.reap(token)
+        let idx = self.cq.iter().position(|(t, _)| *t == token)?;
+        Some(self.cq.swap_remove(idx).1)
     }
 
     /// Blocks (in virtual time) until `token`'s completion is available:
@@ -444,76 +463,51 @@ impl DmClient {
     /// Panics if `token` was never submitted on this client or was
     /// already reaped.
     pub fn wait(&mut self, token: SqeToken) -> Result<Completion, DmError> {
-        if let Some(done) = self.cq.reap(token) {
+        if let Some(done) = self.poll(token) {
             return done;
         }
         self.flush_submitted();
-        self.cq
-            .reap(token)
+        self.poll(token)
             .expect("waited on an SqeToken that was never submitted (or already reaped)")
     }
 
     /// Rings the doorbell for every submitted batch and posts the
-    /// completions.
+    /// completions, charging them all through one routine:
     ///
-    /// Two regimes:
-    ///
-    /// * **Scheduled** (a [`ScheduleHandle`] is attached) or a single
-    ///   pending batch: each batch runs as its own granted step through
-    ///   the legacy blocking path. Under a deterministic schedule every
-    ///   in-flight operation therefore stays an independently schedulable
-    ///   participant and no cross-op fusion happens — determinism and the
-    ///   lincheck interleaving search are unaffected by pipelining.
-    /// * **Unscheduled, multiple batches**: the flush *fuses* them — all
-    ///   verbs go out in one burst, same-MN verbs from different batches
-    ///   share a single round trip (one per-message cost each, summed
-    ///   per-byte costs, one RTT), and the clock advances once by the
-    ///   slowest MN. Each batch still accounts its own logical
+    /// * **Unscheduled**, the whole queue is one burst: same-MN verbs from
+    ///   different batches share a single round trip (one per-message cost
+    ///   each, summed per-byte costs, one RTT), and the clock advances once
+    ///   by the slowest MN. Each batch still accounts its own logical
     ///   [`ClientStats::round_trips`]; only [`ClientStats::doorbells`]
     ///   records the smaller physical message-burst count.
+    /// * **Scheduled** (a [`ScheduleHandle`] is attached), each non-empty
+    ///   batch is its own burst and its own granted step — cost model and
+    ///   memory effects — so every in-flight operation stays an
+    ///   independently schedulable participant and no cross-op fusion
+    ///   happens. An empty batch takes no grant.
     pub fn flush_submitted(&mut self) {
-        // The drain buffer and the queue's swap places, so neither is ever
+        // The drain buffer and the queue swap places, so neither is ever
         // reallocated; it is lent out of `self` while the batches run.
         let mut pending = std::mem::take(&mut self.scratch.pending);
-        self.cq.drain_submitted(&mut pending);
-        if pending.len() == 1 || self.schedule.is_some() {
-            for (token, batch) in pending.drain(..) {
-                let result = self.execute_one(token, batch);
-                self.cq.complete(token, result);
-            }
-        } else if !pending.is_empty() {
-            self.flush_fused(&mut pending);
-        }
-        self.scratch.pending = pending;
-    }
-
-    /// The legacy blocking path: one batch, one (possibly scheduler-gated)
-    /// charged step. Byte-identical in cost and accounting to the
-    /// pre-completion-queue `execute`, which keeps depth-1 pipelining
-    /// equivalent to the blocking stack.
-    fn execute_one(
-        &mut self,
-        token: SqeToken,
-        batch: DoorbellBatch,
-    ) -> Result<Completion, DmError> {
-        if batch.is_empty() {
-            return Ok(Completion::default());
-        }
-        // Under a deterministic schedule the whole batch — cost model and
-        // memory effects — is one granted step: park at the gate, run,
-        // release. `take` sidesteps the self-borrow; the handle is always
-        // restored, and `gate_end` runs on error paths too.
+        std::mem::swap(&mut self.sq, &mut pending);
+        // `take` sidesteps the self-borrow; the handle is always restored.
         match self.schedule.take() {
-            None => self.execute_granted(token, batch, None),
+            None => self.flush_burst(&mut pending, None),
             Some(handle) => {
-                let has_cas = batch.verbs.iter().any(|v| matches!(v, Verb::Cas { .. }));
-                let grant = handle.gate_begin(has_cas);
-                let result = self.execute_granted(token, batch, Some(&grant));
-                handle.gate_end();
+                for one in pending.chunks_mut(1) {
+                    let verbs = one[0].1.verbs();
+                    let has_cas = verbs.iter().any(|v| matches!(v, Verb::Cas { .. }));
+                    let grant = (!verbs.is_empty()).then(|| handle.gate_begin(has_cas));
+                    self.flush_burst(one, grant.as_ref());
+                    if grant.is_some() {
+                        handle.gate_end();
+                    }
+                }
                 self.schedule = Some(handle);
-                result
             }
         }
+        pending.clear();
+        self.scratch.pending = pending;
     }
 
     /// Adds submission `stamp`'s verbs to the burst's per-MN tally and
@@ -582,127 +576,77 @@ impl DmClient {
         }
     }
 
-    fn execute_granted(
+    /// Charges `burst` — drained submissions that go out together — and
+    /// posts each one's completion: one physical doorbell per distinct MN
+    /// across the union of their verbs, one RTT, one clock advance, while
+    /// each submission keeps its own logical round trips and its own result.
+    /// Under a schedule the burst is one submission and `grant` its step: the
+    /// grant's delay holds the burst at the NIC before the verbs go out, and
+    /// its tear hook sees the READ completions.
+    fn flush_burst(
         &mut self,
-        token: SqeToken,
-        batch: DoorbellBatch,
+        burst: &mut [(SqeToken, DoorbellBatch)],
         grant: Option<&GrantedStep>,
-    ) -> Result<Completion, DmError> {
-        #[cfg(not(feature = "trace"))]
-        let _ = token;
-        // An injected delay models the batch being held at the NIC before
-        // submission: virtual time passes, then the verbs go out.
+    ) {
         let from_ns = self.clock_ns;
         let delay_ns = grant.map_or(0, |g| g.decision.delay_ns);
-        let now = from_ns + delay_ns;
-        self.count_verbs(&batch.verbs);
-
-        // Resolve every target before charging any NIC: a batch addressing
-        // an unknown MN is rejected whole, so no doorbell rings without a
-        // matching client-side doorbell count (conservation).
+        // Resolve every target before charging any NIC: a submission
+        // addressing an unknown MN is rejected whole (no charge, no effects),
+        // so it cannot poison its neighbours' charge and no doorbell rings
+        // without a matching client-side doorbell count (conservation).
         self.scratch.tally.fill(MnTally::default());
-        let groups = self
-            .tally(&batch.verbs, 1)
-            .map_err(|mn_id| DmError::UnknownMemoryNode { mn_id })?;
-
-        let (completion, doorbells) = self.charge_burst(now);
-        debug_assert_eq!(doorbells, groups);
-        let rtt = self.inner.config.net.rtt_ns;
-        let cpu = self.inner.config.net.client_op_ns * batch.verbs.len() as u64;
-        self.clock_ns = completion + rtt + cpu;
-
-        self.stats.round_trips += groups;
-        self.stats.doorbells += groups;
-
-        #[cfg(feature = "trace")]
-        if self.trace.enabled() {
-            let mut ev = BurstEvent::new(from_ns, self.clock_ns, delay_ns, cpu);
-            ev.doorbells = groups as u32;
-            ev.verbs = batch.verbs.len() as u32;
-            ev.grant_step = grant.map(|g| g.step);
-            ev.push_token(token.raw(), batch.verbs.len() as u32);
-            self.push_burst(ev);
-        }
-
-        // Apply memory effects and collect results. READ completions pass
-        // through the cluster-wide fault hook and, on a step whose
-        // schedule decision fired, the schedule's tear hook.
-        let fault_hook = self.inner.fault_hook.get();
-        let tear_hook = grant.and_then(|g| g.tear_hook.clone());
-        self.apply_effects(batch, &fault_hook, &tear_hook)
-    }
-
-    /// Records `ev` with the per-MN completion times of the burst just
-    /// charged.
-    #[cfg(feature = "trace")]
-    fn push_burst(&mut self, mut ev: BurstEvent) {
-        let served = self.scratch.tally.iter().enumerate();
-        for (mn_id, t) in served.filter(|(_, t)| t.msgs > 0) {
-            ev.push_mn_fin(mn_id as u16, t.fin_ns);
-        }
-        self.trace.push(TransportEvent::Burst(ev));
-    }
-
-    /// Fused flush of several independent batches (unscheduled path): one
-    /// physical doorbell per distinct MN across the union of all verbs,
-    /// one RTT, one clock advance — while each batch keeps its own logical
-    /// round-trip accounting and its own per-token result.
-    fn flush_fused(&mut self, pending: &mut Vec<(SqeToken, DoorbellBatch)>) {
-        let now = self.clock_ns;
-        // Validate targets up front: a batch addressing an unknown MN is
-        // rejected whole (no charge, no effects) so it cannot poison the
-        // fused charge for its neighbours.
-        self.scratch.tally.fill(MnTally::default());
-        let mut fused = std::mem::take(&mut self.scratch.fused);
+        let mut groups = std::mem::take(&mut self.scratch.groups);
         let mut total_verbs: u64 = 0;
-        for (i, (_, batch)) in pending.iter().enumerate() {
+        for (i, (_, batch)) in burst.iter().enumerate() {
             self.count_verbs(&batch.verbs);
-            let groups = self.tally(&batch.verbs, i as u32 + 1);
-            if groups.is_ok() {
+            let submission = self.tally(&batch.verbs, i as u32 + 1);
+            if submission.is_ok() {
                 total_verbs += batch.verbs.len() as u64;
             }
-            fused.push(groups);
+            groups.push(submission);
         }
 
-        // Charge the fused burst: the CN NIC once for the union, each MN
-        // NIC for its fused share (per-message costs add, the RTT is
-        // shared), clock to the slowest completion. An all-invalid flush
-        // charges nothing.
+        // An empty or all-invalid burst charges nothing.
         if total_verbs > 0 {
-            let (completion, doorbells) = self.charge_burst(now);
+            let (completion, doorbells) = self.charge_burst(from_ns + delay_ns);
             let rtt = self.inner.config.net.rtt_ns;
             let cpu = self.inner.config.net.client_op_ns * total_verbs;
             self.clock_ns = completion + rtt + cpu;
             self.stats.doorbells += doorbells;
 
-            #[cfg(feature = "trace")]
             if self.trace.enabled() {
-                let mut ev = BurstEvent::new(now, self.clock_ns, 0, cpu);
+                let mut ev = BurstEvent::new(from_ns, self.clock_ns, delay_ns, cpu);
                 ev.doorbells = doorbells as u32;
                 ev.verbs = total_verbs as u32;
-                for ((token, batch), groups) in pending.iter().zip(&fused) {
-                    if groups.is_ok() {
+                ev.grant_step = grant.map(|g| g.step);
+                for ((token, batch), submission) in burst.iter().zip(&groups) {
+                    if submission.is_ok() {
                         ev.push_token(token.raw(), batch.verbs.len() as u32);
                     }
                 }
-                self.push_burst(ev);
+                let served = self.scratch.tally.iter().enumerate();
+                for (mn_id, t) in served.filter(|(_, t)| t.msgs > 0) {
+                    ev.push_mn_fin(mn_id as u16, t.fin_ns);
+                }
+                self.trace.push(TransportEvent::Burst(ev));
             }
         }
 
         // Apply memory effects in submission order, verb order within a
-        // batch; each batch completes with its own results or error.
+        // batch; each submission completes with its own results or error.
         let fault_hook = self.inner.fault_hook.get();
-        for ((token, batch), groups) in pending.drain(..).zip(fused.drain(..)) {
-            let result = match groups {
+        let tear_hook = grant.and_then(|g| g.tear_hook.clone());
+        for ((token, batch), submission) in burst.iter_mut().zip(groups.drain(..)) {
+            let result = match submission {
                 Err(mn_id) => Err(DmError::UnknownMemoryNode { mn_id }),
-                Ok(groups) => {
-                    self.stats.round_trips += groups;
-                    self.apply_effects(batch, &fault_hook, &None)
+                Ok(round_trips) => {
+                    self.stats.round_trips += round_trips;
+                    self.apply_effects(std::mem::take(batch), &fault_hook, &tear_hook)
                 }
             };
-            self.cq.complete(token, result);
+            self.cq.push((*token, result));
         }
-        self.scratch.fused = fused;
+        self.scratch.groups = groups;
     }
 
     /// Applies a batch's memory effects in verb order and collects the
@@ -909,48 +853,6 @@ impl DmClient {
             .get(ptr.mn_id() as usize)
             .ok_or(DmError::UnknownMemoryNode { mn_id: ptr.mn_id() })?
             .free(ptr)
-    }
-}
-
-/// The simulator-backed [`Transport`](crate::Transport): supplies the
-/// required primitives and inherits the batch combinators. The inherent
-/// methods above keep working unchanged (they shadow the same-named trait
-/// provided methods with identical behaviour).
-impl crate::transport::Transport for DmClient {
-    fn cq(&mut self) -> &mut CqState {
-        &mut self.cq
-    }
-
-    fn flush_submitted(&mut self) {
-        DmClient::flush_submitted(self);
-    }
-
-    fn stats(&self) -> ClientStats {
-        DmClient::stats(self)
-    }
-
-    fn clock_ns(&self) -> u64 {
-        DmClient::clock_ns(self)
-    }
-
-    fn advance_clock(&mut self, ns: u64) {
-        DmClient::advance_clock(self, ns);
-    }
-
-    fn place(&self, hash: u64) -> u16 {
-        DmClient::place(self, hash)
-    }
-
-    fn num_mns(&self) -> u16 {
-        DmClient::num_mns(self)
-    }
-
-    fn alloc(&mut self, mn_id: u16, size: usize) -> Result<RemotePtr, DmError> {
-        DmClient::alloc(self, mn_id, size)
-    }
-
-    fn free(&mut self, ptr: RemotePtr) -> Result<(), DmError> {
-        DmClient::free(self, ptr)
     }
 }
 

@@ -45,7 +45,7 @@ impl Default for ClusterConfig {
 }
 
 /// Cluster-wide [`FaultHook`] slot: installed once, observed by every
-/// client at the READ choke point in `DmClient::execute`.
+/// client at the READ choke point in `DmClient::flush_submitted`.
 #[derive(Default)]
 pub(crate) struct FaultSlot(Mutex<Option<Arc<dyn FaultHook>>>);
 
@@ -83,7 +83,7 @@ pub(crate) struct ClusterInner {
 
 impl ClusterInner {
     /// Records one READ whose bytes were actually altered by the installed
-    /// [`FaultHook`] (called from the `DmClient::execute` choke point).
+    /// [`FaultHook`] (called from the `DmClient::flush_submitted` choke point).
     pub(crate) fn note_fault_injection(&self) {
         self.fault_injections.fetch_add(1, Ordering::Relaxed);
     }
@@ -246,8 +246,9 @@ impl DmCluster {
     /// Installs (or, with `None`, removes) the cluster-wide fault-injection
     /// hook. Every subsequent READ issued by any client — existing or newly
     /// created — passes its result bytes through the hook at the
-    /// [`Transport::execute`](crate::Transport::execute) choke point.
-    /// Remote memory is never altered, so injected faults are transient.
+    /// [`DmClient::flush_submitted`](crate::DmClient::flush_submitted)
+    /// choke point. Remote memory is never altered, so injected faults are
+    /// transient.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
         self.inner.fault_hook.set(hook);
     }

@@ -7,9 +7,12 @@
 //!   by `AtomicU64` words, so concurrent one-sided accesses exhibit the same
 //!   torn-read/torn-write behaviour as real RDMA, and 8-byte aligned words
 //!   can be manipulated atomically (RDMA CAS/FAA semantics).
-//! * **One-sided verbs** ([`DmClient`]): `read`, `write`, `cas`, `faa`, plus
-//!   [`DoorbellBatch`] for issuing many verbs in a single network round trip
-//!   (the doorbell-batching mechanism of Kalia et al., USENIX ATC'16).
+//! * **One-sided verbs** ([`DmClient`], the one verb API): `read`, `write`,
+//!   `cas`, `faa`, the batch combinators (`read_many`, `cas_and_read`, …),
+//!   plus [`DoorbellBatch`] for issuing many verbs in a single network round
+//!   trip (the doorbell-batching mechanism of Kalia et al., USENIX ATC'16)
+//!   and a submission/completion queue whose flush fuses the batches of
+//!   several in-flight ops into one burst.
 //! * **A virtual-time network model** ([`NetConfig`], [`Nic`]): every client
 //!   carries its own virtual clock; each round trip charges base RTT,
 //!   per-message NIC processing, and per-byte serialization, with NIC
@@ -65,4 +68,4 @@ pub use net::{NetConfig, Nic, NicCharge};
 pub use ring::HashRing;
 pub use schedule::{Schedule, ScheduleConfig, ScheduleHandle, StepDecision, TraceStep};
 pub use stats::{ClientStats, LatencyHistogram};
-pub use transport::{Completion, CqState, FaultHook, RetryPolicy, SqeToken, Transport};
+pub use transport::{Completion, FaultHook, RetryPolicy, SqeToken};

@@ -3,8 +3,8 @@
 //! Concurrency bugs in DM protocols hide in rare interleavings, and the OS
 //! scheduler samples only a vanishingly thin slice of them. A [`Schedule`]
 //! turns a multi-threaded simulation into a **lock-step** execution: every
-//! participating client blocks at the [`Transport::execute`] choke point
-//! until a seeded scheduler grants it the next step. Because at most one
+//! participating client blocks at the [`DmClient::flush_submitted`] choke
+//! point until a seeded scheduler grants it the next step. Because at most one
 //! participant is ever running between grants, the whole run — every verb,
 //! every allocation, every cache mutation — is a deterministic function of
 //! the seed, and any failing run replays byte-identically from its
@@ -45,7 +45,7 @@
 //! * Clients must not hold locks shared with other participants across
 //!   `execute` calls (none of the workspace index crates do).
 //!
-//! [`Transport::execute`]: crate::Transport::execute
+//! [`DmClient::flush_submitted`]: crate::DmClient::flush_submitted
 //! [`FaultHook`]: crate::FaultHook
 
 use std::fmt;

@@ -1,8 +1,9 @@
 //! Transport-level causal event tracing.
 //!
 //! The virtual clock of a [`DmClient`](crate::DmClient) only ever moves at
-//! three sites: a doorbell burst ([`execute`](crate::Transport::execute) /
-//! `flush_submitted`), a fused flush, or an explicit backoff
+//! two sites: a doorbell burst
+//! ([`flush_submitted`](crate::DmClient::flush_submitted), one batch or
+//! several fused), or an explicit backoff
 //! ([`advance_clock`](crate::DmClient::advance_clock)). Recording one event
 //! per site therefore yields a *complete* account of where an op's
 //! wall-clock (virtual) time went: any interval of a client's timeline is
@@ -13,10 +14,8 @@
 //! critical-path extractor can assert that its segment decomposition sums
 //! *exactly* to the op's end-to-end latency.
 //!
-//! Event types are always compiled (they are plain data and other crates
-//! name them in signatures); the per-client ring and its hot-path hooks
-//! only exist under the `trace` cargo feature, and even then every hook is
-//! a no-op until [`TransportTrace::set_enabled`] turns the ring on.
+//! Every client carries a ring, and every hook is a no-op (one branch)
+//! until [`TransportTrace::set_enabled`] turns it on.
 
 /// Most submissions a single [`BurstEvent`] records individually. A fused
 /// flush joining more ops than this sets

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use dm_sim::{
     ClientStats, ClusterConfig, DmClient, DmCluster, DmError, DoorbellBatch, FaultHook, RemotePtr,
-    Schedule, ScheduleConfig, Transport, Verb,
+    Schedule, ScheduleConfig, Verb,
 };
 
 const MNS: u16 = 3;
@@ -47,17 +47,26 @@ fn cluster() -> DmCluster {
     })
 }
 
-/// The script: 200 single reads, 50 four-verb batches across MNs, 50
-/// `cas_and_read`s, 20 flushes of 8 submissions — the eleventh with a
-/// batch to an unknown MN in its middle. Returns how many batches failed.
+/// The script: the single submissions, then the flushes. Returns how many
+/// batches failed.
 fn script(cl: &mut DmClient) -> usize {
-    let slots: Vec<RemotePtr> = (0..MNS)
+    let slots = slots(cl);
+    single_submissions(cl, &slots);
+    flushes(cl, &slots)
+}
+
+/// The slots the script addresses, `SLOTS_PER_MN` on each MN.
+fn slots(cl: &mut DmClient) -> Vec<RemotePtr> {
+    (0..MNS)
         .flat_map(|mn| (0..SLOTS_PER_MN).map(move |_| mn))
         .map(|mn| cl.alloc(mn, 64).expect("slot"))
-        .collect();
-    let at = |i: usize| slots[(i * 7) % slots.len()];
-    let mut failed = 0;
+        .collect()
+}
 
+/// The script's first part, where every flush holds one submission: 200
+/// single reads, 50 four-verb batches across MNs, 50 `cas_and_read`s.
+fn single_submissions(cl: &mut DmClient, slots: &[RemotePtr]) {
+    let at = |i: usize| slots[(i * 7) % slots.len()];
     for i in 0..200 {
         let got = cl.read(at(i), 8 + (i % 5) * 12).expect("single read");
         assert_eq!(got.len(), 8 + (i % 5) * 12);
@@ -89,6 +98,13 @@ fn script(cl: &mut DmClient) -> usize {
             .expect("cas_and_read");
         assert_eq!(bytes.len(), 32);
     }
+}
+
+/// The script's second part: 20 flushes of 8 submissions, the eleventh with
+/// a batch to an unknown MN in its middle. Returns how many batches failed.
+fn flushes(cl: &mut DmClient, slots: &[RemotePtr]) -> usize {
+    let at = |i: usize| slots[(i * 7) % slots.len()];
+    let mut failed = 0;
     for round in 0..20 {
         let tokens: Vec<_> = (0..8)
             .map(|j| {
@@ -247,6 +263,43 @@ fn the_adversarial_schedule_takes_the_parents_grants() {
         (460, 4689396232172138100, 3_150_064, 98, 244497311499443978),
     ];
     assert_eq!(got, pinned);
+}
+
+/// A schedule gates a step and adds nothing to its charge: the single
+/// submissions, run as the only participant of a quiet schedule, leave the
+/// ledger they leave unscheduled, one grant per submission.
+#[test]
+fn a_quiet_schedule_adds_nothing_to_a_single_submissions_charge() {
+    let run = |schedule: Option<&Schedule>| {
+        let c = cluster();
+        let mut cl = c.client(0);
+        if let Some(schedule) = schedule {
+            cl.attach_schedule(schedule.register());
+        }
+        let slots = slots(&mut cl);
+        single_submissions(&mut cl, &slots);
+        ledger(&c, &cl)
+    };
+    let schedule = Schedule::new(ScheduleConfig::quiet(1));
+    assert_eq!(run(Some(&schedule)), run(None));
+    assert_eq!(schedule.steps(), 300);
+}
+
+/// A flushed empty batch under a schedule takes no grant and charges
+/// nothing.
+#[test]
+fn a_scheduled_empty_batch_takes_no_grant() {
+    let c = cluster();
+    let schedule = Schedule::new(ScheduleConfig::adversarial(1));
+    let mut cl = c.client(0);
+    cl.attach_schedule(schedule.register());
+    let before = ledger(&c, &cl);
+    let token = cl.submit(DoorbellBatch::new());
+    cl.flush_submitted();
+    let completion = cl.poll(token).expect("flushed").expect("an empty batch");
+    assert!(completion.is_empty());
+    assert_eq!(schedule.steps(), 0);
+    assert_eq!(ledger(&c, &cl), before);
 }
 
 /// A cluster-wide fault hook counts exactly the reads it changed.

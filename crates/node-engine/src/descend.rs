@@ -22,7 +22,7 @@
 use art_core::hash::prefix_hash42;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use art_core::NodeKind;
-use dm_sim::{RemotePtr, RetryPolicy, Transport};
+use dm_sim::{DmClient, RemotePtr, RetryPolicy};
 
 use crate::walk::Sampled;
 use crate::{leaf_attempt, EngineError, LeafAttempt, LeafReadStats};
@@ -366,9 +366,9 @@ impl<'k> Descend<'k> {
     /// # Panics
     ///
     /// If resumed out of step with what it yielded.
-    pub fn resume<T: Transport, H: DescendHost>(
+    pub fn resume<H: DescendHost>(
         &mut self,
-        t: &mut T,
+        t: &mut DmClient,
         host: &mut H,
         bytes: Option<Vec<u8>>,
     ) -> Result<Yield, EngineError> {

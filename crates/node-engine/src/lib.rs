@@ -1,9 +1,8 @@
 //! # node-engine — validated remote node I/O
 //!
-//! The layer between the index structures and the [`Transport`]: every
-//! protocol building block that reads or publishes `art-core::layout`
-//! nodes over the network lives here, generic over any [`Transport`]
-//! implementation.
+//! The layer between the index structures and the substrate's one verb
+//! API, [`DmClient`]: every protocol building block that reads or publishes
+//! `art-core::layout` nodes over the network lives here.
 //!
 //! ```text
 //!   sphinx / baselines / bptree / race-hash     (index logic)
@@ -15,19 +14,18 @@
 //!                  │                              key-following descent,
 //!                  │                              read-side ART walker,
 //!                  │                              write protocol)
-//!              Transport                          (submit/poll/wait
-//!                  │                              completion queue;
-//!                  │                              execute = submit+wait)
-//!               dm-sim                            (verbs, doorbell
-//!                                                  batching + cross-op
-//!                                                  fusion, counters,
-//!                                                  fault hook)
+//!          dm_sim::DmClient                      (verbs + combinators,
+//!                                                 submit/poll/wait queue,
+//!                                                 one flush: doorbell
+//!                                                 batching + cross-op
+//!                                                 fusion, counters,
+//!                                                 fault hook)
 //! ```
 //!
 //! The [`pipeline`] module adds the other half of the seam: operations
 //! restructured as resumable state machines ([`OpState`]) driven by
 //! [`run_pipelined`], which keeps N ops in flight per worker over the
-//! transport's completion queue. The [`descend`] module is the descent that
+//! client's completion queue. The [`descend`] module is the descent that
 //! follows one search key from an inner node to what lies below it, as a
 //! resumable body the lookup machines of `sphinx` and `baselines` host; the
 //! [`walk`] module is the rest of the read side of a remote ART — leaf
@@ -42,7 +40,7 @@
 //! retry loops, CAS+read doorbell batches, ad-hoc retry constants). The
 //! single shared [`RetryPolicy`] and the primitives below replace all of
 //! them, so the per-op round-trip/byte accounting of every system flows
-//! through the same [`Transport::execute`] choke point.
+//! through the same [`DmClient::flush_submitted`] choke point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use art_core::hash::prefix_hash64;
 use art_core::layout::{InnerNode, LayoutError, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{DmError, RemotePtr, Transport, Verb};
+use dm_sim::{DmClient, DmError, RemotePtr, Verb};
 
 pub use dm_sim::RetryPolicy;
 
@@ -163,8 +161,8 @@ pub enum Install {
 ///
 /// [`EngineError::Dm`] on substrate failure, [`EngineError::Layout`] if the
 /// bytes do not decode as an inner node at all.
-pub fn read_inner_consistent<T: Transport>(
-    t: &mut T,
+pub fn read_inner_consistent(
+    t: &mut DmClient,
     ptr: RemotePtr,
     kind: NodeKind,
 ) -> Result<InnerNode, EngineError> {
@@ -205,15 +203,15 @@ pub enum LeafAttempt {
 /// bytes just fetched: a first word naming a larger leaf bumps
 /// [`LeafReadStats::extended_reads`] and asks for the true size; a torn
 /// image (checksum or length fields) bumps
-/// [`LeafReadStats::checksum_retries`], charges one [`Transport::backoff`]
+/// [`LeafReadStats::checksum_retries`], charges one [`DmClient::backoff`]
 /// and asks for the same bytes again. [`read_validated_leaf`] loops over it;
 /// [`descend::Descend`] takes one attempt per resume.
 ///
 /// # Errors
 ///
 /// [`EngineError::Layout`] for structural (non-checksum) decode failures.
-pub fn leaf_attempt<T: Transport>(
-    t: &mut T,
+pub fn leaf_attempt(
+    t: &mut DmClient,
     bytes: &[u8],
     read_len: usize,
     policy: &RetryPolicy,
@@ -256,8 +254,8 @@ pub fn leaf_attempt<T: Transport>(
 /// [`EngineError::RetriesExhausted`] when a writer livelocks the leaf past
 /// the policy bound, [`EngineError::Layout`] for structural (non-checksum)
 /// decode failures, [`EngineError::Dm`] on substrate failure.
-pub fn read_validated_leaf<T: Transport>(
-    t: &mut T,
+pub fn read_validated_leaf(
+    t: &mut DmClient,
     ptr: RemotePtr,
     hint: usize,
     policy: &RetryPolicy,
@@ -280,8 +278,8 @@ pub fn read_validated_leaf<T: Transport>(
 /// # Errors
 ///
 /// [`EngineError::Dm`] on allocation or write failure.
-pub fn write_new_leaf<T: Transport>(
-    t: &mut T,
+pub fn write_new_leaf(
+    t: &mut DmClient,
     key: &[u8],
     value: &[u8],
 ) -> Result<RemotePtr, EngineError> {
@@ -295,13 +293,13 @@ pub fn write_new_leaf<T: Transport>(
 /// hashing of its full prefix; returns its address.
 ///
 /// Hot insert paths batch this write with a companion leaf write via
-/// [`Transport::write_many`] instead; kept for cold paths and tests.
+/// [`DmClient::write_many`] instead; kept for cold paths and tests.
 ///
 /// # Errors
 ///
 /// [`EngineError::Dm`] on allocation or write failure.
-pub fn write_new_inner<T: Transport>(
-    t: &mut T,
+pub fn write_new_inner(
+    t: &mut DmClient,
     node: &InnerNode,
     prefix: &[u8],
 ) -> Result<RemotePtr, EngineError> {
@@ -317,8 +315,8 @@ pub fn write_new_inner<T: Transport>(
 /// # Errors
 ///
 /// [`EngineError::Dm`] on substrate failure.
-pub fn invalidate_inner<T: Transport>(
-    t: &mut T,
+pub fn invalidate_inner(
+    t: &mut DmClient,
     ptr: RemotePtr,
     node: &InnerNode,
 ) -> Result<(), EngineError> {
@@ -331,10 +329,10 @@ pub fn invalidate_inner<T: Transport>(
 /// client's limbo list sized by the leaf's true length and is freed once
 /// the grace period elapses. The caller must have won the unlink (the CAS
 /// that removed or replaced the leaf's slot, or the tombstone CAS) —
-/// never call `Transport::free` directly on a leaf other clients could
+/// never call `DmClient::free` directly on a leaf other clients could
 /// still reach.
-pub fn retire_leaf<T: Transport>(
-    t: &mut T,
+pub fn retire_leaf(
+    t: &mut DmClient,
     reclaim: &mut reclaim::ReclaimHandle,
     ptr: RemotePtr,
     leaf: &LeafNode,
@@ -351,8 +349,8 @@ pub fn retire_leaf<T: Transport>(
 ///
 /// [`EngineError::Dm`] if the invalidating store fails (the region is
 /// then *not* retired — readers may still be routed into it).
-pub fn retire_inner<T: Transport>(
-    t: &mut T,
+pub fn retire_inner(
+    t: &mut DmClient,
     reclaim: &mut reclaim::ReclaimHandle,
     ptr: RemotePtr,
     node: &InnerNode,
@@ -392,16 +390,16 @@ pub enum Unlink {
 ///
 /// [`EngineError::Dm`] on substrate failure, [`EngineError::Layout`] if a
 /// locked node does not decode.
-pub fn unlink_empty_inner<T: Transport>(
-    t: &mut T,
+pub fn unlink_empty_inner(
+    t: &mut DmClient,
     parent_ptr: RemotePtr,
     parent: &InnerNode,
     idx: usize,
     slot: &Slot,
     child: &InnerNode,
 ) -> Result<Unlink, EngineError> {
-    fn try_lock<T: Transport>(
-        t: &mut T,
+    fn try_lock(
+        t: &mut DmClient,
         ptr: RemotePtr,
         node: &InnerNode,
     ) -> Result<Option<InnerNode>, EngineError> {
@@ -458,8 +456,8 @@ pub fn unlink_empty_inner<T: Transport>(
 ///
 /// [`EngineError::Dm`] on substrate failure (including a misaligned word
 /// address).
-pub fn install_word<T: Transport>(
-    t: &mut T,
+pub fn install_word(
+    t: &mut DmClient,
     node_ptr: RemotePtr,
     offset: u64,
     expected: u64,
@@ -490,8 +488,8 @@ pub fn install_word<T: Transport>(
 /// # Errors
 ///
 /// [`EngineError::Dm`] on substrate failure.
-pub fn cas_locked_write<T: Transport>(
-    t: &mut T,
+pub fn cas_locked_write(
+    t: &mut DmClient,
     lock_ptr: RemotePtr,
     unlocked: u64,
     locked: u64,

@@ -6,10 +6,10 @@
 //! time parked on RTTs. The driver here keeps up to `depth` *independent*
 //! operations in flight on one worker: each op is an explicit state
 //! machine ([`OpState`]) that, instead of calling
-//! [`Transport::execute`], *returns* the [`DoorbellBatch`] it wants
+//! [`DmClient::execute`], *returns* the [`DoorbellBatch`] it wants
 //! posted ([`StepOutcome::Submit`]) and is resumed with the completion.
 //! Every scheduling round the driver submits one batch per in-flight op
-//! and issues a single [`Transport::flush_submitted`] — same-MN verbs
+//! and issues a single [`DmClient::flush_submitted`] — same-MN verbs
 //! from different ops fuse into one physical doorbell, and all in-flight
 //! ops share one RTT per round instead of paying one each.
 //!
@@ -17,7 +17,7 @@
 //!
 //! * `step(t, None)` is the initial call; `step(t, Some(results))` resumes
 //!   with the completion of the batch the previous call submitted.
-//! * `step` may use the transport for CPU-side work (placement, backoff,
+//! * `step` may use the client for CPU-side work (placement, backoff,
 //!   allocation) but must **not** call `execute`/`wait` — a blocking call
 //!   inside `step` would flush every peer's pending submission early.
 //!   (Correctness would survive — completions are reaped by token — but
@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use dm_sim::{Completion, DoorbellBatch, FirstInline, SqeToken, Transport};
+use dm_sim::{Completion, DmClient, DoorbellBatch, FirstInline, SqeToken};
 
 use crate::EngineError;
 
@@ -64,16 +64,16 @@ pub trait OpState {
     /// # Errors
     ///
     /// A fatal engine error aborts the whole pipeline run.
-    fn step<T: Transport>(
+    fn step(
         &mut self,
-        t: &mut T,
+        t: &mut DmClient,
         completion: Option<Completion>,
     ) -> Result<StepOutcome<Self::Output>, EngineError>;
 
     /// Called once when the driver admits the op into a pipeline slot (or
     /// would — ops that finish on their first step are still admitted),
     /// before the first [`step`](OpState::step). `now_ns` is the
-    /// transport's virtual clock. Default: no-op; tracing ops record a
+    /// client's virtual clock. Default: no-op; tracing ops record a
     /// pipeline-admission event here.
     fn on_admitted(&mut self, now_ns: u64) {
         let _ = now_ns;
@@ -237,8 +237,8 @@ struct Slot<S> {
 /// one op allocates nothing, see [`FirstInline`]).
 ///
 /// Each round: every in-flight op has exactly one submitted batch; one
-/// [`Transport::flush_submitted`] posts them all (fused on transports
-/// that support it); each op is resumed with its completion and either
+/// [`DmClient::flush_submitted`] posts them all (fused into one burst
+/// when unscheduled); each op is resumed with its completion and either
 /// resubmits (joining the next round) or finishes, freeing its slot for
 /// the next op off the iterator. `depth` is clamped to at least 1; depth
 /// 1 degenerates to the blocking path, one batch per flush.
@@ -251,14 +251,13 @@ struct Slot<S> {
 /// The first batch error or fatal `step` error aborts the run (remaining
 /// ops are abandoned; their effects so far are retained, as with blocking
 /// execution).
-pub fn run_pipelined<T, S, I>(
-    t: &mut T,
+pub fn run_pipelined<S, I>(
+    t: &mut DmClient,
     ops: I,
     depth: usize,
     mut stats: Option<&mut PipelineStats>,
 ) -> Result<FirstInline<S::Output>, EngineError>
 where
-    T: Transport,
     S: OpState,
     I: IntoIterator<Item = S>,
 {
@@ -329,8 +328,8 @@ where
 
 /// Applies one step's decision: stores a finished op's output, or submits
 /// the batch and returns its token.
-fn settle<T: Transport, S: OpState>(
-    t: &mut T,
+fn settle<S: OpState>(
+    t: &mut DmClient,
     stats: &mut Option<&mut PipelineStats>,
     output: &mut Option<S::Output>,
     op: &mut S,
@@ -371,9 +370,9 @@ mod tests {
     impl OpState for ChainRead {
         type Output = u64;
 
-        fn step<T: Transport>(
+        fn step(
             &mut self,
-            _t: &mut T,
+            _t: &mut DmClient,
             completion: Option<Completion>,
         ) -> Result<StepOutcome<u64>, EngineError> {
             if let Some(mut res) = completion {
@@ -410,7 +409,7 @@ mod tests {
         let mut ptrs = Vec::new();
         for i in 0..10u64 {
             let p = cl.alloc(0, 8).unwrap();
-            dm_sim::Transport::write_u64(&mut cl, p, 100 + i).unwrap();
+            cl.write_u64(p, 100 + i).unwrap();
             ptrs.push(p);
         }
         let ops = ptrs.iter().map(|&ptr| ChainRead {
@@ -437,7 +436,7 @@ mod tests {
             let mut ptrs = Vec::new();
             for i in 0..32u64 {
                 let p = cl.alloc(0, 8).unwrap();
-                dm_sim::Transport::write_u64(cl, p, i).unwrap();
+                cl.write_u64(p, i).unwrap();
                 ptrs.push(p);
             }
             ptrs
@@ -503,7 +502,7 @@ mod tests {
         let c = cluster();
         let mut cl = c.client(0);
         let ptr = cl.alloc(0, 8).unwrap();
-        dm_sim::Transport::write_u64(&mut cl, ptr, 9).unwrap();
+        cl.write_u64(ptr, 9).unwrap();
         let op = ChainRead {
             ptr,
             hops: 3,
@@ -518,9 +517,9 @@ mod tests {
         struct Nop;
         impl OpState for Nop {
             type Output = u8;
-            fn step<T: Transport>(
+            fn step(
                 &mut self,
-                _t: &mut T,
+                _t: &mut DmClient,
                 _c: Option<Completion>,
             ) -> Result<StepOutcome<u8>, EngineError> {
                 Ok(StepOutcome::Done(7))
@@ -546,12 +545,12 @@ mod tests {
         });
         let mut blocking = c.client(0);
         let p = blocking.alloc(0, 8).unwrap();
-        dm_sim::Transport::write_u64(&mut blocking, p, 42).unwrap();
+        blocking.write_u64(p, 42).unwrap();
         c.reset_network();
         blocking.set_clock_ns(0);
         let sb = blocking.stats();
         for _ in 0..6 {
-            dm_sim::Transport::read(&mut blocking, p, 8).unwrap();
+            blocking.read(p, 8).unwrap();
         }
         let blocking_elapsed = blocking.clock_ns();
         let blocking_stats = blocking.stats().since(&sb);

@@ -22,7 +22,7 @@
 use art_core::hash::prefix_hash42;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{FirstInline, RemotePtr, Transport};
+use dm_sim::{DmClient, FirstInline, RemotePtr};
 use std::ops::Range;
 
 use crate::{EngineError, LeafReadStats};
@@ -30,11 +30,8 @@ use crate::{EngineError, LeafReadStats};
 /// How the index hosting a walk reads its nodes — the only things that
 /// differ between Sphinx, SMART and ART on the read side.
 pub trait ArtReader {
-    /// The transport the host reads through.
-    type T: Transport;
-
-    /// The host's transport, for reads no policy applies to.
-    fn transport(&mut self) -> &mut Self::T;
+    /// The host's client, for reads no policy applies to.
+    fn transport(&mut self) -> &mut DmClient;
 
     /// Bytes fetched for a leaf on first contact.
     fn leaf_hint(&self) -> usize;
@@ -660,7 +657,6 @@ pub(crate) mod tests {
     pub(crate) struct Host(pub(crate) DmClient, pub(crate) LeafReadStats);
 
     impl ArtReader for Host {
-        type T = DmClient;
         fn transport(&mut self) -> &mut DmClient {
             &mut self.0
         }

@@ -19,7 +19,7 @@ use art_core::hash::prefix_hash64;
 use art_core::key::common_prefix_len;
 use art_core::layout::{InnerNode, LayoutError, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use art_core::NodeKind;
-use dm_sim::{DmError, RemotePtr, RetryPolicy, Transport};
+use dm_sim::{DmClient, DmError, RemotePtr, RetryPolicy};
 use obs::Phase;
 use reclaim::ReclaimHandle;
 
@@ -89,7 +89,7 @@ pub trait WriteHost: ArtReader {
     fn policy(&self) -> RetryPolicy;
 
     /// The transport and the epoch-reclamation handle, together.
-    fn parts(&mut self) -> (&mut Self::T, &mut ReclaimHandle);
+    fn parts(&mut self) -> (&mut DmClient, &mut ReclaimHandle);
 
     /// The op in flight enters `phase`.
     fn phase(&mut self, phase: Phase);

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
-use dm_sim::{DmClient, DmError, RemotePtr, RetryPolicy, Transport};
+use dm_sim::{DmClient, DmError, RemotePtr, RetryPolicy};
 
 use crate::layout::{
     bucket_offset, pair_index, BucketHeader, DirEntry, TableConfig, BUCKETS_PER_SEGMENT,

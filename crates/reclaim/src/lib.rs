@@ -20,7 +20,7 @@
 //! * an amortized **scan** — one doorbell round trip — that refreshes the
 //!   client's slot, advances the epoch, stamps new limbo entries, and
 //!   batch-frees every entry whose grace period has elapsed through the
-//!   substrate's reclamation path ([`Transport::free_many`]).
+//!   substrate's reclamation path ([`DmClient::free_many`]).
 //!
 //! ## The grace-period argument
 //!
@@ -45,7 +45,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dm_sim::{DmError, DoorbellBatch, RemotePtr, Transport, Verb, VerbResult};
+use dm_sim::{DmClient, DmError, DoorbellBatch, RemotePtr, Verb, VerbResult};
 
 /// Process-wide zero-grace-period override — the **broken-protocol mode**
 /// behind the CI negative test (mirrors `node_engine::set_leaf_validation`).
@@ -168,11 +168,7 @@ impl ReclaimDomain {
     /// # Errors
     ///
     /// Propagates substrate allocation/write errors.
-    pub fn create<T: Transport>(
-        t: &mut T,
-        mn_id: u16,
-        config: ReclaimConfig,
-    ) -> Result<Self, DmError> {
+    pub fn create(t: &mut DmClient, mn_id: u16, config: ReclaimConfig) -> Result<Self, DmError> {
         let epoch_ptr = t.alloc(mn_id, 8)?;
         t.write_u64(epoch_ptr, 1)?;
         let reg_ptr = t.alloc(mn_id, 8)?;
@@ -206,7 +202,7 @@ impl ReclaimDomain {
     /// Returns [`DmError::OutOfMemory`] when the slot array is exhausted
     /// (more than [`ReclaimConfig::max_clients`] *live* registrations),
     /// or any substrate error.
-    pub fn register<T: Transport>(&self, t: &mut T) -> Result<ReclaimHandle, DmError> {
+    pub fn register(&self, t: &mut DmClient) -> Result<ReclaimHandle, DmError> {
         let batch: DoorbellBatch = [
             Verb::Read {
                 ptr: self.slots_ptr,
@@ -303,7 +299,7 @@ impl ReclaimDomain {
 }
 
 /// A per-client reclamation handle: the client's slot, its limbo list,
-/// and the amortized scan machinery. One per worker, like the transport.
+/// and the amortized scan machinery. One per worker, like the client.
 #[derive(Debug)]
 pub struct ReclaimHandle {
     domain: ReclaimDomain,
@@ -338,7 +334,7 @@ impl ReclaimHandle {
     /// operations (or sooner once the limbo list passes its soft cap),
     /// runs one [`scan`](Self::scan). Returns `true` if a scan ran, so the
     /// caller can attribute the round trip to its maintenance phase.
-    pub fn unpin<T: Transport>(&mut self, t: &mut T) -> bool {
+    pub fn unpin(&mut self, t: &mut DmClient) -> bool {
         self.ops_since_scan += 1;
         if !self.active || !self.domain.config.enabled {
             return false;
@@ -363,7 +359,7 @@ impl ReclaimHandle {
     /// errors (e.g. double frees, which that mode can produce) are
     /// swallowed into [`ReclaimStats::errors`] so the serving path keeps
     /// running broken rather than crashing.
-    pub fn retire<T: Transport>(&mut self, t: &mut T, ptr: RemotePtr, bytes: u64) {
+    pub fn retire(&mut self, t: &mut DmClient, ptr: RemotePtr, bytes: u64) {
         if ptr.is_null() || !self.domain.config.enabled {
             return;
         }
@@ -399,9 +395,9 @@ impl ReclaimHandle {
     /// Unstamped limbo entries are stamped with the FAA's returned epoch,
     /// and every entry whose `retire_epoch + grace` is at or below the
     /// minimum of the *other* registered slots is batch-freed through
-    /// [`Transport::free_many`]. Substrate errors increment
+    /// [`DmClient::free_many`]. Substrate errors increment
     /// [`ReclaimStats::errors`] instead of failing the caller's operation.
-    pub fn scan<T: Transport>(&mut self, t: &mut T) {
+    pub fn scan(&mut self, t: &mut DmClient) {
         if !self.active || !self.domain.config.enabled {
             return;
         }
@@ -500,7 +496,7 @@ impl ReclaimHandle {
     /// Scans until the limbo list drains or `max_rounds` scans elapse;
     /// returns whether it drained. With concurrent registered peers their
     /// slots must advance too — quiesce every worker round-robin.
-    pub fn quiesce<T: Transport>(&mut self, t: &mut T, max_rounds: usize) -> bool {
+    pub fn quiesce(&mut self, t: &mut DmClient, max_rounds: usize) -> bool {
         for _ in 0..max_rounds {
             if self.limbo.is_empty() {
                 return true;
@@ -514,7 +510,7 @@ impl ReclaimHandle {
     /// longer gates anyone's grace periods, and deactivates the handle.
     /// Entries still in limbo stay unreclaimed (drain with
     /// [`quiesce`](Self::quiesce) first).
-    pub fn deregister<T: Transport>(&mut self, t: &mut T) {
+    pub fn deregister(&mut self, t: &mut DmClient) {
         if !self.active {
             return;
         }
