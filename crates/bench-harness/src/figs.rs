@@ -38,6 +38,9 @@ const BOTH: &[KeySpace] = &[KeySpace::U64, KeySpace::Email];
 const U64: &[KeySpace] = &[KeySpace::U64];
 const LINEUP: &[System] = &[System::Sphinx, System::Smart, System::SmartC, System::Art];
 const PIPELINED: &[usize] = &[1, node_engine::pipeline::DEFAULT_DEPTH];
+/// Bytes of each memory node of a grid; `fig6` and `fig6-reclaim` run on
+/// twice that.
+const MN_BYTES: usize = 1 << 30;
 const PIPELINE_COLUMNS: &str = "section,dataset,system,workers,depth,mops,speedup,rts_per_op,\
                                 doorbells_per_op,inht_rts_op,trav_rts_op,leaf_rts_op";
 
@@ -101,9 +104,6 @@ pub struct Scale {
     pub rounds: u64,
     /// The one key space to run (`--dataset u64|email`), or all.
     pub dataset: Option<KeySpace>,
-    /// Bytes of each memory node of a grid; `fig6` and `fig6-reclaim` run
-    /// on twice that. No flag sets it.
-    pub mn_bytes: usize,
 }
 
 /// How a figure runs.
@@ -351,7 +351,6 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
             total_ops: num("--total-ops"),
             rounds: num("--rounds"),
             dataset: f.default_of("--dataset").and(dataset),
-            mn_bytes: 1 << 30,
         };
         (f, scale)
     };
@@ -428,7 +427,7 @@ pub(crate) fn run_grid(grid: &Grid, scale: &Scale, measure: &mut Measure) -> Vec
                     continue;
                 }
                 let handle =
-                    system.build_scaled_on(&testbed(scale.mn_bytes, model()), scale.keys, clients);
+                    system.build_scaled_on(&testbed(MN_BYTES, model()), scale.keys, clients);
                 load_phase(&handle, keyspace, scale.keys, 8);
                 for &workload in grid.workloads {
                     for &workers in ladder {
@@ -624,7 +623,7 @@ fn fig6(s: &Scale) -> Output {
     for keyspace in [KeySpace::U64, KeySpace::Email] {
         let mut art_total = 0;
         for sys in [System::Art, System::Sphinx, System::Smart] {
-            let handle = sys.build(2 * s.mn_bytes, None);
+            let handle = sys.build(2 * MN_BYTES, None);
             load_phase(&handle, keyspace, s.keys, 8);
             let (art, aux) = handle.memory_breakdown();
             if sys == System::Art {
@@ -659,7 +658,7 @@ fn fig6_reclaim(s: &Scale) -> Output {
     for keyspace in [KeySpace::U64, KeySpace::Email] {
         for system in [System::Sphinx, System::Art] {
             for enabled in [false, true] {
-                let cluster = testbed(2 * s.mn_bytes, NetConfig::default());
+                let cluster = testbed(2 * MN_BYTES, NetConfig::default());
                 let reclaim = ReclaimConfig {
                     enabled,
                     ..ReclaimConfig::default()
@@ -769,7 +768,7 @@ fn sfc_stats(s: &Scale) -> Output {
                 },
                 ..SphinxConfig::default()
             };
-            let cluster = testbed(s.mn_bytes, NetConfig::default());
+            let cluster = testbed(MN_BYTES, NetConfig::default());
             let index = SphinxIndex::create(&cluster, config).expect("create sphinx");
             let handle = SystemHandle::Sphinx(index.clone());
             load_phase(&handle, keyspace, s.keys, 8);
@@ -838,20 +837,19 @@ mod tests {
     /// A CSV's name, header and first column.
     type Csv = (String, String, Vec<String>);
 
-    /// The one figure `args` names, on 64 MiB memory nodes.
-    fn small(args: &[&str]) -> (&'static Figure, Scale) {
+    /// The one figure `args` names.
+    fn one(args: &[&str]) -> (&'static Figure, Scale) {
         let [(figure, scale)] = cli(args).unwrap()[..] else {
             panic!("one figure")
         };
-        let mn_bytes = 64 << 20;
-        (figure, Scale { mn_bytes, ..scale })
+        (figure, scale)
     }
 
     /// Runs the one figure `args` names, small, each cell on one worker for
     /// a few ops, and returns what it would write: per CSV its name, header
     /// and first column, then the JSON names.
     fn layout(args: &[&str]) -> (Vec<Csv>, Vec<String>) {
-        let (figure, scale) = small(args);
+        let (figure, scale) = one(args);
         let mut tiny = |h: &SystemHandle, c: &RunConfig| {
             let c = RunConfig {
                 workers: 1,
@@ -1003,7 +1001,7 @@ mod tests {
             "--workers",
             "2",
         ];
-        let (figure, scale) = small(&args);
+        let (figure, scale) = one(&args);
         let out = run(figure, &scale);
         let [(name, table)] = &out.tables[..] else {
             panic!("one table")

@@ -8,6 +8,12 @@
 //!   RDMA gives, which is why Sphinx leaf nodes carry checksums;
 //! * accesses to a single aligned 8-byte word are atomic, matching RDMA
 //!   CAS/FAA and the paper's reliance on 8-byte control words (Fig. 3).
+//!
+//! The pool is lazily zeroed: one zeroed allocation, which for a pool of
+//! any real size is fresh pages the kernel maps on first touch. An MN
+//! therefore costs host memory for the pages its verbs and allocations
+//! touch, not for its capacity, and building one writes nothing. A byte
+//! never written reads 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,10 +42,7 @@ impl MemoryNode {
     /// Creates a memory node with a pool of `capacity` bytes (rounded up to
     /// a multiple of 8).
     pub fn new(id: u16, capacity: usize, net: &NetConfig) -> Self {
-        let words = capacity.div_ceil(8);
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
-        let words = v.into_boxed_slice();
+        let words = zeroed_words(capacity.div_ceil(8));
         let accounting = MnAccounting::new((words.len() * 8) as u64);
         MemoryNode {
             id,
@@ -244,9 +247,12 @@ impl MemoryNode {
                 requested: size,
             })?;
         // Zero the region so recycled blocks don't leak stale contents
-        // (a fresh RDMA-registered region is zeroed too).
-        let zero = vec![0u8; size];
-        self.write_bytes(off, &zero)?;
+        // (a fresh RDMA-registered region is zeroed too). The block is
+        // 8-aligned and its size class covers `size` in whole words.
+        let first = (off / 8) as usize;
+        for word in &self.words[first..first + size.div_ceil(8)] {
+            word.store(0, Ordering::Release);
+        }
         Ok(RemotePtr::new(self.id, off))
     }
 
@@ -286,6 +292,15 @@ impl MemoryNode {
             .then_some(())
             .ok_or(DmError::InvalidFree { ptr: ptr.to_raw() })
     }
+}
+
+/// `n` zero words in one zeroed allocation (see the module docs).
+#[allow(unsafe_code)]
+fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: all-zero bits are a valid `AtomicU64` (it has the in-memory
+    // representation of a `u64`), so every element of the zeroed slice is
+    // initialised.
+    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n).assume_init() }
 }
 
 #[cfg(test)]
@@ -377,6 +392,43 @@ mod tests {
         let mut b = [1u8; 64];
         mn.read_bytes(q.offset(), &mut b).unwrap();
         assert!(b.iter().all(|&x| x == 0));
+
+        // A dirty 128 B block reused for 100 B: the request's whole words
+        // are zeroed, the next block is not.
+        let p = mn.alloc(128).unwrap();
+        let next = mn.alloc(128).unwrap();
+        assert_eq!(next.offset(), p.offset() + 128);
+        mn.write_bytes(p.offset(), &[0xAB; 128]).unwrap();
+        mn.store_u64(next.offset(), 0x5EED).unwrap();
+        mn.free(p).unwrap();
+        let q = mn.alloc(100).unwrap();
+        assert_eq!(q, p);
+        let mut b = [1u8; 100];
+        mn.read_bytes(q.offset(), &mut b).unwrap();
+        assert!(b.iter().all(|&x| x == 0));
+        assert_eq!(mn.load_u64(next.offset()).unwrap(), 0x5EED);
+    }
+
+    /// The pool is lazily zeroed: a 1 GiB node with its last word written
+    /// makes the process resident for that word's page, not for the pool.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_untouched_pool_is_not_resident() {
+        fn vm_rss_kib() -> u64 {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+            line.split_whitespace().nth(1).unwrap().parse().unwrap()
+        }
+        let before = vm_rss_kib();
+        let mn = MemoryNode::new(0, 1 << 30, &NetConfig::default());
+        let last = mn.capacity() as u64 - 8;
+        mn.store_u64(last, 7).unwrap();
+        let grown = vm_rss_kib().saturating_sub(before);
+        assert_eq!(mn.load_u64(last).unwrap(), 7);
+        assert!(
+            grown < 64 << 10,
+            "{grown} KiB became resident for a 1 GiB node"
+        );
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! verbatim, identical probe behaviour) — that mode is the baseline leg
 //! of the `sfc_stats` cuckoo-vs-generational comparison.
 
+#![forbid(unsafe_code)]
+
 mod fuse;
 mod snapshot;
 
