@@ -14,7 +14,7 @@ use art_core::key::MAX_KEY_LEN;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
 use dm_sim::{Completion, DmClient, DmError, DoorbellBatch, RemotePtr, RetryPolicy, Verb};
-use node_engine::walk::{self, any_leaf, Tracked};
+use node_engine::walk::{self, any_leaf, Rows, Tracked};
 use node_engine::write;
 use node_engine::{
     install_word, run_pipelined, write_new_inner, write_new_leaf, ArtReader, Descend, DescendHost,
@@ -508,22 +508,37 @@ impl BaselineClient {
     /// # Errors
     ///
     /// Propagates substrate errors.
-    #[allow(clippy::type_complexity)]
-    pub fn scan(
+    pub fn scan(&mut self, low: &[u8], high: &[u8]) -> Result<Rows, BaselineError> {
+        self.walk_from_root(low, Some(high), None)
+    }
+
+    /// Up to `limit` entries with key ≥ `low`, ascending: the scan's walk
+    /// bounded by rows, whose cost tracks the rows it returns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates substrate errors.
+    pub fn scan_n(&mut self, low: &[u8], limit: usize) -> Result<Rows, BaselineError> {
+        self.walk_from_root(low, None, Some(limit))
+    }
+
+    /// One scan op: [`walk::scan`] from the root node.
+    fn walk_from_root(
         &mut self,
         low: &[u8],
-        high: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, BaselineError> {
+        high: Option<&[u8]>,
+        limit: Option<usize>,
+    ) -> Result<Rows, BaselineError> {
         self.stats.scans += 1;
         self.obs_begin(OpKind::Scan);
         self.obs_phase(Phase::Traversal);
         let mut below_root = || {
-            if low > high {
-                return Ok(Vec::new());
+            if high.is_some_and(|high| low > high) {
+                return Ok(Rows::new());
             }
             let root = self.root_slot(false)?;
-            let root_node = self.read_inner_mc(root.addr, root.child_kind, true)?;
-            Ok(walk::scan(self, &Tracked::root(root_node), low, high)?)
+            let root = Tracked::root(self.read_inner_mc(root.addr, root.child_kind, true)?);
+            Ok(walk::scan(self, &root, low, high, limit)?)
         };
         let r = below_root();
         self.op_exit();

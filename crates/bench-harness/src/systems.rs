@@ -394,20 +394,13 @@ impl WorkerClient {
         }
     }
 
-    /// The first `limit` entries with `key >= low`. Sphinx has a native
-    /// bounded scan; the baselines emulate it with a full-range scan
-    /// truncated to `limit`.
+    /// The first `limit` entries with `key >= low`. Every ART system walks
+    /// them natively; the B+-tree scans its leaf chain to the end and
+    /// truncates.
     pub fn scan_n(&mut self, low: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         match self {
             WorkerClient::Sphinx(c) => c.scan_n(low, limit).expect("scan_n"),
-            WorkerClient::Baseline(c) => {
-                // An upper bound above any legal key (keys are capped at
-                // 4096 bytes, all-0xFF at that length sorts last).
-                let high = vec![0xFFu8; 4096];
-                let mut pairs = c.scan(low, &high).expect("scan_n");
-                pairs.truncate(limit);
-                pairs
-            }
+            WorkerClient::Baseline(c) => c.scan_n(low, limit).expect("scan_n"),
             WorkerClient::BpTree(c) => {
                 let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = c
                     .scan(bp_key(low), u64::MAX)
@@ -584,6 +577,28 @@ mod tests {
             assert!(w.update(&key, b"value2"), "{}", sys.label());
             assert_eq!(w.scan(&lo, &hi), 1, "{}", sys.label());
         }
+    }
+
+    /// The baselines' `scan_n` is a walk that stops at `limit` rows, not a
+    /// scan of the whole tail truncated afterwards.
+    #[test]
+    fn art_scan_n_cost_tracks_result_size_not_tree_size() {
+        let handle = System::Art.build(64 << 20, None);
+        let mut w = handle.worker(0);
+        for i in 0..2_000u64 {
+            w.insert(&i.to_be_bytes(), b"v");
+        }
+        let before = w.net_stats().round_trips;
+        let rows = w.scan_n(&1_000u64.to_be_bytes(), 10);
+        let rts = w.net_stats().round_trips - before;
+        let want: Vec<Vec<u8>> = (1_000..1_010u64)
+            .map(|i| i.to_be_bytes().to_vec())
+            .collect();
+        assert_eq!(rows.into_iter().map(|(k, _)| k).collect::<Vec<_>>(), want);
+        assert!(
+            rts < 25,
+            "10-row scan over 2000 keys took {rts} round trips"
+        );
     }
 
     #[test]

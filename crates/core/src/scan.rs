@@ -6,7 +6,7 @@
 //! root.
 
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
-use node_engine::walk::{self, any_leaf, Prefix, Tracked};
+use node_engine::walk::{self, any_leaf, Prefix, Rows, Tracked};
 use node_engine::Sampled;
 use obs::{OpKind, Phase};
 
@@ -28,12 +28,7 @@ impl SphinxClient {
     ///
     /// Propagates substrate errors; torn leaf reads are retried
     /// internally.
-    #[allow(clippy::type_complexity)]
-    pub fn scan(
-        &mut self,
-        low: &[u8],
-        high: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, SphinxError> {
+    pub fn scan(&mut self, low: &[u8], high: &[u8]) -> Result<Rows, SphinxError> {
         self.stats.scans += 1;
         self.obs_begin(OpKind::Scan);
         let r = self.scan_inner(low, high);
@@ -41,12 +36,7 @@ impl SphinxClient {
         r
     }
 
-    #[allow(clippy::type_complexity)]
-    fn scan_inner(
-        &mut self,
-        low: &[u8],
-        high: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, SphinxError> {
+    fn scan_inner(&mut self, low: &[u8], high: &[u8]) -> Result<Rows, SphinxError> {
         if low > high {
             return Ok(Vec::new());
         }
@@ -59,7 +49,7 @@ impl SphinxClient {
                 known: Prefix::from_slice(&low[..plen]),
                 exact: true,
             };
-            let rows = walk::scan(self, &start, low, high)?;
+            let rows = walk::scan(self, &start, low, Some(high), None)?;
             // A row in range starts with the entry's prefix, so any row is
             // the false-positive check of §III-B, and the root needs none.
             if plen == 0 || !rows.is_empty() {
@@ -95,8 +85,6 @@ mod tests {
 
     use super::*;
     use crate::{CacheMode, SphinxConfig, SphinxIndex};
-
-    type Rows = Vec<(Vec<u8>, Vec<u8>)>;
 
     fn cluster(num_mns: u16) -> DmCluster {
         DmCluster::new(ClusterConfig {
@@ -139,7 +127,7 @@ mod tests {
     /// The walk `scan` replaced: root via the hash table, then down.
     fn root_down(client: &mut SphinxClient, low: &[u8], high: &[u8]) -> Rows {
         let (_, root, _) = client.locate_entry(b"", 0).unwrap();
-        walk::scan(client, &Tracked::root(root), low, high).unwrap()
+        walk::scan(client, &Tracked::root(root), low, Some(high), None).unwrap()
     }
 
     /// Virtual nanoseconds `f` takes on `client`.
@@ -337,6 +325,22 @@ mod tests {
         }
     }
 
+    /// `scan_n` is the same walk from the root: the switching node is waited
+    /// out there too, not skipped with its ten rows.
+    #[test]
+    fn a_node_switching_under_scan_n_is_reread_not_dropped() {
+        let (cluster, _index, mut client) = twin_subtrees();
+        let (below_ptr, mut below, _) = client.locate_entry(b"ab-01", 5).unwrap();
+        below.header.status = NodeStatus::Invalid;
+        rewrite(&cluster, below_ptr, below.encode(), 1);
+        let got = client.scan_n(b"ab-000", 200).unwrap();
+        assert_eq!(got.len(), 200);
+        assert_eq!(got, oracle("ab", 0..=199));
+        assert_eq!(cluster.fault_injections(), 1);
+        #[cfg(feature = "telemetry")]
+        assert_eq!(client.telemetry().op(OpKind::Scan).retries, 1);
+    }
+
     #[test]
     fn bounds_past_the_key_length_limit_are_clamped() {
         let (_cluster, _index, mut client) = twin_subtrees();
@@ -351,15 +355,22 @@ mod tests {
     }
 
     /// Leaves larger than `leaf_read_hint` are fetched again together, one
-    /// batch per level (per leaf run for `scan_n`), not one by one.
+    /// batch per round of the walk, not one by one.
     #[test]
     fn oversized_leaves_cost_one_more_batch_per_level() {
+        // No amortized reclamation scan inside a measured one.
+        let config = SphinxConfig {
+            reclaim: reclaim::ReclaimConfig {
+                scan_interval: u64::MAX,
+                ..Default::default()
+            },
+            ..SphinxConfig::default()
+        };
         for space in [KeySpace::U64, KeySpace::Email] {
             let cluster = cluster(1);
-            let (_i64, mut small, keys) = load(&cluster, SphinxConfig::default(), space, 6_000, 64);
+            let (_i64, mut small, keys) = load(&cluster, config.clone(), space, 6_000, 64);
             for val_len in [105, 200] {
-                let (_ibig, mut big, _) =
-                    load(&cluster, SphinxConfig::default(), space, 6_000, val_len);
+                let (_ibig, mut big, _) = load(&cluster, config.clone(), space, 6_000, val_len);
                 for (low, high) in ranges(&keys, 12) {
                     let rts = |c: &mut SphinxClient, scan_n: bool| {
                         let (net, io) = (c.net_stats().round_trips, c.op_stats());

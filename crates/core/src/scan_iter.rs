@@ -20,8 +20,6 @@ pub struct ScanIter<'a> {
     resume: Option<Vec<u8>>,
     buffer: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
     page_size: usize,
-    /// Deferred error (surfaced as the final item).
-    error: Option<SphinxError>,
 }
 
 impl SphinxClient {
@@ -54,7 +52,6 @@ impl SphinxClient {
             resume: Some(low.to_vec()),
             buffer: Vec::new().into_iter(),
             page_size: DEFAULT_PAGE,
-            error: None,
         }
     }
 }
@@ -65,38 +62,29 @@ impl ScanIter<'_> {
         self.page_size = page_size.max(1);
         self
     }
-
-    /// Fetches the page that starts at `low`.
-    fn refill(&mut self, low: &[u8]) {
-        // One extra row: a full page then distinguishes "more remains" from
-        // "exhausted", and the extra row's key is where the next page
-        // starts.
-        match self.client.scan_n(low, self.page_size.saturating_add(1)) {
-            Ok(mut page) => {
-                if page.len() > self.page_size {
-                    self.resume = page.pop().map(|(key, _)| key);
-                }
-                self.buffer = page.into_iter();
-            }
-            Err(e) => self.error = Some(e),
-        }
-    }
 }
 
 impl Iterator for ScanIter<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>), SphinxError>;
 
+    /// Fetches the next page when the buffer runs dry. An error is the item
+    /// of the call that met it and ends the cursor (`resume` is taken).
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(kv) = self.buffer.next() {
-                return Some(Ok(kv));
-            }
-            if let Some(e) = self.error.take() {
-                return Some(Err(e));
-            }
+        while self.buffer.as_slice().is_empty() {
             let low = self.resume.take()?;
-            self.refill(&low);
+            // One extra row: a full page then distinguishes "more remains"
+            // from "exhausted", and the extra row's key is where the next
+            // page starts.
+            let mut page = match self.client.scan_n(&low, self.page_size.saturating_add(1)) {
+                Ok(page) => page,
+                Err(e) => return Some(Err(e)),
+            };
+            if page.len() > self.page_size {
+                self.resume = page.pop().map(|(key, _)| key);
+            }
+            self.buffer = page.into_iter();
         }
+        self.buffer.next().map(Ok)
     }
 }
 

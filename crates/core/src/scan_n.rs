@@ -1,14 +1,13 @@
 //! Limited ordered scans — an extension beyond the paper.
 //!
 //! YCSB-E's native operation is "scan the next N keys from a start key",
-//! which a `[low, high]` range scan can only approximate. `scan_n` walks
-//! the tree depth-first in key order with *lazy* child reads (a subtree is
-//! only fetched when the ordered walk actually reaches it) and doorbell-
-//! batches runs of adjacent leaves, so the cost tracks the result size,
-//! not the tree size.
+//! which a `[low, high]` range scan can only approximate. `scan_n` is the
+//! one range walk, [`node_engine::walk::scan`], from the root in its
+//! row-bounded mode: each round reads the leading leaves of a key-ordered
+//! frontier together with the next inner node, so the cost tracks the
+//! result size, not the tree size.
 
-use art_core::layout::{InnerNode, NodeStatus, Slot};
-use node_engine::walk::{level_spans, resolve_prefixes, settle_leaves, viable_children, Tracked};
+use node_engine::walk::{self, Rows, Tracked};
 use obs::{OpKind, Phase};
 
 use crate::client::SphinxClient;
@@ -20,9 +19,8 @@ impl SphinxClient {
     ///
     /// # Errors
     ///
-    /// Propagates substrate errors; torn leaf reads are retried
-    /// internally and skipped if they never settle, like
-    /// [`SphinxClient::scan`].
+    /// Propagates substrate errors; torn leaf reads and nodes caught mid
+    /// type-switch are retried internally, like [`SphinxClient::scan`].
     ///
     /// # Examples
     ///
@@ -42,105 +40,18 @@ impl SphinxClient {
     /// # Ok(())
     /// # }
     /// ```
-    #[allow(clippy::type_complexity)]
-    pub fn scan_n(
-        &mut self,
-        low: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, SphinxError> {
+    pub fn scan_n(&mut self, low: &[u8], limit: usize) -> Result<Rows, SphinxError> {
         self.stats.scans += 1;
         self.obs_begin(OpKind::Scan);
-        let r = self.scan_n_inner(low, limit);
+        let mut from_root = || {
+            let (_, root, _) = self.locate_entry(&[], 0)?;
+            self.obs_phase(Phase::Traversal);
+            let root = Tracked::root(root);
+            Ok(walk::scan(self, &root, low, None, Some(limit))?)
+        };
+        let r = from_root();
         self.op_exit();
         r
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn scan_n_inner(
-        &mut self,
-        low: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, SphinxError> {
-        let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(limit);
-        if limit == 0 {
-            return Ok(results);
-        }
-        let (_, root, _) = self.locate_entry(&[], 0)?;
-        self.obs_phase(Phase::Traversal);
-        // Stack of unfetched subtrees in reverse key order (smallest on
-        // top). Seed with the root's children.
-        let mut stack: Vec<Tracked<Slot>> = Vec::new();
-        self.push_children(Tracked::root(root), low, &mut stack)?;
-
-        while results.len() < limit {
-            // Batch a maximal run of leaves from the top of the stack (they
-            // are key-adjacent siblings/cousins — the common case deep in
-            // a scan window).
-            let mut leaf_run = 0;
-            while leaf_run < stack.len()
-                && stack[stack.len() - 1 - leaf_run].at.is_leaf
-                && leaf_run < limit - results.len() + 2
-            {
-                leaf_run += 1;
-            }
-            if leaf_run > 0 {
-                let start = stack.len() - leaf_run;
-                let run_reads: Vec<_> = stack
-                    .drain(start..)
-                    .rev()
-                    .map(|p| (p.at.addr, self.config.leaf_read_hint))
-                    .collect();
-                self.obs_phase(Phase::LeafRead);
-                let level = self.dm.read_packed(&run_reads)?;
-                let run = level_spans(&run_reads).map(|(addr, span)| (addr, &level[span]));
-                for leaf in settle_leaves(self, run)?.into_iter().flatten() {
-                    if leaf.status != NodeStatus::Invalid && leaf.key.as_slice() >= low {
-                        results.push((leaf.key, leaf.value));
-                    }
-                }
-                self.obs_phase(Phase::Traversal);
-                continue;
-            }
-
-            // Otherwise the next item is an inner subtree: fetch just it.
-            let Some(p) = stack.pop() else { break };
-            let bytes = self
-                .dm
-                .read(p.at.addr, InnerNode::byte_size(p.at.child_kind))?;
-            let Ok(node) = InnerNode::decode(&bytes) else {
-                continue;
-            };
-            if node.header.status == NodeStatus::Invalid || node.header.kind != p.at.child_kind {
-                continue; // mid type-switch; reachable via a later scan
-            }
-            let node = Tracked {
-                at: node,
-                known: p.known,
-                exact: p.exact,
-            };
-            self.push_children(node, low, &mut stack)?;
-        }
-        // Leaf batches may overshoot slightly; trim and the order is
-        // already ascending by construction.
-        results.truncate(limit);
-        Ok(results)
-    }
-
-    /// Resolves `node`'s full prefix where path compression hid it
-    /// (without that, pruning dies and the scan degrades to a subtree
-    /// sweep), then queues its viable children — value slot first,
-    /// children by dispatch byte — in reverse key order.
-    fn push_children(
-        &mut self,
-        mut node: Tracked<InnerNode>,
-        low: &[u8],
-        stack: &mut Vec<Tracked<Slot>>,
-    ) -> Result<(), SphinxError> {
-        resolve_prefixes(self, std::slice::from_mut(&mut node))?;
-        let start = stack.len();
-        viable_children(&node, low, None, stack);
-        stack[start..].reverse();
-        Ok(())
     }
 }
 

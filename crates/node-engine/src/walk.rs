@@ -10,10 +10,11 @@
 //!    node's full prefix), a bounded depth-first sampler that steps past
 //!    emptied children and answers [`Sampled::Leaf`], [`Sampled::Empty`] or
 //!    [`Sampled::Busy`];
-//! 2. prefix resolution and the pruning rule of range walks
-//!    ([`resolve_prefixes`], [`viable_children`], [`range_may_intersect`]);
-//! 3. [`scan`] — the level-batched range scan of §IV, from any inner node
-//!    whose full prefix is known;
+//! 2. prefix resolution and the pruning rule of range walks (private to
+//!    [`scan`]);
+//! 3. [`scan`] — the one range walk: the level-batched range scan of §IV,
+//!    or the first `limit` rows from a start key, from any inner node whose
+//!    full prefix is known;
 //! 4. [`audit`] — the structural audit behind every `verify()`, with a
 //!    per-node hook for what only the host can check.
 //!
@@ -57,9 +58,9 @@ pub trait ArtReader {
     /// its own. The default counts nothing.
     fn note_leaf_io(&mut self, _io: LeafReadStats) {}
 
-    /// Issues one scan level's reads and returns their bytes in **one**
-    /// buffer, back to back in input order ([`level_spans`] says where
-    /// each lies). The default is one doorbell batch for the whole level.
+    /// Issues one scan round's reads and returns their bytes in **one**
+    /// buffer, back to back in input order. The default is one doorbell
+    /// batch for the whole round.
     ///
     /// # Errors
     ///
@@ -99,7 +100,7 @@ pub trait ArtReader {
 
 /// Where each read of a level fetched with [`ArtReader::read_level`] lies
 /// in the level's buffer: `(address, byte range)`, in input order.
-pub fn level_spans(
+fn level_spans(
     reads: &[(RemotePtr, usize)],
 ) -> impl Iterator<Item = (RemotePtr, Range<usize>)> + '_ {
     let mut end = 0;
@@ -166,6 +167,9 @@ pub fn any_leaf<H: ArtReader>(host: &mut H, node: &InnerNode) -> Result<Sampled,
     Ok(Sampled::Empty)
 }
 
+/// What a range walk returns: `(key, value)` rows, ascending by key.
+pub type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
 /// The prefix bytes a range walk tracks per queued subtree: on the stack up
 /// to 40 bytes (every key of the paper's datasets), on the heap beyond.
 pub type Prefix = dm_sim::InlineVec<u8, 40>;
@@ -223,7 +227,7 @@ impl Tracked<InnerNode> {
 /// # Errors
 ///
 /// What the host's reads return.
-pub fn resolve_prefixes<H: ArtReader>(
+fn resolve_prefixes<H: ArtReader>(
     host: &mut H,
     nodes: &mut [Tracked<InnerNode>],
 ) -> Result<(), EngineError> {
@@ -266,7 +270,7 @@ pub fn resolve_prefixes<H: ArtReader>(
 
 /// Whether a subtree whose keys all start with `known` can hold keys in
 /// `[low, high]` (`None`: unbounded above).
-pub fn range_may_intersect(known: &[u8], low: &[u8], high: Option<&[u8]>) -> bool {
+fn range_may_intersect(known: &[u8], low: &[u8], high: Option<&[u8]>) -> bool {
     // Every key below is >= known, so known > high puts them all above.
     if high.is_some_and(|high| known > high) {
         return false;
@@ -299,7 +303,7 @@ fn child_window(known: &[u8], low: &[u8], high: Option<&[u8]>) -> Option<(u8, u8
 /// only an inner child of an exact node gets a tracked prefix (a leaf is
 /// filtered by its real key, a child of an inexact node is resolved from
 /// scratch).
-pub fn viable_children(
+fn viable_children(
     n: &Tracked<InnerNode>,
     low: &[u8],
     high: Option<&[u8]>,
@@ -348,7 +352,7 @@ pub fn viable_children(
 /// # Errors
 ///
 /// What the host's reads return, retry exhaustion excepted.
-pub fn settle_leaves<'a, H: ArtReader>(
+fn settle_leaves<'a, H: ArtReader>(
     host: &mut H,
     fetched: impl Iterator<Item = (RemotePtr, &'a [u8])>,
 ) -> Result<Vec<Option<LeafNode>>, EngineError> {
@@ -392,43 +396,61 @@ pub fn settle_leaves<'a, H: ArtReader>(
     Ok(leaves)
 }
 
-/// Every `(key, value)` with `low <= key <= high` below `start`, ascending
-/// (§IV "Scan"): top-down from `start`, each level pruned, fetched through
-/// [`ArtReader::read_level`] and then resolved. `start` is any inner node
-/// whose full prefix is `start.known`, exactly — the root
-/// ([`Tracked::root`]), or a deeper node the host found some other way; the
-/// walk returns the rows of that subtree only, so it is complete when the
-/// prefix prefixes both bounds. A best-effort snapshot under concurrent
-/// structural changes, like the paper's protocol.
+/// Every `(key, value)` with `key >= low` below `start`, ascending (§IV
+/// "Scan"): up to `high` inclusive when it is given, and only the first
+/// `limit` rows when that is. `start` is any inner node whose full prefix
+/// is `start.known`, exactly — the root ([`Tracked::root`]), or a deeper
+/// node the host found some other way; the walk returns the rows of that
+/// subtree only, so it is complete when the prefix prefixes both bounds. A
+/// best-effort snapshot under concurrent structural changes, like the
+/// paper's protocol.
+///
+/// The frontier — the slots queued and not read yet — stays in key order,
+/// and each round reads a prefix of it through one
+/// [`ArtReader::read_level`], then resolves and prunes what it found.
+/// Without a `limit` a round is the whole frontier, one tree level. With
+/// one it is the frontier's leading leaves and, when they cannot settle
+/// the rows still owed, the first inner node after them, whose children
+/// take its place; nothing before a row is left unread, so every row is
+/// final and the walk stops at `limit`.
 ///
 /// # Errors
 ///
 /// What the host's reads return.
-#[allow(clippy::type_complexity)]
 pub fn scan<H: ArtReader>(
     host: &mut H,
     start: &Tracked<InnerNode>,
     low: &[u8],
-    high: &[u8],
-) -> Result<Vec<(Vec<u8>, Vec<u8>)>, EngineError> {
+    high: Option<&[u8]>,
+    limit: Option<usize>,
+) -> Result<Rows, EngineError> {
     let hint = host.leaf_hint();
-    let mut results: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    // Level buffers, reused from one level to the next.
-    let (mut inners, mut pending) = (Vec::new(), Vec::new());
+    let rows = limit.unwrap_or(usize::MAX);
+    let mut results = Rows::new();
+    // Round buffers, reused from one round to the next.
+    let (mut inners, mut frontier) = (Vec::new(), Vec::new());
     let (mut reads, mut leaves) = (Vec::new(), Vec::new());
-    viable_children(start, low, Some(high), &mut pending);
-    while !pending.is_empty() {
+    viable_children(start, low, high, &mut frontier);
+    while !frontier.is_empty() && results.len() < rows {
+        let round = match limit {
+            None => frontier.len(),
+            // The leading leaves, two of them slack for leaves below `low`
+            // or deleted, then the inner node after them if they cannot
+            // settle the rows still owed.
+            Some(_) => {
+                let owed = rows - results.len();
+                let run = frontier.iter().take_while(|p| p.at.is_leaf).count();
+                let run = run.min(owed.saturating_add(2));
+                frontier.len().min(run + usize::from(run < owed))
+            }
+        };
         reads.clear();
-        reads.extend(pending.iter().map(|p| {
-            let len = if p.at.is_leaf {
-                hint
-            } else {
-                InnerNode::byte_size(p.at.child_kind)
-            };
-            (p.at.addr, len)
+        reads.extend(frontier[..round].iter().map(|p| match p.at.is_leaf {
+            true => (p.at.addr, hint),
+            false => (p.at.addr, InnerNode::byte_size(p.at.child_kind)),
         }));
         let level = host.read_level(&reads)?;
-        for (p, (addr, span)) in pending.drain(..).zip(level_spans(&reads)) {
+        for (p, (addr, span)) in frontier.drain(..round).zip(level_spans(&reads)) {
             if p.at.is_leaf {
                 leaves.push((addr, span));
                 continue;
@@ -450,18 +472,22 @@ pub fn scan<H: ArtReader>(
         for leaf in settle_leaves(host, fetched)?.into_iter().flatten() {
             if leaf.status != NodeStatus::Invalid
                 && leaf.key.as_slice() >= low
-                && leaf.key.as_slice() <= high
+                && high.is_none_or(|high| leaf.key.as_slice() <= high)
             {
                 results.push((leaf.key, leaf.value));
             }
         }
         resolve_prefixes(host, &mut inners)?;
+        // The children go where their parent was: ahead of what is unread.
+        let unread = frontier.len();
         for n in inners.drain(..) {
-            viable_children(&n, low, Some(high), &mut pending);
+            viable_children(&n, low, high, &mut frontier);
         }
+        frontier.rotate_left(unread);
     }
     results.sort_by(|a, b| a.0.cmp(&b.0));
     results.dedup_by(|a, b| a.0 == b.0);
+    results.truncate(rows);
     Ok(results)
 }
 
@@ -825,10 +851,15 @@ pub(crate) mod tests {
 
         let root_node = node_of(&mut h, root);
         let root_node = Tracked::root(root_node);
-        let all = scan(&mut h, &root_node, b"", b"~").unwrap();
+        let all = scan(&mut h, &root_node, b"", Some(b"~"), None).unwrap();
         assert_eq!(all.iter().map(|(k, _)| &k[..]).collect::<Vec<_>>(), keys);
-        let some = scan(&mut h, &root_node, b"user02", b"user02@x").unwrap();
+        let some = scan(&mut h, &root_node, b"user02", Some(b"user02@x"), None).unwrap();
         assert_eq!(some.len(), 1);
+        // Row-bounded: the first rows from `low`, and nothing past the end.
+        for limit in 0..=4 {
+            let first = scan(&mut h, &root_node, b"user02", None, Some(limit)).unwrap();
+            assert_eq!(first, all[1..(1 + limit).min(4)], "limit {limit}");
+        }
 
         // From a non-root start whose prefix is known: the root scan
         // restricted to that subtree, for fewer reads.
@@ -838,13 +869,14 @@ pub(crate) mod tests {
             exact: true,
         };
         let before = h.0.stats().round_trips;
-        let below = scan(&mut h, &users, b"", b"~").unwrap();
+        let below = scan(&mut h, &users, b"", Some(b"~"), None).unwrap();
         let from_users = h.0.stats().round_trips - before;
         assert_eq!(below, all[..3]);
         let before = h.0.stats().round_trips;
-        let some = scan(&mut h, &root_node, b"user01", b"user02@x").unwrap();
+        let some = scan(&mut h, &root_node, b"user01", Some(b"user02@x"), None).unwrap();
         assert!(from_users < h.0.stats().round_trips - before);
-        assert_eq!(scan(&mut h, &users, b"user01", b"user02@x").unwrap(), some);
+        let from_users = scan(&mut h, &users, b"user01", Some(b"user02@x"), None).unwrap();
+        assert_eq!(from_users, some);
         assert_eq!(some, all[..2]);
 
         let report = audit(&mut h, root).unwrap();

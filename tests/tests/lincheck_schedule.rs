@@ -157,7 +157,8 @@ fn hot_keyspace_lookups_survive_root_type_switch() {
 /// its child read is granted the child has been type-switched away
 /// (`Invalid`). Sixteen groups of eight sibling keys, the preload filling
 /// each group's Node4, so every group's fifth insert switches a node under
-/// the schedule; seeds pinned (sweep over 1–60 at depth 8: 27 and 43) to
+/// the schedule; seeds pinned (sweep over 1–120 at depth 8: 43 and 101,
+/// since `scan_n` is the row-bounded walk and reads in fewer grants) to
 /// interleavings where a multi-get window is caught by one. (No depth-1
 /// schedule in seeds 1–500 opens that window — one lone lookup's
 /// parent-to-child gap is a single grant — so depth 1 is covered by the
@@ -170,7 +171,7 @@ fn pipelined_lookups_survive_a_child_type_switch() {
         deletes: false,
         ..ExploreConfig::smoke(System::Sphinx, 3, 128, 600)
     };
-    for seed in [27u64, 43] {
+    for seed in [43u64, 101] {
         let out = run_scheduled(
             &cfg,
             ScheduleMode::Record(ScheduleConfig::adversarial(seed)),

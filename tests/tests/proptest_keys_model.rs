@@ -197,6 +197,13 @@ proptest! {
     }
 
     #[test]
+    fn smart_edge_keys_match_btreemap(
+        steps in proptest::collection::vec(step_strategy(edge_key, edge_bounds), 1..50),
+    ) {
+        run_model(System::Smart, &steps)?;
+    }
+
+    #[test]
     fn bptree_boundary_keys_match_btreemap(
         steps in proptest::collection::vec(step_strategy(bp_edge_key, bp_bounds), 1..60),
     ) {
