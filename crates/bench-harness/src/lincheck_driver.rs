@@ -399,7 +399,7 @@ pub fn run_scheduled_on(
     // findings land in the merged registry as `health.*` counters so a
     // failure report carries the verdict alongside the raw ledgers.
     let cluster_window = handle.cluster().cluster_stats().since(&cluster_base);
-    let health = obs::evaluate_health(&cluster_window, &telemetry, &obs::HealthConfig::default());
+    let health = obs::evaluate_health(&cluster_window, &telemetry);
     health.stamp(&mut telemetry);
     let metrics = obs::MetricsReport {
         cluster: cluster_window,

@@ -20,6 +20,10 @@ use crate::systems::{SystemHandle, WorkerClient};
 /// cost.
 const GATE_WINDOW_NS: u64 = 15_000;
 
+/// Ring capacity (rows) of the metrics sampler; when a run outlives
+/// `capacity × interval` the oldest rows are overwritten and counted.
+const SAMPLE_CAPACITY: usize = 256;
+
 /// Parameters of one measured run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -59,9 +63,6 @@ pub struct RunConfig {
     /// gauge values depend on thread interleaving, so byte-stable exports
     /// need `workers == 1`.
     pub sample_interval_ns: u64,
-    /// Ring capacity (rows) for the metrics sampler; when the run outlives
-    /// `capacity × interval` the oldest rows are overwritten and counted.
-    pub sample_capacity: usize,
 }
 
 impl RunConfig {
@@ -80,7 +81,6 @@ impl RunConfig {
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 0,
-            sample_capacity: 0,
         }
     }
 }
@@ -268,18 +268,13 @@ pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
                 client.take_traces();
                 let base_stats = client.net_stats();
 
-                // Worker 0 drives the metrics sampler. `cfg!` rather than
-                // an attribute so the off path stays type-checked; the
-                // optimizer removes it entirely with telemetry disabled.
+                // Worker 0 drives the metrics sampler.
                 let cluster = handle.cluster();
                 let num_mns = cluster.num_mns();
-                let mut sampler = (w == 0
-                    && cfg.sample_interval_ns > 0
-                    && cfg!(feature = "telemetry"))
-                .then(|| {
+                let mut sampler = (w == 0 && cfg.sample_interval_ns > 0).then(|| {
                     obs::Sampler::new(
                         sampler_columns(num_mns),
-                        cfg.sample_capacity.max(1),
+                        SAMPLE_CAPACITY,
                         cfg.sample_interval_ns,
                     )
                 });
@@ -378,7 +373,7 @@ pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
     for o in &outcomes {
         client_sum.merge(&o.net_full);
     }
-    let health = obs::evaluate_health(&cluster_window, &telemetry, &obs::HealthConfig::default());
+    let health = obs::evaluate_health(&cluster_window, &telemetry);
     health.stamp(&mut telemetry);
 
     let mut outcomes = outcomes;
@@ -510,13 +505,6 @@ fn apply_op(client: &mut WorkerClient, op: Op, cfg: &RunConfig, sorted: &[Vec<u8
         Op::Insert(idx) => {
             client.insert(&cfg.keyspace.key(idx), &value_for(idx, 0));
         }
-        Op::ReadModifyWrite(idx) => {
-            let key = cfg.keyspace.key(idx);
-            let version = client
-                .get(&key)
-                .map_or(0, |v| v.first().copied().unwrap_or(0) as u32);
-            client.update(&key, &value_for(idx, version.wrapping_add(1)));
-        }
         Op::Scan(idx, len) => {
             if sorted.is_empty() {
                 return;
@@ -532,6 +520,7 @@ fn apply_op(client: &mut WorkerClient, op: Op, cfg: &RunConfig, sorted: &[Vec<u8
 mod tests {
     use super::*;
     use crate::systems::System;
+    use obs::{OpKind, Phase};
 
     #[test]
     fn quick_run_produces_sane_numbers() {
@@ -549,7 +538,6 @@ mod tests {
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 5_000,
-            sample_capacity: 64,
         };
         let r = run_phase(&handle, &cfg);
         assert_eq!(r.total_ops, 1800);
@@ -565,30 +553,26 @@ mod tests {
             r.avg_latency_us
         );
         assert!(r.round_trips_per_op >= 1.0);
-        #[cfg(feature = "telemetry")]
-        {
-            use obs::{OpKind, Phase};
-            assert!(r.telemetry.total_ops() > 0, "spans must reach the registry");
-            assert!(
-                r.telemetry.phase(OpKind::Get, Phase::SfcProbe).count > 0,
-                "gets must attribute SfcProbe intervals"
-            );
-            assert!(
-                r.telemetry.phase(OpKind::Get, Phase::LeafRead).round_trips > 0,
-                "gets must attribute LeafRead round trips"
-            );
-            assert!(
-                r.telemetry.counter("sfc.lookups") > 0,
-                "index-level SFC stats merged"
-            );
-            let samples = r.metrics.samples.as_ref().expect("sampler ran on worker 0");
-            assert!(!samples.is_empty(), "sampler must capture rows");
-            assert_eq!(
-                r.telemetry.counter("health.checks"),
-                4,
-                "health verdict must be stamped into the registry"
-            );
-        }
+        assert!(r.telemetry.total_ops() > 0, "spans must reach the registry");
+        assert!(
+            r.telemetry.phase(OpKind::Get, Phase::SfcProbe).count > 0,
+            "gets must attribute SfcProbe intervals"
+        );
+        assert!(
+            r.telemetry.phase(OpKind::Get, Phase::LeafRead).round_trips > 0,
+            "gets must attribute LeafRead round trips"
+        );
+        assert!(
+            r.telemetry.counter("sfc.lookups") > 0,
+            "index-level SFC stats merged"
+        );
+        let samples = r.metrics.samples.as_ref().expect("sampler ran on worker 0");
+        assert!(!samples.is_empty(), "sampler must capture rows");
+        assert_eq!(
+            r.telemetry.counter("health.checks"),
+            4,
+            "health verdict must be stamped into the registry"
+        );
     }
 
     fn tiny_read_run(workers: usize) -> RunConfig {
@@ -655,7 +639,6 @@ mod tests {
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 0,
-            sample_capacity: 0,
         };
         let r1 = run_phase(&handle, &mk(1));
         let r8 = run_phase(&handle, &mk(8));
@@ -700,7 +683,6 @@ mod tests {
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 0,
-            sample_capacity: 0,
         };
         let r = run_phase(&handle, &cfg);
         assert!(r.total_ops == 90 && r.mops > 0.0);

@@ -1,10 +1,10 @@
 //! The CI smoke contracts behind `smoke [contract...]`; each panics on a
 //! violation.
 //!
-//! * `telemetry` — the `sphinx.telemetry.v1` export parses with the pinned
+//! * `telemetry` — the `sphinx.telemetry.v2` export parses with the pinned
 //!   schema, point lookups attribute `SfcProbe` and `LeafRead`, the SFC
-//!   probe counters and the flight recorder are populated, and every
-//!   exported counter is in `docs/OBSERVABILITY.md`'s catalogue.
+//!   probe counters are populated, and every exported counter is in
+//!   `docs/OBSERVABILITY.md`'s catalogue.
 //! * `pipeline` — at depth 8 per-op round trips stay put, doorbells fuse
 //!   and YCSB-C runs ≥ 1.5× depth 1; at depth 1 doorbells equal round trips.
 //! * `trace` — tail sampling retains traces whose critical paths sum
@@ -12,9 +12,11 @@
 //!   `sphinx.trace.v1`, sampling off retains nothing, and tail tracing
 //!   leaves the virtual clock exactly where it was.
 //! * `metrics` — the client ledger conserves against the per-MN ledger at
-//!   depth 1, depth 8 and sampled; a hot MN trips `mn_imbalance` and a
-//!   uniform one does not; same-seed exports are byte-identical; sampling
-//!   leaves the virtual clock exactly where it was.
+//!   depth 1, depth 8 and sampled; every health detector fires on a run
+//!   built to trip it and stays quiet on its twin (a hot MN, a contended
+//!   key, a foreign SFC snapshot, a reclaimer that never scans); same-seed
+//!   exports are byte-identical; sampling leaves the virtual clock exactly
+//!   where it was.
 //! * `sfc` — a frozen generation of ≥ 50 k prefixes costs ≤ 10 bits/entry,
 //!   snapshots round-trip byte-identically, and a warm-started CN skips the
 //!   cold Θ(L) ramp.
@@ -30,13 +32,14 @@
 
 use std::cell::OnceCell;
 
-use dm_sim::NetConfig;
+use dm_sim::{NetConfig, ScheduleConfig};
 use node_engine::pipeline::DEFAULT_DEPTH;
 use obs::{critical_path, export_chrome, json, OpKind, Phase, SCHEMA, TRACE_SCHEMA};
 use sphinx::sfc::{FilterCache, SfcConfig};
 use sphinx::{SphinxConfig, SphinxIndex};
 use ycsb::{KeySpace, Workload};
 
+use crate::lincheck_driver::{run_scheduled, ExploreConfig, ScheduleMode};
 use crate::report::{write_json, Args};
 use crate::runner::{load_phase, run_phase, RunConfig, RunResult};
 use crate::systems::{testbed, System, SystemHandle};
@@ -47,9 +50,8 @@ pub const YCSB_C_KEYS: u64 = 10_000;
 /// Key count of the YCSB-A telemetry config.
 pub const YCSB_A_KEYS: u64 = 3_000;
 
-/// Sampling knobs wherever a contract turns the metrics sampler on.
+/// Sampling interval wherever a contract turns the metrics sampler on.
 const SAMPLE_INTERVAL_NS: u64 = 5_000;
-const SAMPLE_CAPACITY: usize = 256;
 
 /// A smoke contract: its name and its check.
 pub type Contract = (&'static str, fn(&Fixture));
@@ -130,7 +132,6 @@ fn traced(c: &mut RunConfig) {
 
 fn sampled(c: &mut RunConfig) {
     c.sample_interval_ns = SAMPLE_INTERVAL_NS;
-    c.sample_capacity = SAMPLE_CAPACITY;
 }
 
 /// The runs of the shared fixture: the YCSB-C short config at depth 1, at
@@ -312,12 +313,6 @@ pub fn telemetry(_: &Fixture) {
         r.telemetry.phase(OpKind::Get, Phase::SfcProbe).count > 0,
         "in-memory registry must agree with the export"
     );
-    let flight = parsed
-        .get("flight")
-        .and_then(|f| f.get("slowest"))
-        .and_then(|v| v.as_arr())
-        .expect("flight.slowest present");
-    assert!(!flight.is_empty(), "flight recorder must capture ops");
 
     let patterns = catalogue_patterns();
     assert!(
@@ -478,41 +473,127 @@ pub fn trace(fx: &Fixture) {
     );
 }
 
-/// Positive control: every verb lands on MN 0, so `mn_imbalance` must
-/// fire. Negative control: round-robin reads stay uniform, so it must not.
-/// Both on a raw cluster, to keep the fixture exact.
-fn health_controls() {
-    let reg = obs::Registry::new();
-    let hc = obs::HealthConfig::default();
-
-    let hot = smoke_cluster();
-    let mut c = hot.client(0);
-    let ptr = c.alloc(0, 256).expect("alloc on MN 0");
-    for _ in 0..2_000 {
-        c.read(ptr, 256).expect("read");
-    }
-    let h = obs::evaluate_health(&hot.cluster_stats(), &reg, &hc);
+/// Asserts that `detector` fired on `positive` and not on `negative`.
+fn assert_control(detector: &str, positive: &obs::HealthReport, negative: &obs::HealthReport) {
     assert!(
-        h.fired("mn_imbalance"),
-        "hot-MN positive control must trip mn_imbalance: {h:?}"
+        positive.fired(detector) && !positive.healthy(),
+        "positive control must trip {detector}: {positive:?}"
     );
-    assert!(!h.healthy(), "a fired detector must degrade the verdict");
+    assert!(
+        !negative.fired(detector),
+        "negative control must not trip {detector}: {negative:?}"
+    );
+}
 
-    let uniform = smoke_cluster();
-    let mut c = uniform.client(0);
-    let ptrs: Vec<_> = (0..uniform.num_mns())
-        .map(|m| c.alloc(m, 256).expect("alloc"))
-        .collect();
+/// `mn_imbalance`: every verb lands on MN 0, or reads go round-robin. On a
+/// raw cluster, to keep the fixture exact.
+fn mn_imbalance_control(hot: bool) -> obs::HealthReport {
+    let cluster = smoke_cluster();
+    let mut c = cluster.client(0);
+    let mns = if hot { 1 } else { cluster.num_mns() };
+    let ptrs: Vec<_> = (0..mns).map(|m| c.alloc(m, 256).expect("alloc")).collect();
     for i in 0..2_000usize {
         c.read(ptrs[i % ptrs.len()], 256).expect("read");
     }
-    let h = obs::evaluate_health(&uniform.cluster_stats(), &reg, &hc);
-    assert!(
-        !h.fired("mn_imbalance"),
-        "uniform negative control must stay healthy: {h:?}"
+    obs::evaluate_health(&cluster.cluster_stats(), &obs::Registry::new())
+}
+
+/// `retry_storm`: `threads` lock-step participants (seeded schedule) on
+/// one key — eight of them lose CASes to each other (over 4 retries per 10
+/// ops), one alone never does.
+fn retry_storm_control(threads: u32) -> obs::HealthReport {
+    let cfg = ExploreConfig {
+        tear_hook: false,
+        multi_ops: false,
+        ..ExploreConfig::smoke(System::Sphinx, threads, 1, 150)
+    };
+    let mode = ScheduleMode::Record(ScheduleConfig::quiet(7));
+    run_scheduled(&cfg, mode).metrics.health
+}
+
+/// The key `i` of the controls' key space.
+fn key(i: u64) -> Vec<u8> {
+    KeySpace::U64.key(i)
+}
+
+/// `sfc_fp_regression`: CN 1 reads every key of a 64-key tree 16 times,
+/// its filter warm-started from `snapshot` or cold.
+fn sfc_fp_control(snapshot: Option<&[u8]>) -> obs::HealthReport {
+    let cluster = smoke_cluster();
+    let index = SphinxIndex::create(&cluster, SphinxConfig::default()).expect("create");
+    let mut writer = index.client(0).expect("cn0");
+    for i in 0..64 {
+        writer.insert(&key(i), b"v").expect("insert");
+    }
+    if let Some(snapshot) = snapshot {
+        index.load_sfc_snapshot(1, snapshot).expect("snapshot load");
+    }
+    let mut reader = index.client(1).expect("cn1");
+    for _ in 0..16 {
+        for i in 0..64 {
+            assert!(reader.get(&key(i)).expect("get").is_some());
+        }
+    }
+    obs::evaluate_health(&cluster.cluster_stats(), &index.sfc_telemetry())
+}
+
+/// A frozen filter of a 4 000-key tree: it names inner prefixes that a
+/// 64-key tree never grew.
+fn foreign_snapshot() -> Vec<u8> {
+    let cluster = smoke_cluster();
+    let index = SphinxIndex::create(&cluster, SphinxConfig::default()).expect("create");
+    let mut c = index.client(0).expect("cn0");
+    for i in 0..4_000 {
+        c.insert(&key(i), b"v").expect("insert");
+    }
+    for i in 0..4_000 {
+        c.get(&key(i)).expect("get");
+    }
+    c.filter_handle().force_rebuild();
+    index.sfc_snapshot(0)
+}
+
+/// `reclaim_stall`: 2 000 inserts then 2 000 removes on one client.
+fn reclaim_stall_control(reclaim: reclaim::ReclaimConfig) -> obs::HealthReport {
+    let cluster = smoke_cluster();
+    let config = SphinxConfig {
+        reclaim,
+        ..SphinxConfig::default()
+    };
+    let index = SphinxIndex::create(&cluster, config).expect("create");
+    let mut c = index.client(0).expect("cn0");
+    for i in 0..2_000 {
+        c.insert(&key(i), b"v").expect("insert");
+    }
+    for i in 0..2_000 {
+        assert!(c.remove(&key(i)).expect("remove"));
+    }
+    obs::evaluate_health(&cluster.cluster_stats(), &c.telemetry())
+}
+
+/// Every detector's positive and negative control.
+fn health_controls() {
+    let (hot, uniform) = (mn_imbalance_control(true), mn_imbalance_control(false));
+    assert_control("mn_imbalance", &hot, &uniform);
+    assert!(uniform.healthy(), "{uniform:?}");
+    let (storm, calm) = (retry_storm_control(8), retry_storm_control(1));
+    assert_control("retry_storm", &storm, &calm);
+    let foreign = foreign_snapshot();
+    let (stale, cold) = (sfc_fp_control(Some(&foreign)), sfc_fp_control(None));
+    assert_control("sfc_fp_regression", &stale, &cold);
+    // A scan interval and a limbo cap beyond the run: nothing ever scans.
+    let never = reclaim::ReclaimConfig {
+        scan_interval: u64::MAX,
+        limbo_soft_cap: usize::MAX,
+        ..Default::default()
+    };
+    let stalled = reclaim_stall_control(never);
+    let scanning = reclaim_stall_control(reclaim::ReclaimConfig::default());
+    assert_control("reclaim_stall", &stalled, &scanning);
+    println!(
+        "metrics: every detector trips on its positive control only \
+         (hot MN, 8 writers on 1 key, foreign SFC snapshot, reclaim never scanning)"
     );
-    assert!(h.healthy());
-    println!("metrics: hot MN trips mn_imbalance, uniform run does not");
 }
 
 /// The `metrics` contract.
@@ -541,11 +622,9 @@ pub fn metrics(fx: &Fixture) {
     rs.metrics
         .conservation()
         .expect("sampled window must conserve");
-    if cfg!(feature = "telemetry") {
-        for r in [rs, &a] {
-            let samples = r.metrics.samples.as_ref().expect("sampler retained");
-            assert!(!samples.is_empty(), "sampler must capture rows mid-run");
-        }
+    for r in [rs, &a] {
+        let samples = r.metrics.samples.as_ref().expect("sampler retained");
+        assert!(!samples.is_empty(), "sampler must capture rows mid-run");
     }
     println!("{}", rs.metrics.render_text());
     println!(
@@ -666,7 +745,7 @@ fn warm_start_skips_cold_ramp() {
     assert_eq!(stats.snapshot_rejects, 0);
     assert!(
         index.sfc_telemetry().counter("sfc.gen.snapshot_loads") > 0,
-        "snapshot loads must surface in sphinx.telemetry.v1"
+        "snapshot loads must surface in sphinx.telemetry.v2"
     );
     println!(
         "sfc: warm start taught {warm_refreshes} prefixes vs {cold_refreshes} cold; \

@@ -170,7 +170,6 @@ impl BpTreeIndex {
             .entry(cn_id)
             .or_insert_with(|| Arc::new(Mutex::new(InternalCache::new(self.cache_bytes))))
             .clone();
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut client = BpTreeClient {
             dm: self.cluster.client(cn_id),
             meta: self.meta,
@@ -181,7 +180,6 @@ impl BpTreeIndex {
             tracer: Tracer::new(),
             trace_scratch: Vec::new(),
         };
-        #[cfg(feature = "telemetry")]
         client.dm.trace_set_enabled(client.tracer.is_active());
         Ok(client)
     }
@@ -248,11 +246,9 @@ pub struct BpTreeClient {
     /// Cumulative pipelined-execution counters (see
     /// [`BpTreeClient::get_many_pipelined`]).
     pipeline: PipelineStats,
-    /// Causal-trace sampler for the pipelined lookup path (inert without
-    /// the `telemetry` feature).
+    /// Causal-trace sampler for the pipelined lookup path.
     tracer: Tracer,
     /// Reusable buffer for transport-event windows.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     trace_scratch: Vec<dm_sim::trace::TransportEvent>,
 }
 
@@ -411,14 +407,11 @@ impl BpTreeClient {
             .iter()
             .map(|&key| (key, self.tracer.lease(OpKind::Get, lease_now)))
             .collect();
-        #[cfg(feature = "telemetry")]
         let mark = self.dm.trace_mark();
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut leaves: Vec<_> = self
             .run_descents(leases, depth, true)?
             .into_iter()
             .collect();
-        #[cfg(feature = "telemetry")]
         if leaves.iter().any(|o| o.trace.is_some()) {
             let mut scratch = std::mem::take(&mut self.trace_scratch);
             scratch.clear();
@@ -451,7 +444,6 @@ impl BpTreeClient {
     /// slowest/most-retried retention depth (see [`obs::Tracer`]).
     pub fn set_trace_sampling(&mut self, head_every: u64, tail_k: usize) {
         self.tracer.configure(head_every, tail_k);
-        #[cfg(feature = "telemetry")]
         self.dm.trace_set_enabled(self.tracer.is_active());
     }
 
@@ -793,7 +785,6 @@ struct BpLeaf {
     node: BpNode,
     chases: usize,
     /// The op's causal trace, carried out for [`Tracer::finish`].
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     trace: Option<Box<OpTrace>>,
 }
 

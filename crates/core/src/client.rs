@@ -63,17 +63,13 @@ pub struct SphinxClient {
     /// Cumulative pipelined-execution counters (see
     /// [`SphinxClient::get_many_pipelined`]).
     pub(crate) pipeline: node_engine::PipelineStats,
-    /// Causal-trace sampler (see [`obs::Tracer`]; inert without the
-    /// `telemetry` feature — every lease returns `None`).
+    /// Causal-trace sampler (see [`obs::Tracer`]).
     pub(crate) tracer: obs::Tracer,
     /// Trace context of the blocking op currently in flight.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) trace_cur: Option<Box<obs::OpTrace>>,
     /// Reusable buffer for transport-event windows (no per-op allocation).
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) trace_scratch: Vec<dm_sim::trace::TransportEvent>,
     /// Transport-ring mark taken at the current op's begin.
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     pub(crate) trace_mark: u64,
 }
 
@@ -85,7 +81,6 @@ impl SphinxClient {
         config: SphinxConfig,
         reclaim: reclaim::ReclaimHandle,
     ) -> Self {
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
         let mut client = SphinxClient {
             dm,
             tables,
@@ -102,7 +97,6 @@ impl SphinxClient {
             trace_scratch: Vec::new(),
             trace_mark: 0,
         };
-        #[cfg(feature = "telemetry")]
         client.dm.trace_set_enabled(client.tracer.is_active());
         client
     }
@@ -154,8 +148,8 @@ impl SphinxClient {
     }
 
     /// A snapshot of this worker's telemetry: per-op phase attribution,
-    /// latency histograms, the flight recorder, and the Sphinx/INHT domain
-    /// counters folded in as named counters.
+    /// latency histograms, and the Sphinx/INHT domain counters folded in
+    /// as named counters.
     ///
     /// The per-CN filter (SFC) statistics are shared across workers and
     /// deliberately *not* included — collect them once per compute node via
@@ -206,36 +200,22 @@ impl SphinxClient {
     /// Configures causal-trace sampling for this worker: keep full traces
     /// for the `tail_k` slowest / most-retried ops plus every
     /// `head_every`-th op (0 = head sample off). `(0, 0)` disables tracing
-    /// entirely — no lease, no transport-event recording. No-op without
-    /// the `telemetry` feature.
+    /// entirely — no lease, no transport-event recording.
     pub fn set_trace_sampling(&mut self, head_every: u64, tail_k: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.tracer.configure(head_every, tail_k);
-            self.dm.trace_set_enabled(self.tracer.is_active());
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (head_every, tail_k);
+        self.tracer.configure(head_every, tail_k);
+        self.dm.trace_set_enabled(self.tracer.is_active());
     }
 
     /// Sets the worker id stamped into the high half of this worker's
     /// trace ids (see [`obs::trace::TraceId`]).
     pub fn set_trace_worker(&mut self, worker: u32) {
-        #[cfg(feature = "telemetry")]
         self.tracer.set_worker(worker);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = worker;
     }
 
     /// Drains the traces retained by this worker's sampler (sorted by
-    /// id). Empty without the `telemetry` feature.
+    /// id).
     pub fn take_traces(&mut self) -> Vec<obs::OpTrace> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.tracer.take_traces()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        Vec::new()
+        self.tracer.take_traces()
     }
 
     // ------------------------------------------------------------------
@@ -309,22 +289,18 @@ impl SphinxClient {
     #[inline]
     pub(crate) fn obs_begin(&mut self, kind: OpKind) {
         self.reclaim.pin();
-        self.obs.begin(kind, self.dm.stats(), self.dm.clock_ns());
-        #[cfg(feature = "telemetry")]
-        {
-            let now = self.dm.clock_ns();
-            if let Some(mut t) = self.tracer.lease(kind, now) {
-                t.pin(now);
-                self.trace_mark = self.dm.trace_mark();
-                self.trace_cur = Some(t);
-            }
+        let now = self.dm.clock_ns();
+        self.obs.begin(kind, self.dm.stats(), now);
+        if let Some(mut t) = self.tracer.lease(kind, now) {
+            t.pin(now);
+            self.trace_mark = self.dm.trace_mark();
+            self.trace_cur = Some(t);
         }
     }
 
     #[inline]
     pub(crate) fn obs_phase(&mut self, phase: Phase) {
         self.obs.phase(phase, self.dm.stats(), self.dm.clock_ns());
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.trace_cur.as_mut() {
             t.phase(phase, self.dm.clock_ns());
         }
@@ -335,7 +311,6 @@ impl SphinxClient {
     #[inline]
     pub(crate) fn obs_retry(&mut self) {
         self.obs.retry();
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.trace_cur.as_mut() {
             t.retry(self.dm.clock_ns());
         }
@@ -344,16 +319,13 @@ impl SphinxClient {
     #[inline]
     pub(crate) fn obs_end(&mut self) {
         let now = self.dm.clock_ns();
-        #[cfg(feature = "telemetry")]
         if let Some(mut t) = self.trace_cur.take() {
             t.unpin(now);
             self.trace_scratch.clear();
             t.complete = self
                 .dm
                 .trace_collect_since(self.trace_mark, &mut self.trace_scratch);
-            let id = self.tracer.finish(t, now, &self.trace_scratch);
-            self.obs.end_traced(self.dm.stats(), now, id);
-            return;
+            self.tracer.finish(t, now, &self.trace_scratch);
         }
         self.obs.end(self.dm.stats(), now);
     }

@@ -756,7 +756,6 @@ impl SphinxClient {
         // Finish the per-key traces against the transport-event window the
         // whole pipelined run shares (one collect, not one per op). An
         // aborted run leaves ops without an end; their traces are dropped.
-        #[cfg(feature = "telemetry")]
         if run.is_ok() && ops.iter().any(|op| op.trace.is_some()) {
             let mut scratch = std::mem::take(&mut self.trace_scratch);
             scratch.clear();
@@ -959,7 +958,6 @@ mod tests {
         assert_eq!(net.round_trips, 300);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn pipeline_counters_reach_telemetry() {
         let (_idx, mut client) = setup(100);
@@ -1238,7 +1236,6 @@ mod tests {
             loader.get(refs[3]).unwrap().as_deref(),
             Some(&b"rewritten"[..])
         );
-        #[cfg(feature = "telemetry")]
         assert_eq!(cold.telemetry().op(OpKind::Insert).retries, 1);
     }
 
@@ -1254,7 +1251,6 @@ mod tests {
             invalid_for(&cluster, root, 2);
             assert_eq!(cold.get_many_pipelined(&refs, depth).unwrap(), expected);
             assert_eq!(cold.op_stats().entry_misses, 2, "depth {depth}");
-            #[cfg(feature = "telemetry")]
             assert_eq!(cold.telemetry().op(OpKind::MultiGet).retries, 2);
         }
         let mut cold = index.client(3).unwrap();

@@ -273,7 +273,6 @@ mod tests {
         assert_eq!(cluster.fault_injections(), 1);
         let delta = client.op_stats().since(&before);
         assert_eq!(delta.false_positive_retries, 1);
-        #[cfg(feature = "telemetry")]
         assert_eq!(client.telemetry().op(OpKind::Scan).retries, 1);
     }
 
@@ -317,12 +316,9 @@ mod tests {
         assert_eq!(got, oracle("ab", 0..=199));
         assert_eq!(cluster.fault_injections(), 1);
         assert!(ns >= client.retry.backoff_ns);
-        #[cfg(feature = "telemetry")]
-        {
-            let reg = client.telemetry();
-            assert_eq!(reg.op(OpKind::Scan).retries, 1);
-            assert_eq!(reg.phase(OpKind::Scan, Phase::Retry).round_trips, 1);
-        }
+        let reg = client.telemetry();
+        assert_eq!(reg.op(OpKind::Scan).retries, 1);
+        assert_eq!(reg.phase(OpKind::Scan, Phase::Retry).round_trips, 1);
     }
 
     /// `scan_n` is the same walk from the root: the switching node is waited
@@ -337,7 +333,6 @@ mod tests {
         assert_eq!(got.len(), 200);
         assert_eq!(got, oracle("ab", 0..=199));
         assert_eq!(cluster.fault_injections(), 1);
-        #[cfg(feature = "telemetry")]
         assert_eq!(client.telemetry().op(OpKind::Scan).retries, 1);
     }
 

@@ -261,7 +261,6 @@ mod tests {
         assert!(after.is_clean(), "{:?}", after.problems);
         assert_eq!((after.leaves, after.empty_inner_nodes), (2, 0));
         assert_eq!(after.inner_nodes, 1, "both emptied nodes are gone");
-        #[cfg(feature = "telemetry")]
         assert_eq!(client.telemetry().counter("prune.nodes"), 2);
     }
 

@@ -61,7 +61,7 @@ pub mod write;
 
 pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
 pub use dm_sim::FirstInline;
-pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, TagAgg, DEFAULT_DEPTH};
+pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, DEFAULT_DEPTH};
 pub use walk::{ArtReader, Sampled};
 pub use write::{Pending, WriteHost};
 

@@ -43,8 +43,8 @@ pub enum StepOutcome<R> {
     Submit {
         /// The verbs to post (must be non-empty).
         batch: DoorbellBatch,
-        /// Caller-defined attribution tag (e.g. an `obs` phase index)
-        /// aggregated per tag in [`PipelineStats::by_tag`].
+        /// Caller-defined attribution tag (e.g. an `obs` phase index) whose
+        /// round trips [`PipelineStats::by_tag`] sums.
         tag: u32,
     },
     /// The op finished with this result.
@@ -89,21 +89,6 @@ pub trait OpState {
     }
 }
 
-/// Per-tag network aggregates for one pipeline run (tags are the `tag`
-/// values ops attach to their submissions — typically `obs` phase
-/// indices, so callers can attribute round trips per phase).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TagAgg {
-    /// Batches submitted with this tag.
-    pub batches: u64,
-    /// Logical round trips (distinct MNs per batch).
-    pub round_trips: u64,
-    /// Verbs submitted.
-    pub verbs: u64,
-    /// Wire bytes moved.
-    pub bytes: u64,
-}
-
 /// Number of `≤`-buckets in [`PipelineStats::depth_hist`]
 /// (1, 2, 4, 8, 16, >16).
 pub const DEPTH_BUCKETS: usize = 6;
@@ -123,8 +108,10 @@ pub struct PipelineStats {
     pub stalls: u64,
     /// In-flight ops at each flush, bucketed ≤1, ≤2, ≤4, ≤8, ≤16, >16.
     pub depth_hist: [u64; DEPTH_BUCKETS],
-    /// Network work grouped by the submitting op's tag.
-    pub by_tag: BTreeMap<u32, TagAgg>,
+    /// Logical round trips (distinct MNs per batch) by the submitting
+    /// op's tag — typically an `obs` phase index, so callers can attribute
+    /// round trips per phase.
+    pub by_tag: BTreeMap<u32, u64>,
 }
 
 impl PipelineStats {
@@ -148,26 +135,13 @@ impl PipelineStats {
     }
 
     fn record_submit(&mut self, tag: u32, batch: &DoorbellBatch) {
-        let agg = self.by_tag.entry(tag).or_default();
-        agg.batches += 1;
-        agg.round_trips += batch.mn_groups() as u64;
-        agg.verbs += batch.len() as u64;
-        agg.bytes += batch.wire_bytes();
+        *self.by_tag.entry(tag).or_default() += batch.mn_groups() as u64;
     }
 
-    /// Fused submissions per million completed ops — the integer gauge
-    /// form of the fusion rate, for samplers and machine-readable bench
-    /// summaries (deterministic, no float rounding).
-    pub fn fusion_ppm(&self) -> u64 {
-        (self.fused_batches * 1_000_000)
-            .checked_div(self.ops)
-            .unwrap_or(0)
-    }
-
-    /// Adds these counters to a worker's telemetry registry: the
-    /// `pipeline.*` scalars and the structural [`obs::PipelineAgg`], with
-    /// per-tag work under the name of the [`obs::Phase`] whose index the
-    /// submitting op used as its tag (other tags are not exported).
+    /// Adds these counters to a worker's telemetry registry as the
+    /// `pipeline.*` counters, with per-tag round trips under the name of
+    /// the [`obs::Phase`] whose index the submitting op used as its tag
+    /// (other tags are not exported).
     pub fn export(&self, reg: &mut obs::Registry) {
         reg.add("pipeline.ops", self.ops);
         reg.add("pipeline.flushes", self.flushes);
@@ -183,25 +157,9 @@ impl PipelineStats {
         ]) {
             reg.add(name, *bucket);
         }
-        reg.pipeline.ops += self.ops;
-        reg.pipeline.flushes += self.flushes;
-        reg.pipeline.fused_batches += self.fused_batches;
-        reg.pipeline.stalls += self.stalls;
-        for (mine, bucket) in reg.pipeline.depth_hist.iter_mut().zip(self.depth_hist) {
-            *mine += bucket;
-        }
-        for (tag, agg) in &self.by_tag {
+        for (tag, round_trips) in &self.by_tag {
             if let Some(phase) = obs::Phase::ALL.get(*tag as usize) {
-                reg.add(&format!("pipeline.rts.{}", phase.name()), agg.round_trips);
-                let t = reg
-                    .pipeline
-                    .by_tag
-                    .entry(phase.name().to_string())
-                    .or_default();
-                t.batches += agg.batches;
-                t.round_trips += agg.round_trips;
-                t.verbs += agg.verbs;
-                t.bytes += agg.bytes;
+                reg.add(&format!("pipeline.rts.{}", phase.name()), *round_trips);
             }
         }
     }
@@ -215,12 +173,8 @@ impl PipelineStats {
         for (a, b) in self.depth_hist.iter_mut().zip(&other.depth_hist) {
             *a += b;
         }
-        for (tag, agg) in &other.by_tag {
-            let mine = self.by_tag.entry(*tag).or_default();
-            mine.batches += agg.batches;
-            mine.round_trips += agg.round_trips;
-            mine.verbs += agg.verbs;
-            mine.bytes += agg.bytes;
+        for (tag, round_trips) in &other.by_tag {
+            *self.by_tag.entry(*tag).or_default() += round_trips;
         }
     }
 }
@@ -426,7 +380,7 @@ mod tests {
         );
         assert_eq!(stats.ops, 10);
         assert!(stats.fused_batches > 0);
-        assert_eq!(stats.by_tag[&0].batches, 30, "3 hops x 10 ops");
+        assert_eq!(stats.by_tag[&0], 30, "3 hops x 10 ops, one MN each");
     }
 
     #[test]

@@ -22,41 +22,24 @@ use dm_sim::ClusterStats;
 
 use crate::registry::Registry;
 
-/// Thresholds for the health detectors. All ratios are integers
-/// (per-cent ×100 or per-mille) so evaluation is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// `mn_imbalance` fires when `max_verbs * 100 > mean_verbs *
-    /// imbalance_ratio_x100` (default 250 = hottest node above 2.5× the
-    /// mean).
-    pub imbalance_ratio_x100: u64,
-    /// Minimum total verbs in the window before imbalance is judged
-    /// (tiny windows are all noise).
-    pub imbalance_min_verbs: u64,
-    /// `retry_storm` fires above this many retries per 1000 completed
-    /// ops.
-    pub retry_per_mille: u64,
-    /// Minimum completed ops before retry rate is judged.
-    pub retry_min_ops: u64,
-    /// `sfc_fp_regression` fires above this many false positives per
-    /// 1000 SFC lookups.
-    pub sfc_fp_per_mille: u64,
-    /// Minimum SFC lookups before the false-positive rate is judged.
-    pub sfc_min_lookups: u64,
-}
+// Detector thresholds. Ratios are integers (per-cent x100 or per-mille)
+// so evaluation is deterministic.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            imbalance_ratio_x100: 250,
-            imbalance_min_verbs: 1_000,
-            retry_per_mille: 200,
-            retry_min_ops: 100,
-            sfc_fp_per_mille: 50,
-            sfc_min_lookups: 1_000,
-        }
-    }
-}
+/// `mn_imbalance` fires when the hottest MN serves more than this × 100
+/// of the mean MN's verbs (2.5×).
+const IMBALANCE_RATIO_X100: u64 = 250;
+/// Total verbs a window needs before imbalance is judged (tiny windows
+/// are all noise).
+const IMBALANCE_MIN_VERBS: u64 = 1_000;
+/// `retry_storm` fires above this many retries per 1000 completed ops.
+const RETRY_PER_MILLE: u64 = 200;
+/// Completed ops a window needs before its retry rate is judged.
+const RETRY_MIN_OPS: u64 = 100;
+/// `sfc_fp_regression` fires above this many false positives per 1000
+/// SFC lookups.
+const SFC_FP_PER_MILLE: u64 = 50;
+/// SFC lookups a window needs before its false-positive rate is judged.
+const SFC_MIN_LOOKUPS: u64 = 1_000;
 
 /// One tripped detector: what fired, the observed value, and the
 /// threshold it crossed (units are detector-specific and spelled out in
@@ -70,7 +53,7 @@ pub struct HealthFinding {
     pub message: String,
     /// The observed value that crossed the threshold.
     pub value: u64,
-    /// The configured threshold it crossed.
+    /// The threshold it crossed.
     pub threshold: u64,
 }
 
@@ -131,17 +114,17 @@ impl HealthReport {
 }
 
 /// Runs every detector over a window's cluster stats and merged registry.
-pub fn evaluate_health(cluster: &ClusterStats, reg: &Registry, cfg: &HealthConfig) -> HealthReport {
+pub fn evaluate_health(cluster: &ClusterStats, reg: &Registry) -> HealthReport {
     let mut report = HealthReport::default();
 
     // MN load imbalance: hottest node vs the mean, by verb count.
     report.checks += 1;
     let total_verbs = cluster.total_verbs();
     let n = cluster.mns.len() as u64;
-    if n > 1 && total_verbs >= cfg.imbalance_min_verbs {
+    if n > 1 && total_verbs >= IMBALANCE_MIN_VERBS {
         let max = cluster.mns.iter().map(|m| m.verbs()).max().unwrap_or(0);
         let mean = total_verbs / n;
-        if max * 100 > mean * cfg.imbalance_ratio_x100 {
+        if max * 100 > mean * IMBALANCE_RATIO_X100 {
             let hot = cluster
                 .mns
                 .iter()
@@ -153,10 +136,10 @@ pub fn evaluate_health(cluster: &ClusterStats, reg: &Registry, cfg: &HealthConfi
                 message: format!(
                     "MN {hot} served {max} verbs vs a {mean} mean \
                      (threshold {}x mean / 100)",
-                    cfg.imbalance_ratio_x100
+                    IMBALANCE_RATIO_X100
                 ),
                 value: max,
-                threshold: mean * cfg.imbalance_ratio_x100 / 100,
+                threshold: mean * IMBALANCE_RATIO_X100 / 100,
             });
         }
     }
@@ -165,16 +148,16 @@ pub fn evaluate_health(cluster: &ClusterStats, reg: &Registry, cfg: &HealthConfi
     report.checks += 1;
     let ops = reg.total_ops();
     let retries: u64 = reg.ops.iter().map(|o| o.retries).sum();
-    if ops >= cfg.retry_min_ops && retries * 1000 > ops * cfg.retry_per_mille {
+    if ops >= RETRY_MIN_OPS && retries * 1000 > ops * RETRY_PER_MILLE {
         report.findings.push(HealthFinding {
             detector: "retry_storm",
             message: format!(
                 "{retries} retries over {ops} ops \
                  (threshold {}/1000)",
-                cfg.retry_per_mille
+                RETRY_PER_MILLE
             ),
             value: retries * 1000 / ops,
-            threshold: cfg.retry_per_mille,
+            threshold: RETRY_PER_MILLE,
         });
     }
 
@@ -186,16 +169,16 @@ pub fn evaluate_health(cluster: &ClusterStats, reg: &Registry, cfg: &HealthConfi
     let fps = reg
         .counter("sfc.false_positives")
         .max(reg.counter("sfc.gen.false_positives"));
-    if lookups >= cfg.sfc_min_lookups && fps * 1000 > lookups * cfg.sfc_fp_per_mille {
+    if lookups >= SFC_MIN_LOOKUPS && fps * 1000 > lookups * SFC_FP_PER_MILLE {
         report.findings.push(HealthFinding {
             detector: "sfc_fp_regression",
             message: format!(
                 "{fps} SFC false positives over {lookups} lookups \
                  (threshold {}/1000)",
-                cfg.sfc_fp_per_mille
+                SFC_FP_PER_MILLE
             ),
             value: fps * 1000 / lookups,
-            threshold: cfg.sfc_fp_per_mille,
+            threshold: SFC_FP_PER_MILLE,
         });
     }
 
@@ -241,14 +224,13 @@ mod tests {
 
     #[test]
     fn imbalance_positive_and_negative() {
-        let cfg = HealthConfig::default();
         let hot = stats_with_load(&[3000, 10, 10]);
-        let r = evaluate_health(&hot, &Registry::new(), &cfg);
+        let r = evaluate_health(&hot, &Registry::new());
         assert!(r.fired("mn_imbalance"));
         assert_eq!(r.verdict(), "degraded");
 
         let uniform = stats_with_load(&[1000, 1000, 1000]);
-        let r = evaluate_health(&uniform, &Registry::new(), &cfg);
+        let r = evaluate_health(&uniform, &Registry::new());
         assert!(!r.fired("mn_imbalance"));
         assert!(r.healthy());
         assert_eq!(r.checks, 4);
@@ -257,7 +239,7 @@ mod tests {
     #[test]
     fn tiny_windows_are_not_judged() {
         let hot = stats_with_load(&[30, 0, 0]);
-        let r = evaluate_health(&hot, &Registry::new(), &HealthConfig::default());
+        let r = evaluate_health(&hot, &Registry::new());
         assert!(r.healthy(), "below min_verbs no imbalance verdict");
     }
 
@@ -267,11 +249,11 @@ mod tests {
         let mut reg = Registry::new();
         reg.ops[crate::OpKind::Get.idx()].count = 1000;
         reg.ops[crate::OpKind::Get.idx()].retries = 500;
-        let r = evaluate_health(&cluster, &reg, &HealthConfig::default());
+        let r = evaluate_health(&cluster, &reg);
         assert!(r.fired("retry_storm"));
 
         reg.ops[crate::OpKind::Get.idx()].retries = 10;
-        let r = evaluate_health(&cluster, &reg, &HealthConfig::default());
+        let r = evaluate_health(&cluster, &reg);
         assert!(!r.fired("retry_storm"));
     }
 
@@ -283,21 +265,21 @@ mod tests {
         reg.add("sfc.false_positives", 600);
         reg.add("sfc.gen.false_positives", 600);
         reg.add("reclaim.retired_count", 50);
-        let r = evaluate_health(&cluster, &reg, &HealthConfig::default());
+        let r = evaluate_health(&cluster, &reg);
         assert!(r.fired("sfc_fp_regression"));
         assert!(r.fired("reclaim_stall"));
 
         // A healthy reclaimer (epochs advancing, frees landing) clears it.
         reg.add("reclaim.freed_count", 50);
         reg.add("reclaim.epoch_advances", 3);
-        let r = evaluate_health(&cluster, &reg, &HealthConfig::default());
+        let r = evaluate_health(&cluster, &reg);
         assert!(!r.fired("reclaim_stall"));
     }
 
     #[test]
     fn stamp_emits_health_counters() {
         let hot = stats_with_load(&[3000, 10, 10]);
-        let report = evaluate_health(&hot, &Registry::new(), &HealthConfig::default());
+        let report = evaluate_health(&hot, &Registry::new());
         let mut reg = Registry::new();
         report.stamp(&mut reg);
         assert_eq!(reg.counter("health.checks"), 4);

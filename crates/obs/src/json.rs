@@ -73,17 +73,6 @@ impl JsonWriter {
         self.need_comma = true;
     }
 
-    /// Emits a float value (finite; NaN/inf are emitted as 0).
-    pub fn f64_val(&mut self, v: f64) {
-        self.comma();
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push('0');
-        }
-        self.need_comma = true;
-    }
-
     /// `key: string` shorthand.
     pub fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
@@ -94,12 +83,6 @@ impl JsonWriter {
     pub fn u64_field(&mut self, k: &str, v: u64) {
         self.key(k);
         self.u64_val(v);
-    }
-
-    /// `key: f64` shorthand.
-    pub fn f64_field(&mut self, k: &str, v: f64) {
-        self.key(k);
-        self.f64_val(v);
     }
 
     /// Returns the document built so far.
@@ -366,11 +349,10 @@ mod tests {
         w.u64_val(1);
         w.u64_val(2);
         w.end_arr();
-        w.f64_field("rate", 0.5);
         w.end_obj();
         assert_eq!(
             w.finish(),
-            r#"{"name":"sphinx","nested":{"a":1,"b":2},"list":[1,2],"rate":0.5}"#
+            r#"{"name":"sphinx","nested":{"a":1,"b":2},"list":[1,2]}"#
         );
     }
 

@@ -12,10 +12,8 @@
 //! * [`Registry`] — the mergeable aggregate: per-op-kind latency
 //!   histograms (reusing [`dm_sim::LatencyHistogram`]), the per-phase
 //!   attribution table, named domain counters (SFC hit/miss/eviction,
-//!   INHT fingerprint collisions, retries, fault injections, lock spins),
-//!   and JSON/text export.
-//! * [`FlightRecorder`] — a fixed-size top-K keeper of the slowest and
-//!   most-retried ops with their full phase breakdowns.
+//!   INHT fingerprint collisions, retries, fault injections, lock spins,
+//!   the pipelined scheduler's `pipeline.*`), and JSON export.
 //! * [`Tracer`] — always-on, tail-sampled *causal* tracing. A sampled op
 //!   carries an [`OpTrace`] through its state machine, recording every
 //!   causal edge (admission, submit, doorbell flush with fusion
@@ -24,7 +22,9 @@
 //!   queueing / fusion-wait / NIC-service / scheduler-stall / CN-compute
 //!   segments that sum *exactly* to the end-to-end latency, and
 //!   [`export_chrome`] renders retained traces as Perfetto-viewable
-//!   Chrome trace-event JSON (schema [`TRACE_SCHEMA`]).
+//!   Chrome trace-event JSON (schema [`TRACE_SCHEMA`]). Its tail — each
+//!   worker's slowest and most-retried ops — is the record of individual
+//!   slow ops.
 //! * **Cluster metrics plane** — the server-side view. [`Sampler`] rings
 //!   capture per-MN gauges at op-boundary intervals on the virtual clock,
 //!   [`evaluate_health`] runs anomaly detectors (MN load imbalance, retry
@@ -38,15 +38,11 @@
 //! The recorder holds plain counters and two pre-sized arrays; the happy
 //! path allocates nothing and never touches the simulation clock or the
 //! transport counters (it only *reads* snapshots the caller passes in), so
-//! enabling telemetry cannot perturb measured round trips, bytes, or
-//! virtual time. Disabling the `telemetry` feature (on by default)
-//! compiles every `Recorder` method down to a no-op while the registry and
-//! export types remain available, so harness code builds unchanged.
+//! recording cannot perturb measured round trips, bytes, or virtual time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flight;
 mod health;
 pub mod json;
 mod metrics;
@@ -56,16 +52,12 @@ mod sampler;
 mod span;
 pub mod trace;
 
-pub use flight::{FlightRecorder, DEFAULT_CAPACITY};
-pub use health::{evaluate_health, HealthConfig, HealthFinding, HealthReport};
+pub use health::{evaluate_health, HealthFinding, HealthReport};
 pub use metrics::{sparkline, MetricsReport, METRICS_SCHEMA};
 pub use recorder::Recorder;
-pub use registry::{
-    OpAgg, PipelineAgg, PipelineTagAgg, Registry, PIPELINE_DEPTH_BUCKETS, PIPELINE_DEPTH_LABELS,
-    SCHEMA,
-};
+pub use registry::{OpAgg, Registry, SCHEMA};
 pub use sampler::Sampler;
-pub use span::{OpKind, OpRecord, Phase, PhaseAgg, NUM_OP_KINDS, NUM_PHASES};
+pub use span::{OpKind, Phase, PhaseAgg, NUM_OP_KINDS, NUM_PHASES};
 pub use trace::{
     critical_path, export_chrome, CriticalPath, OpEvent, OpTrace, TraceId, Tracer, DEFAULT_TAIL_K,
     TRACE_SCHEMA,

@@ -6,21 +6,15 @@
 //! [`phase`](Recorder::phase), passing the client's current `ClientStats`
 //! and virtual clock at each boundary. The recorder attributes the stats
 //! delta of each interval to the phase that was active, so round trips,
-//! verbs, and bytes sum up per (op kind, phase) with no tracing.
-//!
-//! With the `telemetry` feature disabled every method is a no-op and the
-//! struct is empty — instrumented code compiles identically but costs
-//! nothing and records nothing.
+//! verbs, and bytes sum up per (op kind, phase) with no tracing. Which
+//! individual ops were slow is the [`Tracer`](crate::Tracer)'s tail.
 
 use dm_sim::ClientStats;
 
 use crate::registry::Registry;
-use crate::span::{OpKind, Phase};
-#[cfg(feature = "telemetry")]
-use crate::span::{OpRecord, PhaseAgg, NUM_PHASES};
+use crate::span::{OpKind, Phase, PhaseAgg, NUM_PHASES};
 
-#[cfg(feature = "telemetry")]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SpanState {
     kind: Option<OpKind>,
     start_ns: u64,
@@ -31,28 +25,11 @@ struct SpanState {
     phases: [PhaseAgg; NUM_PHASES],
 }
 
-#[cfg(feature = "telemetry")]
-impl Default for SpanState {
-    fn default() -> Self {
-        SpanState {
-            kind: None,
-            start_ns: 0,
-            mark: ClientStats::default(),
-            mark_ns: 0,
-            current: None,
-            retries: 0,
-            phases: [PhaseAgg::default(); NUM_PHASES],
-        }
-    }
-}
-
 /// Per-worker telemetry recorder: an active op span plus the registry the
 /// completed spans aggregate into.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    #[cfg(feature = "telemetry")]
     registry: Registry,
-    #[cfg(feature = "telemetry")]
     span: SpanState,
 }
 
@@ -62,108 +39,63 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Whether telemetry is compiled in.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "telemetry")
-    }
-
     /// Opens a span for one operation. `stats`/`now_ns` are the client's
     /// cumulative counters and virtual clock at op start. An unfinished
     /// previous span (e.g. an op that bailed without `end`) is discarded.
     pub fn begin(&mut self, kind: OpKind, stats: ClientStats, now_ns: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.span.kind = Some(kind);
-            self.span.start_ns = now_ns;
-            self.span.mark = stats;
-            self.span.mark_ns = now_ns;
-            self.span.current = None;
-            self.span.retries = 0;
-            self.span.phases = [PhaseAgg::default(); NUM_PHASES];
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (kind, stats, now_ns);
+        self.span.kind = Some(kind);
+        self.span.start_ns = now_ns;
+        self.span.mark = stats;
+        self.span.mark_ns = now_ns;
+        self.span.current = None;
+        self.span.retries = 0;
+        self.span.phases = [PhaseAgg::default(); NUM_PHASES];
     }
 
     /// Switches the active span to `phase`, attributing the stats delta
     /// since the previous boundary to the phase that was running (or
     /// [`Phase::Other`] before the first transition). No-op outside a span.
     pub fn phase(&mut self, phase: Phase, stats: ClientStats, now_ns: u64) {
-        #[cfg(feature = "telemetry")]
-        {
-            if self.span.kind.is_none() {
-                return;
-            }
-            self.close_interval(stats, now_ns);
-            self.span.current = Some(phase);
+        if self.span.kind.is_none() {
+            return;
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (phase, stats, now_ns);
+        self.close_interval(stats, now_ns);
+        self.span.current = Some(phase);
     }
 
     /// The phase the active span is currently in (for save/restore around
     /// nested helpers).
     pub fn current_phase(&self) -> Option<Phase> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.span.current
-        }
-        #[cfg(not(feature = "telemetry"))]
-        None
+        self.span.current
     }
 
     /// Marks one failed attempt / restart within the active span.
     pub fn retry(&mut self) {
-        #[cfg(feature = "telemetry")]
         if self.span.kind.is_some() {
             self.span.retries += 1;
         }
     }
 
-    /// Closes the active span: records end-to-end latency, folds the phase
-    /// breakdown into the registry, and offers the op to the flight
-    /// recorder. No-op outside a span.
+    /// Closes the active span: records end-to-end latency and folds the
+    /// phase breakdown into the registry. No-op outside a span.
     pub fn end(&mut self, stats: ClientStats, now_ns: u64) {
-        self.end_traced(stats, now_ns, None);
-    }
-
-    /// Like [`end`](Recorder::end), but links the flight-recorder entry to
-    /// a retained causal trace (see [`Tracer::finish`](crate::Tracer::finish)).
-    pub fn end_traced(&mut self, stats: ClientStats, now_ns: u64, trace: Option<u64>) {
-        #[cfg(feature = "telemetry")]
-        {
-            let Some(kind) = self.span.kind.take() else {
-                return;
-            };
-            self.close_interval(stats, now_ns);
-            let latency_ns = now_ns.saturating_sub(self.span.start_ns);
-            let agg = &mut self.registry.ops[kind.idx()];
-            agg.count += 1;
-            agg.retries += self.span.retries as u64;
-            agg.latency.record(latency_ns);
-            for (a, b) in agg.phases.iter_mut().zip(&self.span.phases) {
-                a.merge(b);
-            }
-            let record = OpRecord {
-                kind,
-                latency_ns,
-                retries: self.span.retries,
-                round_trips: self.span.phases.iter().map(|p| p.round_trips).sum(),
-                phases: self.span.phases,
-                trace,
-            };
-            self.registry.flight.offer(&record);
+        let Some(kind) = self.span.kind.take() else {
+            return;
+        };
+        self.close_interval(stats, now_ns);
+        let agg = &mut self.registry.ops[kind.idx()];
+        agg.count += 1;
+        agg.retries += self.span.retries as u64;
+        agg.latency
+            .record(now_ns.saturating_sub(self.span.start_ns));
+        for (a, b) in agg.phases.iter_mut().zip(&self.span.phases) {
+            a.merge(b);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (stats, now_ns, trace);
     }
 
     /// Adds `n` to a named registry counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        #[cfg(feature = "telemetry")]
         self.registry.add(name, n);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (name, n);
     }
 
     /// Increments a named registry counter.
@@ -171,28 +103,11 @@ impl Recorder {
         self.add(name, 1);
     }
 
-    /// Snapshot of the registry accumulated so far (empty when telemetry
-    /// is compiled out).
+    /// Snapshot of the registry accumulated so far.
     pub fn registry(&self) -> Registry {
-        #[cfg(feature = "telemetry")]
-        {
-            self.registry.clone()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        Registry::default()
+        self.registry.clone()
     }
 
-    /// Takes the accumulated registry, leaving an empty one behind.
-    pub fn take_registry(&mut self) -> Registry {
-        #[cfg(feature = "telemetry")]
-        {
-            std::mem::take(&mut self.registry)
-        }
-        #[cfg(not(feature = "telemetry"))]
-        Registry::default()
-    }
-
-    #[cfg(feature = "telemetry")]
     fn close_interval(&mut self, stats: ClientStats, now_ns: u64) {
         let delta = stats.since(&self.span.mark);
         let dt = now_ns.saturating_sub(self.span.mark_ns);
@@ -209,7 +124,7 @@ impl Recorder {
     }
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -250,18 +165,18 @@ mod tests {
     }
 
     #[test]
-    fn retries_counted_and_flight_recorded() {
+    fn retries_are_counted() {
         let mut rec = Recorder::new();
         rec.begin(OpKind::Insert, stats(0, 0, 0), 0);
         rec.phase(Phase::LockAcquire, stats(0, 0, 0), 0);
         rec.retry();
         rec.retry();
         rec.end(stats(5, 5, 0), 9000);
+        // Outside a span a retry has nothing to count against.
+        rec.retry();
         let reg = rec.registry();
         assert_eq!(reg.op(OpKind::Insert).retries, 2);
-        assert_eq!(reg.flight.most_retried().len(), 1);
-        assert_eq!(reg.flight.most_retried()[0].retries, 2);
-        assert_eq!(reg.flight.slowest()[0].latency_ns, 9000);
+        assert_eq!(reg.op(OpKind::Insert).latency.max_ns(), 9000);
     }
 
     #[test]
@@ -290,24 +205,5 @@ mod tests {
         rec.add("sfc.probe_miss", 3);
         assert_eq!(rec.registry().counter("sfc.probe_hit"), 1);
         assert_eq!(rec.registry().counter("sfc.probe_miss"), 3);
-    }
-}
-
-#[cfg(all(test, not(feature = "telemetry")))]
-mod disabled_tests {
-    use super::*;
-
-    #[test]
-    fn everything_is_a_no_op() {
-        let mut rec = Recorder::new();
-        assert!(!Recorder::enabled());
-        rec.begin(OpKind::Get, ClientStats::default(), 0);
-        rec.phase(Phase::LeafRead, ClientStats::default(), 10);
-        rec.retry();
-        rec.incr("sfc.probe_hit");
-        rec.end(ClientStats::default(), 20);
-        let reg = rec.registry();
-        assert_eq!(reg.total_ops(), 0);
-        assert_eq!(reg.counter("sfc.probe_hit"), 0);
     }
 }

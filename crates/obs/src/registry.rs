@@ -1,18 +1,17 @@
 //! The metrics registry: per-op-kind latency histograms, per-phase network
-//! attribution, named counters, and the flight recorder — mergeable across
-//! workers and exportable as JSON or text.
+//! attribution and named counters — mergeable across workers and
+//! exportable as JSON.
 
 use std::collections::BTreeMap;
 
 use dm_sim::LatencyHistogram;
 
-use crate::flight::FlightRecorder;
 use crate::json::JsonWriter;
 use crate::span::{OpKind, Phase, PhaseAgg, NUM_OP_KINDS, NUM_PHASES};
 
 /// Schema identifier stamped into every JSON export; bump on breaking
 /// changes so downstream consumers (CI smoke, plotting) fail loudly.
-pub const SCHEMA: &str = "sphinx.telemetry.v1";
+pub const SCHEMA: &str = "sphinx.telemetry.v2";
 
 /// Aggregated telemetry for one operation kind.
 #[derive(Debug, Clone)]
@@ -55,73 +54,6 @@ impl OpAgg {
     }
 }
 
-/// Number of `≤`-buckets in [`PipelineAgg::depth_hist`] (1, 2, 4, 8, 16,
-/// >16) — mirrors `node_engine::pipeline::DEPTH_BUCKETS`.
-pub const PIPELINE_DEPTH_BUCKETS: usize = 6;
-
-/// Stable labels for the depth-histogram buckets, in index order.
-pub const PIPELINE_DEPTH_LABELS: [&str; PIPELINE_DEPTH_BUCKETS] = ["1", "2", "4", "8", "16", "16+"];
-
-/// Per-tag network aggregates of the pipelined op scheduler (tags are
-/// phase names — the `tag` each op attaches to its submissions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineTagAgg {
-    /// Batches submitted with this tag.
-    pub batches: u64,
-    /// Logical round trips (distinct MNs per batch).
-    pub round_trips: u64,
-    /// Verbs submitted.
-    pub verbs: u64,
-    /// Wire bytes moved.
-    pub bytes: u64,
-}
-
-/// First-class pipelined-execution aggregates: the scheduler's depth
-/// histogram and per-tag round-trip table, exported structurally in
-/// `sphinx.telemetry.v1` (the `pipeline.*` scalar counters remain for
-/// backward compatibility).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineAgg {
-    /// Ops driven to completion by the pipelined scheduler.
-    pub ops: u64,
-    /// Flush rounds issued.
-    pub flushes: u64,
-    /// Batches that shared their flush with at least one other batch.
-    pub fused_batches: u64,
-    /// Flush rounds with fewer in-flight ops than the configured depth.
-    pub stalls: u64,
-    /// In-flight ops at each flush, bucketed per
-    /// [`PIPELINE_DEPTH_LABELS`].
-    pub depth_hist: [u64; PIPELINE_DEPTH_BUCKETS],
-    /// Network work grouped by the submitting op's attribution tag.
-    pub by_tag: BTreeMap<String, PipelineTagAgg>,
-}
-
-impl PipelineAgg {
-    /// Merges another run's aggregates into this accumulator.
-    pub fn merge(&mut self, other: &PipelineAgg) {
-        self.ops += other.ops;
-        self.flushes += other.flushes;
-        self.fused_batches += other.fused_batches;
-        self.stalls += other.stalls;
-        for (a, b) in self.depth_hist.iter_mut().zip(&other.depth_hist) {
-            *a += b;
-        }
-        for (tag, agg) in &other.by_tag {
-            let mine = self.by_tag.entry(tag.clone()).or_default();
-            mine.batches += agg.batches;
-            mine.round_trips += agg.round_trips;
-            mine.verbs += agg.verbs;
-            mine.bytes += agg.bytes;
-        }
-    }
-
-    /// True when no pipelined run has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.flushes == 0 && self.ops == 0
-    }
-}
-
 /// A mergeable telemetry registry. One per worker (filled through a
 /// [`Recorder`](crate::Recorder)); merged into one per run for export.
 #[derive(Debug, Clone, Default)]
@@ -129,12 +61,9 @@ pub struct Registry {
     /// Per-op-kind aggregates (indexed by [`OpKind::idx`]).
     pub ops: [OpAgg; NUM_OP_KINDS],
     /// Named domain counters (SFC hit/miss, INHT collisions, retries,
-    /// fault injections, lock spins, …). Sorted for deterministic export.
+    /// fault injections, lock spins, the pipelined scheduler, …). Sorted
+    /// for deterministic export.
     pub counters: BTreeMap<String, u64>,
-    /// Top-K slowest / most-retried operations.
-    pub flight: FlightRecorder,
-    /// Pipelined-scheduler aggregates (depth histogram, per-tag table).
-    pub pipeline: PipelineAgg,
 }
 
 impl Registry {
@@ -198,13 +127,13 @@ impl Registry {
         for (name, v) in &other.counters {
             self.add(name, *v);
         }
-        self.flight.merge(&other.flight);
-        self.pipeline.merge(&other.pipeline);
     }
 
     /// Serializes the registry as a self-describing JSON document
-    /// (schema [`SCHEMA`]). Only op kinds with completed operations and
-    /// phases with recorded work are emitted.
+    /// (schema [`SCHEMA`]): `ops` (per kind: count, retries, latency
+    /// quantiles and the per-phase table) and `counters`. Only op kinds
+    /// with completed operations and phases with recorded work are
+    /// emitted.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -236,41 +165,19 @@ impl Registry {
                     continue;
                 }
                 w.key(phase.name());
-                write_phase_agg(&mut w, agg);
-            }
-            w.end_obj();
-            w.end_obj();
-        }
-        w.end_obj();
-
-        if !self.pipeline.is_empty() {
-            let p = &self.pipeline;
-            w.key("pipeline");
-            w.begin_obj();
-            w.u64_field("ops", p.ops);
-            w.u64_field("flushes", p.flushes);
-            w.u64_field("fused_batches", p.fused_batches);
-            w.u64_field("stalls", p.stalls);
-            w.key("depth_hist");
-            w.begin_obj();
-            for (label, v) in PIPELINE_DEPTH_LABELS.iter().zip(&p.depth_hist) {
-                w.u64_field(label, *v);
-            }
-            w.end_obj();
-            w.key("by_tag");
-            w.begin_obj();
-            for (tag, agg) in &p.by_tag {
-                w.key(tag);
                 w.begin_obj();
-                w.u64_field("batches", agg.batches);
+                w.u64_field("count", agg.count);
                 w.u64_field("round_trips", agg.round_trips);
+                w.u64_field("doorbells", agg.doorbells);
                 w.u64_field("verbs", agg.verbs);
                 w.u64_field("bytes", agg.bytes);
+                w.u64_field("time_ns", agg.time_ns);
                 w.end_obj();
             }
             w.end_obj();
             w.end_obj();
         }
+        w.end_obj();
 
         w.key("counters");
         w.begin_obj();
@@ -279,163 +186,9 @@ impl Registry {
         }
         w.end_obj();
 
-        w.key("flight");
-        w.begin_obj();
-        w.key("slowest");
-        write_records(&mut w, self.flight.slowest());
-        w.key("most_retried");
-        write_records(&mut w, self.flight.most_retried());
-        w.end_obj();
-
         w.end_obj();
         w.finish()
     }
-
-    /// Renders a human-readable telemetry report: one per-phase table per
-    /// active op kind, the counter catalogue, and the flight-recorder dump.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for kind in OpKind::ALL {
-            let op = self.op(kind);
-            if op.count == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{}: {} ops, {} retries, mean {} ns, p99 {} ns",
-                kind.name(),
-                op.count,
-                op.retries,
-                op.latency.mean_ns(),
-                op.latency.quantile_ns(0.99),
-            );
-            let _ = writeln!(
-                out,
-                "  {:<12} {:>9} {:>9} {:>9} {:>10} {:>9}",
-                "phase", "rts/op", "dbs/op", "verbs/op", "bytes/op", "time%"
-            );
-            let total_time: u64 = op.phases.iter().map(|p| p.time_ns).sum();
-            for phase in Phase::ALL {
-                let agg = &op.phases[phase.idx()];
-                if agg.is_empty() {
-                    continue;
-                }
-                let per = |v: u64| v as f64 / op.count as f64;
-                let pct = if total_time == 0 {
-                    0.0
-                } else {
-                    100.0 * agg.time_ns as f64 / total_time as f64
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<12} {:>9.3} {:>9.3} {:>9.3} {:>10.1} {:>8.1}%",
-                    phase.name(),
-                    per(agg.round_trips),
-                    per(agg.doorbells),
-                    per(agg.verbs),
-                    per(agg.bytes),
-                    pct,
-                );
-            }
-            let (rts, dbs) = op.phases.iter().fold((0u64, 0u64), |(r, d), p| {
-                (r + p.round_trips, d + p.doorbells)
-            });
-            let _ = writeln!(
-                out,
-                "  total: {:.3} rts/op, {:.3} doorbells/op",
-                rts as f64 / op.count as f64,
-                dbs as f64 / op.count as f64,
-            );
-        }
-        if !self.pipeline.is_empty() {
-            let p = &self.pipeline;
-            let _ = writeln!(
-                out,
-                "pipeline: {} ops, {} flushes, {} fused batches, {} stalls",
-                p.ops, p.flushes, p.fused_batches, p.stalls
-            );
-            let _ = write!(out, "  depth_hist:");
-            for (label, v) in PIPELINE_DEPTH_LABELS.iter().zip(&p.depth_hist) {
-                let _ = write!(out, " ≤{label}:{v}");
-            }
-            let _ = writeln!(out);
-            for (tag, agg) in &p.by_tag {
-                let _ = writeln!(
-                    out,
-                    "  tag {:<12} {} batches, {} rts, {} verbs, {} bytes",
-                    tag, agg.batches, agg.round_trips, agg.verbs, agg.bytes
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "counters:");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<32} {v}");
-            }
-        }
-        let slow = self.flight.slowest();
-        if !slow.is_empty() {
-            let _ = writeln!(out, "slowest ops:");
-            for rec in slow {
-                let hot = rec
-                    .phases
-                    .iter()
-                    .zip(Phase::ALL)
-                    .max_by_key(|(agg, _)| agg.time_ns)
-                    .map(|(_, p)| p.name())
-                    .unwrap_or("-");
-                let _ = writeln!(
-                    out,
-                    "  {:<9} {:>9} ns, {} rts, {} retries, hottest phase {}",
-                    rec.kind.name(),
-                    rec.latency_ns,
-                    rec.round_trips,
-                    rec.retries,
-                    hot,
-                );
-            }
-        }
-        out
-    }
-}
-
-fn write_phase_agg(w: &mut JsonWriter, agg: &PhaseAgg) {
-    w.begin_obj();
-    w.u64_field("count", agg.count);
-    w.u64_field("round_trips", agg.round_trips);
-    w.u64_field("doorbells", agg.doorbells);
-    w.u64_field("verbs", agg.verbs);
-    w.u64_field("bytes", agg.bytes);
-    w.u64_field("time_ns", agg.time_ns);
-    w.end_obj();
-}
-
-fn write_records(w: &mut JsonWriter, records: &[crate::span::OpRecord]) {
-    w.begin_arr();
-    for rec in records {
-        w.begin_obj();
-        w.str_field("kind", rec.kind.name());
-        w.u64_field("latency_ns", rec.latency_ns);
-        w.u64_field("retries", rec.retries as u64);
-        w.u64_field("round_trips", rec.round_trips);
-        if let Some(trace) = rec.trace {
-            w.u64_field("trace_id", trace);
-        }
-        w.key("phases");
-        w.begin_obj();
-        for phase in Phase::ALL {
-            let agg = &rec.phases[phase.idx()];
-            if agg.is_empty() {
-                continue;
-            }
-            w.key(phase.name());
-            write_phase_agg(w, agg);
-        }
-        w.end_obj();
-        w.end_obj();
-    }
-    w.end_arr();
 }
 
 #[cfg(test)]
@@ -489,7 +242,7 @@ mod tests {
         );
         r.incr("sfc.probe_hit");
         let json = r.to_json();
-        assert!(json.contains("\"schema\":\"sphinx.telemetry.v1\""));
+        assert!(json.contains("\"schema\":\"sphinx.telemetry.v2\""));
         assert!(json.contains("\"get\""));
         assert!(!json.contains("\"insert\""));
         assert!(json.contains("\"SfcProbe\""));
@@ -497,24 +250,7 @@ mod tests {
         // Round-trips through our own parser.
         let parsed = crate::json::parse(&json).expect("valid json");
         assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-    }
-
-    #[test]
-    fn text_report_mentions_phases() {
-        let mut r = Registry::new();
-        r.ops[OpKind::Get.idx()].count = 2;
-        r.ops[OpKind::Get.idx()].latency.record(500);
-        r.ops[OpKind::Get.idx()].phases[Phase::LeafRead.idx()].add_interval(
-            &dm_sim::ClientStats {
-                round_trips: 2,
-                reads: 2,
-                bytes_read: 256,
-                ..Default::default()
-            },
-            200,
-        );
-        let text = r.render_text();
-        assert!(text.contains("get: 2 ops"));
-        assert!(text.contains("LeafRead"));
+        let top: Vec<&String> = parsed.as_obj().expect("object").keys().collect();
+        assert_eq!(top, ["counters", "ops", "schema"]);
     }
 }

@@ -166,26 +166,6 @@ impl PhaseAgg {
     }
 }
 
-/// One completed operation as captured by the flight recorder: total
-/// latency, retry count, and the full per-phase breakdown.
-#[derive(Debug, Clone)]
-pub struct OpRecord {
-    /// Operation kind.
-    pub kind: OpKind,
-    /// End-to-end virtual latency.
-    pub latency_ns: u64,
-    /// Failed attempts / restarts within the op.
-    pub retries: u32,
-    /// Total round trips across all phases.
-    pub round_trips: u64,
-    /// Per-phase attribution (indexed by [`Phase::idx`]).
-    pub phases: [PhaseAgg; NUM_PHASES],
-    /// Link to the op's retained causal trace
-    /// ([`TraceId`](crate::trace::TraceId)), when one was sampled and
-    /// survived retention at record time.
-    pub trace: Option<u64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -154,7 +154,6 @@ impl OpTrace {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn reset(&mut self, id: TraceId, kind: OpKind, now_ns: u64) {
         self.id = id;
         self.kind = kind;
@@ -318,36 +317,36 @@ pub fn critical_path(t: &OpTrace) -> CriticalPath {
 }
 
 /// Default tail-retention K: full traces kept for the K slowest and the K
-/// most-retried ops per worker (matches
-/// [`FlightRecorder`](crate::FlightRecorder)'s capacity).
+/// most-retried ops per worker.
 pub const DEFAULT_TAIL_K: usize = 8;
 
 /// Most head-sampled traces retained per worker.
-#[cfg(feature = "telemetry")]
 const HEAD_CAP: usize = 256;
 
 /// Recycled trace boxes kept around (covers the pipeline depth plus
 /// finish-lease churn).
-#[cfg(feature = "telemetry")]
 const POOL_CAP: usize = 32;
 
-#[cfg(feature = "telemetry")]
 fn rank_by_latency(t: &OpTrace) -> (u64, u64) {
     (t.latency_ns(), t.retries as u64)
 }
 
-#[cfg(feature = "telemetry")]
 fn rank_by_retries(t: &OpTrace) -> (u64, u64) {
     (t.retries as u64, t.latency_ns())
 }
 
+/// The per-worker trace sampler: leases [`OpTrace`] contexts to ops,
+/// windows completed traces against the transport-event ring, and retains
+/// the tail (slowest / most-retried K) plus a uniform head sample.
+///
+/// Defaults to always-on tail sampling ([`DEFAULT_TAIL_K`]) with the head
+/// sample off.
 // Boxes are deliberate despite living in Vecs: leases hand the *same*
 // allocation back and forth between the pool and the op, so the steady
 // state allocates nothing and retention shuffles 8-byte pointers.
-#[cfg(feature = "telemetry")]
 #[allow(clippy::vec_box)]
 #[derive(Debug)]
-struct TracerInner {
+pub struct Tracer {
     worker: u32,
     head_every: u64,
     tail_k: usize,
@@ -358,10 +357,9 @@ struct TracerInner {
     most_retried: Vec<Box<OpTrace>>,
 }
 
-#[cfg(feature = "telemetry")]
-impl Default for TracerInner {
+impl Default for Tracer {
     fn default() -> Self {
-        TracerInner {
+        Tracer {
             worker: 0,
             head_every: 0,
             tail_k: DEFAULT_TAIL_K,
@@ -374,20 +372,6 @@ impl Default for TracerInner {
     }
 }
 
-/// The per-worker trace sampler: leases [`OpTrace`] contexts to ops,
-/// windows completed traces against the transport-event ring, and retains
-/// the tail (slowest / most-retried K) plus a uniform head sample.
-///
-/// Defaults to always-on tail sampling ([`DEFAULT_TAIL_K`]) with the head
-/// sample off. With the `telemetry` feature disabled every method is a
-/// no-op and [`lease`](Tracer::lease) always returns `None`, so tracing
-/// compiles out entirely.
-#[derive(Debug, Default)]
-pub struct Tracer {
-    #[cfg(feature = "telemetry")]
-    inner: TracerInner,
-}
-
 impl Tracer {
     /// Creates a tracer with default sampling (tail K = 8, head off).
     pub fn new() -> Self {
@@ -396,136 +380,95 @@ impl Tracer {
 
     /// Sets the worker id stamped into the high half of every trace id.
     pub fn set_worker(&mut self, worker: u32) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.worker = worker;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = worker;
+        self.worker = worker;
     }
 
     /// Configures sampling: keep full traces for the `tail_k`
     /// slowest/most-retried ops, plus every `head_every`-th op (0 = head
     /// sample off). `(0, 0)` disables tracing — no lease, no allocation.
     pub fn configure(&mut self, head_every: u64, tail_k: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.head_every = head_every;
-            self.inner.tail_k = tail_k;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (head_every, tail_k);
+        self.head_every = head_every;
+        self.tail_k = tail_k;
     }
 
-    /// Whether any sampling is active (always false without `telemetry`).
+    /// Whether any sampling is active.
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.head_every > 0 || self.inner.tail_k > 0
-        }
-        #[cfg(not(feature = "telemetry"))]
-        false
+        self.head_every > 0 || self.tail_k > 0
     }
 
     /// Leases a trace context for an op beginning now. Returns `None` when
-    /// tracing is off (compiled out or sampling disabled); otherwise
-    /// recycles a pooled box — steady state allocates nothing.
+    /// sampling is off; otherwise recycles a pooled box — steady state
+    /// allocates nothing.
     pub fn lease(&mut self, kind: OpKind, now_ns: u64) -> Option<Box<OpTrace>> {
-        #[cfg(feature = "telemetry")]
-        {
-            let inner = &mut self.inner;
-            if inner.head_every == 0 && inner.tail_k == 0 {
-                return None;
-            }
-            let seq = inner.seq;
-            inner.seq += 1;
-            let mut t = inner
-                .pool
-                .pop()
-                .unwrap_or_else(|| Box::new(OpTrace::empty()));
-            t.reset(
-                ((inner.worker as u64) << 32) | (seq & 0xffff_ffff),
-                kind,
-                now_ns,
-            );
-            t.head_sampled = inner.head_every > 0 && seq.is_multiple_of(inner.head_every);
-            Some(t)
+        if !self.is_active() {
+            return None;
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (kind, now_ns);
-            None
-        }
+        let seq = self.seq;
+        self.seq += 1;
+        let mut t = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| Box::new(OpTrace::empty()));
+        t.reset(
+            ((self.worker as u64) << 32) | (seq & 0xffff_ffff),
+            kind,
+            now_ns,
+        );
+        t.head_sampled = self.head_every > 0 && seq.is_multiple_of(self.head_every);
+        Some(t)
     }
 
     /// Completes a leased trace: stamps its end time, windows `events`
     /// (the transport events collected since the op's mark) to
     /// `[begin_ns, end_ns]`, and applies the retention policy. Returns the
     /// trace id iff the trace was retained (head sample, or current
-    /// slowest/most-retried tail) — the id is what
-    /// [`OpRecord::trace`](crate::OpRecord::trace) links to.
+    /// slowest/most-retried tail).
     pub fn finish(
         &mut self,
-        trace: Box<OpTrace>,
+        mut trace: Box<OpTrace>,
         end_ns: u64,
         events: &[TransportEvent],
     ) -> Option<TraceId> {
-        #[cfg(feature = "telemetry")]
-        {
-            let mut trace = trace;
-            trace.end_ns = end_ns;
-            trace.bursts.clear();
-            for ev in events {
-                if ev.from_ns() >= trace.begin_ns && ev.to_ns() <= trace.end_ns {
-                    trace.bursts.push(*ev);
-                }
+        trace.end_ns = end_ns;
+        trace.bursts.clear();
+        for ev in events {
+            if ev.from_ns() >= trace.begin_ns && ev.to_ns() <= trace.end_ns {
+                trace.bursts.push(*ev);
             }
-            let inner = &mut self.inner;
-            let id = trace.id;
-            if trace.head_sampled && inner.head.len() < HEAD_CAP {
-                inner.head.push(trace);
-                return Some(id);
-            }
-            if inner.tail_k == 0 {
-                Self::pool(&mut inner.pool, trace);
-                return None;
-            }
-            // Slowest list first; whatever spills (the new trace when it
-            // doesn't qualify, or an older trace it displaced) gets a
-            // second chance on the most-retried list before pooling.
-            let spill =
-                match Self::insert_topk(&mut inner.slowest, trace, inner.tail_k, rank_by_latency) {
-                    None => return Some(id),
-                    Some(t) => t,
-                };
-            let spill = if spill.retries > 0 {
-                match Self::insert_topk(
-                    &mut inner.most_retried,
-                    spill,
-                    inner.tail_k,
-                    rank_by_retries,
-                ) {
-                    None => return Some(id),
-                    Some(t) => t,
-                }
-            } else {
-                spill
-            };
-            let dropped_self = spill.id == id;
-            Self::pool(&mut inner.pool, spill);
-            (!dropped_self).then_some(id)
         }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (trace, end_ns, events);
-            None
+        let id = trace.id;
+        if trace.head_sampled && self.head.len() < HEAD_CAP {
+            self.head.push(trace);
+            return Some(id);
         }
+        if self.tail_k == 0 {
+            Self::pool(&mut self.pool, trace);
+            return None;
+        }
+        // Slowest list first; whatever spills (the new trace when it
+        // doesn't qualify, or an older trace it displaced) gets a
+        // second chance on the most-retried list before pooling.
+        let spill = match Self::insert_topk(&mut self.slowest, trace, self.tail_k, rank_by_latency)
+        {
+            None => return Some(id),
+            Some(t) => t,
+        };
+        let spill = if spill.retries > 0 {
+            match Self::insert_topk(&mut self.most_retried, spill, self.tail_k, rank_by_retries) {
+                None => return Some(id),
+                Some(t) => t,
+            }
+        } else {
+            spill
+        };
+        let dropped_self = spill.id == id;
+        Self::pool(&mut self.pool, spill);
+        (!dropped_self).then_some(id)
     }
 
     /// Inserts `t` into the descending-sorted top-`k` list. Returns the
     /// box that fell out — `t` itself when it doesn't qualify, or the
     /// displaced tail entry.
-    #[cfg(feature = "telemetry")]
     #[allow(clippy::vec_box)]
     fn insert_topk(
         list: &mut Vec<Box<OpTrace>>,
@@ -546,7 +489,6 @@ impl Tracer {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[allow(clippy::vec_box)]
     fn pool(pool: &mut Vec<Box<OpTrace>>, t: Box<OpTrace>) {
         if pool.len() < POOL_CAP {
@@ -557,22 +499,16 @@ impl Tracer {
     /// Drains every retained trace (head sample + tails), sorted by id.
     /// The pool is kept, so a following run still recycles.
     pub fn take_traces(&mut self) -> Vec<OpTrace> {
-        #[cfg(feature = "telemetry")]
-        {
-            let inner = &mut self.inner;
-            let mut out: Vec<OpTrace> = inner
-                .head
-                .drain(..)
-                .chain(inner.slowest.drain(..))
-                .chain(inner.most_retried.drain(..))
-                .map(|b| *b)
-                .collect();
-            out.sort_by_key(|t| t.id);
-            out.dedup_by_key(|t| t.id);
-            out
-        }
-        #[cfg(not(feature = "telemetry"))]
-        Vec::new()
+        let mut out: Vec<OpTrace> = self
+            .head
+            .drain(..)
+            .chain(self.slowest.drain(..))
+            .chain(self.most_retried.drain(..))
+            .map(|b| *b)
+            .collect();
+        out.sort_by_key(|t| t.id);
+        out.dedup_by_key(|t| t.id);
+        out
     }
 }
 
@@ -886,7 +822,6 @@ mod tests {
         assert_eq!(phases.len(), 3);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn tracer_disabled_sampling_never_leases() {
         let mut tr = Tracer::new();
@@ -895,7 +830,6 @@ mod tests {
         assert!(tr.lease(OpKind::Get, 0).is_none());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn tail_retention_keeps_slowest_and_most_retried() {
         let mut tr = Tracer::new();
@@ -930,7 +864,6 @@ mod tests {
         assert_eq!(ids, sorted);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn head_sample_takes_every_nth_and_pool_recycles() {
         let mut tr = Tracer::new();
@@ -949,13 +882,12 @@ mod tests {
         let t3 = tr.lease(OpKind::Get, 0).unwrap();
         assert!(!t3.head_sampled);
         assert!(tr.finish(t3, 1, &[]).is_none());
-        let before = tr.inner.pool.len();
+        let before = tr.pool.len();
         assert!(before > 0);
         let _t3 = tr.lease(OpKind::Get, 0).unwrap();
-        assert_eq!(tr.inner.pool.len(), before - 1, "lease recycled a box");
+        assert_eq!(tr.pool.len(), before - 1, "lease recycled a box");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn finish_windows_transport_events_to_op_lifetime() {
         let mut tr = Tracer::new();

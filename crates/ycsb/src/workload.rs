@@ -20,8 +20,6 @@ pub enum Op {
     Insert(u64),
     /// Range scan starting at an existing item, for `len` items.
     Scan(u64, usize),
-    /// Read an item, then write it back modified (YCSB-F).
-    ReadModifyWrite(u64),
 }
 
 /// The operation mix of a YCSB workload.
@@ -37,8 +35,6 @@ pub struct Workload {
     pub insert: f64,
     /// Fraction of scans.
     pub scan: f64,
-    /// Fraction of read-modify-writes (workload F).
-    pub rmw: f64,
     /// Whether reads follow the "latest" distribution (workload D).
     pub latest: bool,
     /// Use a uniform request distribution instead of zipfian (not used by
@@ -57,7 +53,6 @@ impl Workload {
             update: 0.5,
             insert: 0.0,
             scan: 0.0,
-            rmw: 0.0,
             latest: false,
             uniform: false,
             max_scan_len: 0,
@@ -118,7 +113,6 @@ impl Workload {
             update: 0.0,
             insert: 0.05,
             scan: 0.95,
-            rmw: 0.0,
             latest: false,
             uniform: false,
             max_scan_len: 100,
@@ -137,18 +131,6 @@ impl Workload {
         }
     }
 
-    /// YCSB-F: 50% reads, 50% read-modify-writes. Not part of the paper's
-    /// evaluation; provided for completeness (standard YCSB core suite).
-    pub fn f() -> Self {
-        Workload {
-            read: 0.5,
-            update: 0.0,
-            rmw: 0.5,
-            name: "F",
-            ..Self::a()
-        }
-    }
-
     /// Looks a workload up by its paper name (case-insensitive).
     pub fn by_name(name: &str) -> Option<Workload> {
         match name.to_ascii_uppercase().as_str() {
@@ -157,7 +139,6 @@ impl Workload {
             "C" => Some(Self::c()),
             "D" => Some(Self::d()),
             "E" => Some(Self::e()),
-            "F" => Some(Self::f()),
             "LOAD" => Some(Self::load()),
             _ => None,
         }
@@ -253,8 +234,6 @@ impl OpStream {
             Op::Update(self.dist.sample(&mut self.rng, population))
         } else if roll < w.read + w.update + w.insert {
             Op::Insert(self.cursor.allocate())
-        } else if roll < w.read + w.update + w.insert + w.rmw {
-            Op::ReadModifyWrite(self.dist.sample(&mut self.rng, population))
         } else {
             let start = self.dist.sample(&mut self.rng, population);
             let len = self.rng.gen_range(1..=w.max_scan_len.max(1));
@@ -285,7 +264,6 @@ mod tests {
                 Op::Update(_) => u += 1,
                 Op::Insert(_) => i += 1,
                 Op::Scan(_, _) => sc += 1,
-                Op::ReadModifyWrite(_) => unreachable!("no rmw in these mixes"),
             }
         }
         (r, u, i, sc)
@@ -379,26 +357,13 @@ mod tests {
     }
 
     #[test]
-    fn workload_f_mixes_reads_and_rmw() {
-        let mut s = OpStream::new(Workload::f(), 10_000, 4);
-        let (mut r, mut m) = (0, 0);
-        for _ in 0..10_000 {
-            match s.next_op() {
-                Op::Read(_) => r += 1,
-                Op::ReadModifyWrite(_) => m += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!((4_000..6_000).contains(&r));
-        assert!((4_000..6_000).contains(&m));
-    }
-
-    #[test]
     fn by_name_roundtrip() {
-        for name in ["A", "b", "C", "d", "E", "F", "load"] {
+        for name in ["A", "b", "C", "d", "E", "load"] {
             assert!(Workload::by_name(name).is_some(), "{name}");
         }
-        assert!(Workload::by_name("Z").is_none());
+        for name in ["F", "Z"] {
+            assert!(Workload::by_name(name).is_none(), "{name}");
+        }
     }
 
     #[test]

@@ -85,7 +85,6 @@ fn main() {
             trace_head_every: 0,
             trace_tail_k: obs::DEFAULT_TAIL_K,
             sample_interval_ns: 0,
-            sample_capacity: 0,
         },
     );
 

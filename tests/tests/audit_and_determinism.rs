@@ -149,7 +149,6 @@ fn single_worker_virtual_time_is_deterministic() {
                 trace_head_every: 0,
                 trace_tail_k: obs::DEFAULT_TAIL_K,
                 sample_interval_ns: 0,
-                sample_capacity: 0,
             },
         );
         (r.mops.to_bits(), r.avg_latency_us.to_bits(), r.total_ops)

@@ -191,7 +191,6 @@ fn ycsb_smoke_every_workload_every_system() {
                     trace_head_every: 0,
                     trace_tail_k: obs::DEFAULT_TAIL_K,
                     sample_interval_ns: 0,
-                    sample_capacity: 0,
                 },
             );
             assert!(r.mops > 0.0, "{} {wl}", sys.label());

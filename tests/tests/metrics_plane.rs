@@ -22,7 +22,6 @@ fn cfg(workers: usize, depth: usize, sample_interval_ns: u64) -> RunConfig {
         trace_head_every: 0,
         trace_tail_k: 0,
         sample_interval_ns,
-        sample_capacity: 128,
     }
 }
 
