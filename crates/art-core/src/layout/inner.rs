@@ -102,30 +102,47 @@ impl InnerNode {
 
     /// Occupied child slots whose dispatch byte lies in `lo..=hi`, in
     /// ascending byte order (for scans), without a sorted copy: a `Node256`
-    /// is in byte order already, and the smaller kinds yield the smallest
-    /// dispatch byte above the last one.
+    /// is in byte order already, and the smaller kinds are indexed once by
+    /// dispatch byte (a bit per occupied byte, and the first slot holding
+    /// it), so each step is a scan of at most four bitmap words.
     pub fn children_between(&self, lo: u8, hi: u8) -> impl Iterator<Item = Slot> + '_ {
         let indexed = self.header.kind == NodeKind::Node256;
+        let (mut present, mut first) = ([0u64; 4], [0u8; 256]);
+        if !indexed {
+            // In reverse, so a byte held twice (a torn node) yields its
+            // first slot only.
+            for (i, slot) in self.slots.iter().enumerate().rev() {
+                if let Some(slot) = slot {
+                    let byte = usize::from(slot.key_byte);
+                    present[byte / 64] |= 1 << (byte % 64);
+                    first[byte] = i as u8;
+                }
+            }
+        }
         // The next dispatch byte still to yield; past `hi` ends the walk.
-        let mut floor = usize::from(lo);
+        let (mut floor, hi) = (usize::from(lo), usize::from(hi));
         std::iter::from_fn(move || {
-            if floor > usize::from(hi) {
+            if floor > hi {
                 return None;
             }
-            let window = floor..=usize::from(hi);
-            if indexed {
-                let at = floor + self.slots[window].iter().position(Option::is_some)?;
-                floor = at + 1;
-                return self.slots[at];
+            let (byte, at) = if indexed {
+                let at = floor + self.slots[floor..=hi].iter().position(Option::is_some)?;
+                (at, at)
+            } else {
+                let mut word = floor / 64;
+                let mut bits = present[word] & (u64::MAX << (floor % 64));
+                while bits == 0 {
+                    word += 1;
+                    bits = *present.get(word)?;
+                }
+                let byte = word * 64 + bits.trailing_zeros() as usize;
+                (byte, usize::from(first[byte]))
+            };
+            if byte > hi {
+                return None;
             }
-            let slot = self
-                .slots
-                .iter()
-                .flatten()
-                .filter(|s| window.contains(&usize::from(s.key_byte)))
-                .min_by_key(|s| s.key_byte)?;
-            floor = usize::from(slot.key_byte) + 1;
-            Some(*slot)
+            floor = byte + 1;
+            self.slots[at]
         })
     }
 
@@ -322,6 +339,39 @@ mod tests {
         assert_eq!(window, vec![9, 40]);
         let empty = InnerNode::new(NodeKind::Node48, b"");
         assert_eq!(empty.children_between(0, 255).count(), 0);
+    }
+
+    /// The smaller kinds' byte index against a sort of the slots: every
+    /// window over a full `Node48` whose bytes straddle the bitmap words,
+    /// and a byte held by two slots yields the first of them once.
+    #[test]
+    fn children_between_matches_a_sorted_reference() {
+        let mut n = InnerNode::new(NodeKind::Node48, b"");
+        for i in 0..47u32 {
+            n.set_child(slot((i * 151 % 256) as u8, i % 2 == 0));
+        }
+        let held = n.slots[3].unwrap();
+        n.slots[47] = Some(slot(held.key_byte, !held.is_leaf));
+        let reference = |lo: u8, hi: u8| -> Vec<Slot> {
+            let mut all: Vec<Slot> = n.slots.iter().flatten().copied().collect();
+            all.sort_by_key(|s| s.key_byte);
+            all.dedup_by_key(|s| s.key_byte);
+            all.retain(|s| (lo..=hi).contains(&s.key_byte));
+            all
+        };
+        for (lo, hi) in [
+            (0, 255),
+            (0, 63),
+            (63, 64),
+            (64, 127),
+            (100, 200),
+            (128, 255),
+            (255, 255),
+            (7, 6),
+        ] {
+            let got: Vec<Slot> = n.children_between(lo, hi).collect();
+            assert_eq!(got, reference(lo, hi), "window {lo}..={hi}");
+        }
     }
 
     #[test]

@@ -632,6 +632,16 @@ impl DmClient {
             }
         }
 
+        // Start every READ's misses before the first copy waits on one
+        // (`MemoryNode::touch`: loads only, no effect on any result).
+        for verb in burst.iter().flat_map(|(_, batch)| batch.verbs()) {
+            if let Verb::Read { ptr, len } = verb {
+                if let Some(mn) = self.inner.mns.get(ptr.mn_id() as usize) {
+                    mn.touch(ptr.offset(), *len);
+                }
+            }
+        }
+
         // Apply memory effects in submission order, verb order within a
         // batch; each submission completes with its own results or error.
         let fault_hook = self.inner.fault_hook.get();
@@ -1146,6 +1156,57 @@ mod tests {
             "a neighbour's failure must not poison this batch"
         );
         assert!(matches!(cl.wait(bad), Err(DmError::InvalidFree { .. })));
+    }
+
+    /// The READs of one burst are touched before any is copied; that pass
+    /// neither panics on a READ outside the pool or to a nonexistent MN
+    /// nor changes what any submission completes with.
+    #[test]
+    fn burst_reads_complete_with_their_bytes_or_their_own_error() {
+        let c = small_cluster();
+        let mut cl = c.client(0);
+        let cap = c.mn(0).unwrap().capacity() as u64;
+        let near = cl.alloc(0, 64).unwrap();
+        let far = cl.alloc(1, 2_072).unwrap();
+        let near_bytes: Vec<u8> = (0..64).collect();
+        let far_bytes: Vec<u8> = (0..2_072u32).map(|i| (i * 7) as u8).collect();
+        cl.write(near, &near_bytes).unwrap();
+        cl.write(far, &far_bytes).unwrap();
+        let whole = cl.submit(DoorbellBatch::from_iter([
+            Verb::Read { ptr: near, len: 64 },
+            Verb::Read {
+                ptr: far.checked_add(3).unwrap(),
+                len: 2_000,
+            },
+        ]));
+        let outside = cl.submit(DoorbellBatch::from_iter([Verb::Read {
+            ptr: RemotePtr::new(0, cap - 16),
+            len: 64,
+        }]));
+        let nowhere = cl.submit(DoorbellBatch::from_iter([Verb::Read {
+            ptr: RemotePtr::new(9, 0),
+            len: 128,
+        }]));
+        let after = cl.submit(DoorbellBatch::from_iter([Verb::Read {
+            ptr: near.checked_add(5).unwrap(),
+            len: 11,
+        }]));
+        cl.flush_submitted();
+        let got = cl.wait(whole).unwrap();
+        assert_eq!(got[0], VerbResult::Read(near_bytes.clone()));
+        assert_eq!(got[1], VerbResult::Read(far_bytes[3..2_003].to_vec()));
+        assert!(matches!(
+            cl.wait(outside),
+            Err(DmError::InvalidAddress { mn_id: 0, .. })
+        ));
+        assert!(matches!(
+            cl.wait(nowhere),
+            Err(DmError::UnknownMemoryNode { mn_id: 9 })
+        ));
+        assert_eq!(
+            cl.wait(after).unwrap()[0],
+            VerbResult::Read(near_bytes[5..16].to_vec())
+        );
     }
 
     #[test]

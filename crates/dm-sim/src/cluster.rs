@@ -199,11 +199,6 @@ impl DmCluster {
             .sum()
     }
 
-    /// Sum of messages processed by all MN NICs.
-    pub fn total_mn_msgs(&self) -> u64 {
-        self.inner.mns.iter().map(|m| m.nic().total_msgs()).sum()
-    }
-
     /// Snapshot of the whole cluster's server-side load accounting: one
     /// [`MnStats`] per node plus the dropped-verb counter. Monotone for
     /// the cluster's lifetime (deliberately *not* cleared by

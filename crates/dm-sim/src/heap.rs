@@ -9,6 +9,16 @@
 //! * accesses to a single aligned 8-byte word are atomic, matching RDMA
 //!   CAS/FAA and the paper's reliance on 8-byte control words (Fig. 3).
 //!
+//! A read is copied in at most three pieces: the bytes of the word it
+//! starts inside, then whole words (one `Acquire` load and one fixed
+//! 8-byte store each, so a whole word is never torn), then the leading
+//! bytes of the word it ends inside. Before a burst's READs are copied,
+//! `MemoryNode::touch` loads one word of each 64-byte host cache line they
+//! cover (counted from the pool's address), so their misses overlap
+//! instead of each copy waiting on its own. That pass uses plain relaxed
+//! loads whose values are discarded: it needs no `unsafe` prefetch
+//! intrinsic and no option, and it cannot change what a verb returns.
+//!
 //! The pool is lazily zeroed: one zeroed allocation, which for a pool of
 //! any real size is fresh pages the kernel maps on first touch. An MN
 //! therefore costs host memory for the pages its verbs and allocations
@@ -120,18 +130,52 @@ impl MemoryNode {
     /// Returns [`DmError::InvalidAddress`] if the range exceeds the pool.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<(), DmError> {
         self.check_range(offset, buf.len())?;
-        let mut pos = 0usize;
-        let mut off = offset;
-        while pos < buf.len() {
-            let word_idx = (off / 8) as usize;
-            let in_word = (off % 8) as usize;
-            let take = (8 - in_word).min(buf.len() - pos);
-            let w = self.words[word_idx].load(Ordering::Acquire).to_le_bytes();
-            buf[pos..pos + take].copy_from_slice(&w[in_word..in_word + take]);
-            pos += take;
-            off += take as u64;
+        // Head: the bytes of the word the read starts inside, if mid-word.
+        let first = (offset / 8) as usize;
+        let in_word = (offset % 8) as usize;
+        let head = if in_word == 0 {
+            0
+        } else {
+            (8 - in_word).min(buf.len())
+        };
+        let (head_buf, rest) = buf.split_at_mut(head);
+        if head > 0 {
+            let w = self.words[first].load(Ordering::Acquire).to_le_bytes();
+            head_buf.copy_from_slice(&w[in_word..in_word + head]);
+        }
+        // Body: whole words, one load and one 8-byte store each.
+        let body_first = ((offset + head as u64) / 8) as usize;
+        let last = body_first + rest.len() / 8;
+        let mut body = rest.chunks_exact_mut(8);
+        for (chunk, word) in (&mut body).zip(&self.words[body_first..]) {
+            chunk.copy_from_slice(&word.load(Ordering::Acquire).to_le_bytes());
+        }
+        // Tail: the leading bytes of the word the read ends inside.
+        let tail = body.into_remainder();
+        if !tail.is_empty() {
+            let w = self.words[last].load(Ordering::Acquire).to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
         }
         Ok(())
+    }
+
+    /// Loads one word of every 64-byte host cache line `[offset, offset +
+    /// len)` overlaps, clamped to the pool, and discards them. Called on
+    /// each READ of a burst before any is copied, so the burst's cache and
+    /// TLB misses are in flight together rather than one per copy. It
+    /// changes no byte, count or error: an out-of-pool range touches what
+    /// part of it lies in the pool, and the READ itself still fails.
+    pub(crate) fn touch(&self, offset: u64, len: usize) {
+        // Lines are counted from the pool's address, which the allocator
+        // need not have placed on a line boundary.
+        let skew = self.words.as_ptr() as usize / 8 % 8;
+        let end = (offset.saturating_add(len as u64).div_ceil(8) as usize).min(self.words.len());
+        let (mut word, mut acc) = ((offset / 8) as usize, 0u64);
+        while word < end {
+            acc ^= self.words[word].load(Ordering::Relaxed);
+            word = ((word + skew) / 8 + 1) * 8 - skew;
+        }
+        std::hint::black_box(acc);
     }
 
     /// Writes `data` starting at `offset`.
@@ -319,6 +363,48 @@ mod tests {
         let mut back = vec![0u8; 100];
         mn.read_bytes(3, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// `read_bytes` against a byte-by-byte reference on a pool holding a
+    /// distinct byte at each address: every start in two words and every
+    /// length up to five words (head only, body only, head + tail, all
+    /// three), a read ending on the pool's last byte and one past it.
+    #[test]
+    fn read_bytes_matches_a_byte_by_byte_reference() {
+        let mn = MemoryNode::new(0, 64, &NetConfig::default());
+        let cap = mn.capacity() as u64;
+        let byte_at = |addr: u64| (addr as u8).wrapping_mul(37) ^ 0x5A;
+        let pattern: Vec<u8> = (0..cap).map(byte_at).collect();
+        mn.write_bytes(0, &pattern).unwrap();
+        for start in 0..16u64 {
+            for len in 0..=40usize {
+                let mut got = vec![0u8; len];
+                mn.read_bytes(start, &mut got).unwrap();
+                let want: Vec<u8> = (start..start + len as u64).map(byte_at).collect();
+                assert_eq!(got, want, "start {start} len {len}");
+            }
+        }
+        for len in [1usize, 3, 8, 13, 24] {
+            let start = cap - len as u64;
+            let mut got = vec![0u8; len];
+            mn.read_bytes(start, &mut got).unwrap();
+            assert_eq!(got, &pattern[start as usize..], "last {len} bytes");
+            let mut over = vec![0u8; len + 1];
+            assert!(matches!(
+                mn.read_bytes(start, &mut over),
+                Err(DmError::InvalidAddress { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn touch_is_clamped_to_the_pool() {
+        let mn = node();
+        let cap = mn.capacity() as u64;
+        mn.touch(cap - 3, 100);
+        mn.touch(cap, 8);
+        mn.touch(u64::MAX - 4, 64);
+        mn.touch(5, 0);
     }
 
     #[test]

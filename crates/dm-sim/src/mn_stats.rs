@@ -74,9 +74,10 @@ impl MnAccounting {
         }
     }
 
+    /// The heat region `offset` falls in. Offsets are below 2^48
+    /// (`RemotePtr`), so the product cannot overflow a `u64`.
     fn region(&self, offset: u64) -> usize {
-        (((offset as u128 * HEAT_REGIONS as u128) / self.capacity as u128) as usize)
-            .min(HEAT_REGIONS - 1)
+        ((offset * HEAT_REGIONS as u64 / self.capacity) as usize).min(HEAT_REGIONS - 1)
     }
 
     /// Counts one verb at submission time (mirror of the client-side
@@ -337,5 +338,38 @@ impl ClusterStats {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `region` in `u64` places every offset where the `u128` formula
+    /// does: at each region boundary ±1, at both ends of the pool, on a
+    /// capacity that is not a multiple of [`HEAT_REGIONS`] — and on the
+    /// largest pool a 48-bit offset can address.
+    #[test]
+    fn region_matches_the_u128_formula() {
+        for capacity in [8 * 1001u64, (1 << 48) - 8] {
+            let acc = MnAccounting::new(capacity);
+            let wide = |offset: u64| {
+                ((offset as u128 * HEAT_REGIONS as u128 / capacity as u128) as usize)
+                    .min(HEAT_REGIONS - 1)
+            };
+            let mut offsets = vec![0, 1, capacity - 1];
+            for k in 1..HEAT_REGIONS as u64 {
+                let boundary = (k * capacity).div_ceil(HEAT_REGIONS as u64);
+                offsets.extend([boundary - 1, boundary, boundary + 1]);
+            }
+            for offset in offsets {
+                assert_eq!(
+                    acc.region(offset),
+                    wide(offset),
+                    "offset {offset} of {capacity}"
+                );
+            }
+            assert_eq!(acc.region(capacity - 1), HEAT_REGIONS - 1);
+        }
     }
 }

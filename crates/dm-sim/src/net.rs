@@ -24,8 +24,6 @@
 //! late-scheduled arrivals queue behind virtual history. The fluid model
 //! charges them only the genuinely outstanding backlog.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
 /// Network/NIC cost parameters.
@@ -117,8 +115,6 @@ struct Backlog {
 pub struct Nic {
     config: NetConfig,
     backlog: Mutex<Backlog>,
-    msgs: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl Nic {
@@ -127,8 +123,6 @@ impl Nic {
         Nic {
             config,
             backlog: Mutex::new(Backlog::default()),
-            msgs: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
         }
     }
 
@@ -143,8 +137,6 @@ impl Nic {
     /// the charge — the raw material of per-MN load accounting.
     pub fn submit_charged(&self, now_ns: u64, msgs: u64, bytes: u64) -> NicCharge {
         let service = self.config.service_ns(msgs, bytes);
-        self.msgs.fetch_add(msgs, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
         let mut b = self.backlog.lock();
         // Drain the queue at line rate for the virtual time that has
         // passed. Arrivals slightly in the past (out-of-order worker
@@ -162,32 +154,21 @@ impl Nic {
         }
     }
 
-    /// Total messages ever submitted.
-    pub fn total_msgs(&self) -> u64 {
-        self.msgs.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes ever submitted.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
     /// The NIC's configuration.
     pub fn config(&self) -> &NetConfig {
         &self.config
     }
 
-    /// Resets queue state and counters (between benchmark phases).
+    /// Resets the queue state (between benchmark phases).
     pub fn reset(&self) {
         *self.backlog.lock() = Backlog::default();
-        self.msgs.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn service_time_formula() {
@@ -251,17 +232,6 @@ mod tests {
         let b = nic.submit_charged(0, 1, 8); // queues behind the first
         assert_eq!((b.wait_ns, b.service_ns, b.fin_ns), (s, s, 2 * s));
         assert_eq!(b.fin_ns, b.wait_ns + b.service_ns);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let nic = Nic::new(NetConfig::default());
-        nic.submit(0, 3, 100);
-        nic.submit(0, 2, 50);
-        assert_eq!(nic.total_msgs(), 5);
-        assert_eq!(nic.total_bytes(), 150);
-        nic.reset();
-        assert_eq!(nic.total_msgs(), 0);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use art_core::hash::prefix_hash42;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
 use art_core::NodeKind;
 use dm_sim::{DmClient, FirstInline, RemotePtr};
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::{EngineError, LeafReadStats};
@@ -471,8 +472,8 @@ pub fn scan<H: ArtReader>(
         let fetched = leaves.drain(..).map(|(addr, span)| (addr, &level[span]));
         for leaf in settle_leaves(host, fetched)?.into_iter().flatten() {
             if leaf.status != NodeStatus::Invalid
-                && leaf.key.as_slice() >= low
-                && high.is_none_or(|high| leaf.key.as_slice() <= high)
+                && key_order(&leaf.key, low).is_ge()
+                && high.is_none_or(|high| key_order(&leaf.key, high).is_le())
             {
                 results.push((leaf.key, leaf.value));
             }
@@ -485,10 +486,29 @@ pub fn scan<H: ArtReader>(
         }
         frontier.rotate_left(unread);
     }
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    results.dedup_by(|a, b| a.0 == b.0);
+    // A strictly ascending result is its own sort and holds no duplicate.
+    // Rows come out of order when a round read an inner node ahead of a
+    // leaf sibling (the leaf's row lands before the inner node's subtree),
+    // which a multi-level scan of Sphinx's tree does nearly every time.
+    if !results.is_sorted_by(|a, b| key_order(&a.0, &b.0).is_lt()) {
+        results.sort_by(|a, b| key_order(&a.0, &b.0));
+        results.dedup_by(|a, b| a.0 == b.0);
+    }
     results.truncate(rows);
     Ok(results)
+}
+
+/// The lexicographic order of two keys, settled by their first eight
+/// bytes (zero-padded, as a big-endian integer) whenever those differ: an
+/// integer comparison where a slice comparison is a `memcmp` call.
+fn key_order(a: &[u8], b: &[u8]) -> Ordering {
+    fn head(key: &[u8]) -> u64 {
+        match key.first_chunk::<8>() {
+            Some(head) => u64::from_be_bytes(*head),
+            None => (key.iter().enumerate()).fold(0, |h, (i, &b)| h | u64::from(b) << (56 - 8 * i)),
+        }
+    }
+    head(a).cmp(&head(b)).then_with(|| a.cmp(b))
 }
 
 /// Outcome of [`audit`].
@@ -723,6 +743,34 @@ pub(crate) mod tests {
 
     pub(crate) fn node_of(h: &mut Host, slot: Slot) -> InnerNode {
         read_inner_consistent(&mut h.0, slot.addr, slot.child_kind).unwrap()
+    }
+
+    /// `key_order` is the slice order on keys shorter than, equal to and
+    /// longer than its eight-byte head, with zero bytes and shared heads.
+    #[test]
+    fn key_order_is_the_slice_order() {
+        let keys: [&[u8]; 15] = [
+            b"",
+            b"\0",
+            b"\0\0",
+            b"a",
+            b"a\0",
+            b"ab",
+            b"b",
+            b"ba",
+            &[0x01, 0xFF],
+            b"abcdefg",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefgi",
+            b"abcdefghij",
+            &[0xFF; 9],
+        ];
+        for a in keys {
+            for b in keys {
+                assert_eq!(key_order(a, b), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
