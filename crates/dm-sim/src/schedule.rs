@@ -18,7 +18,11 @@
 //! non-empty doorbell batch performs a *gate*: the client parks until all
 //! live participants are parked, the scheduler picks one (seeded RNG in
 //! record mode, pinned order in replay mode), and the chosen client applies
-//! its batch while the rest stay parked. The granted step may additionally
+//! its batch while the rest stay parked. The thread that completes a
+//! selection unparks only the grantee, after releasing the state lock; each
+//! gate records its caller's thread, so a handle may move between threads,
+//! and a waiter re-checks its grant on every wake-up (an unpark that lands
+//! before the `park` leaves a token). The granted step may additionally
 //! carry:
 //!
 //! * a **virtual-time delay** — models a verb held at the NIC;
@@ -40,8 +44,9 @@
 //! * Every registered handle must either reach a gate or be dropped;
 //!   a registered-but-silent participant parks the whole schedule (the
 //!   gate waits for it). Dropping the handle (or the `DmClient` holding
-//!   it) deregisters, so a finished or panicked worker never wedges the
-//!   run.
+//!   it) deregisters, and a handle dropped while it holds a grant (a panic
+//!   between `gate_begin` and `gate_end`) releases the step, so a finished
+//!   or panicked worker never wedges the run.
 //! * Clients must not hold locks shared with other participants across
 //!   `execute` calls (none of the workspace index crates do).
 //!
@@ -50,7 +55,8 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -185,9 +191,10 @@ enum Mode {
 }
 
 struct Participant {
-    live: bool,
-    /// `Some(has_cas)` while parked at the gate.
+    /// `Some(has_cas)` while parked at the gate (never after deregistering).
     waiting: Option<bool>,
+    /// The thread of the participant's latest gate: the one a grant wakes.
+    thread: Option<Thread>,
 }
 
 struct Grant {
@@ -204,18 +211,13 @@ struct State {
     n_waiting: usize,
     /// A grant waiting to be picked up by its participant.
     grant: Option<Grant>,
-    /// A granted participant is applying its batch; no selection until it
-    /// returns through `gate_end`.
-    in_flight: bool,
+    /// The participant applying its granted batch; no selection until it
+    /// returns through `gate_end` or its handle is dropped.
+    in_flight: Option<u32>,
     step: u64,
     last_pid: u32,
     trace: Vec<TraceStep>,
     tear_hook: Option<Arc<dyn FaultHook>>,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    cv: Condvar,
 }
 
 /// A deterministic scheduler shared by a set of simulated clients.
@@ -223,12 +225,12 @@ struct Shared {
 /// Cheap to clone (an `Arc` handle). See the module docs for the model.
 #[derive(Clone)]
 pub struct Schedule {
-    shared: Arc<Shared>,
+    shared: Arc<Mutex<State>>,
 }
 
 impl fmt::Debug for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.shared.state.lock().expect("schedule poisoned");
+        let st = self.lock();
         f.debug_struct("Schedule")
             .field("participants", &st.participants.len())
             .field("live", &st.n_live)
@@ -261,22 +263,19 @@ impl Schedule {
 
     fn with_mode(mode: Mode, cfg: ScheduleConfig) -> Self {
         Schedule {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    mode,
-                    cfg,
-                    participants: Vec::new(),
-                    n_live: 0,
-                    n_waiting: 0,
-                    grant: None,
-                    in_flight: false,
-                    step: 0,
-                    last_pid: 0,
-                    trace: Vec::new(),
-                    tear_hook: None,
-                }),
-                cv: Condvar::new(),
-            }),
+            shared: Arc::new(Mutex::new(State {
+                mode,
+                cfg,
+                participants: Vec::new(),
+                n_live: 0,
+                n_waiting: 0,
+                grant: None,
+                in_flight: None,
+                step: 0,
+                last_pid: 0,
+                trace: Vec::new(),
+                tear_hook: None,
+            })),
         }
     }
 
@@ -311,8 +310,8 @@ impl Schedule {
         let mut st = self.lock();
         let pid = st.participants.len() as u32;
         st.participants.push(Participant {
-            live: true,
             waiting: None,
+            thread: None,
         });
         st.n_live += 1;
         ScheduleHandle {
@@ -331,8 +330,8 @@ impl Schedule {
         self.lock().trace.len() as u64
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.shared.state.lock().expect("schedule poisoned")
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.shared.lock().expect("schedule poisoned")
     }
 }
 
@@ -341,7 +340,7 @@ impl Schedule {
 /// [`attach_schedule`](crate::DmClient::attach_schedule); dropping the
 /// handle (or the client holding it) deregisters the participant.
 pub struct ScheduleHandle {
-    shared: Arc<Shared>,
+    shared: Arc<Mutex<State>>,
     pid: u32,
 }
 
@@ -361,44 +360,42 @@ impl ScheduleHandle {
     /// the grant. Must be paired with [`gate_end`](Self::gate_end) once
     /// the step's effects are applied.
     pub(crate) fn gate_begin(&self, has_cas: bool) -> GrantedStep {
-        let mut st = self.shared.state.lock().expect("schedule poisoned");
-        debug_assert!(
-            st.participants[self.pid as usize].waiting.is_none(),
-            "participant {} gated twice",
-            self.pid
-        );
-        st.participants[self.pid as usize].waiting = Some(has_cas);
+        let mut st = self.shared.lock().expect("schedule poisoned");
+        let me = &mut st.participants[self.pid as usize];
+        debug_assert!(me.waiting.is_none(), "participant {} gated twice", self.pid);
+        me.waiting = Some(has_cas);
+        me.thread = Some(thread::current());
         st.n_waiting += 1;
-        if try_select(&mut st) {
-            self.shared.cv.notify_all();
-        }
+        let mut wake = try_select(&mut st);
         loop {
             if st.grant.as_ref().is_some_and(|g| g.pid == self.pid) {
                 let g = st.grant.take().expect("grant present");
                 st.participants[self.pid as usize].waiting = None;
                 st.n_waiting -= 1;
-                st.in_flight = true;
-                let tear_hook = if g.decision.tear {
-                    st.tear_hook.clone()
-                } else {
-                    None
-                };
+                st.in_flight = Some(self.pid);
                 return GrantedStep {
                     step: g.step,
                     decision: g.decision,
-                    tear_hook,
+                    tear_hook: st.tear_hook.as_ref().filter(|_| g.decision.tear).cloned(),
                 };
             }
-            st = self.shared.cv.wait(st).expect("schedule poisoned");
+            drop(st);
+            if let Some(grantee) = wake.take() {
+                grantee.unpark();
+            }
+            thread::park();
+            st = self.shared.lock().expect("schedule poisoned");
         }
     }
 
     /// Marks the granted step's effects applied, allowing the next grant.
     pub(crate) fn gate_end(&self) {
-        let mut st = self.shared.state.lock().expect("schedule poisoned");
-        st.in_flight = false;
-        if try_select(&mut st) {
-            self.shared.cv.notify_all();
+        let mut st = self.shared.lock().expect("schedule poisoned");
+        st.in_flight = None;
+        let wake = try_select(&mut st);
+        drop(st);
+        if let Some(grantee) = wake {
+            grantee.unpark();
         }
     }
 
@@ -415,55 +412,55 @@ impl ScheduleHandle {
 
 impl Drop for ScheduleHandle {
     fn drop(&mut self) {
-        let Ok(mut st) = self.shared.state.lock() else {
+        let Ok(mut st) = self.shared.lock() else {
             return; // poisoned during panic: workers are going away anyway
         };
-        let p = &mut st.participants[self.pid as usize];
-        if p.live {
-            p.live = false;
-            if p.waiting.take().is_some() {
-                st.n_waiting -= 1;
-            }
-            st.n_live -= 1;
+        if st.participants[self.pid as usize].waiting.take().is_some() {
+            st.n_waiting -= 1;
         }
-        if try_select(&mut st) {
-            self.shared.cv.notify_all();
-        }
+        st.n_live -= 1;
+        // A holder that leaves without `gate_end` releases its step.
+        st.in_flight = st.in_flight.filter(|&holder| holder != self.pid);
+        let wake = try_select(&mut st);
         drop(st);
-        // A dropped grant-holder can unblock others even without a new
-        // selection (e.g. the last participant leaving).
-        self.shared.cv.notify_all();
+        if let Some(grantee) = wake {
+            grantee.unpark();
+        }
     }
 }
 
+/// The pids of the participants parked at the gate, in pid order.
+fn waiters(participants: &[Participant]) -> impl Iterator<Item = u32> + '_ {
+    (0u32..)
+        .zip(participants)
+        .filter(|(_, p)| p.waiting.is_some())
+        .map(|(pid, _)| pid)
+}
+
 /// Grants the next step if every live participant is parked at the gate.
-/// Returns whether a grant was issued (callers then notify).
-fn try_select(st: &mut State) -> bool {
-    if st.in_flight || st.grant.is_some() || st.n_live == 0 || st.n_waiting < st.n_live {
-        return false;
+/// Returns the grantee's thread, for the caller to unpark once it has
+/// released the state lock.
+fn try_select(st: &mut State) -> Option<Thread> {
+    if st.in_flight.is_some() || st.grant.is_some() || st.n_live == 0 || st.n_waiting < st.n_live {
+        return None;
     }
-    let waiters: Vec<u32> = st
-        .participants
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.live && p.waiting.is_some())
-        .map(|(i, _)| i as u32)
-        .collect();
-    debug_assert_eq!(waiters.len(), st.n_live);
-    let cfg = st.cfg.clone();
+    let n = st.n_live;
+    debug_assert_eq!(waiters(&st.participants).count(), n);
+    let nth = |i: usize| waiters(&st.participants).nth(i).expect("n live waiters");
+    let cfg = &st.cfg;
     let (pid, decision) = match &mut st.mode {
         Mode::Record(rng) => {
-            let mut idx = rng.gen_range(0..waiters.len());
+            let mut idx = rng.gen_range(0..n);
             // CAS hold: defer a CAS-bearing step behind some other ready
             // participant, widening genuine CAS-failure windows.
-            let chosen_has_cas = st.participants[waiters[idx] as usize].waiting == Some(true);
-            if waiters.len() > 1
+            let chosen_has_cas = st.participants[nth(idx) as usize].waiting == Some(true);
+            if n > 1
                 && chosen_has_cas
                 && cfg.cas_hold_pct > 0
                 && rng.gen_range(0u32..100) < cfg.cas_hold_pct as u32
             {
-                let skip = rng.gen_range(0..waiters.len() - 1);
-                idx = (idx + 1 + skip) % waiters.len();
+                let skip = rng.gen_range(0..n - 1);
+                idx = (idx + 1 + skip) % n;
             }
             let delay_ns = if cfg.delay_pct > 0 && rng.gen_range(0u32..100) < cfg.delay_pct as u32 {
                 rng.gen_range(0..=cfg.max_delay_ns)
@@ -471,7 +468,7 @@ fn try_select(st: &mut State) -> bool {
                 0
             };
             let tear = cfg.tear_pct > 0 && rng.gen_range(0u32..100) < cfg.tear_pct as u32;
-            (waiters[idx], StepDecision { delay_ns, tear })
+            (nth(idx), StepDecision { delay_ns, tear })
         }
         Mode::Replay { steps, pos } => {
             let mut pinned = None;
@@ -480,7 +477,7 @@ fn try_select(st: &mut State) -> bool {
                 let alive = st
                     .participants
                     .get(s.pid as usize)
-                    .is_some_and(|p| p.live && p.waiting.is_some());
+                    .is_some_and(|p| p.waiting.is_some());
                 if alive {
                     *pos += 1;
                     pinned = Some((
@@ -498,14 +495,14 @@ fn try_select(st: &mut State) -> bool {
             }
             pinned.unwrap_or_else(|| {
                 // Fault-free cyclic fallback: first waiter after last_pid.
-                let pid = *waiters
-                    .iter()
-                    .find(|&&w| w > st.last_pid)
-                    .unwrap_or(&waiters[0]);
+                let pid = waiters(&st.participants)
+                    .find(|&w| w > st.last_pid)
+                    .unwrap_or_else(|| nth(0));
                 (pid, StepDecision::default())
             })
         }
     };
+    let wake = st.participants[pid as usize].thread.clone();
     st.last_pid = pid;
     st.trace.push(TraceStep {
         pid,
@@ -519,20 +516,29 @@ fn try_select(st: &mut State) -> bool {
         step,
         decision,
     });
-    true
+    wake
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn run_counters(schedule: &Schedule, workers: usize, steps_each: usize) -> Vec<TraceStep> {
-        let handles: Vec<ScheduleHandle> = (0..workers).map(|_| schedule.register()).collect();
+        run_gates(schedule, &vec![steps_each; workers], 0)
+    }
+
+    /// Runs one thread per entry of `gates`, participant `i` passing
+    /// `gates[i]` gates and then leaving; with `cas_every = n > 0` every
+    /// n-th gate of each participant carries a CAS. Returns the trace.
+    fn run_gates(schedule: &Schedule, gates: &[usize], cas_every: usize) -> Vec<TraceStep> {
+        let handles: Vec<ScheduleHandle> = gates.iter().map(|_| schedule.register()).collect();
         std::thread::scope(|s| {
-            for h in handles {
+            for (h, &n) in handles.into_iter().zip(gates) {
                 s.spawn(move || {
-                    for _ in 0..steps_each {
-                        let g = h.gate_begin(false);
+                    for i in 1..=n {
+                        let g = h.gate_begin(cas_every > 0 && i % cas_every == 0);
                         let _ = g.step;
                         h.gate_end();
                     }
@@ -540,6 +546,29 @@ mod tests {
             }
         });
         schedule.trace()
+    }
+
+    /// Runs `f` on its own thread and fails unless it returns within
+    /// `secs`: a wedged gate becomes a test failure instead of a hang.
+    /// The thread is left detached, since a wedged one cannot be joined;
+    /// a panic in `f` drops the sender and fails the receive.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .unwrap_or_else(|e| panic!("no result within {secs} s: {e:?}"))
+    }
+
+    /// FNV-1a over the trace's text form, one `;` after each step.
+    fn digest(trace: &[TraceStep]) -> u64 {
+        trace
+            .iter()
+            .flat_map(|s| format!("{s};").into_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
     }
 
     #[test]
@@ -568,6 +597,20 @@ mod tests {
         assert_eq!(replayed.len(), 60);
         // Fallback steps carry no faults.
         assert!(replayed[10..].iter().all(|s| s.delay_ns == 0 && !s.tear));
+    }
+
+    /// The grants of a seeded run with CAS holds, and of a replayed prefix
+    /// finishing round-robin, pinned as digests: the selection may change
+    /// how it finds the n-th waiter, never which one it picks or what it
+    /// draws.
+    #[test]
+    fn recorded_and_replayed_decisions_are_pinned() {
+        let recorded = run_gates(&Schedule::new(ScheduleConfig::adversarial(7)), &[60; 3], 3);
+        assert_eq!(recorded.len(), 180);
+        assert_eq!(digest(&recorded), 15_521_777_658_341_051_051);
+        let replayed = run_gates(&Schedule::replay(recorded[..10].to_vec()), &[60; 3], 3);
+        assert_eq!(&replayed[..10], &recorded[..10]);
+        assert_eq!(digest(&replayed), 14_714_827_156_414_833_763);
     }
 
     #[test]
@@ -611,6 +654,78 @@ mod tests {
             });
         });
         assert!(schedule.steps() >= 51);
+    }
+
+    /// A worker that dies between `gate_begin` and `gate_end` (a panic
+    /// unwinding through `flush_submitted` drops its handle) must release
+    /// the step it holds.
+    #[test]
+    fn a_holder_dropped_mid_step_does_not_wedge_the_gate() {
+        // The first grant is pinned to `a`, so `a` holds it when it leaves.
+        let schedule = Schedule::replay(vec![TraceStep {
+            pid: 0,
+            delay_ns: 0,
+            tear: false,
+        }]);
+        let (a, b) = (schedule.register(), schedule.register());
+        within(5, move || {
+            let holder = std::thread::spawn(move || {
+                let _granted = a.gate_begin(false);
+                drop(a); // no gate_end
+            });
+            for _ in 0..5 {
+                b.tick();
+            }
+            holder.join().unwrap();
+        });
+        assert_eq!(schedule.steps(), 6);
+    }
+
+    /// Every grant wakes exactly its grantee, so a wake that goes astray
+    /// hangs the run: 50 adversarial seeds of four participants, every
+    /// third gate CAS-bearing (CAS holds fire), two of them leaving early
+    /// at different steps.
+    #[test]
+    fn no_wakeup_is_lost_under_the_full_fault_matrix() {
+        let gates = [2_000, 700, 2_000, 1_300];
+        for seed in 0..50 {
+            let trace = within(60, move || {
+                run_gates(&Schedule::new(ScheduleConfig::adversarial(seed)), &gates, 3)
+            });
+            assert_eq!(trace.len(), gates.iter().sum::<usize>(), "seed {seed}");
+        }
+    }
+
+    /// A handle may gate from one thread and then from another: the wake
+    /// must follow it to the thread that is parked now.
+    #[test]
+    fn the_wake_follows_a_handle_to_its_next_thread() {
+        let schedule = Schedule::new(ScheduleConfig::quiet(5));
+        let (a, b) = (schedule.register(), schedule.register());
+        within(10, move || {
+            let other = std::thread::spawn(move || {
+                for _ in 0..400 {
+                    b.tick();
+                }
+            });
+            let a = std::thread::spawn(move || {
+                for _ in 0..200 {
+                    a.tick();
+                }
+                a
+            })
+            .join()
+            .unwrap();
+            std::thread::spawn(move || {
+                for _ in 0..200 {
+                    a.tick();
+                }
+            })
+            .join()
+            .unwrap();
+            other.join().unwrap();
+        });
+        assert_eq!(schedule.steps(), 800);
     }
 
     #[test]

@@ -24,6 +24,6 @@ ycsb_c_pipe 14
 ycsb_a_nicbound 20
 write_mix_email 24
 ycsb_e_scan 140
-hot_update_sched 23
+hot_update_sched 12
 CEILINGS
 exit "$failed"
