@@ -7,7 +7,8 @@ use parking_lot::Mutex;
 
 use art_core::layout::{InnerNode, Slot};
 use art_core::NodeKind;
-use dm_sim::{ClientStats, DmClient, DmCluster, RemotePtr, RetryPolicy};
+use dm_sim::{ClientStats, DmCluster, RemotePtr};
+use node_engine::Worker;
 
 use crate::cache::NodeCache;
 use crate::error::BaselineError;
@@ -139,15 +140,11 @@ impl BaselineIndex {
         };
         let reclaim = self.meta.reclaim_domain.register(&mut dm)?;
         Ok(BaselineClient {
-            dm,
+            worker: Worker::new(dm, reclaim),
             meta: self.meta.clone(),
             cache,
             root_slot: None,
             stats: BaselineStats::default(),
-            retry: RetryPolicy::default(),
-            obs: obs::Recorder::new(),
-            reclaim,
-            pipeline: node_engine::PipelineStats::default(),
         })
     }
 
@@ -186,24 +183,15 @@ pub struct BaselineStats {
     pub checksum_retries: u64,
 }
 
-/// A per-worker baseline client (owns a virtual clock and its network
-/// statistics, like [`sphinx`-clients](https://docs.rs/sphinx)).
+/// A per-worker baseline client: a [`Worker`] plus the tree's root word
+/// and, for SMART, its compute node's node cache.
 #[derive(Debug)]
 pub struct BaselineClient {
-    pub(crate) dm: DmClient,
+    pub(crate) worker: Worker,
     pub(crate) meta: Arc<BaselineMeta>,
     pub(crate) cache: Option<Arc<Mutex<NodeCache>>>,
     pub(crate) root_slot: Option<Slot>,
     pub(crate) stats: BaselineStats,
-    /// Shared bounded-retry budget (see [`dm_sim::RetryPolicy`]).
-    pub(crate) retry: RetryPolicy,
-    /// Per-worker telemetry recorder (spans + phase attribution).
-    pub(crate) obs: obs::Recorder,
-    /// This worker's epoch-reclamation handle (pin slot + limbo list).
-    pub(crate) reclaim: reclaim::ReclaimHandle,
-    /// Cumulative pipelined-execution counters (see
-    /// [`BaselineClient::get_many_pipelined`]).
-    pub(crate) pipeline: node_engine::PipelineStats,
 }
 
 impl BaselineClient {
@@ -212,114 +200,22 @@ impl BaselineClient {
         self.stats
     }
 
-    /// This worker's telemetry: phase-attributed spans plus the baseline
+    /// This worker's telemetry: the worker's registry plus the baseline
     /// domain counters (`baseline.*`, `cache.*`, `lock.*`).
     pub fn telemetry(&self) -> obs::Registry {
-        let mut reg = self.obs.registry();
+        let mut reg = self.worker.registry();
         reg.add("baseline.retries", self.stats.retries);
         reg.add("baseline.checksum_retries", self.stats.checksum_retries);
-        let rs = self.reclaim.stats();
-        reg.add("reclaim.retired_count", rs.retired_count);
-        reg.add("reclaim.retired_bytes", rs.retired_bytes);
-        reg.add("reclaim.freed_count", rs.freed_count);
-        reg.add("reclaim.freed_bytes", rs.freed_bytes);
-        reg.add("reclaim.limbo_depth", self.reclaim.limbo_len() as u64);
-        reg.add("reclaim.limbo_bytes", self.reclaim.limbo_bytes());
-        reg.add("reclaim.scans", rs.scans);
-        reg.add("reclaim.epoch_advances", rs.epoch_advances);
-        reg.add("reclaim.errors", rs.errors);
-        reg.add("reclaim.epoch_lag_le_1", rs.lag_le_1);
-        reg.add("reclaim.epoch_lag_le_2", rs.lag_le_2);
-        reg.add("reclaim.epoch_lag_le_4", rs.lag_le_4);
-        reg.add("reclaim.epoch_lag_gt_4", rs.lag_gt_4);
-        self.pipeline.export(&mut reg);
         reg
-    }
-
-    /// Reclamation statistics of this worker's epoch handle.
-    pub fn reclaim_stats(&self) -> reclaim::ReclaimStats {
-        self.reclaim.stats()
-    }
-
-    /// Entries waiting in this worker's limbo list.
-    pub fn reclaim_limbo_len(&self) -> usize {
-        self.reclaim.limbo_len()
-    }
-
-    /// Forces one epoch scan (advance + free whatever is past grace).
-    pub fn reclaim_scan(&mut self) {
-        let BaselineClient { dm, reclaim, .. } = self;
-        reclaim.scan(dm);
-    }
-
-    /// Scans until this worker's limbo list is empty or `max_rounds`
-    /// scans have run; returns whether the list drained.
-    pub fn reclaim_quiesce(&mut self, max_rounds: usize) -> bool {
-        let BaselineClient { dm, reclaim, .. } = self;
-        reclaim.quiesce(dm, max_rounds)
-    }
-
-    /// Removes this worker from epoch gating (call before dropping an
-    /// idle client so it cannot stall everyone else's reclamation).
-    pub fn reclaim_deregister(&mut self) {
-        let BaselineClient { dm, reclaim, .. } = self;
-        reclaim.deregister(dm);
-    }
-
-    #[inline]
-    pub(crate) fn obs_begin(&mut self, kind: obs::OpKind) {
-        self.reclaim.pin();
-        self.obs.begin(kind, self.dm.stats(), self.dm.clock_ns());
-    }
-
-    #[inline]
-    pub(crate) fn obs_phase(&mut self, phase: obs::Phase) {
-        self.obs.phase(phase, self.dm.stats(), self.dm.clock_ns());
-    }
-
-    #[inline]
-    pub(crate) fn obs_end(&mut self) {
-        self.obs.end(self.dm.stats(), self.dm.clock_ns());
-    }
-
-    /// Operation epilogue: unpin from the epoch (running the amortized
-    /// reclamation scan when due, attributed to the maintenance phase)
-    /// and close the telemetry span.
-    pub(crate) fn op_exit(&mut self) {
-        if self.reclaim.scan_due() {
-            self.obs_phase(obs::Phase::Maintenance);
-        }
-        {
-            let BaselineClient { dm, reclaim, .. } = self;
-            reclaim.unpin(dm);
-        }
-        self.obs_end();
     }
 
     /// Network-level statistics.
     pub fn net_stats(&self) -> ClientStats {
-        self.dm.stats()
+        self.worker.dm.stats()
     }
 
     /// This worker's virtual clock in nanoseconds.
     pub fn clock_ns(&self) -> u64 {
-        self.dm.clock_ns()
-    }
-
-    /// Resets the virtual clock (benchmark phase barrier).
-    pub fn set_clock_ns(&mut self, ns: u64) {
-        self.dm.set_clock_ns(ns);
-    }
-
-    /// Attaches a deterministic-schedule participant handle to this
-    /// worker's transport (see [`dm_sim::Schedule`]).
-    pub fn attach_schedule(&mut self, handle: dm_sim::ScheduleHandle) {
-        self.dm.attach_schedule(handle);
-    }
-
-    /// Consumes one scheduling step and returns its number (a virtual
-    /// timestamp); `None` when no schedule is attached.
-    pub fn schedule_tick(&mut self) -> Option<u64> {
-        self.dm.schedule_tick()
+        self.worker.dm.clock_ns()
     }
 }

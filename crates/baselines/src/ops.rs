@@ -11,19 +11,18 @@
 //! one per key at depth N through the same [`node_engine::run_pipelined`].
 
 use art_core::key::MAX_KEY_LEN;
-use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
+use art_core::layout::{InnerNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{Completion, DmClient, DmError, DoorbellBatch, RemotePtr, RetryPolicy, Verb};
+use dm_sim::{Completion, DmClient, DmError, DoorbellBatch, RemotePtr, SqeToken, Verb};
 use node_engine::walk::{self, any_leaf, Rows, Tracked};
 use node_engine::write;
 use node_engine::{
-    install_word, run_pipelined, write_new_inner, write_new_leaf, ArtReader, Descend, DescendHost,
-    Descent, EngineError, Install, LeafReadStats, OpState, Outcome, PipelineStats, StepOutcome,
-    Via, WriteHost, Yield,
+    drive, install_word, write_new_inner, write_new_leaf, ArtReader, Descend, DescendHost, Descent,
+    EngineError, Install, Lane, LeafReadStats, Lookup, OpState, Outcome, StepOutcome, Via, Worker,
+    WriteHost, Yield,
 };
-use obs::{OpKind, Phase, Recorder};
+use obs::{OpKind, OpTrace, Phase};
 use parking_lot::Mutex;
-use reclaim::ReclaimHandle;
 use std::sync::Arc;
 
 use crate::cache::NodeCache;
@@ -32,7 +31,7 @@ use crate::index::BaselineClient;
 
 /// Submission tags: the phase each round trip is attributed to (by the
 /// span recorder for a lookup driven alone, by
-/// [`PipelineStats::by_tag`] for a pipelined run).
+/// [`node_engine::PipelineStats::by_tag`] for a pipelined run).
 const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
 const TAG_LEAF: u32 = Phase::LeafRead as u32;
 
@@ -117,8 +116,8 @@ enum St {
 }
 
 /// One lookup's state. Owns nothing of the client but a handle on the
-/// node cache; [`Run`] lends it the root word for one [`run_pipelined`]
-/// call.
+/// node cache; [`Run`] lends it the root word for one round of
+/// [`node_engine::drive`].
 struct LocateOp<'k> {
     descend: Descend<'k>,
     cache: CacheView,
@@ -126,6 +125,20 @@ struct LocateOp<'k> {
     attempts: usize,
     state: St,
     result: Option<Descent>,
+    /// The key's causal trace in a pipelined run (see [`Lookup::trace`]).
+    trace: Option<Box<OpTrace>>,
+}
+
+impl Lookup for LocateOp<'_> {
+    type Stop = Stop;
+
+    fn done(&self) -> bool {
+        self.result.is_some()
+    }
+
+    fn trace(&mut self) -> &mut Option<Box<OpTrace>> {
+        &mut self.trace
+    }
 }
 
 impl LocateOp<'_> {
@@ -146,18 +159,14 @@ struct Run<'a, 'k> {
     /// The root slot word and where it lives.
     root: Slot,
     root_word: RemotePtr,
-    /// The client's span recorder when the lookup is driven alone; `None`
-    /// in a pipelined run, whose phases interleave across ops.
-    span: Option<&'a mut Recorder>,
+    lane: Lane<'a>,
 }
 
 type Step = Result<StepOutcome<Stop>, EngineError>;
 
 impl Run<'_, '_> {
     fn phase(&mut self, t: &DmClient, phase: Phase) {
-        if let Some(span) = self.span.as_deref_mut() {
-            span.phase(phase, t.stats(), t.clock_ns());
-        }
+        self.lane.phase(t, &mut *self.op, phase);
     }
 
     /// Enters the descent at the root node.
@@ -188,6 +197,7 @@ impl Run<'_, '_> {
                 if matches!(descent.outcome, Outcome::Leaf { .. }) {
                     self.phase(t, Phase::Traversal); // the leaf read is over
                 }
+                self.lane.end(&mut *self.op, t.clock_ns());
                 return Ok(StepOutcome::Done(Stop::Found(descent)));
             }
         };
@@ -200,6 +210,14 @@ impl Run<'_, '_> {
 
 impl OpState for Run<'_, '_> {
     type Output = Stop;
+
+    fn on_admitted(&mut self, now_ns: u64) {
+        self.lane.admitted(&mut *self.op, now_ns);
+    }
+
+    fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
+        self.lane.submitted(&mut *self.op, token, now_ns);
+    }
 
     fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
         let bytes = completion.map(|mut results| {
@@ -235,7 +253,7 @@ impl BaselineClient {
     /// The root slot word, cached client-side (refreshed when stale).
     fn root_slot(&mut self, refresh: bool) -> Result<Slot, BaselineError> {
         if refresh || self.root_slot.is_none() {
-            let word = self.dm.read_u64(self.meta.root_word)?;
+            let word = self.worker.dm.read_u64(self.meta.root_word)?;
             self.root_slot =
                 Some(Slot::decode(word).ok_or(BaselineError::Corrupt { what: "null root" })?);
         }
@@ -259,7 +277,8 @@ impl BaselineClient {
         let node = match view.cached(ptr, kind) {
             Some(node) => node,
             None => {
-                let node = InnerNode::decode(&self.dm.read(ptr, InnerNode::byte_size(kind))?)?;
+                let node =
+                    InnerNode::decode(&self.transport().read(ptr, InnerNode::byte_size(kind))?)?;
                 view.fetched(ptr, kind, &node);
                 node
             }
@@ -269,8 +288,8 @@ impl BaselineClient {
     }
 
     fn note_cache_use(&mut self, view: &CacheView) {
-        self.obs.add("cache.hit", view.hits);
-        self.obs.add("cache.miss", view.misses);
+        self.worker.obs.add("cache.hit", view.hits);
+        self.worker.obs.add("cache.miss", view.misses);
     }
 
     /// A lookup machine for `key`, served from the node cache if
@@ -280,7 +299,7 @@ impl BaselineClient {
             return Err(BaselineError::KeyTooLong { len: key.len() });
         }
         Ok(LocateOp {
-            descend: Descend::new(key, self.meta.config.leaf_read_hint, self.retry),
+            descend: Descend::new(key, self.meta.config.leaf_read_hint, self.worker.retry),
             cache: CacheView {
                 cache: self.cache.clone(),
                 allowed: use_cache,
@@ -289,78 +308,62 @@ impl BaselineClient {
             attempts: 0,
             state: St::Start,
             result: None,
+            trace: None,
         })
     }
 
-    /// Runs `ops` through [`run_pipelined`], `depth` at a time, from the
-    /// cached root word, until each has its [`Descent`], serving
+    /// Runs `ops` through [`node_engine::drive`], `depth` at a time, from
+    /// the cached root word, until each has its [`Descent`], serving
     /// [`Stop::Retry`] and [`Stop::Sample`] between runs. `alone` drives a
-    /// single op on behalf of the blocking op in flight: its phases go to
-    /// the open span and the run is not a pipeline run.
+    /// single op on behalf of the blocking op in flight.
     fn drive(
         &mut self,
         ops: &mut [LocateOp<'_>],
         depth: usize,
         alone: bool,
     ) -> Result<(), BaselineError> {
-        while ops.iter().any(|op| op.result.is_none()) {
+        let round = |c: &mut BaselineClient, ops: &mut [LocateOp<'_>]| {
             if alone {
-                self.obs_phase(Phase::Traversal);
+                c.worker.phase(Phase::Traversal);
             }
-            let root = self.root_slot(false)?;
-            let stops = {
-                let BaselineClient {
-                    dm,
-                    meta,
-                    obs,
-                    pipeline,
-                    ..
-                } = self;
-                let mut span = alone.then_some(obs);
-                let runs = ops
-                    .iter_mut()
-                    .filter(|op| op.result.is_none())
-                    .map(|op| Run {
-                        op,
-                        root,
-                        root_word: meta.root_word,
-                        span: span.take(),
-                    });
-                run_pipelined(dm, runs, depth, (!alone).then_some(pipeline))
+            let root = c.root_slot(false)?;
+            let root_word = c.meta.root_word;
+            let wrap = |op, lane| Run {
+                op,
+                root,
+                root_word,
+                lane,
             };
-            let pending = ops.iter_mut().filter(|op| op.result.is_none());
-            for (op, stop) in pending.zip(stops?) {
-                match stop {
-                    Stop::Found(descent) => {
-                        op.result = Some(descent);
-                        continue;
-                    }
-                    Stop::Sample => {
-                        let sample = any_leaf(self, op.descend.diverged_child())?;
-                        op.descend.sampled(sample);
-                    }
-                    Stop::Retry => {
-                        self.stats.retries += 1;
-                        self.obs.retry();
-                        self.obs_phase(Phase::Retry);
-                        self.root_slot(true)?;
-                        if op.attempts > 2 {
-                            self.dm.backoff(&self.retry);
-                        }
-                        op.attempts += 1;
-                        if op.attempts >= self.retry.op_retries {
-                            return Err(BaselineError::RetriesExhausted { op: "locate" });
-                        }
-                        op.state = St::Start;
-                    }
+            Ok(c.worker.round(ops, depth, alone, wrap)?)
+        };
+        drive(self, ops, alone, round, |c, op, stop| {
+            match stop {
+                Stop::Found(descent) => op.result = Some(descent),
+                Stop::Sample => {
+                    let sample = any_leaf(c, op.descend.diverged_child())?;
+                    op.descend.sampled(sample);
                 }
-                // A served stop is not a completed op.
-                if !alone {
-                    self.pipeline.ops -= 1;
+                Stop::Retry => {
+                    c.stats.retries += 1;
+                    let now = c.worker.dm.clock_ns();
+                    if let Some(tr) = op.trace.as_mut() {
+                        tr.retry(now);
+                    }
+                    c.worker.retried();
+                    c.worker.phase(Phase::Retry);
+                    c.root_slot(true)?;
+                    if op.attempts > 2 {
+                        c.worker.dm.backoff(&c.worker.retry);
+                    }
+                    op.attempts += 1;
+                    if op.attempts >= c.worker.retry.op_retries {
+                        return Err(BaselineError::RetriesExhausted { op: "locate" });
+                    }
+                    op.state = St::Start;
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// [`BaselineClient::drive`] for point lookups: a stale cached node can
@@ -399,10 +402,10 @@ impl BaselineClient {
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, BaselineError> {
         let mut op = self.lookup(key, true)?;
         self.stats.gets += 1;
-        self.obs_begin(OpKind::Get);
+        self.worker.begin(OpKind::Get);
         let run = self.drive_gets(std::slice::from_mut(&mut op), 1, true);
         self.fold(&op);
-        self.op_exit();
+        self.worker.exit(|_| {});
         run?;
         Ok(op.result.and_then(|d| d.into_value(key)))
     }
@@ -431,33 +434,26 @@ impl BaselineClient {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
-        self.obs_begin(OpKind::MultiGet);
+        self.worker.begin(OpKind::MultiGet);
+        for op in &mut ops {
+            op.trace = self.worker.lease(OpKind::Get);
+        }
         let run = self.drive_gets(&mut ops, depth, false);
+        if run.is_ok() {
+            let traces = ops.iter_mut().filter_map(|op| op.trace.take());
+            self.worker.finish_traces(traces);
+        }
         for op in &ops {
             self.stats.gets += 1;
             self.fold(op);
         }
-        // Reclamation cadence parity with a loop of gets: one unpin per
-        // key (the final one comes from `op_exit`).
-        for _ in 1..ops.len() {
-            if self.reclaim.scan_due() {
-                self.obs_phase(Phase::Maintenance);
-            }
-            let BaselineClient { dm, reclaim, .. } = self;
-            reclaim.unpin(dm);
-        }
-        self.op_exit();
+        self.worker.unpin_keys(ops.len());
+        self.worker.exit(|_| {});
         run?;
         Ok(ops
             .into_iter()
             .map(|op| op.result.and_then(|d| d.into_value(op.descend.key)))
             .collect())
-    }
-
-    /// Cumulative pipelined-execution counters for this worker (flush
-    /// rounds, fusion, stalls, depth histogram, per-phase attribution).
-    pub fn pipeline_stats(&self) -> &PipelineStats {
-        &self.pipeline
     }
 
     /// Inserts or overwrites `key` with `value`.
@@ -468,9 +464,9 @@ impl BaselineClient {
     /// or substrate errors.
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), BaselineError> {
         self.stats.inserts += 1;
-        self.obs_begin(OpKind::Insert);
+        self.worker.begin(OpKind::Insert);
         let r = write::insert(self, key, value);
-        self.op_exit();
+        self.worker.exit(|_| {});
         r
     }
 
@@ -481,9 +477,9 @@ impl BaselineClient {
     /// Same classes as [`BaselineClient::insert`].
     pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<bool, BaselineError> {
         self.stats.updates += 1;
-        self.obs_begin(OpKind::Update);
+        self.worker.begin(OpKind::Update);
         let r = write::update(self, key, value);
-        self.op_exit();
+        self.worker.exit(|_| {});
         r
     }
 
@@ -494,9 +490,9 @@ impl BaselineClient {
     /// Same classes as [`BaselineClient::insert`].
     pub fn remove(&mut self, key: &[u8]) -> Result<bool, BaselineError> {
         self.stats.deletes += 1;
-        self.obs_begin(OpKind::Delete);
+        self.worker.begin(OpKind::Delete);
         let r = write::remove(self, key);
-        self.op_exit();
+        self.worker.exit(|_| {});
         r
     }
 
@@ -530,8 +526,8 @@ impl BaselineClient {
         limit: Option<usize>,
     ) -> Result<Rows, BaselineError> {
         self.stats.scans += 1;
-        self.obs_begin(OpKind::Scan);
-        self.obs_phase(Phase::Traversal);
+        self.worker.begin(OpKind::Scan);
+        self.worker.phase(Phase::Traversal);
         let mut below_root = || {
             if high.is_some_and(|high| low > high) {
                 return Ok(Rows::new());
@@ -541,15 +537,15 @@ impl BaselineClient {
             Ok(walk::scan(self, &root, low, high, limit)?)
         };
         let r = below_root();
-        self.op_exit();
+        self.worker.exit(|_| {});
         r
     }
 }
 
 /// How the walks of [`node_engine::walk`] read a baseline tree.
 impl ArtReader for BaselineClient {
-    fn transport(&mut self) -> &mut dm_sim::DmClient {
-        &mut self.dm
+    fn worker(&mut self) -> &mut Worker {
+        &mut self.worker
     }
 
     fn leaf_hint(&self) -> usize {
@@ -565,24 +561,10 @@ impl ArtReader for BaselineClient {
         self.read_inner_mc(ptr, kind, false)
     }
 
-    /// Through the shared validated reader, attributed to
-    /// [`Phase::LeafRead`] (restoring the caller's phase afterwards).
-    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
-        let hint = self.leaf_hint();
-        let prev = self.obs.current_phase();
-        self.obs_phase(Phase::LeafRead);
-        let mut io = LeafReadStats::default();
-        let res = node_engine::read_validated_leaf(&mut self.dm, ptr, hint, &self.retry, &mut io);
-        self.note_leaf_io(io);
-        if let Some(p) = prev {
-            self.obs_phase(p);
-        }
-        res
-    }
-
     fn note_leaf_io(&mut self, io: LeafReadStats) {
         self.stats.checksum_retries += io.checksum_retries;
-        self.obs.add("leaf.extended_reads", io.extended_reads);
+        let obs = &mut self.worker.obs;
+        obs.add("leaf.extended_reads", io.extended_reads);
     }
 
     /// SMART reads each tree level in one doorbell batch. The plain ART
@@ -600,9 +582,10 @@ impl ArtReader for BaselineClient {
         let Some(first) = groups.next() else {
             return Ok(Vec::new());
         };
-        let mut level = self.dm.read_packed(first)?;
+        let t = self.transport();
+        let mut level = t.read_packed(first)?;
         for group in groups {
-            level.extend(self.dm.read_packed(group)?);
+            level.extend(t.read_packed(group)?);
         }
         Ok(level)
     }
@@ -613,26 +596,6 @@ impl ArtReader for BaselineClient {
 /// or the root word, and two verb shapes of their own.
 impl WriteHost for BaselineClient {
     type Error = BaselineError;
-
-    fn policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn parts(&mut self) -> (&mut DmClient, &mut ReclaimHandle) {
-        (&mut self.dm, &mut self.reclaim)
-    }
-
-    fn phase(&mut self, phase: Phase) {
-        self.obs_phase(phase);
-    }
-
-    fn retried(&mut self) {
-        self.obs.retry();
-    }
-
-    fn count(&mut self, counter: &'static str) {
-        self.obs.incr(counter);
-    }
 
     /// Root-to-leaf traversal — one network round trip per uncached level,
     /// the cost profile that motivates Sphinx — driving one machine alone
@@ -663,13 +626,13 @@ impl WriteHost for BaselineClient {
         let old_slot = Slot::decode(via.expected).ok_or(corrupt("parent slot empty"))?;
         let new_word = Slot::inner(old_slot.key_byte, kind, ptr).encode();
         let swung = match via.parent {
-            None if self.dm.cas(via.word_ptr, via.expected, new_word)? == via.expected => {
+            None if self.worker.dm.cas(via.word_ptr, via.expected, new_word)? == via.expected => {
                 Install::Done
             }
             None => Install::Raced,
             Some(pp) => {
                 let offset = via.word_ptr.offset() - pp.offset();
-                let r = install_word(&mut self.dm, pp, offset, via.expected, new_word)?;
+                let r = install_word(&mut self.worker.dm, pp, offset, via.expected, new_word)?;
                 self.touched(pp);
                 r
             }
@@ -697,10 +660,11 @@ impl WriteHost for BaselineClient {
         value: &[u8],
         node: &mut InnerNode,
     ) -> Result<(RemotePtr, RemotePtr), EngineError> {
-        let leaf_ptr = write_new_leaf(&mut self.dm, key, value)?;
+        let t = self.transport();
+        let leaf_ptr = write_new_leaf(t, key, value)?;
         write::hang_leaf(node, key, leaf_ptr);
         let prefix = &key[..node.header.prefix_len as usize];
-        Ok((leaf_ptr, write_new_inner(&mut self.dm, node, prefix)?))
+        Ok((leaf_ptr, write_new_inner(t, node, prefix)?))
     }
 
     /// The CAS, then — only when it won — the read, a round trip each.
@@ -711,10 +675,10 @@ impl WriteHost for BaselineClient {
         locked: u64,
         len: usize,
     ) -> Result<Option<Vec<u8>>, DmError> {
-        if self.dm.cas(ptr, idle, locked)? != idle {
+        if self.worker.dm.cas(ptr, idle, locked)? != idle {
             return Ok(None);
         }
-        Ok(Some(self.dm.read(ptr, len)?))
+        Ok(Some(self.worker.dm.read(ptr, len)?))
     }
 }
 
@@ -936,7 +900,7 @@ mod tests {
             }
             let net = cl.net_stats().since(&before);
             assert!(net.doorbells < net.round_trips, "depth 8 fuses");
-            assert_eq!(cl.pipeline_stats().ops, 32);
+            assert_eq!(cl.worker.pipeline.ops, 32);
             net.reads
         };
         assert_eq!(

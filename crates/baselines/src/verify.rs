@@ -21,7 +21,7 @@ impl BaselineIndex {
     pub fn verify(&self) -> Result<BaselineIntegrityReport, BaselineError> {
         let mut client = self.client(0)?;
         // Root slot from the meta word, bypassing caches.
-        let word = client.dm.read_u64(self.meta().root_word)?;
+        let word = client.worker.dm.read_u64(self.meta().root_word)?;
         let Some(root) = Slot::decode(word) else {
             return Ok(BaselineIntegrityReport {
                 problems: vec!["null root slot".into()],

@@ -1,7 +1,10 @@
-//! The four evaluated systems behind one worker-client interface.
+//! The evaluated systems behind one worker-client interface: each client
+//! owns a `node_engine::Worker`, through which the facade reaches every
+//! system's clock, schedule, reclamation and tracing the same way.
 
 use baselines::{BaselineConfig, BaselineIndex};
 use dm_sim::{ClientStats, ClusterConfig, DmCluster, NetConfig};
+use node_engine::{ArtReader, Worker};
 use sphinx::{CacheMode, SphinxConfig, SphinxIndex};
 
 /// The paper's CN-side cache budget (20 MB against a 60 M-key dataset —
@@ -268,7 +271,7 @@ impl SystemHandle {
     }
 }
 
-/// One benchmark worker: a thin uniform facade over the two client types.
+/// One benchmark worker: a thin uniform facade over the three client types.
 ///
 /// Methods panic on substrate errors — benchmark context, where an error
 /// is a bug, not a condition to handle.
@@ -414,15 +417,21 @@ impl WorkerClient {
         }
     }
 
+    /// The system's worker: its transport, reclamation handle and tracer.
+    fn worker(&mut self) -> &mut Worker {
+        match self {
+            WorkerClient::Sphinx(c) => c.worker(),
+            WorkerClient::Baseline(c) => c.worker(),
+            WorkerClient::BpTree(c) => c.worker(),
+        }
+    }
+
     /// Forces one epoch-reclamation scan on this worker (advance the
     /// cluster epoch, free limbo entries past grace). No-op for the
     /// B+-tree, which never unlinks nodes.
     pub fn reclaim_scan(&mut self) {
-        match self {
-            WorkerClient::Sphinx(c) => c.reclaim_scan(),
-            WorkerClient::Baseline(c) => c.reclaim_scan(),
-            WorkerClient::BpTree(_) => {}
-        }
+        let w = self.worker();
+        w.reclaim.scan(&mut w.dm);
     }
 
     /// Scans until this worker's limbo list drains (or `max_rounds` scans
@@ -430,40 +439,26 @@ impl WorkerClient {
     /// needs round-robin calls across the workers, since each one's frees
     /// are gated on the *others* having refreshed their epoch slots.
     pub fn reclaim_quiesce(&mut self, max_rounds: usize) -> bool {
-        match self {
-            WorkerClient::Sphinx(c) => c.reclaim_quiesce(max_rounds),
-            WorkerClient::Baseline(c) => c.reclaim_quiesce(max_rounds),
-            WorkerClient::BpTree(_) => true,
-        }
+        let w = self.worker();
+        w.reclaim.quiesce(&mut w.dm, max_rounds)
     }
 
     /// Removes this worker from epoch gating (before dropping it idle).
     pub fn reclaim_deregister(&mut self) {
-        match self {
-            WorkerClient::Sphinx(c) => c.reclaim_deregister(),
-            WorkerClient::Baseline(c) => c.reclaim_deregister(),
-            WorkerClient::BpTree(_) => {}
-        }
+        let w = self.worker();
+        w.reclaim.deregister(&mut w.dm);
     }
 
     /// Attaches a deterministic-schedule participant handle to this
     /// worker's transport (see [`dm_sim::Schedule`]).
     pub fn attach_schedule(&mut self, handle: dm_sim::ScheduleHandle) {
-        match self {
-            WorkerClient::Sphinx(c) => c.attach_schedule(handle),
-            WorkerClient::Baseline(c) => c.attach_schedule(handle),
-            WorkerClient::BpTree(c) => c.attach_schedule(handle),
-        }
+        self.worker().dm.attach_schedule(handle);
     }
 
     /// Consumes one scheduling step and returns its number (a virtual
     /// timestamp); `None` when no schedule is attached.
     pub fn schedule_tick(&mut self) -> Option<u64> {
-        match self {
-            WorkerClient::Sphinx(c) => c.schedule_tick(),
-            WorkerClient::Baseline(c) => c.schedule_tick(),
-            WorkerClient::BpTree(c) => c.schedule_tick(),
-        }
+        self.worker().dm.schedule_tick()
     }
 
     /// Virtual clock (ns).
@@ -477,11 +472,7 @@ impl WorkerClient {
 
     /// Reset the virtual clock (phase barrier).
     pub fn set_clock_ns(&mut self, ns: u64) {
-        match self {
-            WorkerClient::Sphinx(c) => c.set_clock_ns(ns),
-            WorkerClient::Baseline(c) => c.set_clock_ns(ns),
-            WorkerClient::BpTree(c) => c.set_clock_ns(ns),
-        }
+        self.worker().dm.set_clock_ns(ns);
     }
 
     /// Cheap SFC gauges for the metrics sampler —
@@ -505,50 +496,32 @@ impl WorkerClient {
     }
 
     /// This worker's telemetry registry (phase-attributed spans plus
-    /// domain counters). The B+-tree extension has no span recorder: its
+    /// domain counters). The B+-tree extension opens no span: its
     /// registry holds its pipelined-execution counters only.
     pub fn telemetry(&self) -> obs::Registry {
         match self {
             WorkerClient::Sphinx(c) => c.telemetry(),
             WorkerClient::Baseline(c) => c.telemetry(),
-            WorkerClient::BpTree(c) => {
-                let mut reg = obs::Registry::new();
-                c.pipeline_stats().export(&mut reg);
-                reg
-            }
+            WorkerClient::BpTree(c) => c.telemetry(),
         }
     }
 
     /// Configures causal-trace sampling (`head_every` = uniform 1-in-N
     /// head sample, 0 = off; `tail_k` = slowest/most-retried retention
-    /// depth). The baselines have no tracer; the call is a no-op for
-    /// them.
+    /// depth).
     pub fn set_trace_sampling(&mut self, head_every: u64, tail_k: usize) {
-        match self {
-            WorkerClient::Sphinx(c) => c.set_trace_sampling(head_every, tail_k),
-            WorkerClient::Baseline(_) => {}
-            WorkerClient::BpTree(c) => c.set_trace_sampling(head_every, tail_k),
-        }
+        self.worker().set_trace_sampling(head_every, tail_k);
     }
 
     /// Sets the worker id baked into this client's trace ids, keeping
     /// ids unique (and exports deterministic) across a run's workers.
     pub fn set_trace_worker(&mut self, worker: u32) {
-        match self {
-            WorkerClient::Sphinx(c) => c.set_trace_worker(worker),
-            WorkerClient::Baseline(_) => {}
-            WorkerClient::BpTree(c) => c.set_trace_worker(worker),
-        }
+        self.worker().set_trace_worker(worker);
     }
 
-    /// Drains this worker's retained causal traces (empty for the
-    /// baselines).
+    /// Drains this worker's retained causal traces.
     pub fn take_traces(&mut self) -> Vec<obs::OpTrace> {
-        match self {
-            WorkerClient::Sphinx(c) => c.take_traces(),
-            WorkerClient::Baseline(_) => Vec::new(),
-            WorkerClient::BpTree(c) => c.take_traces(),
-        }
+        self.worker().take_traces()
     }
 }
 
@@ -599,6 +572,48 @@ mod tests {
             rts < 25,
             "10-row scan over 2000 keys took {rts} round trips"
         );
+    }
+
+    /// The baselines are traced like Sphinx: a SMART and an ART worker
+    /// keep a trace of every blocking op kind, each one's critical path is
+    /// exact, and tracing moves no virtual clock.
+    #[test]
+    fn baseline_workers_trace_every_blocking_op() {
+        use obs::OpKind;
+        for sys in [System::Smart, System::Art] {
+            let run = |(head_every, tail_k)| {
+                let handle = sys.build(64 << 20, Some(1 << 20));
+                let mut w = handle.worker(0);
+                w.set_trace_sampling(head_every, tail_k);
+                for i in 0..64u64 {
+                    w.insert(&i.to_be_bytes(), b"v");
+                }
+                assert!(w.get(&7u64.to_be_bytes()).is_some());
+                assert!(w.update(&8u64.to_be_bytes(), b"w"));
+                assert!(w.remove(&9u64.to_be_bytes()));
+                assert_eq!(w.scan(&0u64.to_be_bytes(), &u64::MAX.to_be_bytes()), 63);
+                (w.clock_ns(), w.take_traces())
+            };
+            let (clock, traces) = run((1, obs::DEFAULT_TAIL_K));
+            let (untraced_clock, none) = run((0, 0));
+            assert_eq!(untraced_clock, clock, "{}", sys.label());
+            assert!(none.is_empty(), "{}", sys.label());
+            for kind in [
+                OpKind::Get,
+                OpKind::Insert,
+                OpKind::Update,
+                OpKind::Delete,
+                OpKind::Scan,
+            ] {
+                let of_kind = traces.iter().filter(|t| t.kind == kind);
+                assert!(of_kind.count() > 0, "{} {kind:?}", sys.label());
+            }
+            for t in &traces {
+                assert!(t.complete, "{} {:?}", sys.label(), t.kind);
+                let cp = obs::critical_path(t);
+                assert!(cp.is_exact(), "{} {:?}: {cp:?}", sys.label(), t.kind);
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use parking_lot::Mutex;
 use dm_sim::{
     Completion, DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb,
 };
-use node_engine::{EngineError, FirstInline, OpState, PipelineStats, StepOutcome};
-use obs::{OpKind, OpTrace, Phase, Tracer};
+use node_engine::{EngineError, FirstInline, OpState, StepOutcome, Worker};
+use obs::{OpKind, OpTrace, Phase};
 
 use crate::layout::{BpNode, NodeHeader, NODE_BYTES, TAIL_OFFSET};
 
@@ -170,18 +170,12 @@ impl BpTreeIndex {
             .entry(cn_id)
             .or_insert_with(|| Arc::new(Mutex::new(InternalCache::new(self.cache_bytes))))
             .clone();
-        let mut client = BpTreeClient {
-            dm: self.cluster.client(cn_id),
+        Ok(BpTreeClient {
+            worker: Worker::detached(self.cluster.client(cn_id)),
             meta: self.meta,
             cache,
             root_hint: None,
-            retry: RetryPolicy::default(),
-            pipeline: PipelineStats::default(),
-            tracer: Tracer::new(),
-            trace_scratch: Vec::new(),
-        };
-        client.dm.trace_set_enabled(client.tracer.is_active());
-        Ok(client)
+        })
     }
 
     /// The underlying cluster.
@@ -201,7 +195,7 @@ impl BpTreeIndex {
     /// Propagates substrate errors.
     pub fn stats(&self) -> Result<BpTreeStats, BpTreeError> {
         let mut client = self.client(0)?;
-        let height = client.dm.read_u64(self.meta.checked_add(16)?)?;
+        let height = client.worker.dm.read_u64(self.meta.checked_add(16)?)?;
         // Walk to the leftmost leaf, then along the chain.
         let (_, mut leaf) = client.find_leaf(0)?;
         let mut leaves = 1usize;
@@ -236,57 +230,38 @@ pub struct BpTreeStats {
 /// A per-worker B+-tree client.
 #[derive(Debug)]
 pub struct BpTreeClient {
-    dm: DmClient,
+    /// Transport, budgets and instruments; its reclamation handle is
+    /// detached (the tree never unlinks a node) and no span is opened.
+    worker: Worker,
     meta: RemotePtr,
     cache: Arc<Mutex<InternalCache>>,
     /// Cached root pointer; stale roots are safe (B-link right-chase).
     root_hint: Option<RemotePtr>,
-    /// Shared bounded-retry budget (see [`dm_sim::RetryPolicy`]).
-    retry: RetryPolicy,
-    /// Cumulative pipelined-execution counters (see
-    /// [`BpTreeClient::get_many_pipelined`]).
-    pipeline: PipelineStats,
-    /// Causal-trace sampler for the pipelined lookup path.
-    tracer: Tracer,
-    /// Reusable buffer for transport-event windows.
-    trace_scratch: Vec<dm_sim::trace::TransportEvent>,
 }
 
 impl BpTreeClient {
+    /// The worker: clock, schedule and tracing controls.
+    pub fn worker(&mut self) -> &mut Worker {
+        &mut self.worker
+    }
+
     /// Network statistics.
     pub fn net_stats(&self) -> dm_sim::ClientStats {
-        self.dm.stats()
+        self.worker.dm.stats()
     }
 
     /// Virtual clock, nanoseconds.
     pub fn clock_ns(&self) -> u64 {
-        self.dm.clock_ns()
-    }
-
-    /// Resets the virtual clock (benchmark phase barrier).
-    pub fn set_clock_ns(&mut self, ns: u64) {
-        self.dm.set_clock_ns(ns);
-    }
-
-    /// Attaches a deterministic-schedule participant handle to this
-    /// worker's transport (see [`dm_sim::Schedule`]).
-    pub fn attach_schedule(&mut self, handle: dm_sim::ScheduleHandle) {
-        self.dm.attach_schedule(handle);
-    }
-
-    /// Consumes one scheduling step and returns its number (a virtual
-    /// timestamp); `None` when no schedule is attached.
-    pub fn schedule_tick(&mut self) -> Option<u64> {
-        self.dm.schedule_tick()
+        self.worker.dm.clock_ns()
     }
 
     fn backoff(&mut self) {
-        self.dm.backoff(&self.retry);
+        self.worker.dm.backoff(&self.worker.retry);
     }
 
     fn root(&mut self, refresh: bool) -> Result<RemotePtr, BpTreeError> {
         if refresh || self.root_hint.is_none() {
-            let raw = self.dm.read_u64(self.meta.checked_add(8)?)?;
+            let raw = self.worker.dm.read_u64(self.meta.checked_add(8)?)?;
             self.root_hint = Some(RemotePtr::from_raw(raw));
         }
         Ok(self.root_hint.expect("just set"))
@@ -294,8 +269,8 @@ impl BpTreeClient {
 
     /// Consistent (seqlock-validated) read of one node.
     fn read_node(&mut self, ptr: RemotePtr) -> Result<BpNode, BpTreeError> {
-        for _ in 0..self.retry.op_retries {
-            let bytes = self.dm.read(ptr, NODE_BYTES)?;
+        for _ in 0..self.worker.retry.op_retries {
+            let bytes = self.worker.dm.read(ptr, NODE_BYTES)?;
             if let Some(node) = BpNode::decode(&bytes) {
                 return Ok(node);
             }
@@ -309,7 +284,7 @@ impl BpTreeClient {
     /// seqlock readers can never accept a torn image.
     fn write_node(&mut self, ptr: RemotePtr, node: &BpNode) -> Result<(), BpTreeError> {
         let image = node.encode();
-        self.dm.write_many(vec![
+        self.worker.dm.write_many(vec![
             (
                 ptr.checked_add(TAIL_OFFSET as u64)?,
                 image[TAIL_OFFSET..].to_vec(),
@@ -331,16 +306,15 @@ impl BpTreeClient {
         counted: bool,
     ) -> Result<FirstInline<BpLeaf>, BpTreeError> {
         let root = self.root(false)?;
-        let BpTreeClient {
+        let Worker {
             dm,
-            cache,
             retry,
             pipeline,
             ..
-        } = self;
+        } = &mut self.worker;
         let ops = keys.into_iter().map(|(key, trace)| BpDescendOp {
             key,
-            cache,
+            cache: &self.cache,
             retry: *retry,
             hops: 0,
             chases: 0,
@@ -402,29 +376,17 @@ impl BpTreeClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let lease_now = self.dm.clock_ns();
         let leases: Vec<_> = keys
             .iter()
-            .map(|&key| (key, self.tracer.lease(OpKind::Get, lease_now)))
+            .map(|&key| (key, self.worker.lease(OpKind::Get)))
             .collect();
-        let mark = self.dm.trace_mark();
+        let mark = self.worker.dm.trace_mark();
         let mut leaves: Vec<_> = self
             .run_descents(leases, depth, true)?
             .into_iter()
             .collect();
-        if leaves.iter().any(|o| o.trace.is_some()) {
-            let mut scratch = std::mem::take(&mut self.trace_scratch);
-            scratch.clear();
-            let complete = self.dm.trace_collect_since(mark, &mut scratch);
-            for leaf in &mut leaves {
-                if let Some(mut tr) = leaf.trace.take() {
-                    tr.complete = complete;
-                    let end = tr.end_ns;
-                    self.tracer.finish(tr, end, &scratch);
-                }
-            }
-            self.trace_scratch = scratch;
-        }
+        let traces = leaves.iter_mut().filter_map(|leaf| leaf.trace.take());
+        self.worker.finish_traces_since(mark, traces);
         // Once per batch, where a lone descent does it once per key.
         self.note_chases(leaves.iter().map(|leaf| leaf.chases).max().unwrap_or(0));
         Ok(leaves
@@ -434,27 +396,10 @@ impl BpTreeClient {
             .collect())
     }
 
-    /// Cumulative pipelined-execution counters for this worker.
-    pub fn pipeline_stats(&self) -> &PipelineStats {
-        &self.pipeline
-    }
-
-    /// Configures causal-trace sampling for the pipelined lookup path:
-    /// `head_every` = uniform 1-in-N head sample (0 = off), `tail_k` =
-    /// slowest/most-retried retention depth (see [`obs::Tracer`]).
-    pub fn set_trace_sampling(&mut self, head_every: u64, tail_k: usize) {
-        self.tracer.configure(head_every, tail_k);
-        self.dm.trace_set_enabled(self.tracer.is_active());
-    }
-
-    /// Sets the worker id baked into this client's trace ids.
-    pub fn set_trace_worker(&mut self, worker: u32) {
-        self.tracer.set_worker(worker);
-    }
-
-    /// Drains the retained traces (tail + head samples).
-    pub fn take_traces(&mut self) -> Vec<obs::OpTrace> {
-        self.tracer.take_traces()
+    /// This worker's telemetry: its pipelined-execution counters (the tree
+    /// opens no span).
+    pub fn telemetry(&self) -> obs::Registry {
+        self.worker.registry()
     }
 
     /// Inserts or overwrites `key` (upsert). Values longer than
@@ -465,7 +410,7 @@ impl BpTreeClient {
     /// [`BpTreeError::RetriesExhausted`] under pathological contention.
     pub fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), BpTreeError> {
         let value = BpNode::value_from(value);
-        for _ in 0..self.retry.op_retries {
+        for _ in 0..self.worker.retry.op_retries {
             let (ptr, leaf) = self.find_leaf(key)?;
             let exists = leaf.entries.binary_search_by_key(&key, |(k, _)| *k).is_ok();
             if !exists && leaf.is_full() {
@@ -502,7 +447,7 @@ impl BpTreeClient {
     /// [`BpTreeError::RetriesExhausted`] under pathological contention.
     pub fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, BpTreeError> {
         let value = BpNode::value_from(value);
-        for _ in 0..self.retry.op_retries {
+        for _ in 0..self.worker.retry.op_retries {
             let (ptr, leaf) = self.find_leaf(key)?;
             let Ok(i) = leaf.entries.binary_search_by_key(&key, |(k, _)| *k) else {
                 return Ok(false);
@@ -529,7 +474,7 @@ impl BpTreeClient {
     ///
     /// [`BpTreeError::RetriesExhausted`] under pathological contention.
     pub fn remove(&mut self, key: u64) -> Result<bool, BpTreeError> {
-        for _ in 0..self.retry.op_retries {
+        for _ in 0..self.worker.retry.op_retries {
             let (ptr, leaf) = self.find_leaf(key)?;
             let Ok(i) = leaf.entries.binary_search_by_key(&key, |(k, _)| *k) else {
                 return Ok(false);
@@ -583,7 +528,7 @@ impl BpTreeClient {
         } as u16;
         let expected = h.encode();
         let locked = NodeHeader { locked: true, ..h }.encode();
-        Ok(self.dm.cas(ptr, expected, locked)? == expected)
+        Ok(self.worker.dm.cas(ptr, expected, locked)? == expected)
     }
 
     fn unlock(&mut self, ptr: RemotePtr, header: &NodeHeader) -> Result<(), BpTreeError> {
@@ -597,7 +542,7 @@ impl BpTreeClient {
             ..*header
         }
         .encode();
-        let _ = self.dm.cas(ptr, locked, idle)?;
+        let _ = self.worker.dm.cas(ptr, locked, idle)?;
         Ok(())
     }
 
@@ -606,8 +551,8 @@ impl BpTreeClient {
     // ------------------------------------------------------------------
 
     fn smo_lock(&mut self) -> Result<(), BpTreeError> {
-        for _ in 0..self.retry.op_retries {
-            if self.dm.cas(self.meta, 0, 1)? == 0 {
+        for _ in 0..self.worker.retry.op_retries {
+            if self.worker.dm.cas(self.meta, 0, 1)? == 0 {
                 return Ok(());
             }
             self.backoff();
@@ -616,7 +561,7 @@ impl BpTreeClient {
     }
 
     fn smo_unlock(&mut self) -> Result<(), BpTreeError> {
-        self.dm.write_u64(self.meta, 0)?;
+        self.worker.dm.write_u64(self.meta, 0)?;
         Ok(())
     }
 
@@ -656,7 +601,7 @@ impl BpTreeClient {
 
         // Lock the leaf for the duration of its rewrite.
         let mut locked = false;
-        for _ in 0..self.retry.op_retries {
+        for _ in 0..self.worker.retry.op_retries {
             if self.try_lock(ptr, &node)? {
                 locked = true;
                 break;
@@ -680,8 +625,11 @@ impl BpTreeClient {
         let mut rightn = BpNode::new_leaf(node.high_key);
         rightn.entries = node.entries.split_off(mid);
         rightn.right = node.right;
-        let right_ptr = self.dm.alloc(self.dm.place(sep), NODE_BYTES)?;
-        self.dm.write(right_ptr, &rightn.encode())?; // invisible until linked
+        let right_ptr = self
+            .worker
+            .dm
+            .alloc(self.worker.dm.place(sep), NODE_BYTES)?;
+        self.worker.dm.write(right_ptr, &rightn.encode())?; // invisible until linked
         node.high_key = sep;
         node.right = right_ptr;
         node.header.version = node.header.version.wrapping_add(1);
@@ -711,8 +659,11 @@ impl BpTreeClient {
                     let mut pright = BpNode::new_internal(parent.header.level, parent.high_key);
                     pright.seps = parent.seps.split_off(midp);
                     pright.right = parent.right;
-                    let pright_ptr = self.dm.alloc(self.dm.place(psep), NODE_BYTES)?;
-                    self.dm.write(pright_ptr, &pright.encode())?;
+                    let pright_ptr = self
+                        .worker
+                        .dm
+                        .alloc(self.worker.dm.place(psep), NODE_BYTES)?;
+                    self.worker.dm.write(pright_ptr, &pright.encode())?;
                     parent.high_key = psep;
                     parent.right = pright_ptr;
                     parent.header.version = parent.header.version.wrapping_add(1);
@@ -727,11 +678,15 @@ impl BpTreeClient {
                     let mut new_root = BpNode::new_internal(level, u64::MAX);
                     new_root.seps.push((0, old_root));
                     new_root.seps.push((insert_key, insert_child));
-                    let new_root_ptr = self.dm.alloc(self.dm.place(insert_key), NODE_BYTES)?;
-                    self.dm.write(new_root_ptr, &new_root.encode())?;
-                    self.dm
+                    let new_root_ptr = self
+                        .worker
+                        .dm
+                        .alloc(self.worker.dm.place(insert_key), NODE_BYTES)?;
+                    self.worker.dm.write(new_root_ptr, &new_root.encode())?;
+                    self.worker
+                        .dm
                         .write_u64(self.meta.checked_add(8)?, new_root_ptr.to_raw())?;
-                    let _ = self.dm.faa(self.meta.checked_add(16)?, 1)?;
+                    let _ = self.worker.dm.faa(self.meta.checked_add(16)?, 1)?;
                     self.root_hint = Some(new_root_ptr);
                     return Ok(());
                 }
@@ -1112,7 +1067,7 @@ mod tests {
             d8.doorbells,
             d1.doorbells
         );
-        assert!(c.pipeline_stats().fused_batches > 0);
+        assert!(c.worker.pipeline.fused_batches > 0);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use race_hash::RaceTable;
 use crate::client::SphinxClient;
 use crate::config::SphinxConfig;
 use crate::error::SphinxError;
+use crate::stats::OpStats;
 
 /// Shared bootstrap information: where each MN's Inner Node Hash Table
 /// lives. In a real deployment this is exchanged when a CN mounts the
@@ -131,13 +132,14 @@ impl SphinxIndex {
             .collect::<Result<Vec<_>, _>>()?;
         let filter = self.filter_for(cn_id);
         let reclaim = self.meta.reclaim_domain.register(&mut dm)?;
-        Ok(SphinxClient::new(
-            dm,
+        Ok(SphinxClient {
+            worker: node_engine::Worker::new(dm, reclaim),
             tables,
             filter,
-            self.meta.config.clone(),
-            reclaim,
-        ))
+            config: self.meta.config.clone(),
+            stats: OpStats::default(),
+            ambiguous: Vec::new(),
+        })
     }
 
     /// Returns compute node `cn_id`'s shared filter cache, creating it

@@ -31,10 +31,10 @@ use art_core::layout::{HashEntry, InnerNode, NodeStatus};
 use dm_sim::{Completion, DmClient, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb};
 use node_engine::walk::any_leaf;
 use node_engine::{
-    ArtReader, Descend, DescendHost, EngineError, FirstInline, OpState, PipelineStats, StepOutcome,
-    Yield,
+    drive, ArtReader, Descend, DescendHost, EngineError, FirstInline, Lane, Lookup, OpState,
+    StepOutcome, Yield,
 };
-use obs::{OpKind, OpTrace, Phase, Recorder};
+use obs::{OpKind, OpTrace, Phase};
 use race_hash::RaceTable;
 
 use crate::client::{Descent, Outcome, SphinxClient};
@@ -43,7 +43,7 @@ use crate::error::SphinxError;
 
 /// Submission tags: the phase each round trip is attributed to, by the
 /// span recorder for a lookup driven alone and by
-/// [`PipelineStats::by_tag`] for a pipelined run.
+/// [`node_engine::PipelineStats::by_tag`] for a pipelined run.
 const TAG_INHT: u32 = Phase::InhtLookup as u32;
 const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
 const TAG_LEAF: u32 = Phase::LeafRead as u32;
@@ -150,11 +150,22 @@ pub(crate) struct LocateOp<'k> {
     tally: Tally,
     /// The terminal stop, once reached.
     result: Option<Stop>,
-    /// The op's causal-trace context: leased by `obs_begin` for a lookup
-    /// driven alone, by [`SphinxClient::get_many_pipelined`] for each of
-    /// its keys (`None` when the op is not sampled — every recording is
-    /// then a no-op).
+    /// The key's causal-trace context in a pipelined run, leased by
+    /// [`SphinxClient::get_many_pipelined`] (`None` when not sampled, and
+    /// for a lookup driven alone, which records on the blocking op's).
     trace: Option<Box<OpTrace>>,
+}
+
+impl Lookup for LocateOp<'_> {
+    type Stop = Stop;
+
+    fn done(&self) -> bool {
+        self.result.is_some()
+    }
+
+    fn trace(&mut self) -> &mut Option<Box<OpTrace>> {
+        &mut self.trace
+    }
 }
 
 impl<'k> LocateOp<'k> {
@@ -207,38 +218,24 @@ struct Run<'a, 'k> {
     op: &'a mut LocateOp<'k>,
     tables: &'a [RaceTable],
     filter: &'a sfc::FilterCache,
-    /// The client's span recorder when the lookup is driven alone: phases
-    /// are then attributed exactly as `obs_phase` does. `None` in a
-    /// pipelined run, whose phases interleave across ops (there
-    /// [`PipelineStats::by_tag`] attributes the round trips).
-    span: Option<&'a mut Recorder>,
+    lane: Lane<'a>,
 }
 
 impl Run<'_, '_> {
     fn phase(&mut self, t: &DmClient, phase: Phase) {
-        let now = t.clock_ns();
-        if let Some(span) = self.span.as_deref_mut() {
-            span.phase(phase, t.stats(), now);
-        }
-        if let Some(tr) = self.op.trace.as_mut() {
-            tr.phase(phase, now);
-        }
+        self.lane.phase(t, &mut *self.op, phase);
     }
 
     /// Marks one failed attempt: on the trace now, on the enclosing span
     /// when the tally is folded.
     fn retry(&mut self, t: &DmClient) {
         self.op.tally.retries += 1;
-        if let Some(tr) = self.op.trace.as_mut() {
-            tr.retry(t.clock_ns());
-        }
+        self.lane.retry(&mut *self.op, t.clock_ns());
     }
 
     /// Ends the run on `stop`.
     fn stop(&mut self, t: &DmClient, stop: Stop) -> Step {
-        if let Some(tr) = self.op.trace.as_mut() {
-            tr.end_ns = t.clock_ns();
-        }
+        self.lane.end(&mut *self.op, t.clock_ns());
         Ok(StepOutcome::Done(stop))
     }
 
@@ -497,18 +494,12 @@ impl DescendHost for Freshness<'_> {
 impl OpState for Run<'_, '_> {
     type Output = Stop;
 
-    // A lookup driven alone is a blocking op: alone on the wire, with no
-    // admission or burst membership to record (see `obs::critical_path`).
     fn on_admitted(&mut self, now_ns: u64) {
-        if let (None, Some(tr)) = (&self.span, self.op.trace.as_mut()) {
-            tr.admit(now_ns);
-        }
+        self.lane.admitted(&mut *self.op, now_ns);
     }
 
     fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        if let (None, Some(tr)) = (&self.span, self.op.trace.as_mut()) {
-            tr.submitted(token.raw(), now_ns);
-        }
+        self.lane.submitted(&mut *self.op, token, now_ns);
     }
 
     fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
@@ -565,9 +556,7 @@ impl OpState for Run<'_, '_> {
                 let y = self.descent(|descend, host| descend.resume(t, host, bytes))?;
                 if self.op.descend.io.checksum_retries > torn {
                     // A torn leaf was backed off from and is read again.
-                    if let Some(tr) = self.op.trace.as_mut() {
-                        tr.retry(now);
-                    }
+                    self.lane.retry(&mut *self.op, now);
                 }
                 self.on_yield(t, y)
             }
@@ -579,7 +568,7 @@ impl SphinxClient {
     /// Finds the deepest inner node whose full prefix prefixes `key` and
     /// what lies below it (§III-B, §IV "Search").
     pub(crate) fn locate(&mut self, key: &[u8]) -> Result<Descent, SphinxError> {
-        let op = LocateOp::new(key, key.len(), false, &self.config, self.retry);
+        let op = LocateOp::new(key, key.len(), false, &self.config, self.worker.retry);
         match self.locate_alone(op)? {
             Stop::Found(d) => Ok(d),
             _ => unreachable!("a full lookup ends in a descent"),
@@ -594,7 +583,7 @@ impl SphinxClient {
         key: &[u8],
         max_len: usize,
     ) -> Result<(RemotePtr, InnerNode, usize), SphinxError> {
-        let op = LocateOp::new(key, max_len, true, &self.config, self.retry);
+        let op = LocateOp::new(key, max_len, true, &self.config, self.worker.retry);
         match self.locate_alone(op)? {
             Stop::Entry(ptr, node, len) => Ok((ptr, node, len)),
             _ => unreachable!("an entry-only lookup ends at the entry node"),
@@ -612,73 +601,50 @@ impl SphinxClient {
         }
     }
 
-    /// Runs `ops` through [`node_engine::run_pipelined`], `depth` at a
-    /// time, until each has reached a terminal [`Stop`], serving
-    /// [`Stop::Refresh`] and [`Stop::Sample`] between runs. `alone` drives
-    /// a single op on behalf of the blocking op in flight: its phases go to
-    /// the open span, its events to the op's trace, and the run is not a
-    /// pipeline run ([`PipelineStats`] untouched).
+    /// Runs `ops` through [`node_engine::drive`], `depth` at a time, until
+    /// each has reached a terminal [`Stop`], serving [`Stop::Refresh`] and
+    /// [`Stop::Sample`] between runs. `alone` drives a single op on behalf
+    /// of the blocking op in flight.
     fn drive(
         &mut self,
         ops: &mut [LocateOp<'_>],
         depth: usize,
         alone: bool,
     ) -> Result<(), SphinxError> {
-        while ops.iter().any(|op| op.result.is_none()) {
-            let stops = {
-                let SphinxClient {
-                    dm,
-                    tables,
-                    filter,
-                    obs,
-                    trace_cur,
-                    pipeline,
-                    ..
-                } = self;
-                let mut span = alone.then_some(obs);
-                let runs = ops.iter_mut().filter(|op| op.result.is_none()).map(|op| {
-                    if alone {
-                        op.trace = trace_cur.take();
-                    }
-                    Run {
-                        op,
-                        tables,
-                        filter,
-                        span: span.take(),
-                    }
-                });
-                node_engine::run_pipelined(dm, runs, depth, (!alone).then_some(pipeline))
+        let round = |c: &mut SphinxClient, ops: &mut [LocateOp<'_>]| {
+            let SphinxClient {
+                worker,
+                tables,
+                filter,
+                ..
+            } = c;
+            let wrap = |op, lane| Run {
+                op,
+                tables,
+                filter,
+                lane,
             };
-            if alone {
-                self.trace_cur = ops[0].trace.take();
-            }
-            let pending = ops.iter_mut().filter(|op| op.result.is_none());
-            for (op, stop) in pending.zip(stops?) {
-                match stop {
-                    Stop::Refresh(mn) => self.tables[mn].refresh_stale(&mut self.dm)?,
-                    Stop::Sample => {
-                        let sample = any_leaf(self, op.descend.diverged_child())?;
-                        op.descend.sampled(sample);
-                    }
-                    end => {
-                        op.result = Some(end);
-                        continue;
-                    }
+            Ok(worker.round(ops, depth, alone, wrap)?)
+        };
+        drive(self, ops, alone, round, |c, op, stop| {
+            match stop {
+                Stop::Refresh(mn) => c.tables[mn].refresh_stale(&mut c.worker.dm)?,
+                Stop::Sample => {
+                    let sample = any_leaf(c, op.descend.diverged_child())?;
+                    op.descend.sampled(sample);
                 }
-                // A served stop is not a completed op.
-                if !alone {
-                    self.pipeline.ops -= 1;
-                }
+                end => op.result = Some(end),
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn fold(&mut self, op: &LocateOp<'_>) {
         self.note_leaf_io(op.descend.io);
         let t = &op.tally;
+        let obs = &mut self.worker.obs;
         for _ in 0..t.retries {
-            self.obs.retry();
+            obs.retry();
         }
         let s = &mut self.stats;
         s.false_positive_retries += u64::from(t.fp_retries);
@@ -686,10 +652,10 @@ impl SphinxClient {
         s.entry_misses += u64::from(t.entry_misses);
         s.filter_first_hits += u64::from(t.filter_first_hits);
         s.filter_refreshes += u64::from(t.filter_refreshes);
-        self.obs.add("sfc.probe_hit", t.probe_hits.into());
-        self.obs.add("sfc.probe_miss", t.probe_misses.into());
-        self.obs.add("inht.hit", t.inht_hits.into());
-        self.obs.add("inht.fp_collision", t.fp_collisions.into());
+        obs.add("sfc.probe_hit", t.probe_hits.into());
+        obs.add("sfc.probe_miss", t.probe_misses.into());
+        obs.add("inht.hit", t.inht_hits.into());
+        obs.add("inht.fp_collision", t.fp_collisions.into());
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight.
@@ -738,52 +704,30 @@ impl SphinxClient {
         // One MultiGet span covers the pipelined run (phases interleave
         // across ops, so per-phase attribution comes from
         // `PipelineStats::by_tag` instead of the span recorder).
-        self.obs_begin(OpKind::MultiGet);
+        self.worker.begin(OpKind::MultiGet);
         // Lease one causal-trace context per key (all `None` when tracing
         // is off): each machine records its own admission, submissions,
         // phases, and retries alongside the enclosing MultiGet span.
-        let lease_now = self.dm.clock_ns();
         let mut ops: Vec<LocateOp<'_>> = keys
             .iter()
             .map(|key| {
-                let mut op = LocateOp::new(key, key.len(), false, &self.config, self.retry);
-                op.trace = self.tracer.lease(OpKind::Get, lease_now);
+                let mut op = LocateOp::new(key, key.len(), false, &self.config, self.worker.retry);
+                op.trace = self.worker.lease(OpKind::Get);
                 op
             })
             .collect();
         let run = self.drive(&mut ops, depth, false);
-
-        // Finish the per-key traces against the transport-event window the
-        // whole pipelined run shares (one collect, not one per op). An
-        // aborted run leaves ops without an end; their traces are dropped.
-        if run.is_ok() && ops.iter().any(|op| op.trace.is_some()) {
-            let mut scratch = std::mem::take(&mut self.trace_scratch);
-            scratch.clear();
-            let complete = self.dm.trace_collect_since(self.trace_mark, &mut scratch);
-            for op in &mut ops {
-                if let Some(mut tr) = op.trace.take() {
-                    tr.complete = complete;
-                    let end = tr.end_ns;
-                    self.tracer.finish(tr, end, &scratch);
-                }
-            }
-            self.trace_scratch = scratch;
+        // An aborted run leaves ops without an end; their traces are
+        // dropped.
+        if run.is_ok() {
+            let traces = ops.iter_mut().filter_map(|op| op.trace.take());
+            self.worker.finish_traces(traces);
         }
-
         for op in &ops {
             self.stats.gets += 1;
             self.fold(op);
         }
-        // Reclamation cadence parity with a loop of gets: one unpin per
-        // key (the final one comes from `op_exit`), so the amortized scan
-        // fires as often as it would have.
-        for _ in 1..ops.len() {
-            if self.reclaim.scan_due() {
-                self.obs_phase(Phase::Maintenance);
-            }
-            let SphinxClient { dm, reclaim, .. } = self;
-            reclaim.unpin(dm);
-        }
+        self.worker.unpin_keys(ops.len());
         self.op_exit();
         run?;
 
@@ -794,12 +738,6 @@ impl SphinxClient {
                 _ => unreachable!("drive ends a full lookup in a descent or a failure"),
             })
             .collect()
-    }
-
-    /// Cumulative pipelined-execution counters for this worker (flush
-    /// rounds, fusion, stalls, depth histogram, per-phase attribution).
-    pub fn pipeline_stats(&self) -> &PipelineStats {
-        &self.pipeline
     }
 }
 
@@ -884,8 +822,7 @@ mod tests {
             client.get(k).unwrap();
         }
         assert_eq!(
-            client.pipeline_stats().ops,
-            0,
+            client.worker.pipeline.ops, 0,
             "a get driven alone is not a pipeline run"
         );
 
@@ -919,7 +856,7 @@ mod tests {
             t8 * 2 < t1,
             "depth 8 ({t8} ns) should be far faster than depth 1 ({t1} ns)"
         );
-        let p = client.pipeline_stats();
+        let p = &client.worker.pipeline;
         assert!(p.fused_batches > 0);
         assert_eq!(p.ops, 400, "both runs drove every key through a machine");
     }
@@ -1039,7 +976,7 @@ mod tests {
                 "InhtOnly depth {depth}"
             );
         }
-        assert_eq!(inht.pipeline_stats().ops, 2 * refs.len() as u64);
+        assert_eq!(inht.worker.pipeline.ops, 2 * refs.len() as u64);
     }
 
     /// Key `[group_hi, group_lo, member]`: each group of two is one inner
@@ -1225,7 +1162,7 @@ mod tests {
             let t0 = cold.clock_ns();
             assert_eq!(cold.get_many_pipelined(&refs, depth).unwrap(), expected);
             assert_eq!(cold.op_stats().invalid_node_retries, 1, "depth {depth}");
-            assert!(cold.clock_ns() - t0 >= cold.retry.backoff_ns);
+            assert!(cold.clock_ns() - t0 >= cold.worker.retry.backoff_ns);
         }
         // The same restart inside an insert's lookup.
         let mut cold = index.client(3).unwrap();
@@ -1268,7 +1205,7 @@ mod tests {
         );
         assert_eq!(
             cold.op_stats().entry_misses,
-            1 + cold.retry.io_retries as u64
+            1 + cold.worker.retry.io_retries as u64
         );
     }
 }

@@ -30,7 +30,7 @@ impl SphinxClient {
     /// internally.
     pub fn scan(&mut self, low: &[u8], high: &[u8]) -> Result<Rows, SphinxError> {
         self.stats.scans += 1;
-        self.obs_begin(OpKind::Scan);
+        self.worker.begin(OpKind::Scan);
         let r = self.scan_inner(low, high);
         self.op_exit();
         r
@@ -43,7 +43,7 @@ impl SphinxClient {
         let mut max_len = common_prefix_len(low, high).min(MAX_KEY_LEN);
         loop {
             let (_, entry, plen) = self.locate_entry(&low[..max_len], max_len)?;
-            self.obs_phase(Phase::Traversal);
+            self.worker.phase(Phase::Traversal);
             let start = Tracked {
                 at: entry,
                 known: Prefix::from_slice(&low[..plen]),
@@ -62,7 +62,7 @@ impl SphinxClient {
                 Sampled::Leaf(leaf) if leaf.key.starts_with(&low[..plen]) => return Ok(rows),
                 Sampled::Leaf(_) => {
                     self.stats.false_positive_retries += 1;
-                    self.obs_retry();
+                    self.worker.retried();
                 }
                 // Nothing to check the entry against: settle it one level
                 // up (at the latest at the root).
@@ -315,7 +315,7 @@ mod tests {
         let (got, ns) = timed(&mut client, |c| c.scan(b"ab-000", b"ab-199").unwrap());
         assert_eq!(got, oracle("ab", 0..=199));
         assert_eq!(cluster.fault_injections(), 1);
-        assert!(ns >= client.retry.backoff_ns);
+        assert!(ns >= client.worker.retry.backoff_ns);
         let reg = client.telemetry();
         assert_eq!(reg.op(OpKind::Scan).retries, 1);
         assert_eq!(reg.phase(OpKind::Scan, Phase::Retry).round_trips, 1);

@@ -42,10 +42,10 @@ impl SphinxClient {
     /// ```
     pub fn scan_n(&mut self, low: &[u8], limit: usize) -> Result<Rows, SphinxError> {
         self.stats.scans += 1;
-        self.obs_begin(OpKind::Scan);
+        self.worker.begin(OpKind::Scan);
         let mut from_root = || {
             let (_, root, _) = self.locate_entry(&[], 0)?;
-            self.obs_phase(Phase::Traversal);
+            self.worker.phase(Phase::Traversal);
             let root = Tracked::root(root);
             Ok(walk::scan(self, &root, low, None, Some(limit))?)
         };

@@ -9,11 +9,10 @@
 //! node kind) for the node's prefix.
 
 use art_core::hash::{fp12, prefix_hash64};
-use art_core::layout::{HashEntry, InnerNode, LeafNode, Slot};
-use art_core::NodeKind;
-use dm_sim::{DmClient, RemotePtr, RetryPolicy};
+use art_core::layout::{HashEntry, InnerNode, Slot};
+use dm_sim::RemotePtr;
 use node_engine::walk::audit;
-use node_engine::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats};
+use node_engine::{EngineError, Worker};
 use race_hash::{RaceError, RaceTable};
 
 use crate::error::SphinxError;
@@ -44,32 +43,22 @@ impl IntegrityReport {
     }
 }
 
-/// The audit's reader: a bare transport plus the hash tables, outside any
-/// client (no telemetry, no reclamation pin).
+/// The audit's reader: a worker outside the reclamation domain plus the
+/// hash tables, outside any client (no open span, no reclamation pin).
 struct Auditor {
-    dm: DmClient,
+    worker: Worker,
     tables: Vec<RaceTable>,
     leaf_hint: usize,
     inht_entries_checked: usize,
 }
 
 impl node_engine::ArtReader for Auditor {
-    fn transport(&mut self) -> &mut DmClient {
-        &mut self.dm
+    fn worker(&mut self) -> &mut Worker {
+        &mut self.worker
     }
 
     fn leaf_hint(&self) -> usize {
         self.leaf_hint
-    }
-
-    fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError> {
-        read_inner_consistent(&mut self.dm, ptr, kind)
-    }
-
-    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
-        let mut io = LeafReadStats::default();
-        let policy = RetryPolicy::default();
-        read_validated_leaf(&mut self.dm, ptr, self.leaf_hint, &policy, &mut io)
     }
 
     /// The INHT must name this node, once.
@@ -81,8 +70,8 @@ impl node_engine::ArtReader for Auditor {
         problems: &mut Vec<String>,
     ) -> Result<(), EngineError> {
         let h = prefix_hash64(prefix);
-        let mn = self.dm.place(h) as usize;
-        let entries = match self.tables[mn].search(&mut self.dm, h) {
+        let mn = self.worker.dm.place(h) as usize;
+        let entries = match self.tables[mn].search(&mut self.worker.dm, h) {
             Ok(entries) => entries,
             Err(RaceError::Dm(e)) => return Err(e.into()),
             Err(e) => {
@@ -129,7 +118,7 @@ impl SphinxIndex {
             .map(|&m| RaceTable::open(&mut dm, m))
             .collect::<Result<Vec<_>, _>>()?;
         let mut auditor = Auditor {
-            dm,
+            worker: Worker::detached(dm),
             tables,
             leaf_hint: self.config().leaf_read_hint,
             inht_entries_checked: 0,
@@ -137,8 +126,8 @@ impl SphinxIndex {
 
         // Root via the hash table.
         let root_hash = prefix_hash64(&[]);
-        let root_mn = auditor.dm.place(root_hash) as usize;
-        let found = auditor.tables[root_mn].search(&mut auditor.dm, root_hash)?;
+        let root_mn = auditor.worker.dm.place(root_hash) as usize;
+        let found = auditor.tables[root_mn].search(&mut auditor.worker.dm, root_hash)?;
         let Some(root) = found
             .iter()
             .filter_map(|e| HashEntry::decode(e.word))
@@ -237,7 +226,7 @@ mod tests {
             for (idx, slot) in d.node.slots.iter().enumerate() {
                 if slot.is_some_and(|s| s.is_leaf) {
                     let word = d.node_ptr.checked_add(InnerNode::slot_offset(idx)).unwrap();
-                    client.dm.write_u64(word, 0).unwrap();
+                    client.worker.dm.write_u64(word, 0).unwrap();
                 }
             }
         }
@@ -279,9 +268,10 @@ mod tests {
         client.insert(b"ab1", b"v").unwrap();
         let (root_ptr, root, _) = client.locate_entry(&[], 0).unwrap();
         let held = root.header.control_with_status(NodeStatus::Locked);
-        client.dm.write_u64(root_ptr, held).unwrap();
+        client.worker.dm.write_u64(root_ptr, held).unwrap();
         client.insert(b"ab2", b"v").unwrap();
         client
+            .worker
             .dm
             .write_u64(root_ptr, root.header.encode_control())
             .unwrap();

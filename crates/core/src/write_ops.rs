@@ -9,9 +9,9 @@
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::layout::{HashEntry, InnerNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{DmClient, RemotePtr, RetryPolicy};
+use dm_sim::{DmClient, RemotePtr};
 use node_engine::write::{self, Pending};
-use node_engine::{install_word, read_inner_consistent, retire_leaf, Install, WriteHost};
+use node_engine::{install_word, read_inner_consistent, retire_leaf, Install, Worker, WriteHost};
 use obs::{OpKind, Phase};
 use race_hash::RaceError;
 
@@ -48,7 +48,7 @@ impl SphinxClient {
     /// under pathological contention, or substrate errors.
     pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<(), SphinxError> {
         self.stats.inserts += 1;
-        self.obs_begin(OpKind::Insert);
+        self.worker.begin(OpKind::Insert);
         let r = write::insert(self, key, value);
         self.op_exit();
         r
@@ -65,7 +65,7 @@ impl SphinxClient {
     /// Same classes as [`SphinxClient::insert`].
     pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<bool, SphinxError> {
         self.stats.updates += 1;
-        self.obs_begin(OpKind::Update);
+        self.worker.begin(OpKind::Update);
         let r = write::update(self, key, value);
         self.op_exit();
         r
@@ -78,7 +78,7 @@ impl SphinxClient {
     /// Same classes as [`SphinxClient::insert`].
     pub fn remove(&mut self, key: &[u8]) -> Result<bool, SphinxError> {
         self.stats.deletes += 1;
-        self.obs_begin(OpKind::Delete);
+        self.worker.begin(OpKind::Delete);
         let r = write::remove(self, key);
         self.op_exit();
         r
@@ -88,7 +88,7 @@ impl SphinxClient {
     /// to a concurrent type switch that copied the slot), chase the moved
     /// slot until it is cleared.
     fn unlink_invalid_leaf(&mut self, key: &[u8]) -> Result<(), SphinxError> {
-        for _ in 0..self.retry.op_retries {
+        for _ in 0..self.worker.retry.op_retries {
             let d = self.locate(key)?;
             match d.outcome {
                 Outcome::Leaf {
@@ -97,16 +97,16 @@ impl SphinxClient {
                     ref leaf,
                 } if leaf.key == key && leaf.status == NodeStatus::Invalid => {
                     let offset = slot_ref.offset();
-                    if install_word(&mut self.dm, d.node_ptr, offset, slot.encode(), 0)?
+                    if install_word(&mut self.worker.dm, d.node_ptr, offset, slot.encode(), 0)?
                         == Install::Done
                     {
                         // Won the (moved) unlink: retire the tombstoned
                         // leaf exactly as on the fast path.
-                        let SphinxClient { dm, reclaim, .. } = self;
+                        let Worker { dm, reclaim, .. } = &mut self.worker;
                         retire_leaf(dm, reclaim, slot.addr, leaf);
                         return Ok(());
                     }
-                    self.dm.backoff(&self.retry);
+                    self.worker.dm.backoff(&self.worker.retry);
                 }
                 // Slot already gone: whoever cleared (or replaced) it won
                 // the unlink and owns the region's retirement.
@@ -170,10 +170,10 @@ impl SphinxClient {
             return Ok(()); // different subtree; not ours to touch
         }
         let h = prefix_hash64(prefix);
-        let mn = self.dm.place(h) as usize;
+        let mn = self.worker.dm.place(h) as usize;
         let fp = fp12(prefix);
         // Replace whatever entry currently names the stale node.
-        let SphinxClient { tables, dm, .. } = self;
+        let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
         let found = tables[mn].search(dm, h)?;
         for e in found {
             if let Some(he) = HashEntry::decode(e.word) {
@@ -217,7 +217,7 @@ impl SphinxClient {
             if slot.is_leaf {
                 return Ok(None);
             }
-            node = read_inner_consistent(&mut self.dm, slot.addr, slot.child_kind)?;
+            node = read_inner_consistent(&mut self.worker.dm, slot.addr, slot.child_kind)?;
             node_ptr = Some(slot.addr);
         }
         Ok(node_ptr.map(|ptr| (ptr, node)))
@@ -235,7 +235,7 @@ impl SphinxClient {
             let (mut ptr, mut node, _len) = self.locate_entry(key, child_plen - 1)?;
             loop {
                 if node.header.status == NodeStatus::Invalid {
-                    self.dm.backoff(&self.retry);
+                    self.worker.dm.backoff(&self.worker.retry);
                     continue 'outer;
                 }
                 let plen = node.header.prefix_len as usize;
@@ -252,7 +252,7 @@ impl SphinxClient {
                 if slot.is_leaf {
                     return Ok(None);
                 }
-                let child = read_inner_consistent(&mut self.dm, slot.addr, slot.child_kind)?;
+                let child = read_inner_consistent(&mut self.worker.dm, slot.addr, slot.child_kind)?;
                 if child.header.kind != slot.child_kind {
                     continue 'outer;
                 }
@@ -370,7 +370,7 @@ impl SphinxClient {
         let settled = match verdict {
             ProbeVerdict::Adopted => {
                 if self.probe_adopted(&probe) {
-                    self.obs.incr("reclaim.ambiguous_adopted");
+                    self.worker.obs.incr("reclaim.ambiguous_adopted");
                     true
                 } else {
                     false
@@ -379,7 +379,7 @@ impl SphinxClient {
             ProbeVerdict::NotAdopted => {
                 // Our regions were never visible; they still take the
                 // grace period (costs nothing, guards the conclusion).
-                let SphinxClient { dm, reclaim, .. } = self;
+                let Worker { dm, reclaim, .. } = &mut self.worker;
                 match probe.kind {
                     Pending::SwapLeaf {
                         fresh, fresh_bytes, ..
@@ -396,11 +396,11 @@ impl SphinxClient {
                     }
                     Pending::TypeSwitch { .. } => unreachable!("never concluded for a switch"),
                 }
-                self.obs.incr("reclaim.ambiguous_unpublished");
+                self.worker.obs.incr("reclaim.ambiguous_unpublished");
                 true
             }
             ProbeVerdict::ThirdParty => {
-                self.obs.incr("reclaim.ambiguous_abandoned");
+                self.worker.obs.incr("reclaim.ambiguous_abandoned");
                 true
             }
             ProbeVerdict::Unknown => false,
@@ -410,7 +410,7 @@ impl SphinxClient {
         }
         probe.attempts += 1;
         if probe.attempts >= MAX_ATTEMPTS {
-            self.obs.incr("reclaim.ambiguous_abandoned");
+            self.worker.obs.incr("reclaim.ambiguous_abandoned");
             true
         } else {
             self.ambiguous.push(probe);
@@ -460,7 +460,7 @@ impl SphinxClient {
     /// a racing writer routed in by a stale hash entry may be switching
     /// it again — whoever wins the control word owns the retirement.
     fn retire_switched_original(&mut self, original: RemotePtr, orig_kind: NodeKind) -> bool {
-        let Ok(node) = read_inner_consistent(&mut self.dm, original, orig_kind) else {
+        let Ok(node) = read_inner_consistent(&mut self.worker.dm, original, orig_kind) else {
             return false;
         };
         match node.header.status {
@@ -469,9 +469,9 @@ impl SphinxClient {
             NodeStatus::Idle => {
                 let idle = node.header.control_with_status(NodeStatus::Idle);
                 let inv = node.header.control_with_status(NodeStatus::Invalid);
-                match self.dm.cas(original, idle, inv) {
+                match self.worker.dm.cas(original, idle, inv) {
                     Ok(prev) if prev == idle => {
-                        let SphinxClient { dm, reclaim, .. } = self;
+                        let Worker { dm, reclaim, .. } = &mut self.worker;
                         reclaim.retire(dm, original, InnerNode::byte_size(orig_kind) as u64);
                         true
                     }
@@ -491,26 +491,6 @@ impl SphinxClient {
 /// What Sphinx adds to the remote-ART write protocol.
 impl WriteHost for SphinxClient {
     type Error = SphinxError;
-
-    fn policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn parts(&mut self) -> (&mut DmClient, &mut reclaim::ReclaimHandle) {
-        (&mut self.dm, &mut self.reclaim)
-    }
-
-    fn phase(&mut self, phase: Phase) {
-        self.obs_phase(phase);
-    }
-
-    fn retried(&mut self) {
-        self.obs_retry();
-    }
-
-    fn count(&mut self, counter: &'static str) {
-        self.obs.incr(counter);
-    }
 
     fn locate(&mut self, key: &[u8], _use_cache: bool) -> Result<(Descent, bool), SphinxError> {
         Ok((SphinxClient::locate(self, key)?, false))
@@ -579,7 +559,7 @@ impl WriteHost for SphinxClient {
             let new_slot = Slot::inner(slot.key_byte, kind, ptr);
             let offset = InnerNode::slot_offset(idx);
             match install_word(
-                &mut self.dm,
+                &mut self.worker.dm,
                 parent_ptr,
                 offset,
                 slot.encode(),
@@ -589,7 +569,7 @@ impl WriteHost for SphinxClient {
                 Install::Ambiguous => ambiguous_seen = true,
                 Install::Raced => {}
             }
-            self.dm.backoff(&self.retry);
+            self.worker.dm.backoff(&self.worker.retry);
         }
         Ok(if ambiguous_seen {
             Install::Ambiguous
@@ -607,15 +587,15 @@ impl WriteHost for SphinxClient {
         kind: NodeKind,
         ptr: RemotePtr,
     ) -> Result<(), SphinxError> {
-        self.obs_phase(Phase::Maintenance);
+        self.worker.phase(Phase::Maintenance);
         let h = prefix_hash64(prefix);
-        let mn = self.dm.place(h) as usize;
+        let mn = self.worker.dm.place(h) as usize;
         let entry = HashEntry {
             fp: fp12(prefix),
             kind,
             addr: ptr,
         };
-        let SphinxClient { tables, dm, .. } = self;
+        let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
         tables[mn].insert(dm, h, entry.encode(), inht_split_oracle)?;
         if self.config.mode == CacheMode::FilterCache {
             self.filter.insert(prefix);
@@ -625,7 +605,7 @@ impl WriteHost for SphinxClient {
         // grower's own publish CAS found no entry to replace and the entry
         // just inserted names a dead node. One status re-read closes the
         // window: if the node was retired, heal the entry from the tree.
-        let control = self.dm.read_u64(ptr)?;
+        let control = self.worker.dm.read_u64(ptr)?;
         if control & 0xFF == NodeStatus::Invalid as u64 {
             self.reconcile(prefix, prefix.len())?;
         }
@@ -639,12 +619,12 @@ impl WriteHost for SphinxClient {
         (old_kind, old_ptr): (NodeKind, RemotePtr),
         (new_kind, new_ptr): (NodeKind, RemotePtr),
     ) -> Result<bool, SphinxError> {
-        self.obs_phase(Phase::Maintenance);
+        self.worker.phase(Phase::Maintenance);
         let h = prefix_hash64(prefix);
-        let mn = self.dm.place(h) as usize;
+        let mn = self.worker.dm.place(h) as usize;
         let fp = fp12(prefix);
         let entry = |kind, addr| HashEntry { fp, kind, addr }.encode();
-        let SphinxClient { tables, dm, .. } = self;
+        let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
         let (old, new) = (entry(old_kind, old_ptr), entry(new_kind, new_ptr));
         Ok(tables[mn].replace(dm, h, old, new)?)
     }
@@ -674,14 +654,14 @@ impl WriteHost for SphinxClient {
                 return Ok(());
             }
             let h = prefix_hash64(prefix);
-            let mn = self.dm.place(h) as usize;
+            let mn = self.worker.dm.place(h) as usize;
             let fp = fp12(prefix);
             let desired = HashEntry {
                 fp,
                 kind: node.header.kind,
                 addr: live_ptr,
             };
-            let SphinxClient { tables, dm, .. } = self;
+            let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
             let found = tables[mn].search(dm, h)?;
             if found.iter().any(|e| {
                 HashEntry::decode(e.word).is_some_and(|he| he.fp == fp && he.addr == live_ptr)
@@ -700,13 +680,13 @@ impl WriteHost for SphinxClient {
                 if he.fp != fp || he.addr == live_ptr {
                     continue;
                 }
-                let Ok(stale) = read_inner_consistent(&mut self.dm, he.addr, he.kind) else {
+                let Ok(stale) = read_inner_consistent(&mut self.worker.dm, he.addr, he.kind) else {
                     continue;
                 };
                 if stale.header.prefix_hash42 != prefix_h42 {
                     continue;
                 }
-                let SphinxClient { tables, dm, .. } = self;
+                let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
                 if tables[mn].replace(dm, h, e.word, desired.encode())? {
                     return Ok(());
                 }
@@ -720,7 +700,7 @@ impl WriteHost for SphinxClient {
                 // here, and inserting now would create a duplicate.
                 return Ok(());
             }
-            self.dm.backoff(&self.retry);
+            self.worker.dm.backoff(&self.worker.retry);
         }
         Ok(())
     }
@@ -732,7 +712,7 @@ impl WriteHost for SphinxClient {
     /// the address picks the entry.
     fn unpublish(&mut self, ptr: RemotePtr, dead: &InnerNode) -> Result<(), SphinxError> {
         let h42 = dead.header.prefix_hash42;
-        let SphinxClient { tables, dm, .. } = self;
+        let (tables, dm) = (&mut self.tables, &mut self.worker.dm);
         for table in tables.iter_mut() {
             let named = table
                 .search(dm, h42)?

@@ -334,11 +334,6 @@ impl DmClient {
         self.schedule = Some(handle);
     }
 
-    /// Whether a schedule handle is attached.
-    pub fn is_scheduled(&self) -> bool {
-        self.schedule.is_some()
-    }
-
     /// Consumes one scheduling step with no attached batch and returns its
     /// step number — a virtual timestamp totally ordered against every
     /// other participant's steps (history recorders stamp operation

@@ -338,12 +338,6 @@ impl HistoryRecorder {
         self.clock.load(Ordering::SeqCst)
     }
 
-    /// Advances the internal clock to at least `ts` (used to re-sync after
-    /// stamping a phase with external scheduler steps).
-    pub fn sync_clock(&self, ts: u64) {
-        self.clock.fetch_max(ts, Ordering::SeqCst);
-    }
-
     /// Records an invocation at virtual time `ts`; the returned id must be
     /// passed to [`respond`](Self::respond) when the operation completes.
     /// An operation never responded to stays [`Ret::Pending`].

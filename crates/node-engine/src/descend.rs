@@ -460,7 +460,7 @@ impl<'k> Descend<'k> {
 mod tests {
     use super::*;
     use crate::walk::any_leaf;
-    use crate::walk::tests::{host, inner, leaf, node_of, Host};
+    use crate::walk::tests::{host, host_on, inner, leaf, node_of, Host};
     use crate::{invalidate_inner, write_new_inner, write_new_leaf};
     use dm_sim::{ClusterConfig, DmCluster, FaultHook};
     use std::collections::HashMap;
@@ -504,13 +504,13 @@ mod tests {
         loop {
             y = match y {
                 Yield::Inner(ptr, len) | Yield::Leaf(ptr, len, _) => {
-                    let bytes = h.0.read(ptr, len)?;
-                    d.resume(&mut h.0, hooks, Some(bytes))?
+                    let bytes = h.0.dm.read(ptr, len)?;
+                    d.resume(&mut h.0.dm, hooks, Some(bytes))?
                 }
                 Yield::Sample => {
                     let sample = any_leaf(h, d.diverged_child())?;
                     d.sampled(sample);
-                    d.resume(&mut h.0, hooks, None)?
+                    d.resume(&mut h.0.dm, hooks, None)?
                 }
                 end => return Ok(end),
             };
@@ -538,7 +538,7 @@ mod tests {
         ab.set_child(leaf(h, b"abc"));
         ab.set_child(rekey(b'd', deep));
         ab.set_child(rekey(b'z', emptied));
-        let ab_ptr = write_new_inner(&mut h.0, &ab, b"ab").unwrap();
+        let ab_ptr = write_new_inner(&mut h.0.dm, &ab, b"ab").unwrap();
         let ab = Slot::inner(b'a', NodeKind::Node16, ab_ptr);
         (inner(h, NodeKind::Node4, b"", &[ab]), ab, deep)
     }
@@ -612,13 +612,13 @@ mod tests {
         let mut h = host();
         let (root, ab, deep) = tree(&mut h);
         let mut hooks = Hooks::default();
-        let before = h.0.stats().round_trips;
+        let before = h.0.dm.stats().round_trips;
         assert!(matches!(
             walk_down(&mut h, &mut hooks, root, b"abdey"),
             Yield::Done(_)
         ));
         assert_eq!(
-            h.0.stats().round_trips - before,
+            h.0.dm.stats().round_trips - before,
             1 + 3,
             "root, then ab, abde, leaf"
         );
@@ -647,7 +647,7 @@ mod tests {
         // Retired under the reader.
         let (root, ab, _) = tree(&mut h);
         let image = node_of(&mut h, ab);
-        invalidate_inner(&mut h.0, ab.addr, &image).unwrap();
+        invalidate_inner(&mut h.0.dm, ab.addr, &image).unwrap();
         let mut hooks = Hooks::default();
         assert!(matches!(
             walk_down(&mut h, &mut hooks, root, b"abc"),
@@ -698,7 +698,7 @@ mod tests {
         let mut h = host();
         let gone = inner(&mut h, NodeKind::Node4, b"abdez", &[]);
         let image = node_of(&mut h, gone);
-        invalidate_inner(&mut h.0, gone.addr, &image).unwrap();
+        invalidate_inner(&mut h.0.dm, gone.addr, &image).unwrap();
         let deep = inner(&mut h, NodeKind::Node4, b"abde", &[gone]);
         let root = inner(&mut h, NodeKind::Node4, b"", &[rekey(b'a', deep)]);
         let y = walk_down(&mut h, &mut Hooks::default(), root, b"abxx");
@@ -709,7 +709,7 @@ mod tests {
     fn a_leaf_above_the_hint_costs_exactly_one_more_read() {
         let mut h = host();
         let small = leaf(&mut h, b"s");
-        let big = write_new_leaf(&mut h.0, b"b", &[7; 500]).unwrap();
+        let big = write_new_leaf(&mut h.0.dm, b"b", &[7; 500]).unwrap();
         let root = inner(
             &mut h,
             NodeKind::Node4,
@@ -724,8 +724,8 @@ mod tests {
             while let Ok(Yield::Leaf(ptr, len, again)) = y {
                 assert_eq!(again, reads > 0);
                 reads += 1;
-                let bytes = h.0.read(ptr, len).unwrap();
-                y = d.resume(&mut h.0, &mut Hooks::default(), Some(bytes));
+                let bytes = h.0.dm.read(ptr, len).unwrap();
+                y = d.resume(&mut h.0.dm, &mut Hooks::default(), Some(bytes));
             }
             assert!(matches!(y, Ok(Yield::Done(_))), "{y:?}");
             (reads, d.io)
@@ -757,7 +757,7 @@ mod tests {
     #[test]
     fn a_torn_leaf_is_re_read_after_one_counted_backoff_and_not_forever() {
         let cluster = DmCluster::new(ClusterConfig::default());
-        let mut h = Host(cluster.client(0), LeafReadStats::default());
+        let mut h = host_on(&cluster);
         let l = leaf(&mut h, b"b");
         let root = inner(&mut h, NodeKind::Node4, b"", &[l]);
         let policy = RetryPolicy {
@@ -767,22 +767,22 @@ mod tests {
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(1.into()))));
         let mut d = Descend::new(b"b", 128, policy);
-        let (reads, clock) = (h.0.stats().reads, h.0.clock_ns());
+        let (reads, clock) = (h.0.dm.stats().reads, h.0.dm.clock_ns());
         let y = drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap();
         assert!(matches!(y, Yield::Done(_)), "{y:?}");
         assert_eq!((d.io.checksum_retries, d.io.extended_reads), (1, 0));
-        assert_eq!(h.0.stats().reads - reads, 1 + 2, "root, torn leaf, leaf");
-        assert!(h.0.clock_ns() - clock >= policy.backoff_ns);
+        assert_eq!(h.0.dm.stats().reads - reads, 1 + 2, "root, torn leaf, leaf");
+        assert!(h.0.dm.clock_ns() - clock >= policy.backoff_ns);
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(u64::MAX.into()))));
         let mut d = Descend::new(b"b", 128, policy);
-        let reads = h.0.stats().reads;
+        let reads = h.0.dm.stats().reads;
         assert_eq!(
             drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap_err(),
             EngineError::RetriesExhausted { op: "leaf read" }
         );
         assert_eq!(
-            h.0.stats().reads - reads,
+            h.0.dm.stats().reads - reads,
             1 + 3,
             "root, then io_retries attempts"
         );

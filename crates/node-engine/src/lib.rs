@@ -13,7 +13,8 @@
 //!                  │                              op pipeline driver,
 //!                  │                              key-following descent,
 //!                  │                              read-side ART walker,
-//!                  │                              write protocol)
+//!                  │                              write protocol,
+//!                  │                              per-worker plumbing)
 //!          dm_sim::DmClient                      (verbs + combinators,
 //!                                                 submit/poll/wait queue,
 //!                                                 one flush: doorbell
@@ -33,7 +34,8 @@
 //! structural audit — written once against the [`ArtReader`] trait they
 //! implement; the [`mod@write`] module is the write side — insert, update,
 //! delete, splits and the type switch — written once against the
-//! [`WriteHost`] trait they implement on top.
+//! [`WriteHost`] trait they implement on top; the [`worker`] module is the
+//! [`Worker`] each client owns and the served-stop lookup driver.
 //!
 //! Before this crate existed, `sphinx`, `baselines`, `bptree` and
 //! `race-hash` each carried a private copy of this scaffolding (torn-read
@@ -57,12 +59,14 @@ pub use dm_sim::RetryPolicy;
 pub mod descend;
 pub mod pipeline;
 pub mod walk;
+pub mod worker;
 pub mod write;
 
 pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
 pub use dm_sim::FirstInline;
 pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, DEFAULT_DEPTH};
 pub use walk::{ArtReader, Sampled};
+pub use worker::{drive, Lane, Lookup, Worker};
 pub use write::{Pending, WriteHost};
 
 /// Process-wide switch for leaf checksum validation (default on).

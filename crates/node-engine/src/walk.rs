@@ -27,13 +27,21 @@ use dm_sim::{DmClient, FirstInline, RemotePtr};
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use crate::{EngineError, LeafReadStats};
+use crate::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats, Worker};
+use obs::Phase;
 
 /// How the index hosting a walk reads its nodes — the only things that
-/// differ between Sphinx, SMART and ART on the read side.
+/// differ between Sphinx, SMART and ART on the read side. Everything else
+/// goes through the host's [`Worker`].
 pub trait ArtReader {
+    /// The worker whose transport, retry budget, span and trace the reads
+    /// go through.
+    fn worker(&mut self) -> &mut Worker;
+
     /// The host's client, for reads no policy applies to.
-    fn transport(&mut self) -> &mut DmClient;
+    fn transport(&mut self) -> &mut DmClient {
+        &mut self.worker().dm
+    }
 
     /// Bytes fetched for a leaf on first contact.
     fn leaf_hint(&self) -> usize;
@@ -44,15 +52,30 @@ pub trait ArtReader {
     /// # Errors
     ///
     /// Substrate and decode errors.
-    fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError>;
+    fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError> {
+        read_inner_consistent(self.transport(), ptr, kind)
+    }
 
     /// Reads a leaf through [`crate::read_validated_leaf`], attributed to
-    /// the host's leaf-read phase.
+    /// [`Phase::LeafRead`] (restoring the caller's phase afterwards), and
+    /// books its I/O with [`ArtReader::note_leaf_io`].
     ///
     /// # Errors
     ///
     /// As [`crate::read_validated_leaf`].
-    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError>;
+    fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
+        let hint = self.leaf_hint();
+        let w = self.worker();
+        let prev = w.obs.current_phase();
+        w.phase(Phase::LeafRead);
+        let mut io = LeafReadStats::default();
+        let res = read_validated_leaf(&mut w.dm, ptr, hint, &w.retry, &mut io);
+        self.note_leaf_io(io);
+        if let Some(p) = prev {
+            self.worker().phase(p);
+        }
+        res
+    }
 
     /// Books leaf I/O the walker did on its own — the batched second read of
     /// leaves larger than the hint — where [`ArtReader::read_leaf`] books
@@ -70,15 +93,40 @@ pub trait ArtReader {
         Ok(self.transport().read_packed(reads)?)
     }
 
-    /// A scan met the node behind `slot` mid type-switch: optionally wait
-    /// and read it again. The default skips the subtree (it is reachable
-    /// on the next scan).
+    /// A scan met the node behind `slot` mid type-switch: back off and
+    /// follow the slot again, up to eight times, each attempt a counted
+    /// retry attributed to [`Phase::Retry`] (restoring the caller's phase
+    /// afterwards). Gives up quietly — a replacement node is reachable
+    /// through its parent on the next scan.
     ///
     /// # Errors
     ///
     /// Substrate errors.
-    fn reread_inner(&mut self, _slot: &Slot) -> Result<Option<InnerNode>, EngineError> {
-        Ok(None)
+    fn reread_inner(&mut self, slot: &Slot) -> Result<Option<InnerNode>, EngineError> {
+        let w = self.worker();
+        let prev = w.obs.current_phase();
+        w.phase(Phase::Retry);
+        let settled = 'attempts: {
+            for _ in 0..8 {
+                w.retried();
+                w.dm.backoff(&w.retry);
+                match read_inner_consistent(&mut w.dm, slot.addr, slot.child_kind) {
+                    Ok(node)
+                        if node.header.status == NodeStatus::Idle
+                            && node.header.kind == slot.child_kind =>
+                    {
+                        break 'attempts Ok(Some(node));
+                    }
+                    Ok(_) | Err(EngineError::Layout(_)) => {}
+                    Err(e) => break 'attempts Err(e),
+                }
+            }
+            Ok(None)
+        };
+        if let Some(p) = prev {
+            w.phase(p);
+        }
+        settled
     }
 
     /// [`audit`]'s per-node hook: checks of the node at `ptr`, whose full
@@ -696,25 +744,22 @@ pub(crate) mod tests {
         invalidate_inner, read_inner_consistent, read_validated_leaf, write_new_inner,
         write_new_leaf, LeafReadStats, RetryPolicy,
     };
-    use dm_sim::{ClusterConfig, DmClient, DmCluster};
+    use dm_sim::{ClusterConfig, DmCluster};
 
-    /// The plainest reader: one transport, no cache, no phases; counts the
-    /// leaf I/O the walker books.
-    pub(crate) struct Host(pub(crate) DmClient, pub(crate) LeafReadStats);
+    /// The plainest reader: one worker outside any reclamation domain, no
+    /// cache; counts the leaf I/O the walker books (and only that).
+    pub(crate) struct Host(pub(crate) Worker, pub(crate) LeafReadStats);
 
     impl ArtReader for Host {
-        fn transport(&mut self) -> &mut DmClient {
+        fn worker(&mut self) -> &mut Worker {
             &mut self.0
         }
         fn leaf_hint(&self) -> usize {
             128
         }
-        fn read_inner(&mut self, ptr: RemotePtr, kind: NodeKind) -> Result<InnerNode, EngineError> {
-            read_inner_consistent(&mut self.0, ptr, kind)
-        }
         fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
             let mut io = LeafReadStats::default();
-            read_validated_leaf(&mut self.0, ptr, 128, &RetryPolicy::default(), &mut io)
+            read_validated_leaf(&mut self.0.dm, ptr, 128, &RetryPolicy::default(), &mut io)
         }
         fn note_leaf_io(&mut self, io: LeafReadStats) {
             self.1.merge(&io);
@@ -722,8 +767,14 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn host() -> Host {
-        let client = DmCluster::new(ClusterConfig::default()).client(0);
-        Host(client, LeafReadStats::default())
+        host_on(&DmCluster::new(ClusterConfig::default()))
+    }
+
+    pub(crate) fn host_on(cluster: &DmCluster) -> Host {
+        Host(
+            Worker::detached(cluster.client(0)),
+            LeafReadStats::default(),
+        )
     }
 
     /// Writes an inner node for `prefix` with the given children.
@@ -732,17 +783,17 @@ pub(crate) mod tests {
         for c in children {
             n.set_child(*c);
         }
-        let ptr = write_new_inner(&mut h.0, &n, prefix).unwrap();
+        let ptr = write_new_inner(&mut h.0.dm, &n, prefix).unwrap();
         Slot::inner(*prefix.last().unwrap_or(&0), kind, ptr)
     }
 
     pub(crate) fn leaf(h: &mut Host, key: &[u8]) -> Slot {
-        let ptr = write_new_leaf(&mut h.0, key, b"v").unwrap();
+        let ptr = write_new_leaf(&mut h.0.dm, key, b"v").unwrap();
         Slot::leaf(*key.last().unwrap(), ptr)
     }
 
     pub(crate) fn node_of(h: &mut Host, slot: Slot) -> InnerNode {
-        read_inner_consistent(&mut h.0, slot.addr, slot.child_kind).unwrap()
+        read_inner_consistent(&mut h.0.dm, slot.addr, slot.child_kind).unwrap()
     }
 
     /// `key_order` is the slice order on keys shorter than, equal to and
@@ -781,11 +832,11 @@ pub(crate) mod tests {
         let other = leaf(&mut h, b"az");
         let top = inner(&mut h, NodeKind::Node16, b"a", &[mid, other]);
         let top = node_of(&mut h, top);
-        let before = h.0.stats().round_trips;
+        let before = h.0.dm.stats().round_trips;
         let got = any_leaf(&mut h, &top).unwrap();
         assert!(matches!(got, Sampled::Leaf(l) if l.key == b"abc"));
         assert_eq!(
-            h.0.stats().round_trips - before,
+            h.0.dm.stats().round_trips - before,
             2,
             "first slot's inner node, then its leaf — what a first-slot walk reads"
         );
@@ -833,7 +884,7 @@ pub(crate) mod tests {
         let mut h = host();
         let gone = inner(&mut h, NodeKind::Node4, b"aa", &[]);
         let image = node_of(&mut h, gone);
-        invalidate_inner(&mut h.0, gone.addr, &image).unwrap();
+        invalidate_inner(&mut h.0.dm, gone.addr, &image).unwrap();
         let l = leaf(&mut h, b"ab");
         let top = inner(&mut h, NodeKind::Node4, b"a", &[gone, l]);
         let top = node_of(&mut h, top);
@@ -916,13 +967,13 @@ pub(crate) mod tests {
             known: Prefix::from_slice(b"user0"),
             exact: true,
         };
-        let before = h.0.stats().round_trips;
+        let before = h.0.dm.stats().round_trips;
         let below = scan(&mut h, &users, b"", Some(b"~"), None).unwrap();
-        let from_users = h.0.stats().round_trips - before;
+        let from_users = h.0.dm.stats().round_trips - before;
         assert_eq!(below, all[..3]);
-        let before = h.0.stats().round_trips;
+        let before = h.0.dm.stats().round_trips;
         let some = scan(&mut h, &root_node, b"user01", Some(b"user02@x"), None).unwrap();
-        assert!(from_users < h.0.stats().round_trips - before);
+        assert!(from_users < h.0.dm.stats().round_trips - before);
         let from_users = scan(&mut h, &users, b"user01", Some(b"user02@x"), None).unwrap();
         assert_eq!(from_users, some);
         assert_eq!(some, all[..2]);
@@ -1034,19 +1085,19 @@ pub(crate) mod tests {
         let sizes = [10usize, 300, 90, 500, 113];
         let addrs: Vec<RemotePtr> = sizes
             .iter()
-            .map(|&n| write_new_leaf(&mut h.0, &[n as u8], &vec![7; n]).unwrap())
+            .map(|&n| write_new_leaf(&mut h.0.dm, &[n as u8], &vec![7; n]).unwrap())
             .collect();
         let reads: Vec<_> = addrs.iter().map(|&a| (a, 128)).collect();
-        let before = h.0.stats().round_trips;
-        let level = h.0.read_packed(&reads).unwrap();
-        let first = h.0.stats().round_trips - before;
+        let before = h.0.dm.stats().round_trips;
+        let level = h.0.dm.read_packed(&reads).unwrap();
+        let first = h.0.dm.stats().round_trips - before;
         let fetched = level_spans(&reads).map(|(addr, span)| (addr, &level[span]));
         let leaves = settle_leaves(&mut h, fetched).unwrap();
         let lens: Vec<usize> = leaves.iter().flatten().map(|l| l.value.len()).collect();
         assert_eq!(lens, sizes, "input order");
         assert_eq!(h.1.extended_reads, 3, "300, 500 and 113 B exceed the hint");
         assert!(
-            h.0.stats().round_trips - before <= 2 * first,
+            h.0.dm.stats().round_trips - before <= 2 * first,
             "one more batch, not two reads per oversized leaf"
         );
     }

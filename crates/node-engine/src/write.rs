@@ -19,14 +19,13 @@ use art_core::hash::prefix_hash64;
 use art_core::key::common_prefix_len;
 use art_core::layout::{InnerNode, LayoutError, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use art_core::NodeKind;
-use dm_sim::{DmClient, DmError, RemotePtr, RetryPolicy};
+use dm_sim::{DmError, RemotePtr};
 use obs::Phase;
-use reclaim::ReclaimHandle;
 
 use crate::{
     cas_locked_write, install_word, read_validated_leaf, retire_inner, retire_leaf,
     unlink_empty_inner, write_new_leaf, ArtReader, Descent, EngineError, Install, LeafReadStats,
-    Outcome, SlotRef, Unlink,
+    Outcome, SlotRef, Unlink, Worker,
 };
 
 /// An install whose CAS landed on a node caught mid type-switch
@@ -85,21 +84,6 @@ pub trait WriteHost: ArtReader {
     /// The host's error type.
     type Error: From<EngineError> + From<DmError> + From<LayoutError>;
 
-    /// The host's retry budget.
-    fn policy(&self) -> RetryPolicy;
-
-    /// The transport and the epoch-reclamation handle, together.
-    fn parts(&mut self) -> (&mut DmClient, &mut ReclaimHandle);
-
-    /// The op in flight enters `phase`.
-    fn phase(&mut self, phase: Phase);
-
-    /// One failed attempt of the op in flight.
-    fn retried(&mut self);
-
-    /// Bumps a named telemetry counter.
-    fn count(&mut self, counter: &'static str);
-
     /// Locates `key`: the descent, and whether a CN-cached node was on the
     /// path (a miss is then only as fresh as that copy). `use_cache` is off
     /// after an op's first attempt.
@@ -117,7 +101,7 @@ pub trait WriteHost: ArtReader {
     /// An install came out [`Install::Ambiguous`]. The default abandons its
     /// regions (a counted, bounded leak) rather than risk a double free.
     fn ambiguous(&mut self, _key: &[u8], _pending: Pending) {
-        self.count("reclaim.ambiguous_abandoned");
+        self.worker().obs.incr("reclaim.ambiguous_abandoned");
     }
 
     /// An insert located `key` at `d` (Sphinx: the evidence a pending
@@ -220,21 +204,21 @@ pub fn hang_leaf(node: &mut InnerNode, key: &[u8], ptr: RemotePtr) {
 }
 
 fn backoff<H: WriteHost>(host: &mut H) {
-    let policy = host.policy();
-    host.transport().backoff(&policy);
+    let w = host.worker();
+    w.dm.backoff(&w.retry);
 }
 
 /// The tail of a failed attempt: counted, attributed to
 /// [`Phase::Retry`], backed off.
 fn retry<H: WriteHost>(host: &mut H) {
-    host.retried();
-    host.phase(Phase::Retry);
+    host.worker().retried();
+    host.worker().phase(Phase::Retry);
     backoff(host);
 }
 
 /// Hands `ptr` to the epoch reclaimer as `bytes` of garbage.
 fn retire<H: WriteHost>(host: &mut H, ptr: RemotePtr, bytes: u64) {
-    let (t, reclaim) = host.parts();
+    let Worker { dm: t, reclaim, .. } = host.worker();
     reclaim.retire(t, ptr, bytes);
 }
 
@@ -258,7 +242,7 @@ fn install<H: WriteHost>(
 /// [`EngineError::RetriesExhausted`] under pathological contention, or the
 /// host's errors.
 pub fn insert<H: WriteHost>(host: &mut H, key: &[u8], value: &[u8]) -> Result<(), H::Error> {
-    for attempt in 0..host.policy().op_retries {
+    for attempt in 0..host.worker().retry.op_retries {
         let (d, _) = host.locate(key, attempt == 0)?;
         host.located(key, &d);
         if insert_at(host, &d, key, value)? {
@@ -349,7 +333,7 @@ pub fn insert_at<H: WriteHost>(
 
 /// Updates an existing key; `false` if it is absent.
 pub fn update<H: WriteHost>(host: &mut H, key: &[u8], value: &[u8]) -> Result<bool, H::Error> {
-    for attempt in 0..host.policy().op_retries {
+    for attempt in 0..host.worker().retry.op_retries {
         let (d, used_cache) = host.locate(key, attempt == 0)?;
         match &d.outcome {
             Outcome::Leaf {
@@ -376,7 +360,7 @@ pub fn update<H: WriteHost>(host: &mut H, key: &[u8], value: &[u8]) -> Result<bo
 /// Deletes `key`: tombstone the leaf, unlink it, retire it. Returns
 /// whether this call performed the deletion.
 pub fn remove<H: WriteHost>(host: &mut H, key: &[u8]) -> Result<bool, H::Error> {
-    for attempt in 0..host.policy().op_retries {
+    for attempt in 0..host.worker().retry.op_retries {
         let (d, used_cache) = host.locate(key, attempt == 0)?;
         match &d.outcome {
             Outcome::Leaf {
@@ -392,12 +376,12 @@ pub fn remove<H: WriteHost>(host: &mut H, key: &[u8]) -> Result<bool, H::Error> 
                 // `Idle`: a `Locked` leaf is an in-place update between its
                 // two round trips, and tombstoning it would steal that lock
                 // (the update's publishing write would resurrect the leaf).
-                host.phase(Phase::LeafWrite);
+                host.worker().phase(Phase::LeafWrite);
                 let (idle, inv) = leaf.status_cas_words(NodeStatus::Idle, NodeStatus::Invalid);
                 if leaf.status == NodeStatus::Locked
                     || host.transport().cas(slot.addr, idle, inv)? != idle
                 {
-                    host.retried();
+                    host.worker().retried();
                     backoff(host);
                     continue;
                 }
@@ -405,7 +389,7 @@ pub fn remove<H: WriteHost>(host: &mut H, key: &[u8]) -> Result<bool, H::Error> 
                 let won = install(host, d.node_ptr, offset, expected, 0)? == Install::Done;
                 if won {
                     // The tombstoned leaf is ours: freed after a grace period.
-                    let (t, reclaim) = host.parts();
+                    let Worker { dm: t, reclaim, .. } = host.worker();
                     retire_leaf(t, reclaim, slot.addr, leaf);
                 }
                 host.unlinked(key, &d, won)?;
@@ -431,7 +415,7 @@ pub fn prune_empty_inner<H: WriteHost>(
     slot: &Slot,
     child: &InnerNode,
 ) -> Result<bool, H::Error> {
-    host.phase(Phase::Maintenance);
+    host.worker().phase(Phase::Maintenance);
     for (i, below) in child.slots.iter().enumerate() {
         if let Some(below) = below.filter(|s| !s.is_leaf) {
             let node = host.read_inner(below.addr, below.child_kind)?;
@@ -444,14 +428,14 @@ pub fn prune_empty_inner<H: WriteHost>(
     match unlink {
         Unlink::Done(dead) => {
             host.unpublish(slot.addr, &dead)?;
-            let (t, reclaim) = host.parts();
+            let Worker { dm: t, reclaim, .. } = host.worker();
             retire_inner(t, reclaim, slot.addr, &dead)?;
-            host.count("prune.nodes");
+            host.worker().obs.incr("prune.nodes");
             Ok(true)
         }
         Unlink::Kept => Ok(false),
         Unlink::Abandoned => {
-            host.count("prune.abandoned");
+            host.worker().obs.incr("prune.abandoned");
             Ok(false)
         }
     }
@@ -537,7 +521,7 @@ fn resolve_settled_install<H: WriteHost>(
     byte: u8,
     key: &[u8],
 ) -> Result<bool, H::Error> {
-    for _ in 0..host.policy().op_retries {
+    for _ in 0..host.worker().retry.op_retries {
         let control = host.transport().read_u64(node_ptr)?;
         match (control & 0xFF) as u8 {
             x if x == NodeStatus::Idle as u8 => {
@@ -570,7 +554,7 @@ fn resolve_settled_install<H: WriteHost>(
             }
             _ => {
                 // Still locked: let the switcher run.
-                host.count("lock.spin");
+                host.worker().obs.incr("lock.spin");
                 backoff(host);
             }
         }
@@ -600,7 +584,7 @@ fn write_leaf_value<H: WriteHost>(
     }
     // The lock CAS and the publishing write travel in one engine call:
     // attributed to LeafWrite wholesale.
-    host.phase(Phase::LeafWrite);
+    host.worker().phase(Phase::LeafWrite);
     let (idle, locked) = leaf.status_cas_words(NodeStatus::Idle, NodeStatus::Locked);
     let mut new_leaf = LeafNode::new(key.to_vec(), value.to_vec());
     new_leaf.version = leaf.version.wrapping_add(1);
@@ -619,7 +603,7 @@ fn swap_leaf<H: WriteHost>(
     key: &[u8],
     value: &[u8],
 ) -> Result<bool, H::Error> {
-    host.phase(Phase::LeafWrite);
+    host.worker().phase(Phase::LeafWrite);
     let fresh = write_new_leaf(host.transport(), key, value)?;
     let word = Slot::leaf(slot.key_byte, fresh).encode();
     match install(host, node_ptr, offset, slot.encode(), word)? {
@@ -649,10 +633,9 @@ fn swap_leaf<H: WriteHost>(
 /// read, then a CAS of a leaf not yet invalid whose loss or failure is
 /// ignored.
 pub fn retire_replaced_leaf<H: WriteHost>(host: &mut H, ptr: RemotePtr) {
-    let policy = host.policy();
-    let t = host.transport();
+    let Worker { dm: t, retry, .. } = host.worker();
     let mut io = LeafReadStats::default();
-    let bytes = match read_validated_leaf(t, ptr, 64, &policy, &mut io) {
+    let bytes = match read_validated_leaf(t, ptr, 64, retry, &mut io) {
         Ok(old) => {
             if old.status != NodeStatus::Invalid {
                 let (cur, inv) = old.status_cas_words(old.status, NodeStatus::Invalid);
@@ -677,7 +660,7 @@ fn split<H: WriteHost>(
     key: &[u8],
     value: &[u8],
 ) -> Result<bool, H::Error> {
-    host.phase(Phase::LeafWrite);
+    host.worker().phase(Phase::LeafWrite);
     let (leaf, node) = host.write_leaf_and_node(key, value, &mut n)?;
     let (kind, plen) = (n.header.kind, n.header.prefix_len as usize);
     let word = Slot::inner(slot.key_byte, kind, node).encode();
@@ -727,12 +710,12 @@ fn type_switch_insert<H: WriteHost>(
         return Ok(false);
     }
     // 1+2. Node-grained lock and the authoritative re-read.
-    host.phase(Phase::LockAcquire);
+    host.worker().phase(Phase::LockAcquire);
     let idle = node.header.control_with_status(NodeStatus::Idle);
     let locked = node.header.control_with_status(NodeStatus::Locked);
     let len = InnerNode::byte_size(node.header.kind);
     let Some(bytes) = host.lock_and_read(node_ptr, idle, locked, len)? else {
-        host.count("lock.contended");
+        host.worker().obs.incr("lock.contended");
         return Ok(false);
     };
     let fresh = InnerNode::decode(&bytes)?;
@@ -757,7 +740,7 @@ fn type_switch_insert<H: WriteHost>(
     }
 
     // 3. The grown replacement, with the new leaf folded in.
-    host.phase(Phase::LeafWrite);
+    host.worker().phase(Phase::LeafWrite);
     let mut grown = fresh.grow();
     let (leaf, grown_ptr) = host.write_leaf_and_node(key, value, &mut grown)?;
     let grown_kind = grown.header.kind;
@@ -796,7 +779,7 @@ fn type_switch_insert<H: WriteHost>(
 
     // 6. Retire the original, so readers holding stale entries or pointers
     //    retry (§III-C); its region is reused after the grace period.
-    let (t, reclaim) = host.parts();
+    let Worker { dm: t, reclaim, .. } = host.worker();
     retire_inner(t, reclaim, node_ptr, &fresh)?;
     host.touched(node_ptr);
     if !replaced {

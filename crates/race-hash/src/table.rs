@@ -257,13 +257,6 @@ impl RaceTable {
         }
     }
 
-    /// Size of the client-side directory cache in bytes (the paper's
-    /// "local directory cache, typically 2–5% of the succinct filter
-    /// cache size").
-    pub fn dir_cache_bytes(&self) -> usize {
-        self.dir.len() * 8
-    }
-
     /// Re-fetches the directory cache from the memory node.
     ///
     /// # Errors

@@ -312,6 +312,26 @@ pub struct ReclaimHandle {
     active: bool,
 }
 
+/// The detached handle: no domain, no slot; it never scans and frees
+/// nothing — for a worker of an index that never unlinks a node, or a
+/// reader outside every client.
+impl Default for ReclaimHandle {
+    fn default() -> Self {
+        let null = RemotePtr::NULL;
+        let config = ReclaimConfig::default();
+        let nowhere = ReclaimDomain {
+            epoch_ptr: null,
+            slots_ptr: null,
+            reg_ptr: null,
+            config,
+        };
+        ReclaimHandle {
+            active: false,
+            ..nowhere.handle_at(usize::MAX, null, 0)
+        }
+    }
+}
+
 impl ReclaimHandle {
     /// Marks an operation entry. Pinning is implicit in this protocol —
     /// the slot published at the last scan already lower-bounds every
@@ -595,6 +615,25 @@ mod tests {
         ));
         second.deregister(&mut t);
         persistent.deregister(&mut t);
+    }
+
+    /// The default handle is detached: whatever the op count, it never
+    /// scans, frees or issues a verb.
+    #[test]
+    fn a_default_handle_never_scans() {
+        let c = cluster();
+        let mut t = c.client(0);
+        let mut h = ReclaimHandle::default();
+        for _ in 0..1_000 {
+            h.pin();
+            assert!(!h.scan_due());
+            assert!(!h.unpin(&mut t));
+        }
+        h.scan(&mut t);
+        assert!(h.quiesce(&mut t, 4));
+        h.deregister(&mut t);
+        assert_eq!(t.stats(), dm_sim::ClientStats::default());
+        assert_eq!(h.stats(), ReclaimStats::default());
     }
 
     #[test]

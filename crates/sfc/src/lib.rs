@@ -670,11 +670,6 @@ impl FilterCache {
         self.inner.lock().frozen.generation
     }
 
-    /// Whether this cache runs the generational design.
-    pub fn is_generational(&self) -> bool {
-        self.cfg.generational
-    }
-
     fn finish_rebuild(
         &self,
         frozen: Arc<FrozenGen>,

@@ -80,11 +80,6 @@ impl Zipfian {
         sum
     }
 
-    /// Number of items.
-    pub fn item_count(&self) -> u64 {
-        self.n
-    }
-
     /// Draws the next item index in `[0, n)`.
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         let u: f64 = rng.gen();

@@ -3,9 +3,12 @@
 //! in how many packets it takes.
 
 use bench_harness::systems::System;
+use dm_sim::{ClusterConfig, DmCluster};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use ycsb::{value_for, KeySpace};
 
 #[test]
@@ -378,6 +381,78 @@ fn three_art_systems_scan_alike_around_a_delete_wave() {
             "{}",
             sys.label()
         );
+    }
+}
+
+/// Serves the first read of `target` whose length is the image's as the
+/// image, and every other read as it is.
+struct RewriteOnce {
+    target: dm_sim::RemotePtr,
+    image: Vec<u8>,
+    left: AtomicU64,
+}
+
+impl dm_sim::FaultHook for RewriteOnce {
+    fn corrupt_read(&self, ptr: dm_sim::RemotePtr, data: &mut [u8]) {
+        if ptr == self.target
+            && data.len() == self.image.len()
+            && self
+                .left
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_ok()
+        {
+            data.copy_from_slice(&self.image);
+        }
+    }
+}
+
+/// The level read of an inner node is served mid type-switch (`Invalid`)
+/// under a scan: every ART system backs off and reads it again, a counted
+/// retry — none drops the node's ten rows. `aa-000 … ab-199` on one MN;
+/// the node is `ab-01`.
+#[test]
+fn a_node_switching_under_a_scan_is_reread_on_every_art_system() {
+    use bench_harness::systems::WorkerClient;
+    use node_engine::WriteHost;
+    for sys in [System::Sphinx, System::Smart, System::Art] {
+        for limit in [None, Some(200)] {
+            let what = format!("{} limit {limit:?}", sys.label());
+            let cluster = DmCluster::new(ClusterConfig {
+                num_mns: 1,
+                ..ClusterConfig::default()
+            });
+            let handle = sys.build_on(&cluster, Some(64 << 10));
+            let mut w = handle.worker(0);
+            let want: Vec<(Vec<u8>, Vec<u8>)> = ["aa", "ab"]
+                .iter()
+                .flat_map(|group| (0..200).map(move |i| format!("{group}-{i:03}").into_bytes()))
+                .map(|key| (key.clone(), key))
+                .collect();
+            for (key, value) in &want {
+                w.insert(key, value);
+            }
+            let (d, _) = match &mut w {
+                WorkerClient::Sphinx(c) => c.locate(b"ab-010", false).unwrap(),
+                WorkerClient::Baseline(c) => c.locate(b"ab-010", false).unwrap(),
+                WorkerClient::BpTree(_) => unreachable!("not an ART"),
+            };
+            assert_eq!(d.node.header.prefix_len, 5, "{what}");
+            let mut image = d.node.clone();
+            image.header.status = art_core::layout::NodeStatus::Invalid;
+            cluster.set_fault_hook(Some(Arc::new(RewriteOnce {
+                target: d.node_ptr,
+                image: image.encode(),
+                left: AtomicU64::new(1),
+            })));
+            let got = match limit {
+                None => w.scan_pairs(b"ab-000", b"ab-199"),
+                Some(limit) => w.scan_n(b"ab-000", limit),
+            };
+            assert_eq!(cluster.fault_injections(), 1, "{what}");
+            assert_eq!(got.len(), 200, "{what}");
+            assert_eq!(got, want[200..], "{what}");
+            assert_eq!(w.telemetry().op(obs::OpKind::Scan).retries, 1, "{what}");
+        }
     }
 }
 
