@@ -22,8 +22,6 @@ pub struct BaselineConfig {
     /// CN-side node-cache budget in bytes (0 disables caching — the plain
     /// ART baseline).
     pub cache_bytes: usize,
-    /// Bytes fetched for a leaf in the first read.
-    pub leaf_read_hint: usize,
     /// Whether scans doorbell-batch their node reads. SMART does; the
     /// plain ART port does not — the cause of its 2.3–3.1× YCSB-E gap in
     /// the paper's Fig. 4.
@@ -41,7 +39,6 @@ impl BaselineConfig {
         BaselineConfig {
             prealloc256: false,
             cache_bytes: 0,
-            leaf_read_hint: 128,
             batched_scan: false,
             reclaim: reclaim::ReclaimConfig::default(),
         }
@@ -53,7 +50,6 @@ impl BaselineConfig {
         BaselineConfig {
             prealloc256: true,
             cache_bytes,
-            leaf_read_hint: 128,
             batched_scan: true,
             reclaim: reclaim::ReclaimConfig::default(),
         }

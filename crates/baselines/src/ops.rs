@@ -299,7 +299,7 @@ impl BaselineClient {
             return Err(BaselineError::KeyTooLong { len: key.len() });
         }
         Ok(LocateOp {
-            descend: Descend::new(key, self.meta.config.leaf_read_hint, self.worker.retry),
+            descend: Descend::new(key, self.worker.retry),
             cache: CacheView {
                 cache: self.cache.clone(),
                 allowed: use_cache,
@@ -546,10 +546,6 @@ impl BaselineClient {
 impl ArtReader for BaselineClient {
     fn worker(&mut self) -> &mut Worker {
         &mut self.worker
-    }
-
-    fn leaf_hint(&self) -> usize {
-        self.meta.config.leaf_read_hint
     }
 
     /// Remote, but filling the CN node cache (SMART).

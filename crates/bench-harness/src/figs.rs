@@ -1,11 +1,12 @@
 //! The paper's evaluation (§V) and the extension experiments, as data.
 //!
 //! Six figures are *run grids*: cells of (key space × network × system ×
-//! workload × workers × depth), one threaded YCSB run each. Each is one
-//! [`Grid`] value (`fig4-pipeline` is two sections, two values), and one
-//! loop, `run_grid`, serves them all: it builds and loads each (key space,
-//! network, system) tree once and runs that tree's cells in the grid's
-//! order. `tabulate` lays the cells out as the grid's CSV columns. `fig6`,
+//! workload × workers × depth), one YCSB run each (its workers stepped in
+//! clock order on one thread, so a grid's output is byte-identical per
+//! seed). Each is one [`Grid`] value (`fig4-pipeline` is two sections, two
+//! values), and one loop, `run_grid`, serves them all: it builds and loads
+//! each (key space, network, system) tree once and runs that tree's cells
+//! in the grid's order. `tabulate` lays the cells out as the grid's CSV columns. `fig6`,
 //! `fig6-reclaim` and `sfc-stats` measure memory and filter state rather
 //! than runs and stay plain functions. [`FIGURES`] lists all nine.
 //!
@@ -988,7 +989,7 @@ mod tests {
         );
     }
 
-    /// `whatif-cxl` end to end through [`run`]: real threaded cells, rows
+    /// `whatif-cxl` end to end through [`run`]: real cells, rows
     /// in the parent's order, and cheaper round trips visibly faster.
     #[test]
     fn whatif_cxl_end_to_end() {

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod figs;
-pub mod gate;
 pub mod lincheck_driver;
 pub mod report;
 pub mod runner;

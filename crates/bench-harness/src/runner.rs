@@ -1,24 +1,24 @@
 //! The multi-worker, virtual-time workload runner.
 //!
-//! Workers are OS threads, each owning a [`WorkerClient`] with its own
-//! virtual clock; throughput and latency are computed from **virtual**
-//! time, so results are meaningful regardless of host core count (the
-//! simulation thesis of DESIGN.md §2). Between the load and run phases the
-//! NIC queues and worker clocks are reset, and the run phase starts with a
-//! warm-up fraction so caches reach steady state before measurement.
+//! Every worker owns a [`WorkerClient`] with its own virtual clock, and all
+//! of them run on the calling thread: each step advances the unfinished
+//! worker whose clock is smallest (ties to the lowest index) by one step —
+//! one op, or at depth > 1 one flushed read chunk or one non-read op — so
+//! the NIC model sees arrivals in virtual order and a run is a function of
+//! its inputs, byte for byte. Throughput and latency are computed from
+//! **virtual** time (the simulation thesis of DESIGN.md §2). Between the
+//! load and run phases the NIC queues and worker clocks are reset, and the
+//! run phase starts with a warm-up fraction so caches reach steady state
+//! before measurement.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use dm_sim::{ClientStats, ClusterStats, LatencyHistogram};
+use dm_sim::{ClientStats, LatencyHistogram};
 use ycsb::{value_for, KeySpace, Op, OpStream, SharedInsertCursor, Workload};
 
-use crate::gate::VirtualGate;
 use crate::systems::{SystemHandle, WorkerClient};
-
-/// How far ahead of the slowest worker a clock may run (see
-/// [`VirtualGate`]). Roughly two operations at the common three-round-trip
-/// cost.
-const GATE_WINDOW_NS: u64 = 15_000;
 
 /// Ring capacity (rows) of the metrics sampler; when a run outlives
 /// `capacity × interval` the oldest rows are overwritten and counted.
@@ -56,12 +56,12 @@ pub struct RunConfig {
     /// `0` together with `trace_head_every == 0` turns tracing off.
     pub trace_tail_k: usize,
     /// Metrics-sampling interval on the virtual clock, ns. Worker 0
-    /// polls per-MN gauges into a ring-buffer [`obs::Sampler`] whenever an
-    /// op boundary crosses the interval; `0` (the default everywhere)
+    /// polls per-MN gauges into a ring-buffer [`obs::Sampler`] whenever one
+    /// of its steps crosses the interval; `0` (the default everywhere)
     /// turns time-series sampling off. Sampling reads atomics only — it
-    /// never issues verbs or advances any virtual clock — but mid-run
-    /// gauge values depend on thread interleaving, so byte-stable exports
-    /// need `workers == 1`.
+    /// never issues verbs or advances any virtual clock — and workers step
+    /// in clock order on one thread, so exports are byte-stable at any
+    /// worker count.
     pub sample_interval_ns: u64,
 }
 
@@ -112,23 +112,22 @@ pub struct RunResult {
     pub telemetry: obs::Registry,
     /// Retained causal traces from the measured window, across all
     /// workers (tail-sampled slowest/most-retried plus any uniform head
-    /// samples; see [`obs::Tracer`]). Warm-up traces are discarded at the
-    /// phase barrier. Empty when tracing is off or the system has no
+    /// samples; see [`obs::Tracer`]). Warm-up traces are discarded when
+    /// the window opens. Empty when tracing is off or the system has no
     /// pipelined path.
     pub traces: Vec<obs::OpTrace>,
     /// The cluster metrics plane's view of the measured window: per-MN
     /// server-side accounting, the summed client-side ledger (which the
     /// server side provably conserves against — the window runs from the
-    /// post-warm-up barrier through each worker's reclaim deregistration),
+    /// end of the warm-up through each worker's reclaim deregistration),
     /// worker 0's time-series samples when sampling was on, and the
     /// health monitor's verdict. Exports as `sphinx.metrics.v1`.
     pub metrics: obs::MetricsReport,
 }
 
-/// Mints one client per worker, round-robin over the CNs, on the calling
-/// thread: a registration that fails (more workers than reclamation pin
-/// slots) panics here with its typed error, before any worker thread
-/// exists that could be left waiting at a barrier.
+/// Mints one client per worker, round-robin over the CNs: a registration
+/// that fails (more workers than reclamation pin slots) panics here with
+/// its typed error.
 fn mint_workers(handle: &SystemHandle, workers: usize) -> Vec<WorkerClient> {
     let num_cns = handle.cluster().num_cns() as usize;
     (0..workers)
@@ -136,28 +135,57 @@ fn mint_workers(handle: &SystemHandle, workers: usize) -> Vec<WorkerClient> {
         .collect()
 }
 
+/// Steps `workers` one step at a time, always the one whose virtual clock is
+/// smallest (ties to the lowest index), until `step` has said of every worker
+/// that it has nothing left. `step` runs one step of worker `i` (nothing
+/// when it has none) and returns whether the worker has more.
+fn in_clock_order<L>(
+    workers: &mut [L],
+    clock: impl Fn(&L) -> u64,
+    mut step: impl FnMut(usize, &mut L) -> bool,
+) {
+    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = workers
+        .iter()
+        .enumerate()
+        .map(|(i, worker)| Reverse((clock(worker), i)))
+        .collect();
+    while let Some(Reverse((_, i))) = ready.pop() {
+        if step(i, &mut workers[i]) {
+            ready.push(Reverse((clock(&workers[i]), i)));
+        }
+    }
+}
+
 /// Loads `num_keys` keys (indexes `0..num_keys`) through `load_workers`
-/// parallel workers. Values are the deterministic 64-byte YCSB payloads.
+/// loader clients, loader `w` inserting indexes `w`, `w + load_workers`, …
+/// one insert per step in clock order. Values are the deterministic
+/// 64-byte YCSB payloads.
 ///
 /// # Panics
 ///
 /// Panics on index errors (bench context).
 pub fn load_phase(handle: &SystemHandle, keyspace: KeySpace, num_keys: u64, load_workers: usize) {
-    let clients = mint_workers(handle, load_workers);
-    std::thread::scope(|s| {
-        for (w, mut client) in clients.into_iter().enumerate() {
-            s.spawn(move || {
-                let mut i = w as u64;
-                while i < num_keys {
-                    client.insert(&keyspace.key(i), &value_for(i, 0));
-                    i += load_workers as u64;
-                }
-                // Leave epoch gating: a dropped loader's stale pin slot
-                // would block every later worker's reclamation.
-                client.reclaim_deregister();
-            });
-        }
-    });
+    let mut loaders: Vec<(WorkerClient, u64)> = mint_workers(handle, load_workers)
+        .into_iter()
+        .zip(0..)
+        .collect();
+    in_clock_order(
+        &mut loaders,
+        |(client, _)| client.clock_ns(),
+        |_, (client, i)| {
+            if *i < num_keys {
+                client.insert(&keyspace.key(*i), &value_for(*i, 0));
+                *i += load_workers as u64;
+            }
+            if *i < num_keys {
+                return true;
+            }
+            // Leave epoch gating: a finished loader's stale pin slot would
+            // block every later worker's reclamation.
+            client.reclaim_deregister();
+            false
+        },
+    );
     // The load phase must not pollute run-phase clocks or NIC queues.
     handle.cluster().reset_network();
 }
@@ -168,23 +196,6 @@ pub fn sorted_keys(keyspace: KeySpace, num_keys: u64) -> Arc<Vec<Vec<u8>>> {
     let mut keys: Vec<Vec<u8>> = (0..num_keys).map(|i| keyspace.key(i)).collect();
     keys.sort();
     Arc::new(keys)
-}
-
-struct WorkerOutcome {
-    clock_ns: u64,
-    ops: u64,
-    hist: LatencyHistogram,
-    round_trips: u64,
-    doorbells: u64,
-    bytes: u64,
-    telemetry: obs::Registry,
-    traces: Vec<obs::OpTrace>,
-    /// Client-side network delta over the conservation window: measured
-    /// loop *plus* the reclaim deregistration verbs, so it balances the
-    /// cluster-side snapshot taken after every worker joined.
-    net_full: ClientStats,
-    /// Worker 0's metrics sampler (None for other workers / sampling off).
-    samples: Option<obs::Sampler>,
 }
 
 /// Column schema for the metrics sampler: three gauges per MN plus the
@@ -207,184 +218,199 @@ fn sampler_columns(num_mns: u16) -> Vec<String> {
     cols
 }
 
+/// One worker of a run: its client, its op stream and what is left of the
+/// current phase.
+struct RunWorker {
+    client: WorkerClient,
+    stream: OpStream,
+    /// Ops still to draw from `stream` in this phase.
+    left: u64,
+    /// Reads drawn for the next pipelined chunk.
+    pending: Vec<u64>,
+    hist: LatencyHistogram,
+    /// The client's counters when the measured window opened.
+    base: ClientStats,
+    /// Clock and counters since `base` when the worker finished its window,
+    /// before its reclaim deregistration.
+    end: (u64, ClientStats),
+}
+
+impl RunWorker {
+    /// Runs one step and returns whether ops are left: at `depth` 1 one op;
+    /// deeper, the reads drawn up to a full chunk of `depth × 4` (or the
+    /// end of the phase) as one pipelined flush, or the non-read op that
+    /// ends a shorter chunk, flushed before it. Each worker's stream keeps
+    /// its program order either way.
+    fn step(&mut self, depth: usize, cfg: &RunConfig, sorted: &[Vec<u8>]) -> bool {
+        while self.left > 0 {
+            self.left -= 1;
+            match self.stream.next_op() {
+                Op::Read(idx) if depth > 1 => {
+                    self.pending.push(idx);
+                    if self.pending.len() >= depth * 4 {
+                        break;
+                    }
+                }
+                op => {
+                    self.flush_reads(depth, cfg);
+                    let before = self.client.clock_ns();
+                    apply_op(&mut self.client, op, cfg, sorted);
+                    self.hist.record(self.client.clock_ns() - before);
+                    return self.left > 0;
+                }
+            }
+        }
+        self.flush_reads(depth, cfg);
+        self.left > 0
+    }
+
+    /// Drains the drawn reads through [`WorkerClient::multi_get_pipelined`]
+    /// so up to `depth` lookups share the wire. Latency is attributed
+    /// evenly: the chunk's virtual-time span divided by its length
+    /// (individual completion times interleave and are not observable at
+    /// this layer).
+    fn flush_reads(&mut self, depth: usize, cfg: &RunConfig) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let keys: Vec<Vec<u8>> = self.pending.iter().map(|&i| cfg.keyspace.key(i)).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let before = self.client.clock_ns();
+        self.client.multi_get_pipelined(&refs, depth);
+        let per_op = (self.client.clock_ns() - before) / self.pending.len() as u64;
+        for _ in 0..self.pending.len() {
+            self.hist.record(per_op);
+        }
+        self.pending.clear();
+    }
+}
+
 /// Executes the measured phase and aggregates virtual-time results.
 ///
 /// # Panics
 ///
 /// Panics on index errors (bench context).
 pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
-    let clients = mint_workers(handle, cfg.workers);
     let cursor = SharedInsertCursor::new(cfg.num_keys);
     let sorted = if cfg.workload.scan > 0.0 {
         sorted_keys(cfg.keyspace, cfg.num_keys)
     } else {
-        Arc::new(Vec::new())
+        Arc::default()
     };
+    let mut workers: Vec<RunWorker> = mint_workers(handle, cfg.workers)
+        .into_iter()
+        .enumerate()
+        .map(|(w, mut client)| {
+            client.set_trace_sampling(cfg.trace_head_every, cfg.trace_tail_k);
+            client.set_trace_worker(w as u32);
+            let stream = OpStream::with_cursor(
+                cfg.workload.clone(),
+                cfg.num_keys,
+                cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                cursor.clone(),
+            );
+            RunWorker {
+                client,
+                stream,
+                left: cfg.warmup_per_worker,
+                pending: Vec::with_capacity(cfg.pipeline_depth * 4),
+                hist: LatencyHistogram::new(),
+                base: ClientStats::default(),
+                end: (0, ClientStats::default()),
+            }
+        })
+        .collect();
+    let clock = |worker: &RunWorker| worker.client.clock_ns();
 
-    let barrier = Arc::new(Barrier::new(cfg.workers));
-    let gate = Arc::new(VirtualGate::new(cfg.workers, GATE_WINDOW_NS));
-    // The leader snapshots the cluster-side accounting between the two
-    // post-warm-up barriers (every worker is blocked, so no verb is in
-    // flight): the conservation window's server-side base.
-    let cluster_base: Arc<Mutex<Option<ClusterStats>>> = Arc::new(Mutex::new(None));
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(cfg.workers);
-        for (w, mut client) in clients.into_iter().enumerate() {
-            let handle = handle.clone();
-            let cursor = cursor.clone();
-            let sorted = sorted.clone();
-            let cfg = cfg.clone();
-            let barrier = barrier.clone();
-            let gate = gate.clone();
-            let cluster_base = cluster_base.clone();
-            joins.push(s.spawn(move || {
-                client.set_trace_sampling(cfg.trace_head_every, cfg.trace_tail_k);
-                client.set_trace_worker(w as u32);
-                let mut stream = OpStream::with_cursor(
-                    cfg.workload.clone(),
-                    cfg.num_keys,
-                    cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    cursor,
-                );
-                // Warm-up: populate filter/node caches…
-                for _ in 0..cfg.warmup_per_worker {
-                    execute_op(&mut client, &mut stream, &cfg, &sorted);
-                    gate.sync(w, client.clock_ns());
-                }
-                // …then synchronize everyone, drain the virtual NIC queues
-                // exactly once, and restart all clocks at zero so the
-                // measured interval is a clean steady-state window.
-                gate.finish(w);
-                if barrier.wait().is_leader() {
-                    handle.cluster().reset_network();
-                    gate.reset();
-                    *cluster_base.lock().expect("cluster base poisoned") =
-                        Some(handle.cluster().cluster_stats());
-                }
-                barrier.wait();
-                client.set_clock_ns(0);
-                // Warm-up samples would pollute the tail ranking (their
-                // clocks predate the reset): drop them at the barrier.
-                client.take_traces();
-                let base_stats = client.net_stats();
+    // Warm-up, one op a step: populate filter/node caches…
+    in_clock_order(&mut workers, clock, |_, w| w.step(1, cfg, &sorted));
+    // …then drain the virtual NIC queues, open the conservation window on
+    // the cluster side and restart every clock at zero, so the measured
+    // interval is a clean steady-state window.
+    let cluster = handle.cluster();
+    cluster.reset_network();
+    let cluster_base = cluster.cluster_stats();
+    for worker in &mut workers {
+        worker.client.set_clock_ns(0);
+        // Warm-up samples would pollute the tail ranking (their clocks
+        // predate the reset).
+        worker.client.take_traces();
+        worker.base = worker.client.net_stats();
+        worker.left = cfg.ops_per_worker;
+        worker.hist = LatencyHistogram::new();
+    }
 
-                // Worker 0 drives the metrics sampler.
-                let cluster = handle.cluster();
-                let num_mns = cluster.num_mns();
-                let mut sampler = (w == 0 && cfg.sample_interval_ns > 0).then(|| {
-                    obs::Sampler::new(
-                        sampler_columns(num_mns),
-                        SAMPLE_CAPACITY,
-                        cfg.sample_interval_ns,
-                    )
-                });
-                let mut row: Vec<u64> =
-                    Vec::with_capacity(sampler.as_ref().map_or(0, |s| s.width()));
-                let hist = {
-                    let mut probe = |c: &WorkerClient| {
-                        let Some(s) = sampler.as_mut() else { return };
-                        let now = c.clock_ns();
-                        if !s.due(now) {
-                            return;
-                        }
-                        row.clear();
-                        for m in 0..num_mns {
-                            let mn = cluster.mn_stats(m).expect("mn id in range");
-                            row.push(mn.verbs());
-                            row.push(mn.doorbells);
-                            row.push(mn.queue_ns);
-                        }
-                        let net = c.net_stats();
-                        row.push(net.round_trips);
-                        row.push(net.bytes_total());
-                        let sfc = c.sfc_gauges();
-                        row.push(sfc[0]);
-                        row.push(sfc[2]);
-                        s.record(now, &row);
-                    };
-                    measured_loop(
-                        &mut client,
-                        &mut stream,
-                        &cfg,
-                        &sorted,
-                        &gate,
-                        w,
-                        &mut probe,
-                    )
-                };
-                gate.finish(w);
-                let net = client.net_stats().since(&base_stats);
-                let clock_ns = client.clock_ns();
-                let telemetry = client.telemetry();
-                let traces = client.take_traces();
-                client.reclaim_deregister();
-                WorkerOutcome {
-                    clock_ns,
-                    ops: cfg.ops_per_worker,
-                    hist,
-                    round_trips: net.round_trips,
-                    doorbells: net.doorbells,
-                    bytes: net.bytes_total(),
-                    telemetry,
-                    traces,
-                    // Includes the deregistration verbs: the cluster-side
-                    // snapshot is taken after workers join, so the client
-                    // ledger must cover everything up to that point.
-                    net_full: client.net_stats().since(&base_stats),
-                    samples: sampler,
-                }
-            }));
+    // Worker 0 drives the metrics sampler after each of its steps.
+    let num_mns = cluster.num_mns();
+    let mut sampler = (cfg.sample_interval_ns > 0).then(|| {
+        obs::Sampler::new(
+            sampler_columns(num_mns),
+            SAMPLE_CAPACITY,
+            cfg.sample_interval_ns,
+        )
+    });
+    let mut row: Vec<u64> = Vec::with_capacity(sampler.as_ref().map_or(0, |s| s.width()));
+    let mut probe = |c: &WorkerClient| {
+        let Some(s) = sampler.as_mut() else { return };
+        let now = c.clock_ns();
+        if !s.due(now) {
+            return;
         }
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("worker panicked"))
-            .collect()
+        row.clear();
+        for m in 0..num_mns {
+            let mn = cluster.mn_stats(m).expect("mn id in range");
+            row.push(mn.verbs());
+            row.push(mn.doorbells);
+            row.push(mn.queue_ns);
+        }
+        let net = c.net_stats();
+        row.push(net.round_trips);
+        row.push(net.bytes_total());
+        let sfc = c.sfc_gauges();
+        row.push(sfc[0]);
+        row.push(sfc[2]);
+        s.record(now, &row);
+    };
+    in_clock_order(&mut workers, clock, |w, worker| {
+        let more = worker.step(cfg.pipeline_depth, cfg, &sorted);
+        if w == 0 {
+            probe(&worker.client);
+        }
+        if !more {
+            worker.end = (
+                worker.client.clock_ns(),
+                worker.client.net_stats().since(&worker.base),
+            );
+            worker.client.reclaim_deregister();
+        }
+        more
     });
 
-    let total_ops: u64 = outcomes.iter().map(|o| o.ops).sum();
-    let makespan_ns = outcomes
-        .iter()
-        .map(|o| o.clock_ns)
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let total_ops = cfg.ops_per_worker * cfg.workers as u64;
+    let makespan_ns = workers.iter().map(|w| w.end.0).max().unwrap_or(1).max(1);
     let mut hist = LatencyHistogram::new();
-    for o in &outcomes {
-        hist.merge(&o.hist);
-    }
-    let round_trips: u64 = outcomes.iter().map(|o| o.round_trips).sum();
-    let doorbells: u64 = outcomes.iter().map(|o| o.doorbells).sum();
-    let bytes: u64 = outcomes.iter().map(|o| o.bytes).sum();
-    let mut telemetry = handle.index_telemetry();
-    for o in &outcomes {
-        telemetry.merge(&o.telemetry);
-    }
-
-    // Close the conservation window: every worker has joined (and
-    // deregistered), so the cluster-side delta must balance the summed
-    // client-side deltas exactly.
-    let cluster_base = cluster_base
-        .lock()
-        .expect("cluster base poisoned")
-        .take()
-        .expect("leader must snapshot the cluster base");
-    let cluster_window = handle.cluster().cluster_stats().since(&cluster_base);
+    let mut window = ClientStats::default();
+    // Includes the deregistration verbs, so it balances the cluster-side
+    // delta, which closes after every worker deregistered.
     let mut client_sum = ClientStats::default();
-    for o in &outcomes {
-        client_sum.merge(&o.net_full);
+    let mut telemetry = handle.index_telemetry();
+    let mut traces: Vec<obs::OpTrace> = Vec::new();
+    for worker in &mut workers {
+        hist.merge(&worker.hist);
+        window.merge(&worker.end.1);
+        client_sum.merge(&worker.client.net_stats().since(&worker.base));
+        telemetry.merge(&worker.client.telemetry());
+        traces.extend(worker.client.take_traces());
     }
+    traces.sort_by_key(|t| t.id);
+    let cluster_window = cluster.cluster_stats().since(&cluster_base);
     let health = obs::evaluate_health(&cluster_window, &telemetry);
     health.stamp(&mut telemetry);
-
-    let mut outcomes = outcomes;
-    let samples = outcomes.iter_mut().find_map(|o| o.samples.take());
-    let mut traces: Vec<obs::OpTrace> = outcomes.into_iter().flat_map(|o| o.traces).collect();
-    traces.sort_by_key(|t| t.id);
     let metrics = obs::MetricsReport {
         cluster: cluster_window,
         client_sum,
         window_ns: makespan_ns,
-        samples,
+        samples: sampler,
         health,
     };
     RunResult {
@@ -392,106 +418,13 @@ pub fn run_phase(handle: &SystemHandle, cfg: &RunConfig) -> RunResult {
         avg_latency_us: hist.mean_ns() as f64 / 1e3,
         p99_latency_us: hist.quantile_ns(0.99) as f64 / 1e3,
         total_ops,
-        round_trips_per_op: round_trips as f64 / total_ops as f64,
-        doorbells_per_op: doorbells as f64 / total_ops as f64,
-        bytes_per_op: bytes as f64 / total_ops as f64,
+        round_trips_per_op: window.round_trips as f64 / total_ops as f64,
+        doorbells_per_op: window.doorbells as f64 / total_ops as f64,
+        bytes_per_op: window.bytes_total() as f64 / total_ops as f64,
         telemetry,
         traces,
         metrics,
     }
-}
-
-/// The measured window: the depth-1 path times every op individually; at
-/// larger depths consecutive YCSB reads are chunked through
-/// [`WorkerClient::multi_get_pipelined`] so up to `pipeline_depth` lookups
-/// share the wire, while writes/scans flush the chunk and run blocking —
-/// each worker's stream keeps its program order either way. `probe` runs
-/// at every gate-sync op boundary (the metrics sampler's hook; a no-op
-/// closure when sampling is off).
-fn measured_loop(
-    client: &mut WorkerClient,
-    stream: &mut OpStream,
-    cfg: &RunConfig,
-    sorted: &[Vec<u8>],
-    gate: &VirtualGate,
-    w: usize,
-    probe: &mut dyn FnMut(&WorkerClient),
-) -> LatencyHistogram {
-    let mut hist = LatencyHistogram::new();
-    if cfg.pipeline_depth <= 1 {
-        for _ in 0..cfg.ops_per_worker {
-            let before = client.clock_ns();
-            execute_op(client, stream, cfg, sorted);
-            hist.record(client.clock_ns() - before);
-            // Keep virtual clocks in lockstep so the NIC FIFO sees
-            // near-monotonic arrivals (see gate.rs).
-            gate.sync(w, client.clock_ns());
-            probe(client);
-        }
-        return hist;
-    }
-    // Chunks hold a few pipeline-fulls so admission never starves the
-    // in-flight window, without letting one worker's clock run far ahead
-    // of the gate between sync points.
-    let chunk = cfg.pipeline_depth * 4;
-    let mut pending: Vec<u64> = Vec::with_capacity(chunk);
-    for _ in 0..cfg.ops_per_worker {
-        match stream.next_op() {
-            Op::Read(idx) => {
-                pending.push(idx);
-                if pending.len() >= chunk {
-                    flush_reads(client, &mut pending, cfg, &mut hist);
-                    gate.sync(w, client.clock_ns());
-                    probe(client);
-                }
-            }
-            op => {
-                flush_reads(client, &mut pending, cfg, &mut hist);
-                let before = client.clock_ns();
-                apply_op(client, op, cfg, sorted);
-                hist.record(client.clock_ns() - before);
-                gate.sync(w, client.clock_ns());
-                probe(client);
-            }
-        }
-    }
-    flush_reads(client, &mut pending, cfg, &mut hist);
-    gate.sync(w, client.clock_ns());
-    probe(client);
-    hist
-}
-
-/// Drains the buffered read chunk through the pipelined path. Latency is
-/// attributed evenly: the chunk's virtual-time span divided by its length
-/// (individual completion times interleave and are not observable at this
-/// layer).
-fn flush_reads(
-    client: &mut WorkerClient,
-    pending: &mut Vec<u64>,
-    cfg: &RunConfig,
-    hist: &mut LatencyHistogram,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let keys: Vec<Vec<u8>> = pending.iter().map(|&i| cfg.keyspace.key(i)).collect();
-    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let before = client.clock_ns();
-    client.multi_get_pipelined(&refs, cfg.pipeline_depth);
-    let per_op = (client.clock_ns() - before) / pending.len() as u64;
-    for _ in 0..pending.len() {
-        hist.record(per_op);
-    }
-    pending.clear();
-}
-
-fn execute_op(
-    client: &mut WorkerClient,
-    stream: &mut OpStream,
-    cfg: &RunConfig,
-    sorted: &[Vec<u8>],
-) {
-    apply_op(client, stream.next_op(), cfg, sorted);
 }
 
 fn apply_op(client: &mut WorkerClient, op: Op, cfg: &RunConfig, sorted: &[Vec<u8>]) {
@@ -585,11 +518,8 @@ mod tests {
         }
     }
 
-    /// More workers than reclamation pin slots used to panic the surplus
-    /// workers inside their threads and leave the rest at the warm-up
-    /// barrier forever (fig4's default 96 workers against 64 slots). The
-    /// clients are now minted before any thread starts, so the typed
-    /// registration error ends the run.
+    /// More workers than reclamation pin slots (fig4's default 96 workers
+    /// against 64 slots) end the run with the typed registration error.
     #[test]
     fn more_workers_than_pin_slots_fail_with_the_typed_error_not_a_hang() {
         let cluster = dm_sim::DmCluster::new(dm_sim::ClusterConfig::default());
@@ -601,17 +531,13 @@ mod tests {
             ..sphinx::SphinxConfig::small()
         };
         let handle = SystemHandle::Sphinx(sphinx::SphinxIndex::create(&cluster, config).unwrap());
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_phase(&handle, &tiny_read_run(3));
-            }));
-            let _ = tx.send(run.map_err(|p| *p.downcast::<String>().expect("message")));
-        });
-        let outcome = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("run_phase must end, not wait for workers that never arrive");
-        let message = outcome.expect_err("three workers cannot share two pin slots");
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_phase(&handle, &tiny_read_run(3));
+        }));
+        let message = *run
+            .expect_err("three workers cannot share two pin slots")
+            .downcast::<String>()
+            .expect("message");
         assert!(message.contains("OutOfMemory"), "{message}");
     }
 

@@ -22,9 +22,10 @@
 //!   cold Θ(L) ramp.
 //!
 //! `pipeline`, `trace` and `metrics` read one [`Fixture`]: one YCSB-C tree
-//! loaded once, and each distinct run of it made once. Overheads are not
-//! compared across threaded runs, which are not bit-exact; they are
-//! asserted with `==` on single-worker runs ([`solo`]), which are.
+//! loaded once, and each distinct run of it made once. Every run is
+//! bit-exact per seed (the runner steps its workers in clock order on one
+//! thread); overheads are asserted with `==` on single-worker runs
+//! ([`solo`]), each on a tree of its own.
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin smoke -- [contract...]
@@ -186,9 +187,9 @@ impl Fixture {
 }
 
 /// One worker running the depth-8 YCSB-C config for 2 000 ops on a fresh
-/// tree preloaded by one loader, after `tweak`. Bit-exact per seed: sampled
-/// gauges are cumulative since boot, so a racy parallel load would leak
-/// into them, and one worker has nobody to interleave with.
+/// tree preloaded by one loader, after `tweak`. The tree is its own because
+/// sampled gauges are cumulative since boot: another run's verbs on a
+/// shared tree would leak into them.
 pub fn solo(tweak: fn(&mut RunConfig)) -> RunResult {
     let handle = build_loaded(System::Sphinx, YCSB_C_KEYS, 1);
     let mut cfg = ycsb_c_config(YCSB_C_KEYS, DEFAULT_DEPTH);

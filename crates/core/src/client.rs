@@ -213,10 +213,6 @@ impl node_engine::ArtReader for SphinxClient {
         &mut self.worker
     }
 
-    fn leaf_hint(&self) -> usize {
-        self.config.leaf_read_hint
-    }
-
     /// Folds the engine's I/O counters into [`OpStats`].
     fn note_leaf_io(&mut self, io: LeafReadStats) {
         self.stats.checksum_retries += io.checksum_retries;

@@ -26,9 +26,6 @@ pub struct SphinxConfig {
     pub mode: CacheMode,
     /// Sizing of each MN's Inner Node Hash Table.
     pub inht: TableConfig,
-    /// Bytes fetched for a leaf in the first read. 128 covers a 32-byte
-    /// key with a 64-byte value; larger leaves cost one extra read.
-    pub leaf_read_hint: usize,
     /// Seed for the filter's eviction RNG and fuse construction
     /// (determinism; each CN's filter derives its own seed from this).
     pub seed: u64,
@@ -56,7 +53,6 @@ impl Default for SphinxConfig {
                 initial_depth: 4,
                 max_depth: 12,
             },
-            leaf_read_hint: 128,
             seed: 0x5F13_C5EE,
             sfc: sfc::SfcConfig::default(),
             reclaim: reclaim::ReclaimConfig::default(),
@@ -87,6 +83,5 @@ mod tests {
         let c = SphinxConfig::default();
         assert_eq!(c.cache_bytes, 20 * 1024 * 1024);
         assert_eq!(c.mode, CacheMode::FilterCache);
-        assert_eq!(c.leaf_read_hint, 128);
     }
 }

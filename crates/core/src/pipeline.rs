@@ -130,7 +130,9 @@ pub(crate) struct LocateOp<'k> {
     entry_len: usize,
     /// Upper bound on the probed prefix length (shrinks on fp restarts).
     max_len: usize,
-    /// Current probe level within one entry-node search (filter mode).
+    /// Filter mode: the bound of the next probe within one entry-node
+    /// search, then the prefix length that probe named (the one the
+    /// bucket-pair read is of).
     probe_len: usize,
     /// Whether the next INHT hit is a first-probe filter hit.
     first: bool,
@@ -138,11 +140,8 @@ pub(crate) struct LocateOp<'k> {
     restarts: usize,
     /// Root-entry-missing retries left in this entry-node search.
     root_budget: usize,
-    /// Prefix lengths `lo..=hi` of the current bucket-pair read: the one
-    /// the filter named, or every prefix in [`CacheMode::InhtOnly`].
-    range: (usize, usize),
-    /// The pairs of `range` not yet examined, shallowest first (one in
-    /// filter mode, stored inline) …
+    /// The pairs of the current read not yet examined, shallowest first
+    /// (one in filter mode, stored inline) …
     levels: FirstInline<Level>,
     /// … and their bytes, once read.
     pairs: Completion,
@@ -180,14 +179,13 @@ impl<'k> LocateOp<'k> {
             mode: config.mode,
             retry,
             entry_only,
-            descend: Descend::new(key, config.leaf_read_hint, retry),
+            descend: Descend::new(key, retry),
             entry_len: 0,
             max_len,
             probe_len: max_len,
             first: true,
             restarts: 0,
             root_budget: 0,
-            range: (0, 0),
             levels: FirstInline::default(),
             pairs: Completion::default(),
             state: St::Start,
@@ -254,29 +252,31 @@ impl Run<'_, '_> {
     /// Chooses the prefix lengths to look up: the deepest one the filter
     /// claims (CN-local), or all of them without a filter (§III-A).
     fn probe(&mut self, t: &mut DmClient) -> Step {
-        self.op.range = match self.op.mode {
-            CacheMode::FilterCache => {
-                self.phase(t, Phase::SfcProbe);
-                let l = self.op.probe_len;
-                let cand = self.filter.deepest_hit(self.op.descend.key, l);
-                if l > 0 {
-                    if cand > 0 {
-                        self.op.tally.probe_hits += 1;
-                    } else {
-                        self.op.tally.probe_misses += 1;
-                    }
+        if self.op.mode == CacheMode::FilterCache {
+            self.phase(t, Phase::SfcProbe);
+            let l = self.op.probe_len;
+            let cand = self.filter.deepest_hit(self.op.descend.key, l);
+            if l > 0 {
+                if cand > 0 {
+                    self.op.tally.probe_hits += 1;
+                } else {
+                    self.op.tally.probe_misses += 1;
                 }
-                (cand, cand)
             }
-            CacheMode::InhtOnly => (0, self.op.max_len),
-        };
+            self.op.probe_len = cand;
+        }
         self.submit_pairs(t)
     }
 
-    /// Submits the bucket-pair reads of `range` as one batch.
+    /// Submits the bucket-pair reads of prefix lengths `lo..=hi` as one
+    /// batch: the one the filter named, or every prefix in
+    /// [`CacheMode::InhtOnly`].
     fn submit_pairs(&mut self, t: &mut DmClient) -> Step {
         self.phase(t, Phase::InhtLookup);
-        let (lo, hi) = self.op.range;
+        let (lo, hi) = match self.op.mode {
+            CacheMode::FilterCache => (self.op.probe_len, self.op.probe_len),
+            CacheMode::InhtOnly => (0, self.op.max_len),
+        };
         let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
         self.op.levels.clear();
         for plen in lo..=hi {
@@ -346,7 +346,7 @@ impl Run<'_, '_> {
         self.op.tally.entry_misses += 1;
         if self.op.mode == CacheMode::FilterCache {
             self.op.first = false;
-            let plen = self.op.range.0;
+            let plen = self.op.probe_len;
             if plen > 0 {
                 // The filter claimed `key[..plen]` exists but the INHT
                 // disproved it: an observed false positive. Re-probe one

@@ -349,7 +349,7 @@ mod tests {
         );
     }
 
-    /// Leaves larger than `leaf_read_hint` are fetched again together, one
+    /// Leaves larger than `LEAF_READ_HINT` are fetched again together, one
     /// batch per round of the walk, not one by one.
     #[test]
     fn oversized_leaves_cost_one_more_batch_per_level() {

@@ -48,17 +48,12 @@ impl IntegrityReport {
 struct Auditor {
     worker: Worker,
     tables: Vec<RaceTable>,
-    leaf_hint: usize,
     inht_entries_checked: usize,
 }
 
 impl node_engine::ArtReader for Auditor {
     fn worker(&mut self) -> &mut Worker {
         &mut self.worker
-    }
-
-    fn leaf_hint(&self) -> usize {
-        self.leaf_hint
     }
 
     /// The INHT must name this node, once.
@@ -120,7 +115,6 @@ impl SphinxIndex {
         let mut auditor = Auditor {
             worker: Worker::detached(dm),
             tables,
-            leaf_hint: self.config().leaf_read_hint,
             inht_entries_checked: 0,
         };
 
@@ -192,7 +186,7 @@ mod tests {
         let cluster = DmCluster::new(ClusterConfig::default());
         let index = SphinxIndex::create(&cluster, SphinxConfig::small()).unwrap();
         let mut client = index.client(0).unwrap();
-        assert_eq!(index.config().leaf_read_hint, 128);
+        assert_eq!(node_engine::LEAF_READ_HINT, 128);
         client.insert(b"big-a", &[7u8; 150]).unwrap();
         client.insert(b"big-b", b"small").unwrap();
         client.insert(b"big-c", b"small").unwrap();

@@ -221,7 +221,6 @@ enum St {
 pub struct Descend<'k> {
     /// The search key.
     pub key: &'k [u8],
-    leaf_hint: usize,
     policy: RetryPolicy,
     state: St,
     /// Leaf I/O of this descent so far (every entry included), for the
@@ -230,12 +229,11 @@ pub struct Descend<'k> {
 }
 
 impl<'k> Descend<'k> {
-    /// A descent for `key` that fetches `leaf_hint` bytes of a leaf on
-    /// first contact and re-reads a torn one under `policy`.
-    pub fn new(key: &'k [u8], leaf_hint: usize, policy: RetryPolicy) -> Self {
+    /// A descent for `key` that fetches [`crate::LEAF_READ_HINT`] bytes of
+    /// a leaf on first contact and re-reads a torn one under `policy`.
+    pub fn new(key: &'k [u8], policy: RetryPolicy) -> Self {
         Descend {
             key,
-            leaf_hint,
             policy,
             state: St::Idle,
             io: LeafReadStats::default(),
@@ -341,7 +339,7 @@ impl<'k> Descend<'k> {
                     }
                 }
             };
-            let read_len = self.leaf_hint.max(64);
+            let read_len = crate::LEAF_READ_HINT;
             self.state = St::Leaf {
                 at,
                 slot_ref,
@@ -518,7 +516,7 @@ mod tests {
     }
 
     fn walk_down(h: &mut Host, hooks: &mut Hooks, root: Slot, key: &[u8]) -> Yield {
-        let mut d = Descend::new(key, 128, RetryPolicy::default());
+        let mut d = Descend::new(key, RetryPolicy::default());
         drive(h, hooks, &mut d, root).unwrap()
     }
 
@@ -600,7 +598,7 @@ mod tests {
 
         // Entered at the node itself: nothing is known to point at it.
         let node = node_of(&mut h, ab);
-        let mut d = Descend::new(b"abq", 128, RetryPolicy::default());
+        let mut d = Descend::new(b"abq", RetryPolicy::default());
         match d.enter(&mut Hooks::default(), node, ab.addr, None).unwrap() {
             Yield::Done(d) => assert_eq!(d.via, None),
             other => panic!("{other:?}"),
@@ -631,7 +629,7 @@ mod tests {
             hooks.copies.insert(slot.addr.to_raw(), copy);
         }
         let root_node = node_of(&mut h, root);
-        let mut d = Descend::new(b"abdey", 128, RetryPolicy::default());
+        let mut d = Descend::new(b"abdey", RetryPolicy::default());
         let first = d.enter(&mut hooks, root_node, root.addr, None).unwrap();
         assert!(
             matches!(first, Yield::Leaf(..)),
@@ -684,7 +682,7 @@ mod tests {
         // The entry node itself retired.
         let mut node = node_of(&mut h, parent);
         node.header.status = NodeStatus::Invalid;
-        let mut d = Descend::new(b"abc", 128, RetryPolicy::default());
+        let mut d = Descend::new(b"abc", RetryPolicy::default());
         let mut hooks = Hooks::default();
         assert!(matches!(
             d.enter(&mut hooks, node, parent.addr, None).unwrap(),
@@ -718,7 +716,7 @@ mod tests {
         );
         let root_node = node_of(&mut h, root);
         let mut reads = |key: &[u8]| {
-            let mut d = Descend::new(key, 128, RetryPolicy::default());
+            let mut d = Descend::new(key, RetryPolicy::default());
             let mut y = d.enter(&mut Hooks::default(), root_node.clone(), root.addr, None);
             let mut reads = 0;
             while let Ok(Yield::Leaf(ptr, len, again)) = y {
@@ -766,7 +764,7 @@ mod tests {
         };
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(1.into()))));
-        let mut d = Descend::new(b"b", 128, policy);
+        let mut d = Descend::new(b"b", policy);
         let (reads, clock) = (h.0.dm.stats().reads, h.0.dm.clock_ns());
         let y = drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap();
         assert!(matches!(y, Yield::Done(_)), "{y:?}");
@@ -775,7 +773,7 @@ mod tests {
         assert!(h.0.dm.clock_ns() - clock >= policy.backoff_ns);
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(u64::MAX.into()))));
-        let mut d = Descend::new(b"b", 128, policy);
+        let mut d = Descend::new(b"b", policy);
         let reads = h.0.dm.stats().reads;
         assert_eq!(
             drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap_err(),

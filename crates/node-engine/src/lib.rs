@@ -78,6 +78,10 @@ pub use write::{Pending, WriteHost};
 /// paths never touch this.
 static LEAF_VALIDATION: AtomicBool = AtomicBool::new(true);
 
+/// Bytes every system fetches for a leaf on first contact. 128 covers a
+/// 32-byte key with a 64-byte value; a larger leaf costs one more read.
+pub const LEAF_READ_HINT: usize = 128;
+
 /// Enables or disables leaf checksum validation process-wide. Returns the
 /// previous setting. Tests that disable it must restore it (and must not
 /// share a process with tests that assume it is on).

@@ -27,7 +27,9 @@ use dm_sim::{DmClient, FirstInline, RemotePtr};
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use crate::{read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats, Worker};
+use crate::{
+    read_inner_consistent, read_validated_leaf, EngineError, LeafReadStats, Worker, LEAF_READ_HINT,
+};
 use obs::Phase;
 
 /// How the index hosting a walk reads its nodes — the only things that
@@ -42,9 +44,6 @@ pub trait ArtReader {
     fn transport(&mut self) -> &mut DmClient {
         &mut self.worker().dm
     }
-
-    /// Bytes fetched for a leaf on first contact.
-    fn leaf_hint(&self) -> usize;
 
     /// Reads the inner node a slot of kind `kind` points at (one round
     /// trip; a host with a node cache fills it here).
@@ -64,12 +63,11 @@ pub trait ArtReader {
     ///
     /// As [`crate::read_validated_leaf`].
     fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
-        let hint = self.leaf_hint();
         let w = self.worker();
         let prev = w.obs.current_phase();
         w.phase(Phase::LeafRead);
         let mut io = LeafReadStats::default();
-        let res = read_validated_leaf(&mut w.dm, ptr, hint, &w.retry, &mut io);
+        let res = read_validated_leaf(&mut w.dm, ptr, LEAF_READ_HINT, &w.retry, &mut io);
         self.note_leaf_io(io);
         if let Some(p) = prev {
             self.worker().phase(p);
@@ -280,7 +278,6 @@ fn resolve_prefixes<H: ArtReader>(
     host: &mut H,
     nodes: &mut [Tracked<InnerNode>],
 ) -> Result<(), EngineError> {
-    let hint = host.leaf_hint();
     // Mostly one unresolved node a level: nothing to allocate for.
     let (mut direct, mut chains) = (FirstInline::default(), FirstInline::default());
     let mut reads = FirstInline::default();
@@ -293,7 +290,7 @@ fn resolve_prefixes<H: ArtReader>(
                 .or_else(|| n.at.slots.iter().flatten().find(|s| s.is_leaf).copied());
         match leaf_slot {
             Some(slot) => {
-                reads.push((slot.addr, hint));
+                reads.push((slot.addr, LEAF_READ_HINT));
                 direct.push(i);
             }
             None => chains.push(i),
@@ -473,7 +470,6 @@ pub fn scan<H: ArtReader>(
     high: Option<&[u8]>,
     limit: Option<usize>,
 ) -> Result<Rows, EngineError> {
-    let hint = host.leaf_hint();
     let rows = limit.unwrap_or(usize::MAX);
     let mut results = Rows::new();
     // Round buffers, reused from one round to the next.
@@ -495,7 +491,7 @@ pub fn scan<H: ArtReader>(
         };
         reads.clear();
         reads.extend(frontier[..round].iter().map(|p| match p.at.is_leaf {
-            true => (p.at.addr, hint),
+            true => (p.at.addr, LEAF_READ_HINT),
             false => (p.at.addr, InnerNode::byte_size(p.at.child_kind)),
         }));
         let level = host.read_level(&reads)?;
@@ -754,12 +750,15 @@ pub(crate) mod tests {
         fn worker(&mut self) -> &mut Worker {
             &mut self.0
         }
-        fn leaf_hint(&self) -> usize {
-            128
-        }
         fn read_leaf(&mut self, ptr: RemotePtr) -> Result<LeafNode, EngineError> {
             let mut io = LeafReadStats::default();
-            read_validated_leaf(&mut self.0.dm, ptr, 128, &RetryPolicy::default(), &mut io)
+            read_validated_leaf(
+                &mut self.0.dm,
+                ptr,
+                LEAF_READ_HINT,
+                &RetryPolicy::default(),
+                &mut io,
+            )
         }
         fn note_leaf_io(&mut self, io: LeafReadStats) {
             self.1.merge(&io);

@@ -124,40 +124,67 @@ fn multi_get_is_safe_under_concurrent_writes() {
     });
 }
 
-/// With a single worker there is no scheduling nondeterminism, so the
-/// virtual-time cost model must be exactly reproducible — a regression
-/// guard for the simulator.
-#[test]
-fn single_worker_virtual_time_is_deterministic() {
+/// YCSB-A on two identically built and loaded Sphinx trees: the virtual-time
+/// cost model must reproduce exactly — Mops, latencies, network cost per op
+/// and the telemetry and metrics exports byte for byte. The runner steps
+/// its workers in clock order on one thread, so this holds at any worker
+/// count and pipeline depth — a regression guard for the simulator and the
+/// runner.
+fn virtual_time_is_deterministic(workers: usize, depth: usize) {
     use bench_harness::runner::{load_phase, run_phase, RunConfig};
     use ycsb::Workload;
 
     let run = || {
         let handle = System::Sphinx.build(64 << 20, Some(32 << 10));
-        load_phase(&handle, KeySpace::U64, 3_000, 1);
+        load_phase(&handle, KeySpace::U64, 3_000, workers.min(8));
         let r = run_phase(
             &handle,
             &RunConfig {
                 keyspace: KeySpace::U64,
                 num_keys: 3_000,
                 workload: Workload::a(),
-                workers: 1,
+                workers,
                 ops_per_worker: 500,
                 warmup_per_worker: 100,
                 seed: 0xD00D,
-                pipeline_depth: 1,
+                pipeline_depth: depth,
                 trace_head_every: 0,
                 trace_tail_k: obs::DEFAULT_TAIL_K,
                 sample_interval_ns: 0,
             },
         );
-        (r.mops.to_bits(), r.avg_latency_us.to_bits(), r.total_ops)
+        let bits = [
+            r.mops,
+            r.avg_latency_us,
+            r.p99_latency_us,
+            r.round_trips_per_op,
+            r.doorbells_per_op,
+            r.bytes_per_op,
+        ]
+        .map(f64::to_bits);
+        (
+            bits,
+            r.total_ops,
+            r.telemetry.to_json(),
+            r.metrics.to_json(),
+        )
     };
     assert_eq!(
         run(),
         run(),
-        "single-worker virtual time must be bit-identical"
+        "{workers} workers at depth {depth}: virtual time must be bit-identical"
     );
+}
+
+#[test]
+fn single_worker_virtual_time_is_deterministic() {
+    virtual_time_is_deterministic(1, 1);
+}
+
+#[test]
+fn many_workers_virtual_time_is_deterministic() {
+    virtual_time_is_deterministic(24, 1);
+    virtual_time_is_deterministic(24, 8);
 }
 
 /// `sphinx-bench delete-churn` at test scale: 35 % insert / 35 % delete /
