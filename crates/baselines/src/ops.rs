@@ -1,27 +1,30 @@
 //! Baseline index operations: root-to-leaf traversal (with optional node
-//! cache) as one resumable lookup machine, scans, and what the baselines
-//! add to the write protocol of [`node_engine::write`] — inserts with
-//! splits and type switches, updates, deletes.
+//! cache) as one `async fn` lookup, scans, and what the baselines add to
+//! the write protocol of [`node_engine::write`] — inserts with splits and
+//! type switches, updates, deletes.
 //!
-//! The traversal is [`node_engine::descend`], the descent every ART system
-//! hosts; [`LocateOp`] wraps it with what a baseline adds — the root fetch
-//! through the cached root word, and SMART's CN node cache as the
-//! descent's consult / fill / invalidate hooks. Every point operation
-//! drives one machine alone; [`BaselineClient::get_many_pipelined`] drives
-//! one per key at depth N through the same [`node_engine::run_pipelined`].
+//! The traversal is [`node_engine::follow`], the descent every ART system
+//! awaits; [`locate`] wraps it with what a baseline adds — the root fetch
+//! through the cached root word, the root-word retry, and SMART's CN node
+//! cache as the descent's consult / fill / invalidate hooks. Every point
+//! operation runs one lookup alone under [`node_engine::block_on`];
+//! [`BaselineClient::get_many_pipelined`] runs one per key at depth N
+//! under [`node_engine::run_pipelined`]. The root-word retry and the leaf
+//! sample need the whole client: they are drained steps, served after
+//! every peer of the run has stopped, in key order.
 
 use art_core::key::MAX_KEY_LEN;
 use art_core::layout::{InnerNode, NodeStatus, Slot};
 use art_core::NodeKind;
-use dm_sim::{Completion, DmClient, DmError, DoorbellBatch, RemotePtr, SqeToken, Verb};
-use node_engine::walk::{self, any_leaf, Rows, Tracked};
+use dm_sim::{DmError, RemotePtr};
+use node_engine::walk::{self, Rows, Tracked};
 use node_engine::write;
 use node_engine::{
-    drive, install_word, write_new_inner, write_new_leaf, ArtReader, Descend, DescendHost, Descent,
-    EngineError, Install, Lane, LeafReadStats, Lookup, OpState, Outcome, StepOutcome, Via, Worker,
-    WriteHost, Yield,
+    block_on, follow, install_word, run_pipelined, write_new_inner, write_new_leaf, ArtReader,
+    DescendHost, Descent, EngineError, Install, Io, LeafReadStats, Lend, Outcome, TraceCell, Via,
+    Worker, WriteHost,
 };
-use obs::{OpKind, OpTrace, Phase};
+use obs::{OpKind, Phase};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -29,11 +32,12 @@ use crate::cache::NodeCache;
 use crate::error::BaselineError;
 use crate::index::BaselineClient;
 
-/// Submission tags: the phase each round trip is attributed to (by the
-/// span recorder for a lookup driven alone, by
-/// [`node_engine::PipelineStats::by_tag`] for a pipelined run).
+/// Submission tag of the root read: the phase its round trip is
+/// attributed to (by the span for a lookup driven alone, by
+/// [`node_engine::PipelineStats::by_tag`] in a pipelined run).
 const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
-const TAG_LEAF: u32 = Phase::LeafRead as u32;
+
+type BaselineIo<'l, 'c> = Io<'l, 'c, BaselineClient>;
 
 /// SMART's CN node cache as one lookup sees it — the descent's consult /
 /// fill / invalidate hooks, and the one place on the read side that touches
@@ -53,8 +57,13 @@ struct CacheView {
     misses: u64,
 }
 
-impl DescendHost for CacheView {
-    fn cached(&mut self, ptr: RemotePtr, kind: NodeKind) -> Option<InnerNode> {
+impl DescendHost<BaselineClient> for CacheView {
+    fn cached(
+        &mut self,
+        _: &mut BaselineClient,
+        ptr: RemotePtr,
+        kind: NodeKind,
+    ) -> Option<InnerNode> {
         self.last_hit = false;
         let cache = self.cache.as_ref().filter(|_| self.allowed)?;
         let hit = cache.lock().get(ptr);
@@ -70,7 +79,13 @@ impl DescendHost for CacheView {
         None
     }
 
-    fn fetched(&mut self, ptr: RemotePtr, kind: NodeKind, node: &InnerNode) {
+    fn fetched(
+        &mut self,
+        _: &mut BaselineClient,
+        ptr: RemotePtr,
+        kind: NodeKind,
+        node: &InnerNode,
+    ) {
         if let Some(cache) = &self.cache {
             if node.header.status == NodeStatus::Idle && node.header.kind == kind {
                 cache.lock().put(ptr, node.clone());
@@ -78,175 +93,114 @@ impl DescendHost for CacheView {
         }
     }
 
-    fn unusable(&mut self, ptr: RemotePtr) {
+    fn unusable(&mut self, _: &mut BaselineClient, ptr: RemotePtr) {
         if let Some(cache) = &self.cache {
             cache.lock().invalidate(ptr);
         }
     }
 
-    fn child_matched(&mut self, _prefix: &[u8]) {
+    fn child_matched(&mut self, _: &mut BaselineClient, _prefix: &[u8]) {
         self.used |= self.last_hit;
     }
 }
 
-/// Why a lookup machine stopped. `Found` ends the traversal; the driver
-/// serves the other two and re-admits the machine.
-#[allow(clippy::large_enum_variant)] // moved once per lookup
-enum Stop {
-    /// The deepest inner node whose prefix prefixes the key, and what lies
-    /// below it.
-    Found(Descent),
-    /// A node on the path was retired or mid type-switch: count the retry,
-    /// refresh the root word, back off, retake the traversal.
-    Retry,
-    /// A child's compressed path leaves the key: sample a leaf below
-    /// [`Descend::diverged_child`] and hand it to [`Descend::sampled`].
-    Sample,
-}
-
-/// Where the machine is between round trips.
-enum St {
-    /// At the root word, nothing read yet.
-    Start,
-    /// Waiting for the root node.
-    Root,
-    /// Below the root: [`LocateOp::descend`] is waiting for the read it
-    /// yielded for, or for the driver's sample.
-    Descending,
-}
-
-/// One lookup's state. Owns nothing of the client but a handle on the
-/// node cache; [`Run`] lends it the root word for one round of
-/// [`node_engine::drive`].
-struct LocateOp<'k> {
-    descend: Descend<'k>,
-    cache: CacheView,
-    /// Traversals retaken so far (bounded by `op_retries`).
-    attempts: usize,
-    state: St,
-    result: Option<Descent>,
-    /// The key's causal trace in a pipelined run (see [`Lookup::trace`]).
-    trace: Option<Box<OpTrace>>,
-}
-
-impl Lookup for LocateOp<'_> {
-    type Stop = Stop;
-
-    fn done(&self) -> bool {
-        self.result.is_some()
+/// Root-to-leaf traversal of `key` from the cached root word — one
+/// network round trip per uncached level, the cost profile that motivates
+/// Sphinx — served from the node cache if `use_cache`. Returns the descent
+/// and whether a node on its path came from the cache.
+async fn locate(
+    io: &mut BaselineIo<'_, '_>,
+    key: &[u8],
+    use_cache: bool,
+) -> Result<(Descent, bool), BaselineError> {
+    let mut view = io.with(|c| CacheView {
+        cache: c.cache.clone(),
+        allowed: use_cache,
+        ..CacheView::default()
+    });
+    // Traversals retaken so far (bounded by `op_retries`).
+    let mut attempts = 0;
+    if io.alone() {
+        io.phase(Phase::Traversal);
     }
-
-    fn trace(&mut self) -> &mut Option<Box<OpTrace>> {
-        &mut self.trace
-    }
-}
-
-impl LocateOp<'_> {
-    /// Whether the traversal missed `key` after stepping through a cached
-    /// node.
-    fn missed_through_cache(&self) -> bool {
-        let found = matches!(
-            self.result.as_ref().map(|d| &d.outcome),
-            Some(Outcome::Leaf { leaf, .. }) if leaf.key == self.descend.key
-        );
-        self.cache.used && !found
-    }
-}
-
-/// A [`LocateOp`] admitted to one pipeline run.
-struct Run<'a, 'k> {
-    op: &'a mut LocateOp<'k>,
-    /// The root slot word and where it lives.
-    root: Slot,
-    root_word: RemotePtr,
-    lane: Lane<'a>,
-}
-
-type Step = Result<StepOutcome<Stop>, EngineError>;
-
-impl Run<'_, '_> {
-    fn phase(&mut self, t: &DmClient, phase: Phase) {
-        self.lane.phase(t, &mut *self.op, phase);
-    }
-
-    /// Enters the descent at the root node.
-    fn enter(&mut self, t: &mut DmClient, root_node: InnerNode, from_cache: bool) -> Step {
+    io.resume_in(Phase::Traversal);
+    let descent = loop {
+        let (root, root_word) =
+            io.with(|c| Ok::<_, BaselineError>((c.root_slot(false)?, c.meta.root_word)))?;
+        let (addr, kind) = (root.addr, root.child_kind);
+        let cached = io.with(|c| view.cached(c, addr, kind));
+        view.used = cached.is_some();
+        let node = match cached {
+            Some(node) => node,
+            None => {
+                let bytes = io
+                    .read(addr, InnerNode::byte_size(kind), TAG_TRAVERSAL)
+                    .await?;
+                let node = InnerNode::decode(&bytes).map_err(EngineError::from)?;
+                io.with(|c| view.fetched(c, addr, kind, &node));
+                node
+            }
+        };
         let via = Via {
             parent: None,
-            word_ptr: self.root_word,
-            expected: self.root.encode(),
+            word_ptr: root_word,
+            expected: root.encode(),
         };
-        let LocateOp { descend, cache, .. } = &mut *self.op;
-        cache.used = from_cache;
-        let y = descend.enter(cache, root_node, self.root.addr, Some(via))?;
-        self.on_yield(t, y)
-    }
-
-    fn on_yield(&mut self, t: &mut DmClient, y: Yield) -> Step {
-        let (ptr, len, tag) = match y {
-            Yield::Inner(ptr, len) => (ptr, len, TAG_TRAVERSAL),
-            Yield::Leaf(ptr, len, again) => {
-                if !again {
-                    self.phase(t, Phase::LeafRead);
-                }
-                (ptr, len, TAG_LEAF)
+        if let Some(descent) = follow(io, &mut view, key, node, addr, Some(via)).await? {
+            break descent;
+        }
+        // A node on the path was retired or mid type-switch: count the
+        // retry, refresh the root word, back off, retake the traversal.
+        io.drained(|io| {
+            if !io.alone() {
+                let now = io.now();
+                io.retry_at(now);
             }
-            Yield::Sample => return Ok(StepOutcome::Done(Stop::Sample)),
-            Yield::Restart => return Ok(StepOutcome::Done(Stop::Retry)),
-            Yield::Done(descent) => {
-                if matches!(descent.outcome, Outcome::Leaf { .. }) {
-                    self.phase(t, Phase::Traversal); // the leaf read is over
+            io.with(|c| {
+                c.stats.retries += 1;
+                c.worker.retried();
+                c.worker.phase(Phase::Retry);
+                c.root_slot(true)?;
+                if attempts > 2 {
+                    c.worker.dm.backoff(&c.worker.retry);
                 }
-                self.lane.end(&mut *self.op, t.clock_ns());
-                return Ok(StepOutcome::Done(Stop::Found(descent)));
-            }
-        };
-        Ok(StepOutcome::Submit {
-            batch: DoorbellBatch::from_iter([Verb::Read { ptr, len }]),
-            tag,
+                attempts += 1;
+                if attempts >= c.worker.retry.op_retries {
+                    return Err(BaselineError::RetriesExhausted { op: "locate" });
+                }
+                Ok(())
+            })
         })
-    }
+        .await?;
+    };
+    io.end();
+    io.with(|c| c.note_cache_use(&view));
+    Ok((descent, view.used))
 }
 
-impl OpState for Run<'_, '_> {
-    type Output = Stop;
+/// Whether a traversal missed `key` after stepping through a cached node:
+/// a stale copy can hide recent inserts, so such a miss is confirmed by a
+/// remote traversal (our stand-in for SMART's reverse check).
+fn missed_through_cache((descent, used): &(Descent, bool), key: &[u8]) -> bool {
+    let found = matches!(&descent.outcome, Outcome::Leaf { leaf, .. } if leaf.key == key);
+    *used && !found
+}
 
-    fn on_admitted(&mut self, now_ns: u64) {
-        self.lane.admitted(&mut *self.op, now_ns);
+/// A point lookup: [`locate`] through the cache, confirmed remotely when
+/// it missed through a cached node.
+async fn get(io: &mut BaselineIo<'_, '_>, key: &[u8]) -> Result<Option<Vec<u8>>, BaselineError> {
+    let mut found = locate(io, key, true).await?;
+    if missed_through_cache(&found, key) {
+        found = locate(io, key, false).await?;
     }
+    Ok(found.0.into_value(key))
+}
 
-    fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        self.lane.submitted(&mut *self.op, token, now_ns);
+fn check_len(key: &[u8]) -> Result<(), BaselineError> {
+    if key.len() > MAX_KEY_LEN {
+        return Err(BaselineError::KeyTooLong { len: key.len() });
     }
-
-    fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
-        let bytes = completion.map(|mut results| {
-            let read = results.pop().expect("a lookup submits one read at a time");
-            read.into_read()
-        });
-        let root = self.root;
-        match (std::mem::replace(&mut self.op.state, St::Descending), bytes) {
-            (St::Start, None) => match self.op.cache.cached(root.addr, root.child_kind) {
-                Some(node) => self.enter(t, node, true),
-                None => {
-                    self.op.state = St::Root;
-                    let len = InnerNode::byte_size(root.child_kind);
-                    self.on_yield(t, Yield::Inner(root.addr, len))
-                }
-            },
-            (St::Root, Some(bytes)) => {
-                let node = InnerNode::decode(&bytes)?;
-                self.op.cache.fetched(root.addr, root.child_kind, &node);
-                self.enter(t, node, false)
-            }
-            (St::Descending, bytes) => {
-                let LocateOp { descend, cache, .. } = &mut *self.op;
-                let y = descend.resume(t, cache, bytes)?;
-                self.on_yield(t, y)
-            }
-            _ => unreachable!("a lookup was resumed out of step with its submission"),
-        }
-    }
+    Ok(())
 }
 
 impl BaselineClient {
@@ -274,12 +228,12 @@ impl BaselineClient {
             allowed: use_cache,
             ..CacheView::default()
         };
-        let node = match view.cached(ptr, kind) {
+        let node = match view.cached(self, ptr, kind) {
             Some(node) => node,
             None => {
                 let node =
                     InnerNode::decode(&self.transport().read(ptr, InnerNode::byte_size(kind))?)?;
-                view.fetched(ptr, kind, &node);
+                view.fetched(self, ptr, kind, &node);
                 node
             }
         };
@@ -292,104 +246,6 @@ impl BaselineClient {
         self.worker.obs.add("cache.miss", view.misses);
     }
 
-    /// A lookup machine for `key`, served from the node cache if
-    /// `use_cache`.
-    fn lookup<'k>(&self, key: &'k [u8], use_cache: bool) -> Result<LocateOp<'k>, BaselineError> {
-        if key.len() > MAX_KEY_LEN {
-            return Err(BaselineError::KeyTooLong { len: key.len() });
-        }
-        Ok(LocateOp {
-            descend: Descend::new(key, self.worker.retry),
-            cache: CacheView {
-                cache: self.cache.clone(),
-                allowed: use_cache,
-                ..CacheView::default()
-            },
-            attempts: 0,
-            state: St::Start,
-            result: None,
-            trace: None,
-        })
-    }
-
-    /// Runs `ops` through [`node_engine::drive`], `depth` at a time, from
-    /// the cached root word, until each has its [`Descent`], serving
-    /// [`Stop::Retry`] and [`Stop::Sample`] between runs. `alone` drives a
-    /// single op on behalf of the blocking op in flight.
-    fn drive(
-        &mut self,
-        ops: &mut [LocateOp<'_>],
-        depth: usize,
-        alone: bool,
-    ) -> Result<(), BaselineError> {
-        let round = |c: &mut BaselineClient, ops: &mut [LocateOp<'_>]| {
-            if alone {
-                c.worker.phase(Phase::Traversal);
-            }
-            let root = c.root_slot(false)?;
-            let root_word = c.meta.root_word;
-            let wrap = |op, lane| Run {
-                op,
-                root,
-                root_word,
-                lane,
-            };
-            Ok(c.worker.round(ops, depth, alone, wrap)?)
-        };
-        drive(self, ops, alone, round, |c, op, stop| {
-            match stop {
-                Stop::Found(descent) => op.result = Some(descent),
-                Stop::Sample => {
-                    let sample = any_leaf(c, op.descend.diverged_child())?;
-                    op.descend.sampled(sample);
-                }
-                Stop::Retry => {
-                    c.stats.retries += 1;
-                    let now = c.worker.dm.clock_ns();
-                    if let Some(tr) = op.trace.as_mut() {
-                        tr.retry(now);
-                    }
-                    c.worker.retried();
-                    c.worker.phase(Phase::Retry);
-                    c.root_slot(true)?;
-                    if op.attempts > 2 {
-                        c.worker.dm.backoff(&c.worker.retry);
-                    }
-                    op.attempts += 1;
-                    if op.attempts >= c.worker.retry.op_retries {
-                        return Err(BaselineError::RetriesExhausted { op: "locate" });
-                    }
-                    op.state = St::Start;
-                }
-            }
-            Ok(())
-        })
-    }
-
-    /// [`BaselineClient::drive`] for point lookups: a stale cached node can
-    /// hide recent inserts, so a miss that stepped through one is confirmed
-    /// by a remote traversal (our stand-in for SMART's reverse check).
-    fn drive_gets(
-        &mut self,
-        ops: &mut [LocateOp<'_>],
-        depth: usize,
-        alone: bool,
-    ) -> Result<(), BaselineError> {
-        self.drive(ops, depth, alone)?;
-        for op in ops.iter_mut().filter(|op| op.missed_through_cache()) {
-            op.cache.allowed = false;
-            op.attempts = 0;
-            op.state = St::Start;
-            op.result = None;
-        }
-        self.drive(ops, depth, alone)
-    }
-
-    fn fold(&mut self, op: &LocateOp<'_>) {
-        self.note_leaf_io(op.descend.io);
-        self.note_cache_use(&op.cache);
-    }
-
     // ------------------------------------------------------------------
     // Public operations.
     // ------------------------------------------------------------------
@@ -400,24 +256,25 @@ impl BaselineClient {
     ///
     /// [`BaselineError::KeyTooLong`] or substrate errors.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, BaselineError> {
-        let mut op = self.lookup(key, true)?;
+        check_len(key)?;
         self.stats.gets += 1;
         self.worker.begin(OpKind::Get);
-        let run = self.drive_gets(std::slice::from_mut(&mut op), 1, true);
-        self.fold(&op);
+        let lend = Lend::new(self, BaselineClient::worker);
+        let mut io = lend.alone();
+        let r = block_on(&lend, get(&mut io, key));
         self.worker.exit(|_| {});
-        run?;
-        Ok(op.result.and_then(|d| d.into_value(key)))
+        r
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight: one
-    /// machine per key — the one [`BaselineClient::get`] drives alone —
-    /// whose reads share a fused doorbell every scheduling round
+    /// lookup per key — the one [`BaselineClient::get`] runs alone — whose
+    /// reads share a fused doorbell every scheduling round
     /// ([`dm_sim::DmClient::flush_submitted`]). Lookups in one window see
     /// the node cache as they find it: a node evicted or invalidated under
-    /// a lookup in flight is simply fetched. Results are positionally
-    /// aligned with `keys`; depth 1 issues the network charges of a loop
-    /// of `get`s.
+    /// a lookup in flight is simply fetched. The misses that stepped
+    /// through a cached node are confirmed by a second run. Results are
+    /// positionally aligned with `keys`; depth 1 issues the network charges
+    /// of a loop of `get`s.
     ///
     /// # Errors
     ///
@@ -427,32 +284,60 @@ impl BaselineClient {
         keys: &[&[u8]],
         depth: usize,
     ) -> Result<Vec<Option<Vec<u8>>>, BaselineError> {
-        let mut ops = keys
-            .iter()
-            .map(|key| self.lookup(key, true))
-            .collect::<Result<Vec<_>, _>>()?;
-        if ops.is_empty() {
+        keys.iter().try_for_each(|key| check_len(key))?;
+        if keys.is_empty() {
             return Ok(Vec::new());
         }
         self.worker.begin(OpKind::MultiGet);
-        for op in &mut ops {
-            op.trace = self.worker.lease(OpKind::Get);
-        }
-        let run = self.drive_gets(&mut ops, depth, false);
+        let traces: Vec<TraceCell> = keys
+            .iter()
+            .map(|_| TraceCell::new(self.worker.lease(OpKind::Get)))
+            .collect();
+        let run = self.get_runs(keys, &traces, depth);
         if run.is_ok() {
-            let traces = ops.iter_mut().filter_map(|op| op.trace.take());
+            let traces = traces.into_iter().filter_map(TraceCell::into_inner);
             self.worker.finish_traces(traces);
         }
-        for op in &ops {
-            self.stats.gets += 1;
-            self.fold(op);
-        }
-        self.worker.unpin_keys(ops.len());
+        self.stats.gets += keys.len() as u64;
+        self.worker.unpin_keys(keys.len());
         self.worker.exit(|_| {});
-        run?;
-        Ok(ops
+        run
+    }
+
+    /// The runs of [`BaselineClient::get_many_pipelined`]: every key
+    /// through the cache, then the misses through a cached node remotely.
+    fn get_runs(
+        &mut self,
+        keys: &[&[u8]],
+        traces: &[TraceCell],
+        depth: usize,
+    ) -> Result<Vec<Option<Vec<u8>>>, BaselineError> {
+        // The root word is read before the first lookup is admitted.
+        self.root_slot(false)?;
+        let lend = Lend::new(self, BaselineClient::worker);
+        let all = keys.iter().zip(traces);
+        let through_cache = all.clone().map(|(key, trace)| {
+            let mut io = lend.lookup(Some(trace));
+            async move { locate(&mut io, key, true).await }
+        });
+        let found = run_pipelined(&lend, through_cache, depth)?;
+        let missed = all
+            .zip(&found)
+            .filter(|((key, _), f)| missed_through_cache(f, key));
+        let remote = missed.map(|((key, trace), _)| {
+            let mut io = lend.lookup(Some(trace));
+            async move { locate(&mut io, key, false).await }
+        });
+        let mut confirmed = run_pipelined(&lend, remote, depth)?.into_iter();
+        Ok(found
             .into_iter()
-            .map(|op| op.result.and_then(|d| d.into_value(op.descend.key)))
+            .zip(keys)
+            .map(|(mut f, key)| {
+                if missed_through_cache(&f, key) {
+                    f = confirmed.next().expect("one confirmation per miss");
+                }
+                f.0.into_value(key)
+            })
             .collect())
     }
 
@@ -594,15 +479,13 @@ impl WriteHost for BaselineClient {
     type Error = BaselineError;
 
     /// Root-to-leaf traversal — one network round trip per uncached level,
-    /// the cost profile that motivates Sphinx — driving one machine alone
-    /// as part of the blocking op in flight.
+    /// the cost profile that motivates Sphinx — run alone as part of the
+    /// blocking op in flight.
     fn locate(&mut self, key: &[u8], use_cache: bool) -> Result<(Descent, bool), BaselineError> {
-        let mut op = self.lookup(key, use_cache)?;
-        let run = self.drive(std::slice::from_mut(&mut op), 1, true);
-        self.fold(&op);
-        run?;
-        let used_cache = op.cache.used;
-        Ok((op.result.expect("drive ends every lookup"), used_cache))
+        check_len(key)?;
+        let lend = Lend::new(self, BaselineClient::worker);
+        let mut io = lend.alone();
+        block_on(&lend, locate(&mut io, key, use_cache))
     }
 
     /// No hash table to consult — but also no way to shortcut the walk,

@@ -5,8 +5,9 @@
 //! clock order on one thread, so a grid's output is byte-identical per
 //! seed). Each is one [`Grid`] value (`fig4-pipeline` is two sections, two
 //! values), and one loop, `run_grid`, serves them all: it builds and loads
-//! each (key space, network, system) tree once and runs that tree's cells
-//! in the grid's order. `tabulate` lays the cells out as the grid's CSV columns. `fig6`,
+//! each (key space, network, system) tree once, on its own thread with its
+//! own cluster, and runs that tree's cells in the grid's order; the cells
+//! and their report lines come back in grid order. `tabulate` lays the cells out as the grid's CSV columns. `fig6`,
 //! `fig6-reclaim` and `sfc-stats` measure memory and filter state rather
 //! than runs and stay plain functions. [`FIGURES`] lists all nine.
 //!
@@ -360,11 +361,11 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
 
 /// Runs `figure` at `scale`.
 pub fn run(figure: &Figure, scale: &Scale) -> Output {
-    run_with(figure, scale, &mut run_phase)
+    run_with(figure, scale, &run_phase)
 }
 
 /// [`run`], with `measure` in place of [`run_phase`] for a grid's cells.
-pub(crate) fn run_with(figure: &Figure, scale: &Scale, measure: &mut Measure) -> Output {
+pub(crate) fn run_with(figure: &Figure, scale: &Scale, measure: &Measure) -> Output {
     let mut out = match figure.run {
         Run::Plain(f) => f(scale),
         Run::Grids(grids) => {
@@ -383,8 +384,8 @@ pub(crate) fn run_with(figure: &Figure, scale: &Scale, measure: &mut Measure) ->
     out
 }
 
-/// How a grid measures one cell on a loaded tree.
-pub(crate) type Measure = dyn FnMut(&SystemHandle, &RunConfig) -> RunResult;
+/// How a grid measures one cell on a loaded tree (on the tree's thread).
+pub(crate) type Measure = dyn Fn(&SystemHandle, &RunConfig) -> RunResult + Sync;
 
 /// One measured cell of a grid.
 pub(crate) struct Cell {
@@ -407,8 +408,49 @@ pub(crate) struct Cell {
 }
 
 /// Runs every cell of `grid`, loading each (key space, network, system)
-/// tree once; cells come back in execution order.
-pub(crate) fn run_grid(grid: &Grid, scale: &Scale, measure: &mut Measure) -> Vec<Cell> {
+/// tree once; cells come back in grid order. Each tree has its own cluster
+/// and runs on its own thread; what a tree prints is printed in grid order
+/// once every tree has finished.
+pub(crate) fn run_grid(grid: &Grid, scale: &Scale, measure: &Measure) -> Vec<Cell> {
+    let keyspaces = grid
+        .keyspaces
+        .iter()
+        .filter(|&&k| scale.dataset.is_none_or(|d| d == k));
+    let mut trees = Vec::new();
+    for &keyspace in keyspaces {
+        for &net in grid.nets {
+            for &system in grid.systems {
+                if system != System::BpTree || keyspace == KeySpace::U64 {
+                    trees.push((keyspace, net, system));
+                }
+            }
+        }
+    }
+    let per_tree: Vec<(Vec<Cell>, String)> = std::thread::scope(|s| {
+        let runs: Vec<_> = trees
+            .into_iter()
+            .map(|tree| s.spawn(move || run_tree(grid, scale, measure, tree)))
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    let mut cells = Vec::new();
+    for (tree_cells, log) in per_tree {
+        print!("{log}");
+        cells.extend(tree_cells);
+    }
+    cells
+}
+
+/// Builds and loads one tree of `grid` and runs its cells in the grid's
+/// order; returns them with the lines the run reports.
+fn run_tree(
+    grid: &Grid,
+    scale: &Scale,
+    measure: &Measure,
+    (keyspace, (net, model), system): (KeySpace, Net, System),
+) -> (Vec<Cell>, String) {
     let flag = [scale.workers as usize];
     let ladder = if grid.ladder.is_empty() {
         &flag[..]
@@ -416,75 +458,61 @@ pub(crate) fn run_grid(grid: &Grid, scale: &Scale, measure: &mut Measure) -> Vec
         grid.ladder
     };
     let clients = ladder.iter().max().copied().unwrap_or(0) + 8;
-    let keyspaces = grid
-        .keyspaces
-        .iter()
-        .filter(|&&k| scale.dataset.is_none_or(|d| d == k));
-    let mut cells = Vec::new();
-    for &keyspace in keyspaces {
-        for &(net, model) in grid.nets {
-            for &system in grid.systems {
-                if system == System::BpTree && keyspace != KeySpace::U64 {
-                    continue;
+    let handle = system.build_scaled_on(&testbed(MN_BYTES, model()), scale.keys, clients);
+    load_phase(&handle, keyspace, scale.keys, 8);
+    let (mut cells, mut log) = (Vec::new(), String::new());
+    for &workload in grid.workloads {
+        for &workers in ladder {
+            let mut ops = match scale.total_ops {
+                0 => scale.ops,
+                total => (total / workers as u64).max(50),
+            };
+            if workload == "E" {
+                ops = (ops / 8).max(1);
+            }
+            let mut base = 0.0;
+            for &depth in grid.depths {
+                let w = Workload::by_name(workload).expect("a grid names workloads");
+                let mut r = measure(
+                    &handle,
+                    &RunConfig {
+                        num_keys: scale.keys,
+                        workers,
+                        ops_per_worker: ops,
+                        warmup_per_worker: (ops / 5).max(grid.min_warmup),
+                        seed: grid.seed,
+                        pipeline_depth: depth,
+                        ..RunConfig::quick(keyspace, w)
+                    },
+                );
+                r.traces = Vec::new();
+                if depth == grid.depths[0] {
+                    base = r.mops;
                 }
-                let handle =
-                    system.build_scaled_on(&testbed(MN_BYTES, model()), scale.keys, clients);
-                load_phase(&handle, keyspace, scale.keys, 8);
-                for &workload in grid.workloads {
-                    for &workers in ladder {
-                        let mut ops = match scale.total_ops {
-                            0 => scale.ops,
-                            total => (total / workers as u64).max(50),
-                        };
-                        if workload == "E" {
-                            ops = (ops / 8).max(1);
-                        }
-                        let mut base = 0.0;
-                        for &depth in grid.depths {
-                            let w = Workload::by_name(workload).expect("a grid names workloads");
-                            let mut r = measure(
-                                &handle,
-                                &RunConfig {
-                                    num_keys: scale.keys,
-                                    workers,
-                                    ops_per_worker: ops,
-                                    warmup_per_worker: (ops / 5).max(grid.min_warmup),
-                                    seed: grid.seed,
-                                    pipeline_depth: depth,
-                                    ..RunConfig::quick(keyspace, w)
-                                },
-                            );
-                            r.traces = Vec::new();
-                            if depth == grid.depths[0] {
-                                base = r.mops;
-                            }
-                            println!(
-                                "{} {} {net} {} YCSB-{workload} {workers} workers depth \
-                                 {depth}: {:.3} Mops, rts/op {:.3}, doorbells/op {:.3}",
-                                grid.name,
-                                keyspace.name(),
-                                system.label(),
-                                r.mops,
-                                r.round_trips_per_op,
-                                r.doorbells_per_op,
-                            );
-                            cells.push(Cell {
-                                keyspace,
-                                net,
-                                system,
-                                workload,
-                                workers,
-                                depth,
-                                speedup: r.mops / base,
-                                r,
-                            });
-                        }
-                    }
-                }
+                log.push_str(&format!(
+                    "{} {} {net} {} YCSB-{workload} {workers} workers depth \
+                     {depth}: {:.3} Mops, rts/op {:.3}, doorbells/op {:.3}\n",
+                    grid.name,
+                    keyspace.name(),
+                    system.label(),
+                    r.mops,
+                    r.round_trips_per_op,
+                    r.doorbells_per_op,
+                ));
+                cells.push(Cell {
+                    keyspace,
+                    net,
+                    system,
+                    workload,
+                    workers,
+                    depth,
+                    speedup: r.mops / base,
+                    r,
+                });
             }
         }
     }
-    cells
+    (cells, log)
 }
 
 /// Lays a grid's cells out as its columns into the CSV table `csv` — or,
@@ -851,7 +879,7 @@ mod tests {
     /// and first column, then the JSON names.
     fn layout(args: &[&str]) -> (Vec<Csv>, Vec<String>) {
         let (figure, scale) = one(args);
-        let mut tiny = |h: &SystemHandle, c: &RunConfig| {
+        let tiny = |h: &SystemHandle, c: &RunConfig| {
             let c = RunConfig {
                 workers: 1,
                 ops_per_worker: 4,
@@ -860,7 +888,7 @@ mod tests {
             };
             run_phase(h, &c)
         };
-        let out = run_with(figure, &scale, &mut tiny);
+        let out = run_with(figure, &scale, &tiny);
         let tables = out.tables.iter().map(|(name, t)| {
             let first = t.rows().iter().map(|r| r[0].clone()).collect();
             (name.clone(), t.header().join(","), first)

@@ -356,8 +356,8 @@ impl WorkerClient {
 
     /// Batched point lookups with up to `depth` operations in flight per
     /// worker (the op-pipelining path, see
-    /// [`sphinx::SphinxClient::get_many_pipelined`]): every system drives
-    /// one resumable lookup machine per key, and their round trips fuse
+    /// [`sphinx::SphinxClient::get_many_pipelined`]): every system runs
+    /// one `async fn` lookup per key, and their round trips fuse
     /// across operations. Results are positionally aligned with `keys`.
     pub fn multi_get_pipelined(&mut self, keys: &[&[u8]], depth: usize) -> Vec<Option<Vec<u8>>> {
         match self {

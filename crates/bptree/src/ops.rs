@@ -7,11 +7,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dm_sim::{
-    Completion, DmClient, DmCluster, DmError, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb,
-};
-use node_engine::{EngineError, FirstInline, OpState, StepOutcome, Worker};
-use obs::{OpKind, OpTrace, Phase};
+use dm_sim::{DmCluster, DmError, RemotePtr};
+use node_engine::{block_on, run_pipelined, EngineError, Io, Lend, TraceCell, Worker};
+use obs::{OpKind, Phase};
 
 use crate::layout::{BpNode, NodeHeader, NODE_BYTES, TAIL_OFFSET};
 
@@ -296,39 +294,6 @@ impl BpTreeClient {
         Ok(())
     }
 
-    /// Drives one descent per key, `depth` at a time, from the cached root
-    /// pointer; the leaves come back in key order. `counted` is false for
-    /// the lone descent of a blocking op, which is not a pipeline run.
-    fn run_descents(
-        &mut self,
-        keys: impl IntoIterator<Item = (u64, Option<Box<OpTrace>>)>,
-        depth: usize,
-        counted: bool,
-    ) -> Result<FirstInline<BpLeaf>, BpTreeError> {
-        let root = self.root(false)?;
-        let Worker {
-            dm,
-            retry,
-            pipeline,
-            ..
-        } = &mut self.worker;
-        let ops = keys.into_iter().map(|(key, trace)| BpDescendOp {
-            key,
-            cache: &self.cache,
-            retry: *retry,
-            hops: 0,
-            chases: 0,
-            state: BpSt::Start { root },
-            trace,
-        });
-        Ok(node_engine::run_pipelined(
-            dm,
-            ops,
-            depth,
-            counted.then_some(pipeline),
-        )?)
-    }
-
     /// Heavy chasing means our hints are badly stale: start clean next
     /// time.
     fn note_chases(&mut self, chases: usize) {
@@ -338,14 +303,12 @@ impl BpTreeClient {
         }
     }
 
-    /// The leaf owning `key` and its address: one [`BpDescendOp`] driven
-    /// alone.
+    /// The leaf owning `key` and its address: one [`to_leaf`] run alone.
     fn find_leaf(&mut self, key: u64) -> Result<(RemotePtr, BpNode), BpTreeError> {
-        let leaf = self
-            .run_descents([(key, None)], 1, false)?
-            .into_iter()
-            .next()
-            .expect("one descent, one leaf");
+        let root = self.root(false)?;
+        let lend = Lend::new(&mut self.worker, |w| w);
+        let mut io = lend.lookup(None);
+        let leaf = block_on(&lend, to_leaf(&mut io, &self.cache, key, root))?;
         self.note_chases(leaf.chases);
         Ok((leaf.ptr, leaf.node))
     }
@@ -360,10 +323,10 @@ impl BpTreeClient {
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight: each
-    /// key runs the [`BpDescendOp`] machine [`BpTreeClient::get`] drives
-    /// alone (cache-aware descent plus B-link right-chase), and every
-    /// scheduling round the whole window's node reads go out in one fused
-    /// doorbell. Results align with `keys`.
+    /// key runs the [`to_leaf`] body [`BpTreeClient::get`] runs alone
+    /// (cache-aware descent plus B-link right-chase), and every scheduling
+    /// round the whole window's node reads go out in one fused doorbell.
+    /// Results align with `keys`.
     ///
     /// # Errors
     ///
@@ -376,16 +339,20 @@ impl BpTreeClient {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let leases: Vec<_> = keys
+        let traces: Vec<TraceCell> = keys
             .iter()
-            .map(|&key| (key, self.worker.lease(OpKind::Get)))
+            .map(|_| TraceCell::new(self.worker.lease(OpKind::Get)))
             .collect();
         let mark = self.worker.dm.trace_mark();
-        let mut leaves: Vec<_> = self
-            .run_descents(leases, depth, true)?
-            .into_iter()
-            .collect();
-        let traces = leaves.iter_mut().filter_map(|leaf| leaf.trace.take());
+        let root = self.root(false)?;
+        let lend = Lend::new(&mut self.worker, |w| w);
+        let cache = &self.cache;
+        let lookups = keys.iter().zip(&traces).map(|(&key, trace)| {
+            let mut io = lend.lookup(Some(trace));
+            async move { to_leaf(&mut io, cache, key, root).await }
+        });
+        let leaves = run_pipelined(&lend, lookups, depth)?;
+        let traces = traces.into_iter().filter_map(TraceCell::into_inner);
         self.worker.finish_traces_since(mark, traces);
         // Once per batch, where a lone descent does it once per key.
         self.note_chases(leaves.iter().map(|leaf| leaf.chases).max().unwrap_or(0));
@@ -701,173 +668,70 @@ fn value_in(leaf: &BpNode, key: u64) -> Option<Vec<u8>> {
     Some(leaf.entries[at].1.to_vec())
 }
 
-/// Where a B+-tree descent is between round trips.
-enum BpSt {
-    /// Begin the descent from the (known) root.
-    Start {
-        /// Root pointer resolved by the driver before the run.
-        root: RemotePtr,
-    },
-    /// Waiting for the node at `ptr`; `attempts` counts torn-read
-    /// retries of this node.
-    Node { ptr: RemotePtr, attempts: usize },
-}
-
-/// The descent to the leaf owning `key` as a resumable state machine —
-/// the only one the tree has: every remote node read is a
-/// [`StepOutcome::Submit`], cache hits advance CPU-side without a
-/// submission, B-link right pointers are chased past concurrent splits
-/// and stale caches (right links are finite and only move keys rightward,
-/// so the chase terminates).
-struct BpDescendOp<'a> {
-    key: u64,
-    cache: &'a Mutex<InternalCache>,
-    retry: RetryPolicy,
-    /// Nodes visited (bounded by `op_retries`).
-    hops: usize,
-    /// B-link right-chases performed (drives cache hygiene).
-    chases: usize,
-    state: BpSt,
-    /// Causal-trace context leased by the driver (`None` when this op was
-    /// not sampled).
-    trace: Option<Box<OpTrace>>,
-}
-
-/// Output of one [`BpDescendOp`]: the leaf owning the key, and the chase
-/// count for cache hygiene.
+/// The leaf owning a key, and the chase count for cache hygiene.
 struct BpLeaf {
     ptr: RemotePtr,
     node: BpNode,
     chases: usize,
-    /// The op's causal trace, carried out for [`Tracer::finish`].
-    trace: Option<Box<OpTrace>>,
 }
 
-fn read_node_batch(ptr: RemotePtr) -> StepOutcome<BpLeaf> {
-    StepOutcome::Submit {
-        batch: DoorbellBatch::from_iter([Verb::Read {
-            ptr,
-            len: NODE_BYTES,
-        }]),
-        tag: Phase::Traversal as u32,
-    }
-}
-
-impl BpDescendOp<'_> {
-    /// Moves to `ptr`: serves it from the shared internal-node cache when
-    /// allowed, otherwise submits the read.
-    fn goto(
-        &mut self,
-        now_ns: u64,
-        ptr: RemotePtr,
-        use_cache: bool,
-    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
-        if use_cache {
-            let cached = self.cache.lock().get(ptr);
-            if let Some(node) = cached {
-                return self.advance(now_ns, ptr, node);
-            }
-        }
-        if let Some(tr) = self.trace.as_mut() {
-            tr.phase(Phase::Traversal, now_ns);
-        }
-        self.state = BpSt::Node { ptr, attempts: 0 };
-        Ok(read_node_batch(ptr))
-    }
-
-    /// One descent decision from the decoded node at `ptr`: finish at a
-    /// leaf, chase right past a concurrent split, or descend to the owning
-    /// child.
-    fn advance(
-        &mut self,
-        now_ns: u64,
-        ptr: RemotePtr,
-        node: BpNode,
-    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
-        self.hops += 1;
-        if self.hops >= self.retry.op_retries {
-            return Err(EngineError::RetriesExhausted { op: "descend" });
-        }
-        if self.key >= node.high_key && !node.right.is_null() {
-            self.chases += 1;
-            return self.goto(now_ns, node.right, false); // fresh: fences moved
-        }
-        if node.is_leaf() {
-            let trace = self.trace.take().map(|mut tr| {
-                tr.end_ns = now_ns;
-                tr
-            });
-            return Ok(StepOutcome::Done(BpLeaf {
-                ptr,
-                node,
-                chases: self.chases,
-                trace,
-            }));
-        }
-        let child = node.child_for(self.key);
-        self.goto(now_ns, child, true)
-    }
-}
-
-impl OpState for BpDescendOp<'_> {
-    type Output = BpLeaf;
-
-    fn on_admitted(&mut self, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.admit(now_ns);
-        }
-    }
-
-    fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.submitted(token.raw(), now_ns);
-        }
-    }
-
-    fn step(
-        &mut self,
-        t: &mut DmClient,
-        completion: Option<Completion>,
-    ) -> Result<StepOutcome<BpLeaf>, EngineError> {
-        match std::mem::replace(
-            &mut self.state,
-            BpSt::Start {
-                root: RemotePtr::NULL,
-            },
-        ) {
-            BpSt::Start { root } => {
-                debug_assert!(completion.is_none());
-                self.goto(t.clock_ns(), root, true)
-            }
-            BpSt::Node { ptr, attempts } => {
-                let bytes = completion
-                    .expect("Node state awaits a completion")
-                    .pop()
-                    .expect("a descent submits exactly one read per batch")
-                    .into_read();
-                match BpNode::decode(&bytes) {
-                    Some(node) => {
-                        self.cache.lock().put(ptr, node.clone());
-                        self.advance(t.clock_ns(), ptr, node)
+/// The descent to the leaf owning `key` from `root` — the only one the
+/// tree has: every remote node read is an awaited round trip, cache hits
+/// advance CPU-side, B-link right pointers are chased past concurrent
+/// splits and stale caches (right links are finite and only move keys
+/// rightward, so the chase terminates).
+async fn to_leaf(
+    io: &mut Io<'_, '_, Worker>,
+    cache: &Mutex<InternalCache>,
+    key: u64,
+    root: RemotePtr,
+) -> Result<BpLeaf, EngineError> {
+    let retry = io.with(|w| w.retry);
+    // Nodes visited (bounded by `op_retries`), right-chases performed.
+    let (mut hops, mut chases) = (0, 0);
+    let (mut ptr, mut use_cache) = (root, true);
+    loop {
+        let cached = if use_cache {
+            cache.lock().get(ptr)
+        } else {
+            None
+        };
+        let node = match cached {
+            Some(node) => node,
+            None => {
+                io.phase(Phase::Traversal);
+                let mut attempts = 0;
+                loop {
+                    let bytes = io.read(ptr, NODE_BYTES, Phase::Traversal as u32).await?;
+                    if let Some(node) = BpNode::decode(&bytes) {
+                        cache.lock().put(ptr, node.clone());
+                        break node;
                     }
-                    None => {
-                        // Torn seqlock read: back off and re-read.
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr.retry(t.clock_ns());
-                        }
-                        if attempts + 1 >= self.retry.op_retries {
-                            return Err(EngineError::RetriesExhausted { op: "node read" });
-                        }
-                        t.backoff(&self.retry);
-                        self.state = BpSt::Node {
-                            ptr,
-                            attempts: attempts + 1,
-                        };
-                        Ok(read_node_batch(ptr))
+                    // Torn seqlock read: back off and re-read.
+                    let now = io.now();
+                    io.retry_at(now);
+                    attempts += 1;
+                    if attempts >= retry.op_retries {
+                        return Err(EngineError::RetriesExhausted { op: "node read" });
                     }
+                    io.with(|w| w.dm.backoff(&retry));
                 }
             }
+        };
+        hops += 1;
+        if hops >= retry.op_retries {
+            return Err(EngineError::RetriesExhausted { op: "descend" });
         }
+        if key >= node.high_key && !node.right.is_null() {
+            chases += 1;
+            (ptr, use_cache) = (node.right, false); // fresh: fences moved
+            continue;
+        }
+        if node.is_leaf() {
+            io.end();
+            return Ok(BpLeaf { ptr, node, chases });
+        }
+        (ptr, use_cache) = (node.child_for(key), true);
     }
 }
 

@@ -1,90 +1,53 @@
-//! The Sphinx lookup (§IV "Search") as one resumable state machine.
+//! The Sphinx lookup (§IV "Search") as one `async fn`.
 //!
-//! [`LocateOp`] is the only code that finds a key's place in the tree:
+//! [`locate`] is the only code that finds a key's place in the tree:
 //! filter probe → INHT bucket-pair read → candidate node validation (the
-//! entry search, Sphinx's own) → descent and validated leaf read (the
-//! [`node_engine::descend`] body every ART system hosts) → false-positive
-//! check. Instead of
-//! blocking on [`dm_sim::DmClient::execute`] it yields a
-//! [`StepOutcome::Submit`] at every round trip, so one body serves one
-//! lookup or many in flight: [`SphinxClient::locate`] drives a single
-//! machine through [`node_engine::run_pipelined`] at depth 1 (charge for
-//! charge what blocking execution costs, also under a
-//! [`dm_sim::Schedule`]), and [`SphinxClient::get_many_pipelined`] drives
-//! one machine per key at depth N, where every scheduling round all
+//! entry search, Sphinx's own: [`entry`]) → descent and validated leaf
+//! read ([`node_engine::follow`], the descent every ART system awaits) →
+//! false-positive check. It awaits every round trip over its
+//! [`node_engine::Io`], so one body serves one lookup or many in flight:
+//! [`SphinxClient::locate`] runs it for the blocking op in flight under
+//! [`node_engine::block_on`] (charge for charge what blocking execution
+//! costs, also under a [`dm_sim::Schedule`]), and
+//! [`SphinxClient::get_many_pipelined`] runs one per key at depth N under
+//! [`node_engine::run_pipelined`], where every scheduling round all
 //! in-flight reads go out in one fused doorbell and share a single RTT.
 //!
-//! Transient states restart inside the machine: a node caught mid
+//! Transient states restart inside the body: a node caught mid
 //! type-switch backs off and retakes the ladder from the probe, the
 //! root-entry-missing window retries the ladder on a bounded budget, a
-//! false positive restarts with a shorter prefix bound. Two things need
-//! the whole client and therefore stop the machine with a typed
-//! [`Stop`] that the driver serves before re-admitting it: a stale INHT
-//! directory ([`Stop::Refresh`]) and the leaf sample below a child whose
-//! compressed path diverges from the key ([`Stop::Sample`], served by
-//! [`node_engine::walk::any_leaf`]; only lookups of absent keys reach it).
-//! docs/PROTOCOLS.md has the state table.
+//! false positive restarts with a shorter prefix bound. Two steps need the
+//! whole client and are drained steps ([`node_engine::Io::drained`]),
+//! served after every peer of the run has stopped, in key order (the
+//! drained-serve rule): a stale
+//! INHT directory's refresh and the leaf sample below a child whose
+//! compressed path diverges from the key (inside the descent; only lookups
+//! of absent keys reach it). docs/PROTOCOLS.md lists the bodies' await
+//! points.
 
 use art_core::hash::{fp12, prefix_hash42, prefix_hash64};
 use art_core::key::{common_prefix_len, MAX_KEY_LEN};
 use art_core::layout::{HashEntry, InnerNode, NodeStatus};
-use dm_sim::{Completion, DmClient, DoorbellBatch, RemotePtr, RetryPolicy, SqeToken, Verb};
-use node_engine::walk::any_leaf;
-use node_engine::{
-    drive, ArtReader, Descend, DescendHost, EngineError, FirstInline, Lane, Lookup, OpState,
-    StepOutcome, Yield,
-};
-use obs::{OpKind, OpTrace, Phase};
-use race_hash::RaceTable;
+use dm_sim::{DoorbellBatch, FirstInline, RemotePtr, Verb};
+use node_engine::{block_on, follow, run_pipelined, ArtReader, DescendHost, Io, Lend, TraceCell};
+use obs::{OpKind, Phase};
+use race_hash::{RaceError, RaceTable};
 
 use crate::client::{Descent, Outcome, SphinxClient};
-use crate::config::{CacheMode, SphinxConfig};
+use crate::config::CacheMode;
 use crate::error::SphinxError;
 
-/// Submission tags: the phase each round trip is attributed to, by the
-/// span recorder for a lookup driven alone and by
-/// [`node_engine::PipelineStats::by_tag`] for a pipelined run.
+/// Submission tag of the INHT reads (bucket pairs, candidate nodes): the
+/// phase their round trips are attributed to, by the span for a lookup
+/// driven alone and by [`node_engine::PipelineStats::by_tag`] in a
+/// pipelined run.
 const TAG_INHT: u32 = Phase::InhtLookup as u32;
-const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
-const TAG_LEAF: u32 = Phase::LeafRead as u32;
 
-/// Counters one lookup accumulates, folded into [`crate::OpStats`] and the
-/// named `obs` counters when it ends (`u32`: one lookup is bounded by
-/// `op_retries`, and every machine of a pipelined run carries a set).
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    /// Restarts of any kind (false positive, invalid node, root missing).
-    retries: u32,
-    fp_retries: u32,
-    invalid_retries: u32,
-    entry_misses: u32,
-    filter_first_hits: u32,
-    filter_refreshes: u32,
-    probe_hits: u32,
-    probe_misses: u32,
-    inht_hits: u32,
-    fp_collisions: u32,
-}
+/// A lookup's own end: its answer, or its failure — which ends this
+/// lookup only, where the `Err` around it aborts the whole run.
+type Answer<T> = Result<T, SphinxError>;
 
-/// Why a machine stopped. The first three end the lookup; the driver
-/// serves the other two and re-admits the machine.
-#[allow(clippy::large_enum_variant)] // moved once per lookup
-pub(crate) enum Stop {
-    /// The full lookup finished.
-    Found(Descent),
-    /// An entry-only lookup finished: the validated entry node's address,
-    /// the node, and its prefix length.
-    Entry(RemotePtr, InnerNode, usize),
-    /// The lookup failed for good.
-    Failed(SphinxError),
-    /// Table `mn`'s directory cache is stale: run
-    /// [`RaceTable::refresh_stale`] on it.
-    Refresh(usize),
-    /// The descent met a child whose compressed path diverges from the
-    /// key ([`Yield::Sample`]): sample a leaf below
-    /// [`Descend::diverged_child`] and hand it to [`Descend::sampled`].
-    Sample,
-}
+type SphinxIo<'l, 'c> = Io<'l, 'c, SphinxClient>;
 
 /// One bucket pair of the current INHT read.
 struct Level {
@@ -93,267 +56,151 @@ struct Level {
     base: RemotePtr,
 }
 
-/// Where the machine is between round trips.
-enum St {
-    /// Not started.
-    Start,
-    /// Stopped on [`Stop::Refresh`]: resubmit the same bucket pairs.
-    Stale,
-    /// Waiting for the bucket pairs of `levels`.
-    Pairs,
-    /// Waiting for the inner node that `entry` (entry `idx` of the bucket
-    /// pair `pair`, read for `level`) names, a candidate for the level's
-    /// prefix. The pair stays as the bytes read: a fingerprint collision
-    /// parses them again, and no lookup carries the parsed entries around.
-    Candidate {
-        level: Level,
-        pair: Vec<u8>,
-        idx: usize,
-        entry: HashEntry,
-    },
-    /// Below the entry node: [`LocateOp::descend`] is waiting for the read
-    /// it yielded for, or for the driver's sample.
-    Descending,
-}
+/// The one [`DescendHost`] hook Sphinx supplies: a child that matches the
+/// key teaches the filter its prefix (the "freshness" update of §IV
+/// Search).
+struct Freshness;
 
-/// One lookup's state. Owns nothing of the client, so the driver can use
-/// the client between runs; [`Run`] lends it the client's tables and
-/// filter for the duration of one [`node_engine::run_pipelined`] call.
-pub(crate) struct LocateOp<'k> {
-    mode: CacheMode,
-    retry: RetryPolicy,
-    /// Stop at the validated entry node instead of descending.
-    entry_only: bool,
-    /// The descent below the entry node (and the search key).
-    descend: Descend<'k>,
-    /// Prefix length of the entry node the descent started from.
-    entry_len: usize,
-    /// Upper bound on the probed prefix length (shrinks on fp restarts).
-    max_len: usize,
-    /// Filter mode: the bound of the next probe within one entry-node
-    /// search, then the prefix length that probe named (the one the
-    /// bucket-pair read is of).
-    probe_len: usize,
-    /// Whether the next INHT hit is a first-probe filter hit.
-    first: bool,
-    /// Restarts and refreshes consumed (bounded by `op_retries`).
-    restarts: usize,
-    /// Root-entry-missing retries left in this entry-node search.
-    root_budget: usize,
-    /// The pairs of the current read not yet examined, shallowest first
-    /// (one in filter mode, stored inline) …
-    levels: FirstInline<Level>,
-    /// … and their bytes, once read.
-    pairs: Completion,
-    state: St,
-    tally: Tally,
-    /// The terminal stop, once reached.
-    result: Option<Stop>,
-    /// The key's causal-trace context in a pipelined run, leased by
-    /// [`SphinxClient::get_many_pipelined`] (`None` when not sampled, and
-    /// for a lookup driven alone, which records on the blocking op's).
-    trace: Option<Box<OpTrace>>,
-}
-
-impl Lookup for LocateOp<'_> {
-    type Stop = Stop;
-
-    fn done(&self) -> bool {
-        self.result.is_some()
-    }
-
-    fn trace(&mut self) -> &mut Option<Box<OpTrace>> {
-        &mut self.trace
-    }
-}
-
-impl<'k> LocateOp<'k> {
-    fn new(
-        key: &'k [u8],
-        max_len: usize,
-        entry_only: bool,
-        config: &SphinxConfig,
-        retry: RetryPolicy,
-    ) -> Self {
-        LocateOp {
-            mode: config.mode,
-            retry,
-            entry_only,
-            descend: Descend::new(key, retry),
-            entry_len: 0,
-            max_len,
-            probe_len: max_len,
-            first: true,
-            restarts: 0,
-            root_budget: 0,
-            levels: FirstInline::default(),
-            pairs: Completion::default(),
-            state: St::Start,
-            tally: Tally::default(),
-            result: None,
-            trace: None,
+impl DescendHost<SphinxClient> for Freshness {
+    fn child_matched(&mut self, c: &mut SphinxClient, prefix: &[u8]) {
+        if c.config.mode == CacheMode::FilterCache && c.filter.refresh(prefix) {
+            c.stats.filter_refreshes += 1;
         }
     }
 }
 
-/// Shorthand for a single-read submission.
-fn read_batch(ptr: RemotePtr, len: usize) -> DoorbellBatch {
-    DoorbellBatch::from_iter([Verb::Read { ptr, len }])
+/// One failed attempt of the lookup: on its trace, and on the span's
+/// retry count.
+fn retried(io: &mut SphinxIo<'_, '_>) {
+    let now = io.now();
+    io.retry_at(now);
+    io.with(|c| c.worker.obs.retry());
 }
 
-/// Unwraps a single-read completion.
-fn into_one_read(mut results: Completion) -> Vec<u8> {
-    results
-        .pop()
-        .expect("a lookup state awaiting one read was resumed with none")
-        .into_read()
-}
-
-type Step = Result<StepOutcome<Stop>, EngineError>;
-
-/// A [`LocateOp`] admitted to one pipeline run.
-struct Run<'a, 'k> {
-    op: &'a mut LocateOp<'k>,
-    tables: &'a [RaceTable],
-    filter: &'a sfc::FilterCache,
-    lane: Lane<'a>,
-}
-
-impl Run<'_, '_> {
-    fn phase(&mut self, t: &DmClient, phase: Phase) {
-        self.lane.phase(t, &mut *self.op, phase);
-    }
-
-    /// Marks one failed attempt: on the trace now, on the enclosing span
-    /// when the tally is folded.
-    fn retry(&mut self, t: &DmClient) {
-        self.op.tally.retries += 1;
-        self.lane.retry(&mut *self.op, t.clock_ns());
-    }
-
-    /// Ends the run on `stop`.
-    fn stop(&mut self, t: &DmClient, stop: Stop) -> Step {
-        self.lane.end(&mut *self.op, t.clock_ns());
-        Ok(StepOutcome::Done(stop))
-    }
-
-    fn fail(&mut self, t: &DmClient, e: SphinxError) -> Step {
-        self.stop(t, Stop::Failed(e))
-    }
-
-    /// Starts an entry-node search from the longest allowed prefix.
-    fn begin(&mut self, t: &mut DmClient) -> Step {
-        self.op.root_budget = self.op.retry.io_retries;
-        self.op.probe_len = self.op.max_len;
-        self.op.first = self.op.mode == CacheMode::FilterCache;
-        self.probe(t)
-    }
-
-    /// Chooses the prefix lengths to look up: the deepest one the filter
-    /// claims (CN-local), or all of them without a filter (§III-A).
-    fn probe(&mut self, t: &mut DmClient) -> Step {
-        if self.op.mode == CacheMode::FilterCache {
-            self.phase(t, Phase::SfcProbe);
-            let l = self.op.probe_len;
-            let cand = self.filter.deepest_hit(self.op.descend.key, l);
-            if l > 0 {
-                if cand > 0 {
-                    self.op.tally.probe_hits += 1;
-                } else {
-                    self.op.tally.probe_misses += 1;
+/// The entry search of §III-B: a validated inner node for the deepest
+/// available prefix of `key` no longer than `max_len` — its address, the
+/// node, and its prefix length. The filter names the deepest prefix it
+/// claims (CN-local) and one bucket pair is read; without a filter every
+/// prefix's pair is read in one batch (§III-A). `restarts` is what the
+/// lookup has spent of its `op_retries` budget; a directory refresh
+/// spends one.
+async fn entry(
+    io: &mut SphinxIo<'_, '_>,
+    key: &[u8],
+    max_len: usize,
+    restarts: &mut usize,
+) -> Result<Answer<(RemotePtr, InnerNode, usize)>, SphinxError> {
+    let (mode, retry) = io.with(|c| (c.config.mode, c.worker.retry));
+    let mut root_budget = retry.io_retries;
+    let mut probe_len = max_len;
+    // Whether the next INHT hit is a first-probe filter hit.
+    let mut first = mode == CacheMode::FilterCache;
+    loop {
+        if mode == CacheMode::FilterCache {
+            io.phase(Phase::SfcProbe);
+            probe_len = io.with(|c| {
+                let cand = c.filter.deepest_hit(key, probe_len);
+                if probe_len > 0 {
+                    let counter = if cand > 0 {
+                        "sfc.probe_hit"
+                    } else {
+                        "sfc.probe_miss"
+                    };
+                    c.worker.obs.incr(counter);
+                }
+                cand
+            });
+        }
+        let found = 'pairs: loop {
+            io.phase(Phase::InhtLookup);
+            let (lo, hi) = match mode {
+                CacheMode::FilterCache => (probe_len, probe_len),
+                CacheMode::InhtOnly => (0, max_len),
+            };
+            let read = io.with(|c| -> Result<_, RaceError> {
+                let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
+                let mut levels = FirstInline::with_capacity(hi - lo + 1);
+                for plen in lo..=hi {
+                    let hash = prefix_hash64(&key[..plen]);
+                    let base = c.tables[c.worker.dm.place(hash) as usize].bucket_pair_ptr(hash)?;
+                    batch.push(Verb::Read {
+                        ptr: base,
+                        len: RaceTable::pair_len(),
+                    });
+                    levels.push(Level { plen, hash, base });
+                }
+                Ok((batch, levels))
+            });
+            let (batch, mut levels) = match read {
+                Ok(read) => read,
+                Err(e) => {
+                    io.end();
+                    return Ok(Err(e.into()));
+                }
+            };
+            let mut pairs = io.submit(batch, TAG_INHT).await?;
+            // The deepest pair first.
+            while let (Some(level), Some(pair)) = (levels.pop(), pairs.pop()) {
+                let pair = pair.into_read();
+                let Some(entries) = RaceTable::parse_pair(level.base, &pair, level.hash) else {
+                    // The table's directory cache is stale: refresh it and
+                    // read the same pairs again.
+                    let mn = io.with(|c| c.worker.dm.place(level.hash) as usize);
+                    io.drained(|io| io.with(|c| c.tables[mn].refresh_stale(&mut c.worker.dm)))
+                        .await?;
+                    *restarts += 1;
+                    if *restarts >= retry.op_retries {
+                        io.end();
+                        return Ok(Err(SphinxError::RetriesExhausted { op: "locate" }));
+                    }
+                    continue 'pairs;
+                };
+                let fp = fp12(&key[..level.plen]);
+                for he in entries.iter().filter_map(|e| HashEntry::decode(e.word)) {
+                    if he.fp != fp {
+                        continue;
+                    }
+                    let bytes = io
+                        .read(he.addr, InnerNode::byte_size(he.kind), TAG_INHT)
+                        .await?;
+                    let node = InnerNode::decode(&bytes).map_err(node_engine::EngineError::from)?;
+                    if node.header.status == NodeStatus::Invalid
+                        || node.header.kind != he.kind
+                        || node.header.prefix_len as usize != level.plen
+                        || node.header.prefix_hash42 != prefix_hash42(&key[..level.plen])
+                    {
+                        // The 12-bit fingerprint matched but the node did
+                        // not: a genuine fp collision or a stale/retired
+                        // entry.
+                        io.with(|c| c.worker.obs.incr("inht.fp_collision"));
+                        continue;
+                    }
+                    break 'pairs Some((he.addr, node, level.plen));
                 }
             }
-            self.op.probe_len = cand;
-        }
-        self.submit_pairs(t)
-    }
-
-    /// Submits the bucket-pair reads of prefix lengths `lo..=hi` as one
-    /// batch: the one the filter named, or every prefix in
-    /// [`CacheMode::InhtOnly`].
-    fn submit_pairs(&mut self, t: &mut DmClient) -> Step {
-        self.phase(t, Phase::InhtLookup);
-        let (lo, hi) = match self.op.mode {
-            CacheMode::FilterCache => (self.op.probe_len, self.op.probe_len),
-            CacheMode::InhtOnly => (0, self.op.max_len),
+            break None;
         };
-        let mut batch = DoorbellBatch::with_capacity(hi - lo + 1);
-        self.op.levels.clear();
-        for plen in lo..=hi {
-            let hash = prefix_hash64(&self.op.descend.key[..plen]);
-            let base = match self.tables[t.place(hash) as usize].bucket_pair_ptr(hash) {
-                Ok(base) => base,
-                Err(e) => return self.fail(t, e.into()),
-            };
-            batch.push(Verb::Read {
-                ptr: base,
-                len: RaceTable::pair_len(),
+        if let Some(found) = found {
+            io.with(|c| {
+                c.worker.obs.incr("inht.hit");
+                if first {
+                    c.stats.filter_first_hits += 1;
+                }
             });
-            self.op.levels.push(Level { plen, hash, base });
+            return Ok(Ok(found));
         }
-        self.op.state = St::Pairs;
-        Ok(StepOutcome::Submit {
-            batch,
-            tag: TAG_INHT,
-        })
-    }
 
-    /// Examines the deepest bucket pair not yet looked at.
-    fn next_level(&mut self, t: &mut DmClient) -> Step {
-        let (Some(level), Some(bytes)) = (self.op.levels.pop(), self.op.pairs.pop()) else {
-            return self.ladder_miss(t);
-        };
-        self.next_candidate(t, level, bytes.into_read(), 0)
-    }
-
-    /// Submits the first entry of `pair` from `from` on whose fingerprint
-    /// matches the level's prefix for validation, or moves on when there is
-    /// none.
-    fn next_candidate(
-        &mut self,
-        t: &mut DmClient,
-        level: Level,
-        pair: Vec<u8>,
-        from: usize,
-    ) -> Step {
-        let Some(entries) = RaceTable::parse_pair(level.base, &pair, level.hash) else {
-            self.op.state = St::Stale;
-            let mn = t.place(level.hash) as usize;
-            return Ok(StepOutcome::Done(Stop::Refresh(mn)));
-        };
-        let fp = fp12(&self.op.descend.key[..level.plen]);
-        let candidate = entries.iter().enumerate().skip(from).find_map(|(i, e)| {
-            let he = HashEntry::decode(e.word).filter(|he| he.fp == fp)?;
-            Some((i, he))
-        });
-        let Some((idx, entry)) = candidate else {
-            return self.next_level(t);
-        };
-        self.op.state = St::Candidate {
-            level,
-            pair,
-            idx,
-            entry,
-        };
-        Ok(StepOutcome::Submit {
-            batch: read_batch(entry.addr, InnerNode::byte_size(entry.kind)),
-            tag: TAG_INHT,
-        })
-    }
-
-    /// No bucket pair of this read held a valid entry.
-    fn ladder_miss(&mut self, t: &mut DmClient) -> Step {
-        self.op.tally.entry_misses += 1;
-        if self.op.mode == CacheMode::FilterCache {
-            self.op.first = false;
-            let plen = self.op.probe_len;
-            if plen > 0 {
-                // The filter claimed `key[..plen]` exists but the INHT
-                // disproved it: an observed false positive. Re-probe one
-                // level shorter.
-                self.filter.record_false_positive();
-                self.op.probe_len = plen - 1;
-                return self.probe(t);
+        // No bucket pair of this read held a valid entry.
+        io.with(|c| c.stats.entry_misses += 1);
+        if mode == CacheMode::FilterCache {
+            first = false;
+            if probe_len > 0 {
+                // The filter claimed `key[..probe_len]` exists but the
+                // INHT disproved it: an observed false positive. Re-probe
+                // one level shorter.
+                io.with(|c| c.filter.record_false_positive());
+                probe_len -= 1;
+                continue;
             }
         }
         // Even the root hash entry failed validation. Under contention
@@ -362,306 +209,102 @@ impl Run<'_, '_> {
         // entry is published, and a reader landing in that window sees no
         // valid entry at any prefix length. Back off and retake the whole
         // ladder; only a persistent gap is corruption.
-        if self.op.root_budget == 0 {
-            return self.fail(
-                t,
-                SphinxError::Corrupt {
-                    what: "root hash entry missing",
-                },
-            );
+        if root_budget == 0 {
+            io.end();
+            let what = "root hash entry missing";
+            return Ok(Err(SphinxError::Corrupt { what }));
         }
-        self.op.root_budget -= 1;
-        self.retry(t);
-        self.phase(t, Phase::Retry);
-        t.backoff(&self.op.retry);
-        self.op.probe_len = self.op.max_len;
-        self.probe(t)
+        root_budget -= 1;
+        retried(io);
+        io.phase(Phase::Retry);
+        io.with(|c| c.worker.dm.backoff(&retry));
+        probe_len = max_len;
     }
+}
 
-    /// A node caught mid type-switch: back off and retake the lookup from
-    /// the probe.
-    fn restart_invalid(&mut self, t: &mut DmClient) -> Step {
-        self.op.tally.invalid_retries += 1;
-        self.retry(t);
-        self.phase(t, Phase::Retry);
-        t.backoff(&self.op.retry);
-        self.restart(t)
+/// Finds the deepest inner node whose full prefix prefixes `key` and what
+/// lies below it (§III-B, §IV "Search"): the entry search, then the
+/// descent, then the false-positive check on the key it found.
+async fn locate(io: &mut SphinxIo<'_, '_>, key: &[u8]) -> Result<Answer<Descent>, SphinxError> {
+    if key.len() > MAX_KEY_LEN {
+        io.end();
+        return Ok(Err(SphinxError::KeyTooLong { len: key.len() }));
     }
-
-    /// The false-positive check of §III-B: the descent from an entry node
-    /// of prefix length `entry_len` reached `found`, a key from its
-    /// subtree. If they share less than `entry_len` bytes with the search
-    /// key, both the fp₁₂ and the 42-bit prefix hash collided — restart
-    /// with a shorter prefix bound.
-    fn false_positive(&mut self, t: &DmClient, found: &[u8]) -> bool {
-        let entry_len = self.op.entry_len;
-        if common_prefix_len(self.op.descend.key, found) >= entry_len {
-            return false;
-        }
-        self.op.tally.fp_retries += 1;
-        self.retry(t);
-        self.op.max_len = entry_len.saturating_sub(1);
-        true
-    }
-
-    /// Retakes the lookup from the probe.
-    fn restart(&mut self, t: &mut DmClient) -> Step {
-        self.budgeted(t, Self::begin)
-    }
-
-    /// Spends one unit of the restart budget (restarts and directory
-    /// refreshes share it), then continues with `next`.
-    fn budgeted(&mut self, t: &mut DmClient, next: fn(&mut Self, &mut DmClient) -> Step) -> Step {
-        self.op.restarts += 1;
-        if self.op.restarts >= self.op.retry.op_retries {
-            return self.fail(t, SphinxError::RetriesExhausted { op: "locate" });
-        }
-        next(self, t)
-    }
-
-    /// Takes one step of the descent below the entry node, lending it the
-    /// one hook Sphinx supplies.
-    fn descent(
-        &mut self,
-        step: impl FnOnce(&mut Descend<'_>, &mut Freshness<'_>) -> Result<Yield, EngineError>,
-    ) -> Result<Yield, EngineError> {
-        let LocateOp {
-            descend,
-            tally,
-            mode,
-            ..
-        } = &mut *self.op;
-        let mut host = Freshness {
-            filter: (*mode == CacheMode::FilterCache).then_some(self.filter),
-            refreshes: &mut tally.filter_refreshes,
+    let retry = io.with(|c| c.worker.retry);
+    // Upper bound on the probed prefix length (shrinks on fp restarts).
+    let mut max_len = key.len();
+    let mut restarts = 0;
+    loop {
+        let (entry_ptr, node, entry_len) = match entry(io, key, max_len, &mut restarts).await? {
+            Ok(entry) => entry,
+            Err(e) => return Ok(Err(e)),
         };
-        step(descend, &mut host)
-    }
-
-    /// Serves what the descent asked for: submits its read, stops for the
-    /// driver, restarts, or — at its end — runs the false-positive check on
-    /// the key it found.
-    fn on_yield(&mut self, t: &mut DmClient, y: Yield) -> Step {
-        self.op.state = St::Descending;
-        let (batch, tag) = match y {
-            Yield::Inner(ptr, len) => (read_batch(ptr, len), TAG_TRAVERSAL),
-            Yield::Leaf(ptr, len, again) => {
-                if !again {
-                    self.phase(t, Phase::LeafRead);
-                }
-                (read_batch(ptr, len), TAG_LEAF)
+        io.phase(Phase::Traversal);
+        match follow(io, &mut Freshness, key, node, entry_ptr, None).await? {
+            None => {
+                // A node caught mid type-switch: back off and retake the
+                // lookup from the probe.
+                io.with(|c| c.stats.invalid_node_retries += 1);
+                retried(io);
+                io.phase(Phase::Retry);
+                io.with(|c| c.worker.dm.backoff(&retry));
             }
-            Yield::Sample => return Ok(StepOutcome::Done(Stop::Sample)),
-            Yield::Restart => return self.restart_invalid(t),
-            Yield::Done(descent) => {
-                // `Empty`, `NoValueSlot` and `EmptyChild` carry no key to
-                // check the entry node against.
-                let found = match &descent.outcome {
-                    Outcome::Leaf { leaf, .. } => {
-                        self.phase(t, Phase::Traversal); // the leaf read is over
-                        Some(&leaf.key)
-                    }
+            Some(d) => {
+                // The false-positive check of §III-B: the descent from an
+                // entry node of prefix length `entry_len` reached a key of
+                // its subtree (`Empty`, `NoValueSlot` and `EmptyChild`
+                // carry none). If they share less than `entry_len` bytes
+                // with the search key, both the fp₁₂ and the 42-bit prefix
+                // hash collided — restart with a shorter prefix bound.
+                let found = match &d.outcome {
+                    Outcome::Leaf { leaf, .. } => Some(&leaf.key),
                     Outcome::Divergent { sample, .. } => Some(&sample.key),
                     _ => None,
                 };
-                if found.is_some_and(|found| self.false_positive(t, found)) {
-                    return self.restart(t);
+                if found.is_none_or(|found| common_prefix_len(key, found) >= entry_len) {
+                    io.end();
+                    return Ok(Ok(d));
                 }
-                return self.stop(t, Stop::Found(descent));
+                io.with(|c| c.stats.false_positive_retries += 1);
+                retried(io);
+                max_len = entry_len.saturating_sub(1);
             }
-        };
-        Ok(StepOutcome::Submit { batch, tag })
-    }
-}
-
-/// The one [`DescendHost`] hook Sphinx supplies: a child that matches the
-/// key teaches the filter its prefix (the "freshness" update of §IV
-/// Search).
-struct Freshness<'a> {
-    /// `None` in [`CacheMode::InhtOnly`].
-    filter: Option<&'a sfc::FilterCache>,
-    refreshes: &'a mut u32,
-}
-
-impl DescendHost for Freshness<'_> {
-    fn child_matched(&mut self, prefix: &[u8]) {
-        if self.filter.is_some_and(|filter| filter.refresh(prefix)) {
-            *self.refreshes += 1;
         }
-    }
-}
-
-impl OpState for Run<'_, '_> {
-    type Output = Stop;
-
-    fn on_admitted(&mut self, now_ns: u64) {
-        self.lane.admitted(&mut *self.op, now_ns);
-    }
-
-    fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        self.lane.submitted(&mut *self.op, token, now_ns);
-    }
-
-    fn step(&mut self, t: &mut DmClient, completion: Option<Completion>) -> Step {
-        match std::mem::replace(&mut self.op.state, St::Start) {
-            St::Start => {
-                let len = self.op.descend.key.len();
-                if len > MAX_KEY_LEN {
-                    return self.fail(t, SphinxError::KeyTooLong { len });
-                }
-                self.begin(t)
-            }
-            St::Stale => self.budgeted(t, Self::submit_pairs),
-            St::Pairs => {
-                self.op.pairs =
-                    completion.expect("the Pairs state was resumed without its completion");
-                self.next_level(t)
-            }
-            St::Candidate {
-                level,
-                pair,
-                idx,
-                entry,
-            } => {
-                let plen = level.plen;
-                let completion =
-                    completion.expect("the Candidate state was resumed without its completion");
-                let node = InnerNode::decode(&into_one_read(completion))?;
-                if node.header.status == NodeStatus::Invalid
-                    || node.header.kind != entry.kind
-                    || node.header.prefix_len as usize != plen
-                    || node.header.prefix_hash42 != prefix_hash42(&self.op.descend.key[..plen])
-                {
-                    // The 12-bit fingerprint matched but the node did not:
-                    // a genuine fp collision or a stale/retired entry.
-                    self.op.tally.fp_collisions += 1;
-                    return self.next_candidate(t, level, pair, idx + 1);
-                }
-                self.op.tally.inht_hits += 1;
-                if self.op.first {
-                    self.op.tally.filter_first_hits += 1;
-                }
-                if self.op.entry_only {
-                    return self.stop(t, Stop::Entry(entry.addr, node, plen));
-                }
-                self.phase(t, Phase::Traversal);
-                self.op.entry_len = plen;
-                let y =
-                    self.descent(|descend, host| descend.enter(host, node, entry.addr, None))?;
-                self.on_yield(t, y)
-            }
-            St::Descending => {
-                let bytes = completion.map(into_one_read);
-                let (now, torn) = (t.clock_ns(), self.op.descend.io.checksum_retries);
-                let y = self.descent(|descend, host| descend.resume(t, host, bytes))?;
-                if self.op.descend.io.checksum_retries > torn {
-                    // A torn leaf was backed off from and is read again.
-                    self.lane.retry(&mut *self.op, now);
-                }
-                self.on_yield(t, y)
-            }
+        restarts += 1;
+        if restarts >= retry.op_retries {
+            io.end();
+            return Ok(Err(SphinxError::RetriesExhausted { op: "locate" }));
         }
     }
 }
 
 impl SphinxClient {
-    /// Finds the deepest inner node whose full prefix prefixes `key` and
-    /// what lies below it (§III-B, §IV "Search").
+    /// [`locate`] for the blocking op in flight.
     pub(crate) fn locate(&mut self, key: &[u8]) -> Result<Descent, SphinxError> {
-        let op = LocateOp::new(key, key.len(), false, &self.config, self.worker.retry);
-        match self.locate_alone(op)? {
-            Stop::Found(d) => Ok(d),
-            _ => unreachable!("a full lookup ends in a descent"),
-        }
+        let lend = Lend::new(self, SphinxClient::worker);
+        let mut io = lend.alone();
+        block_on(&lend, locate(&mut io, key))?
     }
 
-    /// Finds a validated inner node for the deepest available prefix of
-    /// `key` no longer than `max_len`: its address, the node, and its
-    /// prefix length.
+    /// [`entry`] for the blocking op in flight: a validated inner node for
+    /// the deepest available prefix of `key` no longer than `max_len`.
     pub(crate) fn locate_entry(
         &mut self,
         key: &[u8],
         max_len: usize,
     ) -> Result<(RemotePtr, InnerNode, usize), SphinxError> {
-        let op = LocateOp::new(key, max_len, true, &self.config, self.worker.retry);
-        match self.locate_alone(op)? {
-            Stop::Entry(ptr, node, len) => Ok((ptr, node, len)),
-            _ => unreachable!("an entry-only lookup ends at the entry node"),
+        if key.len() > MAX_KEY_LEN {
+            return Err(SphinxError::KeyTooLong { len: key.len() });
         }
-    }
-
-    /// Drives one lookup to its end as part of the blocking op in flight.
-    fn locate_alone(&mut self, mut op: LocateOp<'_>) -> Result<Stop, SphinxError> {
-        let run = self.drive(std::slice::from_mut(&mut op), 1, true);
-        self.fold(&op);
-        run?;
-        match op.result.expect("drive ends every op on a terminal stop") {
-            Stop::Failed(e) => Err(e),
-            stop => Ok(stop),
-        }
-    }
-
-    /// Runs `ops` through [`node_engine::drive`], `depth` at a time, until
-    /// each has reached a terminal [`Stop`], serving [`Stop::Refresh`] and
-    /// [`Stop::Sample`] between runs. `alone` drives a single op on behalf
-    /// of the blocking op in flight.
-    fn drive(
-        &mut self,
-        ops: &mut [LocateOp<'_>],
-        depth: usize,
-        alone: bool,
-    ) -> Result<(), SphinxError> {
-        let round = |c: &mut SphinxClient, ops: &mut [LocateOp<'_>]| {
-            let SphinxClient {
-                worker,
-                tables,
-                filter,
-                ..
-            } = c;
-            let wrap = |op, lane| Run {
-                op,
-                tables,
-                filter,
-                lane,
-            };
-            Ok(worker.round(ops, depth, alone, wrap)?)
-        };
-        drive(self, ops, alone, round, |c, op, stop| {
-            match stop {
-                Stop::Refresh(mn) => c.tables[mn].refresh_stale(&mut c.worker.dm)?,
-                Stop::Sample => {
-                    let sample = any_leaf(c, op.descend.diverged_child())?;
-                    op.descend.sampled(sample);
-                }
-                end => op.result = Some(end),
-            }
-            Ok(())
-        })
-    }
-
-    fn fold(&mut self, op: &LocateOp<'_>) {
-        self.note_leaf_io(op.descend.io);
-        let t = &op.tally;
-        let obs = &mut self.worker.obs;
-        for _ in 0..t.retries {
-            obs.retry();
-        }
-        let s = &mut self.stats;
-        s.false_positive_retries += u64::from(t.fp_retries);
-        s.invalid_node_retries += u64::from(t.invalid_retries);
-        s.entry_misses += u64::from(t.entry_misses);
-        s.filter_first_hits += u64::from(t.filter_first_hits);
-        s.filter_refreshes += u64::from(t.filter_refreshes);
-        obs.add("sfc.probe_hit", t.probe_hits.into());
-        obs.add("sfc.probe_miss", t.probe_misses.into());
-        obs.add("inht.hit", t.inht_hits.into());
-        obs.add("inht.fp_collision", t.fp_collisions.into());
+        let lend = Lend::new(self, SphinxClient::worker);
+        let mut io = lend.alone();
+        block_on(&lend, entry(&mut io, key, max_len, &mut 0))?
     }
 
     /// Looks up many keys keeping up to `depth` lookups in flight.
     ///
-    /// Each key is an independent lookup machine — the same one
-    /// [`SphinxClient::get`] drives alone: keys at different depths, with
+    /// Each key is an independent lookup — the `async fn` body
+    /// [`SphinxClient::get`] runs alone: keys at different depths, with
     /// different filter outcomes, or needing leaf-read retries all keep
     /// the window full, and every scheduling round the whole window's
     /// reads go out in one fused doorbell
@@ -702,49 +345,42 @@ impl SphinxClient {
             return Ok(Vec::new());
         }
         // One MultiGet span covers the pipelined run (phases interleave
-        // across ops, so per-phase attribution comes from
+        // across lookups, so per-phase attribution comes from
         // `PipelineStats::by_tag` instead of the span recorder).
         self.worker.begin(OpKind::MultiGet);
         // Lease one causal-trace context per key (all `None` when tracing
-        // is off): each machine records its own admission, submissions,
+        // is off): each lookup records its own admission, submissions,
         // phases, and retries alongside the enclosing MultiGet span.
-        let mut ops: Vec<LocateOp<'_>> = keys
+        let traces: Vec<TraceCell> = keys
             .iter()
-            .map(|key| {
-                let mut op = LocateOp::new(key, key.len(), false, &self.config, self.worker.retry);
-                op.trace = self.worker.lease(OpKind::Get);
-                op
-            })
+            .map(|_| TraceCell::new(self.worker.lease(OpKind::Get)))
             .collect();
-        let run = self.drive(&mut ops, depth, false);
-        // An aborted run leaves ops without an end; their traces are
+        let lend = Lend::new(self, SphinxClient::worker);
+        let lookups =
+            keys.iter().zip(&traces).map(|(key, trace)| {
+                let mut io = lend.lookup(Some(trace));
+                async move {
+                    Ok::<_, SphinxError>(locate(&mut io, key).await?.map(|d| d.into_value(key)))
+                }
+            });
+        let run = run_pipelined(&lend, lookups, depth);
+        // An aborted run leaves lookups without an end; their traces are
         // dropped.
         if run.is_ok() {
-            let traces = ops.iter_mut().filter_map(|op| op.trace.take());
+            let traces = traces.into_iter().filter_map(TraceCell::into_inner);
             self.worker.finish_traces(traces);
         }
-        for op in &ops {
-            self.stats.gets += 1;
-            self.fold(op);
-        }
-        self.worker.unpin_keys(ops.len());
+        self.stats.gets += keys.len() as u64;
+        self.worker.unpin_keys(keys.len());
         self.op_exit();
-        run?;
-
-        ops.into_iter()
-            .map(|op| match op.result {
-                Some(Stop::Found(d)) => Ok(d.into_value(op.descend.key)),
-                Some(Stop::Failed(e)) => Err(e),
-                _ => unreachable!("drive ends a full lookup in a descent or a failure"),
-            })
-            .collect()
+        run?.into_iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SphinxIndex;
+    use crate::{SphinxConfig, SphinxIndex};
     use dm_sim::{ClusterConfig, DmCluster};
     use race_hash::TableConfig;
 
@@ -766,22 +402,6 @@ mod tests {
 
     fn refs(keys: &[Vec<u8>]) -> Vec<&[u8]> {
         keys.iter().map(|k| k.as_slice()).collect()
-    }
-
-    /// `get_many_pipelined` turns its machines into its results in the
-    /// machines' own buffer (the standard library's in-place `collect`):
-    /// free while a machine's size is a multiple of a result's, one
-    /// `realloc` of the whole buffer per call otherwise — which
-    /// `bench.allocs_per_op` of `ycsb_c_pipe` counts.
-    #[test]
-    fn machines_become_results_in_place() {
-        use std::mem::size_of;
-        assert_eq!(
-            size_of::<LocateOp<'static>>() % size_of::<Option<Vec<u8>>>(),
-            0,
-            "LocateOp is {} bytes",
-            size_of::<LocateOp<'static>>()
-        );
     }
 
     #[test]
@@ -858,7 +478,7 @@ mod tests {
         );
         let p = &client.worker.pipeline;
         assert!(p.fused_batches > 0);
-        assert_eq!(p.ops, 400, "both runs drove every key through a machine");
+        assert_eq!(p.ops, 400, "both runs drove every key through a lookup");
     }
 
     /// The whole window shares each round trip: on one MN, 100 warm
@@ -936,8 +556,8 @@ mod tests {
         assert!(alone >= 80);
     }
 
-    /// `CacheMode::InhtOnly` runs the same machine from a different start
-    /// state (all prefixes' bucket pairs in one batch).
+    /// `CacheMode::InhtOnly` runs the same body reading all prefixes'
+    /// bucket pairs in one batch.
     #[test]
     fn inht_only_results_equal_filter_cache_results() {
         let build = |mode| {
@@ -1037,7 +657,7 @@ mod tests {
                 "open + one per stale read"
             );
         }
-        // … and through `insert`, which consumes the resumed machine's
+        // … and through `insert`, which consumes the resumed lookup's
         // descent: overwrite until one lookup crosses the split.
         let (idx, mut a, keys) = stale_directory();
         for k in &keys {

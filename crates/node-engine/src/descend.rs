@@ -3,29 +3,40 @@
 //! From a validated inner node whose full prefix prefixes the search key:
 //! inner node → dispatch byte → child, leaf, or a compressed path that
 //! leaves the key — ending in one of the five [`Outcome`]s every point
-//! operation of Sphinx, SMART and ART dispatches on. [`Descend`] is that
-//! walk as a resumable body: it never touches the network, it *yields* the
-//! read it is waiting for ([`Yield::Inner`], [`Yield::Leaf`]) and is resumed
-//! with the bytes, so the [`crate::OpState`] machine hosting it can run
-//! alone (a blocking op) or as one of N in flight under
-//! [`crate::run_pipelined`].
+//! operation of Sphinx, SMART and ART dispatches on. [`follow`] is that
+//! walk as one `async fn`: it awaits each read over its lookup's
+//! [`Io`], so the lookup hosting it runs under either driver of
+//! [`crate::pipeline`] — alone for a blocking op ([`crate::block_on`]) or
+//! as one of N in flight ([`crate::run_pipelined`]).
 //!
 //! What the hosts do differently is closed at the four [`DescendHost`]
 //! hooks (a CN-side node cache: consult, fill, invalidate; a matching
-//! child: Sphinx teaches its filter) and at two yields the host serves
-//! with its whole client: [`Yield::Sample`] (the leaf sample below a
-//! divergent child, [`crate::walk::any_leaf`]) and [`Yield::Restart`] (a
-//! node caught mid type-switch: retake the host's entry search).
+//! child: Sphinx teaches its filter). The leaf sample below a divergent
+//! child ([`crate::walk::any_leaf`]) needs the whole client: it is a
+//! drained step, served after every peer of the run has stopped (the
+//! drained-serve rule of [`crate::pipeline`]). A node caught mid
+//! type-switch ends the descent with `None`: the host retakes its entry
+//! search.
 //!
 //! Nothing here issues a write verb.
 
 use art_core::hash::prefix_hash42;
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot, VALUE_SLOT_OFFSET};
 use art_core::NodeKind;
-use dm_sim::{DmClient, RemotePtr, RetryPolicy};
+use dm_sim::RemotePtr;
+#[cfg(doc)]
+use dm_sim::RetryPolicy;
+use obs::Phase;
 
-use crate::walk::Sampled;
+use crate::pipeline::Io;
+use crate::walk::{any_leaf, ArtReader, Sampled};
 use crate::{leaf_attempt, EngineError, LeafAttempt, LeafReadStats};
+
+/// Submission tags: the phase each round trip is attributed to, by the
+/// span for a lookup driven alone and by
+/// [`crate::PipelineStats::by_tag`] in a pipelined run.
+const TAG_TRAVERSAL: u32 = Phase::Traversal as u32;
+const TAG_LEAF: u32 = Phase::LeafRead as u32;
 
 /// Where a located leaf hangs off its parent inner node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,46 +144,27 @@ impl Descent {
     }
 }
 
-/// What differs between the hosts of a descent. Every hook defaults to
-/// nothing: the plain ART has no cache and no filter.
-pub trait DescendHost {
+/// What differs between the hosts of a descent. Every hook is handed the
+/// lent client and defaults to nothing: the plain ART has no cache and no
+/// filter.
+pub trait DescendHost<C> {
     /// A CN-side copy of the inner node a slot of kind `kind` points at,
     /// sparing the read (SMART's node cache).
-    fn cached(&mut self, _ptr: RemotePtr, _kind: NodeKind) -> Option<InnerNode> {
+    fn cached(&mut self, _c: &mut C, _ptr: RemotePtr, _kind: NodeKind) -> Option<InnerNode> {
         None
     }
 
     /// `node` arrived from the network for a slot of kind `kind`.
-    fn fetched(&mut self, _ptr: RemotePtr, _kind: NodeKind, _node: &InnerNode) {}
+    fn fetched(&mut self, _c: &mut C, _ptr: RemotePtr, _kind: NodeKind, _node: &InnerNode) {}
 
     /// The node at `ptr` turned out retired, type-switched or not below its
     /// parent: drop any copy of it.
-    fn unusable(&mut self, _ptr: RemotePtr) {}
+    fn unusable(&mut self, _c: &mut C, _ptr: RemotePtr) {}
 
     /// The child whose full prefix is `prefix` matches the key and the
     /// descent continues into it (Sphinx: the filter "freshness" update of
     /// §IV Search).
-    fn child_matched(&mut self, _prefix: &[u8]) {}
-}
-
-/// What a [`Descend`] needs next.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // moved once per step
-pub enum Yield {
-    /// Read `len` bytes of the inner node at the address and resume.
-    Inner(RemotePtr, usize),
-    /// Read `len` bytes of the leaf at the address and resume; the flag
-    /// tells a re-read (longer than the hint, or torn) from first contact.
-    Leaf(RemotePtr, usize, bool),
-    /// A child's compressed path leaves the key: sample a leaf below
-    /// [`Descend::diverged_child`], hand it to [`Descend::sampled`], resume
-    /// without bytes.
-    Sample,
-    /// A node was caught retired or mid type-switch: transient — retake
-    /// the lookup from the host's entry search.
-    Restart,
-    /// The descent ended.
-    Done(Descent),
+    fn child_matched(&mut self, _c: &mut C, _prefix: &[u8]) {}
 }
 
 /// The validated inner node a descent stands at.
@@ -183,8 +175,8 @@ struct At {
 }
 
 impl At {
-    fn done(self, outcome: Outcome) -> Yield {
-        Yield::Done(Descent {
+    fn end(self, outcome: Outcome) -> Option<Descent> {
+        Some(Descent {
             node: self.node,
             node_ptr: self.node_ptr,
             via: self.via,
@@ -193,274 +185,155 @@ impl At {
     }
 }
 
-enum St {
-    /// Not entered, or ended.
-    Idle,
-    /// Waiting for the inner child behind child slot `slot_idx`.
-    Child { at: At, slot_idx: usize, slot: Slot },
-    /// Waiting for the leaf behind `slot_ref`, `attempts` reads so far.
-    Leaf {
-        at: At,
-        slot_ref: SlotRef,
-        slot: Slot,
-        read_len: usize,
-        attempts: usize,
-    },
-    /// Yielded [`Yield::Sample`] for `child`.
-    Diverged {
-        at: At,
-        slot_idx: usize,
-        slot: Slot,
-        child: Box<InnerNode>,
-    },
-    /// The host's sample arrived and decided this.
-    Sampled(Yield),
-}
-
-/// The descent for one key, between round trips.
-pub struct Descend<'k> {
-    /// The search key.
-    pub key: &'k [u8],
-    policy: RetryPolicy,
-    state: St,
-    /// Leaf I/O of this descent so far (every entry included), for the
-    /// host to fold into its counters.
-    pub io: LeafReadStats,
-}
-
-impl<'k> Descend<'k> {
-    /// A descent for `key` that fetches [`crate::LEAF_READ_HINT`] bytes of
-    /// a leaf on first contact and re-reads a torn one under `policy`.
-    pub fn new(key: &'k [u8], policy: RetryPolicy) -> Self {
-        Descend {
-            key,
-            policy,
-            state: St::Idle,
-            io: LeafReadStats::default(),
+/// Follows `key` down from `node` — an inner node at `node_ptr` whose full
+/// prefix prefixes the key; `via` is what the host knows to point at it —
+/// to what lies below it, one awaited read per node the host does not have
+/// at hand. A leaf is fetched [`crate::LEAF_READ_HINT`] bytes on first
+/// contact ([`Phase::LeafRead`]) and validated by [`leaf_attempt`], one
+/// attempt per read, its I/O booked with [`ArtReader::note_leaf_io`]; a
+/// torn one is a retry on the lookup's trace. The leaf sample below a
+/// divergent child is a drained step ([`Io::drained`]).
+///
+/// `None`: a node was caught retired or mid type-switch (or the sample
+/// was blocked by one) — transient, retake the lookup from the host's entry
+/// search.
+///
+/// # Errors
+///
+/// [`EngineError::Layout`] for bytes that are no node,
+/// [`EngineError::RetriesExhausted`] for a leaf torn
+/// [`RetryPolicy::io_retries`] times over, and what the reads and the
+/// sample return.
+pub async fn follow<C: ArtReader>(
+    io: &mut Io<'_, '_, C>,
+    host: &mut impl DescendHost<C>,
+    key: &[u8],
+    node: InnerNode,
+    node_ptr: RemotePtr,
+    via: Option<Via>,
+) -> Result<Option<Descent>, EngineError> {
+    let mut at = At {
+        node,
+        node_ptr,
+        via,
+    };
+    let (slot_ref, slot) = loop {
+        if at.node.header.status == NodeStatus::Invalid {
+            io.with(|c| host.unusable(c, at.node_ptr));
+            return Ok(None);
         }
-    }
-
-    /// Starts (or, after [`Yield::Restart`], restarts) the descent at
-    /// `node`, an inner node whose full prefix prefixes the key; `via` is
-    /// what the host knows to point at it.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Dm`] if a slot address overflows.
-    pub fn enter<H: DescendHost>(
-        &mut self,
-        host: &mut H,
-        node: InnerNode,
-        node_ptr: RemotePtr,
-        via: Option<Via>,
-    ) -> Result<Yield, EngineError> {
-        let at = At {
-            node,
-            node_ptr,
-            via,
+        let plen = at.node.header.prefix_len as usize;
+        if key.len() == plen {
+            // Key terminates exactly at this node.
+            match at.node.value_slot {
+                Some(slot) => break (SlotRef::Value, slot),
+                None => return Ok(at.end(Outcome::NoValueSlot)),
+            }
+        }
+        let byte = key[plen];
+        let (slot_idx, slot) = match at.node.find_child(byte) {
+            None => return Ok(at.end(Outcome::Empty { byte })),
+            Some((idx, slot)) if slot.is_leaf => break (SlotRef::Child(idx), slot),
+            Some(found) => found,
         };
-        self.advance(host, at, None)
-    }
-
-    /// Walks down from `at` — first judging `arrived`, the child just read
-    /// through one of its slots — for as long as the host has the next
-    /// node at hand.
-    fn advance<H: DescendHost>(
-        &mut self,
-        host: &mut H,
-        mut at: At,
-        mut arrived: Option<(usize, Slot, InnerNode)>,
-    ) -> Result<Yield, EngineError> {
-        let key = self.key;
-        loop {
-            let plen = at.node.header.prefix_len as usize;
-            if let Some((slot_idx, slot, child)) = arrived.take() {
-                let clen = child.header.prefix_len as usize;
-                if child.header.status == NodeStatus::Invalid
-                    || child.header.kind != slot.child_kind
-                {
-                    host.unusable(slot.addr);
-                    host.unusable(at.node_ptr);
-                    return Ok(Yield::Restart);
-                }
-                if clen <= plen {
-                    host.unusable(slot.addr);
-                    return Ok(Yield::Restart);
-                }
-                if key.len() < clen || child.header.prefix_hash42 != prefix_hash42(&key[..clen]) {
-                    // Divergence inside the child's compressed path: the
-                    // actual prefix bytes come from any leaf below it.
-                    self.state = St::Diverged {
-                        at,
-                        slot_idx,
-                        slot,
-                        child: Box::new(child),
-                    };
-                    return Ok(Yield::Sample);
-                }
-                host.child_matched(&key[..clen]);
-                let via = Via {
-                    parent: Some(at.node_ptr),
-                    word_ptr: at.node_ptr.checked_add(InnerNode::slot_offset(slot_idx))?,
-                    expected: slot.encode(),
-                };
-                at = At {
-                    node: child,
-                    node_ptr: slot.addr,
-                    via: Some(via),
-                };
-                continue;
-            }
-            if at.node.header.status == NodeStatus::Invalid {
-                host.unusable(at.node_ptr);
-                return Ok(Yield::Restart);
-            }
-            let (slot_ref, slot) = if key.len() == plen {
-                // Key terminates exactly at this node.
-                match at.node.value_slot {
-                    Some(slot) => (SlotRef::Value, slot),
-                    None => return Ok(at.done(Outcome::NoValueSlot)),
-                }
-            } else {
-                let byte = key[plen];
-                match at.node.find_child(byte) {
-                    None => return Ok(at.done(Outcome::Empty { byte })),
-                    Some((idx, slot)) if slot.is_leaf => (SlotRef::Child(idx), slot),
-                    Some((slot_idx, slot)) => {
-                        arrived = host
-                            .cached(slot.addr, slot.child_kind)
-                            .map(|child| (slot_idx, slot, child));
-                        if arrived.is_some() {
-                            continue;
-                        }
-                        self.state = St::Child { at, slot_idx, slot };
-                        let len = InnerNode::byte_size(slot.child_kind);
-                        return Ok(Yield::Inner(slot.addr, len));
-                    }
-                }
-            };
-            let read_len = crate::LEAF_READ_HINT;
-            self.state = St::Leaf {
-                at,
-                slot_ref,
-                slot,
-                read_len,
-                attempts: 0,
-            };
-            return Ok(Yield::Leaf(slot.addr, read_len, false));
-        }
-    }
-
-    /// Resumes with the bytes of the read last yielded for (`None` after
-    /// [`Descend::sampled`]). A leaf takes the validated read of
-    /// [`crate::read_validated_leaf`] one attempt per resume.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Layout`] for bytes that are no node,
-    /// [`EngineError::RetriesExhausted`] for a leaf torn
-    /// [`RetryPolicy::io_retries`] times over.
-    ///
-    /// # Panics
-    ///
-    /// If resumed out of step with what it yielded.
-    pub fn resume<H: DescendHost>(
-        &mut self,
-        t: &mut DmClient,
-        host: &mut H,
-        bytes: Option<Vec<u8>>,
-    ) -> Result<Yield, EngineError> {
-        match (std::mem::replace(&mut self.state, St::Idle), bytes) {
-            (St::Child { at, slot_idx, slot }, Some(bytes)) => {
+        let (addr, kind) = (slot.addr, slot.child_kind);
+        let child = match io.with(|c| host.cached(c, addr, kind)) {
+            Some(child) => child,
+            None => {
+                let bytes = io
+                    .read(addr, InnerNode::byte_size(kind), TAG_TRAVERSAL)
+                    .await?;
                 let child = InnerNode::decode(&bytes)?;
-                host.fetched(slot.addr, slot.child_kind, &child);
-                self.advance(host, at, Some((slot_idx, slot, child)))
+                io.with(|c| host.fetched(c, addr, kind, &child));
+                child
             }
-            (
-                St::Leaf {
-                    at,
-                    slot_ref,
+        };
+        let clen = child.header.prefix_len as usize;
+        if child.header.status == NodeStatus::Invalid || child.header.kind != kind {
+            io.with(|c| {
+                host.unusable(c, addr);
+                host.unusable(c, at.node_ptr);
+            });
+            return Ok(None);
+        }
+        if clen <= plen {
+            io.with(|c| host.unusable(c, addr));
+            return Ok(None);
+        }
+        if key.len() < clen || child.header.prefix_hash42 != prefix_hash42(&key[..clen]) {
+            // Divergence inside the child's compressed path: the actual
+            // prefix bytes come from any leaf below it.
+            let child = Box::new(child);
+            let sample = io.drained(|io| io.with(|c| any_leaf(c, &child))).await?;
+            return Ok(match sample {
+                Sampled::Busy => None,
+                Sampled::Empty => at.end(Outcome::EmptyChild {
+                    slot_idx,
                     slot,
-                    read_len,
-                    attempts,
-                },
-                Some(bytes),
-            ) => match leaf_attempt(t, &bytes, read_len, &self.policy, &mut self.io)? {
-                LeafAttempt::Settled(leaf) => Ok(at.done(Outcome::Leaf {
+                    child,
+                }),
+                Sampled::Leaf(sample) => at.end(Outcome::Divergent {
+                    slot_idx,
+                    slot,
+                    child,
+                    sample,
+                }),
+            });
+        }
+        io.with(|c| host.child_matched(c, &key[..clen]));
+        let via = Via {
+            parent: Some(at.node_ptr),
+            word_ptr: at.node_ptr.checked_add(InnerNode::slot_offset(slot_idx))?,
+            expected: slot.encode(),
+        };
+        at = At {
+            node: child,
+            node_ptr: addr,
+            via: Some(via),
+        };
+    };
+
+    io.phase(Phase::LeafRead);
+    let policy = io.with(|c| c.worker().retry);
+    let mut read_len = crate::LEAF_READ_HINT;
+    for attempt in 1.. {
+        let bytes = io.read(slot.addr, read_len, TAG_LEAF).await?;
+        let mut booked = LeafReadStats::default();
+        let (attempted, now) = io.with(|c| {
+            let dm = &mut c.worker().dm;
+            let now = dm.clock_ns();
+            let r = leaf_attempt(dm, &bytes, read_len, &policy, &mut booked);
+            c.note_leaf_io(booked);
+            (r, now)
+        });
+        match attempted? {
+            LeafAttempt::Settled(leaf) => {
+                io.phase(Phase::Traversal); // the leaf read is over
+                return Ok(at.end(Outcome::Leaf {
                     slot_ref,
                     slot,
                     leaf,
-                })),
-                LeafAttempt::Again(_) if attempts + 1 >= self.policy.io_retries => {
-                    Err(EngineError::RetriesExhausted { op: "leaf read" })
+                }));
+            }
+            LeafAttempt::Again(_) if attempt >= policy.io_retries => break,
+            LeafAttempt::Again(len) => {
+                if booked.checksum_retries > 0 {
+                    // A torn leaf was backed off from and is read again.
+                    io.retry_at(now);
                 }
-                LeafAttempt::Again(read_len) => {
-                    self.state = St::Leaf {
-                        at,
-                        slot_ref,
-                        slot,
-                        read_len,
-                        attempts: attempts + 1,
-                    };
-                    Ok(Yield::Leaf(slot.addr, read_len, true))
-                }
-            },
-            (St::Sampled(end), None) => Ok(end),
-            _ => unreachable!("a descent was resumed out of step with what it yielded"),
+                read_len = len;
+            }
         }
     }
-
-    /// The divergent child of a descent that yielded [`Yield::Sample`].
-    ///
-    /// # Panics
-    ///
-    /// In any other state.
-    pub fn diverged_child(&self) -> &InnerNode {
-        match &self.state {
-            St::Diverged { child, .. } => child,
-            _ => unreachable!("only a descent that yielded Sample has a divergent child"),
-        }
-    }
-
-    /// Hands over what was sampled below [`Descend::diverged_child`].
-    ///
-    /// # Panics
-    ///
-    /// If the descent did not yield [`Yield::Sample`].
-    pub fn sampled(&mut self, sample: Sampled) {
-        let St::Diverged {
-            at,
-            slot_idx,
-            slot,
-            child,
-        } = std::mem::replace(&mut self.state, St::Idle)
-        else {
-            unreachable!("only a descent that yielded Sample takes a sample")
-        };
-        self.state = St::Sampled(match sample {
-            Sampled::Busy => Yield::Restart,
-            Sampled::Empty => at.done(Outcome::EmptyChild {
-                slot_idx,
-                slot,
-                child,
-            }),
-            Sampled::Leaf(sample) => at.done(Outcome::Divergent {
-                slot_idx,
-                slot,
-                child,
-                sample,
-            }),
-        });
-    }
+    Err(EngineError::RetriesExhausted { op: "leaf read" })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::walk::any_leaf;
     use crate::walk::tests::{host, host_on, inner, leaf, node_of, Host};
-    use crate::{invalidate_inner, write_new_inner, write_new_leaf};
-    use dm_sim::{ClusterConfig, DmCluster, FaultHook};
+    use crate::{block_on, invalidate_inner, write_new_inner, write_new_leaf, Lend};
+    use dm_sim::{ClusterConfig, DmCluster, FaultHook, RetryPolicy};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -474,50 +347,38 @@ mod tests {
         matched: Vec<Vec<u8>>,
     }
 
-    impl DescendHost for Hooks {
-        fn cached(&mut self, ptr: RemotePtr, _kind: NodeKind) -> Option<InnerNode> {
+    impl DescendHost<Host> for Hooks {
+        fn cached(&mut self, _: &mut Host, ptr: RemotePtr, _: NodeKind) -> Option<InnerNode> {
             self.copies.get(&ptr.to_raw()).cloned()
         }
-        fn fetched(&mut self, ptr: RemotePtr, _kind: NodeKind, _node: &InnerNode) {
+        fn fetched(&mut self, _: &mut Host, ptr: RemotePtr, _: NodeKind, _: &InnerNode) {
             self.fetched.push(ptr);
         }
-        fn unusable(&mut self, ptr: RemotePtr) {
+        fn unusable(&mut self, _: &mut Host, ptr: RemotePtr) {
             self.unusable.push(ptr);
         }
-        fn child_matched(&mut self, prefix: &[u8]) {
+        fn child_matched(&mut self, _: &mut Host, prefix: &[u8]) {
             self.matched.push(prefix.to_vec());
         }
     }
 
-    /// Drives `d` from `root` to where it ends (or asks for a restart) on
-    /// the blocking transport, serving each yield as a host's driver does.
-    fn drive(
+    /// Follows `key` down from `node` at `ptr` on the blocking driver.
+    fn follow_from(
         h: &mut Host,
         hooks: &mut Hooks,
-        d: &mut Descend<'_>,
-        root: Slot,
-    ) -> Result<Yield, EngineError> {
-        let node = node_of(h, root);
-        let mut y = d.enter(hooks, node, root.addr, None)?;
-        loop {
-            y = match y {
-                Yield::Inner(ptr, len) | Yield::Leaf(ptr, len, _) => {
-                    let bytes = h.0.dm.read(ptr, len)?;
-                    d.resume(&mut h.0.dm, hooks, Some(bytes))?
-                }
-                Yield::Sample => {
-                    let sample = any_leaf(h, d.diverged_child())?;
-                    d.sampled(sample);
-                    d.resume(&mut h.0.dm, hooks, None)?
-                }
-                end => return Ok(end),
-            };
-        }
+        node: InnerNode,
+        ptr: RemotePtr,
+        key: &[u8],
+    ) -> Result<Option<Descent>, EngineError> {
+        let lend = Lend::new(h, |h| &mut h.0);
+        let mut io = lend.alone();
+        block_on(&lend, follow(&mut io, hooks, key, node, ptr, None))
     }
 
-    fn walk_down(h: &mut Host, hooks: &mut Hooks, root: Slot, key: &[u8]) -> Yield {
-        let mut d = Descend::new(key, RetryPolicy::default());
-        drive(h, hooks, &mut d, root).unwrap()
+    /// Follows `key` from the root node (read first, one round trip).
+    fn walk_down(h: &mut Host, hooks: &mut Hooks, root: Slot, key: &[u8]) -> Option<Descent> {
+        let node = node_of(h, root);
+        follow_from(h, hooks, node, root.addr, key).unwrap()
     }
 
     fn rekey(key_byte: u8, slot: Slot) -> Slot {
@@ -545,9 +406,8 @@ mod tests {
     fn each_of_the_five_outcomes() {
         let mut h = host();
         let (root, ab, deep) = tree(&mut h);
-        let end = |h: &mut Host, key: &[u8]| match walk_down(h, &mut Hooks::default(), root, key) {
-            Yield::Done(d) => d,
-            other => panic!("{other:?}"),
+        let end = |h: &mut Host, key: &[u8]| {
+            walk_down(h, &mut Hooks::default(), root, key).expect("an end, not a restart")
         };
 
         let d = end(&mut h, b"abc");
@@ -598,11 +458,8 @@ mod tests {
 
         // Entered at the node itself: nothing is known to point at it.
         let node = node_of(&mut h, ab);
-        let mut d = Descend::new(b"abq", RetryPolicy::default());
-        match d.enter(&mut Hooks::default(), node, ab.addr, None).unwrap() {
-            Yield::Done(d) => assert_eq!(d.via, None),
-            other => panic!("{other:?}"),
-        }
+        let d = follow_from(&mut h, &mut Hooks::default(), node, ab.addr, b"abq").unwrap();
+        assert_eq!(d.expect("an end").via, None);
     }
 
     #[test]
@@ -611,10 +468,7 @@ mod tests {
         let (root, ab, deep) = tree(&mut h);
         let mut hooks = Hooks::default();
         let before = h.0.dm.stats().round_trips;
-        assert!(matches!(
-            walk_down(&mut h, &mut hooks, root, b"abdey"),
-            Yield::Done(_)
-        ));
+        assert!(walk_down(&mut h, &mut hooks, root, b"abdey").is_some());
         assert_eq!(
             h.0.dm.stats().round_trips - before,
             1 + 3,
@@ -629,11 +483,13 @@ mod tests {
             hooks.copies.insert(slot.addr.to_raw(), copy);
         }
         let root_node = node_of(&mut h, root);
-        let mut d = Descend::new(b"abdey", RetryPolicy::default());
-        let first = d.enter(&mut hooks, root_node, root.addr, None).unwrap();
-        assert!(
-            matches!(first, Yield::Leaf(..)),
-            "both inner nodes served CPU-side: {first:?}"
+        let before = h.0.dm.stats().round_trips;
+        let d = follow_from(&mut h, &mut hooks, root_node, root.addr, b"abdey").unwrap();
+        assert!(d.is_some());
+        assert_eq!(
+            h.0.dm.stats().round_trips - before,
+            1,
+            "both inner nodes served CPU-side: only the leaf is read"
         );
         assert_eq!(hooks.fetched.len(), 2, "nothing arrived from the network");
         assert_eq!(hooks.matched.len(), 4);
@@ -647,10 +503,7 @@ mod tests {
         let image = node_of(&mut h, ab);
         invalidate_inner(&mut h.0.dm, ab.addr, &image).unwrap();
         let mut hooks = Hooks::default();
-        assert!(matches!(
-            walk_down(&mut h, &mut hooks, root, b"abc"),
-            Yield::Restart
-        ));
+        assert!(walk_down(&mut h, &mut hooks, root, b"abc").is_none());
         assert_eq!(
             hooks.unusable,
             [ab.addr, root.addr],
@@ -662,10 +515,7 @@ mod tests {
         let stale = Slot::inner(b'a', NodeKind::Node48, ab.addr);
         let root = inner(&mut h, NodeKind::Node4, b"", &[stale]);
         let mut hooks = Hooks::default();
-        assert!(matches!(
-            walk_down(&mut h, &mut hooks, root, b"abc"),
-            Yield::Restart
-        ));
+        assert!(walk_down(&mut h, &mut hooks, root, b"abc").is_none());
         assert_eq!(hooks.unusable, [ab.addr, root.addr]);
 
         // A prefix no longer than its parent's: the region was recycled.
@@ -673,21 +523,15 @@ mod tests {
         let parent = inner(&mut h, NodeKind::Node4, b"ab", &[rekey(b'c', short)]);
         let root = inner(&mut h, NodeKind::Node4, b"", &[rekey(b'a', parent)]);
         let mut hooks = Hooks::default();
-        assert!(matches!(
-            walk_down(&mut h, &mut hooks, root, b"abc"),
-            Yield::Restart
-        ));
+        assert!(walk_down(&mut h, &mut hooks, root, b"abc").is_none());
         assert_eq!(hooks.unusable, [short.addr]);
 
         // The entry node itself retired.
         let mut node = node_of(&mut h, parent);
         node.header.status = NodeStatus::Invalid;
-        let mut d = Descend::new(b"abc", RetryPolicy::default());
         let mut hooks = Hooks::default();
-        assert!(matches!(
-            d.enter(&mut hooks, node, parent.addr, None).unwrap(),
-            Yield::Restart
-        ));
+        let d = follow_from(&mut h, &mut hooks, node, parent.addr, b"abc").unwrap();
+        assert!(d.is_none());
         assert_eq!(hooks.unusable, [parent.addr]);
     }
 
@@ -700,7 +544,7 @@ mod tests {
         let deep = inner(&mut h, NodeKind::Node4, b"abde", &[gone]);
         let root = inner(&mut h, NodeKind::Node4, b"", &[rekey(b'a', deep)]);
         let y = walk_down(&mut h, &mut Hooks::default(), root, b"abxx");
-        assert!(matches!(y, Yield::Restart), "{y:?}");
+        assert!(y.is_none(), "{y:?}");
     }
 
     #[test]
@@ -716,17 +560,20 @@ mod tests {
         );
         let root_node = node_of(&mut h, root);
         let mut reads = |key: &[u8]| {
-            let mut d = Descend::new(key, RetryPolicy::default());
-            let mut y = d.enter(&mut Hooks::default(), root_node.clone(), root.addr, None);
-            let mut reads = 0;
-            while let Ok(Yield::Leaf(ptr, len, again)) = y {
-                assert_eq!(again, reads > 0);
-                reads += 1;
-                let bytes = h.0.dm.read(ptr, len).unwrap();
-                y = d.resume(&mut h.0.dm, &mut Hooks::default(), Some(bytes));
-            }
-            assert!(matches!(y, Ok(Yield::Done(_))), "{y:?}");
-            (reads, d.io)
+            let (reads, io) = (h.0.dm.stats().reads, h.1);
+            let d = follow_from(
+                &mut h,
+                &mut Hooks::default(),
+                root_node.clone(),
+                root.addr,
+                key,
+            );
+            assert!(d.unwrap().is_some());
+            let booked = LeafReadStats {
+                checksum_retries: h.1.checksum_retries - io.checksum_retries,
+                extended_reads: h.1.extended_reads - io.extended_reads,
+            };
+            (h.0.dm.stats().reads - reads, booked)
         };
         assert_eq!(reads(b"s"), (1, LeafReadStats::default()));
         let (n, io) = reads(b"b");
@@ -764,19 +611,19 @@ mod tests {
         };
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(1.into()))));
-        let mut d = Descend::new(b"b", policy);
+        h.0.retry = policy;
         let (reads, clock) = (h.0.dm.stats().reads, h.0.dm.clock_ns());
-        let y = drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap();
-        assert!(matches!(y, Yield::Done(_)), "{y:?}");
-        assert_eq!((d.io.checksum_retries, d.io.extended_reads), (1, 0));
+        let y = walk_down(&mut h, &mut Hooks::default(), root, b"b");
+        assert!(y.is_some(), "{y:?}");
+        assert_eq!((h.1.checksum_retries, h.1.extended_reads), (1, 0));
         assert_eq!(h.0.dm.stats().reads - reads, 1 + 2, "root, torn leaf, leaf");
         assert!(h.0.dm.clock_ns() - clock >= policy.backoff_ns);
 
         cluster.set_fault_hook(Some(Arc::new(TearLeaves(u64::MAX.into()))));
-        let mut d = Descend::new(b"b", policy);
         let reads = h.0.dm.stats().reads;
+        let node = node_of(&mut h, root);
         assert_eq!(
-            drive(&mut h, &mut Hooks::default(), &mut d, root).unwrap_err(),
+            follow_from(&mut h, &mut Hooks::default(), node, root.addr, b"b").unwrap_err(),
             EngineError::RetriesExhausted { op: "leaf read" }
         );
         assert_eq!(
@@ -784,6 +631,6 @@ mod tests {
             1 + 3,
             "root, then io_retries attempts"
         );
-        assert_eq!(d.io.checksum_retries, 3);
+        assert_eq!(h.1.checksum_retries, 1 + 3);
     }
 }

@@ -23,19 +23,22 @@
 //!                                                 fault hook)
 //! ```
 //!
-//! The [`pipeline`] module adds the other half of the seam: operations
-//! restructured as resumable state machines ([`OpState`]) driven by
-//! [`run_pipelined`], which keeps N ops in flight per worker over the
-//! client's completion queue. The [`descend`] module is the descent that
-//! follows one search key from an inner node to what lies below it, as a
-//! resumable body the lookup machines of `sphinx` and `baselines` host; the
+//! The [`pipeline`] module adds the other half of the seam: every lookup is
+//! one `async fn` body over an [`Io`] that posts a tagged batch and awaits
+//! its completion, run by two drivers — [`block_on`] for the lookup of a
+//! blocking op, [`run_pipelined`] for N in flight per worker over the
+//! client's completion queue, serving a step that needs the whole client
+//! only after every peer of its run has stopped, in key order (the
+//! drained-serve rule). The [`descend`] module is the descent that follows
+//! one search key from an inner node to what lies below it, the `async fn`
+//! the lookups of `sphinx` and `baselines` await; the
 //! [`walk`] module is the rest of the read side of a remote ART — leaf
 //! sampling, prefix resolution, the level-batched range scan and the
 //! structural audit — written once against the [`ArtReader`] trait they
 //! implement; the [`mod@write`] module is the write side — insert, update,
 //! delete, splits and the type switch — written once against the
 //! [`WriteHost`] trait they implement on top; the [`worker`] module is the
-//! [`Worker`] each client owns and the served-stop lookup driver.
+//! [`Worker`] each client owns.
 //!
 //! Before this crate existed, `sphinx`, `baselines`, `bptree` and
 //! `race-hash` each carried a private copy of this scaffolding (torn-read
@@ -62,11 +65,11 @@ pub mod walk;
 pub mod worker;
 pub mod write;
 
-pub use descend::{Descend, DescendHost, Descent, Outcome, SlotRef, Via, Yield};
+pub use descend::{follow, DescendHost, Descent, Outcome, SlotRef, Via};
 pub use dm_sim::FirstInline;
-pub use pipeline::{run_pipelined, OpState, PipelineStats, StepOutcome, DEFAULT_DEPTH};
+pub use pipeline::{block_on, run_pipelined, Io, Lend, PipelineStats, TraceCell, DEFAULT_DEPTH};
 pub use walk::{ArtReader, Sampled};
-pub use worker::{drive, Lane, Lookup, Worker};
+pub use worker::Worker;
 pub use write::{Pending, WriteHost};
 
 /// Process-wide switch for leaf checksum validation (default on).
@@ -213,7 +216,7 @@ pub enum LeafAttempt {
 /// image (checksum or length fields) bumps
 /// [`LeafReadStats::checksum_retries`], charges one [`DmClient::backoff`]
 /// and asks for the same bytes again. [`read_validated_leaf`] loops over it;
-/// [`descend::Descend`] takes one attempt per resume.
+/// [`descend::follow`] takes one attempt per awaited read.
 ///
 /// # Errors
 ///

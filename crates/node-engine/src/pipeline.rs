@@ -1,93 +1,59 @@
-//! Op pipelining: resumable operation state machines and the per-worker
-//! pipeline driver.
+//! Op pipelining: lookups as `async fn` bodies and the two drivers that run
+//! them.
 //!
-//! A DM index op is a chain of dependent round trips (probe → entry →
+//! A DM index lookup is a chain of dependent round trips (probe → entry →
 //! descend → leaf), so a blocking worker spends almost all its virtual
-//! time parked on RTTs. The driver here keeps up to `depth` *independent*
-//! operations in flight on one worker: each op is an explicit state
-//! machine ([`OpState`]) that, instead of calling
-//! [`DmClient::execute`], *returns* the [`DoorbellBatch`] it wants
-//! posted ([`StepOutcome::Submit`]) and is resumed with the completion.
-//! Every scheduling round the driver submits one batch per in-flight op
-//! and issues a single [`DmClient::flush_submitted`] — same-MN verbs
-//! from different ops fuse into one physical doorbell, and all in-flight
-//! ops share one RTT per round instead of paying one each.
+//! time parked on RTTs. A lookup here is one `async fn` over an [`Io`]: at
+//! every round trip it posts one [`DoorbellBatch`] with a tag
+//! ([`Io::submit`]) and awaits its [`Completion`]. The same future runs
+//! under two drivers:
 //!
-//! ## Contract for `step`
+//! * [`block_on`] runs one lookup for the blocking op in flight: poll it,
+//!   flush what it submitted, resume it — charge for charge what blocking
+//!   execution costs, also under a [`dm_sim::Schedule`];
+//! * [`run_pipelined`] keeps up to `depth` lookups in flight on one worker.
+//!   Every round each in-flight lookup has one batch submitted, one
+//!   [`dm_sim::DmClient::flush_submitted`] posts them all — same-MN verbs from
+//!   different lookups fuse into one physical doorbell, and they share one
+//!   RTT instead of paying one each — and each lookup is resumed with its
+//!   completion, in submission order, to submit again or finish.
 //!
-//! * `step(t, None)` is the initial call; `step(t, Some(results))` resumes
-//!   with the completion of the batch the previous call submitted.
-//! * `step` may use the client for CPU-side work (placement, backoff,
-//!   allocation) but must **not** call `execute`/`wait` — a blocking call
-//!   inside `step` would flush every peer's pending submission early.
-//!   (Correctness would survive — completions are reaped by token — but
-//!   the fusion and RTT-overlap benefits would silently vanish.)
-//! * Cross-op fusion is legal because the driver only fuses batches from
-//!   *different* operations: no intra-op ordering edge ever crosses a
-//!   flush fence, as each op has at most one batch in flight.
+//! ## The lent client
+//!
+//! The lookups of a run share their client through a [`Lend`]: a
+//! `RefCell<&mut C>` that a body borrows between awaits ([`Io::with`]) and
+//! never across one. A body must not call `execute`/`wait` itself — a
+//! blocking call would flush every peer's pending submission early (the
+//! completions would still be reaped by token, but fusion and RTT overlap
+//! would silently vanish). Cross-lookup fusion is legal because each lookup
+//! has at most one batch in flight: no intra-lookup ordering edge ever
+//! crosses a flush fence.
+//!
+//! ## The drained-serve rule
+//!
+//! A step that needs the whole client — Sphinx's stale-directory refresh,
+//! the leaf sample below a divergent child, SMART/ART's root-word retry —
+//! is awaited through [`Io::drained`]. Its lookup leaves its slot (the
+//! next lookup takes it); once every peer of the run has stopped, the
+//! driver serves the drained steps in key order and re-admits those
+//! lookups, in key order, as the next run. Alone, [`block_on`] serves the
+//! step at once: there is no peer to wait for.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
+use std::task::{Context, Poll, Waker};
 
-use dm_sim::{Completion, DmClient, DoorbellBatch, FirstInline, SqeToken};
+use dm_sim::{Completion, DoorbellBatch, RemotePtr, Verb};
+use obs::{OpTrace, Phase};
 
-use crate::EngineError;
+use crate::{EngineError, Worker};
 
 /// Default per-worker pipeline depth: enough in-flight ops to hide the
 /// common three-round-trip chain several times over without blowing up
 /// per-worker memory.
 pub const DEFAULT_DEPTH: usize = 8;
-
-/// What an [`OpState::step`] call decided.
-pub enum StepOutcome<R> {
-    /// Post this batch; resume the op when its completion arrives.
-    Submit {
-        /// The verbs to post (must be non-empty).
-        batch: DoorbellBatch,
-        /// Caller-defined attribution tag (e.g. an `obs` phase index) whose
-        /// round trips [`PipelineStats::by_tag`] sums.
-        tag: u32,
-    },
-    /// The op finished with this result.
-    Done(R),
-}
-
-/// A resumable index operation: straight-line blocking code restructured
-/// into an explicit state machine that yields at every round trip.
-pub trait OpState {
-    /// The op's result type.
-    type Output;
-
-    /// Advances the op: consumes the previous submission's completion
-    /// (`None` on the first call) and either submits the next batch or
-    /// finishes. See the module docs for the full contract.
-    ///
-    /// # Errors
-    ///
-    /// A fatal engine error aborts the whole pipeline run.
-    fn step(
-        &mut self,
-        t: &mut DmClient,
-        completion: Option<Completion>,
-    ) -> Result<StepOutcome<Self::Output>, EngineError>;
-
-    /// Called once when the driver admits the op into a pipeline slot (or
-    /// would — ops that finish on their first step are still admitted),
-    /// before the first [`step`](OpState::step). `now_ns` is the
-    /// client's virtual clock. Default: no-op; tracing ops record a
-    /// pipeline-admission event here.
-    fn on_admitted(&mut self, now_ns: u64) {
-        let _ = now_ns;
-    }
-
-    /// Called after each of this op's batches is placed on the submission
-    /// queue, with the issued completion-queue token. Covers both the
-    /// first submission and every resubmission (e.g. a retry after a torn
-    /// read). Default: no-op; tracing ops record the token to establish
-    /// doorbell-fusion membership.
-    fn on_submitted(&mut self, token: SqeToken, now_ns: u64) {
-        let _ = (token, now_ns);
-    }
-}
 
 /// Number of `≤`-buckets in [`PipelineStats::depth_hist`]
 /// (1, 2, 4, 8, 16, >16).
@@ -134,10 +100,6 @@ impl PipelineStats {
         self.depth_hist[bucket] += 1;
     }
 
-    fn record_submit(&mut self, tag: u32, batch: &DoorbellBatch) {
-        *self.by_tag.entry(tag).or_default() += batch.mn_groups() as u64;
-    }
-
     /// Adds these counters to a worker's telemetry registry as the
     /// `pipeline.*` counters, with per-tag round trips under the name of
     /// the [`obs::Phase`] whose index the submitting op used as its tag
@@ -179,172 +141,423 @@ impl PipelineStats {
     }
 }
 
-/// One pipeline slot: an admitted op and its outstanding submission.
-struct Slot<S> {
-    idx: usize,
-    op: S,
-    token: SqeToken,
+/// What a lookup stopped on, posted for its driver when its future returns
+/// `Pending`.
+#[derive(Debug, Clone, Copy, Default)]
+enum Mail {
+    /// Nothing: the lookup awaited something no driver serves.
+    #[default]
+    Empty,
+    /// A batch of `rts` logical round trips, tagged `tag`, is on the
+    /// submission queue: resume after the next flush.
+    Flush { tag: u32, rts: u64 },
+    /// A step that needs the whole client: serve it once the run drained.
+    Drain,
+    /// The drained step ran: re-admit with the next run.
+    Served,
 }
 
-/// Drives `ops` to completion keeping up to `depth` of them in flight,
-/// returning their outputs in input order (iterate the result; a run of
-/// one op allocates nothing, see [`FirstInline`]).
+/// A key's causal trace in a pipelined run, lent to its lookup.
+pub type TraceCell = Cell<Option<Box<OpTrace>>>;
+
+/// A client lent to the lookups of one run (see the module docs).
+pub struct Lend<'c, C> {
+    client: RefCell<&'c mut C>,
+    worker: fn(&mut C) -> &mut Worker,
+    mail: Cell<Mail>,
+}
+
+impl<'c, C> Lend<'c, C> {
+    /// Lends `client`, whose verbs go through the worker `worker` names.
+    pub fn new(client: &'c mut C, worker: fn(&mut C) -> &mut Worker) -> Self {
+        Lend {
+            client: RefCell::new(client),
+            worker,
+            mail: Cell::default(),
+        }
+    }
+
+    /// Borrows the client for one step between awaits.
+    ///
+    /// # Panics
+    ///
+    /// When called inside another borrow.
+    fn with<R>(&self, f: impl FnOnce(&mut C) -> R) -> R {
+        f(&mut self.client.borrow_mut())
+    }
+
+    fn worker<R>(&self, f: impl FnOnce(&mut Worker) -> R) -> R {
+        self.with(|c| f((self.worker)(c)))
+    }
+
+    /// The lookup of the blocking op in flight: its phases and retries
+    /// are the op's, on the worker's span and the op's trace.
+    pub fn alone(&self) -> Io<'_, 'c, C> {
+        Io {
+            lend: self,
+            trace: None,
+            alone: true,
+            resume_in: None,
+        }
+    }
+
+    /// A lookup of a pipelined run, admitted now: its phases interleave
+    /// with its peers' ([`PipelineStats::by_tag`] attributes its round
+    /// trips), so it reports on its own trace only, if it was sampled.
+    pub fn lookup<'l>(&'l self, trace: Option<&'l TraceCell>) -> Io<'l, 'c, C> {
+        let mut io = Io {
+            lend: self,
+            trace,
+            alone: false,
+            resume_in: None,
+        };
+        io.admitted();
+        io
+    }
+}
+
+/// One lookup's line to its driver and its client.
+pub struct Io<'l, 'c, C> {
+    lend: &'l Lend<'c, C>,
+    trace: Option<&'l TraceCell>,
+    alone: bool,
+    resume_in: Option<Phase>,
+}
+
+impl<C> Io<'_, '_, C> {
+    /// Borrows the client for one step between awaits.
+    pub fn with<R>(&self, f: impl FnOnce(&mut C) -> R) -> R {
+        self.lend.with(f)
+    }
+
+    /// Whether this is the lookup of the blocking op in flight.
+    pub fn alone(&self) -> bool {
+        self.alone
+    }
+
+    /// Alone, the lookup re-enters `phase` as it resumes after each
+    /// drained step (a baseline traversal's phase, which every resumption
+    /// of its lookup opens).
+    pub fn resume_in(&mut self, phase: Phase) {
+        self.resume_in = Some(phase);
+    }
+
+    /// The worker's virtual clock.
+    pub fn now(&self) -> u64 {
+        self.lend.worker(|w| w.dm.clock_ns())
+    }
+
+    /// Records on the lookup's own trace, if it has one, at the clock.
+    fn on_trace(&self, f: impl FnOnce(&mut OpTrace, u64)) {
+        if let Some(mut tr) = self.trace.and_then(Cell::take) {
+            f(&mut tr, self.now());
+            self.trace.expect("taken from it").set(Some(tr));
+        }
+    }
+
+    /// The lookup enters `phase`: on the span and the op's trace when
+    /// alone, on its own trace in a run.
+    pub fn phase(&mut self, phase: Phase) {
+        if self.alone {
+            self.lend.worker(|w| w.phase(phase));
+        } else {
+            self.on_trace(|tr, now| tr.phase(phase, now));
+        }
+    }
+
+    /// One failed attempt of the lookup at `now_ns`, on its trace (the
+    /// op's when alone).
+    pub fn retry_at(&mut self, now_ns: u64) {
+        if self.alone {
+            self.lend.worker(|w| w.trace_retry(now_ns));
+        } else {
+            self.on_trace(|tr, _| tr.retry(now_ns));
+        }
+    }
+
+    /// The lookup reached its end (the op's trace ends with the op).
+    pub fn end(&mut self) {
+        self.on_trace(|tr, now| tr.end_ns = now);
+    }
+
+    fn admitted(&mut self) {
+        match self.resume_in {
+            Some(phase) if self.alone => self.phase(phase),
+            _ => self.on_trace(|tr, now| tr.admit(now)),
+        }
+    }
+
+    /// Posts `batch`, attributed to `tag`, and resolves to its completion
+    /// after the driver's flush.
+    ///
+    /// # Errors
+    ///
+    /// The error the batch completed with.
+    pub async fn submit(
+        &mut self,
+        batch: DoorbellBatch,
+        tag: u32,
+    ) -> Result<Completion, EngineError> {
+        let rts = batch.mn_groups() as u64;
+        let token = self.lend.worker(|w| w.dm.submit(batch));
+        self.on_trace(|tr, now| tr.submitted(token.raw(), now));
+        self.lend.mail.set(Mail::Flush { tag, rts });
+        park().await;
+        let done = self.lend.worker(|w| w.dm.poll(token));
+        Ok(done.expect("a flushed submission has its completion")?)
+    }
+
+    /// Reads `len` bytes at `ptr`, one round trip attributed to `tag`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Io::submit`].
+    pub async fn read(
+        &mut self,
+        ptr: RemotePtr,
+        len: usize,
+        tag: u32,
+    ) -> Result<Vec<u8>, EngineError> {
+        let batch = DoorbellBatch::from_iter([Verb::Read { ptr, len }]);
+        let mut done = self.submit(batch, tag).await?;
+        Ok(done.pop().expect("one read, one result").into_read())
+    }
+
+    /// Runs `serve` — a step that needs the whole client — under the
+    /// drained-serve rule (module docs), and resumes the lookup at its
+    /// re-admission. An error of `serve` ends the lookup at once, so it
+    /// aborts the run before any later step is served.
+    ///
+    /// # Errors
+    ///
+    /// What `serve` returns.
+    pub async fn drained<R, E>(
+        &mut self,
+        serve: impl FnOnce(&mut Self) -> Result<R, E>,
+    ) -> Result<R, E> {
+        self.lend.mail.set(Mail::Drain);
+        park().await;
+        let served = serve(self)?;
+        self.lend.mail.set(Mail::Served);
+        park().await;
+        self.admitted();
+        Ok(served)
+    }
+}
+
+/// Returns `Pending` once: the lookup stops until its driver polls again.
+fn park() -> impl Future<Output = ()> {
+    let mut parked = false;
+    poll_fn(move |_| {
+        if std::mem::replace(&mut parked, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+}
+
+/// Drives one lookup of the blocking op in flight to its end: poll, flush
+/// what it submitted, resume; a drained step is served at once.
+pub fn block_on<C, T>(lend: &Lend<'_, C>, lookup: impl Future<Output = T>) -> T {
+    let mut lookup = pin!(lookup);
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        if let Poll::Ready(out) = lookup.as_mut().poll(&mut cx) {
+            return out;
+        }
+        match lend.mail.take() {
+            Mail::Flush { .. } => lend.worker(|w| w.dm.flush_submitted()),
+            Mail::Drain | Mail::Served => {}
+            Mail::Empty => unreachable!("a lookup awaited what no driver serves"),
+        }
+    }
+}
+
+/// Where a slot's lookup stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    /// No lookup: the box waits for the next admission.
+    Vacant,
+    /// A batch in flight.
+    Flight,
+    /// Stopped on a drained step.
+    Drained,
+    /// Its drained step served, waiting for the next run.
+    Served,
+}
+
+/// A pipeline slot: a boxed lookup (the box is reused lookup after lookup)
+/// and the index of its key in the run's input.
+struct Slot<F> {
+    idx: usize,
+    at: At,
+    lookup: Pin<Box<Option<F>>>,
+}
+
+/// Drives `lookups` to their ends keeping up to `depth` of them in flight
+/// on `lend`'s worker, counting into its [`PipelineStats`], and returns
+/// their outputs in input order.
 ///
-/// Each round: every in-flight op has exactly one submitted batch; one
-/// [`DmClient::flush_submitted`] posts them all (fused into one burst
-/// when unscheduled); each op is resumed with its completion and either
-/// resubmits (joining the next round) or finishes, freeing its slot for
-/// the next op off the iterator. `depth` is clamped to at least 1; depth
-/// 1 degenerates to the blocking path, one batch per flush.
-///
-/// `stats` is `None` when the run is not a pipeline run to be counted: a
-/// single blocking op driven through its state machine.
+/// Each round: every in-flight lookup has exactly one batch submitted; one
+/// [`dm_sim::DmClient::flush_submitted`] posts them all (fused into one burst when
+/// unscheduled); each is resumed with its completion in submission order
+/// and either submits again (joining the next round), finishes, or stops
+/// on a drained step, freeing its slot for the next lookup off the
+/// iterator, which makes a lookup as it admits it. When nothing is left in
+/// flight the drained steps are served and their lookups re-admitted (the
+/// module docs' drained-serve rule). `depth` is clamped to at least 1.
 ///
 /// # Errors
 ///
-/// The first batch error or fatal `step` error aborts the run (remaining
-/// ops are abandoned; their effects so far are retained, as with blocking
-/// execution).
-pub fn run_pipelined<S, I>(
-    t: &mut DmClient,
-    ops: I,
+/// The first lookup that ends in an `Err` aborts the run (remaining
+/// lookups are abandoned; their effects so far are retained, as with
+/// blocking execution).
+pub fn run_pipelined<C, F, T, E>(
+    lend: &Lend<'_, C>,
+    lookups: impl IntoIterator<Item = F>,
     depth: usize,
-    mut stats: Option<&mut PipelineStats>,
-) -> Result<FirstInline<S::Output>, EngineError>
+) -> Result<Vec<T>, E>
 where
-    S: OpState,
-    I: IntoIterator<Item = S>,
+    F: Future<Output = Result<T, E>>,
 {
     let depth = depth.max(1);
-    let mut input = ops.into_iter();
-    // One output per op: the input's own count where it knows it.
-    let mut outputs: FirstInline<Option<S::Output>> =
-        FirstInline::with_capacity(input.size_hint().0);
-    let mut slots: FirstInline<Slot<S>> = FirstInline::with_capacity(depth);
+    let mut input = lookups.into_iter();
+    let mut outputs: Vec<Option<T>> = Vec::with_capacity(input.size_hint().0);
+    // In-flight slots first, in submission order; then vacant, drained and
+    // served ones.
+    let mut slots: Vec<Slot<F>> = Vec::with_capacity(depth.min(input.size_hint().0));
+    let mut live = 0;
+    let mut cx = Context::from_waker(Waker::noop());
+    // Polls the lookup of `slot` and records where it stopped.
+    let mut step = |slot: &mut Slot<F>, outputs: &mut Vec<Option<T>>| -> Result<(), E> {
+        let lookup = slot.lookup.as_mut().as_pin_mut().expect("a slot in use");
+        slot.at = match lookup.poll(&mut cx) {
+            Poll::Ready(out) => {
+                outputs[slot.idx] = Some(out?);
+                slot.lookup.set(None);
+                lend.worker(|w| w.pipeline.ops += 1);
+                At::Vacant
+            }
+            Poll::Pending => match lend.mail.take() {
+                Mail::Flush { tag, rts } => {
+                    lend.worker(|w| *w.pipeline.by_tag.entry(tag).or_default() += rts);
+                    At::Flight
+                }
+                Mail::Drain => At::Drained,
+                Mail::Served => At::Served,
+                Mail::Empty => unreachable!("a lookup awaited what no driver serves"),
+            },
+        };
+        Ok(())
+    };
 
     loop {
-        // Admit ops into the free slots: run each one's first step; ops
-        // that finish without touching the network never occupy a slot.
-        while slots.len() < depth {
-            let Some(mut op) = input.next() else { break };
-            let idx = outputs.len();
-            outputs.push(None);
-            op.on_admitted(t.clock_ns());
-            let first = op.step(t, None)?;
-            let output = outputs.get_mut(idx).expect("just pushed");
-            if let Some(token) = settle(t, &mut stats, output, &mut op, first) {
-                slots.push(Slot { idx, op, token });
+        // Admit into the free slots: the served lookups of the last run in
+        // key order, else the next lookups off the iterator.
+        while live < depth {
+            let i = match first(&slots, live, At::Served) {
+                Some(i) => i,
+                None => {
+                    let Some(lookup) = input.next() else { break };
+                    let i = first(&slots, live, At::Vacant).unwrap_or_else(|| {
+                        slots.push(Slot {
+                            idx: 0,
+                            at: At::Vacant,
+                            lookup: Box::pin(None),
+                        });
+                        slots.len() - 1
+                    });
+                    let slot = &mut slots[i];
+                    slot.idx = outputs.len();
+                    slot.lookup.set(Some(lookup));
+                    outputs.push(None);
+                    i
+                }
+            };
+            slots.swap(live, i);
+            step(&mut slots[live], &mut outputs)?;
+            if slots[live].at == At::Flight {
+                live += 1;
             }
         }
-        if slots.is_empty() {
-            break;
+        if live == 0 {
+            // Every lookup of the run has stopped: serve the drained steps.
+            if first(&slots, 0, At::Drained).is_none() {
+                break;
+            }
+            while let Some(i) = first(&slots, 0, At::Drained) {
+                step(&mut slots[i], &mut outputs)?;
+            }
+            continue;
         }
 
-        if let Some(stats) = stats.as_deref_mut() {
-            stats.record_flush(slots.len(), depth);
-        }
-        t.flush_submitted();
+        lend.worker(|w| w.pipeline.record_flush(live, depth));
+        lend.worker(|w| w.dm.flush_submitted());
 
-        // Resume every op with its completion, in submission order; the
-        // ones that resubmit keep their slot.
-        let mut failed = None;
-        slots.retain_mut(|slot| {
-            if failed.is_some() {
-                return true;
+        // Resume every lookup with its completion, in submission order;
+        // the ones that submit again keep their order at the front.
+        let mut kept = 0;
+        for i in 0..live {
+            step(&mut slots[i], &mut outputs)?;
+            if slots[i].at == At::Flight {
+                slots.swap(kept, i);
+                kept += 1;
             }
-            let resumed = t
-                .poll(slot.token)
-                .expect("flushed submission must have a completion")
-                .map_err(EngineError::Dm)
-                .and_then(|results| slot.op.step(t, Some(results)));
-            match resumed {
-                Ok(next) => {
-                    let output = outputs.get_mut(slot.idx).expect("pushed at admission");
-                    let token = settle(t, &mut stats, output, &mut slot.op, next);
-                    slot.token = token.unwrap_or(slot.token);
-                    token.is_some()
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    true
-                }
-            }
-        });
-        if let Some(e) = failed {
-            return Err(e);
         }
+        live = kept;
     }
 
-    let done =
-        |o: Option<S::Output>| o.expect("every admitted op either finished or aborted the run");
-    Ok(outputs.map(done))
+    Ok(outputs
+        .into_iter()
+        .map(|o| o.expect("every admitted lookup either finished or aborted the run"))
+        .collect())
 }
 
-/// Applies one step's decision: stores a finished op's output, or submits
-/// the batch and returns its token.
-fn settle<S: OpState>(
-    t: &mut DmClient,
-    stats: &mut Option<&mut PipelineStats>,
-    output: &mut Option<S::Output>,
-    op: &mut S,
-    outcome: StepOutcome<S::Output>,
-) -> Option<SqeToken> {
-    match outcome {
-        StepOutcome::Done(out) => {
-            *output = Some(out);
-            if let Some(stats) = stats {
-                stats.ops += 1;
-            }
-            None
-        }
-        StepOutcome::Submit { batch, tag } => {
-            if let Some(stats) = stats {
-                stats.record_submit(tag, &batch);
-            }
-            let token = t.submit(batch);
-            op.on_submitted(token, t.clock_ns());
-            Some(token)
-        }
-    }
+/// The slot of smallest key index from `from` on whose lookup is `at`.
+fn first<F>(slots: &[Slot<F>], from: usize, at: At) -> Option<usize> {
+    (from..slots.len())
+        .filter(|&i| slots[i].at == at)
+        .min_by_key(|&i| slots[i].idx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dm_sim::{ClusterConfig, DmCluster, NetConfig, RemotePtr, Verb};
+    use dm_sim::{ClusterConfig, DmClient, DmCluster, NetConfig};
 
-    /// A toy op: `hops` dependent 8-byte reads of the same word, then
-    /// returns the value observed.
-    struct ChainRead {
+    /// A toy lookup: `hops` dependent 8-byte reads of the same word, then
+    /// the value observed.
+    async fn chain_read(
+        io: &mut Io<'_, '_, Worker>,
         ptr: RemotePtr,
         hops: usize,
-        last: u64,
+    ) -> Result<u64, EngineError> {
+        let mut last = 0;
+        for _ in 0..hops {
+            let bytes = io.read(ptr, 8, 0).await?;
+            last = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        }
+        Ok(last)
     }
 
-    impl OpState for ChainRead {
-        type Output = u64;
+    fn worker(w: &mut Worker) -> &mut Worker {
+        w
+    }
 
-        fn step(
-            &mut self,
-            _t: &mut DmClient,
-            completion: Option<Completion>,
-        ) -> Result<StepOutcome<u64>, EngineError> {
-            if let Some(mut res) = completion {
-                let bytes = res.pop().expect("one read").into_read();
-                self.last = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                self.hops -= 1;
-            }
-            if self.hops == 0 {
-                return Ok(StepOutcome::Done(self.last));
-            }
-            Ok(StepOutcome::Submit {
-                batch: DoorbellBatch::from_iter([Verb::Read {
-                    ptr: self.ptr,
-                    len: 8,
-                }]),
-                tag: 0,
-            })
-        }
+    /// `chain_read` of each pointer, `depth` in flight.
+    fn run(
+        w: &mut Worker,
+        ptrs: &[RemotePtr],
+        hops: usize,
+        depth: usize,
+    ) -> Result<Vec<u64>, EngineError> {
+        let lend = Lend::new(w, worker);
+        let lookups = ptrs.iter().map(|&ptr| {
+            let mut io = lend.lookup(None);
+            async move { chain_read(&mut io, ptr, hops).await }
+        });
+        run_pipelined(&lend, lookups, depth)
     }
 
     fn cluster() -> DmCluster {
@@ -356,28 +569,25 @@ mod tests {
         })
     }
 
+    fn words(cl: &mut DmClient, values: impl Iterator<Item = u64>) -> Vec<RemotePtr> {
+        values
+            .map(|v| {
+                let p = cl.alloc(0, 8).unwrap();
+                cl.write_u64(p, v).unwrap();
+                p
+            })
+            .collect()
+    }
+
     #[test]
     fn pipelined_results_match_input_order() {
         let c = cluster();
-        let mut cl = c.client(0);
-        let mut ptrs = Vec::new();
-        for i in 0..10u64 {
-            let p = cl.alloc(0, 8).unwrap();
-            cl.write_u64(p, 100 + i).unwrap();
-            ptrs.push(p);
-        }
-        let ops = ptrs.iter().map(|&ptr| ChainRead {
-            ptr,
-            hops: 3,
-            last: 0,
-        });
-        let mut stats = PipelineStats::default();
-        let out = run_pipelined(&mut cl, ops, 4, Some(&mut stats)).unwrap();
+        let mut w = Worker::detached(c.client(0));
+        let ptrs = words(&mut w.dm, 100..110);
+        let out = run(&mut w, &ptrs, 3, 4).unwrap();
         assert_eq!(out.len(), 10);
-        assert_eq!(
-            out.into_iter().collect::<Vec<_>>(),
-            (100..110).collect::<Vec<u64>>()
-        );
+        assert_eq!(out, (100..110).collect::<Vec<u64>>());
+        let stats = &w.pipeline;
         assert_eq!(stats.ops, 10);
         assert!(stats.fused_batches > 0);
         assert_eq!(stats.by_tag[&0], 30, "3 hops x 10 ops, one MN each");
@@ -386,52 +596,21 @@ mod tests {
     #[test]
     fn deeper_pipeline_is_faster_and_rings_fewer_doorbells() {
         let c = cluster();
-        let mk_ops = |cl: &mut dm_sim::DmClient| {
-            let mut ptrs = Vec::new();
-            for i in 0..32u64 {
-                let p = cl.alloc(0, 8).unwrap();
-                cl.write_u64(p, i).unwrap();
-                ptrs.push(p);
-            }
-            ptrs
-        };
-        let mut d1 = c.client(0);
-        let ptrs = mk_ops(&mut d1);
+        let mut d1 = Worker::detached(c.client(0));
+        let ptrs = words(&mut d1.dm, 0..32);
         c.reset_network();
-        d1.set_clock_ns(0);
-        let s0 = d1.stats();
-        let mut st1 = PipelineStats::default();
-        run_pipelined(
-            &mut d1,
-            ptrs.iter().map(|&ptr| ChainRead {
-                ptr,
-                hops: 3,
-                last: 0,
-            }),
-            1,
-            Some(&mut st1),
-        )
-        .unwrap();
-        let t1 = d1.clock_ns();
-        let db1 = d1.stats().since(&s0).doorbells;
+        d1.dm.set_clock_ns(0);
+        let s0 = d1.dm.stats();
+        run(&mut d1, &ptrs, 3, 1).unwrap();
+        let t1 = d1.dm.clock_ns();
+        let db1 = d1.dm.stats().since(&s0).doorbells;
 
         c.reset_network();
-        let mut d8 = c.client(0);
-        let s0 = d8.stats();
-        let mut st8 = PipelineStats::default();
-        run_pipelined(
-            &mut d8,
-            ptrs.iter().map(|&ptr| ChainRead {
-                ptr,
-                hops: 3,
-                last: 0,
-            }),
-            8,
-            Some(&mut st8),
-        )
-        .unwrap();
-        let t8 = d8.clock_ns();
-        let d = d8.stats().since(&s0);
+        let mut d8 = Worker::detached(c.client(0));
+        let s0 = d8.dm.stats();
+        run(&mut d8, &ptrs, 3, 8).unwrap();
+        let t8 = d8.dm.clock_ns();
+        let d = d8.dm.stats().since(&s0);
 
         assert_eq!(
             d.round_trips, db1,
@@ -447,45 +626,33 @@ mod tests {
             t8 * 4 < t1 * 3,
             "depth 8 ({t8} ns) should beat depth 1 ({t1} ns) clearly"
         );
+        let st8 = &d8.pipeline;
         assert_eq!(st8.depth_hist[3], st8.flushes - st8.stalls);
-        assert!(st1.fused_batches == 0, "depth 1 never fuses");
+        assert!(d1.pipeline.fused_batches == 0, "depth 1 never fuses");
     }
 
     #[test]
     fn a_run_of_one_op_allocates_no_collection() {
         let c = cluster();
-        let mut cl = c.client(0);
-        let ptr = cl.alloc(0, 8).unwrap();
-        cl.write_u64(ptr, 9).unwrap();
-        let op = ChainRead {
-            ptr,
-            hops: 3,
-            last: 0,
-        };
-        let out = run_pipelined(&mut cl, [op], 1, None).unwrap();
-        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![9]);
+        let mut w = Worker::detached(c.client(0));
+        let ptr = words(&mut w.dm, [9].into_iter())[0];
+        let lend = Lend::new(&mut w, worker);
+        let mut io = lend.alone();
+        let out = block_on(&lend, chain_read(&mut io, ptr, 3)).unwrap();
+        assert_eq!(out, 9);
+        assert_eq!(w.pipeline, PipelineStats::default(), "not a pipeline run");
     }
 
     #[test]
     fn immediate_done_ops_need_no_network() {
-        struct Nop;
-        impl OpState for Nop {
-            type Output = u8;
-            fn step(
-                &mut self,
-                _t: &mut DmClient,
-                _c: Option<Completion>,
-            ) -> Result<StepOutcome<u8>, EngineError> {
-                Ok(StepOutcome::Done(7))
-            }
-        }
         let c = cluster();
-        let mut cl = c.client(0);
-        let mut stats = PipelineStats::default();
-        let out = run_pipelined(&mut cl, (0..5).map(|_| Nop), 8, Some(&mut stats)).unwrap();
-        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![7; 5]);
-        assert_eq!(cl.stats().round_trips, 0);
-        assert_eq!(stats.flushes, 0);
+        let mut w = Worker::detached(c.client(0));
+        let lend = Lend::new(&mut w, worker);
+        let nops = (0..5).map(|_| async { Ok::<u8, EngineError>(7) });
+        let out = run_pipelined(&lend, nops, 8).unwrap();
+        assert_eq!(out, vec![7; 5]);
+        assert_eq!(w.dm.stats().round_trips, 0);
+        assert_eq!(w.pipeline.flushes, 0);
     }
 
     #[test]
@@ -510,22 +677,47 @@ mod tests {
         let blocking_stats = blocking.stats().since(&sb);
 
         c.reset_network();
-        let mut piped = c.client(0);
-        let mut stats = PipelineStats::default();
-        let out = run_pipelined(
-            &mut piped,
-            (0..2).map(|_| ChainRead {
-                ptr: p,
-                hops: 3,
-                last: 0,
-            }),
-            1,
-            Some(&mut stats),
-        )
-        .unwrap();
-        assert_eq!(out.into_iter().collect::<Vec<_>>(), vec![42, 42]);
-        assert_eq!(piped.clock_ns(), blocking_elapsed);
+        let mut piped = Worker::detached(c.client(0));
+        let out = run(&mut piped, &[p, p], 3, 1).unwrap();
+        assert_eq!(out, vec![42, 42]);
+        assert_eq!(piped.dm.clock_ns(), blocking_elapsed);
         // `piped` is a fresh client, so its whole history is this run.
-        assert_eq!(piped.stats(), blocking_stats);
+        assert_eq!(piped.dm.stats(), blocking_stats);
+    }
+
+    /// Lookup `i` of `steps[i]` reads, then a drained step that logs its
+    /// key, then one more read; `log` records the order of everything.
+    #[test]
+    fn drained_steps_wait_for_the_run_and_go_in_key_order() {
+        let c = cluster();
+        let mut w = Worker::detached(c.client(0));
+        let ptr = words(&mut w.dm, [5].into_iter())[0];
+        let log = RefCell::new(Vec::new());
+        let steps = [3, 1, 2, 1];
+        let lend = Lend::new(&mut w, worker);
+        let lookups = steps.iter().enumerate().map(|(key, &reads)| {
+            let (log, mut io) = (&log, lend.lookup(None));
+            async move {
+                chain_read(&mut io, ptr, reads).await?;
+                log.borrow_mut().push(format!("stop {key}"));
+                io.drained(|_| {
+                    log.borrow_mut().push(format!("serve {key}"));
+                    Ok::<_, EngineError>(())
+                })
+                .await?;
+                log.borrow_mut().push(format!("resume {key}"));
+                chain_read(&mut io, ptr, 1).await
+            }
+        });
+        let out = run_pipelined(&lend, lookups, 2).unwrap();
+        assert_eq!(out, vec![5; 4]);
+        assert_eq!(
+            log.into_inner(),
+            [
+                "stop 1", "stop 0", "stop 2", "stop 3", "serve 0", "serve 1", "serve 2", "serve 3",
+                "resume 0", "resume 1", "resume 2", "resume 3"
+            ]
+        );
+        assert_eq!(w.pipeline.ops, 4, "a drained stop is no completed op");
     }
 }

@@ -1,17 +1,20 @@
 //! The per-worker half of every client, written once: the verb client,
 //! retry budget, pipeline counters, span recorder, trace sampler and
 //! reclamation handle of a [`Worker`], with the span bracket, the registry
-//! export, a multi-get's per-key traces and unpin cadence, and the
-//! served-stop lookup driver ([`drive`]) over [`run_pipelined`].
+//! export, and a multi-get's per-key traces and unpin cadence. A client
+//! runs its lookups on its worker through the two drivers of
+//! [`crate::pipeline`]: [`crate::block_on`] for the lookup of a blocking
+//! op, whose phases and retries land on this worker's span and the op's
+//! trace, and [`crate::run_pipelined`] for a multi-get, which counts into
+//! [`Worker::pipeline`] and serves drained steps after every peer of a run
+//! has stopped, in key order (the drained-serve rule).
 
 use dm_sim::trace::TransportEvent;
-use dm_sim::{DmClient, FirstInline, RetryPolicy, SqeToken};
+use dm_sim::{DmClient, RetryPolicy};
 use obs::{OpKind, OpTrace, Phase, Recorder, Registry, Tracer};
 use reclaim::ReclaimHandle;
 
-use crate::pipeline::{run_pipelined, OpState, PipelineStats};
-use crate::walk::ArtReader;
-use crate::EngineError;
+use crate::pipeline::PipelineStats;
 
 /// One worker's transport, budgets and instruments.
 #[derive(Debug)]
@@ -113,8 +116,13 @@ impl Worker {
     #[inline]
     pub fn retried(&mut self) {
         self.obs.retry();
+        self.trace_retry(self.dm.clock_ns());
+    }
+
+    /// One failed attempt at `now_ns` on the trace of the op in flight.
+    pub fn trace_retry(&mut self, now_ns: u64) {
         if let Some(t) = self.trace.as_mut() {
-            t.retry(self.dm.clock_ns());
+            t.retry(now_ns);
         }
     }
 
@@ -193,128 +201,4 @@ impl Worker {
         self.pipeline.export(&mut reg);
         reg
     }
-
-    /// One round of [`drive`]: [`run_pipelined`] over the lookups of `ops`
-    /// not yet done, each wrapped by `wrap` with its [`Lane`]. A lookup
-    /// driven `alone` reports to the blocking op's span and trace, and is
-    /// not a pipeline run ([`PipelineStats`] untouched).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_pipelined`].
-    pub fn round<'a, L: Lookup, S: OpState<Output = L::Stop>>(
-        &'a mut self,
-        ops: &'a mut [L],
-        depth: usize,
-        alone: bool,
-        mut wrap: impl FnMut(&'a mut L, Lane<'a>) -> S,
-    ) -> Result<FirstInline<L::Stop>, EngineError> {
-        let Worker {
-            dm,
-            obs,
-            trace,
-            pipeline,
-            ..
-        } = self;
-        let mut op_in_flight = alone.then_some((obs, trace));
-        let runs = ops.iter_mut().filter(|op| !op.done());
-        let runs = runs.map(|op| wrap(op, Lane(op_in_flight.take())));
-        run_pipelined(dm, runs, depth, (!alone).then_some(pipeline))
-    }
-}
-
-/// A lookup machine [`drive`] runs to its end.
-pub trait Lookup {
-    /// What a run ends on: the lookup's end, or a stop the client serves.
-    type Stop;
-
-    /// Whether the lookup has reached its end.
-    fn done(&self) -> bool;
-
-    /// The key's trace in a pipelined run (a lookup driven alone records
-    /// on the blocking op's).
-    fn trace(&mut self) -> &mut Option<Box<OpTrace>>;
-}
-
-/// Where a lookup in a [`Worker::round`] reports: the worker's span and
-/// the blocking op's trace when driven alone; in a pipelined run, whose
-/// phases interleave ([`PipelineStats::by_tag`] attributes its round
-/// trips), its own trace only.
-pub struct Lane<'a>(Option<(&'a mut Recorder, &'a mut Option<Box<OpTrace>>)>);
-
-impl Lane<'_> {
-    fn trace<'s, L: Lookup>(&'s mut self, op: &'s mut L) -> Option<&'s mut OpTrace> {
-        match &mut self.0 {
-            Some((_, trace)) => trace.as_deref_mut(),
-            None => op.trace().as_deref_mut(),
-        }
-    }
-
-    /// `op` enters `phase`: on the span when driven alone, on its trace.
-    pub fn phase<L: Lookup>(&mut self, t: &DmClient, op: &mut L, phase: Phase) {
-        let now = t.clock_ns();
-        if let Some((span, _)) = &mut self.0 {
-            span.phase(phase, t.stats(), now);
-        }
-        if let Some(tr) = self.trace(op) {
-            tr.phase(phase, now);
-        }
-    }
-
-    /// One failed attempt of `op`, on its trace.
-    pub fn retry<L: Lookup>(&mut self, op: &mut L, now_ns: u64) {
-        if let Some(tr) = self.trace(op) {
-            tr.retry(now_ns);
-        }
-    }
-
-    /// `op` reached its end at `now_ns`.
-    pub fn end<L: Lookup>(&mut self, op: &mut L, now_ns: u64) {
-        if let Some(tr) = self.trace(op) {
-            tr.end_ns = now_ns;
-        }
-    }
-
-    /// [`OpState::on_admitted`]. A lookup driven alone is a blocking op,
-    /// alone on the wire: no admission or burst membership to record.
-    pub fn admitted<L: Lookup>(&mut self, op: &mut L, now_ns: u64) {
-        if let (None, Some(tr)) = (&self.0, op.trace()) {
-            tr.admit(now_ns);
-        }
-    }
-
-    /// [`OpState::on_submitted`], recorded as [`Lane::admitted`] is.
-    pub fn submitted<L: Lookup>(&mut self, op: &mut L, token: SqeToken, now_ns: u64) {
-        if let (None, Some(tr)) = (&self.0, op.trace()) {
-            tr.submitted(token.raw(), now_ns);
-        }
-    }
-}
-
-/// The served-stop lookup driver: runs `round` (the client's
-/// [`Worker::round`]) until every op of `ops` is done, handing each stop to
-/// `serve`, which ends the lookup or serves it for the next round. `alone`
-/// drives one lookup for the blocking op in flight.
-///
-/// # Errors
-///
-/// The first error of a round or of `serve`.
-pub fn drive<H: ArtReader, L: Lookup, E>(
-    host: &mut H,
-    ops: &mut [L],
-    alone: bool,
-    mut round: impl FnMut(&mut H, &mut [L]) -> Result<FirstInline<L::Stop>, E>,
-    mut serve: impl FnMut(&mut H, &mut L, L::Stop) -> Result<(), E>,
-) -> Result<(), E> {
-    while ops.iter().any(|op| !op.done()) {
-        let stops = round(host, ops)?;
-        for (op, stop) in ops.iter_mut().filter(|op| !op.done()).zip(stops) {
-            serve(host, op, stop)?;
-            // A served stop is not a completed op.
-            if !alone && !op.done() {
-                host.worker().pipeline.ops -= 1;
-            }
-        }
-    }
-    Ok(())
 }

@@ -15,7 +15,7 @@
 //!   INHT fingerprint collisions, retries, fault injections, lock spins,
 //!   the pipelined scheduler's `pipeline.*`), and JSON export.
 //! * [`Tracer`] — always-on, tail-sampled *causal* tracing. A sampled op
-//!   carries an [`OpTrace`] through its state machine, recording every
+//!   carries an [`OpTrace`] through its lookup's awaits, recording every
 //!   causal edge (admission, submit, doorbell flush with fusion
 //!   membership, per-MN completion, phase transitions, retries, reclaim
 //!   pin/unpin); [`critical_path`] decomposes the op's latency into

@@ -296,7 +296,7 @@ impl RaceTable {
     /// Remote address of the bucket pair `hash` maps to, per the cached
     /// directory. Lets callers batch many pair reads into one doorbell
     /// round trip (Sphinx's "parallel hash reads", §III-A) or issue the
-    /// read from a resumable state machine; validate each result with
+    /// read from an `async fn` lookup; validate each result with
     /// [`RaceTable::parse_pair`]. Counts one [`RaceCounters::searches`].
     ///
     /// # Errors

@@ -369,7 +369,7 @@ impl FilterCache {
     /// Longest prefix of `key[..max_len]` the filter believes is
     /// resident, probing longest-first under one lock acquisition.
     /// Returns `0` when every length misses — the probe ladder of the
-    /// Sphinx lookup machine.
+    /// Sphinx lookup.
     pub fn deepest_hit(&self, key: &[u8], max_len: usize) -> usize {
         let mut st = self.inner.lock();
         let l = max_len.min(key.len());

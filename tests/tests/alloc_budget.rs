@@ -196,7 +196,7 @@ fn u64_ops_stay_within_their_ceilings() {
             get: (7, 11),
             update: (11, 15),
             scan_over: 29,
-            get_many: 207,
+            get_many: 212,
         },
     );
 }
@@ -209,7 +209,7 @@ fn email_ops_stay_within_their_ceilings() {
             get: (7, 11),
             update: (11, 14),
             scan_over: 72,
-            get_many: 182,
+            get_many: 187,
         },
     );
 }

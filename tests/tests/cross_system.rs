@@ -517,3 +517,55 @@ fn baseline_ops_at_depth_one_cost_what_the_blocking_traversal_cost() {
         assert_eq!(got, want, "{}", sys.label());
     }
 }
+
+/// The steps a pipelined lookup needs the whole client for — the leaf
+/// sample below a compressed path the key leaves, Sphinx's directory
+/// refresh, SMART/ART's root-word retry — are served after every peer of
+/// their run has stopped, in key order. Absent email keys that leave a
+/// present key's path in its middle force the samples; depth-8 multi-gets
+/// over a mix of them and present keys end with the network counters and
+/// virtual clock the served-stop state machines produced (commit bb0b429,
+/// `[round trips, doorbells, verbs, bytes, CAS, clock_ns]`), so an order
+/// change of those steps shows here.
+#[test]
+fn whole_client_steps_keep_their_order_in_a_pipelined_run() {
+    let pins: [(System, [u64; 6]); 2] = [
+        (System::Sphinx, [1_809, 750, 1_827, 227_040, 0, 998_326]),
+        (System::Art, [3_230, 1_247, 3_248, 511_000, 0, 1_662_327]),
+    ];
+    for (sys, want) in pins {
+        let handle = sys.build(64 << 20, None);
+        let mut w = handle.worker(0);
+        for idx in 0..1500u64 {
+            w.insert(&KeySpace::Email.key(idx), &value_for(idx, 0));
+        }
+        let (s0, t0) = (w.net_stats(), w.clock_ns());
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0042);
+        let mut found = 0;
+        for _ in 0..12 {
+            let keys: Vec<Vec<u8>> = (0..48)
+                .map(|_| {
+                    let mut key = KeySpace::Email.key(rng.gen_range(0..1500u64));
+                    if rng.gen_bool(0.5) {
+                        let at = rng.gen_range(1..key.len());
+                        key[at] ^= 0x20; // absent: leaves the path at `at`
+                    }
+                    key
+                })
+                .collect();
+            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            found += w.multi_get_pipelined(&refs, 8).iter().flatten().count();
+        }
+        let s = w.net_stats().since(&s0);
+        let got = [
+            s.round_trips,
+            s.doorbells,
+            s.reads + s.writes + s.cas + s.faa + s.frees,
+            s.bytes_read + s.bytes_written,
+            s.cas,
+            w.clock_ns() - t0,
+        ];
+        assert!(found > 200, "{}: {found} hits", sys.label());
+        assert_eq!(got, want, "{}", sys.label());
+    }
+}
