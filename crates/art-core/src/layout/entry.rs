@@ -1,6 +1,6 @@
 //! Inner Node Hash Table entries (8 bytes, Fig. 3).
 
-use crate::local::NodeKind;
+use crate::layout::NodeKind;
 
 /// One Inner Node Hash Table entry: maps a full inner-node prefix to the
 /// node's address plus lightweight metadata, in a single 8-byte word so it

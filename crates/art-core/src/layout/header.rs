@@ -1,7 +1,6 @@
 //! Inner-node header words (control word + full-prefix hash word).
 
-use crate::layout::LayoutError;
-use crate::local::NodeKind;
+use crate::layout::{LayoutError, NodeKind};
 
 /// Node status, stored in the low byte of the control word.
 ///

@@ -1,8 +1,7 @@
 //! Whole-inner-node encoding and views.
 
 use crate::layout::header::{InnerHeader, NodeStatus};
-use crate::layout::{LayoutError, Slot};
-use crate::local::NodeKind;
+use crate::layout::{LayoutError, NodeKind, Slot};
 
 /// Byte offset of the value slot within an encoded inner node.
 pub const VALUE_SLOT_OFFSET: u64 = 16;

@@ -45,6 +45,43 @@ pub use leaf::LeafNode;
 use std::error::Error;
 use std::fmt;
 
+/// Which adaptive node type an inner node uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum NodeKind {
+    /// Up to 4 children, sorted array.
+    Node4,
+    /// Up to 16 children, sorted array.
+    Node16,
+    /// Up to 48 children, byte-indexed indirection.
+    Node48,
+    /// Direct 256-way dispatch.
+    Node256,
+}
+
+impl NodeKind {
+    /// Maximum child count for this node type.
+    pub fn capacity(self) -> usize {
+        match self {
+            NodeKind::Node4 => 4,
+            NodeKind::Node16 => 16,
+            NodeKind::Node48 => 48,
+            NodeKind::Node256 => 256,
+        }
+    }
+}
+
+impl fmt::Display for NodeKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            NodeKind::Node4 => "Node4",
+            NodeKind::Node16 => "Node16",
+            NodeKind::Node48 => "Node48",
+            NodeKind::Node256 => "Node256",
+        };
+        f.write_str(s)
+    }
+}
+
 /// A child pointer inside an inner node: one 8-byte word.
 ///
 /// ```text
@@ -63,7 +100,7 @@ pub struct Slot {
     pub is_leaf: bool,
     /// For inner children, the child's adaptive node kind (ignored for
     /// leaves — set it to `NodeKind::Node4`).
-    pub child_kind: crate::local::NodeKind,
+    pub child_kind: NodeKind,
     /// Address of the child node.
     pub addr: dm_sim::RemotePtr,
 }
@@ -74,13 +111,13 @@ impl Slot {
         Slot {
             key_byte,
             is_leaf: true,
-            child_kind: crate::local::NodeKind::Node4,
+            child_kind: NodeKind::Node4,
             addr,
         }
     }
 
     /// Convenience constructor for an inner child of the given kind.
-    pub fn inner(key_byte: u8, kind: crate::local::NodeKind, addr: dm_sim::RemotePtr) -> Slot {
+    pub fn inner(key_byte: u8, kind: NodeKind, addr: dm_sim::RemotePtr) -> Slot {
         Slot {
             key_byte,
             is_leaf: false,
@@ -92,10 +129,10 @@ impl Slot {
     /// Encodes the slot into its 8-byte word (occupied bit set).
     pub fn encode(&self) -> u64 {
         let kind_tag = match self.child_kind {
-            crate::local::NodeKind::Node4 => 0u64,
-            crate::local::NodeKind::Node16 => 1,
-            crate::local::NodeKind::Node48 => 2,
-            crate::local::NodeKind::Node256 => 3,
+            NodeKind::Node4 => 0u64,
+            NodeKind::Node16 => 1,
+            NodeKind::Node48 => 2,
+            NodeKind::Node256 => 3,
         };
         let mut w = self.addr.to_packed48();
         w |= (self.key_byte as u64) << 48;
@@ -113,10 +150,10 @@ impl Slot {
             return None;
         }
         let child_kind = match (word >> 58) & 0b11 {
-            0 => crate::local::NodeKind::Node4,
-            1 => crate::local::NodeKind::Node16,
-            2 => crate::local::NodeKind::Node48,
-            _ => crate::local::NodeKind::Node256,
+            0 => NodeKind::Node4,
+            1 => NodeKind::Node16,
+            2 => NodeKind::Node48,
+            _ => NodeKind::Node256,
         };
         Some(Slot {
             key_byte: ((word >> 48) & 0xFF) as u8,
@@ -191,7 +228,6 @@ mod tests {
 
     #[test]
     fn slot_carries_child_kind() {
-        use crate::local::NodeKind;
         for kind in [
             NodeKind::Node4,
             NodeKind::Node16,
@@ -210,7 +246,7 @@ mod tests {
 
     #[test]
     fn inner_child_slot_roundtrip() {
-        let s = Slot::inner(0, crate::local::NodeKind::Node48, RemotePtr::new(0, 64));
+        let s = Slot::inner(0, NodeKind::Node48, RemotePtr::new(0, 64));
         assert_eq!(Slot::decode(s.encode()), Some(s));
     }
 }

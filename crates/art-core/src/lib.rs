@@ -1,17 +1,14 @@
 //! # art-core — adaptive radix tree building blocks
 //!
-//! Two halves:
-//!
-//! 1. [`LocalArt`]: a complete in-memory Adaptive Radix Tree (Leis et al.,
-//!    ICDE'13) with Node4/16/48/256 adaptive inner nodes, path compression,
-//!    insert/get/remove/range-scan. Used as the correctness oracle in tests
-//!    and as the structural model for the remote trees.
-//! 2. [`layout`]: the serialized on-memory-node formats of Fig. 3 of the
-//!    Sphinx paper — inner-node headers with status/type/prefix-hash,
-//!    8-byte atomic child slots, and checksum-protected leaf nodes. These
-//!    encodings are *pure* (bytes in, bytes out) and shared between the
-//!    Sphinx index and the SMART/ART baselines, which move the bytes over
-//!    the `dm-sim` substrate.
+//! The serialized on-memory-node formats of Fig. 3 of the Sphinx paper
+//! ([`layout`]): inner-node headers with status/type/prefix-hash, 8-byte
+//! atomic child slots of the four adaptive node kinds ([`NodeKind`],
+//! Node4/16/48/256 as in Leis et al., ICDE'13), and checksum-protected leaf
+//! nodes; plus the key helpers ([`key`]) and the prefix hash ([`hash`]) the
+//! remote trees share. These encodings are *pure* (bytes in, bytes out) and
+//! shared between the Sphinx index and the SMART/ART baselines, which move
+//! the bytes over the `dm-sim` substrate: the tree itself lives on the
+//! memory nodes.
 //!
 //! One deliberate simplification relative to textbook ART: inner nodes here
 //! record their **full prefix** (all bytes from the root) rather than a
@@ -22,14 +19,18 @@
 //! ## Example
 //!
 //! ```
-//! use art_core::LocalArt;
+//! use art_core::layout::{InnerNode, Slot};
+//! use art_core::NodeKind;
+//! use dm_sim::RemotePtr;
 //!
-//! let mut art = LocalArt::new();
-//! art.insert(b"lyrics".to_vec(), 1);
-//! art.insert(b"lyre".to_vec(), 2);
-//! assert_eq!(art.get(b"lyrics"), Some(&1));
-//! let hits: Vec<_> = art.range(b"lyr", b"lyrz").collect();
-//! assert_eq!(hits.len(), 2);
+//! let mut node = InnerNode::new(NodeKind::Node4, b"lyr");
+//! node.set_child(Slot::leaf(b'e', RemotePtr::new(0, 64)));
+//! node.set_child(Slot::inner(b'i', NodeKind::Node16, RemotePtr::new(1, 128)));
+//! let bytes = node.encode();
+//! assert_eq!(bytes.len(), InnerNode::byte_size(NodeKind::Node4));
+//! let back = InnerNode::decode(&bytes).unwrap();
+//! assert_eq!(back.find_child(b'i').unwrap().1.child_kind, NodeKind::Node16);
+//! assert!(back.find_child(b'x').is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,6 +39,5 @@
 pub mod hash;
 pub mod key;
 pub mod layout;
-mod local;
 
-pub use local::{LocalArt, NodeCensus, NodeKind, PrefixIter, Range};
+pub use layout::NodeKind;

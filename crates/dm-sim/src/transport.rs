@@ -221,27 +221,6 @@ impl DmClient {
         Ok(())
     }
 
-    /// Doorbell-batched FAAs; returns previous values in input order (used
-    /// by RACE segment splits to bump every bucket header's version in one
-    /// round trip).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DmError::MisalignedAtomic`] or [`DmError::InvalidAddress`].
-    pub fn faa_many(&mut self, targets: &[(RemotePtr, u64)]) -> Result<Vec<u64>, DmError> {
-        let batch: DoorbellBatch = targets
-            .iter()
-            .map(|&(ptr, delta)| Verb::Faa { ptr, delta })
-            .collect();
-        self.execute(batch)?
-            .into_iter()
-            .map(|r| match r {
-                VerbResult::Faa(v) => Ok(v),
-                other => panic!("expected Faa result, got {other:?}"),
-            })
-            .collect()
-    }
-
     /// Doorbell-batched frees through the *reclamation* path: pointers on
     /// one MN share a single round trip, and the released bytes are
     /// attributed to [`AllocStats::reclaimed_bytes`](crate::AllocStats).
@@ -352,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn write_many_and_faa_many_batch() {
+    fn write_many_is_one_batch() {
         let (_c, mut t) = client();
         let a = t.alloc(0, 8).unwrap();
         let b = t.alloc(0, 8).unwrap();
@@ -362,11 +341,9 @@ mod tests {
             (b, 2u64.to_le_bytes().to_vec()),
         ])
         .unwrap();
-        let prevs = t.faa_many(&[(a, 10), (b, 10)]).unwrap();
-        assert_eq!(t.stats().round_trips - before, 2);
-        assert_eq!(prevs, vec![1, 2]);
-        assert_eq!(t.read_u64(a).unwrap(), 11);
-        assert_eq!(t.read_u64(b).unwrap(), 12);
+        assert_eq!(t.stats().round_trips - before, 1);
+        assert_eq!(t.read_u64(a).unwrap(), 1);
+        assert_eq!(t.read_u64(b).unwrap(), 2);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn set_leaf_validation(enabled: bool) -> bool {
 }
 
 /// Whether leaf checksum validation is currently enabled.
-pub fn leaf_validation() -> bool {
+fn leaf_validation() -> bool {
     LEAF_VALIDATION.load(Ordering::SeqCst)
 }
 

@@ -1,83 +1,12 @@
-//! Property tests: the local ART agrees with `BTreeMap` on arbitrary
-//! operation sequences, and the on-MN codecs round-trip arbitrary inputs.
-
-use std::collections::BTreeMap;
+//! Property tests: the on-MN node codecs round-trip arbitrary inputs.
 
 use proptest::prelude::*;
 
 use art_core::layout::{InnerNode, LeafNode, NodeStatus, Slot};
-use art_core::{LocalArt, NodeKind};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<u8>, u32),
-    Remove(Vec<u8>),
-    Get(Vec<u8>),
-}
-
-fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    // Small alphabet and lengths force deep sharing, path compression,
-    // prefix keys and node splits.
-    proptest::collection::vec(
-        prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), any::<u8>()],
-        0..10,
-    )
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (key_strategy(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        key_strategy().prop_map(Op::Remove),
-        key_strategy().prop_map(Op::Get),
-    ]
-}
+use art_core::NodeKind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn local_art_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut art = LocalArt::new();
-        let mut oracle: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                Op::Insert(k, v) => {
-                    prop_assert_eq!(art.insert(k.clone(), *v), oracle.insert(k.clone(), *v));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(art.remove(k), oracle.remove(k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(art.get(k), oracle.get(k));
-                }
-            }
-            prop_assert_eq!(art.len(), oracle.len());
-        }
-        // Full ordered iteration must agree.
-        let got: Vec<_> = art.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
-        let want: Vec<_> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn local_art_range_matches_btreemap(
-        keys in proptest::collection::btree_set(key_strategy(), 0..80),
-        low in key_strategy(),
-        high in key_strategy(),
-    ) {
-        let (low, high) = if low <= high { (low, high) } else { (high, low) };
-        let mut art = LocalArt::new();
-        for (i, k) in keys.iter().enumerate() {
-            art.insert(k.clone(), i);
-        }
-        let got: Vec<Vec<u8>> = art.range(&low, &high).map(|(k, _)| k.to_vec()).collect();
-        let want: Vec<Vec<u8>> = keys
-            .iter()
-            .filter(|k| **k >= low && **k <= high)
-            .cloned()
-            .collect();
-        prop_assert_eq!(got, want);
-    }
 
     #[test]
     fn leaf_codec_roundtrips(

@@ -239,55 +239,96 @@ fn latest_distribution_tracks_inserts_through_the_stack() {
     );
 }
 
+const KINDS: [art_core::NodeKind; 4] = [
+    art_core::NodeKind::Node4,
+    art_core::NodeKind::Node16,
+    art_core::NodeKind::Node48,
+    art_core::NodeKind::Node256,
+];
+
+/// The node census of the path-compressed ART over `keys`, from the sorted,
+/// deduplicated keys alone: every inner node is the longest common prefix
+/// of two adjacent keys, its children are the next bytes those pairs show,
+/// its kind is the smallest that holds them, and a key equal to a node's
+/// prefix is that node's inner value. Returns the inner-node count per kind
+/// (Node4, Node16, Node48, Node256), the leaves and the inner values.
+fn art_census(mut keys: Vec<Vec<u8>>) -> ([usize; 4], usize, usize) {
+    use art_core::key::common_prefix_len;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    keys.sort_unstable();
+    keys.dedup();
+    let mut nodes: BTreeMap<&[u8], BTreeSet<u8>> = BTreeMap::new();
+    for pair in keys.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let at = common_prefix_len(a, b);
+        let children = nodes.entry(&a[..at]).or_default();
+        children.extend(a.get(at).into_iter().chain(b.get(at)).copied());
+    }
+    let mut kinds = [0; 4];
+    for children in nodes.values() {
+        let kind = KINDS.iter().position(|k| children.len() <= k.capacity());
+        kinds[kind.expect("at most 256 children")] += 1;
+    }
+    let inner_values = keys
+        .iter()
+        .filter(|k| nodes.contains_key(k.as_slice()))
+        .count();
+    (kinds, keys.len() - inner_values, inner_values)
+}
+
 /// Cross-validation of the memory accounting: loading the same keys into
-/// the local reference ART and into remote Sphinx, the census-based
-/// estimate of the remote tree must agree with the allocator's measured
-/// live bytes (within size-class rounding and hash-table exclusion).
+/// remote Sphinx, the estimate built from the keys' node census (node
+/// sizes of `art_core::layout` plus one leaf per key) must agree with the
+/// allocator's measured live bytes (within size-class rounding and
+/// hash-table exclusion), and the census with the remote tree's shape. Both
+/// key spaces: email keys reach Node16 and Node48, u64 keys barely do.
 #[test]
 fn census_estimate_matches_measured_art_bytes() {
+    use art_core::layout::{InnerNode, LeafNode};
     use bench_harness::systems::{System, SystemHandle};
     use ycsb::{value_for, KeySpace, VALUE_LEN};
 
     let n = 20_000u64;
-    // Local reference tree over the identical key set.
-    let mut local = art_core::LocalArt::new();
-    let mut key_bytes = 0usize;
-    for i in 0..n {
-        let k = KeySpace::U64.key(i);
-        key_bytes += k.len();
-        local.insert(k, ());
-    }
-    let census = local.census();
-    let estimate = census.remote_bytes_estimate(key_bytes / n as usize, VALUE_LEN);
+    for space in [KeySpace::U64, KeySpace::Email] {
+        let keys: Vec<Vec<u8>> = (0..n).map(|i| space.key(i)).collect();
+        let avg_key_len = keys.iter().map(Vec::len).sum::<usize>() / keys.len();
+        let (kinds, leaves, inner_values) = art_census(keys);
+        let inner_bytes: usize = (0..4)
+            .map(|i| kinds[i] * InnerNode::byte_size(KINDS[i]))
+            .sum();
+        let leaf_bytes = (leaves + inner_values) * LeafNode::encoded_size(avg_key_len, VALUE_LEN);
+        let estimate = (inner_bytes + leaf_bytes) as u64;
 
-    // Remote tree over the same keys.
-    let handle = System::Sphinx.build(1 << 30, Some(64 << 10));
-    {
-        let mut w = handle.worker(0);
-        for i in 0..n {
-            w.insert(&KeySpace::U64.key(i), &value_for(i, 0));
+        // Remote tree over the same keys.
+        let handle = System::Sphinx.build(1 << 30, Some(64 << 10));
+        {
+            let mut w = handle.worker(0);
+            for i in 0..n {
+                w.insert(&space.key(i), &value_for(i, 0));
+            }
         }
-    }
-    let SystemHandle::Sphinx(index) = &handle else {
-        unreachable!()
-    };
-    let measured = index.space_breakdown().expect("space").art_bytes;
+        let SystemHandle::Sphinx(index) = &handle else {
+            unreachable!()
+        };
+        let measured = index.space_breakdown().expect("space").art_bytes;
 
-    let ratio = measured as f64 / estimate as f64;
-    assert!(
-        (0.9..1.4).contains(&ratio),
-        "accounting drift: estimate {estimate}, measured {measured} (ratio {ratio:.2})"
-    );
-    // And the structures themselves must agree.
-    let remote = index.verify().expect("verify");
-    assert_eq!(
-        remote.inner_nodes,
-        census.inner_nodes(),
-        "inner node counts differ"
-    );
-    assert_eq!(
-        remote.leaves,
-        census.leaves + census.inner_values,
-        "leaf counts differ"
-    );
+        let ratio = measured as f64 / estimate as f64;
+        assert!(
+            (0.9..1.4).contains(&ratio),
+            "{space:?}: accounting drift: estimate {estimate}, measured {measured} (ratio {ratio:.3})"
+        );
+        // And the structures themselves must agree.
+        let remote = index.verify().expect("verify");
+        assert_eq!(
+            remote.inner_nodes,
+            kinds.iter().sum::<usize>(),
+            "{space:?}: inner node counts differ"
+        );
+        assert_eq!(
+            remote.leaves,
+            leaves + inner_values,
+            "{space:?}: leaf counts differ"
+        );
+    }
 }
